@@ -142,9 +142,10 @@ func BenchmarkSearchAll(b *testing.B) {
 		{Model: "resnet-26M", GPUs: 4},
 		{Model: "bert-base", GPUs: 8},
 	}
+	eng := NewEngine(WithCache(0))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SearchAll(specs); err != nil {
+		if _, err := eng.SearchAll(context.Background(), specs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -169,7 +170,7 @@ func BenchmarkEnumerateTransformerLayer(b *testing.B) {
 }
 
 func BenchmarkSimulateIteration(b *testing.B) {
-	res, err := Search("t5-770M", 8)
+	res, err := coldSearch("t5-770M", 8)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func BenchmarkSimulateIteration(b *testing.B) {
 }
 
 func BenchmarkCostModelStrategy(b *testing.B) {
-	res, err := Search("t5-770M", 8)
+	res, err := coldSearch("t5-770M", 8)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func BenchmarkCostModelStrategy(b *testing.B) {
 
 func BenchmarkEndToEndSearchT5_100M(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := Search("t5-100M", 8); err != nil {
+		if _, err := coldSearch("t5-100M", 8); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -205,7 +206,7 @@ func BenchmarkEndToEndSearchT5_1_4B(b *testing.B) {
 	// The headline scalability point: search time stays sub-second even
 	// on the deepest model because the folded search space is constant.
 	for i := 0; i < b.N; i++ {
-		if _, err := Search("t5-1.4B", 8); err != nil {
+		if _, err := coldSearch("t5-1.4B", 8); err != nil {
 			b.Fatal(err)
 		}
 	}

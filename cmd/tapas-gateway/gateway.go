@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"tapas/internal/graphio"
+	"tapas/internal/httpobs"
 	"tapas/internal/models"
 	"tapas/internal/promtext"
 	"tapas/internal/trace"
@@ -35,10 +36,6 @@ const replicaHeader = "X-Tapas-Replica"
 // singleflightHeader marks a response served from another client's
 // identical in-flight search rather than a dedicated upstream request.
 const singleflightHeader = "X-Tapas-Singleflight"
-
-// clientHeader optionally names the rate-limit principal; without it
-// the client IP is the principal.
-const clientHeader = "X-Tapas-Client"
 
 // gatewayConfig sizes a gateway. newGateway fills defaults for zero
 // values.
@@ -667,14 +664,7 @@ func (gw *gateway) allow(w http.ResponseWriter, r *http.Request) bool {
 	if gw.limiter == nil {
 		return true
 	}
-	key := r.Header.Get(clientHeader)
-	if key == "" {
-		if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
-			key = host
-		} else {
-			key = r.RemoteAddr
-		}
-	}
+	key := httpobs.Client(r)
 	ok, wait := gw.limiter.allow(key, time.Now())
 	if ok {
 		return true

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"tapas"
+	"tapas/internal/httpobs"
 	"tapas/service"
 	"tapas/store"
 	"tapas/store/remotebackend"
@@ -236,7 +237,7 @@ func TestRateLimit429WithRetryAfter(t *testing.T) {
 	body := `{"model":"t5-100M","gpus":8}`
 	var limited *http.Response
 	for i := 0; i < 3; i++ {
-		resp, _ := postJSON(t, srv.URL+"/v1/search", body, map[string]string{clientHeader: "bursty"})
+		resp, _ := postJSON(t, srv.URL+"/v1/search", body, map[string]string{httpobs.ClientHeader: "bursty"})
 		if resp.StatusCode == http.StatusTooManyRequests {
 			limited = resp
 		}
@@ -251,7 +252,7 @@ func TestRateLimit429WithRetryAfter(t *testing.T) {
 		t.Error("rate-limited requests not counted")
 	}
 	// A different client principal is untouched.
-	resp, _ := postJSON(t, srv.URL+"/v1/search", body, map[string]string{clientHeader: "calm"})
+	resp, _ := postJSON(t, srv.URL+"/v1/search", body, map[string]string{httpobs.ClientHeader: "calm"})
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("other client caught in the limiter: %d", resp.StatusCode)
 	}

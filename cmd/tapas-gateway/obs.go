@@ -1,116 +1,34 @@
 package main
 
 import (
-	"net"
 	"net/http"
-	"strconv"
-	"strings"
-	"time"
 
-	"tapas/internal/logkv"
-	"tapas/internal/trace"
+	"tapas/internal/httpobs"
 )
 
-// This file is the gateway's observability edge: the middleware that
-// starts (or adopts) the trace root for every proxied request, times it
-// into the request histogram, and emits the key=value request log. The
-// replica-side mirror lives in service/obs.go; together they give one
-// request a span on every hop it touches.
-
-// clientName names the request's caller the way the rate limiter keys
-// it: the X-Tapas-Client header when present, else the client IP.
-func clientName(r *http.Request) string {
-	if c := r.Header.Get(clientHeader); c != "" {
-		return c
-	}
-	host, _, err := net.SplitHostPort(r.RemoteAddr)
-	if err != nil {
-		return r.RemoteAddr
-	}
-	return host
-}
-
-// obsWriter captures the response status and lets the request log read
-// the X-Tapas-Replica header relay sets. It forwards Flush so SSE
-// relays stay live through the wrapper.
-type obsWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *obsWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *obsWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-func (w *obsWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (w *obsWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-// withObs wraps the gateway mux with tracing and request accounting:
-// adopt the caller's trace (X-Tapas-Trace/X-Tapas-Parent) or sample a
-// fresh one, echo the trace ID back to the client, time the request
-// into tapas_request_duration_seconds, and emit one key=value request
-// log line naming the replica that answered. /metrics and the flight
-// recorder's own endpoints are exempt — scraping must not fill the
-// ring buffer it reads.
+// withObs mounts the shared HTTP observability middleware around the
+// gateway mux (the replicas mount the same one; together they give one
+// request a span on every hop it touches). The gateway's own additions:
+// the span and the log line name the replica that answered (relay sets
+// X-Tapas-Replica), and a request slower than -trace-slow is logged as
+// slow_request even without -log-requests.
 func (gw *gateway) withObs(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		path := r.URL.Path
-		if path == "/metrics" || path == "/v1/traces" || strings.HasPrefix(path, "/v1/traces/") {
-			next.ServeHTTP(w, r)
-			return
-		}
-		start := time.Now()
-		client := clientName(r)
-		traceID, parentID := trace.Extract(r.Header)
-		ctx, span := gw.cfg.rec.StartRequest(r.Context(), r.Method+" "+path, traceID, parentID)
-		if span != nil {
-			span.SetAttr("client", client)
-			w.Header().Set(trace.TraceHeader, span.TraceID())
-		}
-		sw := &obsWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r.WithContext(ctx))
-		dur := time.Since(start)
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		replica := sw.Header().Get(replicaHeader)
-		gw.reqHist.Observe(dur.Seconds())
-		span.SetAttr("status", strconv.Itoa(status))
-		if replica != "" {
-			span.SetAttr("replica", replica)
-		}
-		span.End()
-		slow := gw.cfg.traceSlow > 0 && dur >= gw.cfg.traceSlow
-		if gw.cfg.logRequests || slow {
-			event := "request"
-			if slow {
-				event = "slow_request"
+	return httpobs.Wrap(httpobs.Config{
+		Rec:  gw.cfg.rec,
+		Hist: gw.reqHist,
+		Exit: func(x httpobs.Exchange) {
+			replica := x.Header.Get(replicaHeader)
+			if replica != "" {
+				x.Span.SetAttr("replica", replica)
 			}
-			gw.cfg.logf("%s", logkv.Line(event,
-				"method", r.Method,
-				"path", path,
-				"status", status,
-				"dur", dur,
-				"client", client,
-				"replica", replica,
-				"trace", span.TraceID(),
-			))
-		}
-	})
+			slow := gw.cfg.traceSlow > 0 && x.Dur >= gw.cfg.traceSlow
+			if gw.cfg.logRequests || slow {
+				event := "request"
+				if slow {
+					event = "slow_request"
+				}
+				gw.cfg.logf("%s", x.LogLine(event, "replica", replica))
+			}
+		},
+	}, next)
 }

@@ -30,8 +30,7 @@ import (
 // Engine is the reusable, concurrency-safe entry point of the TAPAS
 // pipeline — the serving shape: construct one Engine per deployment,
 // configure it once with functional options, and issue many concurrent,
-// cancellable searches against it. Compared to the free functions it
-// adds
+// cancellable searches against it. It provides
 //
 //   - context-first methods: cancellation and deadlines propagate through
 //     mining, per-class enumeration, prefix tasks and assembly down into
@@ -70,9 +69,9 @@ type flight struct {
 }
 
 // engineConfig is the resolved per-search configuration. The Engine holds
-// the instance configured at construction; the deprecated free functions
-// overlay their legacy Options onto a copy per call, so every search —
-// old API or new — funnels through the same pipeline and cache.
+// the instance configured at construction; a SearchSpec's Options are
+// overlaid onto a copy per call, so every search funnels through the
+// same pipeline and cache.
 type engineConfig struct {
 	cluster    *cluster.Cluster
 	costModel  *cost.Model
@@ -81,11 +80,6 @@ type engineConfig struct {
 	workers    int
 	exhaustive bool
 	timeBudget time.Duration
-	// skipCache bypasses the result cache and in-flight table for this
-	// call. Set by the deprecated free functions: their pre-Engine
-	// contract handed every caller a fresh, exclusively-owned Result
-	// (mutating it was legal), which a shared cache would silently break.
-	skipCache bool
 	// progress is a per-call observer (SearchSpec.Progress): it receives
 	// exactly this search's events, never another caller's, in addition
 	// to the engine-level WithProgress observer. Deliberately excluded
@@ -220,8 +214,7 @@ func NewEngine(opts ...Option) *Engine {
 // endpoints and benchmark records. Hits counts requests answered from a
 // stored entry, Joined counts requests that piggybacked on an identical
 // in-flight computation, and Misses counts cold pipeline runs led on the
-// cached path (calls that bypass the cache — the deprecated free
-// functions, or WithCache(0) — are not counted).
+// cached path (with WithCache(0) nothing is counted).
 type CacheStats struct {
 	Hits     uint64 `json:"hits"`
 	Misses   uint64 `json:"misses"`
@@ -326,19 +319,15 @@ func (e *Engine) searchModel(ctx context.Context, modelName string, gpus int, cf
 	e.fpMu.Lock()
 	fp, known := e.fps[modelName]
 	e.fpMu.Unlock()
-	if known && !cfg.skipCache {
+	if known {
 		key := e.searchKey(fp, gpus, cfg)
-		res, err := e.doCached(ctx, key, func() (*Result, error) {
+		return e.doCached(ctx, key, modelName, func() (*Result, error) {
 			g, err := models.Build(modelName)
 			if err != nil {
 				return nil, err
 			}
 			return e.computeSearch(ctx, key, modelName, g, gpus, cfg)
 		})
-		if res != nil && res.CacheHit {
-			res.ModelName = modelName // private copy; the name is not part of the key
-		}
-		return res, err
 	}
 	g, err := models.Build(modelName)
 	if err != nil {
@@ -369,7 +358,7 @@ func (e *Engine) Baseline(ctx context.Context, name, modelName string, gpus int)
 	if err != nil {
 		return nil, err
 	}
-	return e.baselineGraph(ctx, name, modelName, g, gpus, e.base)
+	return e.baselineGraph(ctx, name, modelName, g, gpus)
 }
 
 // searchKey builds the cache key identifying one search configuration.
@@ -386,21 +375,30 @@ func (e *Engine) searchKey(fp string, gpus int, cfg engineConfig) cacheKey {
 
 // BaselineGraph is Baseline for an arbitrary graph.
 func (e *Engine) BaselineGraph(ctx context.Context, name string, g *graph.Graph, gpus int) (*Result, error) {
-	return e.baselineGraph(ctx, name, g.Name, g, gpus, e.base)
+	return e.baselineGraph(ctx, name, g.Name, g, gpus)
 }
 
 // SearchSpec runs one spec through the full cached pipeline, honoring the
 // spec's per-call Options overlaid on the engine configuration. It is the
-// per-request entry point of the serving layer: unlike the deprecated
-// free functions (which bypass the cache) and unlike SearchAll (which
-// wraps errors with batch positions), a SearchSpec call is keyed,
-// deduplicated and cached exactly like Engine.Search.
+// per-request entry point of the serving layer: unlike SearchAll (which
+// wraps errors with batch positions), a SearchSpec call returns the
+// search's own error, and is keyed, deduplicated and cached exactly like
+// Engine.Search.
 func (e *Engine) SearchSpec(ctx context.Context, spec SearchSpec) (*Result, error) {
+	return e.searchSpec(ctx, spec, 0)
+}
+
+// searchSpec resolves one spec's configuration and runs it. workers is
+// the pool size a spec that names none gets (0: the engine's own).
+func (e *Engine) searchSpec(ctx context.Context, spec SearchSpec, workers int) (*Result, error) {
 	cfg := e.base
 	if spec.Options != nil {
 		cfg = e.base.overlay(*spec.Options)
 	}
 	cfg.progress = spec.Progress
+	if cfg.workers == 0 {
+		cfg.workers = workers
+	}
 	if spec.Graph != nil {
 		cfg.wireSpec = spec.SpecText
 		return e.searchGraph(ctx, spec.Graph.Name, spec.Graph, spec.GPUs, cfg)
@@ -417,31 +415,13 @@ func (e *Engine) SearchSpec(ctx context.Context, spec SearchSpec) (*Result, erro
 // deterministic, so a batch run returns exactly what sequential Search
 // calls would have.
 func (e *Engine) SearchAll(ctx context.Context, specs []SearchSpec) ([]*Result, error) {
-	return e.searchAll(ctx, specs, e.base)
-}
-
-// searchAll is SearchAll with an explicit base config (the deprecated
-// free function passes one with skipCache set).
-func (e *Engine) searchAll(ctx context.Context, specs []SearchSpec, base engineConfig) ([]*Result, error) {
 	// Each search's inner pool defaults to an even share of the machine:
 	// batch-level concurrency × per-search workers ≈ GOMAXPROCS, rather
 	// than GOMAXPROCS². Worker counts never affect results, only pacing.
 	share := parallel.Workers(0) / max(1, len(specs))
 	results, errs := parallel.MapAll(ctx, 0, specs,
 		func(ctx context.Context, i int, spec SearchSpec) (*Result, error) {
-			cfg := base
-			if spec.Options != nil {
-				cfg = base.overlay(*spec.Options)
-			}
-			cfg.progress = spec.Progress
-			if cfg.workers == 0 {
-				cfg.workers = max(1, share)
-			}
-			if spec.Graph != nil {
-				cfg.wireSpec = spec.SpecText
-				return e.searchGraph(ctx, spec.Graph.Name, spec.Graph, spec.GPUs, cfg)
-			}
-			return e.searchModel(ctx, spec.Model, spec.GPUs, cfg)
+			return e.searchSpec(ctx, spec, max(1, share))
 		})
 	for i, err := range errs {
 		// A cancelled batch can skip specs before they start: they have
@@ -517,8 +497,8 @@ func (cfg engineConfig) resolve(gpus int) (cl *cluster.Cluster, model *cost.Mode
 	return cl, model, enum, mopt
 }
 
-// overlay applies the legacy per-call Options on top of the engine
-// configuration, keeping the deprecated free functions byte-compatible.
+// overlay applies a SearchSpec's per-call Options on top of the engine
+// configuration.
 func (cfg engineConfig) overlay(opt Options) engineConfig {
 	out := cfg
 	if opt.Cluster != nil {
@@ -551,17 +531,10 @@ func (e *Engine) searchGraph(ctx context.Context, name string, g *graph.Graph, g
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("tapas: search aborted: %w", err)
 	}
-	if cfg.skipCache {
-		return e.runSearch(ctx, name, g, gpus, cfg)
-	}
 	key := e.searchKey(g.Fingerprint(), gpus, cfg)
-	res, err := e.doCached(ctx, key, func() (*Result, error) {
+	return e.doCached(ctx, key, name, func() (*Result, error) {
 		return e.computeSearch(ctx, key, name, g, gpus, cfg)
 	})
-	if res != nil && res.CacheHit {
-		res.ModelName = name // private copy; the name is not part of the key
-	}
-	return res, err
 }
 
 // runSearch is the full cold pipeline behind Search/SearchGraph/SearchAll.
@@ -699,35 +672,22 @@ func (e *Engine) runSearch(ctx context.Context, name string, g *graph.Graph, gpu
 
 // baselineGraph keys, deduplicates and caches one baseline derivation;
 // the planner dispatch lives in runBaseline.
-func (e *Engine) baselineGraph(ctx context.Context, name, modelName string, g *graph.Graph, gpus int, cfg engineConfig) (*Result, error) {
+func (e *Engine) baselineGraph(ctx context.Context, name, modelName string, g *graph.Graph, gpus int) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("tapas: baseline aborted: %w", err)
 	}
-	cl, model, enum, mopt := cfg.resolve(gpus)
-	if cfg.skipCache {
-		return e.runBaseline(ctx, name, modelName, g, gpus, cfg)
-	}
-	key := cacheKey{
-		kind:    "baseline:" + name,
-		graph:   g.Fingerprint(),
-		gpus:    gpus,
-		cluster: cl.Signature(),
-		options: optionsSignature(model, enum, mopt, cfg.exhaustive),
-	}
-	res, err := e.doCached(ctx, key, func() (*Result, error) {
-		return e.runBaseline(ctx, name, modelName, g, gpus, cfg)
+	key := e.searchKey(g.Fingerprint(), gpus, e.base)
+	key.kind = "baseline:" + name
+	return e.doCached(ctx, key, modelName, func() (*Result, error) {
+		return e.runBaseline(ctx, name, modelName, g, gpus)
 	})
-	if res != nil && res.CacheHit {
-		res.ModelName = modelName // private copy; not part of the key
-	}
-	return res, err
 }
 
 // runBaseline derives and simulates one comparison plan. modelName is
 // the caller-facing model identity, fixed before the Result is published
 // to the cache (published Results are shared and never written).
-func (e *Engine) runBaseline(ctx context.Context, name, modelName string, g *graph.Graph, gpus int, cfg engineConfig) (*Result, error) {
-	cl, model, _, _ := cfg.resolve(gpus)
+func (e *Engine) runBaseline(ctx context.Context, name, modelName string, g *graph.Graph, gpus int) (*Result, error) {
+	cl, model, _, _ := e.base.resolve(gpus)
 
 	res := &Result{GPUs: gpus, ModelName: modelName}
 	start := time.Now()
@@ -753,8 +713,8 @@ func (e *Engine) runBaseline(ctx context.Context, name, modelName string, g *gra
 	case "alpa":
 		var stats *baselines.AlpaStats
 		aopt := baselines.DefaultAlpaOptions()
-		if cfg.timeBudget > 0 {
-			aopt.TimeBudget = cfg.timeBudget
+		if e.base.timeBudget > 0 {
+			aopt.TimeBudget = e.base.timeBudget
 		}
 		s, stats, err = baselines.AlpaSearch(ctx, gg, gpus, model, aopt)
 		if stats != nil {
@@ -791,8 +751,8 @@ func (e *Engine) runBaseline(ctx context.Context, name, modelName string, g *gra
 // Result participates: the structural graph fingerprint, the GPU count,
 // the cluster signature, and the full option set. The worker count is
 // deliberately excluded — results are bit-identical for every worker
-// count (the equivalence suite enforces it on the uncached legacy path),
-// so single-call and batch traffic share entries even though SearchAll
+// count (the equivalence suite enforces it on WithCache(0) engines), so
+// single-call and batch traffic share entries even though SearchAll
 // rewrites per-spec worker shares.
 type cacheKey struct {
 	kind    string // "search" or "baseline:<name>"
@@ -871,19 +831,25 @@ func (c *lruCache) put(k cacheKey, r *Result) {
 // doCached serves one keyed computation through the cache and the
 // in-flight table:
 //
-//   - a cached key returns a private shallow copy with CacheHit set (the
-//     heavy Strategy/Parallel structures stay shared and must be treated
-//     as read-only);
+//   - a cached key returns a private shallow copy with CacheHit set and
+//     ModelName set to the caller's name for the model — the name is not
+//     part of the key (the heavy Strategy/Parallel structures stay shared
+//     and must be treated as read-only);
 //   - a key already being computed is joined, not recomputed — a burst of
 //     identical cold requests (the serving shape) costs one pipeline run,
 //     with followers woken by the leader and handed hit-copies;
 //   - otherwise the caller becomes the leader and runs compute. The cache
-//     stores a private shallow copy, so a cold-path caller that mutates
-//     the Result it was handed (legal under the pre-Engine contract of
-//     the deprecated free functions) cannot corrupt later hits.
+//     stores a private shallow copy, so a cold-path caller that writes a
+//     field of the Result it was handed cannot corrupt later hits.
 //
 // With caching disabled (WithCache(0)) every call computes independently.
-func (e *Engine) doCached(ctx context.Context, key cacheKey, compute func() (*Result, error)) (*Result, error) {
+func (e *Engine) doCached(ctx context.Context, key cacheKey, name string, compute func() (*Result, error)) (*Result, error) {
+	hit := func(shared *Result) *Result {
+		res := *shared
+		res.CacheHit = true
+		res.ModelName = name
+		return &res
+	}
 	for {
 		e.mu.Lock()
 		if e.cache == nil {
@@ -894,9 +860,7 @@ func (e *Engine) doCached(ctx context.Context, key cacheKey, compute func() (*Re
 			e.stats.Hits++
 			e.mu.Unlock()
 			trace.Record(ctx, "cache", time.Now(), 0, "outcome", "hit")
-			res := *cached
-			res.CacheHit = true
-			return &res, nil
+			return hit(cached), nil
 		}
 		f, running := e.inflight[key]
 		if !running {
@@ -952,9 +916,7 @@ func (e *Engine) doCached(ctx context.Context, key cacheKey, compute func() (*Re
 			e.stats.Joined++
 			e.mu.Unlock()
 			trace.Record(ctx, "cache", time.Now(), 0, "outcome", "joined")
-			res := *f.res
-			res.CacheHit = true
-			return &res, nil
+			return hit(f.res), nil
 		case <-ctx.Done():
 			return nil, fmt.Errorf("tapas: search aborted: %w", ctx.Err())
 		}

@@ -12,30 +12,6 @@ import (
 	"time"
 )
 
-// TestEngineMatchesLegacyAPI pins the compatibility contract: the Engine
-// path returns bit-identical results to the deprecated free functions
-// (which themselves now run through the default Engine).
-func TestEngineMatchesLegacyAPI(t *testing.T) {
-	eng := NewEngine()
-	res, err := eng.Search(context.Background(), "t5-100M", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := Search("t5-100M", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := res.Strategy.Describe(), legacy.Strategy.Describe(); got != want {
-		t.Errorf("engine plan %q != legacy plan %q", got, want)
-	}
-	if got, want := res.Strategy.Cost.Total(), legacy.Strategy.Cost.Total(); got != want {
-		t.Errorf("engine cost %v != legacy cost %v", got, want)
-	}
-	if res.Examined != legacy.Examined {
-		t.Errorf("engine examined %d != legacy %d", res.Examined, legacy.Examined)
-	}
-}
-
 // TestEngineCacheHitOnRepeatSearch is the headline caching contract: a
 // repeated search for the same (graph fingerprint, cluster, options) key
 // is served from the LRU cache, marked CacheHit, with the same plan, and

@@ -29,6 +29,13 @@ var equivalenceSpecs = []struct {
 	{"bert-base", 4}, {"bert-base", 8},
 }
 
+// coldSearch runs one search on a fresh cache-less Engine, so every call
+// is the cold pipeline and the compared Results share nothing.
+func coldSearch(model string, gpus int, opts ...tapas.Option) (*tapas.Result, error) {
+	eng := tapas.NewEngine(append([]tapas.Option{tapas.WithCache(0)}, opts...)...)
+	return eng.Search(context.Background(), model, gpus)
+}
+
 // TestSearchWorkerEquivalence is the determinism contract of the parallel
 // search: for every spec, Workers=1 and Workers=N must produce identical
 // strategies (description, cost, memory) and identical search effort
@@ -38,12 +45,12 @@ func TestSearchWorkerEquivalence(t *testing.T) {
 	for _, spec := range equivalenceSpecs {
 		spec := spec
 		t.Run(spec.model, func(t *testing.T) {
-			serial, err := tapas.Search(spec.model, spec.gpus, tapas.Options{Workers: 1})
+			serial, err := coldSearch(spec.model, spec.gpus, tapas.WithWorkers(1))
 			if err != nil {
 				t.Fatalf("serial search: %v", err)
 			}
 			for _, workers := range []int{2, 4, 8} {
-				par, err := tapas.Search(spec.model, spec.gpus, tapas.Options{Workers: workers})
+				par, err := coldSearch(spec.model, spec.gpus, tapas.WithWorkers(workers))
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -133,11 +140,11 @@ func TestExhaustiveWorkerEquivalence(t *testing.T) {
 		model string
 		gpus  int
 	}{{"t5-100M", 8}, {"resnet-26M", 4}} {
-		serial, err := tapas.Search(spec.model, spec.gpus, tapas.Options{Exhaustive: true, Workers: 1})
+		serial, err := coldSearch(spec.model, spec.gpus, tapas.WithExhaustive(true), tapas.WithWorkers(1))
 		if err != nil {
 			t.Fatalf("%s serial: %v", spec.model, err)
 		}
-		par, err := tapas.Search(spec.model, spec.gpus, tapas.Options{Exhaustive: true, Workers: 8})
+		par, err := coldSearch(spec.model, spec.gpus, tapas.WithExhaustive(true), tapas.WithWorkers(8))
 		if err != nil {
 			t.Fatalf("%s workers=8: %v", spec.model, err)
 		}
@@ -158,7 +165,7 @@ func TestSearchAllMatchesIndividual(t *testing.T) {
 		{Model: "moe-380M", GPUs: 4},
 		{Model: "resnet-26M", GPUs: 8},
 	}
-	batch, err := tapas.SearchAll(specs)
+	batch, err := tapas.NewEngine(tapas.WithCache(0)).SearchAll(context.Background(), specs)
 	if err != nil {
 		t.Fatalf("SearchAll: %v", err)
 	}
@@ -166,9 +173,9 @@ func TestSearchAllMatchesIndividual(t *testing.T) {
 		t.Fatalf("SearchAll returned %d results for %d specs", len(batch), len(specs))
 	}
 	for i, spec := range specs {
-		single, err := tapas.Search(spec.Model, spec.GPUs)
+		single, err := coldSearch(spec.Model, spec.GPUs)
 		if err != nil {
-			t.Fatalf("tapas.Search(%s): %v", spec.Model, err)
+			t.Fatalf("Search(%s): %v", spec.Model, err)
 		}
 		if batch[i] == nil {
 			t.Fatalf("spec %d: nil result", i)
@@ -289,7 +296,7 @@ func TestSearchAllPartialFailure(t *testing.T) {
 		{Model: "no-such-model", GPUs: 8},
 		{Model: "resnet-26M", GPUs: 4},
 	}
-	results, err := tapas.SearchAll(specs)
+	results, err := tapas.NewEngine(tapas.WithCache(0)).SearchAll(context.Background(), specs)
 	if err == nil {
 		t.Fatal("want error for unknown model")
 	}

@@ -21,7 +21,7 @@ func TestSearchAllRegisteredModels(t *testing.T) {
 	for _, name := range Models() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			res, err := Search(name, 8)
+			res, err := coldSearch(name, 8)
 			if err != nil {
 				t.Fatalf("search: %v", err)
 			}

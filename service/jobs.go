@@ -42,8 +42,10 @@ type job struct {
 	// submitter is long gone.
 	traceID  string
 	parentID string
-	subs      map[int]chan JobEvent
-	nextSub   int
+	// subs holds the live event streams; nil once the job's streams are
+	// retired (or for a job restored already terminal).
+	subs    map[int]chan JobEvent
+	nextSub int
 }
 
 // status snapshots the job in wire form.
@@ -107,7 +109,7 @@ func (j *job) record() *JobRecord {
 // blocking: a slow consumer drops events rather than stalling the
 // search. Callers must hold j.mu — every send and every channel close
 // happens under the job lock, which is what makes the close in
-// closeSubsLocked safe against concurrent sends.
+// closeSubs safe against concurrent sends.
 func (j *job) broadcastLocked(ev JobEvent) {
 	for _, ch := range j.subs {
 		select {
@@ -117,14 +119,19 @@ func (j *job) broadcastLocked(ev JobEvent) {
 	}
 }
 
-// closeSubsLocked retires every subscriber after the terminal event.
-// Callers must hold j.mu; holding it excludes in-flight sends, so the
-// closes cannot race a broadcast.
-func (j *job) closeSubsLocked() {
+// closeSubs retires every subscriber. It runs last on the terminal
+// path — after the terminal event, the durable record write and the
+// retention pass — so whoever the close wakes (WaitTerminal, an SSE
+// stream) finds every side-effect of the transition already applied.
+// Holding j.mu excludes in-flight sends, so the closes cannot race a
+// broadcast.
+func (j *job) closeSubs() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	for _, ch := range j.subs {
 		close(ch)
 	}
-	j.subs = make(map[int]chan JobEvent)
+	j.subs = nil
 }
 
 // noteProgress records and fans out one engine progress event. It is the
@@ -440,11 +447,11 @@ func (s *Service) Cancel(id string) (*JobStatus, error) {
 		j.errMsg = "cancelled by client"
 		j.finished = time.Now()
 		j.broadcastLocked(JobEvent{JobID: j.id, Type: EventState, State: JobCancelled, Error: "cancelled by client"})
-		j.closeSubsLocked()
 		j.mu.Unlock()
 		j.cancel()
 		s.persistJob(j)
 		s.dropRecords(s.jobs.evict())
+		j.closeSubs()
 	case j.state == JobRunning:
 		j.cancelled = true
 		j.mu.Unlock()
@@ -468,7 +475,7 @@ func (s *Service) Subscribe(id string) (<-chan JobEvent, func(), error) {
 	ch := make(chan JobEvent, 64)
 	j.mu.Lock()
 	snapshot := JobEvent{JobID: j.id, Type: EventState, State: j.state, Error: j.errMsg}
-	if j.state.Terminal() {
+	if j.subs == nil { // terminal, and its side-effects applied
 		j.mu.Unlock()
 		ch <- snapshot
 		close(ch)
@@ -482,7 +489,7 @@ func (s *Service) Subscribe(id string) (<-chan JobEvent, func(), error) {
 	// snapshot send.
 	j.mu.Unlock()
 	cancel := func() {
-		// Detach only — the terminal path (closeSubsLocked) is the one
+		// Detach only — the terminal path (closeSubs) is the one
 		// place channels are closed, and it cannot see a detached
 		// channel. A detached channel is simply abandoned to the GC;
 		// closing it here would race nothing today (all sends hold
@@ -612,7 +619,6 @@ func (s *Service) finishJob(j *job, resp *SearchResponse, err error) {
 	drainCut := j.state == JobCancelled && !j.cancelled && s.draining.Load()
 	j.finished = time.Now()
 	j.broadcastLocked(ev)
-	j.closeSubsLocked()
 	j.mu.Unlock()
 	j.cancel() // release the context's resources
 	if !drainCut {
@@ -623,4 +629,5 @@ func (s *Service) finishJob(j *job, resp *SearchResponse, err error) {
 		s.persistJob(j)
 	}
 	s.dropRecords(s.jobs.evict())
+	j.closeSubs()
 }

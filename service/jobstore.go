@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync"
 
+	"tapas/internal/wbq"
 	"tapas/store"
 )
 
@@ -86,25 +87,20 @@ type jobOp struct {
 	data []byte
 }
 
-// jobStore persists job records through a store.Backend with a single
-// write-behind goroutine. Unlike the plan store's PutAsync (which drops
-// on a full queue — plans are an accelerator), job transitions are the
-// system of record: enqueue blocks briefly when the queue is full rather
-// than dropping, and the single FIFO writer keeps each job's transitions
-// in submission order so a crash can only lose a suffix, never reorder
-// states on disk.
+// jobStore persists job records through a store.Backend behind a
+// write-behind queue. Unlike the plan store's PutAsync (which drops on a
+// full queue — plans are an accelerator), job transitions are the system
+// of record: enqueue blocks briefly when the queue is full rather than
+// dropping, and the queue's single FIFO applier keeps each job's
+// transitions in submission order so a crash can only lose a suffix,
+// never reorder states on disk.
 type jobStore struct {
 	backend   store.Backend
 	onCorrupt func(id string, err error)
+	writes    *wbq.Queue[jobOp]
 
-	mu      sync.Mutex
-	cond    *sync.Cond // signals pending == 0, for Flush and Close
-	pending int
-	closed  bool
-	stats   JobStoreStats
-
-	queue chan jobOp
-	wg    sync.WaitGroup
+	mu    sync.Mutex
+	stats JobStoreStats
 }
 
 // jobStoreQueueSize bounds the write-behind queue. Transitions are
@@ -113,14 +109,8 @@ type jobStore struct {
 const jobStoreQueueSize = 256
 
 func newJobStore(backend store.Backend, onCorrupt func(id string, err error)) *jobStore {
-	js := &jobStore{
-		backend:   backend,
-		onCorrupt: onCorrupt,
-		queue:     make(chan jobOp, jobStoreQueueSize),
-	}
-	js.cond = sync.NewCond(&js.mu)
-	js.wg.Add(1)
-	go js.writer()
+	js := &jobStore{backend: backend, onCorrupt: onCorrupt}
+	js.writes = wbq.New(jobStoreQueueSize, js.apply)
 	return js
 }
 
@@ -187,16 +177,7 @@ func (js *jobStore) put(rec *JobRecord) error {
 	if err != nil {
 		return fmt.Errorf("service: encode job record: %w", err)
 	}
-	if err := js.backend.Put(JobRecordID(rec.ID), data); err != nil {
-		js.mu.Lock()
-		js.stats.WriteErrors++
-		js.mu.Unlock()
-		return err
-	}
-	js.mu.Lock()
-	js.stats.Persists++
-	js.mu.Unlock()
-	return nil
+	return js.write(jobOp{id: JobRecordID(rec.ID), data: data})
 }
 
 // putAsync queues a record rewrite on the write-behind path.
@@ -219,79 +200,51 @@ func (js *jobStore) deleteAsync(jobID string) {
 	js.enqueue(jobOp{id: JobRecordID(jobID)})
 }
 
+// enqueue blocks while the queue is full, never drops: these writes are
+// the system of record. Only a closed store refuses (counted).
 func (js *jobStore) enqueue(op jobOp) {
-	js.mu.Lock()
-	if js.closed {
+	if !js.writes.Put(op) {
+		js.mu.Lock()
 		js.stats.Dropped++
 		js.mu.Unlock()
-		return
 	}
-	js.pending++
-	js.mu.Unlock()
-	// Blocking send, not a drop: these writes are the system of record.
-	// Close waits for pending == 0 before closing the channel, so a
-	// sender that incremented pending can never hit a closed channel.
-	js.queue <- op
 }
 
-// writer is the single write-behind goroutine; one writer is what makes
-// the queue a total order over each job's transitions.
-func (js *jobStore) writer() {
-	defer js.wg.Done()
-	for op := range js.queue {
-		var err error
-		if op.data == nil {
-			err = js.backend.Delete(op.id)
-		} else {
-			err = js.backend.Put(op.id, op.data)
-		}
-		if err != nil && js.onCorrupt != nil {
-			// Report before pending drops, so Flush is a barrier for the
-			// report too.
-			js.onCorrupt(op.id, fmt.Errorf("service: job record write failed: %w", err))
-		}
-		js.mu.Lock()
-		switch {
-		case err != nil:
-			js.stats.WriteErrors++
-		case op.data == nil:
-			js.stats.Deletes++
-		default:
-			js.stats.Persists++
-		}
-		js.pending--
-		if js.pending == 0 {
-			js.cond.Broadcast()
-		}
-		js.mu.Unlock()
+// apply performs one queued write; it counts and reports the outcome
+// before returning, so Flush is a barrier for both.
+func (js *jobStore) apply(op jobOp) {
+	if err := js.write(op); err != nil && js.onCorrupt != nil {
+		js.onCorrupt(op.id, fmt.Errorf("service: job record write failed: %w", err))
 	}
+}
+
+// write performs one operation against the backend and counts it.
+func (js *jobStore) write(op jobOp) error {
+	var err error
+	if op.data == nil {
+		err = js.backend.Delete(op.id)
+	} else {
+		err = js.backend.Put(op.id, op.data)
+	}
+	js.mu.Lock()
+	switch {
+	case err != nil:
+		js.stats.WriteErrors++
+	case op.data == nil:
+		js.stats.Deletes++
+	default:
+		js.stats.Persists++
+	}
+	js.mu.Unlock()
+	return err
 }
 
 // Flush blocks until every queued write has been applied.
-func (js *jobStore) Flush() {
-	js.mu.Lock()
-	for js.pending > 0 {
-		js.cond.Wait()
-	}
-	js.mu.Unlock()
-}
+func (js *jobStore) Flush() { js.writes.Flush() }
 
 // Close drains the queue and retires the writer. Idempotent; later
 // writes are dropped (counted).
-func (js *jobStore) Close() {
-	js.mu.Lock()
-	if js.closed {
-		js.mu.Unlock()
-		return
-	}
-	js.closed = true
-	for js.pending > 0 {
-		js.cond.Wait()
-	}
-	close(js.queue)
-	js.mu.Unlock()
-	js.wg.Wait()
-}
+func (js *jobStore) Close() { js.writes.Close() }
 
 // Stats snapshots the counters.
 func (js *jobStore) Stats() JobStoreStats {

@@ -2,12 +2,12 @@ package service
 
 import (
 	"context"
-	"net"
 	"net/http"
 	"strconv"
 	"time"
 
 	"tapas"
+	"tapas/internal/httpobs"
 	"tapas/internal/logkv"
 	"tapas/internal/promtext"
 	"tapas/internal/trace"
@@ -75,94 +75,23 @@ func (o *observability) addMetrics(m *promtext.Metrics) {
 // remote IP) from the HTTP middleware to the slow-request log.
 type clientKey struct{}
 
-// clientOf names the request's caller the way the gateway's rate
-// limiter does: the X-Tapas-Client header when present, else the
-// client IP.
-func clientOf(r *http.Request) string {
-	if c := r.Header.Get("X-Tapas-Client"); c != "" {
-		return c
-	}
-	host, _, err := net.SplitHostPort(r.RemoteAddr)
-	if err != nil {
-		return r.RemoteAddr
-	}
-	return host
-}
-
-// statusWriter captures the response status for logging and span
-// attrs. It forwards Flush (SSE streams) and unwraps for
-// http.ResponseController.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-// withObs wraps a daemon mux with the observability middleware: start
-// (or adopt, via the X-Tapas-Trace/X-Tapas-Parent headers) the
-// process-local root span, echo the trace ID to the client, time the
-// request into the latency histogram, and emit one key=value request
-// log line. The flight recorder's own endpoints and /metrics are
-// exempt — scraping must not fill the ring buffer it reads.
+// withObs mounts the shared HTTP observability middleware around the
+// daemon mux. The service's own additions: the client identity rides
+// the request context to the search-level slow-request log, and the
+// request log line is emitted under -log-requests.
 func withObs(o *observability, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		path := r.URL.Path
-		if path == "/metrics" || path == "/v1/traces" ||
-			(len(path) > len("/v1/traces/") && path[:len("/v1/traces/")] == "/v1/traces/") {
-			next.ServeHTTP(w, r)
-			return
-		}
-		start := time.Now()
-		client := clientOf(r)
-		traceID, parentID := trace.Extract(r.Header)
-		ctx, span := o.rec.StartRequest(r.Context(), r.Method+" "+path, traceID, parentID)
-		if span != nil {
-			span.SetAttr("client", client)
-			w.Header().Set(trace.TraceHeader, span.TraceID())
-		}
-		ctx = context.WithValue(ctx, clientKey{}, client)
-		sw := &statusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r.WithContext(ctx))
-		dur := time.Since(start)
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		o.reqHist.Observe(dur.Seconds())
-		span.SetAttr("status", strconv.Itoa(status))
-		span.End()
-		if o.logRequests {
-			o.logf("%s", logkv.Line("request",
-				"method", r.Method,
-				"path", path,
-				"status", status,
-				"dur", dur,
-				"client", client,
-				"trace", span.TraceID(),
-			))
-		}
-	})
+	return httpobs.Wrap(httpobs.Config{
+		Rec:  o.rec,
+		Hist: o.reqHist,
+		Enter: func(ctx context.Context, client string) context.Context {
+			return context.WithValue(ctx, clientKey{}, client)
+		},
+		Exit: func(x httpobs.Exchange) {
+			if o.logRequests {
+				o.logf("%s", x.LogLine("request"))
+			}
+		},
+	}, next)
 }
 
 // searchObserver wraps one search call: a span under the request's

@@ -188,7 +188,6 @@ func (s *Service) restoreJob(rec *JobRecord) {
 		attempts: rec.Attempts,
 		adopted:  rec.Adopted,
 		created:  time.UnixMilli(rec.CreatedUnixMS),
-		subs:     make(map[int]chan JobEvent),
 	}
 	if rec.StartedUnixMS != 0 {
 		j.started = time.UnixMilli(rec.StartedUnixMS)
@@ -239,6 +238,7 @@ func (s *Service) restoreJob(rec *JobRecord) {
 		return
 	}
 	s.adopted++
+	j.subs = make(map[int]chan JobEvent) // live again: it has streams to close
 	// Synchronous persist: the disk must say "adopted, queued" before
 	// any worker can start (and re-persist) this job.
 	s.persistRestored(j)

@@ -50,12 +50,13 @@ import (
 	"time"
 
 	"tapas/internal/trace"
+	"tapas/internal/wbq"
 	"tapas/store"
 )
 
-// DefaultQueueSize bounds one peer's outbound write-behind queue when
-// Options.QueueSize is zero.
-const DefaultQueueSize = 128
+// queueSize bounds one peer's outbound write-behind queue. Ops beyond
+// it are dropped and counted; the sweep reconverges them.
+const queueSize = 128
 
 // probeID is the record id used by health probes: a well-formed content
 // address that no real record hashes to in practice. A peer answering
@@ -81,10 +82,6 @@ type Options struct {
 	// Peers are the replication targets write fanout, read fall-through
 	// and the anti-entropy sweep operate on.
 	Peers []Peer
-	// QueueSize bounds each peer's outbound write-behind queue
-	// (default DefaultQueueSize). Ops beyond it are dropped and counted;
-	// the sweep reconverges them.
-	QueueSize int
 	// SweepInterval is the anti-entropy period. 0 disables the periodic
 	// sweep (Sweep can still be called directly — tests do).
 	SweepInterval time.Duration
@@ -146,12 +143,13 @@ type repOp struct {
 	data []byte
 }
 
-// peerState is one replication target and its health bit.
+// peerState is one replication target, its health bit and its outbound
+// queue.
 type peerState struct {
 	name    string
 	b       store.Backend
 	healthy atomic.Bool
-	queue   chan repOp
+	queue   *wbq.Queue[repOp]
 }
 
 // Backend is the replicating composite. Construct with New, retire with
@@ -161,11 +159,6 @@ type Backend struct {
 	peers []*peerState
 	logf  func(string, ...any)
 	rec   *trace.Recorder // nil disables replication spans
-
-	mu      sync.Mutex
-	cond    *sync.Cond // signals pending == 0, for Flush
-	pending int
-	closed  bool
 
 	sweepMu sync.Mutex    // one sweep at a time
 	kick    chan struct{} // recovery-triggered sweep request
@@ -179,8 +172,9 @@ type Backend struct {
 	sweepDiffs    atomic.Uint64
 	sweepErrors   atomic.Uint64
 
-	stop chan struct{}
-	wg   sync.WaitGroup
+	stop     chan struct{}
+	stopOnce sync.Once
+	wg       sync.WaitGroup // the probe and sweep loops
 }
 
 // New builds the replicating backend over opts.Local and opts.Peers and
@@ -189,9 +183,6 @@ type Backend struct {
 func New(opts Options) (*Backend, error) {
 	if opts.Local == nil {
 		return nil, fmt.Errorf("replicate: no local backend given")
-	}
-	if opts.QueueSize <= 0 {
-		opts.QueueSize = DefaultQueueSize
 	}
 	if opts.ProbeInterval == 0 {
 		opts.ProbeInterval = 3 * time.Second
@@ -207,7 +198,6 @@ func New(opts Options) (*Backend, error) {
 		kick:  make(chan struct{}, 1),
 		stop:  make(chan struct{}),
 	}
-	b.cond = sync.NewCond(&b.mu)
 	for i, p := range opts.Peers {
 		if p.Backend == nil {
 			return nil, fmt.Errorf("replicate: peer %d has no backend", i)
@@ -216,11 +206,10 @@ func New(opts Options) (*Backend, error) {
 		if name == "" {
 			name = fmt.Sprintf("peer-%d", i)
 		}
-		ps := &peerState{name: name, b: p.Backend, queue: make(chan repOp, opts.QueueSize)}
+		ps := &peerState{name: name, b: p.Backend}
 		ps.healthy.Store(true) // optimistic until the first failure
+		ps.queue = wbq.New(queueSize, func(op repOp) { b.apply(ps, op) })
 		b.peers = append(b.peers, ps)
-		b.wg.Add(1)
-		go b.drainPeer(ps)
 	}
 	if opts.ProbeInterval > 0 && len(b.peers) > 0 {
 		b.wg.Add(1)
@@ -390,28 +379,19 @@ func (b *Backend) Stats() Stats {
 // Flush blocks until every queued fanout op has been applied or
 // skipped — the write-behind barrier tests and shutdown use.
 func (b *Backend) Flush() {
-	b.mu.Lock()
-	for b.pending > 0 {
-		b.cond.Wait()
+	for _, p := range b.peers {
+		p.queue.Flush()
 	}
-	b.mu.Unlock()
 }
 
 // Close stops the probe and sweep loops and drains the outbound
 // queues. Further fanout is dropped (counted); Get/Put keep working
 // against the local backend. Idempotent.
 func (b *Backend) Close() error {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return nil
-	}
-	b.closed = true
-	close(b.stop)
+	b.stopOnce.Do(func() { close(b.stop) })
 	for _, p := range b.peers {
-		close(p.queue) // drainPeer applies buffered ops, then exits
+		p.queue.Close()
 	}
-	b.mu.Unlock()
 	b.wg.Wait()
 	return nil
 }
@@ -419,39 +399,15 @@ func (b *Backend) Close() error {
 // ---------------------------------------------------------------------------
 // Write fanout
 
-// enqueue queues one op to a peer, skipping down peers and full queues
-// (both counted) rather than ever blocking the caller.
+// enqueue queues one op to a peer, skipping down peers and full or
+// closed queues (both counted) rather than ever blocking the caller.
 func (b *Backend) enqueue(p *peerState, op repOp) {
 	if !p.healthy.Load() {
 		b.deadPeerSkips.Add(1)
 		return
 	}
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
+	if !p.queue.TryPut(op) {
 		b.queueDropped.Add(1)
-		return
-	}
-	select {
-	case p.queue <- op:
-		b.pending++
-	default:
-		b.queueDropped.Add(1)
-	}
-	b.mu.Unlock()
-}
-
-// drainPeer is one peer's queue writer.
-func (b *Backend) drainPeer(p *peerState) {
-	defer b.wg.Done()
-	for op := range p.queue {
-		b.apply(p, op)
-		b.mu.Lock()
-		b.pending--
-		if b.pending == 0 {
-			b.cond.Broadcast()
-		}
-		b.mu.Unlock()
 	}
 }
 

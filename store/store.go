@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"tapas/internal/export"
+	"tapas/internal/wbq"
 )
 
 // RecordSchemaVersion is the current on-disk record envelope schema.
@@ -130,10 +131,6 @@ type Options struct {
 	// MaxEntries bounds the indexed record count (LRU eviction past
 	// it). 0 selects DefaultMaxEntries.
 	MaxEntries int
-	// QueueSize bounds the write-behind queue of PutAsync; writes
-	// beyond it are dropped (and counted) rather than blocking a
-	// search. 0 selects DefaultQueueSize.
-	QueueSize int
 	// GCAge enables age-based garbage collection: records whose backend
 	// timestamp (last write or recency refresh) is older than GCAge are
 	// deleted at Open and then on a timer. 0 disables GC. Ignored on a
@@ -149,11 +146,12 @@ type Options struct {
 	OnCorrupt func(path string, err error)
 }
 
-// Default sizing for Options zero values.
-const (
-	DefaultMaxEntries = 4096
-	DefaultQueueSize  = 256
-)
+// DefaultMaxEntries is the index bound when Options.MaxEntries is zero.
+const DefaultMaxEntries = 4096
+
+// queueSize bounds the write-behind queue of PutAsync; writes beyond it
+// are dropped (and counted) rather than blocking a search.
+const queueSize = 256
 
 // Stats is a point-in-time snapshot of store traffic, for health and
 // metrics endpoints. Corrupt counts records skipped at Open plus records
@@ -203,17 +201,16 @@ type Store struct {
 	gcAge     time.Duration
 	onCorrupt func(string, error)
 
-	mu      sync.Mutex
-	cond    *sync.Cond // signals pending == 0, for Flush
-	index   map[string]*list.Element
-	ll      *list.List // front = most recently used
-	stats   Stats
-	pending int
-	closed  bool
+	mu    sync.Mutex
+	index map[string]*list.Element
+	ll    *list.List // front = most recently used
+	stats Stats
 
-	queue  chan writeTask
-	gcStop chan struct{} // nil when GC is disabled
-	wg     sync.WaitGroup
+	writes *wbq.Queue[writeTask]
+
+	gcStop    chan struct{} // nil when GC is disabled
+	closeOnce sync.Once
+	wg        sync.WaitGroup // the GC timer goroutine
 }
 
 // Open loads (or creates) the store over opts.Backend (or the filesystem
@@ -223,9 +220,6 @@ type Store struct {
 func Open(opts Options) (*Store, error) {
 	if opts.MaxEntries <= 0 {
 		opts.MaxEntries = DefaultMaxEntries
-	}
-	if opts.QueueSize <= 0 {
-		opts.QueueSize = DefaultQueueSize
 	}
 	backend := opts.Backend
 	var dir string
@@ -246,9 +240,7 @@ func Open(opts Options) (*Store, error) {
 		onCorrupt: opts.OnCorrupt,
 		index:     make(map[string]*list.Element),
 		ll:        list.New(),
-		queue:     make(chan writeTask, opts.QueueSize),
 	}
-	s.cond = sync.NewCond(&s.mu)
 	if err := s.load(); err != nil {
 		return nil, err
 	}
@@ -260,8 +252,7 @@ func Open(opts Options) (*Store, error) {
 		s.wg.Add(1)
 		go s.gcLoop(gcInterval(opts))
 	}
-	s.wg.Add(1)
-	go s.writer()
+	s.writes = wbq.New(queueSize, s.persist)
 	return s, nil
 }
 
@@ -502,55 +493,33 @@ func (s *Store) Put(k Key, rec *Record) error {
 // is an accelerator, never a bottleneck. Use Flush to wait for queued
 // writes.
 func (s *Store) PutAsync(k Key, rec *Record) {
-	s.mu.Lock()
-	if s.closed {
+	if !s.writes.TryPut(writeTask{key: k, rec: rec}) {
+		s.mu.Lock()
 		s.stats.Dropped++
 		s.mu.Unlock()
-		return
 	}
-	select {
-	case s.queue <- writeTask{key: k, rec: rec}:
-		s.pending++
-	default:
-		s.stats.Dropped++
-	}
-	s.mu.Unlock()
 }
 
-// writer is the single write-behind goroutine; it drains the queue
-// until Close.
-func (s *Store) writer() {
-	defer s.wg.Done()
-	for t := range s.queue {
-		err := s.Put(t.key, t.rec)
-		if err != nil && s.onCorrupt != nil {
-			// Report before the pending count drops, so Flush is a
-			// barrier for the report too.
-			s.onCorrupt(s.describe(t.key.ID()),
-				fmt.Errorf("store: write-behind persist failed: %w", err))
-		}
-		s.mu.Lock()
-		s.pending--
-		if s.pending == 0 {
-			s.cond.Broadcast()
-		}
-		if err != nil {
-			// A failed persist (disk full, peer unreachable) is a write
-			// error, not corruption: nothing bad was published.
-			s.stats.WriteErrors++
-		}
-		s.mu.Unlock()
+// persist applies one queued write. It returns — report made, error
+// counted — before Flush can.
+func (s *Store) persist(t writeTask) {
+	err := s.Put(t.key, t.rec)
+	if err == nil {
+		return
 	}
+	if s.onCorrupt != nil {
+		s.onCorrupt(s.describe(t.key.ID()),
+			fmt.Errorf("store: write-behind persist failed: %w", err))
+	}
+	// A failed persist (disk full, peer unreachable) is a write error,
+	// not corruption: nothing bad was published.
+	s.mu.Lock()
+	s.stats.WriteErrors++
+	s.mu.Unlock()
 }
 
 // Flush blocks until every write queued by PutAsync has been persisted.
-func (s *Store) Flush() {
-	s.mu.Lock()
-	for s.pending > 0 {
-		s.cond.Wait()
-	}
-	s.mu.Unlock()
-}
+func (s *Store) Flush() { s.writes.Flush() }
 
 // Delete removes the record stored under k (e.g. one that no longer
 // rehydrates against the current build), counting it as corrupt.
@@ -649,17 +618,12 @@ func (s *Store) Backend() Backend { return s.backend }
 // timer. Further PutAsync calls are dropped (counted); Get/Put keep
 // working — Close only retires the async machinery. Idempotent.
 func (s *Store) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	close(s.queue) // writer drains buffered tasks, then exits
-	if s.gcStop != nil {
-		close(s.gcStop)
-	}
-	s.mu.Unlock()
+	s.closeOnce.Do(func() {
+		if s.gcStop != nil {
+			close(s.gcStop)
+		}
+	})
+	s.writes.Close()
 	s.wg.Wait()
 	return nil
 }

@@ -65,16 +65,9 @@
 //
 //	specs := []tapas.SearchSpec{{Model: "t5-770M", GPUs: 8}, {Model: "moe-1.3B", GPUs: 16}}
 //	results, err := eng.SearchAll(ctx, specs)
-//
-// The top-level functions Search, SearchGraph, SearchAll, Baseline and
-// BaselineGraph are deprecated wrappers over a lazily-initialized default
-// Engine, kept for existing callers; new code should construct an Engine
-// and pass a context.
 package tapas
 
 import (
-	"context"
-	"sync"
 	"time"
 
 	"tapas/internal/cluster"
@@ -87,9 +80,10 @@ import (
 	"tapas/internal/strategy"
 )
 
-// Options configure a search issued through the deprecated top-level
-// functions. New code should configure an Engine with functional options
-// instead; every field here has a With* equivalent.
+// Options are the per-search overrides of one SearchSpec, laid over the
+// Engine's configuration for that search only (the serving layer's
+// per-request options travel this way). Every field has a With*
+// equivalent for configuring the Engine as a whole.
 type Options struct {
 	// Cluster overrides the default V100 testbed preset for the GPU
 	// count.
@@ -180,56 +174,6 @@ func BuildModel(name string) (*graph.Graph, error) { return models.Build(name) }
 // count (V100 SXM2 32 GB nodes of 8, joined by 100 Gbps Ethernet).
 func NewCluster(gpus int) *cluster.Cluster { return cluster.V100GPUs(gpus) }
 
-// defaultEngine serves the deprecated top-level functions, created on
-// first use. Legacy calls bypass its result cache (their contract hands
-// every caller a fresh, mutable Result) but still share its model
-// fingerprint memo and configuration plumbing.
-var defaultEngine = sync.OnceValue(func() *Engine { return NewEngine() })
-
-// DefaultEngine returns the process-wide Engine behind the deprecated
-// top-level functions, for callers migrating incrementally (e.g. to
-// observe its cache or issue context-first calls alongside legacy ones).
-func DefaultEngine() *Engine { return defaultEngine() }
-
-// Search runs the full TAPAS pipeline on a registered model.
-//
-// Deprecated: use Engine.Search, which takes a context for
-// cancellation and serves repeat searches from the result cache. This
-// wrapper bypasses the cache, preserving the historical contract that
-// every call returns a fresh, caller-owned Result. To send a Result
-// across a process boundary, serialize it with Result.Summary (or
-// json.Marshal, which emits the same stable schema) — never the raw
-// struct, whose Strategy/Parallel fields are internal pointer graphs.
-func Search(modelName string, gpus int, opts ...Options) (*Result, error) {
-	e := defaultEngine()
-	cfg := e.base
-	if len(opts) > 0 {
-		cfg = e.base.overlay(opts[0])
-	}
-	cfg.skipCache = true // preserve the caller-owned, mutable Result contract
-	return e.searchModel(context.Background(), modelName, gpus, cfg)
-}
-
-// SearchGraph runs the full TAPAS pipeline on an arbitrary computational
-// graph.
-//
-// Deprecated: use Engine.SearchGraph, which takes a context for
-// cancellation and serves repeat searches from the result cache. This
-// wrapper bypasses the cache, preserving the historical contract that
-// every call returns a fresh, caller-owned Result. To send a Result
-// across a process boundary, serialize it with Result.Summary (or
-// json.Marshal, which emits the same stable schema) — never the raw
-// struct, whose Strategy/Parallel fields are internal pointer graphs.
-func SearchGraph(g *graph.Graph, gpus int, opts ...Options) (*Result, error) {
-	e := defaultEngine()
-	cfg := e.base
-	if len(opts) > 0 {
-		cfg = e.base.overlay(opts[0])
-	}
-	cfg.skipCache = true // preserve the caller-owned, mutable Result contract
-	return e.searchGraph(context.Background(), g.Name, g, gpus, cfg)
-}
-
 // SearchSpec names one search of a batch: a registered model (or a
 // pre-built graph) and a GPU count, with optional per-search options.
 type SearchSpec struct {
@@ -261,22 +205,6 @@ type SearchSpec struct {
 	Progress func(ProgressEvent)
 }
 
-// SearchAll runs many searches concurrently across a bounded worker pool.
-//
-// Deprecated: use Engine.SearchAll, which takes a context for
-// cancellation and serves repeat searches from the result cache. This
-// wrapper bypasses the cache, preserving the historical contract that
-// every call returns fresh, caller-owned Results. To send Results
-// across a process boundary, serialize them with Result.Summary (or
-// json.Marshal, which emits the same stable schema) — never the raw
-// structs, whose Strategy/Parallel fields are internal pointer graphs.
-func SearchAll(specs []SearchSpec) ([]*Result, error) {
-	e := defaultEngine()
-	cfg := e.base
-	cfg.skipCache = true // preserve the caller-owned, mutable Result contract
-	return e.searchAll(context.Background(), specs, cfg)
-}
-
 // specName renders the model identity of a spec for error messages.
 func specName(s SearchSpec) string {
 	if s.Graph != nil {
@@ -285,50 +213,8 @@ func specName(s SearchSpec) string {
 	return s.Model
 }
 
-// Baselines enumerates the comparison planners accepted by Baseline.
+// Baselines enumerates the comparison planners accepted by
+// Engine.Baseline.
 func Baselines() []string {
 	return []string{"dp", "deepspeed", "megatron", "ffn-only", "mha-only", "gshard", "alpa", "flexflow"}
-}
-
-// Baseline derives a plan for the model with one of the paper's
-// comparison systems and simulates it on the same cluster preset.
-//
-// Deprecated: use Engine.Baseline, which takes a context for
-// cancellation and serves repeat searches from the result cache. This
-// wrapper bypasses the cache, preserving the historical contract that
-// every call returns a fresh, caller-owned Result. To send a Result
-// across a process boundary, serialize it with Result.Summary (or
-// json.Marshal, which emits the same stable schema) — never the raw
-// struct, whose Strategy/Parallel fields are internal pointer graphs.
-func Baseline(name, modelName string, gpus int, opts ...Options) (*Result, error) {
-	g, err := models.Build(modelName)
-	if err != nil {
-		return nil, err
-	}
-	e := defaultEngine()
-	cfg := e.base
-	if len(opts) > 0 {
-		cfg = e.base.overlay(opts[0])
-	}
-	cfg.skipCache = true // preserve the caller-owned, mutable Result contract
-	return e.baselineGraph(context.Background(), name, modelName, g, gpus, cfg)
-}
-
-// BaselineGraph is Baseline for an arbitrary graph.
-//
-// Deprecated: use Engine.BaselineGraph, which takes a context for
-// cancellation and serves repeat searches from the result cache. This
-// wrapper bypasses the cache, preserving the historical contract that
-// every call returns a fresh, caller-owned Result. To send a Result
-// across a process boundary, serialize it with Result.Summary (or
-// json.Marshal, which emits the same stable schema) — never the raw
-// struct, whose Strategy/Parallel fields are internal pointer graphs.
-func BaselineGraph(name string, g *graph.Graph, gpus int, opts ...Options) (*Result, error) {
-	e := defaultEngine()
-	cfg := e.base
-	if len(opts) > 0 {
-		cfg = e.base.overlay(opts[0])
-	}
-	cfg.skipCache = true // preserve the caller-owned, mutable Result contract
-	return e.baselineGraph(context.Background(), name, g.Name, g, gpus, cfg)
 }

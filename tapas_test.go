@@ -1,13 +1,22 @@
 package tapas
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
 )
 
+// coldSearch runs one search on a fresh Engine with the result cache
+// off: the cold pipeline, which is what the tests and benchmarks of this
+// package measure and compare.
+func coldSearch(model string, gpus int, opts ...Option) (*Result, error) {
+	eng := NewEngine(append([]Option{WithCache(0)}, opts...)...)
+	return eng.Search(context.Background(), model, gpus)
+}
+
 func TestSearchEndToEnd(t *testing.T) {
-	res, err := Search("t5-100M", 8)
+	res, err := coldSearch("t5-100M", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,14 +36,15 @@ func TestSearchEndToEnd(t *testing.T) {
 }
 
 func TestSearchUnknownModel(t *testing.T) {
-	if _, err := Search("nope", 8); err == nil {
+	if _, err := coldSearch("nope", 8); err == nil {
 		t.Error("unknown model must error")
 	}
 }
 
 func TestBaselinesAllRun(t *testing.T) {
+	eng, ctx := NewEngine(WithCache(0)), context.Background()
 	for _, b := range []string{"dp", "deepspeed", "megatron", "ffn-only", "mha-only"} {
-		res, err := Baseline(b, "t5-100M", 8)
+		res, err := eng.Baseline(ctx, b, "t5-100M", 8)
 		if err != nil {
 			t.Fatalf("baseline %s: %v", b, err)
 		}
@@ -42,16 +52,16 @@ func TestBaselinesAllRun(t *testing.T) {
 			t.Errorf("baseline %s: no simulated time", b)
 		}
 	}
-	if _, err := Baseline("gshard", "moe-380M", 8); err != nil {
+	if _, err := eng.Baseline(ctx, "gshard", "moe-380M", 8); err != nil {
 		t.Errorf("gshard on MoE: %v", err)
 	}
-	if _, err := Baseline("bogus", "t5-100M", 8); err == nil {
+	if _, err := eng.Baseline(ctx, "bogus", "t5-100M", 8); err == nil {
 		t.Error("unknown baseline must error")
 	}
 }
 
 func TestSearchExhaustiveOption(t *testing.T) {
-	res, err := Search("resnet-26M", 8, Options{Exhaustive: true, TimeBudget: 2 * time.Second})
+	res, err := coldSearch("resnet-26M", 8, WithExhaustive(true), WithTimeBudget(2*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +74,11 @@ func TestSearchExhaustiveOption(t *testing.T) {
 }
 
 func TestSearchFoldedFasterThanExhaustiveSameQuality(t *testing.T) {
-	gp, err := Search("t5-200M", 8)
+	gp, err := coldSearch("t5-200M", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	es, err := Search("t5-200M", 8, Options{Exhaustive: true, TimeBudget: 10 * time.Second})
+	es, err := coldSearch("t5-200M", 8, WithExhaustive(true), WithTimeBudget(10*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +119,7 @@ func TestBuildModelGraph(t *testing.T) {
 func TestSearchDiscoversResNetFCSharding(t *testing.T) {
 	// Headline qualitative result: TAPAS duplicates the ResNet backbone
 	// and shards the wide classifier.
-	res, err := Search("resnet-228M", 8)
+	res, err := coldSearch("resnet-228M", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
