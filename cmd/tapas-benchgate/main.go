@@ -34,7 +34,7 @@
 //
 // Usage:
 //
-//	tapas-benchgate -baseline BENCH_7.json -candidate bench.json
+//	tapas-benchgate -baseline BENCH_15.json -candidate bench.json
 //	tapas-benchgate -baseline old.json -candidate new.json -tolerance 0.05 -calibrate=false
 package main
 

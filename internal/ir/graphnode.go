@@ -189,25 +189,25 @@ type GNGraph struct {
 	Src   *graph.Graph
 	Nodes []*GraphNode
 
-	succs map[*GraphNode][]*GraphNode
-	preds map[*GraphNode][]*GraphNode
-	owner map[*graph.Node]*GraphNode
+	succs, preds [][]*GraphNode // adjacency, indexed by GraphNode.ID
+	owner        map[*graph.Node]*GraphNode
 }
 
 // NodeOf returns the GraphNode containing the given operator.
 func (g *GNGraph) NodeOf(op *graph.Node) *GraphNode { return g.owner[op] }
 
 // Succs returns the GraphNodes consuming outputs of gn, in ID order.
-func (g *GNGraph) Succs(gn *GraphNode) []*GraphNode { return g.succs[gn] }
+func (g *GNGraph) Succs(gn *GraphNode) []*GraphNode { return g.succs[gn.ID] }
 
-// Preds returns the GraphNodes producing inputs of gn, in ID order.
-func (g *GNGraph) Preds(gn *GraphNode) []*GraphNode { return g.preds[gn] }
+// Preds returns the GraphNodes producing inputs of gn, each once, in the
+// order gn's InTensors first name them.
+func (g *GNGraph) Preds(gn *GraphNode) []*GraphNode { return g.preds[gn.ID] }
 
 // NumEdges returns the number of GraphNode-level dataflow edges.
 func (g *GNGraph) NumEdges() int {
 	e := 0
-	for _, gn := range g.Nodes {
-		e += len(g.succs[gn])
+	for _, ss := range g.succs {
+		e += len(ss)
 	}
 	return e
 }
@@ -269,8 +269,6 @@ func Group(src *graph.Graph) (*GNGraph, error) {
 
 	g := &GNGraph{
 		Src:   src,
-		succs: make(map[*GraphNode][]*GraphNode),
-		preds: make(map[*GraphNode][]*GraphNode),
 		owner: make(map[*graph.Node]*GraphNode),
 	}
 	assigned := make(map[*graph.Node]bool)
@@ -428,6 +426,8 @@ func Group(src *graph.Graph) (*GNGraph, error) {
 			}
 		}
 	}
+	g.succs = make([][]*GraphNode, len(g.Nodes))
+	g.preds = make([][]*GraphNode, len(g.Nodes))
 	edgeSeen := make(map[[2]int]bool)
 	for _, gn := range g.Nodes {
 		for _, t := range gn.InTensors {
@@ -439,8 +439,8 @@ func Group(src *graph.Graph) (*GNGraph, error) {
 			key := [2]int{from.ID, gn.ID}
 			if from != gn && !edgeSeen[key] {
 				edgeSeen[key] = true
-				g.succs[from] = append(g.succs[from], gn)
-				g.preds[gn] = append(g.preds[gn], from)
+				g.succs[from.ID] = append(g.succs[from.ID], gn)
+				g.preds[gn.ID] = append(g.preds[gn.ID], from)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"slices"
 	"testing"
 
 	"tapas/internal/comm"
@@ -169,5 +170,64 @@ func TestGraphNodeFootprints(t *testing.T) {
 	}
 	if gn.OutBytes() != 32*128*4 {
 		t.Errorf("OutBytes = %d, want %d", gn.OutBytes(), 32*128*4)
+	}
+}
+
+// TestAdjacencyOrderedAndConsistent pins what the miner's positional
+// replay and canonical hash read from the ID-indexed adjacency tables, on
+// every registered model: IDs are the dense index into Nodes, Succs is
+// strictly ID-ascending (so an instance's internal edges come out of
+// canonicalHash already sorted), Preds lists each producer once in
+// InTensors order, and the two tables describe the same edge set.
+func TestAdjacencyOrderedAndConsistent(t *testing.T) {
+	for _, name := range models.Names() {
+		src, err := models.Build(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := Group(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(g.succs) != len(g.Nodes) || len(g.preds) != len(g.Nodes) {
+			t.Fatalf("%s: adjacency tables sized %d/%d for %d nodes", name, len(g.succs), len(g.preds), len(g.Nodes))
+		}
+		edges := 0
+		for i, gn := range g.Nodes {
+			if gn.ID != i {
+				t.Fatalf("%s: Nodes[%d].ID = %d", name, i, gn.ID)
+			}
+			ss := g.Succs(gn)
+			for k, s := range ss {
+				if s.ID <= gn.ID || (k > 0 && ss[k-1].ID >= s.ID) {
+					t.Errorf("%s: Succs(%v) not strictly ascending after its node: %v", name, gn, ss)
+					break
+				}
+				if !slices.Contains(g.Preds(s), gn) {
+					t.Errorf("%s: %v in Succs(%v) but not the reverse", name, s, gn)
+				}
+			}
+			// Preds in first-use order: replay gn's InTensors.
+			var want []*GraphNode
+			for _, in := range gn.InTensors {
+				if p := src.Producer(in); p != nil {
+					if from := g.NodeOf(p); from != gn && !slices.Contains(want, from) {
+						want = append(want, from)
+					}
+				}
+			}
+			if !slices.Equal(g.Preds(gn), want) {
+				t.Errorf("%s: Preds(%v) = %v, want InTensors order %v", name, gn, g.Preds(gn), want)
+			}
+			for _, p := range g.Preds(gn) {
+				if !slices.Contains(g.Succs(p), gn) {
+					t.Errorf("%s: %v in Preds(%v) but not the reverse", name, p, gn)
+				}
+			}
+			edges += len(ss)
+		}
+		if edges != g.NumEdges() {
+			t.Errorf("%s: counted %d edges, NumEdges %d", name, edges, g.NumEdges())
+		}
 	}
 }

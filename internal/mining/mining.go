@@ -5,9 +5,10 @@
 package mining
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -56,21 +57,30 @@ func DefaultOptions() Options {
 // sorted by ID.
 type Instance []*ir.GraphNode
 
-// key returns a collision-resistant identity for the node set.
-func (in Instance) key() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, gn := range in {
-		putUint64(&buf, uint64(gn.ID))
-		h.Write(buf[:])
+// FNV-1a 64 parameters. Hash values are frozen: they order group merges,
+// break MaxPatternsPerLevel ties and order emit, so the golden plans only
+// stay byte-identical while every hash stays bit-identical.
+const (
+	fnvOffset uint64 = 14695981039346656037
+	fnvPrime  uint64 = 1099511628211
+)
+
+// fnvWord folds the eight little-endian bytes of v into FNV-1a state h.
+func fnvWord(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ v&0xff) * fnvPrime
+		v >>= 8
 	}
-	return h.Sum64()
+	return h
 }
 
-func putUint64(buf *[8]byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(v >> (8 * i))
+// key returns a collision-resistant identity for the node set.
+func (in Instance) key() uint64 {
+	h := fnvOffset
+	for _, gn := range in {
+		h = fnvWord(h, uint64(gn.ID))
 	}
+	return h
 }
 
 // contains reports membership of a GraphNode.
@@ -108,18 +118,39 @@ type Result struct {
 	MinSupportUsed int
 }
 
-// miner carries the per-run interning state.
+// miner carries the per-run state. Everything per-node is a slice indexed
+// by GraphNode.ID, the dense position in g.Nodes.
 type miner struct {
 	g      *ir.GNGraph
-	labels map[*ir.GraphNode]uint32 // interned structural label per node
+	labels []uint32 // interned structural label, by node ID
 	opt    Options
 }
 
+// newMiner interns the node labels once and resolves the zero options
+// (auto MinSupport reads the same labels).
+func newMiner(g *ir.GNGraph, opt Options) *miner {
+	m := &miner{g: g, labels: internLabels(g)}
+	if opt.MinSupport <= 0 {
+		opt.MinSupport = autoMinSupport(g, m.labels)
+	}
+	if opt.MaxSize < 1 {
+		opt.MaxSize = 64
+	}
+	if opt.MaxInstancesPerPattern <= 0 {
+		opt.MaxInstancesPerPattern = 256
+	}
+	if opt.MaxPatternsPerLevel <= 0 {
+		opt.MaxPatternsPerLevel = 8
+	}
+	m.opt = opt
+	return m
+}
+
 // internLabels assigns a small integer to every distinct GraphNode
-// signature.
-func internLabels(g *ir.GNGraph) map[*ir.GraphNode]uint32 {
+// signature, indexed by node ID.
+func internLabels(g *ir.GNGraph) []uint32 {
 	bySig := make(map[string]uint32)
-	out := make(map[*ir.GraphNode]uint32, len(g.Nodes))
+	out := make([]uint32, len(g.Nodes))
 	for _, gn := range g.Nodes {
 		sig := gn.Signature()
 		id, ok := bySig[sig]
@@ -127,41 +158,53 @@ func internLabels(g *ir.GNGraph) map[*ir.GraphNode]uint32 {
 			id = uint32(len(bySig))
 			bySig[sig] = id
 		}
-		out[gn] = id
+		out[gn.ID] = id
 	}
 	return out
+}
+
+// hasher is the scratch one expandGroup call hashes its candidates on, so
+// a hash allocates nothing once the edge buffer has grown.
+type hasher struct {
+	m     *miner
+	pos   []int32  // by node ID: member index+1 during a hash, else 0
+	edges []uint64 // reused edge buffer
+}
+
+func (m *miner) newHasher() *hasher {
+	return &hasher{m: m, pos: make([]int32, len(m.g.Nodes))}
 }
 
 // canonicalHash produces a canonical structural hash of an instance:
 // member labels in ID order plus the internal edge relation in
 // member-index space. Instances of a repeated block keep consistent
 // internal ID ordering (GraphNodes are numbered topologically), so
-// structurally identical repeats map to equal hashes.
-func (m *miner) canonicalHash(in Instance) uint64 {
-	idx := make(map[*ir.GraphNode]int, len(in))
+// structurally identical repeats map to equal hashes. pos is written for
+// the members and zeroed again before returning: a stale entry would
+// count as a member of the next instance hashed.
+func (hs *hasher) canonicalHash(in Instance) uint64 {
+	h := fnvOffset
 	for i, gn := range in {
-		idx[gn] = i
+		hs.pos[gn.ID] = int32(i + 1)
+		h = fnvWord(h, uint64(hs.m.labels[gn.ID]))
 	}
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, gn := range in {
-		putUint64(&buf, uint64(m.labels[gn]))
-		h.Write(buf[:])
-	}
-	var edges []uint64
+	edges := hs.edges[:0]
 	for i, gn := range in {
-		for _, s := range m.g.Succs(gn) {
-			if j, ok := idx[s]; ok {
-				edges = append(edges, uint64(i)<<32|uint64(j))
+		for _, s := range hs.m.g.Succs(gn) {
+			if j := hs.pos[s.ID]; j != 0 {
+				edges = append(edges, uint64(i)<<32|uint64(j-1))
 			}
 		}
 	}
-	sort.Slice(edges, func(a, b int) bool { return edges[a] < edges[b] })
+	slices.Sort(edges)
 	for _, e := range edges {
-		putUint64(&buf, e)
-		h.Write(buf[:])
+		h = fnvWord(h, e)
 	}
-	return h.Sum64()
+	for _, gn := range in {
+		hs.pos[gn.ID] = 0
+	}
+	hs.edges = edges
+	return h
 }
 
 // readableSig renders a human-readable signature for an emitted pattern.
@@ -180,23 +223,23 @@ func (m *miner) readableSig(in Instance) string {
 // of the most-repeated layer structure. Layers are compared by the
 // multiset of their GraphNode labels, so e.g. all encoder layers of a T5
 // form one group whose size becomes the support threshold.
-func AutoMinSupport(g *ir.GNGraph) int {
-	labels := internLabels(g)
+func AutoMinSupport(g *ir.GNGraph) int { return autoMinSupport(g, internLabels(g)) }
+
+func autoMinSupport(g *ir.GNGraph, labels []uint32) int {
 	byLayer := make(map[string][]uint32)
 	var order []string
 	for _, gn := range g.Nodes {
 		if _, ok := byLayer[gn.Layer]; !ok {
 			order = append(order, gn.Layer)
 		}
-		byLayer[gn.Layer] = append(byLayer[gn.Layer], labels[gn])
+		byLayer[gn.Layer] = append(byLayer[gn.Layer], labels[gn.ID])
 	}
 	groups := make(map[string]int)
 	best := 2
 	for _, layer := range order {
-		ls := byLayer[layer]
-		sorted := append([]uint32{}, ls...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		key := fmt.Sprint(sorted)
+		ls := byLayer[layer] // owned by this call: sort in place
+		slices.Sort(ls)
+		key := fmt.Sprint(ls)
 		groups[key]++
 		if groups[key] > best {
 			best = groups[key]
@@ -216,36 +259,17 @@ func AutoMinSupport(g *ir.GNGraph) int {
 // result — unmined regions simply stay unfolded).
 func Mine(ctx context.Context, g *ir.GNGraph, opt Options) *Result {
 	start := time.Now()
-	if opt.MinSupport <= 0 {
-		opt.MinSupport = AutoMinSupport(g)
-	}
-	if opt.MaxSize < 1 {
-		opt.MaxSize = 64
-	}
-	if opt.MaxInstancesPerPattern <= 0 {
-		opt.MaxInstancesPerPattern = 256
-	}
-	if opt.MaxPatternsPerLevel <= 0 {
-		opt.MaxPatternsPerLevel = 8
-	}
-	m := &miner{g: g, labels: internLabels(g), opt: opt}
+	m := newMiner(g, opt)
+	opt = m.opt
 	res := &Result{MinSupportUsed: opt.MinSupport}
 	workers := parallel.Workers(opt.Workers)
 
 	// Level 1: every GraphNode is a candidate single-node subgraph
-	// (Algorithm 1 lines 2–6). Hashing fans across the pool; the map is
-	// assembled serially in node order so bucket contents never depend
-	// on scheduling.
-	hashes, err := parallel.Map(ctx, workers, g.Nodes, func(_ context.Context, _ int, gn *ir.GraphNode) (uint64, error) {
-		return m.canonicalHash(Instance{gn}), nil
-	})
-	if err != nil {
-		res.Elapsed = time.Since(start)
-		return res
-	}
-	level := make(map[uint64][]Instance, len(g.Nodes))
-	for i, gn := range g.Nodes {
-		h := hashes[i]
+	// (Algorithm 1 lines 2–6). A lone node has no internal edge, so its
+	// canonical hash is its label folded once.
+	level := make(map[uint64][]Instance)
+	for _, gn := range g.Nodes {
+		h := fnvWord(fnvOffset, uint64(m.labels[gn.ID]))
 		level[h] = append(level[h], Instance{gn})
 	}
 	level = m.filterFrequent(level)
@@ -268,11 +292,7 @@ func Mine(ctx context.Context, g *ir.GNGraph, opt Options) *Result {
 	// canonical-hash group order. Every worker count therefore produces
 	// the exact frontier of a serial sweep in sorted-group order.
 	for k := 2; k <= opt.MaxSize && len(level) > 0 && ctx.Err() == nil; k++ {
-		groups := make([]uint64, 0, len(level))
-		for h := range level {
-			groups = append(groups, h)
-		}
-		sort.Slice(groups, func(i, j int) bool { return groups[i] < groups[j] })
+		groups := sortedHashes(level)
 		lists, err := parallel.Map(ctx, workers, groups, func(_ context.Context, _ int, h uint64) ([]addition, error) {
 			return m.expandGroup(level[h]), nil
 		})
@@ -280,19 +300,14 @@ func Mine(ctx context.Context, g *ir.GNGraph, opt Options) *Result {
 			break
 		}
 		next := make(map[uint64][]Instance)
-		nextSeen := make(map[uint64]map[uint64]bool) // pattern → instance keys
+		seen := make(map[[2]uint64]struct{}) // (pattern hash, instance key)
 		for _, adds := range lists {
 			for _, a := range adds {
-				seen := nextSeen[a.h]
-				if seen == nil {
-					seen = make(map[uint64]bool)
-					nextSeen[a.h] = seen
-				}
-				key := a.in.key()
-				if seen[key] || len(next[a.h]) >= opt.MaxInstancesPerPattern {
+				id := [2]uint64{a.h, a.key}
+				if _, dup := seen[id]; dup || len(next[a.h]) >= opt.MaxInstancesPerPattern {
 					continue
 				}
-				seen[key] = true
+				seen[id] = struct{}{}
 				next[a.h] = append(next[a.h], a.in)
 			}
 		}
@@ -322,12 +337,24 @@ func Mine(ctx context.Context, g *ir.GNGraph, opt Options) *Result {
 }
 
 // addition is one candidate instance for the next Apriori level: the
-// canonical pattern hash plus the extended embedding. Workers emit
-// additions in deterministic per-group order; the level loop replays
-// them in sorted group order to apply global dedup and the instance cap.
+// canonical pattern hash, the embedding's key (computed once, for the
+// group-local dedup, and carried to the merge's) and the extended
+// embedding. Workers emit additions in deterministic per-group order; the
+// level loop replays them in sorted group order to apply global dedup and
+// the instance cap.
 type addition struct {
-	h  uint64
-	in Instance
+	h, key uint64
+	in     Instance
+}
+
+// sortedHashes returns the level's pattern hashes in ascending order.
+func sortedHashes(level map[uint64][]Instance) []uint64 {
+	hs := make([]uint64, 0, len(level))
+	for h := range level {
+		hs = append(hs, h)
+	}
+	slices.Sort(hs)
+	return hs
 }
 
 // expandGroup enumerates the one-node extensions of a single pattern
@@ -336,59 +363,57 @@ type addition struct {
 // pure with respect to shared state — dedup here is group-local only,
 // which is safe because an instance emitted twice by the same group
 // would always be skipped by the merge's global dedup too, no matter
-// what other groups contribute. A reusable scratch Instance backs the
-// rejected extensions (replays that diverge, local duplicates), so only
-// additions that actually escape allocate.
+// what other groups contribute. The hasher and a reusable scratch
+// Instance are private to the call (groups on different workers share
+// nothing) and back the rejected extensions (replays that diverge, local
+// duplicates), so only additions that actually escape allocate.
 func (m *miner) expandGroup(instances []Instance) []addition {
 	rep := instances[0]
-	neighbors := func(x *ir.GraphNode) [][]*ir.GraphNode {
-		return [][]*ir.GraphNode{m.g.Succs(x), m.g.Preds(x)}
-	}
+	hs := m.newHasher()
 	var adds []addition
-	localSeen := make(map[uint64]map[uint64]bool) // pattern → instance keys
+	seen := make(map[[2]uint64]struct{}) // (pattern hash, instance key)
 	scratch := make(Instance, 0, len(rep)+1)
-	add := func(h uint64, in Instance) {
-		seen := localSeen[h]
-		if seen == nil {
-			seen = make(map[uint64]bool)
-			localSeen[h] = seen
-		}
-		key := in.key()
-		if seen[key] {
+	add := func(h uint64) {
+		id := [2]uint64{h, scratch.key()}
+		if _, dup := seen[id]; dup {
 			return
 		}
-		seen[key] = true
-		adds = append(adds, addition{h, append(Instance(nil), in...)})
+		seen[id] = struct{}{}
+		adds = append(adds, addition{h, id[1], slices.Clone(scratch)})
 	}
 	for i, gn := range rep {
-		for dir, nbs := range neighbors(gn) {
-			for j, nb := range nbs {
+		for dir := 0; dir < 2; dir++ {
+			for j, nb := range m.adj(dir, gn) {
 				if rep.contains(nb) {
 					continue
 				}
 				scratch = extendInto(scratch, rep, nb)
-				h := m.canonicalHash(scratch)
-				add(h, scratch)
+				h := hs.canonicalHash(scratch)
+				add(h)
 				// Replay the (i, dir, j) extension on the other
 				// instances.
 				for _, inst := range instances[1:] {
-					lists := neighbors(inst[i])
-					if j >= len(lists[dir]) {
+					nbs := m.adj(dir, inst[i])
+					if j >= len(nbs) || inst.contains(nbs[j]) {
 						continue
 					}
-					nb2 := lists[dir][j]
-					if inst.contains(nb2) {
-						continue
-					}
-					scratch = extendInto(scratch, inst, nb2)
-					if m.canonicalHash(scratch) == h {
-						add(h, scratch)
+					scratch = extendInto(scratch, inst, nbs[j])
+					if hs.canonicalHash(scratch) == h {
+						add(h)
 					}
 				}
 			}
 		}
 	}
 	return adds
+}
+
+// adj returns gn's successors (dir 0) or predecessors (dir 1).
+func (m *miner) adj(dir int, gn *ir.GraphNode) []*ir.GraphNode {
+	if dir == 0 {
+		return m.g.Succs(gn)
+	}
+	return m.g.Preds(gn)
 }
 
 // extendInto writes in ∪ {nb} into dst (ID-sorted) and returns it,
@@ -411,8 +436,9 @@ func extendInto(dst, in Instance, nb *ir.GraphNode) Instance {
 // and caps the level width.
 func (m *miner) filterFrequent(level map[uint64][]Instance) map[uint64][]Instance {
 	out := make(map[uint64][]Instance, len(level))
+	claimed := make([]bool, len(m.g.Nodes))
 	for sig, ins := range level {
-		ins = disjointInstances(ins)
+		ins = disjointInstances(ins, claimed)
 		if len(ins) >= m.opt.MinSupport {
 			out[sig] = ins
 		}
@@ -426,11 +452,11 @@ func (m *miner) filterFrequent(level map[uint64][]Instance) map[uint64][]Instanc
 		for sig, ins := range out {
 			all = append(all, kv{sig, len(ins)})
 		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].n != all[j].n {
-				return all[i].n > all[j].n
+		slices.SortFunc(all, func(a, b kv) int {
+			if a.n != b.n {
+				return b.n - a.n
 			}
-			return all[i].sig < all[j].sig
+			return cmp.Compare(a.sig, b.sig)
 		})
 		trimmed := make(map[uint64][]Instance, m.opt.MaxPatternsPerLevel)
 		for _, e := range all[:m.opt.MaxPatternsPerLevel] {
@@ -447,18 +473,19 @@ func (m *miner) filterFrequent(level map[uint64][]Instance) map[uint64][]Instanc
 // IDs than embeddings aligned with one repeat, so this keeps the
 // surviving tiling aligned with the natural block boundaries — which both
 // maximizes the disjoint support and keeps pipeline stages cuttable.
-func disjointInstances(ins []Instance) []Instance {
+// claimed is the caller's scratch, one flag per node ID; it is cleared
+// here.
+func disjointInstances(ins []Instance, claimed []bool) []Instance {
 	span := func(in Instance) int { return in[len(in)-1].ID - in[0].ID }
 	// Stable: the incoming instance order is deterministic (merge order),
 	// so ties on (span, first ID) must not be reshuffled.
-	sort.SliceStable(ins, func(a, b int) bool {
-		sa, sb := span(ins[a]), span(ins[b])
-		if sa != sb {
-			return sa < sb
+	slices.SortStableFunc(ins, func(a, b Instance) int {
+		if sa, sb := span(a), span(b); sa != sb {
+			return sa - sb
 		}
-		return ins[a][0].ID < ins[b][0].ID
+		return a[0].ID - b[0].ID
 	})
-	claimed := make(map[*ir.GraphNode]bool)
+	clear(claimed)
 	out := ins[:0]
 	for _, in := range ins {
 		// Sprawling embeddings (e.g. star-shaped subgraphs hanging off a
@@ -468,22 +495,26 @@ func disjointInstances(ins []Instance) []Instance {
 		if span(in) >= 4*len(in) {
 			continue
 		}
-		free := true
-		for _, gn := range in {
-			if claimed[gn] {
-				free = false
-				break
-			}
+		if claim(claimed, in) {
+			out = append(out, in)
 		}
-		if !free {
-			continue
-		}
-		for _, gn := range in {
-			claimed[gn] = true
-		}
-		out = append(out, in)
 	}
 	return out
+}
+
+// claim marks the instance's nodes in the ID-indexed claimed table and
+// reports true, or leaves the table alone and reports false when any of
+// them is already taken.
+func claim(claimed []bool, in Instance) bool {
+	for _, gn := range in {
+		if claimed[gn.ID] {
+			return false
+		}
+	}
+	for _, gn := range in {
+		claimed[gn.ID] = true
+	}
+	return true
 }
 
 // emit records the frequent patterns of a level that meet MinSize, in
@@ -494,12 +525,7 @@ func (m *miner) emit(res *Result, level map[uint64][]Instance, size int) {
 	if size < m.opt.MinSize {
 		return
 	}
-	sigs := make([]uint64, 0, len(level))
-	for h := range level {
-		sigs = append(sigs, h)
-	}
-	sort.Slice(sigs, func(i, j int) bool { return sigs[i] < sigs[j] })
-	for _, h := range sigs {
+	for _, h := range sortedHashes(level) {
 		ins := level[h]
 		res.Frequent = append(res.Frequent, &Subgraph{
 			Signature: m.readableSig(ins[0]),
@@ -530,7 +556,7 @@ func (c *Class) Size() int { return len(c.Instances[0]) }
 // are the paper's "set of unique subgraphs" — search effort is spent once
 // per class.
 func Fold(g *ir.GNGraph, res *Result) []*Class {
-	claimed := make(map[*ir.GraphNode]bool)
+	claimed := make([]bool, len(g.Nodes))
 	var classes []*Class
 
 	// Consume patterns by total coverage (size × support): a pattern that
@@ -550,20 +576,9 @@ func Fold(g *ir.GNGraph, res *Result) []*Class {
 	for _, sub := range ordered {
 		var taken []Instance
 		for _, in := range sub.Instances {
-			free := true
-			for _, gn := range in {
-				if claimed[gn] {
-					free = false
-					break
-				}
+			if claim(claimed, in) {
+				taken = append(taken, in)
 			}
-			if !free {
-				continue
-			}
-			for _, gn := range in {
-				claimed[gn] = true
-			}
-			taken = append(taken, in)
 		}
 		// A pattern with a single claimable instance offers no reuse:
 		// release it so its nodes fall to better-aligned patterns or to
@@ -571,7 +586,7 @@ func Fold(g *ir.GNGraph, res *Result) []*Class {
 		if len(taken) < 2 {
 			for _, in := range taken {
 				for _, gn := range in {
-					claimed[gn] = false
+					claimed[gn.ID] = false
 				}
 			}
 			continue
@@ -584,7 +599,7 @@ func Fold(g *ir.GNGraph, res *Result) []*Class {
 	bySig := make(map[string]*Class)
 	var order []string
 	for _, gn := range g.Nodes {
-		if claimed[gn] {
+		if claimed[gn.ID] {
 			continue
 		}
 		sig := gn.Signature()
@@ -608,22 +623,22 @@ func Fold(g *ir.GNGraph, res *Result) []*Class {
 // analysis that "the optimized subgraphs will combine to form a valid
 // solution".
 func CoverageCheck(g *ir.GNGraph, classes []*Class) []string {
-	count := make(map[*ir.GraphNode]int)
+	count := make([]int, len(g.Nodes))
 	for _, c := range classes {
 		for _, in := range c.Instances {
 			for _, gn := range in {
-				count[gn]++
+				count[gn.ID]++
 			}
 		}
 	}
 	var errs []string
 	for _, gn := range g.Nodes {
-		switch count[gn] {
+		switch count[gn.ID] {
 		case 1:
 		case 0:
 			errs = append(errs, fmt.Sprintf("node %v not covered", gn))
 		default:
-			errs = append(errs, fmt.Sprintf("node %v covered %d times", gn, count[gn]))
+			errs = append(errs, fmt.Sprintf("node %v covered %d times", gn, count[gn.ID]))
 		}
 	}
 	return errs

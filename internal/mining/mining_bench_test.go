@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -51,9 +52,9 @@ func BenchmarkMineLevels(b *testing.B) {
 // TestMineWorkerEquivalence is the mining-local determinism contract:
 // the sharded level expansion merges per-group output in ascending
 // canonical-hash order, so every worker count must produce exactly the
-// same frequent patterns — same signatures, sizes, instance sets and
-// level count — as a serial run. (The engine-level sweep in the root
-// package proves the same through to PlanJSON bytes.)
+// same frequent patterns — same signatures, sizes, instances member for
+// member and level count — as a serial run. (The engine-level sweep in
+// the root package proves the same through to PlanJSON bytes.)
 func TestMineWorkerEquivalence(t *testing.T) {
 	for _, name := range []string{"t5-200M", "moe-380M", "resnet-26M"} {
 		name := name
@@ -83,8 +84,8 @@ func TestMineWorkerEquivalence(t *testing.T) {
 							workers, i, len(got.Instances), len(want.Instances))
 					}
 					for j, in := range got.Instances {
-						if in.key() != want.Instances[j].key() {
-							t.Fatalf("workers=%d: pattern %d instance %d differs from serial", workers, i, j)
+						if !slices.EqualFunc(in, want.Instances[j], func(a, b *ir.GraphNode) bool { return a.ID == b.ID }) {
+							t.Fatalf("workers=%d: pattern %d instance %d is %v, serial has %v", workers, i, j, in, want.Instances[j])
 						}
 					}
 				}

@@ -13,13 +13,11 @@ import (
 // localRunner executes every batch via the Local fallback — the
 // simplest conforming TaskRunner.
 type localRunner struct {
-	fanout  int
-	batches int
+	fanout int
 }
 
 func (r *localRunner) Fanout() int { return r.fanout }
 func (r *localRunner) RunTasks(ctx context.Context, b TaskBatch) ([]TaskResult, error) {
-	r.batches++
 	return b.Local(ctx, b.Tasks), nil
 }
 
