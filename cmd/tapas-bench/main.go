@@ -1,6 +1,7 @@
 // Command tapas-bench regenerates the paper's tables and figures on the
-// simulated substrate, and emits machine-readable benchmark records for
-// performance tracking. Ctrl-C cancels the run; -timeout bounds it.
+// simulated substrate. Ctrl-C cancels the run; -timeout bounds it.
+// (Speed is measured by the repository's benchmark, bench/ — see
+// bench/README.md.)
 //
 // Usage:
 //
@@ -8,82 +9,23 @@
 //	tapas-bench -exp fig6 -quick  # one experiment, trimmed sweeps
 //	tapas-bench -timeout 10m -exp all
 //	tapas-bench -list             # enumerate experiment ids
-//	tapas-bench -exp none -json BENCH_$(date +%F).json   # benchmark record only
-//	tapas-bench -exp all -json out.json -bench-models t5-770M,moe-1.3B -bench-gpus 16
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"strings"
 	"time"
 
-	"tapas"
 	"tapas/internal/cli"
 	"tapas/internal/experiments"
 )
 
-// benchSchemaVersion versions the -json record. Additive changes keep
-// it; breaking changes bump it.
-const benchSchemaVersion = 1
-
-// benchRecord is the machine-readable output of -json: enough to plot
-// search-time and cache-behavior trajectories across commits without
-// scraping the human-readable tables.
-type benchRecord struct {
-	SchemaVersion int    `json:"schema_version"`
-	Timestamp     string `json:"timestamp"`
-	GoVersion     string `json:"go_version"`
-	GOMAXPROCS    int    `json:"gomaxprocs"`
-	Workers       int    `json:"workers"`
-	Quick         bool   `json:"quick"`
-
-	Experiments []expRecord      `json:"experiments,omitempty"`
-	Searches    []searchRecord   `json:"searches,omitempty"`
-	Cache       tapas.CacheStats `json:"cache"`
-}
-
-// expRecord times one experiment generator.
-type expRecord struct {
-	ID     string `json:"id"`
-	Title  string `json:"title"`
-	WallMS int64  `json:"wall_ms"`
-}
-
-// searchRecord times one (model, GPUs) search cold and warm through a
-// shared engine — the serving-shape measurement.
-type searchRecord struct {
-	Model   string `json:"model"`
-	GPUs    int    `json:"gpus"`
-	Workers int    `json:"workers"`
-
-	ColdMS       float64 `json:"cold_ms"`
-	WarmMS       float64 `json:"warm_ms"`
-	WarmCacheHit bool    `json:"warm_cache_hit"`
-
-	MineMS       float64 `json:"mine_ms"`
-	SearchMS     float64 `json:"search_ms"`
-	EnumMS       float64 `json:"enum_ms"`
-	AssembleMS   float64 `json:"assemble_ms"`
-	MineLevels   int     `json:"mine_levels"`
-	Classes      int     `json:"classes"`
-	Examined     int     `json:"examined"`
-	CostSeconds  float64 `json:"cost_seconds"`
-	TFLOPSPerGPU float64 `json:"tflops_per_gpu"`
-}
-
 func main() {
-	exp := flag.String("exp", "all", "experiment id (fig1, tab1, fig5, fig6, fig7, fig8, fig9, fig10, tab2), 'all', or 'none' to skip experiments")
+	exp := flag.String("exp", "all", "experiment id (fig1, tab1, fig5, fig6, fig7, fig8, fig9, fig10, tab2) or 'all'")
 	quick := flag.Bool("quick", false, "trim sweeps and budgets for a fast run")
 	workers := flag.Int("workers", 0, "strategy-search worker goroutines (0 = GOMAXPROCS, 1 = serial; results are identical except fig8's time-budgeted ES column)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
-	jsonOut := flag.String("json", "", "write a machine-readable benchmark record to this file")
-	benchModels := flag.String("bench-models", "t5-770M", "comma-separated models for the -json cold/warm search sweep")
-	benchGPUs := flag.Int("bench-gpus", 8, "GPU count for the -json search sweep")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
 
@@ -97,114 +39,23 @@ func main() {
 	ctx, stop := cli.Context(*timeout)
 	defer stop()
 
-	record := &benchRecord{
-		SchemaVersion: benchSchemaVersion,
-		Timestamp:     time.Now().UTC().Format(time.RFC3339),
-		GoVersion:     runtime.Version(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Workers:       *workers,
-		Quick:         *quick,
+	gens := experiments.All()
+	if *exp != "all" {
+		g, ok := experiments.Find(*exp)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *exp)
+			os.Exit(2)
+		}
+		gens = []experiments.Generator{g}
 	}
-
 	cfg := experiments.Config{Quick: *quick, Workers: *workers}
-	run := func(g experiments.Generator) {
+	for _, g := range gens {
 		fmt.Printf("==== %s ====\n", g.Title)
 		start := time.Now()
 		if err := g.Run(ctx, os.Stdout, cfg); err != nil {
 			fmt.Fprintf(os.Stderr, "%s failed: %v\n", g.ID, err)
 			os.Exit(cli.ExitCode(err))
 		}
-		wall := time.Since(start)
-		record.Experiments = append(record.Experiments, expRecord{
-			ID: g.ID, Title: g.Title, WallMS: wall.Milliseconds(),
-		})
-		fmt.Printf("(generated in %v)\n\n", wall.Round(time.Millisecond))
+		fmt.Printf("(generated in %v)\n\n", time.Since(start).Round(time.Millisecond))
 	}
-
-	switch *exp {
-	case "none":
-		// Benchmark record only; no experiment tables.
-	case "all":
-		for _, g := range experiments.All() {
-			run(g)
-		}
-	default:
-		g, ok := experiments.Find(*exp)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *exp)
-			os.Exit(2)
-		}
-		run(g)
-	}
-
-	if *jsonOut == "" {
-		return
-	}
-	if err := benchSweep(ctx, record, *benchModels, *benchGPUs, *workers); err != nil {
-		fmt.Fprintf(os.Stderr, "benchmark sweep failed: %v\n", err)
-		os.Exit(cli.ExitCode(err))
-	}
-	if err := writeRecord(*jsonOut, record); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Printf("benchmark record written to %s\n", *jsonOut)
-}
-
-// benchSweep runs each model cold then warm through one shared engine,
-// so the warm number measures the serving-path cache hit.
-func benchSweep(ctx context.Context, record *benchRecord, models string, gpus, workers int) error {
-	eng := tapas.NewEngine(tapas.WithWorkers(workers))
-	for _, name := range strings.Split(models, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		t0 := time.Now()
-		cold, err := eng.Search(ctx, name, gpus)
-		if err != nil {
-			return fmt.Errorf("cold %s: %w", name, err)
-		}
-		coldMS := float64(time.Since(t0).Microseconds()) / 1e3
-		t1 := time.Now()
-		warm, err := eng.Search(ctx, name, gpus)
-		if err != nil {
-			return fmt.Errorf("warm %s: %w", name, err)
-		}
-		warmMS := float64(time.Since(t1).Microseconds()) / 1e3
-		record.Searches = append(record.Searches, searchRecord{
-			Model:        name,
-			GPUs:         gpus,
-			Workers:      workers,
-			ColdMS:       coldMS,
-			WarmMS:       warmMS,
-			WarmCacheHit: warm.CacheHit,
-			MineMS:       float64(cold.MineTime.Microseconds()) / 1e3,
-			SearchMS:     float64(cold.SearchTime.Microseconds()) / 1e3,
-			EnumMS:       float64(cold.EnumTime.Microseconds()) / 1e3,
-			AssembleMS:   float64(cold.AssembleTime.Microseconds()) / 1e3,
-			MineLevels:   cold.MineLevels,
-			Classes:      cold.Classes,
-			Examined:     cold.Examined,
-			CostSeconds:  cold.Strategy.Cost.Total(),
-			TFLOPSPerGPU: cold.Report.TFLOPSPerGPU,
-		})
-	}
-	record.Cache = eng.CacheStats()
-	return nil
-}
-
-// writeRecord writes the record as indented JSON.
-func writeRecord(path string, record *benchRecord) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(record); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -52,55 +51,6 @@ func TestCLIQuickExperiment(t *testing.T) {
 	}
 	if !regexp.MustCompile(`\(generated in .*\)`).Match(out) {
 		t.Errorf("missing completion footer:\n%s", out)
-	}
-}
-
-func TestCLIJSONRecord(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "bench.json")
-	cmd := exec.Command(binary, "-exp", "none", "-json", out, "-bench-models", "t5-100M,twotower-small", "-bench-gpus", "8")
-	if b, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("tapas-bench -json: %v\n%s", err, b)
-	}
-	blob, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var record struct {
-		SchemaVersion int    `json:"schema_version"`
-		Timestamp     string `json:"timestamp"`
-		GoVersion     string `json:"go_version"`
-		Searches      []struct {
-			Model        string  `json:"model"`
-			GPUs         int     `json:"gpus"`
-			ColdMS       float64 `json:"cold_ms"`
-			WarmMS       float64 `json:"warm_ms"`
-			WarmCacheHit bool    `json:"warm_cache_hit"`
-		} `json:"searches"`
-		Cache struct {
-			Hits   uint64 `json:"hits"`
-			Misses uint64 `json:"misses"`
-		} `json:"cache"`
-	}
-	if err := json.Unmarshal(blob, &record); err != nil {
-		t.Fatalf("record is not valid JSON: %v\n%s", err, blob)
-	}
-	if record.SchemaVersion != 1 || record.Timestamp == "" || record.GoVersion == "" {
-		t.Errorf("metadata incomplete: %+v", record)
-	}
-	if len(record.Searches) != 2 {
-		t.Fatalf("want 2 search records, got %d", len(record.Searches))
-	}
-	for _, s := range record.Searches {
-		if s.ColdMS <= 0 {
-			t.Errorf("%s: cold_ms = %v", s.Model, s.ColdMS)
-		}
-		if !s.WarmCacheHit {
-			t.Errorf("%s: warm run was not a cache hit", s.Model)
-		}
-	}
-	if record.Cache.Hits != 2 || record.Cache.Misses != 2 {
-		t.Errorf("cache stats = %+v, want 2 hits / 2 misses", record.Cache)
 	}
 }
 

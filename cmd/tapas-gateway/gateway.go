@@ -37,16 +37,22 @@ const replicaHeader = "X-Tapas-Replica"
 // identical in-flight search rather than a dedicated upstream request.
 const singleflightHeader = "X-Tapas-Singleflight"
 
+const (
+	// vnodes is the number of virtual nodes per replica on the hash ring.
+	vnodes = 64
+	// healthTimeout bounds one replica health check.
+	healthTimeout = 2 * time.Second
+	// jobTableSize is how many job-to-replica pins are retained.
+	jobTableSize = 4096
+)
+
 // gatewayConfig sizes a gateway. newGateway fills defaults for zero
 // values.
 type gatewayConfig struct {
 	replicas       []string
-	vnodes         int           // virtual nodes per replica (default 64)
 	healthInterval time.Duration // active health-check period (default 2s)
-	healthTimeout  time.Duration // per-check timeout (default 2s)
 	rate           float64       // tokens/second per client; 0 disables rate limiting
 	burst          int           // bucket depth (default max(1, 2*rate))
-	jobTableSize   int           // job-owner stickiness entries (default 4096)
 	logf           func(string, ...any)
 
 	// rec is the gateway's trace flight recorder; nil disables tracing
@@ -70,20 +76,10 @@ type replicaState struct {
 	proxied     atomic.Uint64 // responses relayed from this replica
 	proxyErrors atomic.Uint64 // transport failures against it
 
-	// Task-layer counters mirrored from the replica's last healthz
-	// answer, so the gateway's fleet view can aggregate distributed
-	// cold-search activity without extra round trips.
-	tasksExecuted atomic.Uint64
-	tasksFailed   atomic.Uint64
-
-	// Replication counters mirrored the same way; repEnabled separates
-	// "replica runs unreplicated" from "all counters zero".
-	repEnabled      atomic.Bool
-	repPeersHealthy atomic.Uint64
-	repFanoutWrites atomic.Uint64
-	repRepairHits   atomic.Uint64
-	repSweepRuns    atomic.Uint64
-	repSweepDiffs   atomic.Uint64
+	// stats is the replica's last /v1/healthz answer that decoded (nil
+	// until one does): the fleet view's task and replication rows and
+	// sums derive from it, so aggregating costs no extra round trips.
+	stats atomic.Pointer[service.Stats]
 }
 
 func (r *replicaState) setErr(err error) {
@@ -110,7 +106,7 @@ type fleetView struct {
 	ring     *hashRing
 }
 
-func newFleetView(reps []*replicaState, vnodes int) *fleetView {
+func newFleetView(reps []*replicaState) *fleetView {
 	return &fleetView{
 		replicas: reps,
 		ring:     newRing(len(reps), vnodes, func(i int) string { return reps[i].url }),
@@ -157,17 +153,8 @@ type gateway struct {
 }
 
 func newGateway(cfg gatewayConfig) *gateway {
-	if cfg.vnodes <= 0 {
-		cfg.vnodes = 64
-	}
 	if cfg.healthInterval <= 0 {
 		cfg.healthInterval = 2 * time.Second
-	}
-	if cfg.healthTimeout <= 0 {
-		cfg.healthTimeout = 2 * time.Second
-	}
-	if cfg.jobTableSize <= 0 {
-		cfg.jobTableSize = 4096
 	}
 	if cfg.logf == nil {
 		cfg.logf = func(string, ...any) {}
@@ -175,8 +162,8 @@ func newGateway(cfg gatewayConfig) *gateway {
 	gw := &gateway{
 		cfg:     cfg,
 		proxy:   &http.Client{},
-		health:  &http.Client{Timeout: cfg.healthTimeout},
-		owners:  newOwnerTable(cfg.jobTableSize),
+		health:  &http.Client{Timeout: healthTimeout},
+		owners:  newOwnerTable(jobTableSize),
 		reqHist: promtext.NewHistogram(nil),
 	}
 	reps := make([]*replicaState, 0, len(cfg.replicas))
@@ -185,7 +172,7 @@ func newGateway(cfg gatewayConfig) *gateway {
 		rs.healthy.Store(true) // optimistic until the first check
 		reps = append(reps, rs)
 	}
-	gw.view.Store(newFleetView(reps, cfg.vnodes))
+	gw.view.Store(newFleetView(reps))
 	if cfg.rate > 0 {
 		burst := cfg.burst
 		if burst <= 0 {
@@ -740,7 +727,7 @@ func (gw *gateway) fleetPut(w http.ResponseWriter, r *http.Request) {
 		reps = append(reps, rs)
 		added++
 	}
-	next := newFleetView(reps, gw.cfg.vnodes)
+	next := newFleetView(reps)
 	gw.view.Store(next)
 	gw.fleetUpdates.Add(1)
 	gw.fleetMu.Unlock()
@@ -748,7 +735,7 @@ func (gw *gateway) fleetPut(w http.ResponseWriter, r *http.Request) {
 
 	// Probe the new generation before answering, so the response's
 	// health bits are real, not the optimistic default.
-	probeCtx, cancel := context.WithTimeout(r.Context(), gw.cfg.healthTimeout)
+	probeCtx, cancel := context.WithTimeout(r.Context(), healthTimeout)
 	gw.checkView(probeCtx, next)
 	cancel()
 
@@ -782,28 +769,9 @@ func (gw *gateway) checkView(ctx context.Context, v *fleetView) {
 			rep.setErr(err)
 			continue
 		}
-		var hb struct {
-			TasksExecuted uint64 `json:"tasks_executed"`
-			TasksFailed   uint64 `json:"tasks_failed"`
-			Replication   *struct {
-				PeersHealthy uint64 `json:"peers_healthy"`
-				FanoutWrites uint64 `json:"fanout_writes"`
-				RepairHits   uint64 `json:"repair_hits"`
-				SweepRuns    uint64 `json:"sweep_runs"`
-				SweepDiffs   uint64 `json:"sweep_diffs"`
-			} `json:"replication"`
-		}
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&hb) == nil {
-			rep.tasksExecuted.Store(hb.TasksExecuted)
-			rep.tasksFailed.Store(hb.TasksFailed)
-			if rp := hb.Replication; rp != nil {
-				rep.repEnabled.Store(true)
-				rep.repPeersHealthy.Store(rp.PeersHealthy)
-				rep.repFanoutWrites.Store(rp.FanoutWrites)
-				rep.repRepairHits.Store(rp.RepairHits)
-				rep.repSweepRuns.Store(rp.SweepRuns)
-				rep.repSweepDiffs.Store(rp.SweepDiffs)
-			}
+		var st service.Stats
+		if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st) == nil {
+			rep.stats.Store(&st)
 		}
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
 		resp.Body.Close()
@@ -866,74 +834,84 @@ type replicaReplication struct {
 
 // replicaRows renders one fleet generation's health rows.
 func (gw *gateway) replicaRows(v *fleetView) []replicaHealth {
-	reps := make([]replicaHealth, 0, len(v.replicas))
+	rows := make([]replicaHealth, 0, len(v.replicas))
 	for _, rep := range v.replicas {
-		row := replicaHealth{
-			URL: rep.url, Healthy: rep.healthy.Load(), LastError: rep.errString(),
-			TasksExecuted: rep.tasksExecuted.Load(), TasksFailed: rep.tasksFailed.Load(),
-		}
-		if rep.repEnabled.Load() {
-			row.Replication = &replicaReplication{
-				PeersHealthy: rep.repPeersHealthy.Load(),
-				FanoutWrites: rep.repFanoutWrites.Load(),
-				RepairHits:   rep.repRepairHits.Load(),
-				SweepRuns:    rep.repSweepRuns.Load(),
-				SweepDiffs:   rep.repSweepDiffs.Load(),
+		row := replicaHealth{URL: rep.url, Healthy: rep.healthy.Load(), LastError: rep.errString()}
+		if st := rep.stats.Load(); st != nil {
+			row.TasksExecuted, row.TasksFailed = st.TasksExecuted, st.TasksFailed
+			if rp := st.Replication; rp != nil {
+				row.Replication = &replicaReplication{
+					PeersHealthy: uint64(rp.PeersHealthy),
+					FanoutWrites: rp.FanoutWrites,
+					RepairHits:   rp.RepairHits,
+					SweepRuns:    rp.SweepRuns,
+					SweepDiffs:   rp.SweepDiffs,
+				}
 			}
 		}
-		reps = append(reps, row)
+		rows = append(rows, row)
 	}
-	return reps
+	return rows
+}
+
+// fleetTotals are the sums over one generation's rows that healthz and
+// /metrics both report.
+type fleetTotals struct {
+	healthy, replicated                  int
+	tasksExecuted, tasksFailed           uint64
+	fanoutWrites, repairHits, sweepDiffs uint64
+}
+
+func totals(rows []replicaHealth) fleetTotals {
+	var t fleetTotals
+	for _, row := range rows {
+		if row.Healthy {
+			t.healthy++
+		}
+		t.tasksExecuted += row.TasksExecuted
+		t.tasksFailed += row.TasksFailed
+		if rp := row.Replication; rp != nil {
+			t.replicated++
+			t.fanoutWrites += rp.FanoutWrites
+			t.repairHits += rp.RepairHits
+			t.sweepDiffs += rp.SweepDiffs
+		}
+	}
+	return t
 }
 
 // healthz answers the gateway's fleet view: 200 while at least one
 // replica is healthy, 503 when none is.
 func (gw *gateway) healthz(w http.ResponseWriter, r *http.Request) {
-	view := gw.fleet()
-	reps := gw.replicaRows(view)
-	healthy := 0
-	var tasksExecuted, tasksFailed, repFanout, repRepairs, repSweepDiffs uint64
-	replicated := 0
-	for i, rep := range view.replicas {
-		if reps[i].Healthy {
-			healthy++
-		}
-		tasksExecuted += reps[i].TasksExecuted
-		tasksFailed += reps[i].TasksFailed
-		if rep.repEnabled.Load() {
-			replicated++
-			repFanout += rep.repFanoutWrites.Load()
-			repRepairs += rep.repRepairHits.Load()
-			repSweepDiffs += rep.repSweepDiffs.Load()
-		}
-	}
+	rows := gw.replicaRows(gw.fleet())
+	t := totals(rows)
 	status := "ok"
 	code := http.StatusOK
 	switch {
-	case healthy == 0:
+	case t.healthy == 0:
 		status = "unavailable"
 		code = http.StatusServiceUnavailable
-	case healthy < len(view.replicas):
+	case t.healthy < len(rows):
 		status = "degraded"
 	}
 	body := map[string]any{
 		"status":              status,
-		"replicas":            reps,
-		"fleet_peers_healthy": healthy,
-		"tasks_executed":      tasksExecuted,
-		"tasks_failed":        tasksFailed,
+		"replicas":            rows,
+		"fleet_peers_healthy": t.healthy,
+		"tasks_executed":      t.tasksExecuted,
+		"tasks_failed":        t.tasksFailed,
 		"requests_total":      gw.requests.Load(),
 		"rate_limited_total":  gw.rateLimited.Load(),
 		"failovers_total":     gw.failovers.Load(),
 		"singleflight_total":  gw.sfJoined.Load(),
 		"fleet_updates":       gw.fleetUpdates.Load(),
 	}
-	if replicated > 0 {
+	if t.replicated > 0 {
 		body["replication"] = map[string]any{
-			"replicas":      replicated,
-			"fanout_writes": repFanout,
-			"repair_hits":   repRepairs,
-			"sweep_diffs":   repSweepDiffs,
+			"replicas":      t.replicated,
+			"fanout_writes": t.fanoutWrites,
+			"repair_hits":   t.repairHits,
+			"sweep_diffs":   t.sweepDiffs,
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -946,6 +924,8 @@ func (gw *gateway) healthz(w http.ResponseWriter, r *http.Request) {
 // metrics serves the gateway's route counters in Prometheus text form.
 func (gw *gateway) metrics(w http.ResponseWriter, r *http.Request) {
 	view := gw.fleet()
+	rows := gw.replicaRows(view)
+	t := totals(rows)
 	m := promtext.New()
 	m.Counter("tapas_gateway_requests_total", "Requests accepted for routing.", float64(gw.requests.Load()), nil)
 	m.Counter("tapas_gateway_rate_limited_total", "Requests answered 429 by the per-client limiter.", float64(gw.rateLimited.Load()), nil)
@@ -953,31 +933,26 @@ func (gw *gateway) metrics(w http.ResponseWriter, r *http.Request) {
 	m.Counter("tapas_gateway_singleflight_total", "Search responses shared from another client's identical in-flight request.", float64(gw.sfJoined.Load()), nil)
 	m.Counter("tapas_gateway_fleet_updates_total", "Hot fleet reloads applied via PUT /v1/fleet.", float64(gw.fleetUpdates.Load()), nil)
 	m.Gauge("tapas_gateway_job_owners", "Job-to-replica stickiness entries resident.", float64(gw.owners.len()), nil)
-	healthy := 0
-	var repFanout, repRepairs, repSweepDiffs float64
-	for _, rep := range view.replicas {
+	for i, rep := range view.replicas {
+		row := rows[i]
 		l := promtext.Labels{"replica": rep.url}
 		m.Counter("tapas_gateway_proxied_total", "Responses relayed, per replica.", float64(rep.proxied.Load()), l)
 		m.Counter("tapas_gateway_proxy_errors_total", "Transport failures, per replica.", float64(rep.proxyErrors.Load()), l)
-		m.Counter("tapas_gateway_replica_tasks_executed_total", "Prefix tasks the replica executed for coordinators, as of its last health check.", float64(rep.tasksExecuted.Load()), l)
-		m.Counter("tapas_gateway_replica_tasks_failed_total", "Rejected or failed /v1/tasks batches on the replica, as of its last health check.", float64(rep.tasksFailed.Load()), l)
-		if rep.repEnabled.Load() {
-			m.Gauge("tapas_gateway_replica_store_peers_healthy", "Replication peers the replica reports reachable, as of its last health check.", float64(rep.repPeersHealthy.Load()), l)
-			repFanout += float64(rep.repFanoutWrites.Load())
-			repRepairs += float64(rep.repRepairHits.Load())
-			repSweepDiffs += float64(rep.repSweepDiffs.Load())
+		m.Counter("tapas_gateway_replica_tasks_executed_total", "Prefix tasks the replica executed for coordinators, as of its last health check.", float64(row.TasksExecuted), l)
+		m.Counter("tapas_gateway_replica_tasks_failed_total", "Rejected or failed /v1/tasks batches on the replica, as of its last health check.", float64(row.TasksFailed), l)
+		if rp := row.Replication; rp != nil {
+			m.Gauge("tapas_gateway_replica_store_peers_healthy", "Replication peers the replica reports reachable, as of its last health check.", float64(rp.PeersHealthy), l)
 		}
 		up := 0.0
-		if rep.healthy.Load() {
+		if row.Healthy {
 			up = 1
-			healthy++
 		}
 		m.Gauge("tapas_gateway_replica_healthy", "1 while the replica passes health checks.", up, l)
 	}
-	m.Gauge("tapas_gateway_fleet_peers_healthy", "Replicas currently passing health checks.", float64(healthy), nil)
-	m.Counter("tapas_gateway_replication_fanout_writes_total", "Store fanout writes summed across the fleet's last health checks.", repFanout, nil)
-	m.Counter("tapas_gateway_replication_repair_hits_total", "Store read-repairs summed across the fleet's last health checks.", repRepairs, nil)
-	m.Counter("tapas_gateway_replication_sweep_diffs_total", "Anti-entropy record copies summed across the fleet's last health checks.", repSweepDiffs, nil)
+	m.Gauge("tapas_gateway_fleet_peers_healthy", "Replicas currently passing health checks.", float64(t.healthy), nil)
+	m.Counter("tapas_gateway_replication_fanout_writes_total", "Store fanout writes summed across the fleet's last health checks.", float64(t.fanoutWrites), nil)
+	m.Counter("tapas_gateway_replication_repair_hits_total", "Store read-repairs summed across the fleet's last health checks.", float64(t.repairHits), nil)
+	m.Counter("tapas_gateway_replication_sweep_diffs_total", "Anti-entropy record copies summed across the fleet's last health checks.", float64(t.sweepDiffs), nil)
 	m.Histogram("tapas_request_duration_seconds",
 		"Proxied request latency by wall clock, all routed endpoints.", gw.reqHist, nil)
 	promtext.AddRuntime(m)

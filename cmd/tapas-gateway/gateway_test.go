@@ -1,12 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -27,6 +30,8 @@ type fakeReplica struct {
 	searches atomic.Int64
 	submits  atomic.Int64
 	healthy  atomic.Bool
+	// healthBody, when set, replaces the minimal healthz answer.
+	healthBody atomic.Pointer[string]
 }
 
 func newFakeReplica(t *testing.T, name string) *fakeReplica {
@@ -77,6 +82,10 @@ func newFakeReplica(t *testing.T, name string) *fakeReplica {
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if !f.healthy.Load() {
 			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		if body := f.healthBody.Load(); body != nil {
+			fmt.Fprint(w, *body)
 			return
 		}
 		fmt.Fprint(w, `{"status":"ok"}`)
@@ -250,6 +259,9 @@ func TestRateLimit429WithRetryAfter(t *testing.T) {
 	}
 	if gw.rateLimited.Load() == 0 {
 		t.Error("rate-limited requests not counted")
+	}
+	if _, metrics := getURL(t, srv.URL+"/metrics"); !strings.Contains(string(metrics), fmt.Sprintf("tapas_gateway_rate_limited_total %d\n", gw.rateLimited.Load())) {
+		t.Errorf("/metrics does not report the %d limited requests", gw.rateLimited.Load())
 	}
 	// A different client principal is untouched.
 	resp, _ := postJSON(t, srv.URL+"/v1/search", body, map[string]string{httpobs.ClientHeader: "calm"})
@@ -540,11 +552,19 @@ func TestFleetHealthAndJobsMerge(t *testing.T) {
 	}
 }
 
-// TestGatewayMetrics: route counters come out in Prometheus text form.
+// TestGatewayMetrics: route counters come out in Prometheus text form,
+// the task and replication counters of each replica's last healthz are
+// mirrored per replica and summed over the fleet on /metrics and
+// /v1/healthz alike, and the metric-name and healthz-key sets are
+// pinned: dashboards and the benchmark read them by name.
 func TestGatewayMetrics(t *testing.T) {
-	f := newFakeReplica(t, "a")
-	_, srv := testGateway(t, gatewayConfig{replicas: []string{f.srv.URL}})
-	postJSON(t, srv.URL+"/v1/search", `{"model":"t5-100M","gpus":8}`, nil)
+	a, b := newFakeReplica(t, "a"), newFakeReplica(t, "b")
+	replicated := `{"status":"ok","tasks_executed":7,"tasks_failed":1,"replication":{"peers":2,"peers_healthy":1,` +
+		`"fanout_writes":5,"fanout_errors":9,"repair_hits":3,"sweep_runs":4,"sweep_diffs":2}}`
+	a.healthBody.Store(&replicated)
+	gw, srv := testGateway(t, gatewayConfig{replicas: []string{a.srv.URL, b.srv.URL}})
+	gw.checkAll(context.Background())
+	served, _ := postJSON(t, srv.URL+"/v1/search", `{"model":"t5-100M","gpus":8}`, nil)
 
 	resp, body := getURL(t, srv.URL+"/metrics")
 	if resp.StatusCode != http.StatusOK {
@@ -554,13 +574,105 @@ func TestGatewayMetrics(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE tapas_gateway_requests_total counter",
 		"tapas_gateway_requests_total 1",
-		fmt.Sprintf(`tapas_gateway_proxied_total{replica="%s"} 1`, f.srv.URL),
-		fmt.Sprintf(`tapas_gateway_replica_healthy{replica="%s"} 1`, f.srv.URL),
+		fmt.Sprintf(`tapas_gateway_proxied_total{replica="%s"} 1`, served.Header.Get(replicaHeader)),
+		fmt.Sprintf(`tapas_gateway_replica_healthy{replica="%s"} 1`, b.srv.URL),
+		fmt.Sprintf(`tapas_gateway_replica_tasks_executed_total{replica="%s"} 7`, a.srv.URL),
+		fmt.Sprintf(`tapas_gateway_replica_tasks_executed_total{replica="%s"} 0`, b.srv.URL),
+		fmt.Sprintf(`tapas_gateway_replica_tasks_failed_total{replica="%s"} 1`, a.srv.URL),
+		fmt.Sprintf(`tapas_gateway_replica_store_peers_healthy{replica="%s"} 1`, a.srv.URL),
+		"tapas_gateway_fleet_peers_healthy 2",
+		"tapas_gateway_replication_fanout_writes_total 5",
+		"tapas_gateway_replication_repair_hits_total 3",
+		"tapas_gateway_replication_sweep_diffs_total 2",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
 		}
 	}
+	if unreplicated := fmt.Sprintf(`tapas_gateway_replica_store_peers_healthy{replica="%s"}`, b.srv.URL); strings.Contains(text, unreplicated) {
+		t.Errorf("unreplicated replica got a %s row", unreplicated)
+	}
+	var families []string
+	for _, line := range strings.Split(text, "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			families = append(families, name)
+		}
+	}
+	sort.Strings(families)
+	wantFamilies := []string{
+		"tapas_gateway_failovers_total counter",
+		"tapas_gateway_fleet_peers_healthy gauge",
+		"tapas_gateway_fleet_updates_total counter",
+		"tapas_gateway_job_owners gauge",
+		"tapas_gateway_proxied_total counter",
+		"tapas_gateway_proxy_errors_total counter",
+		"tapas_gateway_rate_limited_total counter",
+		"tapas_gateway_replica_healthy gauge",
+		"tapas_gateway_replica_store_peers_healthy gauge",
+		"tapas_gateway_replica_tasks_executed_total counter",
+		"tapas_gateway_replica_tasks_failed_total counter",
+		"tapas_gateway_replication_fanout_writes_total counter",
+		"tapas_gateway_replication_repair_hits_total counter",
+		"tapas_gateway_replication_sweep_diffs_total counter",
+		"tapas_gateway_requests_total counter",
+		"tapas_gateway_singleflight_total counter",
+		"tapas_gc_pause_seconds_total counter",
+		"tapas_goroutines gauge",
+		"tapas_heap_alloc_bytes gauge",
+		"tapas_request_duration_seconds histogram",
+	}
+	if !reflect.DeepEqual(families, wantFamilies) {
+		t.Errorf("metric families changed:\n got %q\nwant %q", families, wantFamilies)
+	}
+
+	// The same mirror as JSON: sums at the top, one row per replica.
+	_, body = getURL(t, srv.URL+"/v1/healthz")
+	var health struct {
+		TasksExecuted uint64                       `json:"tasks_executed"`
+		Replication   map[string]uint64            `json:"replication"`
+		Replicas      []map[string]json.RawMessage `json:"replicas"`
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(body, &health); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(body, &keys); err != nil {
+		t.Fatal(err)
+	}
+	wantRepl := map[string]uint64{"replicas": 1, "fanout_writes": 5, "repair_hits": 3, "sweep_diffs": 2}
+	if health.TasksExecuted != 7 || !reflect.DeepEqual(health.Replication, wantRepl) {
+		t.Errorf("healthz sums: tasks_executed %d replication %v, want 7 and %v", health.TasksExecuted, health.Replication, wantRepl)
+	}
+	if got, want := sortedKeys(keys), []string{"failovers_total", "fleet_peers_healthy", "fleet_updates", "rate_limited_total",
+		"replicas", "replication", "requests_total", "singleflight_total", "status", "tasks_executed", "tasks_failed"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("healthz keys %q, want %q", got, want)
+	}
+	if got, want := sortedKeys(health.Replicas[0]), []string{"healthy", "replication", "tasks_executed", "tasks_failed", "url"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("replicated row keys %q, want %q", got, want)
+	}
+	if got, want := string(health.Replicas[0]["replication"]), `{"peers_healthy":1,"fanout_writes":5,"repair_hits":3,"sweep_runs":4,"sweep_diffs":2}`; compactJSON(got) != want {
+		t.Errorf("replicated row mirror %s, want %s", got, want)
+	}
+	if got, want := sortedKeys(health.Replicas[1]), []string{"healthy", "tasks_executed", "tasks_failed", "url"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("unreplicated row keys %q, want %q", got, want)
+	}
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+func compactJSON(s string) string {
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, []byte(s)); err != nil {
+		return s
+	}
+	return buf.String()
 }
 
 // TestCrossReplicaStoreHitThroughGateway is the acceptance round trip
@@ -616,6 +728,17 @@ func TestCrossReplicaStoreHitThroughGateway(t *testing.T) {
 		t.Fatalf("first search through the gateway must be cold: %+v", cold.ResultSummary)
 	}
 	coldReplica := resp.Header.Get(replicaHeader)
+
+	// Replica affinity: the repeat lands on the same replica and comes
+	// out of its memory cache.
+	again, data := postJSON(t, gwSrv.URL+"/v1/search", body, nil)
+	var cached service.SearchResponse
+	if err := json.Unmarshal(data, &cached); err != nil {
+		t.Fatal(err)
+	}
+	if again.Header.Get(replicaHeader) != coldReplica || !cached.CacheHit {
+		t.Errorf("repeat search: replica %s (cold: %s), cache_hit %v", again.Header.Get(replicaHeader), coldReplica, cached.CacheHit)
+	}
 
 	// The write-behind persist reaches the shared corpus.
 	stA.Flush()
@@ -839,5 +962,58 @@ func TestFleetHotReload(t *testing.T) {
 	}
 	if gw.fleetUpdates.Load() != 1 {
 		t.Error("rejected updates mutated the fleet")
+	}
+}
+
+// TestRunWiresFlags starts run() — the whole of main() but the signal
+// handler — on a free loopback port: -replicas seeds a fleet that is
+// health-checked before traffic is taken, -rate/-burst arm the
+// per-client limiter (429 + Retry-After for the bursty client only),
+// cancelling the context drains to exit 0, and no -replicas is exit 2.
+func TestRunWiresFlags(t *testing.T) {
+	if code := run(context.Background(), []string{"-addr", "127.0.0.1:0"}, io.Discard, nil); code != 2 {
+		t.Errorf("no -replicas: exit %d, want 2", code)
+	}
+
+	a, b := newFakeReplica(t, "a"), newFakeReplica(t, "b")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	addr := make(chan string, 1)
+	exit := make(chan int, 1)
+	go func() {
+		args := []string{"-addr", "127.0.0.1:0", "-replicas", a.srv.URL + "," + b.srv.URL, "-rate", "1", "-burst", "2"}
+		exit <- run(ctx, args, io.Discard, func(a string) { addr <- a })
+	}()
+	var base string
+	select {
+	case a := <-addr:
+		base = "http://" + a
+	case code := <-exit:
+		t.Fatalf("gateway exited %d before listening", code)
+	}
+
+	if _, body := getURL(t, base+"/v1/healthz"); !strings.Contains(string(body), `"fleet_peers_healthy": 2`) {
+		t.Errorf("fleet not probed before traffic: %s", body)
+	}
+	search := func(client string) *http.Response {
+		resp, _ := postJSON(t, base+"/v1/search", `{"model":"t5-100M","gpus":8}`, map[string]string{httpobs.ClientHeader: client})
+		return resp
+	}
+	var limited *http.Response
+	for i := 0; i < 3; i++ {
+		if resp := search("bursty"); resp.StatusCode == http.StatusTooManyRequests {
+			limited = resp
+		}
+	}
+	if limited == nil || limited.Header.Get("Retry-After") == "" {
+		t.Errorf("3 rapid requests against -burst 2: no 429 with Retry-After (%+v)", limited)
+	}
+	if resp := search("calm"); resp.StatusCode != http.StatusOK {
+		t.Errorf("other client caught in the limiter: %d", resp.StatusCode)
+	}
+
+	cancel()
+	if code := <-exit; code != 0 {
+		t.Errorf("drain on cancel exited %d", code)
 	}
 }

@@ -28,11 +28,8 @@
 // autoscaler never needs to bounce the proxy. -replicas only seeds the
 // initial fleet.
 //
-// Endpoints: the proxied v1 API (/v1/search, /v1/search:batch,
-// /v1/jobs...), GET /v1/jobs (merged fleet listing), GET/PUT /v1/fleet
-// (replica ring), GET /v1/healthz (fleet view; 503 when no replica is
-// healthy), GET /v1/traces[/{id}] (trace flight recorder) and
-// GET /metrics (Prometheus text).
+// docs/api-v1.md ("Surface") has the one table of every endpoint and
+// flag, which daemon serves it and the question it answers.
 //
 // Every proxied request gets a gateway span: requests arriving with
 // X-Tapas-Trace are adopted into that trace, untraced requests are
@@ -50,14 +47,10 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
+	"io"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
-	"strings"
-	"syscall"
 	"time"
 
 	"tapas/internal/cli"
@@ -65,79 +58,69 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":8090", "listen address")
-	replicas := flag.String("replicas", "", "comma-separated tapas-serve base URLs (required)")
-	vnodes := flag.Int("vnodes", 64, "virtual nodes per replica on the hash ring")
-	healthInterval := flag.Duration("health-interval", 2*time.Second, "active health-check period")
-	healthTimeout := flag.Duration("health-timeout", 2*time.Second, "per-replica health-check timeout")
-	rate := flag.Float64("rate", 0, "per-client request rate (tokens/second; 0 disables rate limiting)")
-	burst := flag.Int("burst", 0, "per-client burst size (0 = max(1, 2*rate))")
-	jobTable := flag.Int("job-table", 4096, "job-to-replica stickiness entries retained")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight requests")
-	pprofAddr := flag.String("pprof-addr", "", "listen address of the pprof debug server (empty disables)")
-	traceSample := flag.Int("trace-sample", 0, "record 1 in N untraced requests in the flight recorder (0 disables sampling; requests arriving with X-Tapas-Trace are always recorded)")
-	traceSlow := flag.Duration("trace-slow", 0, "log a slow_request line for requests at least this long (0 disables)")
-	logRequests := flag.Bool("log-requests", false, "log one key=value line per proxied request")
-	flag.Parse()
+	ctx, stop := cli.Context(0)
+	context.AfterFunc(ctx, stop) // a second signal kills the process the default way
+	os.Exit(run(ctx, os.Args[1:], os.Stderr, nil))
+}
 
-	log.SetPrefix("tapas-gateway: ")
-	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
-
-	var urls []string
-	for _, u := range strings.Split(*replicas, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, u)
-		}
+// run is the whole gateway: parse args, probe the fleet once, serve
+// until ctx ends, drain. It returns the process exit code (2: bad
+// flags). ready, when set, learns the bound address.
+func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr string)) int {
+	fs := flag.NewFlagSet("tapas-gateway", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8090", "listen address")
+	var replicas cli.StringList
+	fs.Var(&replicas, "replicas", "comma-separated tapas-serve base URLs (required)")
+	healthInterval := fs.Duration("health-interval", 2*time.Second, "active health-check period")
+	rate := fs.Float64("rate", 0, "per-client request rate (tokens/second; 0 disables rate limiting)")
+	burst := fs.Int("burst", 0, "per-client burst size (0 = max(1, 2*rate))")
+	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight requests")
+	pprofAddr := fs.String("pprof-addr", "", "listen address of the pprof debug server (empty disables)")
+	traceSample := fs.Int("trace-sample", 0, "record 1 in N untraced requests in the flight recorder (0 disables sampling; requests arriving with X-Tapas-Trace are always recorded)")
+	traceSlow := fs.Duration("trace-slow", 0, "log a slow_request line for requests at least this long (0 disables)")
+	logRequests := fs.Bool("log-requests", false, "log one key=value line per proxied request")
+	if err := fs.Parse(args); err != nil {
+		return cli.UsageCode(err)
 	}
-	if len(urls) == 0 {
-		log.Printf("no replicas given; use -replicas http://host:port,...")
-		os.Exit(2)
+	logf := log.New(stderr, "tapas-gateway: ", log.LstdFlags|log.Lmsgprefix).Printf
+	if len(replicas) == 0 {
+		logf("no replicas given; use -replicas http://host:port,...")
+		return 2
 	}
 
 	gw := newGateway(gatewayConfig{
-		replicas:       urls,
-		vnodes:         *vnodes,
+		replicas:       replicas,
 		healthInterval: *healthInterval,
-		healthTimeout:  *healthTimeout,
 		rate:           *rate,
 		burst:          *burst,
-		jobTableSize:   *jobTable,
-		logf:           log.Printf,
+		logf:           logf,
 		rec:            trace.NewRecorder(trace.Config{Process: "tapas-gateway" + *addr, SampleEvery: *traceSample}),
 		traceSlow:      *traceSlow,
 		logRequests:    *logRequests,
 	})
-
-	cli.ServePprof(*pprofAddr, log.Printf)
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	defer cli.ServePprof(*pprofAddr, logf)()
 	gw.checkAll(ctx) // seed health state before taking traffic
-	go gw.runHealth(ctx)
-
-	srv := &http.Server{Addr: *addr, Handler: gw.handler()}
-	errCh := make(chan error, 1)
+	hctx, stopHealth := context.WithCancel(ctx)
+	healthDone := make(chan struct{})
 	go func() {
-		log.Printf("routing %d replicas on %s (vnodes=%d rate=%g)", len(urls), *addr, *vnodes, *rate)
-		errCh <- srv.ListenAndServe()
+		defer close(healthDone)
+		gw.runHealth(hctx)
 	}()
-
-	select {
-	case err := <-errCh:
-		log.Printf("listener failed: %v", err)
-		os.Exit(1)
-	case <-ctx.Done():
+	logf("routing %d replicas (rate=%g)", len(replicas), *rate)
+	err := cli.Server{
+		Addr:         *addr,
+		Handler:      gw.handler(),
+		DrainTimeout: *drainTimeout,
+		Logf:         logf,
+		Ready:        ready,
+	}.Run(ctx)
+	stopHealth()
+	<-healthDone
+	if err != nil {
+		logf("serving: %v", err)
+		return 1
 	}
-	stop() // a second signal kills the process the default way
-
-	log.Printf("shutting down: draining for up to %v", *drainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		log.Printf("drain deadline passed, closing in-flight requests")
-		_ = srv.Close()
-	}
-	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Printf("%v", err)
-	}
-	log.Printf("bye")
+	logf("bye")
+	return 0
 }

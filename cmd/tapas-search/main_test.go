@@ -1,12 +1,16 @@
 package main
 
 import (
+	"context"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"tapas/service"
 )
 
 // binary is built once in TestMain and shared by every smoke test.
@@ -75,5 +79,27 @@ func TestCLIUnknownModelFails(t *testing.T) {
 	}
 	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() == 0 {
 		t.Fatalf("want non-zero exit code, got %v", err)
+	}
+}
+
+// TestCLIRemoteBatch: -serve-addr with a comma-list posts one
+// /v1/search:batch to the daemon and prints one line per model, the
+// second round served from the daemon's cache.
+func TestCLIRemoteBatch(t *testing.T) {
+	svc, err := service.New(service.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(service.NewHandler(svc))
+	defer srv.Close()
+	defer svc.Shutdown(context.Background())
+
+	for _, served := range []string{"cold", "cache"} {
+		out := run(t, "-serve-addr", srv.URL, "-model", "t5-100M,twotower-small", "-gpus", "8")
+		for _, model := range []string{"t5-100M", "twotower-small"} {
+			if !regexp.MustCompile(model + `\s+8 GPUs\s+plan: .*\(` + served + `\)`).MatchString(out) {
+				t.Errorf("remote batch output missing a %s line for %s:\n%s", served, model, out)
+			}
+		}
 	}
 }

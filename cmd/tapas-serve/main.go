@@ -2,61 +2,30 @@
 // wrapping one shared search Engine, so the result cache and
 // singleflight dedupe serve repeat traffic in microseconds.
 //
-// Endpoints (all JSON, schema v1 — see docs/api-v1.md):
+// docs/api-v1.md ("Surface") has the one table of every endpoint and
+// every flag, which daemon serves it and the question it answers; the
+// sections after it give the JSON schemas. In short:
 //
-//	POST   /v1/search           synchronous search
-//	POST   /v1/search:batch     many searches in one call, positional results
-//	POST   /v1/tasks            execute shipped prefix tasks (distributed cold search)
-//	POST   /v1/jobs             submit an async job (202 + job status)
-//	GET    /v1/jobs             list retained jobs
-//	GET    /v1/jobs/{id}        job status (result embedded when done)
-//	DELETE /v1/jobs/{id}        cancel a job
-//	GET    /v1/jobs/{id}/events SSE stream of progress + state events
-//	GET    /v1/models           registered model names
-//	GET    /v1/healthz          queue, worker, cache and store statistics
-//	GET    /v1/store[/{id}]     store peer protocol (replicas sharing the corpus)
-//	GET    /v1/traces[/{id}]    trace flight recorder (see -trace-sample)
-//	GET    /metrics             Prometheus text metrics
-//
-// With -store-dir the daemon persists every searched plan to a
-// file-backed store and serves repeat traffic from it across restarts
-// (store_hit: true): hit precedence is memory cache → store → search.
-// It also makes jobs durable: every submission and state transition is
-// persisted under <store-dir>/jobs (override with -jobs-dir, which also
-// works without a plan store), and at startup the daemon adopts orphaned
-// queued/running jobs left by a crash or kill -9 — re-enqueuing them
-// under their original IDs, so accepted work always reaches a terminal
-// state. healthz reports the adoption count as jobs_adopted.
-// The corpus doubles as the fleet's shared plan store: peers started
-// with -store-peer http://this-daemon:8080 read and write it through
-// the /v1/store endpoints, so a cold search by any replica warms all of
-// them. -store-gc-age compacts the corpus by deleting records unused
-// for longer than the bound (at open and on a timer). GET /metrics
-// exposes the cache/store/queue counters in Prometheus text form.
-//
-// Combining -store-dir with one or more -store-peer flags (repeatable)
-// replicates the corpus instead of sharing a single owner's: every
-// searched plan is written locally and fanned out write-behind to each
-// peer, local read misses fall through to peers with read-repair, and
-// an anti-entropy sweep (-store-sweep-interval) reconciles divergence
-// in both directions — so killing any replica, including a record's
-// original writer, loses no warm state. Dead peers are skipped and
-// re-probed in the background (-store-probe-interval); healthz reports
-// a replication block and /metrics the tapas_replicate_* families.
-//
-// With -fleet the daemon becomes a distributed-cold-search coordinator:
-// a cold search splits its enumeration into prefix tasks and scatters
-// them across the listed peers over POST /v1/tasks, retrying and
-// falling back to the local pool on peer failure, with the final plan
-// bit-identical to a single-process search. Every daemon serves
-// /v1/tasks unconditionally, so any replica can execute for any
-// coordinator. healthz reports tasks_executed/tasks_failed (executor
-// side) and a fleet block (coordinator side); /metrics mirrors both.
+//   - -store-dir persists every searched plan and serves repeat traffic
+//     from it across restarts (hit precedence: memory cache → store →
+//     search), and makes jobs durable under <store-dir>/jobs (-jobs-dir
+//     overrides): orphaned queued/running jobs left by a crash or
+//     kill -9 are adopted at start-up under their original IDs.
+//   - A lone -store-peer mounts that peer's corpus instead of a local
+//     one; -store-dir plus -store-peer (repeatable) replicates the
+//     corpus: writes fan out write-behind, local misses fall through to
+//     peers with read-repair, an anti-entropy sweep reconciles the rest,
+//     so killing any replica — a record's writer included — loses no
+//     warm state.
+//   - -fleet makes the daemon a distributed-cold-search coordinator
+//     that scatters enumeration prefix tasks over POST /v1/tasks (which
+//     every daemon serves) and falls back to the local pool, with the
+//     plan bit-identical to a single-process search.
 //
 // SIGINT/SIGTERM drain gracefully: intake stops (new requests get JSON
 // 503 bodies), running jobs get -drain-timeout to finish, then their
-// contexts are cancelled; the plan store's write-behind queue is
-// drained before exit.
+// contexts are cancelled; the plan store's write-behind queue and the
+// replication fan-out are drained before exit.
 //
 // Usage:
 //
@@ -68,17 +37,12 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"strings"
-	"syscall"
 	"time"
 
 	"tapas"
@@ -93,33 +57,63 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	queue := flag.Int("queue", 64, "async job queue capacity (submissions beyond it get 429)")
-	jobWorkers := flag.Int("job-workers", 2, "jobs run concurrently")
-	workers := flag.Int("workers", 0, "search worker goroutines per job (0 = GOMAXPROCS)")
-	cache := flag.Int("cache", tapas.DefaultCacheSize, "result cache entries (0 disables)")
-	storeDir := flag.String("store-dir", "", "persistent plan store directory; searches survive restarts (empty disables)")
-	var storePeers cli.StringList
-	flag.Var(&storePeers, "store-peer", "peer daemon URL sharing the plan corpus (repeatable, commas allowed). Alone: read/write that peer's corpus. With -store-dir: replicate — writes fan out to every peer, reads fall through with read-repair, anti-entropy keeps all replicas converged")
-	storeMax := flag.Int("store-max", store.DefaultMaxEntries, "plan store record bound (LRU eviction past it)")
-	storeGCAge := flag.Duration("store-gc-age", 0, "delete store records unused for longer than this, at open and on a timer (0 disables GC; incompatible with -store-peer)")
-	storeGCInterval := flag.Duration("store-gc-interval", 0, "store GC timer period (0 = age/4, clamped to [1s, 1h])")
-	storeSweep := flag.Duration("store-sweep-interval", 30*time.Second, "anti-entropy sweep period of a replicated corpus (0 disables; only with -store-dir plus -store-peer)")
-	storeProbe := flag.Duration("store-probe-interval", 3*time.Second, "how often a down replication peer is re-probed")
-	jobsDir := flag.String("jobs-dir", "", "durable job record directory; queued/running jobs survive restarts (default <store-dir>/jobs when -store-dir is set, empty disables)")
-	maxFinished := flag.Int("max-finished", 256, "finished jobs retained for status polling")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for running jobs and in-flight requests before cancelling them")
-	progress := flag.Bool("progress", false, "log engine progress events")
-	fleet := flag.String("fleet", "", "comma-separated peer daemon URLs to scatter cold searches across (e.g. http://replica-b:8080,http://replica-c:8080)")
-	taskTimeout := flag.Duration("task-timeout", 2*time.Minute, "per-peer deadline of one scattered task batch (with -fleet)")
-	pprofAddr := flag.String("pprof-addr", "", "listen address of the pprof debug server (empty disables)")
-	traceSample := flag.Int("trace-sample", 0, "record 1 in N untraced requests in the flight recorder (0 disables sampling; requests arriving with X-Tapas-Trace are always recorded)")
-	traceSlow := flag.Duration("trace-slow", 0, "log a slow_request line for searches at least this long (0 disables)")
-	logRequests := flag.Bool("log-requests", false, "log one key=value line per request")
-	flag.Parse()
+	ctx, stop := cli.Context(0)
+	context.AfterFunc(ctx, stop) // a second signal kills the process the default way
+	os.Exit(run(ctx, os.Args[1:], os.Stderr, nil))
+}
 
-	log.SetPrefix("tapas-serve: ")
-	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
+// run is the whole daemon: parse args, wire store → jobs → fleet →
+// service, serve until ctx ends, drain, close. It returns the process
+// exit code (2: bad flags). ready, when set, learns the bound address.
+func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr string)) (code int) {
+	fs := flag.NewFlagSet("tapas-serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8080", "listen address")
+	queue := fs.Int("queue", 64, "async job queue capacity (submissions beyond it get 429)")
+	jobWorkers := fs.Int("job-workers", 2, "jobs run concurrently")
+	workers := fs.Int("workers", 0, "search worker goroutines per job (0 = GOMAXPROCS)")
+	cache := fs.Int("cache", tapas.DefaultCacheSize, "result cache entries (0 disables)")
+	storeDir := fs.String("store-dir", "", "persistent plan store directory; searches survive restarts (empty disables)")
+	var storePeers cli.StringList
+	fs.Var(&storePeers, "store-peer", "peer daemon URL sharing the plan corpus (repeatable, commas allowed). Alone: read/write that peer's corpus. With -store-dir: replicate — writes fan out to every peer, reads fall through with read-repair, anti-entropy keeps all replicas converged")
+	storeMax := fs.Int("store-max", store.DefaultMaxEntries, "plan store record bound (LRU eviction past it)")
+	storeGCAge := fs.Duration("store-gc-age", 0, "delete store records unused for longer than this, at open and on a timer (0 disables GC; incompatible with -store-peer)")
+	storeGCInterval := fs.Duration("store-gc-interval", 0, "store GC timer period (0 = age/4, clamped to [1s, 1h])")
+	storeSweep := fs.Duration("store-sweep-interval", 30*time.Second, "anti-entropy sweep period of a replicated corpus (0 disables; only with -store-dir plus -store-peer)")
+	storeProbe := fs.Duration("store-probe-interval", 3*time.Second, "how often a down replication peer is re-probed")
+	jobsDir := fs.String("jobs-dir", "", "durable job record directory; queued/running jobs survive restarts (default <store-dir>/jobs when -store-dir is set, empty disables)")
+	maxFinished := fs.Int("max-finished", 256, "finished jobs retained for status polling")
+	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for running jobs and in-flight requests before cancelling them")
+	progress := fs.Bool("progress", false, "log engine progress events")
+	var fleet cli.StringList
+	fs.Var(&fleet, "fleet", "comma-separated peer daemon URLs to scatter cold searches across (e.g. http://replica-b:8080,http://replica-c:8080)")
+	taskTimeout := fs.Duration("task-timeout", 2*time.Minute, "per-peer deadline of one scattered task batch (with -fleet)")
+	pprofAddr := fs.String("pprof-addr", "", "listen address of the pprof debug server (empty disables)")
+	traceSample := fs.Int("trace-sample", 0, "record 1 in N untraced requests in the flight recorder (0 disables sampling; requests arriving with X-Tapas-Trace are always recorded)")
+	traceSlow := fs.Duration("trace-slow", 0, "log a slow_request line for searches at least this long (0 disables)")
+	logRequests := fs.Bool("log-requests", false, "log one key=value line per request")
+	if err := fs.Parse(args); err != nil {
+		return cli.UsageCode(err)
+	}
+	logf := log.New(stderr, "tapas-serve: ", log.LstdFlags|log.Lmsgprefix).Printf
+	defer func() { // registered first, so it runs after every close below
+		if code == 0 {
+			logf("bye")
+		}
+	}()
+
+	if len(storePeers) > 0 && *storeGCAge > 0 {
+		logf("-store-gc-age cannot run against a shared or replicated corpus; GC only an exclusively-owned -store-dir")
+		return 2
+	}
+	if *storeDir == "" && len(storePeers) > 1 {
+		logf("replicating across %d peers needs a local corpus: add -store-dir (a single -store-peer reads a shared corpus without one)", len(storePeers))
+		return 2
+	}
+	fail := func(what string, err error) int {
+		logf("%s: %v", what, err)
+		return 1
+	}
 
 	rec := trace.NewRecorder(trace.Config{Process: "tapas-serve" + *addr, SampleEvery: *traceSample})
 	cfg := service.Config{
@@ -132,73 +126,38 @@ func main() {
 		MaxFinished: *maxFinished,
 		Trace:       rec,
 		TraceSlow:   *traceSlow,
-		Logf:        log.Printf,
+		Logf:        logf,
 		LogRequests: *logRequests,
 	}
-	if len(storePeers) > 0 && *storeGCAge > 0 {
-		log.Printf("-store-gc-age cannot run against a shared or replicated corpus; GC only an exclusively-owned -store-dir")
-		os.Exit(2)
-	}
-	if *storeDir == "" && len(storePeers) > 1 {
-		log.Printf("replicating across %d peers needs a local corpus: add -store-dir (a single -store-peer reads a shared corpus without one)", len(storePeers))
-		os.Exit(2)
-	}
-	var st *store.Store
-	var repl *replicate.Backend
 	if *storeDir != "" || len(storePeers) > 0 {
-		opts := store.Options{
+		st, repl, err := openStore(store.Options{
 			Dir:        *storeDir,
 			MaxEntries: *storeMax,
 			GCAge:      *storeGCAge,
 			GCInterval: *storeGCInterval,
 			OnCorrupt: func(path string, err error) {
-				log.Printf("store: skipping unreadable record %s: %v", path, err)
+				logf("store: skipping unreadable record %s: %v", path, err)
 			},
-		}
-		where := *storeDir
-		switch {
-		case *storeDir == "":
-			// Legacy shared mode: no local bytes, one peer owns the corpus.
-			opts.Backend = remotebackend.New(storePeers[0])
-			opts.Shared = true
-			where = storePeers[0]
-		case len(storePeers) > 0:
-			// Replicated corpus: this daemon owns bytes locally AND fans
-			// writes out to every peer; reads fall through with
-			// read-repair and anti-entropy converges divergence.
-			local, err := store.NewFS(*storeDir)
-			if err != nil {
-				log.Printf("opening plan store: %v", err)
-				os.Exit(1)
-			}
-			ropts := replicate.Options{
-				Local:         local,
-				SweepInterval: *storeSweep,
-				ProbeInterval: *storeProbe,
-				Logf:          log.Printf,
-				Trace:         rec,
-			}
-			for _, u := range storePeers {
-				ropts.Peers = append(ropts.Peers, replicate.Peer{Name: u, Backend: remotebackend.New(u)})
-			}
-			repl, err = replicate.New(ropts)
-			if err != nil {
-				log.Printf("opening replicated plan store: %v", err)
-				os.Exit(1)
-			}
-			opts.Backend = repl
-			// Shared: peers' fanout writes and sweep-landed records must
-			// be visible past this process's index.
-			opts.Shared = true
-			where = fmt.Sprintf("%s (replicated to %s)", *storeDir, strings.Join(storePeers, ", "))
-		}
-		var err error
-		st, err = store.Open(opts)
+		}, storePeers, replicate.Options{
+			SweepInterval: *storeSweep,
+			ProbeInterval: *storeProbe,
+			Logf:          logf,
+			Trace:         rec,
+		})
 		if err != nil {
-			log.Printf("opening plan store: %v", err)
-			os.Exit(1)
+			return fail("opening plan store", err)
 		}
-		log.Printf("plan store %s: %d records", where, st.Len())
+		logf("plan store (dir %q, %d peers): %d records", *storeDir, len(storePeers), st.Len())
+		// Runs once the listener and the job queue have drained: flush
+		// the write-behind queue so plans searched moments before the
+		// shutdown survive into the next process, then the replication
+		// fan-out queues, so those plans also reach the peers.
+		defer func() {
+			_ = st.Close()
+			if repl != nil {
+				_ = repl.Close()
+			}
+		}()
 		cfg.EngineOptions = append(cfg.EngineOptions, tapas.WithStore(st))
 		if repl != nil {
 			cfg.Replication = repl
@@ -206,7 +165,7 @@ func main() {
 	}
 	if *progress {
 		cfg.OnProgress = func(ev tapas.ProgressEvent) {
-			log.Printf("%s", logkv.Line("progress",
+			logf("%s", logkv.Line("progress",
 				"model", ev.Model,
 				"gpus", ev.GPUs,
 				"phase", ev.Phase,
@@ -223,102 +182,89 @@ func main() {
 	if jdir != "" {
 		jb, err := store.NewFS(jdir)
 		if err != nil {
-			log.Printf("opening job store: %v", err)
-			os.Exit(1)
+			return fail("opening job store", err)
 		}
 		cfg.JobsBackend = jb
 		cfg.OnJobCorrupt = func(id string, err error) {
-			log.Printf("jobs: record %s: %v", id, err)
+			logf("jobs: record %s: %v", id, err)
 		}
 	}
-	var coord *dispatch.Coordinator
-	if *fleet != "" {
-		var peers []string
-		for _, u := range strings.Split(*fleet, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				peers = append(peers, u)
-			}
-		}
-		coord = dispatch.New(dispatch.Options{
-			Peers:       peers,
+	if len(fleet) > 0 {
+		coord := dispatch.New(dispatch.Options{
+			Peers:       fleet,
 			TaskTimeout: *taskTimeout,
-			Logf:        log.Printf,
+			Logf:        logf,
 		})
 		defer coord.Close()
 		cfg.EngineOptions = append(cfg.EngineOptions, tapas.WithTaskRunner(coord.Runner))
 		cfg.Fleet = coord
-		log.Printf("scattering cold searches across %d peers (task-timeout %v)", len(peers), *taskTimeout)
+		logf("scattering cold searches across %d peers (task-timeout %v)", len(fleet), *taskTimeout)
 	}
-	cli.ServePprof(*pprofAddr, log.Printf)
+	defer cli.ServePprof(*pprofAddr, logf)()
 	svc, err := service.New(cfg)
 	if err != nil {
-		log.Printf("loading durable jobs: %v", err)
-		os.Exit(1)
+		return fail("loading durable jobs", err)
 	}
 	if jdir != "" {
 		st := svc.Stats()
-		log.Printf("durable jobs %s: %d records, %d adopted", jdir, st.JobStore.Records, st.JobsAdopted)
+		logf("durable jobs %s: %d records, %d adopted", jdir, st.JobStore.Records, st.JobsAdopted)
 	}
+	logf("queue=%d job-workers=%d cache=%d", *queue, *jobWorkers, *cache)
+	err = cli.Server{
+		Addr:         *addr,
+		Handler:      service.NewHandler(svc),
+		DrainTimeout: *drainTimeout,
+		Drain:        svc.Shutdown,
+		Logf:         logf,
+		Ready:        ready,
+	}.Run(ctx)
+	if err != nil {
+		// The listener never opened, or died. Jobs adopted at start-up
+		// are not drained: their records stay durable for the next
+		// process, as after a crash.
+		return fail("serving", err)
+	}
+	return 0
+}
 
-	// baseCtx parents every request context; cancelling it is the
-	// hard stop that unblocks still-streaming SSE handlers and
-	// still-computing sync searches once the drain deadline passes.
-	baseCtx, baseCancel := context.WithCancel(context.Background())
-	defer baseCancel()
-	srv := &http.Server{
-		Addr:        *addr,
-		Handler:     service.NewHandler(svc),
-		BaseContext: func(net.Listener) context.Context { return baseCtx },
+// openStore opens the plan store the flags describe: an exclusively
+// owned directory (dir alone), one peer's corpus mounted remotely (a
+// lone peer, no dir), or a replicated corpus (dir plus peers), whose
+// fan-out backend is returned as well so the caller can report and
+// drain it.
+func openStore(opts store.Options, peers []string, ropts replicate.Options) (*store.Store, *replicate.Backend, error) {
+	var repl *replicate.Backend
+	switch {
+	case opts.Dir == "":
+		// Shared mode: no local bytes, one peer owns the corpus.
+		opts.Backend = remotebackend.New(peers[0])
+		opts.Shared = true
+	case len(peers) > 0:
+		// Replicated corpus: this daemon owns bytes locally AND fans
+		// writes out to every peer; reads fall through with read-repair
+		// and anti-entropy converges divergence.
+		local, err := store.NewFS(opts.Dir)
+		if err != nil {
+			return nil, nil, err
+		}
+		ropts.Local = local
+		for _, u := range peers {
+			ropts.Peers = append(ropts.Peers, replicate.Peer{Name: u, Backend: remotebackend.New(u)})
+		}
+		if repl, err = replicate.New(ropts); err != nil {
+			return nil, nil, err
+		}
+		opts.Backend = repl
+		// Shared: peers' fanout writes and sweep-landed records must be
+		// visible past this process's index.
+		opts.Shared = true
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() {
-		log.Printf("listening on %s (queue=%d job-workers=%d cache=%d)", *addr, *queue, *jobWorkers, *cache)
-		errCh <- srv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errCh:
-		log.Printf("listener failed: %v", err)
-		os.Exit(1)
-	case <-ctx.Done():
+	st, err := store.Open(opts)
+	if err != nil {
+		if repl != nil {
+			_ = repl.Close()
+		}
+		return nil, nil, err
 	}
-	stop() // a second signal kills the process the default way
-
-	log.Printf("shutting down: draining for up to %v", *drainTimeout)
-	drainCtx, cancelDrain := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancelDrain()
-
-	// Drain the job queue and the HTTP listener concurrently: SSE
-	// streams of running jobs only end when those jobs finish, so
-	// neither drain strictly precedes the other.
-	svcDone := make(chan error, 1)
-	go func() { svcDone <- svc.Shutdown(drainCtx) }()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		log.Printf("drain deadline passed, cancelling in-flight requests")
-		baseCancel()
-		_ = srv.Close()
-	}
-	if err := <-svcDone; err != nil && !errors.Is(err, context.Canceled) {
-		log.Printf("job drain cut short: %v", err)
-	}
-	// The listener goroutine reports http.ErrServerClosed on a clean
-	// Shutdown; consume it so nothing leaks.
-	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintln(os.Stderr, err)
-	}
-	if st != nil {
-		// Drain the write-behind queue so plans searched moments before
-		// the shutdown survive into the next process.
-		_ = st.Close()
-	}
-	if repl != nil {
-		// Then drain the replication fanout queues, so those same plans
-		// also reach the peers before this process exits.
-		_ = repl.Close()
-	}
-	log.Printf("bye")
+	return st, repl, nil
 }

@@ -51,6 +51,9 @@ func TestHTTPSyncSearchAndCacheHit(t *testing.T) {
 	if cold.Plan == nil || len(cold.Plan.Assignments) == 0 {
 		t.Fatal("plan missing from response")
 	}
+	if cold.Model != "t5-100M" || cold.Report.TFLOPSPerGPU <= 0 {
+		t.Errorf("cold response: model %q, %v TFLOPS/GPU", cold.Model, cold.Report.TFLOPSPerGPU)
+	}
 	warm, err := c.Search(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -149,6 +152,12 @@ func TestHTTPBatchSearch(t *testing.T) {
 	}
 	if it := resp.Results[3]; !it.OK() || it.Response == nil || it.Response.Model != "twotower-small" {
 		t.Errorf("item 3: %+v", it)
+	}
+
+	// A batch item is a search like any other: the repeat is a cache hit.
+	again, err := c.SearchBatch(ctx, []service.SearchRequest{{Model: "t5-100M", GPUs: 8}})
+	if err != nil || len(again.Results) != 1 || !again.Results[0].OK() || !again.Results[0].Response.CacheHit {
+		t.Errorf("repeated batch item: %+v, %v", again, err)
 	}
 
 	// Envelope failures are whole-call errors.
@@ -306,7 +315,8 @@ func TestHTTPAsyncJobWithSSE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.State != service.JobDone || got.Result == nil || got.Result.Plan == nil {
+	if got.State != service.JobDone || got.Result == nil || got.Result.Plan == nil ||
+		got.Result.Plan.SchemaVersion != service.PlanSchemaVersion {
 		t.Fatalf("done job status incomplete: %+v", got)
 	}
 	if got.Result.Model != "t5-100M" {

@@ -1,11 +1,13 @@
-// Package cli holds the context and exit-code plumbing shared by the
-// tapas commands, so ctrl-C/SIGTERM handling and the cancellation exit
-// code stay consistent across every binary.
+// Package cli holds the plumbing shared by the tapas commands — the
+// signal context, the exit codes, and the daemons' listen → serve →
+// drain skeleton (Server) — so ctrl-C/SIGTERM handling stays consistent
+// across every binary.
 package cli
 
 import (
 	"context"
 	"errors"
+	"flag"
 	"os"
 	"os/signal"
 	"syscall"
@@ -30,4 +32,13 @@ func ExitCode(err error) int {
 		return 130
 	}
 	return 1
+}
+
+// UsageCode maps a flag.FlagSet.Parse error to the exit code the
+// default flag set would have used: 0 when help was asked for, else 2.
+func UsageCode(err error) int {
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	return 2
 }

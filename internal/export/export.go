@@ -18,10 +18,17 @@ import (
 // SchemaVersion is the current wire schema of StrategyJSON. The policy:
 // additive changes (new optional fields) keep the version; any change
 // that would break an existing reader — renaming or removing a field,
-// changing a field's meaning or units — bumps it. Readers accept
-// documents at or below their own version (0 marks pre-versioning
-// documents and is read as 1).
+// changing a field's meaning or units — bumps it. Version 1 is the only
+// one ever written, so it is the only one read.
 const SchemaVersion = 1
+
+// checkVersion refuses a document this build cannot read.
+func checkVersion(v int) error {
+	if v != SchemaVersion {
+		return fmt.Errorf("export: strategy schema_version %d is not the supported version %d", v, SchemaVersion)
+	}
+	return nil
+}
 
 // StrategyJSON is the on-disk and on-wire form of a parallel strategy.
 // The service package republishes it verbatim as service.PlanJSON — the
@@ -117,19 +124,14 @@ func WriteStrategyJSON(w io.Writer, s *strategy.Strategy) error {
 
 // ReadStrategyJSON parses a serialized strategy (metadata only — the
 // original graph is needed to rehydrate pattern pointers). Documents
-// newer than SchemaVersion are rejected; version 0 (pre-versioning) is
-// read as version 1.
+// at any version but SchemaVersion are rejected.
 func ReadStrategyJSON(r io.Reader) (*StrategyJSON, error) {
 	var out StrategyJSON
 	if err := json.NewDecoder(r).Decode(&out); err != nil {
 		return nil, fmt.Errorf("export: decode strategy: %w", err)
 	}
-	if out.SchemaVersion > SchemaVersion {
-		return nil, fmt.Errorf("export: strategy schema_version %d is newer than supported version %d",
-			out.SchemaVersion, SchemaVersion)
-	}
-	if out.SchemaVersion == 0 {
-		out.SchemaVersion = 1
+	if err := checkVersion(out.SchemaVersion); err != nil {
+		return nil, err
 	}
 	return &out, nil
 }
@@ -146,9 +148,8 @@ const maxRehydrateWorkers = 1 << 20
 // node count and pattern availability; node names may differ — matching
 // is by topological node ID and pattern name).
 func (sj *StrategyJSON) Rehydrate(g *ir.GNGraph) (*strategy.Strategy, error) {
-	if sj.SchemaVersion > SchemaVersion {
-		return nil, fmt.Errorf("export: strategy schema_version %d is newer than supported version %d",
-			sj.SchemaVersion, SchemaVersion)
+	if err := checkVersion(sj.SchemaVersion); err != nil {
+		return nil, err
 	}
 	if sj.Workers < 1 || sj.Workers > maxRehydrateWorkers {
 		return nil, fmt.Errorf("export: implausible worker count %d (want 1..%d)", sj.Workers, maxRehydrateWorkers)

@@ -113,26 +113,25 @@ func TestSchemaVersioning(t *testing.T) {
 		t.Errorf("read version %d, want %d", sj.SchemaVersion, SchemaVersion)
 	}
 
-	// A pre-versioning document (no schema_version field) reads as v1.
+	// A pre-versioning document (no schema_version field) is refused
+	// like any other version this build does not read.
 	legacy := strings.Replace(buf.String(), `"schema_version": 1,`, "", 1)
-	sj, err = ReadStrategyJSON(strings.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("legacy document rejected: %v", err)
-	}
-	if sj.SchemaVersion != 1 {
-		t.Errorf("legacy document read as version %d, want 1", sj.SchemaVersion)
+	if _, err := ReadStrategyJSON(strings.NewReader(legacy)); err == nil || !strings.Contains(err.Error(), "schema_version 0") {
+		t.Errorf("version-0 document: err = %v, want a schema_version refusal", err)
 	}
 
-	// A document from the future is rejected, by the reader and by
-	// Rehydrate.
+	// A document from the future is rejected by the reader, and
+	// Rehydrate refuses both.
 	future := strings.Replace(buf.String(), `"schema_version": 1`, `"schema_version": 99`, 1)
 	if _, err := ReadStrategyJSON(strings.NewReader(future)); err == nil {
 		t.Error("future schema_version must be rejected")
 	}
 	g, _ := megatronPlan(t)
-	sj.SchemaVersion = 99
-	if _, err := sj.Rehydrate(g); err == nil {
-		t.Error("Rehydrate must reject a future schema_version")
+	for _, v := range []int{0, 99} {
+		sj.SchemaVersion = v
+		if _, err := sj.Rehydrate(g); err == nil {
+			t.Errorf("Rehydrate must reject schema_version %d", v)
+		}
 	}
 }
 

@@ -42,24 +42,18 @@ type Options struct {
 	// shipped DeadlineMS both derive from it (default 2m). A peer that
 	// exceeds it is marked unhealthy and its chunk fails over.
 	TaskTimeout time.Duration
-	// MaxInflight bounds concurrently shipped chunks (default
-	// 2×len(Peers), min 2).
-	MaxInflight int
-	// ChunkTasks is how many prefix tasks travel per request (default
-	// 8). Smaller chunks spread better; larger ones amortize the
-	// rebuild of the enumeration context on the peer.
-	ChunkTasks int
 	// ProbeInterval spaces background health probes of unhealthy peers
 	// (default 3s; negative disables probing — peers then only recover
 	// when a scatter retries them).
 	ProbeInterval time.Duration
-	// HTTPClient overrides the transport shared by the peer clients
-	// (default: a fresh timeout-free client; per-attempt contexts bound
-	// every call).
-	HTTPClient *http.Client
 	// Logf observes scatter decisions (nil: silent).
 	Logf func(format string, args ...any)
 }
+
+// chunkTasks is how many prefix tasks travel per request. Smaller
+// chunks spread better; larger ones amortize the rebuild of the
+// enumeration context on the peer.
+const chunkTasks = 8
 
 // peer is one fleet member and its health bit. Unhealthy peers are
 // skipped by the scatter and re-tested by the probe loop; any
@@ -75,8 +69,7 @@ type peer struct {
 type Coordinator struct {
 	peers       []*peer
 	taskTimeout time.Duration
-	chunkTasks  int
-	sem         chan struct{}
+	sem         chan struct{} // bounds concurrently shipped chunks
 	logf        func(string, ...any)
 
 	scattered  atomic.Uint64 // tasks executed by peers
@@ -93,12 +86,6 @@ func New(opts Options) *Coordinator {
 	if opts.TaskTimeout <= 0 {
 		opts.TaskTimeout = 2 * time.Minute
 	}
-	if opts.MaxInflight <= 0 {
-		opts.MaxInflight = max(2, 2*len(opts.Peers))
-	}
-	if opts.ChunkTasks <= 0 {
-		opts.ChunkTasks = 8
-	}
 	if opts.ProbeInterval == 0 {
 		opts.ProbeInterval = 3 * time.Second
 	}
@@ -108,18 +95,14 @@ func New(opts Options) *Coordinator {
 	}
 	c := &Coordinator{
 		taskTimeout: opts.TaskTimeout,
-		chunkTasks:  opts.ChunkTasks,
-		sem:         make(chan struct{}, opts.MaxInflight),
+		sem:         make(chan struct{}, max(2, 2*len(opts.Peers))),
 		logf:        logf,
 	}
 	for _, u := range opts.Peers {
 		cl := service.NewClient(u)
 		// Attempt contexts bound every call; the client's own timeout
 		// and retry machinery would fight the coordinator's failover.
-		cl.HTTPClient = opts.HTTPClient
-		if cl.HTTPClient == nil {
-			cl.HTTPClient = &http.Client{}
-		}
+		cl.HTTPClient = &http.Client{}
 		cl.MaxRetries = 0
 		p := &peer{url: u, client: cl}
 		p.healthy.Store(true)
@@ -220,8 +203,8 @@ func (r *fleetRunner) RunTasks(ctx context.Context, batch strategy.TaskBatch) ([
 	results := make([]strategy.TaskResult, n)
 	var wg sync.WaitGroup
 	nslots := len(c.peers) + 1 // slot len(peers) = the local pool
-	for start, ci := 0, 0; start < n; start, ci = start+c.chunkTasks, ci+1 {
-		end := min(start+c.chunkTasks, n)
+	for start, ci := 0, 0; start < n; start, ci = start+chunkTasks, ci+1 {
+		end := min(start+chunkTasks, n)
 		wg.Add(1)
 		go func(start, end, home int) {
 			defer wg.Done()

@@ -165,6 +165,61 @@ func TestGoldenFixturesRoundTrip(t *testing.T) {
 	}
 }
 
+// searchCounters are the deterministic columns of one cold search that
+// the plan fixtures do not carry: how far the search space folded, how
+// many Apriori levels mining ran, how many candidates enumeration
+// priced, and the simulated throughput of the winner.
+type searchCounters struct {
+	Classes      int     `json:"classes"`
+	MineLevels   int     `json:"mine_levels"`
+	Examined     int     `json:"examined"`
+	TFLOPSPerGPU float64 `json:"tflops_per_gpu"`
+}
+
+// TestPinnedSearchCounters holds the counters of four models at 8 GPUs
+// (deep, deeper, MoE, convolutional) to testdata/search_counters.json,
+// at one worker and at four: a kernel change that moves any of them has
+// changed what the search does, not only how fast, and re-pins them
+// with -update and the argument in its commit message.
+func TestPinnedSearchCounters(t *testing.T) {
+	const gpus = 8
+	path := filepath.Join("testdata", "search_counters.json")
+	want := make(map[string]searchCounters)
+	if !*update {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing fixture (run `go test ./service -run TestPinnedSearchCounters -update`): %v", err)
+		}
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make(map[string]searchCounters)
+	for _, workers := range []int{1, 4} {
+		eng := tapas.NewEngine(tapas.WithWorkers(workers), tapas.WithCache(0))
+		for _, model := range []string{"t5-100M", "t5-770M", "moe-380M", "resnet-26M"} {
+			res, err := eng.Search(context.Background(), model, gpus)
+			if err != nil {
+				t.Fatalf("%s: %v", model, err)
+			}
+			key := fmt.Sprintf("%s_%dgpu", model, gpus)
+			got[key] = searchCounters{res.Classes, res.MineLevels, res.Examined, res.Report.TFLOPSPerGPU}
+			if !*update && got[key] != want[key] {
+				t.Errorf("%s, %d workers: counters %+v, pinned %+v", key, workers, got[key], want[key])
+			}
+		}
+	}
+	if *update {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // firstDiff renders the first differing line of two byte slices, with
 // one line of context, for a readable failure message.
 func firstDiff(want, got []byte) string {

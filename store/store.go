@@ -87,11 +87,14 @@ type Timing struct {
 	GroupNS      int64 `json:"group_ns"`
 	MineNS       int64 `json:"mine_ns"`
 	SearchNS     int64 `json:"search_ns"`
+	EnumNS       int64 `json:"enum_ns"`
+	AssembleNS   int64 `json:"assemble_ns"`
 	TotalNS      int64 `json:"total_ns"`
 	Classes      int   `json:"classes"`
 	Examined     int   `json:"examined"`
 	Pruned       int   `json:"pruned"`
 	UniqueGraphs int   `json:"unique_graphs"`
+	MineLevels   int   `json:"mine_levels"`
 }
 
 // Record is one persisted search outcome: the versioned plan document
