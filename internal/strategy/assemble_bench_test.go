@@ -3,6 +3,7 @@ package strategy
 import (
 	"context"
 	"fmt"
+	"maps"
 	"runtime"
 	"sort"
 	"testing"
@@ -66,6 +67,100 @@ func BenchmarkAssemble(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestScoreCandidateSumsInInstanceOrder pins a scored candidate's total
+// to an oracle that adds the boundary events' costs class instance by
+// instance, member by member, predecessors before successors. Summing
+// while ranging over the assignment map instead let a total change in its
+// last bits from run to run. Each class is scored against the final plan
+// with that class removed, so every edge into or out of it is a boundary,
+// and every candidate is scored several times so map order would show.
+func TestScoreCandidateSumsInInstanceOrder(t *testing.T) {
+	ctx := context.Background()
+	for _, name := range []string{"t5-100M", "moe-380M", "bert-base", "resnet-26M"} {
+		t.Run(name, func(t *testing.T) {
+			g := groupModel(t, name)
+			const w = 8
+			cl := cluster.V100GPUs(w)
+			model := cost.Default(cl)
+			classes := mining.Fold(g, mining.Mine(ctx, g, mining.DefaultOptions()))
+			opt := DefaultEnumOptions(w)
+			opt.Workers = 1
+			plan, _, err := SearchFolded(ctx, g, classes, model, opt, cl.MemoryPerGP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			asm := newAssembler(g, model, opt, 1)
+			scoredN := 0
+			for ci, c := range classes {
+				frozen := maps.Clone(plan.Assign)
+				for _, inst := range c.Instances {
+					for _, gn := range inst {
+						delete(frozen, gn)
+					}
+				}
+				cands, _ := EnumerateInstance(ctx, g, c.Representative(), model, opt)
+				for k, cand := range cands {
+					want, wantOK := refScoreTotal(asm, c, cand, frozen)
+					for rep := 0; rep < 8; rep++ {
+						got, ok := asm.scoreCandidate(c, cand, frozen)
+						if ok != wantOK || ok && got.total != want {
+							t.Fatalf("class %d candidate %d: scoreCandidate = (%v, %v), instance-order oracle (%v, %v)", ci, k, got.total, ok, want, wantOK)
+						}
+						if ok {
+							asm.putPatts(got.patts)
+						}
+					}
+					if wantOK {
+						scoredN++
+					}
+				}
+			}
+			if scoredN == 0 {
+				t.Fatal("no candidate scored feasible")
+			}
+		})
+	}
+}
+
+// refScoreTotal prices cand on every instance of c against assign the way
+// assembly must: internal cost × instance count, plus each boundary
+// edge's events added in c.Instances order.
+func refScoreTotal(a *assembler, c *mining.Class, cand *Candidate, assign map[*ir.GraphNode]*ir.Pattern) (float64, bool) {
+	patts := map[*ir.GraphNode]*ir.Pattern{}
+	if !applyCandidate(c, cand, a.menuOf, patts) {
+		return 0, false
+	}
+	boundary := 0.0
+	for _, inst := range c.Instances {
+		for _, gn := range inst {
+			for _, pred := range a.g.Preds(gn) {
+				pf := assign[pred]
+				if pf == nil {
+					pf = patts[pred]
+				}
+				if pf == nil {
+					continue
+				}
+				ev, ok := checkEdge(a.g, pred, gn, pf, patts[gn], a.opt.W, a.opt.AllowReshard)
+				if !ok {
+					return 0, false
+				}
+				boundary += a.model.EventsCost(ev).Total()
+			}
+			for _, succ := range a.g.Succs(gn) {
+				if pt := assign[succ]; pt != nil {
+					ev, ok := checkEdge(a.g, gn, succ, patts[gn], pt, a.opt.W, a.opt.AllowReshard)
+					if !ok {
+						return 0, false
+					}
+					boundary += a.model.EventsCost(ev).Total()
+				}
+			}
+		}
+	}
+	return cand.Cost.Total()*float64(len(c.Instances)) + boundary, true
 }
 
 // TestAssemblyLeavesMenusPristine is the strategy-side half of the

@@ -2,11 +2,13 @@ package strategy
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"time"
 
 	"tapas/internal/comm"
 	"tapas/internal/cost"
+	"tapas/internal/graph"
 	"tapas/internal/ir"
 	"tapas/internal/parallel"
 )
@@ -93,16 +95,28 @@ func (s *EnumStats) merge(o EnumStats) {
 }
 
 // enumShared is the immutable context of one EnumerateInstance call,
-// shared read-only by every enumeration worker.
+// shared read-only by every enumeration worker. Everything the tree
+// consults per branch is addressed by instance position.
 type enumShared struct {
 	ctx      context.Context
 	g        *ir.GNGraph
 	instance []*ir.GraphNode
-	member   map[*ir.GraphNode]int
+	pos      []int32    // instance position by GraphNode.ID, -1 outside
+	in       [][]inEdge // per position: the edges checked when it is assigned
+	owns     []bool     // per position: its weights count toward memory
 	menus    [][]*ir.Pattern
 	model    *cost.Model
 	opt      EnumOptions
 	start    time.Time
+}
+
+// inEdge is one intra-instance edge into a position: the producer's
+// position j and the tensor it carries (see edgeTensor), resolved once
+// per enumeration instead of at every tree node.
+type inEdge struct {
+	j       int32
+	primary bool
+	bytes   int64
 }
 
 // enumState is the mutable state of one depth-first enumeration walk. Each
@@ -115,13 +129,21 @@ type enumState struct {
 	assigned []*ir.Pattern
 	events   [][]comm.Event
 	steps    uint // dfs call counter throttling the context poll
+	// Per-depth scratch reused by every branchesAt call at that depth: the
+	// surviving branches and the event storage their evs slice into. Both
+	// stay valid until the next branchesAt at the same depth.
+	brs   [][]branch
+	evbuf [][]comm.Event
 }
 
 func newEnumState(sh *enumShared) *enumState {
+	n := len(sh.instance)
 	return &enumState{
 		enumShared: sh,
-		assigned:   make([]*ir.Pattern, len(sh.instance)),
-		events:     make([][]comm.Event, len(sh.instance)),
+		assigned:   make([]*ir.Pattern, n),
+		events:     make([][]comm.Event, n),
+		brs:        make([][]branch, n),
+		evbuf:      make([][]comm.Event, n),
 	}
 }
 
@@ -132,9 +154,28 @@ func newEnumState(sh *enumShared) *enumState {
 // graph and options build byte-identical menus — which is what makes
 // menu indices a sound wire encoding for patterns and candidates.
 func newEnumShared(ctx context.Context, g *ir.GNGraph, instance []*ir.GraphNode, model *cost.Model, opt EnumOptions) *enumShared {
-	member := make(map[*ir.GraphNode]int, len(instance))
+	pos := make([]int32, len(g.Nodes))
+	for i := range pos {
+		pos[i] = -1
+	}
 	for i, gn := range instance {
-		member[gn] = i
+		pos[gn.ID] = int32(i)
+	}
+	// Positions are assigned in order, so exactly the predecessors at
+	// earlier positions are assigned when position i is decided; the
+	// others are boundary edges (resolved at assembly) or are never
+	// checked inside the instance.
+	in := make([][]inEdge, len(instance))
+	owns := make([]bool, len(instance))
+	seen := map[*graph.Tensor]bool{}
+	for i, gn := range instance {
+		for _, pred := range g.Preds(gn) {
+			if j := pos[pred.ID]; j >= 0 && int(j) < i {
+				bytes, primary := edgeTensor(g, pred, gn)
+				in[i] = append(in[i], inEdge{j, primary, bytes})
+			}
+		}
+		owns[i] = ownsWeights(gn, seen)
 	}
 
 	// Pattern menus, cheapest-first (optionally memory-weighted) so
@@ -158,7 +199,9 @@ func newEnumShared(ctx context.Context, g *ir.GNGraph, instance []*ir.GraphNode,
 		ctx:      ctx,
 		g:        g,
 		instance: instance,
-		member:   member,
+		pos:      pos,
+		in:       in,
+		owns:     owns,
 		menus:    menus,
 		model:    model,
 		opt:      opt,
@@ -203,57 +246,63 @@ func branchBudgets(budget, n int) (shares []int, truncated bool) {
 
 // branchesAt applies the symbolic shape check of node i against the
 // already-assigned intra-instance predecessors and returns the surviving
-// patterns (early stopping, Figure 4), counting prunes.
+// patterns (early stopping, Figure 4), counting prunes. The result and
+// its events live in the depth's scratch: they are overwritten by the
+// next branchesAt(i), so a caller keeping events past that copies them.
 func (s *enumState) branchesAt(i int) []branch {
-	var compat []branch
+	brs, buf := s.brs[i][:0], s.evbuf[i][:0]
 	for mi, p := range s.menus[i] {
-		evs, ok := s.eventsFor(i, p)
-		if !ok {
+		start := len(buf)
+		var ok bool
+		if buf, ok = s.eventsFor(buf, i, p); !ok {
+			buf = buf[:start]
 			s.stats.Pruned++
 			continue
 		}
-		compat = append(compat, branch{p, evs, mi})
+		brs = append(brs, branch{p, buf[start:len(buf):len(buf)], mi})
 	}
-	return compat
+	s.brs[i], s.evbuf[i] = brs, buf
+	return brs
 }
 
-// eventsFor validates pattern p at node i against the already-assigned
-// intra-instance predecessors, returning the reshard events the edge
-// checks require. It is the single copy of the per-edge arithmetic that
-// branchesAt, the task executor's prefix replay and the coordinator's
-// candidate rebuild all share — the bit-identical contract depends on
-// the replayed events equaling the serial descent's exactly.
-func (s *enumState) eventsFor(i int, p *ir.Pattern) ([]comm.Event, bool) {
-	gn := s.instance[i]
-	var evs []comm.Event
-	for _, pred := range s.g.Preds(gn) {
-		j, in := s.member[pred]
-		if !in || s.assigned[j] == nil {
-			continue // boundary edge: resolved at assembly
+// eventsFor validates pattern p at position i against the already-
+// assigned intra-instance predecessors, appending the reshard events the
+// edge checks require to dst. branchesAt, the seeds, the task executor's
+// prefix replay and the coordinator's candidate rebuild all share it —
+// the bit-identical contract depends on the replayed events equaling
+// the serial descent's exactly.
+func (s *enumState) eventsFor(dst []comm.Event, i int, p *ir.Pattern) ([]comm.Event, bool) {
+	for _, e := range s.in[i] {
+		var ok bool
+		dst, ok = appendEdge(dst, s.assigned[e.j].Out, needFor(p, e.primary), e.bytes, s.opt.W, s.opt.AllowReshard)
+		if !ok {
+			return dst, false
 		}
-		ev, c := checkEdge(s.g, pred, gn, s.assigned[j], p, s.opt.W, s.opt.AllowReshard)
-		if !c {
-			return nil, false
-		}
-		evs = append(evs, ev...)
 	}
-	return evs, true
+	return dst, true
 }
 
 // complete scores the full assignment currently held in s.assigned.
 func (s *enumState) complete() {
 	s.stats.Examined++
-	cand := &Candidate{Patterns: append([]*ir.Pattern{}, s.assigned...)}
-	for _, evs := range s.events {
-		cand.Reshard = append(cand.Reshard, evs...)
+	s.out = append(s.out, s.newCandidate(s.assigned, s.events))
+}
+
+// newCandidate prices one complete assignment: a copy of the patterns,
+// the per-position events concatenated in position order, memory as the
+// positional sum of nodeMem, and one StrategyCost call.
+func (sh *enumShared) newCandidate(assigned []*ir.Pattern, events [][]comm.Event) *Candidate {
+	n := 0
+	for _, evs := range events {
+		n += len(evs)
 	}
-	assign := make(map[*ir.GraphNode]*ir.Pattern, len(s.instance))
-	for j, gn := range s.instance {
-		assign[gn] = s.assigned[j]
+	cand := &Candidate{Patterns: slices.Clone(assigned), Reshard: make([]comm.Event, 0, n)}
+	for i, p := range assigned {
+		cand.Reshard = append(cand.Reshard, events[i]...)
+		cand.MemBytes += nodeMem(p, sh.owns[i])
 	}
-	cand.MemBytes = MemoryPerDevice(assign)
-	cand.Cost = s.model.StrategyCost(cand.Patterns, cand.Reshard)
-	s.out = append(s.out, cand)
+	cand.Cost = sh.model.StrategyCost(cand.Patterns, cand.Reshard)
+	return cand
 }
 
 // dfs is the budgeted decision-tree search: every depth splits its
@@ -318,13 +367,22 @@ type prefixTask struct {
 	prefix []int
 }
 
+// walk runs the budgeted dfs of t's subtree on a private state.
+func (t prefixTask) walk(sh *enumShared) *enumState {
+	st := newEnumState(sh)
+	copy(st.assigned, t.assigned)
+	copy(st.events, t.events)
+	st.dfs(t.depth, t.budget)
+	return st
+}
+
 // splitTasks expands the root of the decision tree breadth-first until at
 // least target leaf tasks exist (or the tree is exhausted), replaying the
 // serial budget arithmetic at every expanded prefix. The prune/truncation
 // accounting of expanded prefixes lands in the returned stats, exactly
 // once per prefix, as in the serial walk.
 func splitTasks(sh *enumShared, target int) ([]prefixTask, EnumStats) {
-	scratch := &enumState{enumShared: sh}
+	scratch := newEnumState(sh)
 	tasks := []prefixTask{{
 		assigned: make([]*ir.Pattern, len(sh.instance)),
 		events:   make([][]comm.Event, len(sh.instance)),
@@ -357,7 +415,8 @@ func splitTasks(sh *enumShared, target int) ([]prefixTask, EnumStats) {
 				}
 				na := append([]*ir.Pattern{}, t.assigned...)
 				ne := append([][]comm.Event{}, t.events...)
-				na[t.depth], ne[t.depth] = br.p, br.evs
+				// The events outlive the depth's scratch: copy them.
+				na[t.depth], ne[t.depth] = br.p, slices.Clone(br.evs)
 				np := append(append([]int{}, t.prefix...), br.mi)
 				children = append(children, prefixTask{na, ne, t.depth + 1, shares[idx], np})
 			}
@@ -404,10 +463,8 @@ func EnumerateInstance(ctx context.Context, g *ir.GNGraph, instance []*ir.GraphN
 	default:
 		tasks, split := splitTasks(sh, 4*workers)
 		stats.merge(split)
-		states, _ := parallel.Map(ctx, workers, tasks, func(_ context.Context, i int, t prefixTask) (*enumState, error) {
-			st := &enumState{enumShared: sh, assigned: t.assigned, events: t.events}
-			st.dfs(t.depth, t.budget)
-			return st, nil
+		states, _ := parallel.Map(ctx, workers, tasks, func(_ context.Context, _ int, t prefixTask) (*enumState, error) {
+			return t.walk(sh), nil
 		})
 		for _, st := range states {
 			if st == nil {
@@ -430,13 +487,13 @@ func EnumerateInstance(ctx context.Context, g *ir.GNGraph, instance []*ir.GraphN
 	// are always represented, even deep in large instances where the
 	// branch budget has collapsed to a single greedy path.
 	if !opt.DisableSeeds {
-		out = append(out, seededCandidates(g, instance, sh.member, model, opt)...)
+		out = append(out, sh.seededCandidates()...)
 	}
 
 	sort.SliceStable(out, func(a, b int) bool {
 		return out[a].Cost.Total() < out[b].Cost.Total()
 	})
-	out = diverseTopK(g, instance, sh.member, out, opt.TopK)
+	out = sh.diverseTopK(out)
 	return out, stats
 }
 
@@ -455,62 +512,37 @@ var seedPreferences = [][]string{
 }
 
 // seededCandidates builds one candidate per preference row plus one
-// memory-minimal candidate.
-func seededCandidates(g *ir.GNGraph, instance []*ir.GraphNode, member map[*ir.GraphNode]int, model *cost.Model, opt EnumOptions) []*Candidate {
+// memory-minimal candidate. Patterns are offered to pick in ir.PatternsFor
+// order, not menu order, so ties resolve as they always have.
+func (sh *enumShared) seededCandidates() []*Candidate {
 	var out []*Candidate
 
-	build := func(pick func(gn *ir.GraphNode, compat []*ir.Pattern) *ir.Pattern) *Candidate {
-		assigned := make([]*ir.Pattern, len(instance))
-		var reshard []comm.Event
-		for i, gn := range instance {
+	build := func(pick func(compat []*ir.Pattern) *ir.Pattern) *Candidate {
+		st := newEnumState(sh)
+		var buf []comm.Event
+		for i, gn := range sh.instance {
 			var compat []*ir.Pattern
-			var evsFor [][]comm.Event
-			for _, p := range ir.PatternsFor(gn, opt.W) {
-				ok := true
-				var evs []comm.Event
-				for _, pred := range g.Preds(gn) {
-					j, in := member[pred]
-					if !in || assigned[j] == nil {
-						continue
-					}
-					ev, c := checkEdge(g, pred, gn, assigned[j], p, opt.W, opt.AllowReshard)
-					if !c {
-						ok = false
-						break
-					}
-					evs = append(evs, ev...)
-				}
-				if ok {
+			for _, p := range ir.PatternsFor(gn, sh.opt.W) {
+				var ok bool
+				if buf, ok = st.eventsFor(buf[:0], i, p); ok {
 					compat = append(compat, p)
-					evsFor = append(evsFor, evs)
 				}
 			}
 			if len(compat) == 0 {
 				return nil
 			}
-			choice := pick(gn, compat)
+			choice := pick(compat)
 			if choice == nil {
 				choice = compat[0]
 			}
-			for k, p := range compat {
-				if p == choice {
-					reshard = append(reshard, evsFor[k]...)
-				}
-			}
-			assigned[i] = choice
+			st.assigned[i] = choice
+			st.events[i], _ = st.eventsFor(nil, i, choice)
 		}
-		cand := &Candidate{Patterns: assigned, Reshard: reshard}
-		assign := make(map[*ir.GraphNode]*ir.Pattern, len(instance))
-		for j, gn := range instance {
-			assign[gn] = assigned[j]
-		}
-		cand.MemBytes = MemoryPerDevice(assign)
-		cand.Cost = model.StrategyCost(cand.Patterns, cand.Reshard)
-		return cand
+		return sh.newCandidate(st.assigned, st.events)
 	}
 
 	for _, prefs := range seedPreferences {
-		c := build(func(gn *ir.GraphNode, compat []*ir.Pattern) *ir.Pattern {
+		c := build(func(compat []*ir.Pattern) *ir.Pattern {
 			for _, want := range prefs {
 				for _, p := range compat {
 					if p.Name == want {
@@ -520,7 +552,7 @@ func seededCandidates(g *ir.GNGraph, instance []*ir.GraphNode, member map[*ir.Gr
 			}
 			best := compat[0]
 			for _, p := range compat[1:] {
-				if model.PatternCost(p).Total() < model.PatternCost(best).Total() {
+				if sh.model.PatternCost(p).Total() < sh.model.PatternCost(best).Total() {
 					best = p
 				}
 			}
@@ -532,7 +564,7 @@ func seededCandidates(g *ir.GNGraph, instance []*ir.GraphNode, member map[*ir.Gr
 	}
 
 	// Memory-minimal seed: smallest per-device footprint at every node.
-	if c := build(func(gn *ir.GraphNode, compat []*ir.Pattern) *ir.Pattern {
+	if c := build(func(compat []*ir.Pattern) *ir.Pattern {
 		best := compat[0]
 		bestMem := 4*best.WeightBytesPerDev + best.OutBytesPerDev
 		for _, p := range compat[1:] {
@@ -551,24 +583,21 @@ func seededCandidates(g *ir.GNGraph, instance []*ir.GraphNode, member map[*ir.Gr
 // layouts visible at the instance's entry and exit nodes), so assembly can
 // always find a candidate compatible with whatever the neighboring classes
 // chose; remaining slots are filled with the next-cheapest candidates.
-func diverseTopK(g *ir.GNGraph, instance []*ir.GraphNode, member map[*ir.GraphNode]int, cands []*Candidate, topK int) []*Candidate {
+func (sh *enumShared) diverseTopK(cands []*Candidate) []*Candidate {
+	g, topK := sh.g, sh.opt.TopK
 	if topK <= 0 || len(cands) <= topK {
 		return cands
 	}
 	// Boundary node indexes: entries have an external (or no)
 	// predecessor, exits an external (or no) successor.
 	var boundary []int
-	for i, gn := range instance {
+	for i, gn := range sh.instance {
 		external := len(g.Preds(gn)) == 0 || len(g.Succs(gn)) == 0
 		for _, p := range g.Preds(gn) {
-			if _, in := member[p]; !in {
-				external = true
-			}
+			external = external || sh.pos[p.ID] < 0
 		}
 		for _, s := range g.Succs(gn) {
-			if _, in := member[s]; !in {
-				external = true
-			}
+			external = external || sh.pos[s.ID] < 0
 		}
 		if external {
 			boundary = append(boundary, i)

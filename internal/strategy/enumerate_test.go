@@ -1,0 +1,204 @@
+package strategy
+
+import (
+	"context"
+	"slices"
+	"testing"
+
+	"tapas/internal/cluster"
+	"tapas/internal/comm"
+	"tapas/internal/cost"
+	"tapas/internal/ir"
+	"tapas/internal/mining"
+	"tapas/internal/models"
+)
+
+// refEventsFor and refComplete are the map-based enumeration kernel this
+// package used before the edge table, the per-depth scratch and the
+// positional memory sum (a member map looked up per predecessor, the edge
+// tensor recomputed at every check, a fresh event slice per call, an
+// assignment map handed to MemoryPerDevice), kept as the oracle: the
+// kernel may change its layout but never a candidate.
+func refEventsFor(g *ir.GNGraph, instance []*ir.GraphNode, member map[*ir.GraphNode]int, assigned []*ir.Pattern, i int, p *ir.Pattern, opt EnumOptions) ([]comm.Event, bool) {
+	gn := instance[i]
+	var evs []comm.Event
+	for _, pred := range g.Preds(gn) {
+		j, in := member[pred]
+		if !in || assigned[j] == nil {
+			continue // boundary edge: resolved at assembly
+		}
+		ev, c := checkEdge(g, pred, gn, assigned[j], p, opt.W, opt.AllowReshard)
+		if !c {
+			return nil, false
+		}
+		evs = append(evs, ev...)
+	}
+	return evs, true
+}
+
+// refComplete rebuilds the candidate for patterns by replaying them in
+// position order through refEventsFor; memory is MemoryPerDevice's sum in
+// GraphNode.ID order. ok is false when some edge check rejects a pattern.
+func refComplete(g *ir.GNGraph, instance []*ir.GraphNode, model *cost.Model, opt EnumOptions, patterns []*ir.Pattern) (*Candidate, bool) {
+	member := make(map[*ir.GraphNode]int, len(instance))
+	for i, gn := range instance {
+		member[gn] = i
+	}
+	assigned := make([]*ir.Pattern, len(instance))
+	var reshard []comm.Event
+	for i, p := range patterns {
+		evs, ok := refEventsFor(g, instance, member, assigned, i, p, opt)
+		if !ok {
+			return nil, false
+		}
+		assigned[i] = p
+		reshard = append(reshard, evs...)
+	}
+	assign := make(map[*ir.GraphNode]*ir.Pattern, len(instance))
+	for j, gn := range instance {
+		assign[gn] = assigned[j]
+	}
+	return &Candidate{
+		Patterns: assigned,
+		Reshard:  reshard,
+		MemBytes: MemoryPerDevice(assign),
+		Cost:     model.StrategyCost(assigned, reshard),
+	}, true
+}
+
+// sameCandidate reports whether two candidates are bit-identical: the
+// same *Pattern at every position, the same events in the same order,
+// the same memory and the same cost breakdown.
+func sameCandidate(a, b *Candidate) bool {
+	return slices.Equal(a.Patterns, b.Patterns) && slices.Equal(a.Reshard, b.Reshard) &&
+		a.MemBytes == b.MemBytes && a.Cost == b.Cost
+}
+
+// TestEnumerationMatchesReference holds every candidate of every class of
+// every registered model, at W 4 and 8, to the reference kernel — tree
+// candidates and seeds alike (TopK 0 keeps them all) — through the serial
+// walk, the 4-worker prefix-task split, and a TaskRunner that round-trips
+// the tasks through ExecuteTasks and rebuilds their candidates from menu
+// indices. It also replays every prefix splitTasks hands out: the events
+// a task carries must equal a fresh reference replay of its prefix, which
+// fails if a task kept a slice of the per-depth scratch that a later
+// expansion at the same depth overwrote.
+func TestEnumerationMatchesReference(t *testing.T) {
+	names := models.Names()
+	if testing.Short() {
+		names = []string{"t5-100M", "moe-380M", "resnet-26M"}
+	}
+	ctx := context.Background()
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			g := groupModel(t, name)
+			remote := groupModel(t, name) // the executor's own copy
+			// Every class's representative; for t5-100M also the whole
+			// graph, the TAPAS-ES instance, where both users of the tied
+			// embedding sit in one instance and memory depends on which
+			// one owns it. (Whole graphs of the larger models add a minute
+			// and no new case.)
+			var instances [][]*ir.GraphNode
+			for _, c := range mining.Fold(g, mining.Mine(ctx, g, mining.DefaultOptions())) {
+				instances = append(instances, c.Representative())
+			}
+			if name == "t5-100M" {
+				instances = append(instances, g.TopoOrder())
+			}
+			checked, prefixes := 0, 0
+			defer func() {
+				t.Logf("%d instances: %d candidates, %d task prefixes checked", len(instances), checked, prefixes)
+			}()
+			for _, w := range []int{4, 8} {
+				model := cost.Default(cluster.V100GPUs(w))
+				runs := []struct {
+					name    string
+					workers int
+					runner  TaskRunner
+				}{
+					{"workers=1", 1, nil},
+					{"workers=4", 4, nil},
+					{"runner", 4, &roundTripRunner{g: remote, model: cost.Default(cluster.V100GPUs(w))}},
+				}
+				for ci, inst := range instances {
+					var want []*Candidate
+					var wantStats EnumStats
+					for ri, run := range runs {
+						opt := DefaultEnumOptions(w)
+						opt.TopK = 0
+						opt.Workers, opt.Runner = run.workers, run.runner
+						got, stats := EnumerateInstance(ctx, g, inst, model, opt)
+						if len(got) == 0 {
+							t.Fatalf("W=%d instance %d %s: no candidates", w, ci, run.name)
+						}
+						checked += len(got)
+						for k, cand := range got {
+							ref, ok := refComplete(g, inst, model, opt, cand.Patterns)
+							if !ok {
+								t.Fatalf("W=%d instance %d %s: candidate %d fails the reference edge checks", w, ci, run.name, k)
+							}
+							if !sameCandidate(cand, ref) {
+								t.Fatalf("W=%d instance %d %s: candidate %d = {mem %d, cost %+v, %d events}, reference {mem %d, cost %+v, %d events}",
+									w, ci, run.name, k, cand.MemBytes, cand.Cost, len(cand.Reshard), ref.MemBytes, ref.Cost, len(ref.Reshard))
+							}
+						}
+						if ri == 0 {
+							want, wantStats = got, stats
+							continue
+						}
+						if !slices.EqualFunc(got, want, sameCandidate) || stats != wantStats {
+							t.Fatalf("W=%d instance %d %s: %d candidates %+v, serial %d %+v", w, ci, run.name, len(got), stats, len(want), wantStats)
+						}
+					}
+
+					sh := newEnumShared(ctx, g, inst, model, DefaultEnumOptions(w))
+					// Deep enough that one depth is expanded many times under
+					// prefixes whose events differ; at 64 tasks the reused
+					// scratch happens to be rewritten with equal events.
+					tasks, _ := splitTasks(sh, 512)
+					prefixes += len(tasks)
+					member := make(map[*ir.GraphNode]int, len(inst))
+					for i, gn := range inst {
+						member[gn] = i
+					}
+					for ti, tk := range tasks {
+						assigned := make([]*ir.Pattern, len(inst))
+						for d := 0; d < tk.depth; d++ {
+							evs, ok := refEventsFor(g, inst, member, assigned, d, tk.assigned[d], sh.opt)
+							if !ok || !slices.Equal(evs, tk.events[d]) {
+								t.Fatalf("W=%d instance %d task %d depth %d: events %v, fresh replay %v (ok %v)", w, ci, ti, d, tk.events[d], evs, ok)
+							}
+							assigned[d] = tk.assigned[d]
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestEnumerateAllocationBudget holds the enumeration's allocation count
+// inside tier-1: the map-based kernel made about 127,000 allocations per
+// call on t5-100M's largest class (an assignment map per candidate, a
+// fresh branch and event slice per tree node), the position-indexed one
+// about 24,000.
+func TestEnumerateAllocationBudget(t *testing.T) {
+	g := groupModel(t, "t5-100M")
+	model := cost.Default(cluster.V100GPUs(8))
+	classes := mining.Fold(g, mining.Mine(context.Background(), g, mining.DefaultOptions()))
+	var layer *mining.Class
+	for _, c := range classes {
+		if layer == nil || c.Size() > layer.Size() {
+			layer = c
+		}
+	}
+	opt := DefaultEnumOptions(8)
+	opt.Workers = 1
+	allocs := testing.AllocsPerRun(3, func() {
+		EnumerateInstance(context.Background(), g, layer.Representative(), model, opt)
+	})
+	if allocs > 40000 {
+		t.Errorf("EnumerateInstance(t5-100M largest class, W 8, Workers 1) made %.0f allocations, budget 40,000", allocs)
+	}
+	t.Logf("EnumerateInstance(t5-100M largest class, W 8, Workers 1): %.0f allocations", allocs)
+}

@@ -228,50 +228,37 @@ func (a *assembler) scoreCandidate(c *mining.Class, cand *Candidate, assign map[
 	// Boundary check against already-fixed classes AND between
 	// instances of this class (consecutive repeats of a layer
 	// feed each other, so the candidate's entry layout must also
-	// accept its own exit layout).
+	// accept its own exit layout). The float sum runs in instance
+	// order, never map order, so a total is the same on every run.
 	boundary := 0.0
-	compatible := true
 	lookup := func(gn *ir.GraphNode) *ir.Pattern {
 		if p := assign[gn]; p != nil {
 			return p
 		}
 		return patts[gn]
 	}
-	for gn, p := range patts {
-		for _, pred := range a.g.Preds(gn) {
-			pf := lookup(pred)
-			if pf == nil {
-				continue
-			}
-			ev, okE := checkEdge(a.g, pred, gn, pf, p, a.opt.W, a.opt.AllowReshard)
-			if !okE {
-				compatible = false
-				break
-			}
-			boundary += a.model.EventsCost(ev).Total()
-		}
-		if !compatible {
-			break
-		}
-		for _, succ := range a.g.Succs(gn) {
-			pt := assign[succ]
-			if pt == nil {
-				continue // same-class successors already covered above
-			}
-			ev, okE := checkEdge(a.g, gn, succ, p, pt, a.opt.W, a.opt.AllowReshard)
-			if !okE {
-				compatible = false
-				break
-			}
-			boundary += a.model.EventsCost(ev).Total()
-		}
-		if !compatible {
-			break
-		}
+	edge := func(from, to *ir.GraphNode, pf, pt *ir.Pattern) bool {
+		ev, ok := checkEdge(a.g, from, to, pf, pt, a.opt.W, a.opt.AllowReshard)
+		boundary += a.model.EventsCost(ev).Total()
+		return ok
 	}
-	if !compatible {
-		a.putPatts(patts)
-		return scored{}, false
+	for _, inst := range c.Instances {
+		for _, gn := range inst {
+			p := patts[gn]
+			for _, pred := range a.g.Preds(gn) {
+				if pf := lookup(pred); pf != nil && !edge(pred, gn, pf, p) {
+					a.putPatts(patts)
+					return scored{}, false
+				}
+			}
+			for _, succ := range a.g.Succs(gn) {
+				// Same-class successors are covered from their pred side.
+				if pt := assign[succ]; pt != nil && !edge(gn, succ, p, pt) {
+					a.putPatts(patts)
+					return scored{}, false
+				}
+			}
+		}
 	}
 	return scored{
 		cand:  cand,

@@ -8,10 +8,12 @@ package strategy
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"tapas/internal/comm"
 	"tapas/internal/cost"
+	"tapas/internal/graph"
 	"tapas/internal/ir"
 )
 
@@ -72,26 +74,38 @@ func (s *Strategy) Describe() string {
 	return out
 }
 
-// edgeCompat applies the symbolic shape check to one GraphNode boundary:
-// the producer's output layout against the consumer's required layout. A
-// replicated output can always be sliced locally into any split; a split
-// output can be re-assembled into a replicated input with an all-gather
-// when resharding is allowed; two different splits are incompatible —
-// exactly the early-stop condition of Figure 4.
-func edgeCompat(out, need ir.ShardSpec, tensorBytes int64, w int, allowReshard bool) ([]comm.Event, bool) {
+// appendEdge applies the symbolic shape check to one GraphNode boundary
+// — the producer's output layout against the consumer's required layout
+// — and appends the reshard event it needs to dst. A replicated output
+// can always be sliced locally into any split; a split output can be
+// re-assembled into a replicated input with an all-gather when
+// resharding is allowed; two different splits are incompatible —
+// exactly the early-stop condition of Figure 4. It is the one copy of
+// the per-edge arithmetic: the enumerator, assembly and the validator
+// all reach it.
+func appendEdge(dst []comm.Event, out, need ir.ShardSpec, tensorBytes int64, w int, allowReshard bool) ([]comm.Event, bool) {
 	if out.Equal(need) {
-		return nil, true
+		return dst, true
 	}
 	if out.IsReplicated() && !need.IsReplicated() {
-		return nil, true // local slice, no communication
+		return dst, true // local slice, no communication
 	}
 	if !allowReshard {
-		return nil, false
+		return dst, false
 	}
 	if !out.IsReplicated() && need.IsReplicated() {
-		return []comm.Event{{Kind: comm.AllGather, Bytes: tensorBytes, W: w}}, true
+		return append(dst, comm.Event{Kind: comm.AllGather, Bytes: tensorBytes, W: w}), true
 	}
-	return nil, false
+	return dst, false
+}
+
+// needFor returns the layout pattern p requires of an input edge: its
+// primary input layout, or the secondary one.
+func needFor(p *ir.Pattern, primary bool) ir.ShardSpec {
+	if primary {
+		return p.In
+	}
+	return p.In2Spec()
 }
 
 // edgeTensor finds the boundary tensor carried by the edge from producer
@@ -116,11 +130,7 @@ func CheckEdge(g *ir.GNGraph, from, to *ir.GraphNode, pf, pt *ir.Pattern, w int,
 // returning any resharding events needed.
 func checkEdge(g *ir.GNGraph, from, to *ir.GraphNode, pf, pt *ir.Pattern, w int, allowReshard bool) ([]comm.Event, bool) {
 	bytes, primary := edgeTensor(g, from, to)
-	need := pt.In
-	if !primary {
-		need = pt.In2Spec()
-	}
-	return edgeCompat(pf.Out, need, bytes, w, allowReshard)
+	return appendEdge(nil, pf.Out, needFor(pt, primary), bytes, w, allowReshard)
 }
 
 // Validate runs the full static analysis over a strategy: every edge must
@@ -176,27 +186,48 @@ func Validate(g *ir.GNGraph, assign map[*ir.GraphNode]*ir.Pattern, w int, allowR
 // frameworks allocate for reduction collectives — the "memory buffers …
 // for caching gradients" the paper observes pushing wide-classifier DP
 // into OOM.
+//
+// Nodes are walked in ascending GraphNode.ID, so a weight shared by
+// several nodes is charged to its lowest-ID user whatever the users'
+// patterns — the rule EnumerateInstance applies by instance position.
 func MemoryPerDevice(assign map[*ir.GraphNode]*ir.Pattern) int64 {
+	nodes := make([]*ir.GraphNode, 0, len(assign))
+	for gn := range assign {
+		nodes = append(nodes, gn)
+	}
+	slices.SortFunc(nodes, func(a, b *ir.GraphNode) int { return a.ID - b.ID })
 	var mem int64
-	seen := map[interface{}]bool{}
-	for gn, p := range assign {
-		// Count shared weight tensors once.
-		var wb int64
-		allShared := true
-		for _, wt := range gn.Weights {
-			if !seen[wt] {
-				seen[wt] = true
-				allShared = false
-			}
+	seen := map[*graph.Tensor]bool{}
+	for _, gn := range nodes {
+		mem += nodeMem(assign[gn], ownsWeights(gn, seen))
+	}
+	return mem
+}
+
+// ownsWeights reports whether gn's weights count toward memory, given
+// the weight tensors seen at earlier nodes, and marks gn's as seen. A
+// node whose every weight an earlier node already counted adds none.
+func ownsWeights(gn *ir.GraphNode, seen map[*graph.Tensor]bool) bool {
+	owns := len(gn.Weights) == 0
+	for _, wt := range gn.Weights {
+		if !seen[wt] {
+			seen[wt] = true
+			owns = true
 		}
-		if !allShared || len(gn.Weights) == 0 {
-			wb = p.WeightBytesPerDev
-		}
-		mem += 4*wb + p.OutBytesPerDev
-		for _, e := range p.BwdComm {
-			if e.Kind == comm.AllReduce || e.Kind == comm.ReduceScatter {
-				mem += e.Bytes
-			}
+	}
+	return owns
+}
+
+// nodeMem is one node's term of MemoryPerDevice under pattern p; owns
+// says whether the node's weights count (see ownsWeights).
+func nodeMem(p *ir.Pattern, owns bool) int64 {
+	mem := p.OutBytesPerDev
+	if owns {
+		mem += 4 * p.WeightBytesPerDev
+	}
+	for _, e := range p.BwdComm {
+		if e.Kind == comm.AllReduce || e.Kind == comm.ReduceScatter {
+			mem += e.Bytes
 		}
 	}
 	return mem

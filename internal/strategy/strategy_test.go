@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tapas/internal/cluster"
+	"tapas/internal/comm"
 	"tapas/internal/cost"
 	"tapas/internal/graph"
 	"tapas/internal/ir"
@@ -56,9 +57,9 @@ func TestEdgeCompat(t *testing.T) {
 		{s0, s1, true, false, 0}, // different splits never compose
 	}
 	for _, c := range cases {
-		ev, ok := edgeCompat(c.out, c.need, 1<<20, 8, c.reshard)
+		ev, ok := appendEdge(nil, c.out, c.need, 1<<20, 8, c.reshard)
 		if ok != c.ok || len(ev) != c.events {
-			t.Errorf("edgeCompat(%v→%v, reshard=%v) = (%v,%d), want (%v,%d)",
+			t.Errorf("appendEdge(%v→%v, reshard=%v) = (%v,%d), want (%v,%d)",
 				c.out, c.need, c.reshard, ok, len(ev), c.ok, c.events)
 		}
 	}
@@ -236,6 +237,59 @@ func TestValidateRejectsIncoherentSharedWeights(t *testing.T) {
 	assign[embeds[0]], assign[embeds[1]] = p0, p1
 	if _, err := Validate(g, assign, 8, true); err == nil {
 		t.Error("conflicting shared-weight shardings must fail validation")
+	}
+}
+
+// TestMemoryPerDeviceChargesTiedWeightToLowestID: when the two users of
+// t5-100M's tied embedding shard it differently, the answer depends on
+// which user is charged for it. A walk in map order charged whichever the
+// map visited first, so the value varied between calls; the walk in
+// GraphNode.ID order must return one value, the positional sum.
+func TestMemoryPerDeviceChargesTiedWeightToLowestID(t *testing.T) {
+	g := groupModel(t, "t5-100M")
+	var embeds []*ir.GraphNode
+	for _, gn := range g.Nodes {
+		if gn.Kind == ir.KEmbedding {
+			embeds = append(embeds, gn)
+		}
+	}
+	if len(embeds) != 2 || embeds[0].Weights[0] != embeds[1].Weights[0] {
+		t.Fatalf("want t5-100M's two embedding nodes sharing one table, got %v", embeds)
+	}
+	assign := map[*ir.GraphNode]*ir.Pattern{}
+	for _, gn := range g.Nodes {
+		assign[gn] = ir.PatternsFor(gn, 8)[0] // replicate everywhere
+	}
+	assign[embeds[1]] = namedPattern(embeds[1], 8, "vocab-parallel")
+	if assign[embeds[0]].WeightBytesPerDev == assign[embeds[1]].WeightBytesPerDev {
+		t.Fatal("the two users must hold different weight bytes for the owner to matter")
+	}
+
+	// Positional sum: nodes in ID order, a node's weights counted unless
+	// earlier nodes already counted every one of them.
+	var want int64
+	seen := map[*graph.Tensor]bool{}
+	for _, gn := range g.Nodes {
+		p := assign[gn]
+		owns := len(gn.Weights) == 0
+		for _, wt := range gn.Weights {
+			owns = owns || !seen[wt]
+			seen[wt] = true
+		}
+		want += p.OutBytesPerDev
+		if owns {
+			want += 4 * p.WeightBytesPerDev
+		}
+		for _, e := range p.BwdComm {
+			if e.Kind == comm.AllReduce || e.Kind == comm.ReduceScatter {
+				want += e.Bytes
+			}
+		}
+	}
+	for i := 0; i < 100; i++ {
+		if got := MemoryPerDevice(assign); got != want {
+			t.Fatalf("call %d: MemoryPerDevice = %d, positional sum %d", i, got, want)
+		}
 	}
 }
 

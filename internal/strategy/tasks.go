@@ -133,8 +133,7 @@ func runWithRunner(ctx context.Context, sh *enumShared, runner TaskRunner, worke
 			}
 		}
 		if !ok {
-			st := &enumState{enumShared: sh, assigned: t.assigned, events: t.events}
-			st.dfs(t.depth, t.budget)
+			st := t.walk(sh)
 			cands, es = st.out, st.stats
 		}
 		stats.merge(es)
@@ -242,14 +241,15 @@ func (x *taskExec) run(ctx context.Context, t TaskSpec) (TaskResult, error) {
 
 // replayPrefix assigns the prefix's menu choices into st, validating
 // each against the already-replayed predecessors exactly as the serial
-// descent did when it created the task.
+// descent did when it created the task. The events are freshly
+// allocated, not depth scratch: the walk under the prefix keeps them.
 func (x *taskExec) replayPrefix(st *enumState, prefix []int) error {
 	for i, mi := range prefix {
 		if mi < 0 || mi >= len(x.sh.menus[i]) {
 			return fmt.Errorf("strategy: prefix index %d out of range for node %d (menu size %d)", mi, i, len(x.sh.menus[i]))
 		}
 		p := x.sh.menus[i][mi]
-		evs, ok := st.eventsFor(i, p)
+		evs, ok := st.eventsFor(nil, i, p)
 		if !ok {
 			return fmt.Errorf("strategy: inconsistent task prefix at node %d", i)
 		}
@@ -267,25 +267,15 @@ func (x *taskExec) replayPrefix(st *enumState, prefix []int) error {
 func (x *taskExec) rebuild(r TaskResult) ([]*Candidate, error) {
 	n := len(x.sh.instance)
 	out := make([]*Candidate, 0, len(r.Candidates))
+	st := newEnumState(x.sh) // each replay overwrites every position
 	for _, idx := range r.Candidates {
 		if len(idx) != n {
 			return nil, fmt.Errorf("strategy: candidate of %d indices for instance of %d", len(idx), n)
 		}
-		st := newEnumState(x.sh)
 		if err := x.replayPrefix(st, idx); err != nil {
 			return nil, err
 		}
-		cand := &Candidate{Patterns: append([]*ir.Pattern{}, st.assigned...)}
-		for _, evs := range st.events {
-			cand.Reshard = append(cand.Reshard, evs...)
-		}
-		assign := make(map[*ir.GraphNode]*ir.Pattern, n)
-		for j, gn := range x.sh.instance {
-			assign[gn] = st.assigned[j]
-		}
-		cand.MemBytes = MemoryPerDevice(assign)
-		cand.Cost = x.sh.model.StrategyCost(cand.Patterns, cand.Reshard)
-		out = append(out, cand)
+		out = append(out, x.sh.newCandidate(st.assigned, st.events))
 	}
 	return out, nil
 }
