@@ -14,6 +14,7 @@ import (
 	"tapas/internal/models"
 	"tapas/internal/sim"
 	"tapas/internal/strategy"
+	"tapas/store"
 )
 
 // ---------------------------------------------------------------------------
@@ -209,5 +210,40 @@ func BenchmarkEndToEndSearchT5_1_4B(b *testing.B) {
 		if _, err := coldSearch("t5-1.4B", 8); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkStoreRestart measures a restart-to-warm: open a populated
+// plan store and answer every registered model at 8 GPUs from it
+// through a fresh engine — one store hit per model.
+func BenchmarkStoreRestart(b *testing.B) {
+	ctx := context.Background()
+	dir := b.TempDir()
+	st, err := store.Open(store.Options{Dir: dir})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var specs []SearchSpec
+	for _, name := range Models() {
+		specs = append(specs, SearchSpec{Model: name, GPUs: 8})
+	}
+	if _, err := NewEngine(WithStore(st)).SearchAll(ctx, specs); err != nil {
+		b.Fatal(err)
+	}
+	st.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := store.Open(store.Options{Dir: dir})
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng := NewEngine(WithStore(st), WithWorkers(1))
+		for _, name := range Models() {
+			res, err := eng.Search(ctx, name, 8)
+			if err != nil || !res.StoreHit {
+				b.Fatalf("%s: err=%v, want a store hit", name, err)
+			}
+		}
+		st.Close()
 	}
 }

@@ -56,9 +56,21 @@ type Engine struct {
 	stats    CacheStats           // Entries/Capacity are filled on read
 
 	fpMu sync.Mutex
-	fps  map[string]string // registered model name → graph fingerprint
+	memo map[string]*modelMemo // registered model name → what the engine keeps of it
 
 	progressMu sync.Mutex // serializes the progress callback
+}
+
+// modelMemo is what an Engine keeps of one registered model: its
+// structural fingerprint (the cache and store key) and, from the first
+// store hit on, its grouped graph, which every later store hit of the
+// model rehydrates against. Cold searches never use the grouped graph:
+// they build and group a fresh one. The map is bounded by the registry.
+type modelMemo struct {
+	fp    string
+	group sync.Once // sets gg and err
+	gg    *ir.GNGraph
+	err   error
 }
 
 // flight is one in-progress cold computation other callers can join.
@@ -202,7 +214,7 @@ func NewEngine(opts ...Option) *Engine {
 	e := &Engine{
 		cache:    newLRUCache(DefaultCacheSize),
 		inflight: make(map[cacheKey]*flight),
-		fps:      make(map[string]string),
+		memo:     make(map[string]*modelMemo),
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -311,32 +323,32 @@ func (e *Engine) Search(ctx context.Context, modelName string, gpus int) (*Resul
 	return e.searchModel(ctx, modelName, gpus, e.base)
 }
 
-// searchModel is Search with an explicit config. Once a model's
-// fingerprint is memoized, a cache hit skips both the graph build and
-// the structural hash — the true serving fast path.
+// searchModel is Search with an explicit config. Once a model is
+// memoized, neither a cache hit nor a store hit builds its graph or
+// hashes it — the true serving fast path; computeSearch builds the
+// graph only when a cold search must run.
 func (e *Engine) searchModel(ctx context.Context, modelName string, gpus int, cfg engineConfig) (*Result, error) {
 	cfg.wireModel = modelName // registry names are reproducible anywhere
 	e.fpMu.Lock()
-	fp, known := e.fps[modelName]
+	m, known := e.memo[modelName]
 	e.fpMu.Unlock()
 	if known {
-		key := e.searchKey(fp, gpus, cfg)
+		key := e.searchKey(m.fp, gpus, cfg)
 		return e.doCached(ctx, key, modelName, func() (*Result, error) {
-			g, err := models.Build(modelName)
-			if err != nil {
-				return nil, err
-			}
-			return e.computeSearch(ctx, key, modelName, g, gpus, cfg)
+			return e.computeSearch(ctx, key, modelName, nil, gpus, cfg)
 		})
 	}
 	g, err := models.Build(modelName)
 	if err != nil {
 		return nil, err
 	}
+	fp := g.Fingerprint()
 	e.fpMu.Lock()
-	e.fps[modelName] = g.Fingerprint()
+	if _, ok := e.memo[modelName]; !ok {
+		e.memo[modelName] = &modelMemo{fp: fp}
+	}
 	e.fpMu.Unlock()
-	return e.searchGraph(ctx, modelName, g, gpus, cfg)
+	return e.searchGraph(ctx, modelName, g, fp, gpus, cfg)
 }
 
 // SearchGraph runs the full TAPAS pipeline on an arbitrary computational
@@ -346,9 +358,11 @@ func (e *Engine) searchModel(ctx context.Context, modelName string, gpus int, cf
 // identity: a hit returns the Strategy/Parallel built over the first
 // structurally-equal graph searched, so correlate results through the
 // returned Strategy.Graph rather than the nodes of the argument graph.
-// (This also holds for registered models, which are rebuilt per call.)
+// (This also holds for registered models: Search builds a model's graph
+// for its first call and for cold searches only, and store hits share
+// one grouped graph per model and engine.)
 func (e *Engine) SearchGraph(ctx context.Context, g *graph.Graph, gpus int) (*Result, error) {
-	return e.searchGraph(ctx, g.Name, g, gpus, e.base)
+	return e.searchGraph(ctx, g.Name, g, g.Fingerprint(), gpus, e.base)
 }
 
 // Baseline derives a plan with one of the paper's comparison systems
@@ -401,7 +415,7 @@ func (e *Engine) searchSpec(ctx context.Context, spec SearchSpec, workers int) (
 	}
 	if spec.Graph != nil {
 		cfg.wireSpec = spec.SpecText
-		return e.searchGraph(ctx, spec.Graph.Name, spec.Graph, spec.GPUs, cfg)
+		return e.searchGraph(ctx, spec.Graph.Name, spec.Graph, spec.Graph.Fingerprint(), spec.GPUs, cfg)
 	}
 	return e.searchModel(ctx, spec.Model, spec.GPUs, cfg)
 }
@@ -526,12 +540,13 @@ func (cfg engineConfig) overlay(opt Options) engineConfig {
 }
 
 // searchGraph keys, deduplicates and caches one search over an in-hand
-// graph; the pipeline itself lives in runSearch.
-func (e *Engine) searchGraph(ctx context.Context, name string, g *graph.Graph, gpus int, cfg engineConfig) (*Result, error) {
+// graph whose structural fingerprint is fp; the pipeline itself lives in
+// runSearch.
+func (e *Engine) searchGraph(ctx context.Context, name string, g *graph.Graph, fp string, gpus int, cfg engineConfig) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("tapas: search aborted: %w", err)
 	}
-	key := e.searchKey(g.Fingerprint(), gpus, cfg)
+	key := e.searchKey(fp, gpus, cfg)
 	return e.doCached(ctx, key, name, func() (*Result, error) {
 		return e.computeSearch(ctx, key, name, g, gpus, cfg)
 	})

@@ -7,6 +7,7 @@ import (
 	"tapas/internal/export"
 	"tapas/internal/graph"
 	"tapas/internal/ir"
+	"tapas/internal/models"
 	"tapas/internal/reconstruct"
 	"tapas/internal/sim"
 	"tapas/internal/trace"
@@ -54,7 +55,9 @@ func storeKey(key cacheKey) store.Key {
 
 // computeSearch is the cold path behind the result cache, wrapped with
 // the persistent store when one is attached: store lookup before
-// searching, write-behind persist after a successful cold search.
+// searching, write-behind persist after a successful cold search. g is
+// nil for a memoized registered model (cfg.wireModel); it is built here
+// only once the store has missed.
 func (e *Engine) computeSearch(ctx context.Context, key cacheKey, name string, g *graph.Graph, gpus int, cfg engineConfig) (*Result, error) {
 	if e.store != nil && key.kind == "search" {
 		t0 := time.Now()
@@ -67,6 +70,10 @@ func (e *Engine) computeSearch(ctx context.Context, key cacheKey, name string, g
 		if ok {
 			return res, nil
 		}
+	}
+	g, err := sourceGraph(g, cfg.wireModel)
+	if err != nil {
+		return nil, err
 	}
 	res, err := e.runSearch(ctx, name, g, gpus, cfg)
 	if err == nil {
@@ -97,16 +104,16 @@ func (e *Engine) storeLookup(key cacheKey, name string, g *graph.Graph, gpus int
 }
 
 // restoreResult rebuilds a full Result from a persisted record: the
-// plan is rehydrated against the request's graph (name-independent, by
-// topological node ID and pattern name), re-priced under the resolved
-// cost model, reconstructed into the per-device graph and re-simulated.
-// All of these are deterministic, so the restored Result is identical
-// to the cold one — except the hit markers, and the timing block, which
-// is restored from the record (mirroring the cache-hit contract: timing
-// describes the original cold computation).
+// plan is rehydrated against the model's grouped graph (see grouped;
+// name-independent, by topological node ID and pattern name), re-priced
+// under the resolved cost model, reconstructed into the per-device graph
+// and re-simulated. All of these are deterministic, so the restored
+// Result is identical to the cold one — except the hit markers, and the
+// timing block, which is restored from the record (mirroring the
+// cache-hit contract: timing describes the original cold computation).
 func (e *Engine) restoreResult(rec *store.Record, name string, g *graph.Graph, gpus int, cfg engineConfig) (*Result, error) {
 	cl, model, _, _ := cfg.resolve(gpus)
-	gg, err := ir.Group(g)
+	gg, err := e.grouped(g, cfg.wireModel)
 	if err != nil {
 		return nil, err
 	}
@@ -139,6 +146,35 @@ func (e *Engine) restoreResult(rec *store.Record, name string, g *graph.Graph, g
 	}
 	res.Report = sim.Run(s, sim.DefaultConfig(cl))
 	return res, nil
+}
+
+// grouped returns the grouped graph a store hit rehydrates against: for
+// a registered model (wireModel set) the one in its memo, built and
+// grouped once, by the model's first store hit; for any other graph, g
+// grouped afresh. Rehydration, pricing, reconstruction and simulation
+// only read it, so concurrent hits share it.
+func (e *Engine) grouped(g *graph.Graph, wireModel string) (*ir.GNGraph, error) {
+	e.fpMu.Lock()
+	m := e.memo[wireModel]
+	e.fpMu.Unlock()
+	if m == nil {
+		return ir.Group(g)
+	}
+	m.group.Do(func() {
+		if g, m.err = sourceGraph(g, wireModel); m.err == nil {
+			m.gg, m.err = ir.Group(g)
+		}
+	})
+	return m.gg, m.err
+}
+
+// sourceGraph returns g, or builds the registered model's graph when g
+// is nil (a memoized model whose graph no hit has needed yet).
+func sourceGraph(g *graph.Graph, wireModel string) (*graph.Graph, error) {
+	if g != nil {
+		return g, nil
+	}
+	return models.Build(wireModel)
 }
 
 // storePersist queues one successful cold search for write-behind

@@ -2,10 +2,14 @@ package tapas
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
+	"tapas/internal/export"
 	"tapas/store"
 )
 
@@ -106,6 +110,138 @@ func TestStoreWarmRestart(t *testing.T) {
 	}
 	if stats, _ := eng2.StoreStats(); stats.Hits != 1 {
 		t.Errorf("memory-cache hit consulted the store: %+v", stats)
+	}
+}
+
+// planJSON renders a result's plan document, the bytes a daemon serves.
+func planJSON(t *testing.T, res *Result) string {
+	t.Helper()
+	p, err := export.FromStrategy(res.Strategy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestStoreHitsShareOneGroupedGraph: the store hits of one registered
+// model build and group its graph once per engine — concurrent hits at
+// four GPU counts all rehydrate against the one memoized grouped graph —
+// and serve the cold plans byte for byte.
+func TestStoreHitsShareOneGroupedGraph(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	var specs []SearchSpec
+	for _, gpus := range []int{4, 8, 16, 32} {
+		specs = append(specs, SearchSpec{Model: "t5-100M", GPUs: gpus})
+	}
+	st1 := openStore(t, dir)
+	cold, err := NewEngine(WithStore(st1)).SearchAll(ctx, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st1.Close()
+
+	eng := NewEngine(WithStore(openStore(t, dir)))
+	warm, err := eng.SearchAll(ctx, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.fpMu.Lock()
+	m, n := eng.memo["t5-100M"], len(eng.memo)
+	eng.fpMu.Unlock()
+	if n != 1 || m == nil || m.gg == nil {
+		t.Fatalf("memo holds %d models (t5-100M: %+v), want t5-100M with its grouped graph", n, m)
+	}
+	for i, res := range warm {
+		if !res.StoreHit {
+			t.Errorf("%d GPUs: not a store hit", specs[i].GPUs)
+			continue
+		}
+		if res.Strategy.Graph != m.gg {
+			t.Errorf("%d GPUs: rehydrated against a graph other than the memoized one", specs[i].GPUs)
+		}
+		if planJSON(t, res) != planJSON(t, cold[i]) {
+			t.Errorf("%d GPUs: store-hit plan differs from the cold plan", specs[i].GPUs)
+		}
+	}
+}
+
+// TestStoreHitAllocationBudget holds a warm store hit — the model's
+// grouped graph memoized by an earlier hit — to its allocation budget.
+func TestStoreHitAllocationBudget(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	st1 := openStore(t, dir)
+	eng1 := NewEngine(WithStore(st1))
+	for _, gpus := range []int{4, 8} {
+		if _, err := eng1.Search(ctx, "t5-100M", gpus); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st1.Close()
+
+	// WithCache(0): every call below is a store hit, not a cache hit.
+	eng := NewEngine(WithStore(openStore(t, dir)), WithCache(0), WithWorkers(1))
+	if res, err := eng.Search(ctx, "t5-100M", 4); err != nil || !res.StoreHit {
+		t.Fatalf("warm-up at 4 GPUs: err=%v, want a store hit", err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if res, err := eng.Search(ctx, "t5-100M", 8); err != nil || !res.StoreHit {
+			t.Fatalf("8 GPUs: err=%v, want a store hit", err)
+		}
+	})
+	if allocs > 2500 {
+		t.Errorf("a warm store hit (t5-100M@8) made %.0f allocations, budget 2,500", allocs)
+	}
+}
+
+// TestStoreReadsIndentedRecords: a record written indented, as earlier
+// builds wrote every record, is served exactly like the compact record
+// written now, which is the smaller of the two.
+func TestStoreReadsIndentedRecords(t *testing.T) {
+	ctx := context.Background()
+	compactDir, indentDir := t.TempDir(), t.TempDir()
+	st := openStore(t, compactDir)
+	cold, err := NewEngine(WithStore(st)).Search(ctx, "t5-100M", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	keys := st.Keys()
+	if len(keys) != 1 {
+		t.Fatalf("store has %d records, want 1", len(keys))
+	}
+	name := keys[0].ID() + ".json"
+	compact, err := os.ReadFile(filepath.Join(compactDir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec store.Record
+	if err := json.Unmarshal(compact, &rec); err != nil {
+		t.Fatal(err)
+	}
+	indented, err := json.MarshalIndent(&rec, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(compact) >= len(indented) {
+		t.Errorf("compact record is %d bytes, indented %d: want it smaller", len(compact), len(indented))
+	}
+	if err := os.WriteFile(filepath.Join(indentDir, name), indented, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{compactDir, indentDir} {
+		res, err := NewEngine(WithStore(openStore(t, dir))).Search(ctx, "t5-100M", 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.StoreHit || planJSON(t, res) != planJSON(t, cold) {
+			t.Errorf("%s: store hit %v, or its plan differs from the cold plan", filepath.Base(dir), res.StoreHit)
+		}
 	}
 }
 

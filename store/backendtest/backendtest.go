@@ -2,10 +2,10 @@
 // implementation must pass. It pins the byte-level contract — exact
 // round trips, atomic overwrite, idempotent delete, ErrNotFound
 // wrapping, survival of concurrent same-key publishes — plus the
-// store-level guarantee that a corrupt record in the corpus is skipped,
-// not fatal. The store package runs it against the filesystem backend
-// and store/remotebackend against the HTTP peer protocol, so the two
-// can never drift apart.
+// store-level guarantee that a corrupt record in the corpus is dropped
+// on its first read, not fatal. The store package runs it against the
+// filesystem backend and store/remotebackend against the HTTP peer
+// protocol, so the two can never drift apart.
 package backendtest
 
 import (
@@ -201,7 +201,7 @@ func Run(t *testing.T, h Harness) {
 		if err := b.Put(id, data); err != nil {
 			t.Fatal(err)
 		}
-		_, badID, _ := record(6, "a")
+		badK, badID, _ := record(6, "a")
 		h.Corrupt(t, b, badID, []byte("this is not a record"))
 
 		// The byte layer lists what it holds, garbage included …
@@ -212,22 +212,30 @@ func Run(t *testing.T, h Harness) {
 		if len(ents) != 2 {
 			t.Fatalf("list hid the corrupt record: %d entries, want 2", len(ents))
 		}
-		// … and the Store over it skips the garbage, reports it, and
-		// serves the valid neighbor.
+		// … and the Store over it opens without reading either, serves
+		// the valid neighbor, and drops and reports the garbage on its
+		// first read.
 		var reported int
 		s, err := store.Open(store.Options{Backend: b, OnCorrupt: func(string, error) { reported++ }})
 		if err != nil {
 			t.Fatalf("corrupt records must not fail Open: %v", err)
 		}
 		defer s.Close()
-		if s.Len() != 1 {
-			t.Errorf("store indexed %d records, want only the valid one", s.Len())
-		}
-		if reported != 1 {
-			t.Errorf("reported %d corrupt records, want 1", reported)
+		if s.Len() != 2 || reported != 0 {
+			t.Errorf("Open indexed %d records and reported %d, want both listed and none read", s.Len(), reported)
 		}
 		if _, ok := s.Get(k); !ok {
 			t.Error("valid record lost next to a corrupt neighbor")
+		}
+		if _, ok := s.Get(badK); ok {
+			t.Fatal("garbage served as a record")
+		}
+		if reported != 1 || s.Stats().Corrupt != 1 || s.Len() != 1 {
+			t.Errorf("first read of the garbage: reported %d, corrupt %d, indexed %d; want 1, 1, 1",
+				reported, s.Stats().Corrupt, s.Len())
+		}
+		if _, err := b.Get(badID); !errors.Is(err, store.ErrNotFound) {
+			t.Errorf("dropped garbage still at the backend: %v", err)
 		}
 	})
 }

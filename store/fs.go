@@ -41,8 +41,9 @@ func (f *FS) Dir() string { return f.dir }
 func (f *FS) Path(id string) string { return filepath.Join(f.dir, id+".json") }
 
 // Get reads the record published under id. It does not refresh
-// recency — the Store calls Touch on genuine hits, so that open-time
-// validation and GC scans never rejuvenate records they merely read.
+// recency — the Store calls Touch on genuine hits only, so a read that
+// is not a hit (a record dropped as corrupt, a replication sweep) never
+// rejuvenates it.
 func (f *FS) Get(id string) ([]byte, error) {
 	if !validID(id) {
 		return nil, fmt.Errorf("%w: malformed id %q", ErrNotFound, id)

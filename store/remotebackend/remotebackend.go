@@ -2,8 +2,8 @@
 // /v1/store HTTP endpoints (store.Handler), so N replicas share one
 // plan corpus: a cold search persisted by any replica is served warm by
 // all of them. Open the store over it with store.Options.Shared — the
-// replica then trusts the owner's validation at open, fills its index
-// lazily, and never evicts the owner's bytes.
+// replica then falls through to the owner on index misses, tolerates an
+// unreachable owner at open, and never evicts the owner's bytes.
 package remotebackend
 
 import (

@@ -111,6 +111,43 @@ func TestExclusiveMissSkipsBackendRead(t *testing.T) {
 	}
 }
 
+// TestExclusiveOpenReadsNoRecord: an exclusive open indexes the listing
+// exactly like a shared one — Open costs one List, not a read per record.
+func TestExclusiveOpenReadsNoRecord(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir)
+	for i := 0; i < 10; i++ {
+		if err := s.Put(testKey(i), testRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+
+	fs, err := NewFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb := &countingBackend{Backend: fs}
+	s2, err := Open(Options{Backend: cb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if cb.gets != 0 {
+		t.Errorf("Open read %d records from the backend, want 0", cb.gets)
+	}
+	if s2.Len() != 10 {
+		t.Errorf("Open indexed %d records, want 10", s2.Len())
+	}
+	if _, ok := s2.Get(testKey(3)); !ok || cb.gets != 1 {
+		t.Errorf("first Get: hit=%v after %d backend reads, want a hit after 1", ok, cb.gets)
+	}
+	// The key of a listed record is learnt by its first read.
+	if keys := s2.Keys(); keys[0] != testKey(3) || keys[1] != (Key{}) {
+		t.Errorf("Keys after one Get = %v…, want the read key first, then zero keys", keys[:2])
+	}
+}
+
 // TestSharedOpenTrustsListing: a shared open indexes the corpus without
 // replaying every record; garbage is only discovered (and dropped) when
 // its key is actually requested.

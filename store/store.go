@@ -14,11 +14,12 @@
 // by one replica warms all of them.
 //
 // The Store layers policy over the backend: a bounded in-memory LRU
-// index loaded at Open (recency persisted via backend timestamps),
-// corruption-tolerant reads (records that fail to parse, carry a future
-// schema version, or do not match their content address are skipped and
-// reported, never fatal), a write-behind queue with Flush/Close drain,
-// and optional age-based GC (at Open and on a timer).
+// index built at Open from the backend's listing alone (recency
+// persisted via backend timestamps), corruption-tolerant reads (a
+// record that fails to parse, carries a future schema version, or does
+// not match its content address is dropped and reported on its first
+// read, never fatal), a write-behind queue with Flush/Close drain, and
+// optional age-based GC (at Open and on a timer).
 //
 // All methods are safe for concurrent use.
 package store
@@ -40,8 +41,8 @@ import (
 )
 
 // RecordSchemaVersion is the current on-disk record envelope schema.
-// Additive changes keep the version; breaking changes bump it. Open
-// skips records newer than this (reported as corrupt, not fatal); the
+// Additive changes keep the version; breaking changes bump it. Get
+// drops records newer than this (reported as corrupt, not fatal); the
 // embedded plan document carries its own export.SchemaVersion.
 const RecordSchemaVersion = 1
 
@@ -123,13 +124,12 @@ type Options struct {
 	Backend Backend
 	// Shared marks the backend's corpus as shared with other replicas
 	// (a remote backend, or a filesystem directory on shared storage).
-	// A shared Store trusts the backend's List at Open instead of
-	// reading every record (the corpus owner already validated them),
-	// serves index misses by consulting the backend (a record a peer
-	// persisted after this Open is still a hit), tolerates an
-	// unreachable corpus at Open (it starts empty and fills lazily),
-	// and evicts only its local index entries — never the shared bytes,
-	// whose bound belongs to the corpus owner.
+	// Every Store indexes the backend's List at Open without reading a
+	// record; a shared one in addition serves index misses by consulting
+	// the backend (a record a peer persisted after this Open is still a
+	// hit), tolerates an unreachable corpus at Open (it starts empty and
+	// fills lazily), and evicts only its local index entries — never the
+	// shared bytes, whose bound belongs to the corpus owner.
 	Shared bool
 	// MaxEntries bounds the indexed record count (LRU eviction past
 	// it). 0 selects DefaultMaxEntries.
@@ -142,10 +142,9 @@ type Options struct {
 	// GCInterval is the GC timer period; 0 selects GCAge/4, clamped to
 	// [1s, 1h].
 	GCInterval time.Duration
-	// OnCorrupt, when set, observes every record skipped or dropped as
-	// unreadable — at Open and later (a record that fails to decode on
-	// Get) — and every failed write-behind persist. The store never
-	// fails on either; this is the report.
+	// OnCorrupt, when set, observes every record dropped as unreadable
+	// on its first Get, and every failed write-behind persist. The store
+	// never fails on either; this is the report.
 	OnCorrupt func(path string, err error)
 }
 
@@ -157,8 +156,8 @@ const DefaultMaxEntries = 4096
 const queueSize = 256
 
 // Stats is a point-in-time snapshot of store traffic, for health and
-// metrics endpoints. Corrupt counts records skipped at Open plus records
-// dropped later as unreadable or no longer rehydratable.
+// metrics endpoints. Corrupt counts records dropped on their first read
+// as unreadable, and records dropped as no longer rehydratable.
 type Stats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
@@ -217,9 +216,10 @@ type Store struct {
 }
 
 // Open loads (or creates) the store over opts.Backend (or the filesystem
-// backend at opts.Dir). Unreadable records are skipped and reported
-// through opts.OnCorrupt — Open only fails when the backend itself
-// cannot be created or (for exclusive corpora) listed.
+// backend at opts.Dir). Open reads no record: an unreadable one is
+// dropped and reported through opts.OnCorrupt by its first Get. Open
+// only fails when the backend itself cannot be created or (for
+// exclusive corpora) listed.
 func Open(opts Options) (*Store, error) {
 	if opts.MaxEntries <= 0 {
 		opts.MaxEntries = DefaultMaxEntries
@@ -259,12 +259,12 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
-// load scans the backend into the in-memory index, oldest first so the
-// LRU order approximates the pre-restart recency. Exclusive (non-shared)
-// corpora are validated record by record — a corrupt store is caught at
-// startup, not at serving time; shared corpora trust the owner's
-// validation and fill lazily, so a replica boots without replaying the
-// whole corpus over the wire.
+// load indexes the backend's listing, oldest first so the LRU order
+// approximates the pre-restart recency. No record is read: Open costs
+// one List however large the corpus, and each record is validated on
+// its first Get, where one that does not decode, carries a future
+// schema, has no plan or does not match its content address is dropped
+// and reported.
 func (s *Store) load() error {
 	ents, err := s.backend.List()
 	if err != nil {
@@ -282,50 +282,13 @@ func (s *Store) load() error {
 		return err
 	}
 	sort.Slice(ents, func(i, j int) bool { return ents[i].ModTime.Before(ents[j].ModTime) })
-	var keep []entry
-	for _, ei := range ents {
-		e := entry{id: ei.ID}
-		if !s.shared {
-			key, err := s.check(ei.ID)
-			if err != nil {
-				s.reportCorrupt(s.describe(ei.ID), err)
-				continue
-			}
-			e.key = key
-		}
-		keep = append(keep, e)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i := range keep {
-		e := keep[i]
-		s.index[e.id] = s.ll.PushFront(&entry{id: e.id, key: e.key})
+	for _, ei := range ents {
+		s.index[ei.ID] = s.ll.PushFront(&entry{id: ei.ID})
 	}
 	s.evictLocked()
 	return nil
-}
-
-// check validates one stored record against its content address,
-// returning its key. Only the key is kept in memory (Open must stay
-// cheap on big stores).
-func (s *Store) check(id string) (Key, error) {
-	rec, err := s.readRecord(id)
-	if err != nil {
-		return Key{}, err
-	}
-	if got := rec.Key.ID(); got != id {
-		return Key{}, fmt.Errorf("store: key hashes to %s, record named %s", got[:12], id)
-	}
-	return rec.Key, nil
-}
-
-// readRecord fetches and decodes one record from the backend.
-func (s *Store) readRecord(id string) (*Record, error) {
-	data, err := s.backend.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	return decodeRecord(id, data)
 }
 
 // decodeRecord decodes one record payload, enforcing the envelope
@@ -369,10 +332,11 @@ func (s *Store) reportCorrupt(path string, err error) {
 // miss still consults the backend, so a record persisted by a peer
 // replica after this Open is a hit (and is indexed from then on); an
 // exclusive store answers misses from its authoritative index alone.
-// A record that no longer decodes is dropped (counted as corrupt) and
-// reported as a miss; a transient backend failure is a miss that keeps
-// the record. A hit refreshes the record's recency, in memory and at
-// the backend, so the LRU order survives restarts.
+// Get is where records are validated: one that does not decode, carries
+// a future schema, has no plan or holds another key is dropped (counted
+// as corrupt) and reported as a miss; a transient backend failure is a
+// miss that keeps the record. A hit refreshes the record's recency, in
+// memory and at the backend, so the LRU order survives restarts.
 func (s *Store) Get(k Key) (*Record, bool) {
 	id := k.ID()
 	s.mu.Lock()
@@ -422,7 +386,9 @@ func (s *Store) Get(k Key) (*Record, bool) {
 		return nil, false
 	}
 	s.mu.Lock()
-	if _, ok := s.index[id]; !ok {
+	if el, ok := s.index[id]; ok {
+		el.Value.(*entry).key = k // listed at Open, known from now on
+	} else {
 		s.index[id] = s.ll.PushFront(&entry{id: id, key: k})
 		s.evictLocked()
 	}
@@ -457,9 +423,10 @@ func (s *Store) Contains(k Key) bool {
 	return ok
 }
 
-// Put persists rec under k, synchronously and atomically at the
-// backend. The record's Key and SchemaVersion envelope fields are set
-// by the store; CreatedUnixMS is stamped when zero.
+// Put persists rec under k as compact JSON, synchronously and atomically
+// at the backend (readers accept any JSON layout, so older indented
+// records stay valid). The record's Key and SchemaVersion envelope
+// fields are set by the store; CreatedUnixMS is stamped when zero.
 func (s *Store) Put(k Key, rec *Record) error {
 	cp := *rec
 	cp.SchemaVersion = RecordSchemaVersion
@@ -470,7 +437,7 @@ func (s *Store) Put(k Key, rec *Record) error {
 	if cp.Plan == nil {
 		return fmt.Errorf("store: refusing to persist a record without a plan")
 	}
-	data, err := json.MarshalIndent(&cp, "", "  ")
+	data, err := json.Marshal(&cp)
 	if err != nil {
 		return fmt.Errorf("store: encode record: %w", err)
 	}
@@ -590,9 +557,10 @@ func (s *Store) Stats() Stats {
 }
 
 // Keys lists the keys of every indexed record, most recently used
-// first — for inspection and administration. Shared stores index lazily
-// and only learn a record's key when it is first read, so entries listed
-// from the owner's corpus may carry zero keys until then.
+// first — for inspection and administration. Open indexes the backend's
+// listing without reading records, and a store learns a record's key
+// only when it is written or first read, so a record not yet read
+// since Open carries a zero key (on any corpus).
 func (s *Store) Keys() []Key {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -188,7 +188,11 @@ func TestEvictionOrderSurvivesReopen(t *testing.T) {
 	}
 }
 
-func TestCorruptRecordsSkippedAtOpen(t *testing.T) {
+// TestCorruptRecordsDroppedOnFirstGet: Open reads no record, so a
+// corrupt one costs nothing until it is asked for; its first Get drops
+// it from index and disk, reports it and counts it, and the valid
+// neighbour is served throughout.
+func TestCorruptRecordsDroppedOnFirstGet(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir)
 	if err := s.Put(testKey(1), testRecord(1)); err != nil {
@@ -206,8 +210,9 @@ func TestCorruptRecordsSkippedAtOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A record from the future.
+	futurePath := filepath.Join(dir, testKey(8).ID()+".json")
 	future, _ := json.Marshal(&Record{SchemaVersion: RecordSchemaVersion + 1, Key: testKey(8), Plan: &export.StrategyJSON{SchemaVersion: 1}})
-	if err := os.WriteFile(filepath.Join(dir, testKey(8).ID()+".json"), future, 0o644); err != nil {
+	if err := os.WriteFile(futurePath, future, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// A leftover temp file from an interrupted write, aged past the
@@ -233,23 +238,41 @@ func TestCorruptRecordsSkippedAtOpen(t *testing.T) {
 		t.Fatalf("corrupt records must not fail Open: %v", err)
 	}
 	defer s2.Close()
-	if s2.Len() != 1 {
-		t.Errorf("store indexed %d records, want only the valid one", s2.Len())
-	}
-	if _, ok := s2.Get(testKey(1)); !ok {
-		t.Error("valid record lost among corrupt neighbors")
-	}
-	if len(reported) != 3 {
-		t.Errorf("reported %d corrupt records (%v), want 3", len(reported), reported)
-	}
-	if st := s2.Stats(); st.Corrupt != 3 {
-		t.Errorf("corrupt count = %d, want 3", st.Corrupt)
+	if s2.Len() != 4 || len(reported) != 0 {
+		t.Errorf("Open indexed %d records and reported %v, want all 4 listed and none read", s2.Len(), reported)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "zz-123.tmp")); !os.IsNotExist(err) {
 		t.Error("stale leftover temp file not cleaned up")
 	}
 	if _, err := os.Stat(filepath.Join(dir, "zz-456.tmp")); err != nil {
 		t.Error("fresh temp file reaped — a concurrent Put's rename would break")
+	}
+
+	if _, ok := s2.Get(testKey(1)); !ok {
+		t.Error("valid record lost among corrupt neighbors")
+	}
+	if _, ok := s2.Get(testKey(8)); ok {
+		t.Fatal("future-schema record served")
+	}
+	if len(reported) != 1 || reported[0] != testKey(8).ID()+".json" {
+		t.Errorf("first Get reported %v, want only the future-schema record", reported)
+	}
+	if st := s2.Stats(); st.Corrupt != 1 {
+		t.Errorf("corrupt count = %d, want 1", st.Corrupt)
+	}
+	if _, err := os.Stat(futurePath); !os.IsNotExist(err) {
+		t.Error("future-schema record left on disk after its first Get")
+	}
+	if s2.Len() != 3 {
+		t.Errorf("index holds %d records after the drop, want 3", s2.Len())
+	}
+	// No key hashes to the two misnamed records, so no Get reaches them
+	// — not even one for the key the stray carries.
+	if _, ok := s2.Get(testKey(7)); ok {
+		t.Error("stray record served under the key it carries")
+	}
+	if _, ok := s2.Get(testKey(1)); !ok || len(reported) != 1 {
+		t.Errorf("valid record not served again, or more reports: %v", reported)
 	}
 }
 
