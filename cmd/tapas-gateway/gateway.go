@@ -51,8 +51,7 @@ const (
 type gatewayConfig struct {
 	replicas       []string
 	healthInterval time.Duration // active health-check period (default 2s)
-	rate           float64       // tokens/second per client; 0 disables rate limiting
-	burst          int           // bucket depth (default max(1, 2*rate))
+	rate           float64       // tokens/second per client, bucket depth max(1, 2*rate); 0 disables rate limiting
 	logf           func(string, ...any)
 
 	// rec is the gateway's trace flight recorder; nil disables tracing
@@ -174,11 +173,9 @@ func newGateway(cfg gatewayConfig) *gateway {
 	}
 	gw.view.Store(newFleetView(reps))
 	if cfg.rate > 0 {
-		burst := cfg.burst
-		if burst <= 0 {
-			burst = int(math.Max(1, 2*cfg.rate))
-		}
-		gw.limiter = newLimiter(cfg.rate, burst)
+		// A bucket holds two seconds of tokens: a client may burst twice
+		// its rate, and never less than one request.
+		gw.limiter = newLimiter(cfg.rate, int(math.Max(1, 2*cfg.rate)))
 	}
 	return gw
 }

@@ -241,7 +241,7 @@ func TestFailoverToNextRingNode(t *testing.T) {
 // gets 429 + Retry-After; other clients are unaffected.
 func TestRateLimit429WithRetryAfter(t *testing.T) {
 	f := newFakeReplica(t, "a")
-	gw, srv := testGateway(t, gatewayConfig{replicas: []string{f.srv.URL}, rate: 1, burst: 2})
+	gw, srv := testGateway(t, gatewayConfig{replicas: []string{f.srv.URL}, rate: 1}) // bucket depth 2
 
 	body := `{"model":"t5-100M","gpus":8}`
 	var limited *http.Response
@@ -967,8 +967,8 @@ func TestFleetHotReload(t *testing.T) {
 
 // TestRunWiresFlags starts run() — the whole of main() but the signal
 // handler — on a free loopback port: -replicas seeds a fleet that is
-// health-checked before traffic is taken, -rate/-burst arm the
-// per-client limiter (429 + Retry-After for the bursty client only),
+// health-checked before traffic is taken, -rate arms the per-client
+// limiter (429 + Retry-After for the bursty client only),
 // cancelling the context drains to exit 0, and no -replicas is exit 2.
 func TestRunWiresFlags(t *testing.T) {
 	if code := run(context.Background(), []string{"-addr", "127.0.0.1:0"}, io.Discard, nil); code != 2 {
@@ -981,7 +981,7 @@ func TestRunWiresFlags(t *testing.T) {
 	addr := make(chan string, 1)
 	exit := make(chan int, 1)
 	go func() {
-		args := []string{"-addr", "127.0.0.1:0", "-replicas", a.srv.URL + "," + b.srv.URL, "-rate", "1", "-burst", "2"}
+		args := []string{"-addr", "127.0.0.1:0", "-replicas", a.srv.URL + "," + b.srv.URL, "-rate", "1"}
 		exit <- run(ctx, args, io.Discard, func(a string) { addr <- a })
 	}()
 	var base string
@@ -1006,7 +1006,7 @@ func TestRunWiresFlags(t *testing.T) {
 		}
 	}
 	if limited == nil || limited.Header.Get("Retry-After") == "" {
-		t.Errorf("3 rapid requests against -burst 2: no 429 with Retry-After (%+v)", limited)
+		t.Errorf("3 rapid requests against -rate 1 (bucket depth 2): no 429 with Retry-After (%+v)", limited)
 	}
 	if resp := search("calm"); resp.StatusCode != http.StatusOK {
 		t.Errorf("other client caught in the limiter: %d", resp.StatusCode)

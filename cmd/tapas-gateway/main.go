@@ -11,9 +11,10 @@
 // along the hash ring on transport errors; which replica answered is
 // reported in the X-Tapas-Replica response header.
 //
-// With -rate, each client (the X-Tapas-Client header, else the client
-// IP) gets a token bucket; requests beyond it are answered 429 with
-// Retry-After, which service.Client's GET retries honor.
+// With -rate R, each client (the X-Tapas-Client header, else the client
+// IP) gets a token bucket of depth max(1, 2R); requests beyond it are
+// answered 429 with Retry-After, which service.Client's GET retries
+// honor.
 //
 // Identical concurrent searches collapse into one upstream request
 // (singleflight, keyed by path + raw body): during a cold-plan
@@ -42,7 +43,7 @@
 // Usage:
 //
 //	tapas-gateway -addr :8090 -replicas http://127.0.0.1:8081,http://127.0.0.1:8082
-//	tapas-gateway -addr :8090 -replicas ... -rate 10 -burst 20 -health-interval 2s
+//	tapas-gateway -addr :8090 -replicas ... -rate 10 -health-interval 2s
 package main
 
 import (
@@ -73,8 +74,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 	var replicas cli.StringList
 	fs.Var(&replicas, "replicas", "comma-separated tapas-serve base URLs (required)")
 	healthInterval := fs.Duration("health-interval", 2*time.Second, "active health-check period")
-	rate := fs.Float64("rate", 0, "per-client request rate (tokens/second; 0 disables rate limiting)")
-	burst := fs.Int("burst", 0, "per-client burst size (0 = max(1, 2*rate))")
+	rate := fs.Float64("rate", 0, "per-client request rate (tokens/second, bursts up to max(1, 2*rate); 0 disables rate limiting)")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight requests")
 	pprofAddr := fs.String("pprof-addr", "", "listen address of the pprof debug server (empty disables)")
 	traceSample := fs.Int("trace-sample", 0, "record 1 in N untraced requests in the flight recorder (0 disables sampling; requests arriving with X-Tapas-Trace are always recorded)")
@@ -93,7 +93,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 		replicas:       replicas,
 		healthInterval: *healthInterval,
 		rate:           *rate,
-		burst:          *burst,
 		logf:           logf,
 		rec:            trace.NewRecorder(trace.Config{Process: "tapas-gateway" + *addr, SampleEvery: *traceSample}),
 		traceSlow:      *traceSlow,

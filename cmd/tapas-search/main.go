@@ -87,18 +87,15 @@ func main() {
 		return
 	}
 
-	engOpts := []tapas.Option{
-		tapas.WithWorkers(*workers),
-		tapas.WithExhaustive(*exhaustive),
-	}
+	eng := tapas.NewEngine(tapas.WithWorkers(*workers), tapas.WithExhaustive(*exhaustive))
+	var observe func(tapas.ProgressEvent)
 	if *progress {
-		engOpts = append(engOpts, tapas.WithProgress(printProgress))
+		observe = printProgress
 	}
-	eng := tapas.NewEngine(engOpts...)
 	if len(names) > 1 {
 		specs := make([]tapas.SearchSpec, len(names))
 		for i, n := range names {
-			specs[i] = tapas.SearchSpec{Model: n, GPUs: *gpus}
+			specs[i] = tapas.SearchSpec{Model: n, GPUs: *gpus, Progress: observe}
 		}
 		results, err := eng.SearchAll(ctx, specs)
 		for _, res := range results {
@@ -143,12 +140,12 @@ func main() {
 		if *baseline != "" {
 			res, err = eng.BaselineGraph(ctx, *baseline, g, *gpus)
 		} else {
-			res, err = eng.SearchGraph(ctx, g, *gpus)
+			res, err = eng.SearchSpec(ctx, tapas.SearchSpec{Graph: g, GPUs: *gpus, Progress: observe})
 		}
 	case *baseline != "":
 		res, err = eng.Baseline(ctx, *baseline, *model, *gpus)
 	default:
-		res, err = eng.Search(ctx, *model, *gpus)
+		res, err = eng.SearchSpec(ctx, tapas.SearchSpec{Model: *model, GPUs: *gpus, Progress: observe})
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -240,16 +237,9 @@ func runRemoteBatch(ctx context.Context, addr string, names []string, gpus, work
 			continue
 		}
 		r := item.Response
-		served := "cold"
-		switch {
-		case r.CacheHit:
-			served = "cache"
-		case r.StoreHit:
-			served = "store"
-		}
 		fmt.Printf("%-16s %2d GPUs  plan: %-60s  search=%.3fs  %.3fs/iter, %.2f TFLOPS/GPU (%s)\n",
 			r.Model, r.GPUs, r.PlanSummary, r.Timing.TotalSeconds,
-			r.Report.IterationSeconds, r.Report.TFLOPSPerGPU, served)
+			r.Report.IterationSeconds, r.Report.TFLOPSPerGPU, servedFrom(r))
 		if verbose && r.Plan != nil {
 			fmt.Println("assignment:")
 			for _, a := range r.Plan.Assignments {
@@ -294,14 +284,22 @@ func runRemoteJob(ctx context.Context, c *service.Client, req service.SearchRequ
 	return final.Result, nil
 }
 
+// servedFrom labels where a daemon found a plan: its memory cache
+// ("cache", which wins when a store-restored plan is re-served from
+// memory), its plan store ("store"), or a search it ran ("cold").
+func servedFrom(resp *service.SearchResponse) string {
+	switch {
+	case resp.CacheHit:
+		return "cache"
+	case resp.StoreHit:
+		return "store"
+	}
+	return "cold"
+}
+
 // printResponse renders a daemon response in the local output format.
 func printResponse(resp *service.SearchResponse, verbose bool) {
-	system := "TAPAS"
-	served := "cold"
-	if resp.CacheHit {
-		served = "served from cache"
-	}
-	fmt.Printf("model:        %s on %d GPUs (%s, remote, %s)\n", resp.Model, resp.GPUs, system, served)
+	fmt.Printf("model:        %s on %d GPUs (TAPAS, remote, %s)\n", resp.Model, resp.GPUs, servedFrom(resp))
 	fmt.Printf("plan:         %s\n", resp.PlanSummary)
 	fmt.Printf("search time:  total=%.3fs (group=%.3fs mine=%.3fs search=%.3fs)\n",
 		resp.Timing.TotalSeconds, resp.Timing.GroupSeconds, resp.Timing.MineSeconds, resp.Timing.SearchSeconds)

@@ -10,7 +10,9 @@ import (
 	"strings"
 	"testing"
 
+	"tapas"
 	"tapas/service"
+	"tapas/store"
 )
 
 // binary is built once in TestMain and shared by every smoke test.
@@ -101,5 +103,40 @@ func TestCLIRemoteBatch(t *testing.T) {
 				t.Errorf("remote batch output missing a %s line for %s:\n%s", served, model, out)
 			}
 		}
+	}
+}
+
+// TestCLIRemoteStoreHit: a single -serve-addr search that a fresh daemon
+// answers from its plan store is labeled "store", not "cold".
+func TestCLIRemoteStoreHit(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	serve := func() (*service.Service, *store.Store) {
+		st, err := store.Open(store.Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc, err := service.New(service.Config{EngineOptions: []tapas.Option{tapas.WithStore(st)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return svc, st
+	}
+
+	warm, st := serve()
+	if _, err := warm.Search(ctx, service.SearchRequest{Model: "t5-100M", GPUs: 8}); err != nil {
+		t.Fatal(err)
+	}
+	warm.Shutdown(ctx)
+	st.Close() // flushes the write-behind queue
+
+	svc, st := serve()
+	defer st.Close()
+	defer svc.Shutdown(ctx)
+	srv := httptest.NewServer(service.NewHandler(svc))
+	defer srv.Close()
+	out := run(t, "-serve-addr", srv.URL, "-model", "t5-100M", "-gpus", "8")
+	if !strings.Contains(out, "(TAPAS, remote, store)") {
+		t.Errorf("store hit not labeled as one:\n%s", out)
 	}
 }

@@ -38,7 +38,6 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"io"
 	"log"
 	"os"
@@ -47,7 +46,6 @@ import (
 
 	"tapas"
 	"tapas/internal/cli"
-	"tapas/internal/logkv"
 	"tapas/internal/trace"
 	"tapas/service"
 	"tapas/service/dispatch"
@@ -77,14 +75,12 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 	var storePeers cli.StringList
 	fs.Var(&storePeers, "store-peer", "peer daemon URL sharing the plan corpus (repeatable, commas allowed). Alone: read/write that peer's corpus. With -store-dir: replicate — writes fan out to every peer, reads fall through with read-repair, anti-entropy keeps all replicas converged")
 	storeMax := fs.Int("store-max", store.DefaultMaxEntries, "plan store record bound (LRU eviction past it)")
-	storeGCAge := fs.Duration("store-gc-age", 0, "delete store records unused for longer than this, at open and on a timer (0 disables GC; incompatible with -store-peer)")
-	storeGCInterval := fs.Duration("store-gc-interval", 0, "store GC timer period (0 = age/4, clamped to [1s, 1h])")
+	storeGCAge := fs.Duration("store-gc-age", 0, "delete store records unused for longer than this, at open and every age/4 (clamped to [1s, 1h]) after (0 disables GC; incompatible with -store-peer)")
 	storeSweep := fs.Duration("store-sweep-interval", 30*time.Second, "anti-entropy sweep period of a replicated corpus (0 disables; only with -store-dir plus -store-peer)")
 	storeProbe := fs.Duration("store-probe-interval", 3*time.Second, "how often a down replication peer is re-probed")
 	jobsDir := fs.String("jobs-dir", "", "durable job record directory; queued/running jobs survive restarts (default <store-dir>/jobs when -store-dir is set, empty disables)")
 	maxFinished := fs.Int("max-finished", 256, "finished jobs retained for status polling")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for running jobs and in-flight requests before cancelling them")
-	progress := fs.Bool("progress", false, "log engine progress events")
 	var fleet cli.StringList
 	fs.Var(&fleet, "fleet", "comma-separated peer daemon URLs to scatter cold searches across (e.g. http://replica-b:8080,http://replica-c:8080)")
 	taskTimeout := fs.Duration("task-timeout", 2*time.Minute, "per-peer deadline of one scattered task batch (with -fleet)")
@@ -134,7 +130,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 			Dir:        *storeDir,
 			MaxEntries: *storeMax,
 			GCAge:      *storeGCAge,
-			GCInterval: *storeGCInterval,
 			OnCorrupt: func(path string, err error) {
 				logf("store: skipping unreadable record %s: %v", path, err)
 			},
@@ -161,18 +156,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 		cfg.EngineOptions = append(cfg.EngineOptions, tapas.WithStore(st))
 		if repl != nil {
 			cfg.Replication = repl
-		}
-	}
-	if *progress {
-		cfg.OnProgress = func(ev tapas.ProgressEvent) {
-			logf("%s", logkv.Line("progress",
-				"model", ev.Model,
-				"gpus", ev.GPUs,
-				"phase", ev.Phase,
-				"kind", ev.Kind,
-				"classes", fmt.Sprintf("%d/%d", ev.ClassesDone, ev.ClassesTotal),
-				"examined", ev.Examined,
-			))
 		}
 	}
 	jdir := *jobsDir

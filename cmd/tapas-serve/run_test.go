@@ -473,6 +473,13 @@ func TestKill9AdoptsJobs(t *testing.T) {
 		st, err := first.c.Job(ctx, ids[0])
 		return err == nil && st.State == service.JobRunning
 	})
+	// Records are written behind: on a loaded machine a kill right after
+	// the start can beat the later submissions to disk. Wait for all four
+	// submissions and the first job's start to land.
+	eventually(t, "the job records to reach disk", func() bool {
+		h := first.health(t)
+		return h.JobStore != nil && h.JobStore.Persists >= int64(len(ids))+1
+	})
 	first.kill(t)
 
 	second := startProcess(t, "-store-dir", dir, "-job-workers", "1")

@@ -38,17 +38,17 @@ import (
 //   - an LRU result cache keyed by (graph fingerprint, cluster signature,
 //     options), so a repeated search returns in microseconds with
 //     Result.CacheHit set;
-//   - a progress-event stream (WithProgress) reporting phase enter/exit,
-//     classes enumerated and candidates examined while a search runs.
+//   - a per-search progress-event stream (SearchSpec.Progress) reporting
+//     phase enter/exit, classes enumerated and candidates examined while
+//     the search runs.
 //
 // The zero value is not usable; call NewEngine. Methods may be called
 // concurrently from any number of goroutines. Results handed out by the
 // Engine (including cache hits, which share Strategy/Parallel pointers
 // with later hits) must be treated as immutable.
 type Engine struct {
-	base     engineConfig
-	progress func(ProgressEvent)
-	store    *store.Store // persistent plan store (nil: not attached)
+	base  engineConfig
+	store *store.Store // persistent plan store (nil: not attached)
 
 	mu       sync.Mutex // guards cache, inflight and stats
 	cache    *lruCache
@@ -57,8 +57,6 @@ type Engine struct {
 
 	fpMu sync.Mutex
 	memo map[string]*modelMemo // registered model name → what the engine keeps of it
-
-	progressMu sync.Mutex // serializes the progress callback
 }
 
 // modelMemo is what an Engine keeps of one registered model: its
@@ -86,16 +84,13 @@ type flight struct {
 // same pipeline and cache.
 type engineConfig struct {
 	cluster    *cluster.Cluster
-	costModel  *cost.Model
-	mining     *mining.Options
-	enum       *strategy.EnumOptions
 	workers    int
 	exhaustive bool
 	timeBudget time.Duration
-	// progress is a per-call observer (SearchSpec.Progress): it receives
-	// exactly this search's events, never another caller's, in addition
-	// to the engine-level WithProgress observer. Deliberately excluded
-	// from the cache key — observers never change results.
+	// progress is the search's observer (SearchSpec.Progress): it
+	// receives exactly this search's events, never another caller's.
+	// Deliberately excluded from the cache key — observers never change
+	// results.
 	progress func(ProgressEvent)
 	// runnerFor is the task-shipping factory (WithTaskRunner), consulted
 	// per cold search. Like progress it is excluded from the cache key:
@@ -123,22 +118,6 @@ func WithCluster(cl *cluster.Cluster) Option {
 // every value; only wall-clock changes.
 func WithWorkers(n int) Option {
 	return func(e *Engine) { e.base.workers = n }
-}
-
-// WithCostModel replaces the full TAPAS cost model.
-func WithCostModel(m *cost.Model) Option {
-	return func(e *Engine) { e.base.costModel = m }
-}
-
-// WithMining overrides the subgraph-mining thresholds.
-func WithMining(o mining.Options) Option {
-	return func(e *Engine) { e.base.mining = &o }
-}
-
-// WithEnum overrides the enumeration budgets. The Progress field is
-// managed by the Engine and ignored here — use WithProgress.
-func WithEnum(o strategy.EnumOptions) Option {
-	return func(e *Engine) { o.Progress = nil; e.base.enum = &o }
 }
 
 // WithExhaustive selects exhaustive search (the TAPAS-ES configuration,
@@ -186,22 +165,11 @@ type TaskRef struct {
 // the in-process worker pool alone — the hook the distributed dispatch
 // layer plugs into. The factory is only consulted for searches a remote
 // executor can reproduce: a registered model or an inline spec, on the
-// engine's default cluster and cost model; everything else runs
-// locally. Runners never change results — a scattered search is
-// bit-identical to serial — so the factory is excluded from the cache
-// key, like progress observers.
+// engine's default cluster; everything else runs locally. Runners never
+// change results — a scattered search is bit-identical to serial — so
+// the factory is excluded from the cache key, like progress observers.
 func WithTaskRunner(f func(TaskRef) strategy.TaskRunner) Option {
 	return func(e *Engine) { e.base.runnerFor = f }
-}
-
-// WithProgress installs a live progress observer. Events arrive while
-// searches run — phase enter/exit plus per-class enumeration ticks — and
-// calls are serialized by the Engine (never concurrent with each other),
-// though they may originate from any worker goroutine; with concurrent
-// searches in flight the streams interleave, keyed by Model/GPUs. The
-// callback must return quickly and must not call back into the Engine.
-func WithProgress(fn func(ProgressEvent)) Option {
-	return func(e *Engine) { e.progress = fn }
 }
 
 // DefaultCacheSize is the result-cache capacity of a NewEngine without
@@ -289,7 +257,8 @@ const (
 	PhaseSimulate Phase = "simulate"
 )
 
-// ProgressEvent is one observation of a running search. Counter fields
+// ProgressEvent is one observation of a running search, delivered to
+// that search's SearchSpec.Progress observer. Counter fields
 // are populated on PhaseProgress ticks of the search phase and on the
 // search phase's exit event; they are cumulative within one search.
 type ProgressEvent struct {
@@ -303,16 +272,6 @@ type ProgressEvent struct {
 	Examined     int // complete strategies examined so far
 
 	Elapsed time.Duration // since this search started
-}
-
-// emit forwards one event to the configured observer, serialized.
-func (e *Engine) emit(ev ProgressEvent) {
-	if e.progress == nil {
-		return
-	}
-	e.progressMu.Lock()
-	e.progress(ev)
-	e.progressMu.Unlock()
 }
 
 // ---------------------------------------------------------------------------
@@ -476,57 +435,31 @@ func (e *SpecError) Unwrap() error { return e.Err }
 // ---------------------------------------------------------------------------
 // Pipeline
 
-// resolve fills the per-call defaults that depend on the GPU count.
+// resolve fills the per-call defaults that depend on the GPU count: the
+// paper's cost model, enumeration budgets and mining thresholds, with
+// the call's time budget and worker count laid over them.
 func (cfg engineConfig) resolve(gpus int) (cl *cluster.Cluster, model *cost.Model, enum strategy.EnumOptions, mopt mining.Options) {
 	cl = cfg.cluster
 	if cl == nil {
 		cl = cluster.V100GPUs(gpus)
 	}
-	model = cfg.costModel
-	if model == nil {
-		model = cost.Default(cl)
-	}
 	enum = strategy.DefaultEnumOptions(gpus)
-	if cfg.enum != nil {
-		enum = *cfg.enum
-	}
-	enum.Runner = nil // engine-managed (WithTaskRunner); see runSearch
 	if cfg.timeBudget > 0 {
 		enum.TimeBudget = cfg.timeBudget
 	}
-	if cfg.workers != 0 {
-		enum.Workers = cfg.workers
-	}
-	enum.Progress = nil // engine-managed; see searchGraph
+	enum.Workers = cfg.workers
 	mopt = mining.DefaultOptions()
-	if cfg.mining != nil {
-		mopt = *cfg.mining
-	}
-	if mopt.Workers == 0 {
-		// Mining shares the search worker budget unless WithMining pinned
-		// its own. Worker counts never change results (the mining merge is
-		// order-stable), so this stays out of optionsSignature.
-		mopt.Workers = enum.Workers
-	}
-	return cl, model, enum, mopt
+	// Mining shares the search worker budget. Worker counts never change
+	// results (the mining merge is order-stable), so they stay out of
+	// optionsSignature.
+	mopt.Workers = enum.Workers
+	return cl, cost.Default(cl), enum, mopt
 }
 
 // overlay applies a SearchSpec's per-call Options on top of the engine
 // configuration.
 func (cfg engineConfig) overlay(opt Options) engineConfig {
 	out := cfg
-	if opt.Cluster != nil {
-		out.cluster = opt.Cluster
-	}
-	if opt.CostModel != nil {
-		out.costModel = opt.CostModel
-	}
-	if opt.Mining != nil {
-		out.mining = opt.Mining
-	}
-	if opt.Enum != nil {
-		out.enum = opt.Enum
-	}
 	if opt.Exhaustive {
 		out.exhaustive = true
 	}
@@ -560,23 +493,25 @@ func (e *Engine) runSearch(ctx context.Context, name string, g *graph.Graph, gpu
 	cl, model, enum, mopt := cfg.resolve(gpus)
 
 	// Task shipping: only searches a remote executor can reproduce are
-	// scattered — a wire-identifiable graph on the default cluster and
-	// cost model (presets the peer resolves from the GPU count alone).
-	// Anything else keeps Runner nil and runs on the local pool; either
-	// way the selected strategy is identical.
-	if cfg.runnerFor != nil && cfg.cluster == nil && cfg.costModel == nil &&
+	// scattered — a wire-identifiable graph on the default cluster (a
+	// preset the peer resolves from the GPU count alone). Anything else
+	// keeps Runner nil and runs on the local pool; either way the
+	// selected strategy is identical.
+	if cfg.runnerFor != nil && cfg.cluster == nil &&
 		(cfg.wireModel != "" || cfg.wireSpec != "") {
 		enum.Runner = cfg.runnerFor(TaskRef{Model: cfg.wireModel, Spec: cfg.wireSpec, GPUs: gpus})
 	}
 
 	res := &Result{GPUs: gpus, ModelName: name}
 	start := time.Now()
-	// One search's events are serialized among themselves (progMu), so a
-	// per-call observer never sees its own events concurrently; the
-	// engine-level observer is additionally serialized across searches
-	// by emit's own lock.
+	// One search's events are serialized among themselves (progMu), so
+	// its observer never sees two at once, though they may come from any
+	// worker goroutine.
 	var progMu sync.Mutex
 	progress := func(kind ProgressKind, phase Phase, done, total, examined int) {
+		if cfg.progress == nil {
+			return
+		}
 		ev := ProgressEvent{
 			Model: name, GPUs: gpus, Phase: phase, Kind: kind,
 			ClassesDone: done, ClassesTotal: total, Examined: examined,
@@ -584,10 +519,7 @@ func (e *Engine) runSearch(ctx context.Context, name string, g *graph.Graph, gpu
 		}
 		progMu.Lock()
 		defer progMu.Unlock()
-		e.emit(ev)
-		if cfg.progress != nil {
-			cfg.progress(ev)
-		}
+		cfg.progress(ev)
 	}
 
 	// Span per phase, mirroring the progress stream. Spans are nil (and
@@ -781,9 +713,9 @@ type cacheKey struct {
 // thresholds into a canonical string.
 func optionsSignature(m *cost.Model, enum strategy.EnumOptions, mopt mining.Options, exhaustive bool) string {
 	var b strings.Builder
-	// The model's embedded cluster prices every collective; it can differ
-	// from the resolved search cluster when a custom CostModel is given,
-	// so it must be part of the signature.
+	// The model's embedded cluster prices every collective. It equals the
+	// resolved search cluster, but stays in the signature: dropping it
+	// would change every stored plan's content address.
 	if m.Cluster != nil {
 		b.WriteString("mcl(" + m.Cluster.Signature() + "):")
 	}

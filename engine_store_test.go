@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"tapas/internal/export"
 	"tapas/store"
@@ -275,6 +276,38 @@ func TestStoreKeyedByOptions(t *testing.T) {
 	}
 	if res.StoreHit {
 		t.Error("different GPU count served the stored plan")
+	}
+}
+
+// TestSearchKeyIsStable pins the content address of a stored search.
+// Every stored plan is filed under this ID, so a change to how a search
+// configuration is keyed silently turns every existing corpus cold; it
+// must be deliberate, and this test is where it shows.
+func TestSearchKeyIsStable(t *testing.T) {
+	g, err := BuildModel("t5-100M")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := g.Fingerprint()
+	e := NewEngine()
+	id := func(opt Options) string {
+		return storeKey(e.searchKey(fp, 8, e.base.overlay(opt))).ID()
+	}
+	for _, c := range []struct {
+		name string
+		opt  Options
+		want string
+	}{
+		{"default", Options{}, "6319b50c0fa35900dd3f6060e11e7e1aaf3fca38f66e229ee3720885d79ec335"},
+		{"exhaustive", Options{Exhaustive: true}, "a5b9e4468815171ea0b2af0bba5426df2b661bd4e845b7ceb9786ba1a2745738"},
+		{"time budget", Options{TimeBudget: 50 * time.Millisecond}, "ac841439b807955c09d3ffc347391575ff053002202477dc762cf05c5031c9d0"},
+	} {
+		if got := id(c.opt); got != c.want {
+			t.Errorf("%s: t5-100M@8 store key %s, want %s", c.name, got, c.want)
+		}
+	}
+	if a, b := id(Options{Workers: 1}), id(Options{Workers: 8}); a != b {
+		t.Errorf("worker count changed the store key: %s (1 worker) vs %s (8)", a, b)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -108,23 +107,24 @@ func TestEngineCacheEviction(t *testing.T) {
 // the same key — the serving shape — so the race detector can see any
 // unsynchronized write to a published (cached) Result, and asserts the
 // in-flight deduplication: a burst of identical cold requests runs the
-// pipeline exactly once.
+// pipeline exactly once. Each caller has its own observer, and only the
+// one that led the pipeline run sees it start.
 func TestEngineConcurrentSearches(t *testing.T) {
-	var coldRuns atomic.Int32
-	eng := NewEngine(WithProgress(func(ev ProgressEvent) {
-		if ev.Phase == PhaseGroup && ev.Kind == PhaseEnter {
-			coldRuns.Add(1)
-		}
-	}))
+	eng := NewEngine()
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	errs := make([]error, 8)
 	hits := make([]bool, 8)
+	coldRuns := make([]int, 8) // per caller; each observer is serialized
 	for i := range errs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := eng.Search(ctx, "t5-100M", 4)
+			res, err := eng.SearchSpec(ctx, SearchSpec{Model: "t5-100M", GPUs: 4, Progress: func(ev ProgressEvent) {
+				if ev.Phase == PhaseGroup && ev.Kind == PhaseEnter {
+					coldRuns[i]++
+				}
+			}})
 			if err == nil && res.ModelName != "t5-100M" {
 				err = errors.New("wrong ModelName " + res.ModelName)
 			}
@@ -140,7 +140,11 @@ func TestEngineConcurrentSearches(t *testing.T) {
 			t.Errorf("goroutine %d: %v", i, err)
 		}
 	}
-	if n := coldRuns.Load(); n != 1 {
+	n := 0
+	for _, c := range coldRuns {
+		n += c
+	}
+	if n != 1 {
 		t.Errorf("%d cold pipeline runs for 8 identical concurrent searches, want 1 (singleflight)", n)
 	}
 	cold := 0
@@ -167,14 +171,12 @@ func TestEngineCancellationMidSearch(t *testing.T) {
 	// construction that lands while the remaining classes are still
 	// enumerating on the worker pool.
 	var cancelled time.Time
-	eng := NewEngine(WithProgress(func(ev ProgressEvent) {
+	res, err := NewEngine().SearchSpec(ctx, SearchSpec{Model: "t5-770M", GPUs: 8, Progress: func(ev ProgressEvent) {
 		if ev.Kind == PhaseProgress && cancelled.IsZero() {
 			cancelled = time.Now()
 			cancel()
 		}
-	}))
-
-	res, err := eng.Search(ctx, "t5-770M", 8)
+	}})
 	returned := time.Now()
 	if err == nil {
 		t.Fatalf("cancelled search returned a result: %+v", res)
@@ -205,10 +207,11 @@ func TestEngineCancellationMidSearch(t *testing.T) {
 // count monotonically up to the class total.
 func TestEngineProgressStream(t *testing.T) {
 	var events []ProgressEvent
-	eng := NewEngine(WithProgress(func(ev ProgressEvent) {
+	eng := NewEngine()
+	spec := SearchSpec{Model: "t5-100M", GPUs: 8, Progress: func(ev ProgressEvent) {
 		events = append(events, ev) // serialized by the engine
-	}))
-	res, err := eng.Search(context.Background(), "t5-100M", 8)
+	}}
+	res, err := eng.SearchSpec(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +253,7 @@ func TestEngineProgressStream(t *testing.T) {
 
 	// Cache hits answer without re-running the pipeline, hence silently.
 	events = nil
-	if _, err := eng.Search(context.Background(), "t5-100M", 8); err != nil {
+	if _, err := eng.SearchSpec(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != 0 {

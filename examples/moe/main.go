@@ -2,8 +2,8 @@
 // evaluation. TAPAS must discover expert-level parallelism (all-to-all
 // token routing into sharded experts) without being told the model is an
 // MoE, and on clusters with more devices than experts it can nest tensor
-// parallelism inside the expert split. The Engine streams live progress
-// while the searches run.
+// parallelism inside the expert split. Each search streams live progress
+// while it runs.
 package main
 
 import (
@@ -18,18 +18,19 @@ import (
 func main() {
 	fmt.Println("== GShard-MoE strategy derivation ==")
 
-	// Watch the pipeline work: phase transitions and per-class progress
-	// land on stderr as the search runs.
+	// Watch the pipeline work: per-class progress lands on stderr as
+	// each search runs.
 	ctx := context.Background()
-	eng := tapas.NewEngine(tapas.WithProgress(func(ev tapas.ProgressEvent) {
+	eng := tapas.NewEngine()
+	progress := func(ev tapas.ProgressEvent) {
 		if ev.Kind == tapas.PhaseProgress {
 			fmt.Fprintf(os.Stderr, "  [%s %d GPUs] %d/%d classes, %d strategies examined\n",
 				ev.Model, ev.GPUs, ev.ClassesDone, ev.ClassesTotal, ev.Examined)
 		}
-	}))
+	}
 
 	for _, gpus := range []int{8, 32} {
-		res, err := eng.Search(ctx, "moe-1.3B", gpus) // 16 experts
+		res, err := eng.SearchSpec(ctx, tapas.SearchSpec{Model: "moe-1.3B", GPUs: gpus, Progress: progress}) // 16 experts
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -189,12 +189,6 @@ func (sj *StrategyJSON) Rehydrate(g *ir.GNGraph) (*strategy.Strategy, error) {
 	}, nil
 }
 
-// Rehydrate is the free-function form of StrategyJSON.Rehydrate, kept
-// for existing callers.
-func Rehydrate(g *ir.GNGraph, sj *StrategyJSON) (*strategy.Strategy, error) {
-	return sj.Rehydrate(g)
-}
-
 // WriteDOT renders the GraphNode graph in Graphviz DOT form, coloring
 // nodes by the strategy's pattern choice when s is non-nil.
 func WriteDOT(w io.Writer, g *ir.GNGraph, s *strategy.Strategy) error {

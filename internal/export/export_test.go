@@ -50,7 +50,7 @@ func TestStrategyJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round trip lost data: workers=%d assignments=%d", sj.Workers, len(sj.Assignments))
 	}
 
-	re, err := Rehydrate(g, sj)
+	re, err := sj.Rehydrate(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestRehydrateRejectsWrongGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Rehydrate(og, sj); err == nil {
+	if _, err := sj.Rehydrate(og); err == nil {
 		t.Error("rehydrating onto the wrong graph must fail")
 	}
 	_ = g
@@ -262,7 +262,7 @@ func TestRehydrateSearchResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Rehydrate(g, sj); err != nil {
+	if _, err := sj.Rehydrate(g); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -48,7 +48,7 @@ func roundTrip(res *Result) error {
 	if err != nil {
 		return err
 	}
-	_, err = export.Rehydrate(res.Strategy.Graph, sj)
+	_, err = sj.Rehydrate(res.Strategy.Graph)
 	return err
 }
 

@@ -42,11 +42,6 @@ func ReadPlan(r io.Reader) (*PlanJSON, error) {
 	return export.ReadStrategyJSON(r)
 }
 
-// WritePlan serializes a plan document with indentation.
-func WritePlan(w io.Writer, s *strategy.Strategy) error {
-	return export.WriteStrategyJSON(w, s)
-}
-
 // RehydratePlan re-attaches a plan to a computational graph (the model
 // it was searched on — by structure; node names may differ), rebuilding
 // the full in-memory Strategy: pattern pointers, resharding events,

@@ -29,10 +29,6 @@ type Config struct {
 	// polling (default 256, oldest evicted first). With a durable job
 	// store, eviction also deletes the job's record.
 	MaxFinished int
-	// OnProgress, when set, observes every engine progress event (jobs
-	// additionally receive their own search's events via per-job
-	// callbacks).
-	OnProgress func(tapas.ProgressEvent)
 	// JobsBackend, when set, makes the async job table durable: every
 	// submission and state transition is persisted as a JobRecord, and
 	// New adopts orphaned queued/running records left by a previous
@@ -87,8 +83,7 @@ const (
 // cache and singleflight dedupe so repeat traffic is served in
 // microseconds. Construct with New, retire with Shutdown.
 type Service struct {
-	eng        *tapas.Engine
-	onProgress func(tapas.ProgressEvent)
+	eng *tapas.Engine
 
 	queueCap   int
 	jobWorkers int
@@ -131,7 +126,6 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		queueCap:    cfg.QueueSize,
 		jobWorkers:  cfg.JobWorkers,
-		onProgress:  cfg.OnProgress,
 		fleet:       cfg.Fleet,
 		replication: cfg.Replication,
 		obs:         newObservability(cfg),
@@ -154,11 +148,7 @@ func New(cfg Config) (*Service, error) {
 	// and must never block or reject.
 	s.jobs = newJobTable(cfg.QueueSize+len(recs), cfg.MaxFinished)
 
-	opts := append([]tapas.Option{}, cfg.EngineOptions...)
-	if cfg.OnProgress != nil {
-		opts = append(opts, tapas.WithProgress(cfg.OnProgress))
-	}
-	s.eng = tapas.NewEngine(opts...)
+	s.eng = tapas.NewEngine(cfg.EngineOptions...)
 
 	for _, rec := range recs {
 		s.restoreJob(rec)

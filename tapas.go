@@ -43,10 +43,11 @@
 //
 // # Observability
 //
-// WithProgress(fn) streams live progress events while searches run:
-// phase enter/exit (group, mine, search, reconstruct, simulate), classes
-// enumerated, and candidates examined. Calls are serialized; with
-// concurrent searches the streams interleave, keyed by Model/GPUs.
+// A SearchSpec's Progress field streams that search's live progress
+// events while it runs: phase enter/exit (group, mine, search,
+// reconstruct, simulate), classes enumerated, and candidates examined.
+// Calls are serialized per search; concurrent searches each report to
+// their own observer.
 //
 // # Determinism
 //
@@ -71,9 +72,7 @@ import (
 	"time"
 
 	"tapas/internal/cluster"
-	"tapas/internal/cost"
 	"tapas/internal/graph"
-	"tapas/internal/mining"
 	"tapas/internal/models"
 	"tapas/internal/reconstruct"
 	"tapas/internal/sim"
@@ -85,15 +84,6 @@ import (
 // per-request options travel this way). Every field has a With*
 // equivalent for configuring the Engine as a whole.
 type Options struct {
-	// Cluster overrides the default V100 testbed preset for the GPU
-	// count.
-	Cluster *cluster.Cluster
-	// Mining overrides the subgraph-mining thresholds.
-	Mining *mining.Options
-	// Enum overrides the enumeration budgets.
-	Enum *strategy.EnumOptions
-	// CostModel overrides the full TAPAS cost model.
-	CostModel *cost.Model
 	// Exhaustive disables subgraph folding (the TAPAS-ES configuration).
 	Exhaustive bool
 	// TimeBudget bounds exhaustive enumeration.
@@ -103,8 +93,7 @@ type Options struct {
 	// selects GOMAXPROCS; 1 forces the serial path. The resulting
 	// strategy is identical for every value — see the package comment —
 	// except under a TimeBudget, where deadline cuts are timing-dependent
-	// at any worker count. Takes precedence over Enum.Workers when
-	// non-zero.
+	// at any worker count. Mining uses the same worker count.
 	Workers int
 }
 
@@ -196,10 +185,11 @@ type SearchSpec struct {
 	// explicitly only when one search should claim more than its share.
 	Options *Options
 	// Progress, when set, observes exactly this search's progress events
-	// — never another concurrent caller's — in addition to the
-	// engine-level WithProgress observer. Events of one search are
-	// serialized; the callback must return quickly and must not call
-	// back into the Engine. Cache and store hits skip the pipeline and
+	// — never another concurrent caller's. It is the Engine's only
+	// progress observer. Events of one search are serialized, though
+	// they may come from any worker goroutine; the callback must return
+	// quickly and must not call back into the Engine. Cache and store
+	// hits skip the pipeline and
 	// emit nothing, and a call that joins an identical in-flight search
 	// receives no events (the leader's observer does).
 	Progress func(ProgressEvent)
