@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -32,10 +33,6 @@ const maxBodyBytes = 8 << 20
 // replicaHeader names the replica that answered a proxied request — for
 // debugging, tests, and the CI smoke's routing-stability check.
 const replicaHeader = "X-Tapas-Replica"
-
-// singleflightHeader marks a response served from another client's
-// identical in-flight search rather than a dedicated upstream request.
-const singleflightHeader = "X-Tapas-Singleflight"
 
 const (
 	// vnodes is the number of virtual nodes per replica on the hash ring.
@@ -126,9 +123,9 @@ func (v *fleetView) byURL(u string) *replicaState {
 // consistent-hash routing on the search identity (so each replica's
 // memory cache concentrates on its share of the key space), active
 // health checks with ring-order failover, per-client token-bucket rate
-// limiting, job-owner stickiness for the async API, singleflight
-// collapse of identical concurrent searches, and hot fleet reload via
-// PUT /v1/fleet.
+// limiting, job-owner stickiness for the async API, and hot fleet
+// reload via PUT /v1/fleet. Identical concurrent searches share one
+// key, hence one replica, whose engine joins them onto one search.
 type gateway struct {
 	cfg     gatewayConfig
 	view    atomic.Pointer[fleetView]
@@ -140,12 +137,10 @@ type gateway struct {
 
 	owners *ownerTable
 	fps    sync.Map // model name → graph fingerprint
-	sf     singleflight
 
 	requests     atomic.Uint64
 	rateLimited  atomic.Uint64
 	failovers    atomic.Uint64
-	sfJoined     atomic.Uint64
 	fleetUpdates atomic.Uint64
 
 	reqHist *promtext.Histogram // tapas_request_duration_seconds
@@ -186,8 +181,8 @@ func (gw *gateway) fleet() *fleetView { return gw.view.Load() }
 // handler wires the gateway's HTTP surface.
 func (gw *gateway) handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/search", gw.search)
-	mux.HandleFunc("POST /v1/search:batch", gw.search)
+	mux.HandleFunc("POST /v1/search", gw.keyed)
+	mux.HandleFunc("POST /v1/search:batch", gw.keyed)
 	mux.HandleFunc("POST /v1/jobs", gw.keyed)
 	mux.HandleFunc("GET /v1/jobs", gw.jobsList)
 	mux.HandleFunc("GET /v1/jobs/{id}", gw.jobByID)
@@ -294,88 +289,8 @@ func (v *fleetView) healthyFirst() []*replicaState {
 // ---------------------------------------------------------------------------
 // Proxying
 
-// search proxies POST /v1/search and /v1/search:batch, collapsing
-// identical concurrent requests into one upstream call: searches are
-// deterministic and cached by the replicas, so N clients asking the
-// exact same body during a cold search need exactly one replica
-// execution — the other N-1 wait and share the answer. Collapse is
-// keyed by path + raw body, so only byte-identical requests join.
-func (gw *gateway) search(w http.ResponseWriter, r *http.Request) {
-	gw.requests.Add(1)
-	if !gw.allow(w, r) {
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		writeJSONErr(w, http.StatusBadRequest, fmt.Sprintf("read request body: %v", err))
-		return
-	}
-	key := r.URL.Path + "\x00" + string(body)
-	res, joined, ok := gw.sf.do(r.Context(), key, func() (sfResult, bool) {
-		return gw.fetch(r, body)
-	})
-	if !ok {
-		// The leader failed or this client's context died while waiting;
-		// if the client is still here, give it its own upstream attempt
-		// rather than inheriting the leader's failure.
-		if r.Context().Err() != nil {
-			return
-		}
-		res, ok = gw.fetch(r, body)
-		if !ok {
-			writeJSONErr(w, http.StatusBadGateway, "no replica reachable")
-			return
-		}
-	}
-	if joined {
-		gw.sfJoined.Add(1)
-	}
-	h := w.Header()
-	for k, vs := range res.header {
-		if hopByHop(k) {
-			continue
-		}
-		h[k] = vs
-	}
-	h.Set(replicaHeader, res.rep.url)
-	if joined {
-		h.Set(singleflightHeader, "joined")
-	}
-	w.WriteHeader(res.status)
-	_, _ = w.Write(res.body)
-}
-
-// fetch runs one search upstream with ring-order failover, buffering
-// the full response so singleflight followers can share it.
-func (gw *gateway) fetch(r *http.Request, body []byte) (sfResult, bool) {
-	cands := gw.fleet().candidates(gw.routeKey(r.URL.Path, body))
-	for n, rep := range cands {
-		resp, err := gw.send(r, rep, body)
-		if err != nil {
-			if r.Context().Err() != nil {
-				return sfResult{}, false // the client went away; nothing to answer
-			}
-			gw.noteSendFailure(rep, err)
-			if n < len(cands)-1 {
-				gw.failovers.Add(1)
-				gw.cfg.logf("replica %s unreachable (%v), failing over", rep.url, err)
-			}
-			continue
-		}
-		respBody, rerr := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
-		resp.Body.Close()
-		if rerr != nil {
-			gw.noteSendFailure(rep, rerr)
-			continue
-		}
-		rep.proxied.Add(1)
-		return sfResult{rep: rep, status: resp.StatusCode, header: resp.Header, body: respBody}, true
-	}
-	return sfResult{}, false
-}
-
-// keyed proxies one body-routed request (job submit) to its key's
-// replica, failing over along the ring.
+// keyed proxies one body-routed request (search, batch, job submit) to
+// its key's replica, failing over along the ring.
 func (gw *gateway) keyed(w http.ResponseWriter, r *http.Request) {
 	gw.requests.Add(1)
 	if !gw.allow(w, r) {
@@ -386,24 +301,18 @@ func (gw *gateway) keyed(w http.ResponseWriter, r *http.Request) {
 		writeJSONErr(w, http.StatusBadRequest, fmt.Sprintf("read request body: %v", err))
 		return
 	}
-	submit := r.URL.Path == "/v1/jobs"
-	cands := gw.fleet().candidates(gw.routeKey(r.URL.Path, body))
-	rep, status, respBody, ok := gw.forward(w, r, body, cands, false)
-	if ok && submit && status == http.StatusAccepted {
-		var st service.JobStatus
-		if err := json.Unmarshal(respBody, &st); err == nil && st.ID != "" {
-			gw.owners.put(st.ID, rep.url)
-		}
-	}
+	gw.forward(w, r, body, gw.fleet().candidates(gw.routeKey(r.URL.Path, body)))
 }
 
 // jobByID proxies status/cancel/events for one job to the replica that
-// owns it — the one its submit was routed to — probing the fleet when
-// the owner is unknown (e.g. after a gateway restart or fleet update)
-// OR when the pinned replica disclaims the job: a replica restarted
-// with durable jobs may see its orphans adopted by a shared-corpus
-// peer, so a stale pin's 404 is that replica's answer, not the fleet's.
-// The probe re-pins to whichever replica actually holds the job.
+// owns it — the one its submit was routed to — and otherwise probes the
+// fleet: the owner is unknown after a gateway restart or fleet update,
+// and a pinned owner may disclaim the job, because a replica restarted
+// with durable jobs may see its orphans adopted by a shared-corpus peer.
+// The pinned owner is asked first, then every other replica, healthy
+// first. A 404 or a transport failure moves on (and drops the pin when
+// it was the pinned owner's answer); any other answer is relayed, and
+// only a successful one pins the job to the replica that gave it.
 func (gw *gateway) jobByID(w http.ResponseWriter, r *http.Request) {
 	gw.requests.Add(1)
 	if !gw.allow(w, r) {
@@ -411,48 +320,36 @@ func (gw *gateway) jobByID(w http.ResponseWriter, r *http.Request) {
 	}
 	view := gw.fleet()
 	id := r.PathValue("id")
-	stream := strings.HasSuffix(r.URL.Path, "/events")
-	if u, ok := gw.owners.get(id); ok {
-		rep := view.byURL(u)
-		if rep == nil {
-			gw.owners.drop(id) // the pinned replica left the fleet
-		} else {
-			resp, err := gw.send(r, rep, nil)
-			switch {
-			case err != nil:
-				if r.Context().Err() != nil {
-					return // the client went away; nothing to answer
-				}
-				gw.noteSendFailure(rep, err)
-				gw.owners.drop(id)
-			case resp.StatusCode == http.StatusNotFound:
-				resp.Body.Close()
-				gw.owners.drop(id)
-			default:
-				gw.relay(w, r, rep, resp, stream, false)
-				return
-			}
-		}
-		// fall through to the ownership probe
+	pinned, _ := gw.owners.get(id)
+	cands := view.healthyFirst()
+	if owner := view.byURL(pinned); owner != nil {
+		cands = append([]*replicaState{owner}, slices.DeleteFunc(cands, func(c *replicaState) bool { return c == owner })...)
+	} else if pinned != "" {
+		gw.owners.drop(id) // the pinned replica left the fleet
 	}
-	for _, rep := range view.healthyFirst() {
+	for _, rep := range cands {
 		resp, err := gw.send(r, rep, nil)
+		if err == nil && resp.StatusCode != http.StatusNotFound {
+			if resp.StatusCode/100 == 2 {
+				// Only a successful answer proves ownership: a 5xx/503 from
+				// a replica that merely happens to be unwell must not pin
+				// the job to it.
+				gw.owners.put(id, rep.url)
+			}
+			gw.relay(w, rep, resp)
+			return
+		}
 		if err != nil {
+			if r.Context().Err() != nil {
+				return // the client went away; nothing to answer
+			}
 			gw.noteSendFailure(rep, err)
-			continue
-		}
-		if resp.StatusCode == http.StatusNotFound {
+		} else {
 			resp.Body.Close()
-			continue
 		}
-		if resp.StatusCode/100 == 2 {
-			// Only a successful answer proves ownership: a 5xx/503 from
-			// a replica that merely happens to be unwell must not pin
-			// the job to it.
-			gw.owners.put(id, rep.url)
+		if rep.url == pinned {
+			gw.owners.drop(id)
 		}
-		gw.relay(w, r, rep, resp, stream, false)
-		return
 	}
 	writeJSONErr(w, http.StatusNotFound, fmt.Sprintf("job %q not found on any replica", id))
 }
@@ -475,7 +372,8 @@ func (gw *gateway) jobsList(w http.ResponseWriter, r *http.Request) {
 		var body struct {
 			Jobs []json.RawMessage `json:"jobs"`
 		}
-		err = json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(&body)
+		// Unbounded: the replica bounds its listing (-max-finished).
+		err = json.NewDecoder(resp.Body).Decode(&body)
 		resp.Body.Close()
 		if err != nil || resp.StatusCode/100 != 2 {
 			continue
@@ -499,7 +397,7 @@ func (gw *gateway) anyReplica(w http.ResponseWriter, r *http.Request) {
 	if !gw.allow(w, r) {
 		return
 	}
-	gw.forward(w, r, nil, gw.fleet().healthyFirst(), false)
+	gw.forward(w, r, nil, gw.fleet().healthyFirst())
 }
 
 // forward tries candidates in order until one answers, relaying its
@@ -510,21 +408,21 @@ func (gw *gateway) anyReplica(w http.ResponseWriter, r *http.Request) {
 // errors (the request provably never reached the replica); a
 // mid-flight failure could mean the job was accepted, and replaying it
 // would enqueue a duplicate. Searches are deterministic and cached, so
-// any transport failure fails over. Returns the answering replica, the
-// status, and (when buffered) the response body.
-func (gw *gateway) forward(w http.ResponseWriter, r *http.Request, body []byte, cands []*replicaState, stream bool) (*replicaState, int, []byte, bool) {
+// any transport failure fails over. An accepted submit pins its job to
+// the answering replica from the Location header the daemon sets.
+func (gw *gateway) forward(w http.ResponseWriter, r *http.Request, body []byte, cands []*replicaState) {
 	submit := r.Method == http.MethodPost && r.URL.Path == "/v1/jobs"
 	for n, rep := range cands {
 		resp, err := gw.send(r, rep, body)
 		if err != nil {
 			if r.Context().Err() != nil {
-				return nil, 0, nil, false // the client went away; nothing to answer
+				return // the client went away; nothing to answer
 			}
 			gw.noteSendFailure(rep, err)
 			if submit && !isDialError(err) {
 				writeJSONErr(w, http.StatusBadGateway,
 					fmt.Sprintf("replica %s failed mid-submit; the job may or may not be queued there", rep.url))
-				return nil, 0, nil, false
+				return
 			}
 			if n < len(cands)-1 {
 				gw.failovers.Add(1)
@@ -532,17 +430,19 @@ func (gw *gateway) forward(w http.ResponseWriter, r *http.Request, body []byte, 
 			}
 			continue
 		}
-		status, respBody, ok := gw.relay(w, r, rep, resp, stream, body != nil && r.URL.Path == "/v1/jobs")
-		return rep, status, respBody, ok
+		if id, ok := strings.CutPrefix(resp.Header.Get("Location"), "/v1/jobs/"); submit && ok && id != "" {
+			gw.owners.put(id, rep.url)
+		}
+		gw.relay(w, rep, resp)
+		return
 	}
 	writeJSONErr(w, http.StatusBadGateway, "no replica reachable")
-	return nil, 0, nil, false
 }
 
-// relay copies one replica response to the client. Buffered routes
-// return the body bytes (for the submit path's owner bookkeeping);
-// stream routes flush through, which keeps SSE live.
-func (gw *gateway) relay(w http.ResponseWriter, r *http.Request, rep *replicaState, resp *http.Response, stream, buffer bool) (int, []byte, bool) {
+// relay streams one replica response to the client as it arrives,
+// never buffering or capping it. An SSE stream is flushed after every
+// read, which keeps job events live.
+func (gw *gateway) relay(w http.ResponseWriter, rep *replicaState, resp *http.Response) {
 	defer resp.Body.Close()
 	rep.proxied.Add(1)
 	h := w.Header()
@@ -554,32 +454,20 @@ func (gw *gateway) relay(w http.ResponseWriter, r *http.Request, rep *replicaSta
 	}
 	h.Set(replicaHeader, rep.url)
 	w.WriteHeader(resp.StatusCode)
-	if stream {
-		rc := http.NewResponseController(w)
-		buf := make([]byte, 16*1024)
-		for {
-			n, err := resp.Body.Read(buf)
-			if n > 0 {
-				if _, werr := w.Write(buf[:n]); werr != nil {
-					return resp.StatusCode, nil, true
-				}
-				_ = rc.Flush()
-			}
-			if err != nil {
-				return resp.StatusCode, nil, true
-			}
-		}
+	var dst io.Writer = w
+	if strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
+		dst = flushWriter{w}
 	}
-	if buffer {
-		respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
-		if err != nil {
-			return resp.StatusCode, nil, false
-		}
-		_, _ = w.Write(respBody)
-		return resp.StatusCode, respBody, true
-	}
-	_, _ = io.Copy(w, resp.Body)
-	return resp.StatusCode, nil, true
+	_, _ = io.Copy(dst, resp.Body)
+}
+
+// flushWriter flushes the response after every write.
+type flushWriter struct{ w http.ResponseWriter }
+
+func (f flushWriter) Write(p []byte) (int, error) {
+	n, err := f.w.Write(p)
+	_ = http.NewResponseController(f.w).Flush()
+	return n, err
 }
 
 // send issues one proxied request to a replica.
@@ -900,7 +788,6 @@ func (gw *gateway) healthz(w http.ResponseWriter, r *http.Request) {
 		"requests_total":      gw.requests.Load(),
 		"rate_limited_total":  gw.rateLimited.Load(),
 		"failovers_total":     gw.failovers.Load(),
-		"singleflight_total":  gw.sfJoined.Load(),
 		"fleet_updates":       gw.fleetUpdates.Load(),
 	}
 	if t.replicated > 0 {
@@ -927,7 +814,6 @@ func (gw *gateway) metrics(w http.ResponseWriter, r *http.Request) {
 	m.Counter("tapas_gateway_requests_total", "Requests accepted for routing.", float64(gw.requests.Load()), nil)
 	m.Counter("tapas_gateway_rate_limited_total", "Requests answered 429 by the per-client limiter.", float64(gw.rateLimited.Load()), nil)
 	m.Counter("tapas_gateway_failovers_total", "Requests moved to the next ring node after a transport failure.", float64(gw.failovers.Load()), nil)
-	m.Counter("tapas_gateway_singleflight_total", "Search responses shared from another client's identical in-flight request.", float64(gw.sfJoined.Load()), nil)
 	m.Counter("tapas_gateway_fleet_updates_total", "Hot fleet reloads applied via PUT /v1/fleet.", float64(gw.fleetUpdates.Load()), nil)
 	m.Gauge("tapas_gateway_job_owners", "Job-to-replica stickiness entries resident.", float64(gw.owners.len()), nil)
 	for i, rep := range view.replicas {

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -46,9 +47,11 @@ func newFakeReplica(t *testing.T, name string) *fakeReplica {
 	})
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		n := f.submits.Add(1)
+		id := fmt.Sprintf("%s-job-%d", f.name, n)
 		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Location", "/v1/jobs/"+id)
 		w.WriteHeader(http.StatusAccepted)
-		fmt.Fprintf(w, `{"id":"%s-job-%d","state":"queued"}`, f.name, n)
+		fmt.Fprintf(w, `{"id":%q,"state":"queued"}`, id)
 	})
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, `{"jobs":[{"id":"%s-job-1","state":"done"}]}`, f.name)
@@ -615,7 +618,6 @@ func TestGatewayMetrics(t *testing.T) {
 		"tapas_gateway_replication_repair_hits_total counter",
 		"tapas_gateway_replication_sweep_diffs_total counter",
 		"tapas_gateway_requests_total counter",
-		"tapas_gateway_singleflight_total counter",
 		"tapas_gc_pause_seconds_total counter",
 		"tapas_goroutines gauge",
 		"tapas_heap_alloc_bytes gauge",
@@ -644,7 +646,7 @@ func TestGatewayMetrics(t *testing.T) {
 		t.Errorf("healthz sums: tasks_executed %d replication %v, want 7 and %v", health.TasksExecuted, health.Replication, wantRepl)
 	}
 	if got, want := sortedKeys(keys), []string{"failovers_total", "fleet_peers_healthy", "fleet_updates", "rate_limited_total",
-		"replicas", "replication", "requests_total", "singleflight_total", "status", "tasks_executed", "tasks_failed"}; !reflect.DeepEqual(got, want) {
+		"replicas", "replication", "requests_total", "status", "tasks_executed", "tasks_failed"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("healthz keys %q, want %q", got, want)
 	}
 	if got, want := sortedKeys(health.Replicas[0]), []string{"healthy", "replication", "tasks_executed", "tasks_failed", "url"}; !reflect.DeepEqual(got, want) {
@@ -772,115 +774,151 @@ func TestCrossReplicaStoreHitThroughGateway(t *testing.T) {
 	}
 }
 
-// TestSingleflightCollapsesIdenticalSearches: N byte-identical
-// concurrent searches produce one upstream request; the followers share
-// the leader's response and are marked with X-Tapas-Singleflight.
-func TestSingleflightCollapsesIdenticalSearches(t *testing.T) {
-	release := make(chan struct{})
-	var upstream atomic.Int64
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/healthz" {
-			fmt.Fprint(w, `{"status":"ok"}`)
-			return
-		}
-		upstream.Add(1)
-		<-release // hold every collapsed caller in flight
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"schema_version":1,"served_by":"slow"}`)
-	}))
-	t.Cleanup(slow.Close)
-	gw, srv := testGateway(t, gatewayConfig{replicas: []string{slow.URL}})
+// liveReplicas stands up n in-process tapas-serve replicas
+// (service.NewHandler on httptest) with default configuration.
+func liveReplicas(t *testing.T, n int) ([]*service.Service, []string) {
+	t.Helper()
+	svcs := make([]*service.Service, n)
+	urls := make([]string, n)
+	for i := range svcs {
+		var srv *httptest.Server
+		svcs[i], srv = tracedReplica(t, service.Config{})
+		urls[i] = srv.URL
+	}
+	return svcs, urls
+}
 
-	const clients = 5
-	body := `{"model":"t5-100M","gpus":8}`
+// TestIdenticalConcurrentSearchesRunOnce: the gateway keeps no dedupe
+// of its own. Identical concurrent cold searches share one routing key,
+// hence one replica, whose engine runs one search and joins the rest
+// onto it (or serves them from its cache once it lands).
+func TestIdenticalConcurrentSearchesRunOnce(t *testing.T) {
+	_, urls := liveReplicas(t, 2)
+	_, gwSrv := testGateway(t, gatewayConfig{replicas: urls})
+
+	const clients = 8
 	type answer struct {
 		status int
-		joined bool
-		body   string
+		body   []byte
+		err    error
 	}
-	answers := make(chan answer, clients)
-	for i := 0; i < clients; i++ {
-		go func() {
-			resp, data := postJSON(t, srv.URL+"/v1/search", body, nil)
-			answers <- answer{resp.StatusCode, resp.Header.Get(singleflightHeader) != "", string(data)}
-		}()
+	answers := make([]answer, clients)
+	var wg sync.WaitGroup
+	for i := range answers {
+		wg.Add(1)
+		go func(a *answer) {
+			defer wg.Done()
+			resp, err := http.Post(gwSrv.URL+"/v1/search", "application/json", strings.NewReader(`{"model":"t5-770M","gpus":8}`))
+			if err != nil {
+				a.err = err
+				return
+			}
+			defer resp.Body.Close()
+			a.status = resp.StatusCode
+			a.body, a.err = io.ReadAll(resp.Body)
+		}(&answers[i])
 	}
-	// Wait until the leader is held upstream and the followers have had
-	// a chance to pile in behind it.
-	deadline := time.Now().Add(5 * time.Second)
-	for upstream.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("leader never reached the replica")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(50 * time.Millisecond)
-	close(release)
+	wg.Wait()
 
-	joined := 0
-	for i := 0; i < clients; i++ {
-		a := <-answers
-		if a.status != http.StatusOK || !strings.Contains(a.body, "served_by") {
-			t.Fatalf("collapsed search answered %d: %s", a.status, a.body)
+	// One answer is the search itself, the others its cache hits: once
+	// the cold one's cache_hit flag is flipped, all eight are one body.
+	cold := 0
+	for i := range answers {
+		a := &answers[i]
+		if a.err != nil || a.status != http.StatusOK {
+			t.Fatalf("search %d: %d %v %s", i, a.status, a.err, a.body)
 		}
-		if a.joined {
-			joined++
+		if bytes.Contains(a.body, []byte(`"cache_hit": false`)) {
+			cold++
+			a.body = bytes.Replace(a.body, []byte(`"cache_hit": false`), []byte(`"cache_hit": true`), 1)
 		}
 	}
-	if got := upstream.Load(); got != 1 {
-		t.Errorf("%d identical concurrent searches made %d upstream requests, want 1", clients, got)
+	if cold != 1 {
+		t.Errorf("%d of %d answers ran cold, want 1", cold, clients)
 	}
-	if joined != clients-1 {
-		t.Errorf("%d followers marked joined, want %d", joined, clients-1)
-	}
-	if gw.sfJoined.Load() != uint64(clients-1) {
-		t.Errorf("singleflight counter %d, want %d", gw.sfJoined.Load(), clients-1)
+	for i := 1; i < clients; i++ {
+		if !bytes.Equal(answers[i].body, answers[0].body) {
+			t.Fatalf("answer %d differs from answer 0", i)
+		}
 	}
 
-	// Sequential repeats do NOT collapse: each generation runs fresh.
-	resp, _ := postJSON(t, srv.URL+"/v1/search", body, nil)
-	if resp.Header.Get(singleflightHeader) != "" {
-		t.Error("a search with no concurrent twin was marked joined")
+	var sum tapas.CacheStats
+	for _, u := range urls {
+		var st service.Stats
+		_, body := getURL(t, u+"/v1/healthz")
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		sum.Misses += st.Cache.Misses
+		sum.Hits += st.Cache.Hits
+		sum.Joined += st.Cache.Joined
 	}
-	if upstream.Load() != 2 {
-		t.Errorf("sequential repeat collapsed into a finished flight: %d upstream calls", upstream.Load())
+	if sum.Misses != 1 || sum.Hits+sum.Joined != clients-1 {
+		t.Errorf("fleet cache: %d misses, %d hits + %d joined; want 1 miss and %d hits + joined",
+			sum.Misses, sum.Hits, sum.Joined, clients-1)
 	}
 }
 
-// TestSingleflightDifferentBodiesDoNotCollapse: collapse is strictly
-// byte-keyed; distinct bodies run their own upstream requests.
-func TestSingleflightDifferentBodiesDoNotCollapse(t *testing.T) {
-	release := make(chan struct{})
-	var upstream atomic.Int64
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/healthz" {
-			fmt.Fprint(w, `{"status":"ok"}`)
-			return
-		}
-		upstream.Add(1)
-		<-release
-		fmt.Fprint(w, `{"schema_version":1}`)
-	}))
-	t.Cleanup(slow.Close)
-	_, srv := testGateway(t, gatewayConfig{replicas: []string{slow.URL}})
+// TestLargeBatchRelayedWhole: a batch answer larger than the 8 MB
+// request-body bound reaches the client whole — byte-identical to the
+// same batch asked of the replica directly.
+func TestLargeBatchRelayedWhole(t *testing.T) {
+	_, urls := liveReplicas(t, 1)
+	_, gwSrv := testGateway(t, gatewayConfig{replicas: urls})
 
-	done := make(chan struct{}, 2)
-	for _, gpus := range []int{4, 8} {
-		go func(g int) {
-			postJSON(t, srv.URL+"/v1/search", fmt.Sprintf(`{"model":"t5-100M","gpus":%d}`, g), nil)
-			done <- struct{}{}
-		}(gpus)
+	// Warm the replica's cache so both batches are all hits.
+	if resp, data := postJSON(t, urls[0]+"/v1/search", `{"model":"t5-1.4B","gpus":8}`, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm search: %d %s", resp.StatusCode, data)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for upstream.Load() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("distinct bodies collapsed: only %d upstream requests", upstream.Load())
+	batch := `{"requests":[` + strings.TrimSuffix(strings.Repeat(`{"model":"t5-1.4B","gpus":8},`, 16), ",") + `]}`
+	direct, want := postJSON(t, urls[0]+"/v1/search:batch", batch, nil)
+	if direct.StatusCode != http.StatusOK || len(want) <= maxBodyBytes {
+		t.Fatalf("direct batch: %d, %d bytes; want 200 and more than %d", direct.StatusCode, len(want), maxBodyBytes)
+	}
+	resp, got := postJSON(t, gwSrv.URL+"/v1/search:batch", batch, nil)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+		t.Errorf("batch through the gateway: %d, %d bytes; want 200 and the direct answer's %d bytes",
+			resp.StatusCode, len(got), len(want))
+	}
+}
+
+// TestLargeJobListRelayedWhole: the fleet job listing merges replica
+// listings larger than the 8 MB request-body bound.
+func TestLargeJobListRelayedWhole(t *testing.T) {
+	svcs, urls := liveReplicas(t, 1)
+	_, gwSrv := testGateway(t, gatewayConfig{replicas: urls})
+
+	const jobs = 20
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	for i := 0; i < jobs; i++ {
+		resp, data := postJSON(t, gwSrv.URL+"/v1/jobs", `{"model":"t5-1.4B","gpus":8}`, nil)
+		var st service.JobStatus
+		if resp.StatusCode != http.StatusAccepted || json.Unmarshal(data, &st) != nil {
+			t.Fatalf("submit %d: %d %s", i, resp.StatusCode, data)
 		}
-		time.Sleep(time.Millisecond)
+		if _, err := svcs[0].WaitTerminal(ctx, st.ID); err != nil {
+			t.Fatalf("job %s: %v", st.ID, err)
+		}
 	}
-	close(release)
-	<-done
-	<-done
+	if _, direct := getURL(t, urls[0]+"/v1/jobs"); len(direct) <= maxBodyBytes {
+		t.Fatalf("direct listing is %d bytes, want more than %d", len(direct), maxBodyBytes)
+	}
+	resp, body := getURL(t, gwSrv.URL+"/v1/jobs")
+	var list struct {
+		Jobs []service.JobStatus `json:"jobs"`
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("job listing through the gateway: %d %.200s", resp.StatusCode, body)
+	}
+	if err := json.Unmarshal(body, &list); err != nil || len(list.Jobs) != jobs {
+		t.Errorf("job listing through the gateway: %d jobs (%v), want %d", len(list.Jobs), err, jobs)
+	}
+	for _, st := range list.Jobs {
+		if st.State != service.JobDone {
+			t.Errorf("job %s listed %s, want done", st.ID, st.State)
+		}
+	}
 }
 
 // TestFleetHotReload: PUT /v1/fleet swaps the replica ring without a

@@ -16,11 +16,11 @@
 // answered 429 with Retry-After, which service.Client's GET retries
 // honor.
 //
-// Identical concurrent searches collapse into one upstream request
-// (singleflight, keyed by path + raw body): during a cold-plan
-// stampede — worst when the plan's home replica just died and every
-// client retries at once — one replica executes and every waiter
-// shares the buffered answer, marked X-Tapas-Singleflight: joined.
+// Every request takes one proxy path: the body is read (at most 8 MB),
+// routed, and the replica's answer streamed back unbuffered, SSE
+// flushed as it goes. Identical concurrent searches share one key, so
+// they reach one replica, whose engine runs the search once and joins
+// the rest onto it (tapas_cache_joined_total).
 //
 // The replica set itself is hot-reloadable: PUT /v1/fleet with
 // {"replicas":[...]} swaps the ring without a restart (new replicas

@@ -93,8 +93,8 @@ func TestAdoptOrphanedJobs(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = svc.Shutdown(context.Background()) })
 
-	if svc.Adopted() != 2 {
-		t.Fatalf("Adopted() = %d, want 2 (queued + running orphans)", svc.Adopted())
+	if svc.Stats().JobsAdopted != 2 {
+		t.Fatalf("JobsAdopted = %d, want 2 (queued + running orphans)", svc.Stats().JobsAdopted)
 	}
 
 	// The done record is history, not work: state, result and timestamps
@@ -165,8 +165,8 @@ func TestAdoptOrphanedJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = svc2.Shutdown(context.Background()) })
-	if svc2.Adopted() != 0 {
-		t.Errorf("second restart adopted %d jobs, want 0 — adoption must be once, not per restart", svc2.Adopted())
+	if svc2.Stats().JobsAdopted != 0 {
+		t.Errorf("second restart adopted %d jobs, want 0 — adoption must be once, not per restart", svc2.Stats().JobsAdopted)
 	}
 	for _, id := range []string{"job-000002-bbbbbbbb", "job-000003-cccccccc", st.ID} {
 		got, err := svc2.Status(id)
@@ -204,8 +204,8 @@ func TestSubmitPersistsAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = svc2.Shutdown(context.Background()) })
-	if svc2.Adopted() != 0 {
-		t.Errorf("adopted %d, want 0: the job finished before the restart", svc2.Adopted())
+	if svc2.Stats().JobsAdopted != 0 {
+		t.Errorf("adopted %d, want 0: the job finished before the restart", svc2.Stats().JobsAdopted)
 	}
 	got, err := svc2.Status(st.ID)
 	if err != nil {
@@ -262,8 +262,8 @@ func TestDrainKeepsOrphansAdoptable(t *testing.T) {
 	// deadline; the queued one can only be adopted. Either way every
 	// accepted job reaches done, exactly once, and the client cancel
 	// stays cancelled.
-	if svc2.Adopted() < 1 {
-		t.Fatalf("Adopted() = %d, want ≥ 1 (at least the queued orphan)", svc2.Adopted())
+	if svc2.Stats().JobsAdopted < 1 {
+		t.Fatalf("JobsAdopted = %d, want ≥ 1 (at least the queued orphan)", svc2.Stats().JobsAdopted)
 	}
 	for _, id := range []string{running.ID, queued.ID} {
 		st, err := svc2.WaitTerminal(context.Background(), id)
@@ -321,8 +321,8 @@ func TestAdoptionSkipsCorruptAndForeignRecords(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = svc.Shutdown(context.Background()) })
 
-	if svc.Adopted() != 1 {
-		t.Errorf("Adopted() = %d, want 1 (only the valid record)", svc.Adopted())
+	if svc.Stats().JobsAdopted != 1 {
+		t.Errorf("JobsAdopted = %d, want 1 (only the valid record)", svc.Stats().JobsAdopted)
 	}
 	if corrupt != 3 {
 		t.Errorf("corrupt callback fired %d times, want 3", corrupt)
@@ -353,8 +353,8 @@ func TestAdoptionFailsUnresolvableRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = svc.Shutdown(context.Background()) })
-	if svc.Adopted() != 0 {
-		t.Errorf("Adopted() = %d, want 0", svc.Adopted())
+	if svc.Stats().JobsAdopted != 0 {
+		t.Errorf("JobsAdopted = %d, want 0", svc.Stats().JobsAdopted)
 	}
 	st, err := svc.Status("job-000001-aaaaaaaa")
 	if err != nil {

@@ -287,10 +287,6 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
-// Adopted reports how many orphaned jobs this process re-enqueued at
-// startup.
-func (s *Service) Adopted() int { return s.adopted }
-
 // Search runs one request synchronously: validate, resolve the model or
 // parse the inline spec, search through the shared engine (cache,
 // singleflight), and render the v1 response.

@@ -197,7 +197,6 @@ type writeTask struct {
 // retire with Close (which drains pending write-behind persists).
 type Store struct {
 	backend   Backend
-	dir       string // filesystem backend directory ("" otherwise)
 	shared    bool
 	max       int
 	gcAge     time.Duration
@@ -225,18 +224,15 @@ func Open(opts Options) (*Store, error) {
 		opts.MaxEntries = DefaultMaxEntries
 	}
 	backend := opts.Backend
-	var dir string
 	if backend == nil {
 		fs, err := NewFS(opts.Dir)
 		if err != nil {
 			return nil, err
 		}
 		backend = fs
-		dir = fs.Dir()
 	}
 	s := &Store{
 		backend:   backend,
-		dir:       dir,
 		shared:    opts.Shared,
 		max:       opts.MaxEntries,
 		gcAge:     opts.GCAge,
@@ -413,16 +409,6 @@ func (s *Store) miss() {
 	s.mu.Unlock()
 }
 
-// Contains reports whether a record is indexed under k, without reading
-// or refreshing it. On a shared corpus the index lags peers' writes, so
-// false only means "not seen by this replica yet".
-func (s *Store) Contains(k Key) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.index[k.ID()]
-	return ok
-}
-
 // Put persists rec under k as compact JSON, synchronously and atomically
 // at the backend (readers accept any JSON layout, so older indented
 // records stay valid). The record's Key and SchemaVersion envelope
@@ -577,13 +563,6 @@ func (s *Store) Len() int {
 	defer s.mu.Unlock()
 	return s.ll.Len()
 }
-
-// Dir returns the filesystem backend's directory, or "" for other
-// backends.
-func (s *Store) Dir() string { return s.dir }
-
-// Backend returns the byte-level persistence behind the store.
-func (s *Store) Backend() Backend { return s.backend }
 
 // Close drains the write-behind queue and stops the writer and the GC
 // timer. Further PutAsync calls are dropped (counted); Get/Put keep
