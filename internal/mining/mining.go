@@ -163,12 +163,13 @@ func internLabels(g *ir.GNGraph) []uint32 {
 	return out
 }
 
-// hasher is the scratch one expandGroup call hashes its candidates on, so
-// a hash allocates nothing once the edge buffer has grown.
+// hasher is the scratch one expandGroup call hashes and compares its
+// candidates on, so neither allocates once the edge buffers have grown.
 type hasher struct {
 	m     *miner
-	pos   []int32  // by node ID: member index+1 during a hash, else 0
-	edges []uint64 // reused edge buffer
+	pos   []int32  // by node ID: member index+1 during an edge walk, else 0
+	edges []uint64 // the sorted edge list of the instance last hashed
+	other []uint64 // the sorted edge list of the instance last compared
 }
 
 func (m *miner) newHasher() *hasher {
@@ -179,32 +180,51 @@ func (m *miner) newHasher() *hasher {
 // member labels in ID order plus the internal edge relation in
 // member-index space. Instances of a repeated block keep consistent
 // internal ID ordering (GraphNodes are numbered topologically), so
-// structurally identical repeats map to equal hashes. pos is written for
-// the members and zeroed again before returning: a stale entry would
-// count as a member of the next instance hashed.
+// structurally identical repeats map to equal hashes.
 func (hs *hasher) canonicalHash(in Instance) uint64 {
 	h := fnvOffset
-	for i, gn := range in {
-		hs.pos[gn.ID] = int32(i + 1)
+	for _, gn := range in {
 		h = fnvWord(h, uint64(hs.m.labels[gn.ID]))
 	}
-	edges := hs.edges[:0]
+	hs.edges = hs.edgeList(hs.edges[:0], in)
+	for _, e := range hs.edges {
+		h = fnvWord(h, e)
+	}
+	return h
+}
+
+// sameForm reports whether in has the label sequence and sorted edge list
+// of ref, the instance canonicalHash last hashed: the hash's whole input,
+// so canonicalHash(in) == canonicalHash(ref) short of a 64-bit collision.
+func (hs *hasher) sameForm(ref, in Instance) bool {
+	for i, gn := range in {
+		if hs.m.labels[gn.ID] != hs.m.labels[ref[i].ID] {
+			return false
+		}
+	}
+	hs.other = hs.edgeList(hs.other[:0], in)
+	return slices.Equal(hs.other, hs.edges)
+}
+
+// edgeList appends in's internal edges, in member-index space and sorted,
+// to an empty dst. pos is written for the members and zeroed again before
+// returning: a stale entry would count as a member of the next instance.
+func (hs *hasher) edgeList(dst []uint64, in Instance) []uint64 {
+	for i, gn := range in {
+		hs.pos[gn.ID] = int32(i + 1)
+	}
 	for i, gn := range in {
 		for _, s := range hs.m.g.Succs(gn) {
 			if j := hs.pos[s.ID]; j != 0 {
-				edges = append(edges, uint64(i)<<32|uint64(j-1))
+				dst = append(dst, uint64(i)<<32|uint64(j-1))
 			}
 		}
-	}
-	slices.Sort(edges)
-	for _, e := range edges {
-		h = fnvWord(h, e)
 	}
 	for _, gn := range in {
 		hs.pos[gn.ID] = 0
 	}
-	hs.edges = edges
-	return h
+	slices.Sort(dst)
+	return dst
 }
 
 // readableSig renders a human-readable signature for an emitted pattern.
@@ -265,14 +285,14 @@ func Mine(ctx context.Context, g *ir.GNGraph, opt Options) *Result {
 	workers := parallel.Workers(opt.Workers)
 
 	// Level 1: every GraphNode is a candidate single-node subgraph
-	// (Algorithm 1 lines 2–6). A lone node has no internal edge, so its
-	// canonical hash is its label folded once.
-	level := make(map[uint64][]Instance)
+	// (Algorithm 1 lines 2–6), grown from the empty parent. A lone node
+	// has no internal edge: its canonical hash is its label folded once.
+	seeds := make(map[uint64][]addition)
 	for _, gn := range g.Nodes {
 		h := fnvWord(fnvOffset, uint64(m.labels[gn.ID]))
-		level[h] = append(level[h], Instance{gn})
+		seeds[h] = append(seeds[h], addition{h: h, nb: gn})
 	}
-	level = m.filterFrequent(level)
+	level := m.filterFrequent(seeds)
 	m.emit(res, level, 1)
 	res.Levels = 1
 
@@ -285,8 +305,8 @@ func Mine(ctx context.Context, g *ir.GNGraph, opt Options) *Result {
 	// support count.
 	//
 	// Pattern groups expand independently, so each group runs as one
-	// work unit on the pool. Global dedup and the MaxInstancesPerPattern
-	// cap are order-sensitive, so they are NOT applied inside workers:
+	// work unit on the pool. Dedup and the MaxInstancesPerPattern cap
+	// are order-sensitive, so they are NOT applied inside workers:
 	// each worker emits its group's candidate additions in deterministic
 	// local order, and the merge below replays them in ascending
 	// canonical-hash group order. Every worker count therefore produces
@@ -299,8 +319,12 @@ func Mine(ctx context.Context, g *ir.GNGraph, opt Options) *Result {
 		if err != nil {
 			break
 		}
-		next := make(map[uint64][]Instance)
-		seen := make(map[[2]uint64]struct{}) // (pattern hash, instance key)
+		total := 0
+		for _, adds := range lists {
+			total += len(adds)
+		}
+		next := make(map[uint64][]addition)
+		seen := make(map[[2]uint64]struct{}, total) // (pattern hash, instance key)
 		for _, adds := range lists {
 			for _, a := range adds {
 				id := [2]uint64{a.h, a.key}
@@ -308,16 +332,16 @@ func Mine(ctx context.Context, g *ir.GNGraph, opt Options) *Result {
 					continue
 				}
 				seen[id] = struct{}{}
-				next[a.h] = append(next[a.h], a.in)
+				next[a.h] = append(next[a.h], a)
 			}
 		}
-		next = m.filterFrequent(next)
-		if len(next) == 0 {
+		built := m.filterFrequent(next)
+		if len(built) == 0 {
 			break // lines 12–13: no more frequent subgraphs of size k
 		}
 		res.Levels = k
-		m.emit(res, next, k)
-		level = next
+		m.emit(res, built, k)
+		level = built
 	}
 
 	// Largest patterns first, then by support, then deterministic by
@@ -337,14 +361,25 @@ func Mine(ctx context.Context, g *ir.GNGraph, opt Options) *Result {
 }
 
 // addition is one candidate instance for the next Apriori level: the
-// canonical pattern hash, the embedding's key (computed once, for the
-// group-local dedup, and carried to the merge's) and the extended
-// embedding. Workers emit additions in deterministic per-group order; the
-// level loop replays them in sorted group order to apply global dedup and
-// the instance cap.
+// canonical pattern hash, the embedding's key (for the merge's dedup) and
+// the embedding by reference — parent, a current-level instance shared by
+// every addition grown from it, plus the node nb it grows by. Only
+// additions that survive filterFrequent are built into an Instance.
+// Workers emit additions in deterministic per-group order; the level loop
+// replays them in sorted group order to apply dedup and the instance cap.
 type addition struct {
 	h, key uint64
-	in     Instance
+	parent Instance
+	nb     *ir.GraphNode
+}
+
+// extent returns the lowest member ID of parent ∪ {nb} and its ID span.
+func (a addition) extent() (first, span int) {
+	lo, hi := a.nb.ID, a.nb.ID
+	if n := len(a.parent); n > 0 {
+		lo, hi = min(lo, a.parent[0].ID), max(hi, a.parent[n-1].ID)
+	}
+	return lo, hi - lo
 }
 
 // sortedHashes returns the level's pattern hashes in ascending order.
@@ -359,37 +394,27 @@ func sortedHashes(level map[uint64][]Instance) []uint64 {
 
 // expandGroup enumerates the one-node extensions of a single pattern
 // group: every (member, direction, neighbor-index) extension of the
-// representative, replayed positionally on the other instances. It is
-// pure with respect to shared state — dedup here is group-local only,
-// which is safe because an instance emitted twice by the same group
-// would always be skipped by the merge's global dedup too, no matter
-// what other groups contribute. The hasher and a reusable scratch
-// Instance are private to the call (groups on different workers share
-// nothing) and back the rejected extensions (replays that diverge, local
-// duplicates), so only additions that actually escape allocate.
+// representative, hashed once, replayed positionally on the other
+// instances and kept where the replay has the representative's form. It
+// is pure with respect to shared state and does no dedup: an instance
+// emitted twice is dropped by the merge. The hasher and two scratch
+// Instances (the representative's extension and a replay) are private to
+// the call, so the only allocation per addition is its slot in the list.
 func (m *miner) expandGroup(instances []Instance) []addition {
 	rep := instances[0]
 	hs := m.newHasher()
 	var adds []addition
-	seen := make(map[[2]uint64]struct{}) // (pattern hash, instance key)
-	scratch := make(Instance, 0, len(rep)+1)
-	add := func(h uint64) {
-		id := [2]uint64{h, scratch.key()}
-		if _, dup := seen[id]; dup {
-			return
-		}
-		seen[id] = struct{}{}
-		adds = append(adds, addition{h, id[1], slices.Clone(scratch)})
-	}
+	ext := make(Instance, 0, len(rep)+1)
+	replay := make(Instance, 0, len(rep)+1)
 	for i, gn := range rep {
 		for dir := 0; dir < 2; dir++ {
 			for j, nb := range m.adj(dir, gn) {
 				if rep.contains(nb) {
 					continue
 				}
-				scratch = extendInto(scratch, rep, nb)
-				h := hs.canonicalHash(scratch)
-				add(h)
+				ext = extendInto(ext, rep, nb)
+				h := hs.canonicalHash(ext)
+				adds = append(adds, addition{h, ext.key(), rep, nb})
 				// Replay the (i, dir, j) extension on the other
 				// instances.
 				for _, inst := range instances[1:] {
@@ -397,9 +422,9 @@ func (m *miner) expandGroup(instances []Instance) []addition {
 					if j >= len(nbs) || inst.contains(nbs[j]) {
 						continue
 					}
-					scratch = extendInto(scratch, inst, nbs[j])
-					if hs.canonicalHash(scratch) == h {
-						add(h)
+					replay = extendInto(replay, inst, nbs[j])
+					if hs.sameForm(ext, replay) {
+						adds = append(adds, addition{h, replay.key(), inst, nbs[j]})
 					}
 				}
 			}
@@ -431,81 +456,85 @@ func extendInto(dst, in Instance, nb *ir.GraphNode) Instance {
 }
 
 // filterFrequent reduces each pattern to a maximal set of pairwise
-// disjoint instances (disjoint support keeps the Apriori downward-closure
+// disjoint additions (disjoint support keeps the Apriori downward-closure
 // property and is exactly what folding needs), drops infrequent patterns,
-// and caps the level width.
-func (m *miner) filterFrequent(level map[uint64][]Instance) map[uint64][]Instance {
-	out := make(map[uint64][]Instance, len(level))
+// caps the level width, and builds the surviving additions — and only
+// those — into the level's instances.
+func (m *miner) filterFrequent(level map[uint64][]addition) map[uint64][]Instance {
+	type pattern struct {
+		h    uint64
+		adds []addition
+	}
+	var kept []pattern
 	claimed := make([]bool, len(m.g.Nodes))
-	for sig, ins := range level {
-		ins = disjointInstances(ins, claimed)
-		if len(ins) >= m.opt.MinSupport {
-			out[sig] = ins
+	for h, adds := range level {
+		if adds = disjointInstances(adds, claimed); len(adds) >= m.opt.MinSupport {
+			kept = append(kept, pattern{h, adds})
 		}
 	}
-	if len(out) > m.opt.MaxPatternsPerLevel {
-		type kv struct {
-			sig uint64
-			n   int
-		}
-		all := make([]kv, 0, len(out))
-		for sig, ins := range out {
-			all = append(all, kv{sig, len(ins)})
-		}
-		slices.SortFunc(all, func(a, b kv) int {
-			if a.n != b.n {
-				return b.n - a.n
+	if len(kept) > m.opt.MaxPatternsPerLevel {
+		slices.SortFunc(kept, func(a, b pattern) int {
+			if len(a.adds) != len(b.adds) {
+				return len(b.adds) - len(a.adds)
 			}
-			return cmp.Compare(a.sig, b.sig)
+			return cmp.Compare(a.h, b.h)
 		})
-		trimmed := make(map[uint64][]Instance, m.opt.MaxPatternsPerLevel)
-		for _, e := range all[:m.opt.MaxPatternsPerLevel] {
-			trimmed[e.sig] = out[e.sig]
+		kept = kept[:m.opt.MaxPatternsPerLevel]
+	}
+	// A pattern's instances share one backing array; each is a window
+	// capped at its own size, so an append to one never reaches the next.
+	out := make(map[uint64][]Instance, len(kept))
+	for _, p := range kept {
+		k := len(p.adds[0].parent) + 1
+		ins, nodes := make([]Instance, len(p.adds)), make([]*ir.GraphNode, len(p.adds)*k)
+		for i, a := range p.adds {
+			ins[i] = extendInto(nodes[i*k:i*k:(i+1)*k], a.parent, a.nb)
 		}
-		out = trimmed
+		out[p.h] = ins
 	}
 	return out
 }
 
 // disjointInstances greedily selects a maximal subset of pairwise
-// node-disjoint instances. Compact instances (smallest ID span) are
+// node-disjoint additions. Compact instances (smallest ID span) are
 // claimed first: embeddings that bridge two repeats of a block span more
 // IDs than embeddings aligned with one repeat, so this keeps the
 // surviving tiling aligned with the natural block boundaries — which both
 // maximizes the disjoint support and keeps pipeline stages cuttable.
 // claimed is the caller's scratch, one flag per node ID; it is cleared
 // here.
-func disjointInstances(ins []Instance, claimed []bool) []Instance {
-	span := func(in Instance) int { return in[len(in)-1].ID - in[0].ID }
-	// Stable: the incoming instance order is deterministic (merge order),
-	// so ties on (span, first ID) must not be reshuffled.
-	slices.SortStableFunc(ins, func(a, b Instance) int {
-		if sa, sb := span(a), span(b); sa != sb {
-			return sa - sb
-		}
-		return a[0].ID - b[0].ID
+func disjointInstances(adds []addition, claimed []bool) []addition {
+	// Stable: the incoming order is deterministic (merge order), so ties
+	// on (span, first ID) must not be reshuffled.
+	slices.SortStableFunc(adds, func(a, b addition) int {
+		af, as := a.extent()
+		bf, bs := b.extent()
+		return cmp.Or(as-bs, af-bf)
 	})
 	clear(claimed)
-	out := ins[:0]
-	for _, in := range ins {
+	out := adds[:0]
+	for _, a := range adds {
 		// Sprawling embeddings (e.g. star-shaped subgraphs hanging off a
 		// high-fanout tensor) are poor reuse units: they interleave with
 		// many other blocks and block pipeline-stage cuts. Cap the ID
 		// span at 4× the member count.
-		if span(in) >= 4*len(in) {
+		if _, span := a.extent(); span >= 4*(len(a.parent)+1) {
 			continue
 		}
-		if claim(claimed, in) {
-			out = append(out, in)
+		if claim(claimed, a.parent, a.nb) {
+			out = append(out, a)
 		}
 	}
 	return out
 }
 
-// claim marks the instance's nodes in the ID-indexed claimed table and
+// claim marks the nodes of in and nb in the ID-indexed claimed table and
 // reports true, or leaves the table alone and reports false when any of
 // them is already taken.
-func claim(claimed []bool, in Instance) bool {
+func claim(claimed []bool, in Instance, nb *ir.GraphNode) bool {
+	if claimed[nb.ID] {
+		return false
+	}
 	for _, gn := range in {
 		if claimed[gn.ID] {
 			return false
@@ -514,6 +543,7 @@ func claim(claimed []bool, in Instance) bool {
 	for _, gn := range in {
 		claimed[gn.ID] = true
 	}
+	claimed[nb.ID] = true
 	return true
 }
 
@@ -576,7 +606,7 @@ func Fold(g *ir.GNGraph, res *Result) []*Class {
 	for _, sub := range ordered {
 		var taken []Instance
 		for _, in := range sub.Instances {
-			if claim(claimed, in) {
+			if claim(claimed, in[1:], in[0]) {
 				taken = append(taken, in)
 			}
 		}

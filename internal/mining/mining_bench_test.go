@@ -28,14 +28,14 @@ func groupNamed(tb testing.TB, name string) *ir.GNGraph {
 }
 
 // BenchmarkMineLevels times the full Apriori sweep (level-1 hashing plus
-// every level-k group expansion and merge) on the largest registered
-// transformer at several worker counts:
+// every level-k group expansion and merge) on t5-770M at several worker
+// counts, and on t5-1.4B, the deepest registered graph (15 levels), at
+// one:
 //
 //	go test -run xxx -bench BenchmarkMineLevels ./internal/mining
 func BenchmarkMineLevels(b *testing.B) {
-	g := groupNamed(b, "t5-770M")
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+	mine := func(g *ir.GNGraph, workers int) func(*testing.B) {
+		return func(b *testing.B) {
 			b.ReportAllocs()
 			opt := DefaultOptions()
 			opt.Workers = workers
@@ -45,18 +45,26 @@ func BenchmarkMineLevels(b *testing.B) {
 					b.Fatal("no frequent subgraphs")
 				}
 			}
-		})
+		}
 	}
+	g := groupNamed(b, "t5-770M")
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), mine(g, workers))
+	}
+	deep := groupNamed(b, "t5-1.4B")
+	b.Run("model=t5-1.4B", func(b *testing.B) { b.Run("workers=1", mine(deep, 1)) })
 }
 
 // TestMineWorkerEquivalence is the mining-local determinism contract:
 // the sharded level expansion merges per-group output in ascending
 // canonical-hash order, so every worker count must produce exactly the
 // same frequent patterns — same signatures, sizes, instances member for
-// member and level count — as a serial run. (The engine-level sweep in
-// the root package proves the same through to PlanJSON bytes.)
+// member and level count — as a serial run. Additions reference level-k
+// instances that the pool's workers share, so t5-1.4B, the deepest graph,
+// pins it over 15 levels. (The engine-level sweep in the root package
+// proves the same through to PlanJSON bytes.)
 func TestMineWorkerEquivalence(t *testing.T) {
-	for _, name := range []string{"t5-200M", "moe-380M", "resnet-26M"} {
+	for _, name := range []string{"t5-200M", "moe-380M", "resnet-26M", "t5-1.4B"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			g := groupNamed(t, name)
