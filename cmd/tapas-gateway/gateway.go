@@ -713,8 +713,6 @@ type replicaReplication struct {
 	PeersHealthy uint64 `json:"peers_healthy"`
 	FanoutWrites uint64 `json:"fanout_writes"`
 	RepairHits   uint64 `json:"repair_hits"`
-	SweepRuns    uint64 `json:"sweep_runs"`
-	SweepDiffs   uint64 `json:"sweep_diffs"`
 }
 
 // replicaRows renders one fleet generation's health rows.
@@ -729,8 +727,6 @@ func (gw *gateway) replicaRows(v *fleetView) []replicaHealth {
 					PeersHealthy: uint64(rp.PeersHealthy),
 					FanoutWrites: rp.FanoutWrites,
 					RepairHits:   rp.RepairHits,
-					SweepRuns:    rp.SweepRuns,
-					SweepDiffs:   rp.SweepDiffs,
 				}
 			}
 		}
@@ -742,9 +738,9 @@ func (gw *gateway) replicaRows(v *fleetView) []replicaHealth {
 // fleetTotals are the sums over one generation's rows that healthz and
 // /metrics both report.
 type fleetTotals struct {
-	healthy, replicated                  int
-	tasksExecuted, tasksFailed           uint64
-	fanoutWrites, repairHits, sweepDiffs uint64
+	healthy, replicated        int
+	tasksExecuted, tasksFailed uint64
+	fanoutWrites, repairHits   uint64
 }
 
 func totals(rows []replicaHealth) fleetTotals {
@@ -759,7 +755,6 @@ func totals(rows []replicaHealth) fleetTotals {
 			t.replicated++
 			t.fanoutWrites += rp.FanoutWrites
 			t.repairHits += rp.RepairHits
-			t.sweepDiffs += rp.SweepDiffs
 		}
 	}
 	return t
@@ -795,7 +790,6 @@ func (gw *gateway) healthz(w http.ResponseWriter, r *http.Request) {
 			"replicas":      t.replicated,
 			"fanout_writes": t.fanoutWrites,
 			"repair_hits":   t.repairHits,
-			"sweep_diffs":   t.sweepDiffs,
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -835,7 +829,6 @@ func (gw *gateway) metrics(w http.ResponseWriter, r *http.Request) {
 	m.Gauge("tapas_gateway_fleet_peers_healthy", "Replicas currently passing health checks.", float64(t.healthy), nil)
 	m.Counter("tapas_gateway_replication_fanout_writes_total", "Store fanout writes summed across the fleet's last health checks.", float64(t.fanoutWrites), nil)
 	m.Counter("tapas_gateway_replication_repair_hits_total", "Store read-repairs summed across the fleet's last health checks.", float64(t.repairHits), nil)
-	m.Counter("tapas_gateway_replication_sweep_diffs_total", "Anti-entropy record copies summed across the fleet's last health checks.", float64(t.sweepDiffs), nil)
 	m.Histogram("tapas_request_duration_seconds",
 		"Proxied request latency by wall clock, all routed endpoints.", gw.reqHist, nil)
 	promtext.AddRuntime(m)

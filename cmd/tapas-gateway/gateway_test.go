@@ -563,7 +563,7 @@ func TestFleetHealthAndJobsMerge(t *testing.T) {
 func TestGatewayMetrics(t *testing.T) {
 	a, b := newFakeReplica(t, "a"), newFakeReplica(t, "b")
 	replicated := `{"status":"ok","tasks_executed":7,"tasks_failed":1,"replication":{"peers":2,"peers_healthy":1,` +
-		`"fanout_writes":5,"fanout_errors":9,"repair_hits":3,"sweep_runs":4,"sweep_diffs":2}}`
+		`"fanout_writes":5,"fanout_errors":9,"repair_hits":3}}`
 	a.healthBody.Store(&replicated)
 	gw, srv := testGateway(t, gatewayConfig{replicas: []string{a.srv.URL, b.srv.URL}})
 	gw.checkAll(context.Background())
@@ -586,7 +586,6 @@ func TestGatewayMetrics(t *testing.T) {
 		"tapas_gateway_fleet_peers_healthy 2",
 		"tapas_gateway_replication_fanout_writes_total 5",
 		"tapas_gateway_replication_repair_hits_total 3",
-		"tapas_gateway_replication_sweep_diffs_total 2",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
@@ -616,7 +615,6 @@ func TestGatewayMetrics(t *testing.T) {
 		"tapas_gateway_replica_tasks_failed_total counter",
 		"tapas_gateway_replication_fanout_writes_total counter",
 		"tapas_gateway_replication_repair_hits_total counter",
-		"tapas_gateway_replication_sweep_diffs_total counter",
 		"tapas_gateway_requests_total counter",
 		"tapas_gc_pause_seconds_total counter",
 		"tapas_goroutines gauge",
@@ -641,7 +639,7 @@ func TestGatewayMetrics(t *testing.T) {
 	if err := json.Unmarshal(body, &keys); err != nil {
 		t.Fatal(err)
 	}
-	wantRepl := map[string]uint64{"replicas": 1, "fanout_writes": 5, "repair_hits": 3, "sweep_diffs": 2}
+	wantRepl := map[string]uint64{"replicas": 1, "fanout_writes": 5, "repair_hits": 3}
 	if health.TasksExecuted != 7 || !reflect.DeepEqual(health.Replication, wantRepl) {
 		t.Errorf("healthz sums: tasks_executed %d replication %v, want 7 and %v", health.TasksExecuted, health.Replication, wantRepl)
 	}
@@ -652,7 +650,7 @@ func TestGatewayMetrics(t *testing.T) {
 	if got, want := sortedKeys(health.Replicas[0]), []string{"healthy", "replication", "tasks_executed", "tasks_failed", "url"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("replicated row keys %q, want %q", got, want)
 	}
-	if got, want := string(health.Replicas[0]["replication"]), `{"peers_healthy":1,"fanout_writes":5,"repair_hits":3,"sweep_runs":4,"sweep_diffs":2}`; compactJSON(got) != want {
+	if got, want := string(health.Replicas[0]["replication"]), `{"peers_healthy":1,"fanout_writes":5,"repair_hits":3}`; compactJSON(got) != want {
 		t.Errorf("replicated row mirror %s, want %s", got, want)
 	}
 	if got, want := sortedKeys(health.Replicas[1]), []string{"healthy", "tasks_executed", "tasks_failed", "url"}; !reflect.DeepEqual(got, want) {

@@ -13,10 +13,10 @@
 //     kill -9 are adopted at start-up under their original IDs.
 //   - A lone -store-peer mounts that peer's corpus instead of a local
 //     one; -store-dir plus -store-peer (repeatable) replicates the
-//     corpus: writes fan out write-behind, local misses fall through to
-//     peers with read-repair, an anti-entropy sweep reconciles the rest,
-//     so killing any replica — a record's writer included — loses no
-//     warm state.
+//     corpus: writes fan out write-behind and local misses fall through
+//     to peers with read-repair, so when every replica lists every other
+//     as a -store-peer, killing any replica — a record's writer
+//     included — loses no warm state.
 //   - -fleet makes the daemon a distributed-cold-search coordinator
 //     that scatters enumeration prefix tasks over POST /v1/tasks (which
 //     every daemon serves) and falls back to the local pool, with the
@@ -73,10 +73,9 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 	cache := fs.Int("cache", tapas.DefaultCacheSize, "result cache entries (0 disables)")
 	storeDir := fs.String("store-dir", "", "persistent plan store directory; searches survive restarts (empty disables)")
 	var storePeers cli.StringList
-	fs.Var(&storePeers, "store-peer", "peer daemon URL sharing the plan corpus (repeatable, commas allowed). Alone: read/write that peer's corpus. With -store-dir: replicate — writes fan out to every peer, reads fall through with read-repair, anti-entropy keeps all replicas converged")
+	fs.Var(&storePeers, "store-peer", "peer daemon URL sharing the plan corpus (repeatable, commas allowed). Alone: read/write that peer's corpus. With -store-dir: replicate — writes fan out to every peer, reads fall through with read-repair")
 	storeMax := fs.Int("store-max", store.DefaultMaxEntries, "plan store record bound (LRU eviction past it)")
 	storeGCAge := fs.Duration("store-gc-age", 0, "delete store records unused for longer than this, at open and every age/4 (clamped to [1s, 1h]) after (0 disables GC; incompatible with -store-peer)")
-	storeSweep := fs.Duration("store-sweep-interval", 30*time.Second, "anti-entropy sweep period of a replicated corpus (0 disables; only with -store-dir plus -store-peer)")
 	storeProbe := fs.Duration("store-probe-interval", 3*time.Second, "how often a down replication peer is re-probed")
 	jobsDir := fs.String("jobs-dir", "", "durable job record directory; queued/running jobs survive restarts (default <store-dir>/jobs when -store-dir is set, empty disables)")
 	maxFinished := fs.Int("max-finished", 256, "finished jobs retained for status polling")
@@ -134,7 +133,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 				logf("store: skipping unreadable record %s: %v", path, err)
 			},
 		}, storePeers, replicate.Options{
-			SweepInterval: *storeSweep,
 			ProbeInterval: *storeProbe,
 			Logf:          logf,
 			Trace:         rec,
@@ -224,8 +222,7 @@ func openStore(opts store.Options, peers []string, ropts replicate.Options) (*st
 		opts.Shared = true
 	case len(peers) > 0:
 		// Replicated corpus: this daemon owns bytes locally AND fans
-		// writes out to every peer; reads fall through with read-repair
-		// and anti-entropy converges divergence.
+		// writes out to every peer; reads fall through with read-repair.
 		local, err := store.NewFS(opts.Dir)
 		if err != nil {
 			return nil, nil, err
@@ -238,8 +235,9 @@ func openStore(opts store.Options, peers []string, ropts replicate.Options) (*st
 			return nil, nil, err
 		}
 		opts.Backend = repl
-		// Shared: peers' fanout writes and sweep-landed records must be
-		// visible past this process's index.
+		// Shared: records only the peers hold — plans written while this
+		// replica was down — must be read through past this process's
+		// index, which is where read-repair happens.
 		opts.Shared = true
 	}
 	st, err := store.Open(opts)

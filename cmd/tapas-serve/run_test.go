@@ -303,73 +303,88 @@ func TestRunSharedCorpus(t *testing.T) {
 	}
 }
 
-// TestRunReplicatedCorpus: -store-dir plus -store-peer replicates. The
-// peer is unreachable at first, so the daemon reports a replication
-// block with it down and skips it when a searched plan fans out; once
-// it answers, the probe (-store-probe-interval) finds it and the
-// anti-entropy sweep (-store-sweep-interval) copies the plan over; the
-// next plan reaches it by write-behind fan-out; and the peer serves
-// both as store hits.
-func TestRunReplicatedCorpus(t *testing.T) {
-	peerDir, dir := t.TempDir(), t.TempDir()
-	peer := startDaemon(t, "-store-dir", peerDir)
-	target, err := url.Parse(peer.url)
+// hop is a loopback relay to a daemon that a test connects once the
+// daemon is up: until then every request gets a 503, which the
+// replicating backend treats as a dead peer.
+type hop struct {
+	srv   *httptest.Server
+	proxy atomic.Pointer[httputil.ReverseProxy]
+}
+
+func newHop(t *testing.T) *hop {
+	h := &hop{}
+	h.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if p := h.proxy.Load(); p != nil {
+			p.ServeHTTP(w, r)
+			return
+		}
+		http.Error(w, "down", http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(h.srv.Close)
+	return h
+}
+
+func (h *hop) connect(t *testing.T, d *daemon) {
+	target, err := url.Parse(d.url)
 	if err != nil {
 		t.Fatal(err)
 	}
-	proxy := httputil.NewSingleHostReverseProxy(target)
-	var up atomic.Bool
-	gate := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !up.Load() {
-			http.Error(w, "down", http.StatusServiceUnavailable)
-			return
-		}
-		proxy.ServeHTTP(w, r)
-	}))
-	defer gate.Close()
-	rep := startDaemon(t, "-store-dir", dir, "-store-peer", gate.URL,
-		"-store-probe-interval", "10ms", "-store-sweep-interval", "20ms")
-	replication := func() *replicate.Stats {
-		h := rep.health(t)
+	h.proxy.Store(httputil.NewSingleHostReverseProxy(target))
+}
+
+// TestRunReplicatedCorpus: -store-dir plus -store-peer replicates, in
+// the symmetric topology where each of two daemons lists the other. The
+// daemons cannot reach each other at first, so each reports a
+// replication block with its peer down, and a searched plan's fan-out
+// skips the peer. Once the links answer, each probe
+// (-store-probe-interval) finds its peer; nothing copies the missed plan
+// ahead of time, yet the peer serves it as a store hit by read-repair;
+// and the next plan reaches the peer by write-behind fan-out.
+func TestRunReplicatedCorpus(t *testing.T) {
+	peerDir, dir := t.TempDir(), t.TempDir()
+	toPeer, toRep := newHop(t), newHop(t)
+	peer := startDaemon(t, "-store-dir", peerDir, "-store-peer", toRep.srv.URL, "-store-probe-interval", "10ms")
+	rep := startDaemon(t, "-store-dir", dir, "-store-peer", toPeer.srv.URL, "-store-probe-interval", "10ms")
+	replication := func(d *daemon) *replicate.Stats {
+		h := d.health(t)
 		if h.Replication == nil || h.Replication.Peers != 1 {
 			t.Fatalf("healthz of a -store-dir -store-peer daemon has replication block %+v, want one peer", h.Replication)
 		}
 		return h.Replication
 	}
 
-	swept := rep.search(t, "twotower-small", 4)
+	missed := rep.search(t, "twotower-small", 4)
 	eventually(t, "the fan-out to skip the dead peer", func() bool {
-		r := replication()
+		r := replication(rep)
 		return r.PeersHealthy == 0 && r.DeadPeerSkips >= 1 && len(records(t, dir)) == 1
 	})
+
+	toPeer.connect(t, peer)
+	toRep.connect(t, rep)
+	eventually(t, "both probes to find their peer", func() bool {
+		return replication(rep).PeersHealthy == 1 && replication(peer).PeersHealthy == 1
+	})
 	if n := len(records(t, peerDir)); n != 0 {
-		t.Fatalf("%d records reached a peer that is down", n)
+		t.Fatalf("%d records reached the peer before it read any", n)
+	}
+	repaired := peer.search(t, "twotower-small", 4)
+	if !repaired.StoreHit || repaired.CacheHit {
+		t.Fatalf("the peer re-searched a plan written while it was down: %+v", repaired.ResultSummary)
+	}
+	samePlan(t, "read-repaired", missed, repaired, true)
+	if r := replication(peer); r.RepairHits < 1 || len(records(t, peerDir)) != 1 {
+		t.Fatalf("peer after the read: repair_hits %d, %d records on disk, want ≥ 1 and 1", r.RepairHits, len(records(t, peerDir)))
 	}
 
-	up.Store(true)
-	eventually(t, "the probe to find the peer and a sweep to copy the plan over", func() bool {
-		r := replication()
-		return r.PeersHealthy == 1 && r.SweepDiffs >= 1 && len(records(t, peerDir)) == 1
-	})
 	fanned := rep.search(t, "t5-100M", 8)
 	eventually(t, "the fan-out to land on the peer's disk", func() bool {
-		return replication().FanoutWrites >= 1 && len(records(t, peerDir)) == 2
+		return replication(rep).FanoutWrites >= 1 && len(records(t, peerDir)) == 2
 	})
-	before := replication().SweepRuns
-	eventually(t, "sweeps on the flag's period", func() bool { return replication().SweepRuns >= before+2 })
-
-	for _, c := range []struct {
-		how   string
-		model string
-		gpus  int
-		cold  *service.SearchResponse
-	}{{"swept", "twotower-small", 4, swept}, {"fanned out", "t5-100M", 8, fanned}} {
-		warm := peer.search(t, c.model, c.gpus)
-		if !warm.StoreHit {
-			t.Fatalf("the peer re-searched a plan %s to it: %+v", c.how, warm.ResultSummary)
-		}
-		samePlan(t, c.how, c.cold, warm, true)
+	warm := peer.search(t, "t5-100M", 8)
+	if !warm.StoreHit {
+		t.Fatalf("the peer re-searched a plan fanned out to it: %+v", warm.ResultSummary)
 	}
+	samePlan(t, "fanned out", fanned, warm, true)
 }
 
 // TestRunRefusesBadStoreFlags: GC against a corpus this daemon does not
@@ -531,7 +546,7 @@ func TestKill9AdoptsJobs(t *testing.T) {
 func TestKill9TheCorpusWriter(t *testing.T) {
 	dirC, dirB := t.TempDir(), t.TempDir()
 	c := startDaemon(t, "-store-dir", dirC)
-	b := startDaemon(t, "-store-dir", dirB, "-store-peer", c.url, "-store-sweep-interval", "0")
+	b := startDaemon(t, "-store-dir", dirB, "-store-peer", c.url)
 	writer := startProcess(t, "-store-dir", t.TempDir(), "-store-peer", b.url, "-store-peer", c.url)
 	cold := writer.search(t, "t5-100M", 8)
 	eventually(t, "the fan-out to reach both survivors", func() bool {

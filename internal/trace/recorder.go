@@ -106,7 +106,7 @@ func (r *Recorder) StartRequest(ctx context.Context, name, traceID, parentID str
 }
 
 // StartTrace begins a standalone sampled trace with no incoming
-// request — background work like replication sweeps and read-repair,
+// request — background work like replication fan-out and read-repair,
 // where there is no caller to propagate from. Returns (ctx, nil) when
 // the work is not sampled.
 func (r *Recorder) StartTrace(ctx context.Context, name string) (context.Context, *Span) {

@@ -265,9 +265,9 @@ type Stats struct {
 	// when the daemon runs without -fleet.
 	Fleet *FleetStats `json:"fleet,omitempty"`
 	// Replication reports the replicating store backend's traffic —
-	// write fanout, read-repair, anti-entropy — and per-peer health;
-	// nil when the daemon runs without replication (fewer than two
-	// -store-peer flags).
+	// write fanout and read-repair — and per-peer health; nil when the
+	// daemon runs without replication (no -store-dir beside
+	// -store-peer).
 	Replication *replicate.Stats `json:"replication,omitempty"`
 }
 

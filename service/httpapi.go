@@ -215,9 +215,6 @@ func metricsFor(st Stats) *promtext.Metrics {
 		m.Counter("tapas_replicate_dead_peer_skips_total", "Operations that skipped a peer marked down.", float64(r.DeadPeerSkips), nil)
 		m.Counter("tapas_replicate_queue_dropped_total", "Fanout ops dropped (peer queue full or backend closed).", float64(r.QueueDropped), nil)
 		m.Counter("tapas_replicate_repair_hits_total", "Local misses served by a peer and re-put locally (read-repair).", float64(r.RepairHits), nil)
-		m.Counter("tapas_replicate_sweep_runs_total", "Anti-entropy sweep passes.", float64(r.SweepRuns), nil)
-		m.Counter("tapas_replicate_sweep_diffs_total", "Records copied between backends by anti-entropy sweeps.", float64(r.SweepDiffs), nil)
-		m.Counter("tapas_replicate_sweep_errors_total", "List/copy failures tolerated by anti-entropy sweeps.", float64(r.SweepErrors), nil)
 	}
 	return m
 }

@@ -53,9 +53,6 @@ func TestMetricsForReplicationBlock(t *testing.T) {
 			DeadPeerSkips: 2,
 			QueueDropped:  3,
 			RepairHits:    4,
-			SweepRuns:     5,
-			SweepDiffs:    9,
-			SweepErrors:   6,
 		},
 	}
 	var sb strings.Builder
@@ -71,9 +68,6 @@ func TestMetricsForReplicationBlock(t *testing.T) {
 		"tapas_replicate_dead_peer_skips_total 2",
 		"tapas_replicate_queue_dropped_total 3",
 		"tapas_replicate_repair_hits_total 4",
-		"tapas_replicate_sweep_runs_total 5",
-		"tapas_replicate_sweep_diffs_total 9",
-		"tapas_replicate_sweep_errors_total 6",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)

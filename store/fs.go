@@ -42,8 +42,7 @@ func (f *FS) Path(id string) string { return filepath.Join(f.dir, id+".json") }
 
 // Get reads the record published under id. It does not refresh
 // recency — the Store calls Touch on genuine hits only, so a read that
-// is not a hit (a record dropped as corrupt, a replication sweep) never
-// rejuvenates it.
+// is not a hit (a record dropped as corrupt) never rejuvenates it.
 func (f *FS) Get(id string) ([]byte, error) {
 	if !validID(id) {
 		return nil, fmt.Errorf("%w: malformed id %q", ErrNotFound, id)

@@ -61,7 +61,9 @@ func peerError(resp *http.Response) error {
 	return fmt.Errorf("remotebackend: peer returned %d: %s", resp.StatusCode, msg)
 }
 
-// Get fetches the raw record published under id.
+// Get fetches the raw record published under id. A payload over
+// maxRecordBytes is an error, never a truncated record: a Store would
+// decode the cut bytes as corrupt and delete the peer's good copy.
 func (b *Backend) Get(id string) ([]byte, error) {
 	resp, err := b.client().Get(b.url(id))
 	if err != nil {
@@ -74,9 +76,12 @@ func (b *Backend) Get(id string) ([]byte, error) {
 	case resp.StatusCode/100 != 2:
 		return nil, peerError(resp)
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxRecordBytes))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxRecordBytes+1))
 	if err != nil {
 		return nil, fmt.Errorf("remotebackend: read %s: %w", id, err)
+	}
+	if len(data) > maxRecordBytes {
+		return nil, fmt.Errorf("remotebackend: record %s exceeds %d bytes", id, maxRecordBytes)
 	}
 	return data, nil
 }

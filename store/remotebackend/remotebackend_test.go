@@ -1,11 +1,15 @@
 package remotebackend_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -155,6 +159,46 @@ func TestRemoteOpenWithoutPeer(t *testing.T) {
 	}
 	if _, ok := s.Get(testKey(0)); ok {
 		t.Error("hit against an unreachable corpus")
+	}
+}
+
+// TestRemoteGetRefusesOversizedRecord: a payload past the 32 MB read
+// limit is an error, not a truncated record. A Store over the peer then
+// counts a read error and deletes nothing, where cut bytes would decode
+// as corrupt and the Store would delete the peer's good copy.
+func TestRemoteGetRefusesOversizedRecord(t *testing.T) {
+	payload := bytes.Repeat([]byte("x"), 32<<20+1)
+	var deletes atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.Method == http.MethodDelete:
+			deletes.Add(1)
+			w.WriteHeader(http.StatusNoContent)
+		case r.URL.Path == "/v1/store":
+			fmt.Fprint(w, `{"records":[]}`)
+		default:
+			_, _ = w.Write(payload)
+		}
+	}))
+	defer srv.Close()
+	b := remotebackend.New(srv.URL)
+	if data, err := b.Get(testKey(0).ID()); err == nil || errors.Is(err, store.ErrNotFound) {
+		t.Fatalf("oversized record: got %d bytes and err %v, want a read error", len(data), err)
+	}
+
+	s, err := store.Open(store.Options{Backend: b, Shared: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, ok := s.Get(testKey(0)); ok {
+		t.Fatal("hit on an oversized record")
+	}
+	if st := s.Stats(); st.ReadErrors != 1 || st.Corrupt != 0 {
+		t.Errorf("store stats %+v, want one read error and nothing corrupt", st)
+	}
+	if n := deletes.Load(); n != 0 {
+		t.Errorf("the store sent %d deletes to the peer", n)
 	}
 }
 

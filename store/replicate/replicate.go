@@ -1,42 +1,42 @@
-// Package replicate implements a replicated, self-healing plan corpus:
-// a composite store.Backend that keeps K underlying backends converging
-// on the same record set, so any surviving replica can serve every plan
-// the fleet has searched — killing the daemon that originally wrote a
-// record loses nothing.
+// Package replicate implements a replicated plan corpus: a composite
+// store.Backend that spreads every record over K underlying backends,
+// so any surviving replica can serve every plan the fleet has searched
+// — killing the daemon that originally wrote a record loses nothing.
 //
-// The design follows three classic replication disciplines, scaled down
-// to the store's content-addressed, last-write-wins record model:
+// Two classic replication disciplines, scaled down to the store's
+// content-addressed record model, do all of the converging:
 //
 //   - Write fanout, write-behind. A Put (or Delete) lands on the local
 //     backend synchronously — the hot path's durability — and is then
 //     queued to every peer on a per-peer outbound queue drained by its
 //     own goroutine, so one slow or dead replica never blocks a search.
-//     A full queue drops the op (counted) instead of stalling; the
-//     anti-entropy sweep re-converges whatever the queues miss.
+//     A full queue drops the op (counted) instead of stalling.
 //
 //   - Read-repair. A Get that misses locally falls through to the
 //     healthy peers; a record found remotely is served AND re-Put into
 //     the local backend, so the next read is local and a wiped replica
 //     heals itself organically under read traffic.
 //
-//   - Anti-entropy. A periodic sweep diffs List+Stat across all
-//     backends and reconciles divergence in both directions: a record
-//     missing anywhere is copied from a holder, and when two backends
-//     hold different bytes under one id (sizes differ), the copy with
-//     the newest timestamp wins everywhere.
+// Both assume the symmetric topology: every replica lists every other
+// as a peer, so a read on any replica can reach every holder. A record
+// is the deterministic output of a search — two copies under one id
+// carry the same plan — so a replica that missed a fan-out catches up
+// the first time it reads the record. Nothing copies a record ahead of
+// time to a replica that missed its fan-out and never reads it; losing
+// it costs one re-search returning the same plan, and only after every
+// replica holding it has died.
 //
 // Degraded operation is first-class: a peer whose call fails at the
-// transport is marked down and skipped (counted) by writes, reads,
-// listings and sweeps, while a background probe loop re-tests it — any
-// answer, even a 404, proves it alive — and a recovery kicks an
-// immediate sweep so the rejoined replica catches up without waiting
-// for the timer.
+// transport is marked down and skipped (counted) by writes, reads and
+// listings. Only the background probe loop marks it healthy again — any
+// answer, even a 404, proves it alive — after which the next write
+// reaches it by fan-out again.
 //
 // Known limitation: there are no tombstones. A Delete that a dead peer
-// never saw is undone by a later sweep (the record is copied back from
-// that peer). For a plan corpus this is benign — records are immutable
-// search outcomes and deletion is an optimization, not a correctness
-// requirement.
+// never saw is undone by read-repair: a later read of the id on a
+// replica without it copies the record back from that peer. For a plan
+// corpus this is benign — records are immutable search outcomes and
+// deletion is an optimization, not a correctness requirement.
 //
 // All methods are safe for concurrent use.
 package replicate
@@ -55,7 +55,7 @@ import (
 )
 
 // queueSize bounds one peer's outbound write-behind queue. Ops beyond
-// it are dropped and counted; the sweep reconverges them.
+// it are dropped and counted; the peer read-repairs the record later.
 const queueSize = 128
 
 // probeID is the record id used by health probes: a well-formed content
@@ -79,22 +79,20 @@ type Options struct {
 	// Local is the backend this process owns — written synchronously,
 	// read first, and the target of read-repair.
 	Local store.Backend
-	// Peers are the replication targets write fanout, read fall-through
-	// and the anti-entropy sweep operate on.
+	// Peers are the replication targets write fanout and read
+	// fall-through operate on.
 	Peers []Peer
-	// SweepInterval is the anti-entropy period. 0 disables the periodic
-	// sweep (Sweep can still be called directly — tests do).
-	SweepInterval time.Duration
 	// ProbeInterval spaces background health probes of down peers
-	// (default 3s; negative disables probing — a down peer then only
-	// recovers when a read or sweep happens to succeed against it).
+	// (default 3s). Negative disables probing, and then a peer marked
+	// down stays down: reads, writes and listings all skip it, and only
+	// the probe loop ever marks a peer healthy again.
 	ProbeInterval time.Duration
 	// Logf observes peer-health transitions and repair activity
 	// (nil: silent).
 	Logf func(format string, args ...any)
 	// Trace, when set, records replication background work (write
-	// fanout, read-repair, anti-entropy sweeps) as standalone spans in
-	// the daemon's flight recorder, subject to the recorder's sampling.
+	// fanout, read-repair) as standalone spans in the daemon's flight
+	// recorder, subject to the recorder's sampling.
 	Trace *trace.Recorder
 }
 
@@ -108,7 +106,7 @@ type Stats struct {
 	PeersHealthy int `json:"peers_healthy"`
 	// FanoutWrites counts Put/Delete ops successfully applied to peers
 	// by the write-behind queues; FanoutErrors counts ops that failed
-	// at a peer (which the sweep later reconciles).
+	// at a peer.
 	FanoutWrites uint64 `json:"fanout_writes"`
 	FanoutErrors uint64 `json:"fanout_errors"`
 	// DeadPeerSkips counts operations (writes, read fall-throughs,
@@ -120,12 +118,6 @@ type Stats struct {
 	// RepairHits counts Gets answered by a peer after a local miss —
 	// each one re-Puts the record locally (read-repair).
 	RepairHits uint64 `json:"repair_hits"`
-	// SweepRuns, SweepDiffs and SweepErrors count anti-entropy passes,
-	// the record copies they performed, and the copy/list failures they
-	// tolerated.
-	SweepRuns   uint64 `json:"sweep_runs"`
-	SweepDiffs  uint64 `json:"sweep_diffs"`
-	SweepErrors uint64 `json:"sweep_errors"`
 	// PeerDetail lists per-peer health for operators.
 	PeerDetail []PeerStatus `json:"peer_detail,omitempty"`
 }
@@ -160,26 +152,19 @@ type Backend struct {
 	logf  func(string, ...any)
 	rec   *trace.Recorder // nil disables replication spans
 
-	sweepMu sync.Mutex    // one sweep at a time
-	kick    chan struct{} // recovery-triggered sweep request
-
 	fanoutWrites  atomic.Uint64
 	fanoutErrors  atomic.Uint64
 	deadPeerSkips atomic.Uint64
 	queueDropped  atomic.Uint64
 	repairHits    atomic.Uint64
-	sweepRuns     atomic.Uint64
-	sweepDiffs    atomic.Uint64
-	sweepErrors   atomic.Uint64
 
 	stop     chan struct{}
 	stopOnce sync.Once
-	wg       sync.WaitGroup // the probe and sweep loops
+	wg       sync.WaitGroup // the probe loop
 }
 
 // New builds the replicating backend over opts.Local and opts.Peers and
-// starts the per-peer queue writers, the health probe loop, and (when
-// SweepInterval is set) the anti-entropy sweep loop.
+// starts the per-peer queue writers and the health probe loop.
 func New(opts Options) (*Backend, error) {
 	if opts.Local == nil {
 		return nil, fmt.Errorf("replicate: no local backend given")
@@ -195,7 +180,6 @@ func New(opts Options) (*Backend, error) {
 		local: opts.Local,
 		logf:  logf,
 		rec:   opts.Trace,
-		kick:  make(chan struct{}, 1),
 		stop:  make(chan struct{}),
 	}
 	for i, p := range opts.Peers {
@@ -214,10 +198,6 @@ func New(opts Options) (*Backend, error) {
 	if opts.ProbeInterval > 0 && len(b.peers) > 0 {
 		b.wg.Add(1)
 		go b.probeLoop(opts.ProbeInterval)
-	}
-	if opts.SweepInterval > 0 {
-		b.wg.Add(1)
-		go b.sweepLoop(opts.SweepInterval)
 	}
 	return b, nil
 }
@@ -265,7 +245,7 @@ func (b *Backend) Get(id string) ([]byte, error) {
 
 // Put publishes data under id: synchronously at the local backend (its
 // failure is the caller's failure), then write-behind to every peer.
-// Down peers are skipped — the sweep re-converges them on recovery.
+// Down peers are skipped; they read-repair what they missed.
 func (b *Backend) Put(id string, data []byte) error {
 	if err := b.local.Put(id, data); err != nil {
 		return err
@@ -278,7 +258,7 @@ func (b *Backend) Put(id string, data []byte) error {
 
 // Delete removes id locally and fans the delete out to the peers. See
 // the package note on tombstones: a delete a dead peer never saw can be
-// resurrected by a later sweep.
+// undone by a later read-repair from that peer.
 func (b *Backend) Delete(id string) error {
 	err := b.local.Delete(id)
 	for _, p := range b.peers {
@@ -362,9 +342,6 @@ func (b *Backend) Stats() Stats {
 		DeadPeerSkips: b.deadPeerSkips.Load(),
 		QueueDropped:  b.queueDropped.Load(),
 		RepairHits:    b.repairHits.Load(),
-		SweepRuns:     b.sweepRuns.Load(),
-		SweepDiffs:    b.sweepDiffs.Load(),
-		SweepErrors:   b.sweepErrors.Load(),
 	}
 	for _, p := range b.peers {
 		up := p.healthy.Load()
@@ -384,7 +361,7 @@ func (b *Backend) Flush() {
 	}
 }
 
-// Close stops the probe and sweep loops and drains the outbound
+// Close stops the probe loop and drains the outbound
 // queues. Further fanout is dropped (counted); Get/Put keep working
 // against the local backend. Idempotent.
 func (b *Backend) Close() error {
@@ -455,9 +432,8 @@ func (b *Backend) markDown(p *peerState, err error) {
 // ---------------------------------------------------------------------------
 // Health probing
 
-// probeLoop re-tests down peers so a recovered replica rejoins the
-// fanout without waiting for a failed call against it, and kicks a
-// sweep on recovery so it catches up immediately.
+// probeLoop re-tests down peers — the only way a peer marked down
+// rejoins the fanout, the read fall-through and the listings.
 func (b *Backend) probeLoop(every time.Duration) {
 	defer b.wg.Done()
 	t := time.NewTicker(every)
@@ -468,7 +444,6 @@ func (b *Backend) probeLoop(every time.Duration) {
 			return
 		case <-t.C:
 		}
-		recovered := false
 		for _, p := range b.peers {
 			if p.healthy.Load() {
 				continue
@@ -479,14 +454,7 @@ func (b *Backend) probeLoop(every time.Duration) {
 			if err == nil || errors.Is(err, store.ErrNotFound) {
 				if !p.healthy.Swap(true) {
 					b.logf("replicate: peer %s healthy again", p.name)
-					recovered = true
 				}
-			}
-		}
-		if recovered {
-			select {
-			case b.kick <- struct{}{}:
-			default:
 			}
 		}
 	}

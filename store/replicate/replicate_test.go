@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -234,9 +235,12 @@ func TestFanoutWriteBehind(t *testing.T) {
 
 // TestReadRepair pins the read path: a record only a peer holds is
 // served through the composite and re-Put locally, so the next read
-// never leaves the process.
+// never leaves the process. With probing off, a peer that fails once
+// stays down even after it comes back.
 func TestReadRepair(t *testing.T) {
-	local, peer := newFS(t), newFS(t)
+	local := newFS(t)
+	peer := &flakyBackend{inner: newFS(t)}
+	peer.up.Store(true)
 	b := newReplicated(t, replicate.Options{
 		Local:         local,
 		Peers:         []replicate.Peer{{Name: "peer", Backend: peer}},
@@ -260,12 +264,39 @@ func TestReadRepair(t *testing.T) {
 	if st := b.Stats(); st.RepairHits != 1 {
 		t.Fatalf("repair_hits = %d, want 1", st.RepairHits)
 	}
+
+	// The peer fails one read and is marked down. Once it is back, a read
+	// it could answer and a write it could take both still skip it: only
+	// the probe loop marks a peer healthy again.
+	peer.up.Store(false)
+	_, id2, data2 := testRecord(3, "a")
+	if _, err := b.Get(id2); !errors.Is(err, store.ErrNotFound) {
+		t.Fatalf("read with the peer down: %v, want a miss", err)
+	}
+	peer.up.Store(true)
+	if err := peer.Put(id2, data2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Get(id2); !errors.Is(err, store.ErrNotFound) {
+		t.Fatalf("a peer marked down answered a read: %v", err)
+	}
+	_, id3, data3 := testRecord(4, "a")
+	if err := b.Put(id3, data3); err != nil {
+		t.Fatal(err)
+	}
+	b.Flush()
+	if _, err := peer.Get(id3); !errors.Is(err, store.ErrNotFound) {
+		t.Fatalf("fan-out reached a peer marked down: %v", err)
+	}
+	if st := b.Stats(); st.PeersHealthy != 0 || st.RepairHits != 1 {
+		t.Fatalf("with probing off the peer came back: %+v", st)
+	}
 }
 
 // TestDeadPeerSkipProbeRecoveryAndConvergence walks the full degraded
 // lifecycle: a peer dies mid-run (fanout error, marked down), later
-// writes skip it, the probe loop notices its recovery, and a sweep
-// brings it back level with the survivors.
+// writes skip it, the probe loop notices its recovery, and the next
+// write reaches it by fan-out again.
 func TestDeadPeerSkipProbeRecoveryAndConvergence(t *testing.T) {
 	local := newFS(t)
 	flaky := &flakyBackend{inner: newFS(t)}
@@ -318,95 +349,180 @@ func TestDeadPeerSkipProbeRecoveryAndConvergence(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// A sweep converges the records the peer missed while down.
-	if _, err := b.Sweep(); err != nil {
+	// Recovery restores the fan-out: the next write reaches the peer.
+	_, id4, data4 := testRecord(6, "a")
+	if err := b.Put(id4, data4); err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		id   string
-		data []byte
-	}{{id2, data2}, {id3, data3}} {
-		got, err := flaky.Get(tc.id)
-		if err != nil {
-			t.Fatalf("recovered peer still missing %s after sweep: %v", tc.id[:12], err)
-		}
-		if !bytes.Equal(got, tc.data) {
-			t.Fatalf("recovered peer holds different bytes for %s", tc.id[:12])
-		}
+	b.Flush()
+	if got, err := flaky.Get(id4); err != nil || !bytes.Equal(got, data4) {
+		t.Fatalf("recovered peer did not receive the next write: %v", err)
 	}
 }
 
-// TestSweepConvergence diverges three backends every way the model
-// allows — a record only local holds, one only a peer holds, and one id
-// held at two different sizes — and asserts a single sweep leaves all
-// three backends listing identical, newest-copy-wins corpora.
-func TestSweepConvergence(t *testing.T) {
-	local, p1, p2 := newFS(t), newFS(t), newFS(t)
-	b := newReplicated(t, replicate.Options{
-		Local:         local,
-		Peers:         []replicate.Peer{{Name: "p1", Backend: p1}, {Name: "p2", Backend: p2}},
-		ProbeInterval: -1,
-	})
+// link is one replica's in-process route to another replica's peer
+// protocol: an http.RoundTripper that hands each request straight to
+// the target's store.Handler while up and fails at the transport while
+// down.
+type link struct {
+	h  http.Handler // set before the link first comes up
+	up atomic.Bool
+}
 
-	_, idA, dataA := testRecord(10, "a")
-	_, idB, dataB := testRecord(11, "b")
-	_, idC, oldC := testRecord(12, "c")
-	_, _, newC := testRecord(12, "c-rewritten-longer") // same key, different size
-	if err := local.Put(idA, dataA); err != nil {
-		t.Fatal(err)
+func (l *link) RoundTrip(r *http.Request) (*http.Response, error) {
+	if !l.up.Load() {
+		return nil, errDown
 	}
-	if err := p1.Put(idB, dataB); err != nil {
-		t.Fatal(err)
-	}
-	if err := local.Put(idC, oldC); err != nil {
-		t.Fatal(err)
-	}
-	// Age local's copy of C so p2's divergent copy is unambiguously the
-	// newest and must win everywhere.
-	past := time.Now().Add(-time.Hour)
-	if err := os.Chtimes(local.Path(idC), past, past); err != nil {
-		t.Fatal(err)
-	}
-	if err := p2.Put(idC, newC); err != nil {
-		t.Fatal(err)
-	}
+	w := httptest.NewRecorder()
+	l.h.ServeHTTP(w, r)
+	return w.Result(), nil
+}
 
-	copies, err := b.Sweep()
-	if err != nil {
-		t.Fatal(err)
+// TestReadRepairAfterOutages is the case for converging by fan-out and
+// read-repair alone. Three replicas in the symmetric topology — each a
+// Shared Store over a replicating backend whose peers are the other
+// two replicas' peer protocol — take Puts on random replicas interleaved
+// with cuts and repairs of the six directed links between them. Once
+// every link is back up, every replica serves every key ever put, and
+// each id a replica was missing from its own disk costs it exactly one
+// read-repair.
+func TestReadRepairAfterOutages(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { readRepairAfterOutages(t, seed) })
 	}
-	// A to p1+p2, B to local+p2, C's winner to local+p1: 6 copies.
-	if copies != 6 {
-		t.Fatalf("sweep performed %d copies, want 6", copies)
-	}
+}
 
-	want := map[string][]byte{idA: dataA, idB: dataB, idC: newC}
-	for name, fs := range map[string]*store.FS{"local": local, "p1": p1, "p2": p2} {
-		ents, err := fs.List()
+func readRepairAfterOutages(t *testing.T, seed uint64) {
+	const n, steps = 3, 60
+	locals := make([]*store.FS, n)
+	repls := make([]*replicate.Backend, n)
+	stores := make([]*store.Store, n)
+	links := make([][]*link, n) // links[i][j] routes replica i's calls to replica j
+	for i := range links {
+		links[i] = make([]*link, n)
+		for j := range links[i] {
+			if j != i {
+				links[i][j] = &link{}
+			}
+		}
+	}
+	for i := range n {
+		locals[i] = newFS(t)
+		var peers []replicate.Peer
+		for j := range n {
+			if j == i {
+				continue
+			}
+			rb := remotebackend.New(fmt.Sprintf("http://replica-%d", j))
+			rb.HTTPClient = &http.Client{Transport: links[i][j]}
+			peers = append(peers, replicate.Peer{Name: fmt.Sprintf("replica-%d", j), Backend: rb})
+		}
+		repls[i] = newReplicated(t, replicate.Options{Local: locals[i], Peers: peers, ProbeInterval: time.Millisecond})
+		st, err := store.Open(store.Options{Backend: repls[i], Shared: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ents) != len(want) {
-			t.Fatalf("%s lists %d records after sweep, want %d", name, len(ents), len(want))
-		}
-		for id, data := range want {
-			got, err := fs.Get(id)
-			if err != nil {
-				t.Fatalf("%s missing %s after sweep: %v", name, id[:12], err)
-			}
-			if !bytes.Equal(got, data) {
-				t.Fatalf("%s holds the losing copy of %s", name, id[:12])
+		t.Cleanup(func() { st.Close() })
+		stores[i] = st
+	}
+	for _, row := range links {
+		for j, l := range row {
+			if l != nil {
+				l.h = store.Handler(stores[j])
+				l.up.Store(true)
 			}
 		}
 	}
 
-	// A second sweep finds nothing to do: convergence is stable.
-	copies, err = b.Sweep()
-	if err != nil {
-		t.Fatal(err)
+	type put struct {
+		k     store.Key
+		model string
 	}
-	if copies != 0 {
-		t.Fatalf("second sweep performed %d copies, want 0", copies)
+	var puts []put
+	// cut[j] holds the ids put while the writer's link to j was down:
+	// fan-out cannot have delivered them, so j must read-repair them.
+	cut := make([]map[string]bool, n)
+	for j := range cut {
+		cut[j] = map[string]bool{}
+	}
+	rng := rand.New(rand.NewPCG(seed, 0))
+	for range steps {
+		if rng.IntN(2) == 0 {
+			i := rng.IntN(n)
+			l := links[i][(i+1+rng.IntN(n-1))%n]
+			l.up.Store(!l.up.Load())
+			continue
+		}
+		w := rng.IntN(n)
+		p := put{
+			k:     store.Key{Kind: "search", Graph: fmt.Sprintf("outage-%d", len(puts)), GPUs: 8, Cluster: "test", Options: "o"},
+			model: fmt.Sprintf("model-%d-%d", seed, len(puts)),
+		}
+		rec := &store.Record{Model: p.model, GPUs: 8, Plan: &export.StrategyJSON{SchemaVersion: export.SchemaVersion, Model: p.model, Workers: 8}}
+		if err := stores[w].Put(p.k, rec); err != nil {
+			t.Fatal(err)
+		}
+		repls[w].Flush()
+		for j, l := range links[w] {
+			if l != nil && !l.up.Load() {
+				cut[j][p.k.ID()] = true
+			}
+		}
+		puts = append(puts, p)
+	}
+	cuts := 0
+	for _, c := range cut {
+		cuts += len(c)
+	}
+	if cuts == 0 {
+		t.Fatal("the schedule cut no fan-out, so nothing needs repair")
+	}
+
+	for _, row := range links {
+		for _, l := range row {
+			if l != nil {
+				l.up.Store(true)
+			}
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for i := 0; i < n; {
+		if repls[i].Stats().PeersHealthy == n-1 {
+			i++
+			continue
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replica %d never saw both peers healthy again: %+v", i, repls[i].Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	for i := range n {
+		missing := 0
+		for _, p := range puts {
+			_, err := locals[i].Get(p.k.ID())
+			switch {
+			case errors.Is(err, store.ErrNotFound):
+				missing++
+			case err != nil:
+				t.Fatal(err)
+			case cut[i][p.k.ID()]:
+				t.Errorf("replica %d holds %s although its fan-out was cut", i, p.model)
+			}
+		}
+		before := repls[i].Stats().RepairHits
+		for _, p := range puts {
+			rec, ok := stores[i].Get(p.k)
+			if !ok {
+				t.Fatalf("replica %d misses %s", i, p.model)
+			}
+			if rec.Model != p.model || rec.Plan.Model != p.model {
+				t.Fatalf("replica %d serves %q/%q for %s", i, rec.Model, rec.Plan.Model, p.model)
+			}
+		}
+		if got := repls[i].Stats().RepairHits - before; got != uint64(missing) {
+			t.Errorf("replica %d: %d read-repairs for %d ids missing from its disk", i, got, missing)
+		}
 	}
 }
 
@@ -557,23 +673,6 @@ func TestKillTheWriter(t *testing.T) {
 		if p.Name == "node-0" && p.Healthy {
 			t.Fatal("C still believes the killed writer is healthy")
 		}
-	}
-
-	// Sweeps on the survivors converge and report the degraded fleet
-	// without error beyond the dead peer being skipped.
-	if _, err := b.repl.Sweep(); err != nil {
-		t.Fatal(err)
-	}
-	bents, err := b.repl.Local().List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cents, err := c.repl.Local().List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bents) != 1 || len(cents) != 1 || bents[0].ID != cents[0].ID {
-		t.Fatalf("survivors diverged: B=%v C=%v", bents, cents)
 	}
 }
 

@@ -217,7 +217,7 @@ func TestCorruptRecordsDroppedOnFirstGet(t *testing.T) {
 	}
 	// A leftover temp file from an interrupted write, aged past the
 	// reap threshold — a fresh one could belong to a concurrent Put
-	// (a replication peer's sweep) and must be left alone.
+	// (a replication peer's fan-out) and must be left alone.
 	if err := os.WriteFile(filepath.Join(dir, "zz-123.tmp"), []byte("half"), 0o644); err != nil {
 		t.Fatal(err)
 	}
