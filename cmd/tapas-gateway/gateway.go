@@ -10,7 +10,6 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"net/url"
 	"slices"
 	"strconv"
 	"strings"
@@ -31,25 +30,26 @@ import (
 const maxBodyBytes = 8 << 20
 
 // replicaHeader names the replica that answered a proxied request — for
-// debugging, tests, and the CI smoke's routing-stability check.
+// debugging, and for the routing tests, which read where a request
+// landed from it.
 const replicaHeader = "X-Tapas-Replica"
 
 const (
 	// vnodes is the number of virtual nodes per replica on the hash ring.
 	vnodes = 64
+	// healthInterval is the active health-check period.
+	healthInterval = 2 * time.Second
 	// healthTimeout bounds one replica health check.
 	healthTimeout = 2 * time.Second
 	// jobTableSize is how many job-to-replica pins are retained.
 	jobTableSize = 4096
 )
 
-// gatewayConfig sizes a gateway. newGateway fills defaults for zero
-// values.
+// gatewayConfig sizes a gateway.
 type gatewayConfig struct {
-	replicas       []string
-	healthInterval time.Duration // active health-check period (default 2s)
-	rate           float64       // tokens/second per client, bucket depth max(1, 2*rate); 0 disables rate limiting
-	logf           func(string, ...any)
+	replicas []string
+	rate     float64 // tokens/second per client, bucket depth max(1, 2*rate); 0 disables rate limiting
+	logf     func(string, ...any)
 
 	// rec is the gateway's trace flight recorder; nil disables tracing
 	// (the /v1/traces endpoints then answer empty).
@@ -61,9 +61,7 @@ type gatewayConfig struct {
 	logRequests bool
 }
 
-// replicaState is one backend daemon as the gateway sees it. States are
-// keyed by URL and survive fleet updates: a PUT /v1/fleet that keeps a
-// replica keeps its health bit and counters.
+// replicaState is one backend daemon as the gateway sees it.
 type replicaState struct {
 	url     string
 	healthy atomic.Bool
@@ -71,11 +69,6 @@ type replicaState struct {
 
 	proxied     atomic.Uint64 // responses relayed from this replica
 	proxyErrors atomic.Uint64 // transport failures against it
-
-	// stats is the replica's last /v1/healthz answer that decoded (nil
-	// until one does): the fleet view's task and replication rows and
-	// sums derive from it, so aggregating costs no extra round trips.
-	stats atomic.Pointer[service.Stats]
 }
 
 func (r *replicaState) setErr(err error) {
@@ -94,43 +87,18 @@ func (r *replicaState) errString() string {
 	return ""
 }
 
-// fleetView is one immutable generation of the replica set and its
-// consistent-hash ring. Routing paths snapshot it once per request;
-// PUT /v1/fleet swaps in a new generation atomically.
-type fleetView struct {
-	replicas []*replicaState
-	ring     *hashRing
-}
-
-func newFleetView(reps []*replicaState) *fleetView {
-	return &fleetView{
-		replicas: reps,
-		ring:     newRing(len(reps), vnodes, func(i int) string { return reps[i].url }),
-	}
-}
-
-// byURL resolves a replica in this view, nil when it left the fleet.
-func (v *fleetView) byURL(u string) *replicaState {
-	for _, r := range v.replicas {
-		if r.url == u {
-			return r
-		}
-	}
-	return nil
-}
-
-// gateway routes the v1 API across a fleet of tapas-serve replicas:
-// consistent-hash routing on the search identity (so each replica's
-// memory cache concentrates on its share of the key space), active
-// health checks with ring-order failover, per-client token-bucket rate
-// limiting, job-owner stickiness for the async API, and hot fleet
-// reload via PUT /v1/fleet. Identical concurrent searches share one
-// key, hence one replica, whose engine joins them onto one search.
+// gateway routes the v1 API across a fixed fleet of tapas-serve
+// replicas: consistent-hash routing on the search identity (so each
+// replica's memory cache concentrates on its share of the key space),
+// active health checks with ring-order failover, per-client
+// token-bucket rate limiting, and job-owner stickiness for the async
+// API. Identical concurrent searches share one key, hence one replica,
+// whose engine joins them onto one search.
 type gateway struct {
-	cfg     gatewayConfig
-	view    atomic.Pointer[fleetView]
-	fleetMu sync.Mutex // serializes fleet updates
-	limiter *limiter   // nil when disabled
+	cfg      gatewayConfig
+	replicas []*replicaState // fixed for the life of the process
+	ring     *hashRing       // over replicas' indices
+	limiter  *limiter        // nil when disabled
 
 	proxy  *http.Client // no timeout: searches run long; request contexts bound it
 	health *http.Client
@@ -138,18 +106,14 @@ type gateway struct {
 	owners *ownerTable
 	fps    sync.Map // model name → graph fingerprint
 
-	requests     atomic.Uint64
-	rateLimited  atomic.Uint64
-	failovers    atomic.Uint64
-	fleetUpdates atomic.Uint64
+	requests    atomic.Uint64
+	rateLimited atomic.Uint64
+	failovers   atomic.Uint64
 
 	reqHist *promtext.Histogram // tapas_request_duration_seconds
 }
 
 func newGateway(cfg gatewayConfig) *gateway {
-	if cfg.healthInterval <= 0 {
-		cfg.healthInterval = 2 * time.Second
-	}
 	if cfg.logf == nil {
 		cfg.logf = func(string, ...any) {}
 	}
@@ -160,13 +124,12 @@ func newGateway(cfg gatewayConfig) *gateway {
 		owners:  newOwnerTable(jobTableSize),
 		reqHist: promtext.NewHistogram(nil),
 	}
-	reps := make([]*replicaState, 0, len(cfg.replicas))
 	for _, u := range cfg.replicas {
 		rs := &replicaState{url: strings.TrimRight(u, "/")}
 		rs.healthy.Store(true) // optimistic until the first check
-		reps = append(reps, rs)
+		gw.replicas = append(gw.replicas, rs)
 	}
-	gw.view.Store(newFleetView(reps))
+	gw.ring = newRing(len(gw.replicas), vnodes, func(i int) string { return gw.replicas[i].url })
 	if cfg.rate > 0 {
 		// A bucket holds two seconds of tokens: a client may burst twice
 		// its rate, and never less than one request.
@@ -174,9 +137,6 @@ func newGateway(cfg gatewayConfig) *gateway {
 	}
 	return gw
 }
-
-// fleet snapshots the current replica generation.
-func (gw *gateway) fleet() *fleetView { return gw.view.Load() }
 
 // handler wires the gateway's HTTP surface.
 func (gw *gateway) handler() http.Handler {
@@ -189,8 +149,6 @@ func (gw *gateway) handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/jobs/{id}", gw.jobByID)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", gw.jobByID)
 	mux.HandleFunc("GET /v1/models", gw.anyReplica)
-	mux.HandleFunc("GET /v1/fleet", gw.fleetGet)
-	mux.HandleFunc("PUT /v1/fleet", gw.fleetPut)
 	mux.HandleFunc("GET /v1/healthz", gw.healthz)
 	mux.HandleFunc("GET /metrics", gw.metrics)
 	th := trace.Handler(gw.cfg.rec)
@@ -250,35 +208,34 @@ func (gw *gateway) fingerprint(req service.SearchRequest) (string, bool) {
 	return fp, true
 }
 
-// candidates orders every replica of one fleet generation for one key:
-// the ring order, healthy replicas first. Unhealthy replicas stay on
-// the tail as a last resort — if the whole fleet looks down, trying
-// beats a blind 502.
-func (v *fleetView) candidates(key string) []*replicaState {
-	ringOrder := v.ring.order(key)
+// candidates orders every replica for one key: the ring order, healthy
+// replicas first. Unhealthy replicas stay on the tail as a last resort
+// — if the whole fleet looks down, trying beats a blind 502.
+func (gw *gateway) candidates(key string) []*replicaState {
+	ringOrder := gw.ring.order(key)
 	out := make([]*replicaState, 0, len(ringOrder))
 	for _, i := range ringOrder {
-		if v.replicas[i].healthy.Load() {
-			out = append(out, v.replicas[i])
+		if gw.replicas[i].healthy.Load() {
+			out = append(out, gw.replicas[i])
 		}
 	}
 	for _, i := range ringOrder {
-		if !v.replicas[i].healthy.Load() {
-			out = append(out, v.replicas[i])
+		if !gw.replicas[i].healthy.Load() {
+			out = append(out, gw.replicas[i])
 		}
 	}
 	return out
 }
 
 // healthyFirst is candidates for requests with no routing identity.
-func (v *fleetView) healthyFirst() []*replicaState {
-	out := make([]*replicaState, 0, len(v.replicas))
-	for _, r := range v.replicas {
+func (gw *gateway) healthyFirst() []*replicaState {
+	out := make([]*replicaState, 0, len(gw.replicas))
+	for _, r := range gw.replicas {
 		if r.healthy.Load() {
 			out = append(out, r)
 		}
 	}
-	for _, r := range v.replicas {
+	for _, r := range gw.replicas {
 		if !r.healthy.Load() {
 			out = append(out, r)
 		}
@@ -301,31 +258,28 @@ func (gw *gateway) keyed(w http.ResponseWriter, r *http.Request) {
 		writeJSONErr(w, http.StatusBadRequest, fmt.Sprintf("read request body: %v", err))
 		return
 	}
-	gw.forward(w, r, body, gw.fleet().candidates(gw.routeKey(r.URL.Path, body)))
+	gw.forward(w, r, body, gw.candidates(gw.routeKey(r.URL.Path, body)))
 }
 
 // jobByID proxies status/cancel/events for one job to the replica that
 // owns it — the one its submit was routed to — and otherwise probes the
-// fleet: the owner is unknown after a gateway restart or fleet update,
-// and a pinned owner may disclaim the job, because a replica restarted
-// with durable jobs may see its orphans adopted by a shared-corpus peer.
-// The pinned owner is asked first, then every other replica, healthy
-// first. A 404 or a transport failure moves on (and drops the pin when
-// it was the pinned owner's answer); any other answer is relayed, and
-// only a successful one pins the job to the replica that gave it.
+// fleet: the owner is unknown after a gateway restart, and a pinned
+// owner may disclaim the job, because a replica restarted with durable
+// jobs may see its orphans adopted by a shared-corpus peer. The pinned
+// owner is asked first, then every other replica, healthy first. A 404
+// or a transport failure moves on (and drops the pin when it was the
+// pinned owner's answer); any other answer is relayed, and only a
+// successful one pins the job to the replica that gave it.
 func (gw *gateway) jobByID(w http.ResponseWriter, r *http.Request) {
 	gw.requests.Add(1)
 	if !gw.allow(w, r) {
 		return
 	}
-	view := gw.fleet()
 	id := r.PathValue("id")
-	pinned, _ := gw.owners.get(id)
-	cands := view.healthyFirst()
-	if owner := view.byURL(pinned); owner != nil {
-		cands = append([]*replicaState{owner}, slices.DeleteFunc(cands, func(c *replicaState) bool { return c == owner })...)
-	} else if pinned != "" {
-		gw.owners.drop(id) // the pinned replica left the fleet
+	pinned := gw.owners.get(id)
+	cands := gw.healthyFirst()
+	if pinned != nil {
+		cands = append([]*replicaState{pinned}, slices.DeleteFunc(cands, func(c *replicaState) bool { return c == pinned })...)
 	}
 	for _, rep := range cands {
 		resp, err := gw.send(r, rep, nil)
@@ -334,7 +288,7 @@ func (gw *gateway) jobByID(w http.ResponseWriter, r *http.Request) {
 				// Only a successful answer proves ownership: a 5xx/503 from
 				// a replica that merely happens to be unwell must not pin
 				// the job to it.
-				gw.owners.put(id, rep.url)
+				gw.owners.put(id, rep)
 			}
 			gw.relay(w, rep, resp)
 			return
@@ -347,15 +301,17 @@ func (gw *gateway) jobByID(w http.ResponseWriter, r *http.Request) {
 		} else {
 			resp.Body.Close()
 		}
-		if rep.url == pinned {
+		if rep == pinned {
 			gw.owners.drop(id)
 		}
 	}
 	writeJSONErr(w, http.StatusNotFound, fmt.Sprintf("job %q not found on any replica", id))
 }
 
-// jobsList merges every healthy replica's job listing into one fleet
-// view.
+// jobsList merges the job listings of the replicas marked healthy into
+// one fleet view. Unhealthy replicas are skipped, not tried last: one
+// that is down but still accepts connections would stall the whole
+// listing on the untimed proxy client.
 func (gw *gateway) jobsList(w http.ResponseWriter, r *http.Request) {
 	gw.requests.Add(1)
 	if !gw.allow(w, r) {
@@ -363,7 +319,10 @@ func (gw *gateway) jobsList(w http.ResponseWriter, r *http.Request) {
 	}
 	merged := make([]json.RawMessage, 0)
 	reached := false
-	for _, rep := range gw.fleet().healthyFirst() {
+	for _, rep := range gw.replicas {
+		if !rep.healthy.Load() {
+			continue
+		}
 		resp, err := gw.send(r, rep, nil)
 		if err != nil {
 			gw.noteSendFailure(rep, err)
@@ -397,7 +356,7 @@ func (gw *gateway) anyReplica(w http.ResponseWriter, r *http.Request) {
 	if !gw.allow(w, r) {
 		return
 	}
-	gw.forward(w, r, nil, gw.fleet().healthyFirst())
+	gw.forward(w, r, nil, gw.healthyFirst())
 }
 
 // forward tries candidates in order until one answers, relaying its
@@ -431,7 +390,7 @@ func (gw *gateway) forward(w http.ResponseWriter, r *http.Request, body []byte, 
 			continue
 		}
 		if id, ok := strings.CutPrefix(resp.Header.Get("Location"), "/v1/jobs/"); submit && ok && id != "" {
-			gw.owners.put(id, rep.url)
+			gw.owners.put(id, rep)
 		}
 		gw.relay(w, rep, resp)
 		return
@@ -550,98 +509,13 @@ func (gw *gateway) allow(w http.ResponseWriter, r *http.Request) bool {
 }
 
 // ---------------------------------------------------------------------------
-// Fleet reload
-
-// fleetGet answers the current replica set and its health — the same
-// rows healthz serves, without the gateway's own counters.
-func (gw *gateway) fleetGet(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(map[string]any{
-		"replicas":      gw.replicaRows(gw.fleet()),
-		"fleet_updates": gw.fleetUpdates.Load(),
-	})
-}
-
-// fleetPut hot-reloads the replica ring: the body's replica list
-// replaces the current fleet, the consistent-hash ring is rebuilt, and
-// the new replicas are health-probed before the call returns — so an
-// autoscaler can grow or shrink the fleet without bouncing the proxy.
-// Replicas present in both generations keep their state (health,
-// counters, in-flight requests); job pins onto removed replicas are
-// dropped lazily by the ownership probe.
-func (gw *gateway) fleetPut(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Replicas []string `json:"replicas"`
-	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		writeJSONErr(w, http.StatusBadRequest, fmt.Sprintf("decode fleet: %v", err))
-		return
-	}
-	if len(req.Replicas) == 0 {
-		writeJSONErr(w, http.StatusBadRequest, "fleet must list at least one replica")
-		return
-	}
-	urls := make([]string, 0, len(req.Replicas))
-	seen := make(map[string]bool)
-	for _, raw := range req.Replicas {
-		u, err := url.Parse(strings.TrimSpace(raw))
-		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-			writeJSONErr(w, http.StatusBadRequest, fmt.Sprintf("replica %q is not an http(s) URL", raw))
-			return
-		}
-		clean := strings.TrimRight(u.String(), "/")
-		if !seen[clean] {
-			seen[clean] = true
-			urls = append(urls, clean)
-		}
-	}
-
-	gw.fleetMu.Lock()
-	cur := gw.fleet()
-	reps := make([]*replicaState, 0, len(urls))
-	added := 0
-	for _, u := range urls {
-		if rs := cur.byURL(u); rs != nil {
-			reps = append(reps, rs) // carry state across the update
-			continue
-		}
-		rs := &replicaState{url: u}
-		rs.healthy.Store(true)
-		reps = append(reps, rs)
-		added++
-	}
-	next := newFleetView(reps)
-	gw.view.Store(next)
-	gw.fleetUpdates.Add(1)
-	gw.fleetMu.Unlock()
-	gw.cfg.logf("fleet updated: %d replicas (%d new, %d dropped)", len(reps), added, len(cur.replicas)-(len(reps)-added))
-
-	// Probe the new generation before answering, so the response's
-	// health bits are real, not the optimistic default.
-	probeCtx, cancel := context.WithTimeout(r.Context(), healthTimeout)
-	gw.checkView(probeCtx, next)
-	cancel()
-
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(map[string]any{
-		"replicas":      gw.replicaRows(next),
-		"fleet_updates": gw.fleetUpdates.Load(),
-	})
-}
-
-// ---------------------------------------------------------------------------
 // Health
 
-// checkAll probes the current fleet generation's /v1/healthz once.
-func (gw *gateway) checkAll(ctx context.Context) { gw.checkView(ctx, gw.fleet()) }
-
-// checkView probes one fleet generation.
-func (gw *gateway) checkView(ctx context.Context, v *fleetView) {
-	for _, rep := range v.replicas {
+// checkAll probes every replica's /v1/healthz once. The status code
+// alone decides: the body is the replica's own statistics, which it
+// serves itself.
+func (gw *gateway) checkAll(ctx context.Context) {
+	for _, rep := range gw.replicas {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.url+"/v1/healthz", nil)
 		if err != nil {
 			continue
@@ -654,14 +528,9 @@ func (gw *gateway) checkView(ctx context.Context, v *fleetView) {
 			rep.setErr(err)
 			continue
 		}
-		var st service.Stats
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st) == nil {
-			rep.stats.Store(&st)
-		}
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
 		resp.Body.Close()
-		up := resp.StatusCode/100 == 2
-		if up {
+		if resp.StatusCode/100 == 2 {
 			rep.setErr(nil)
 			if rep.healthy.CompareAndSwap(false, true) {
 				gw.cfg.logf("replica %s back up", rep.url)
@@ -677,7 +546,7 @@ func (gw *gateway) checkView(ctx context.Context, v *fleetView) {
 
 // runHealth actively checks the fleet until ctx dies.
 func (gw *gateway) runHealth(ctx context.Context) {
-	t := time.NewTicker(gw.cfg.healthInterval)
+	t := time.NewTicker(healthInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -692,143 +561,70 @@ func (gw *gateway) runHealth(ctx context.Context) {
 // ---------------------------------------------------------------------------
 // Introspection
 
-// replicaHealth is one replica's row in the gateway's health view.
+// replicaHealth is one replica's row in the gateway's health view. The
+// replica's own counters are not mirrored: its /v1/healthz and /metrics
+// serve them.
 type replicaHealth struct {
 	URL       string `json:"url"`
 	Healthy   bool   `json:"healthy"`
 	LastError string `json:"last_error,omitempty"`
-	// TasksExecuted/TasksFailed mirror the replica's /v1/tasks counters
-	// as of its last health check — the fleet's distributed cold-search
-	// activity at a glance.
-	TasksExecuted uint64 `json:"tasks_executed"`
-	TasksFailed   uint64 `json:"tasks_failed"`
-	// Replication mirrors the replica's store-replication counters as
-	// of its last health check; nil when it runs unreplicated.
-	Replication *replicaReplication `json:"replication,omitempty"`
-}
-
-// replicaReplication is the replicated-corpus slice of one replica's
-// healthz, as mirrored by the gateway.
-type replicaReplication struct {
-	PeersHealthy uint64 `json:"peers_healthy"`
-	FanoutWrites uint64 `json:"fanout_writes"`
-	RepairHits   uint64 `json:"repair_hits"`
-}
-
-// replicaRows renders one fleet generation's health rows.
-func (gw *gateway) replicaRows(v *fleetView) []replicaHealth {
-	rows := make([]replicaHealth, 0, len(v.replicas))
-	for _, rep := range v.replicas {
-		row := replicaHealth{URL: rep.url, Healthy: rep.healthy.Load(), LastError: rep.errString()}
-		if st := rep.stats.Load(); st != nil {
-			row.TasksExecuted, row.TasksFailed = st.TasksExecuted, st.TasksFailed
-			if rp := st.Replication; rp != nil {
-				row.Replication = &replicaReplication{
-					PeersHealthy: uint64(rp.PeersHealthy),
-					FanoutWrites: rp.FanoutWrites,
-					RepairHits:   rp.RepairHits,
-				}
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-// fleetTotals are the sums over one generation's rows that healthz and
-// /metrics both report.
-type fleetTotals struct {
-	healthy, replicated        int
-	tasksExecuted, tasksFailed uint64
-	fanoutWrites, repairHits   uint64
-}
-
-func totals(rows []replicaHealth) fleetTotals {
-	var t fleetTotals
-	for _, row := range rows {
-		if row.Healthy {
-			t.healthy++
-		}
-		t.tasksExecuted += row.TasksExecuted
-		t.tasksFailed += row.TasksFailed
-		if rp := row.Replication; rp != nil {
-			t.replicated++
-			t.fanoutWrites += rp.FanoutWrites
-			t.repairHits += rp.RepairHits
-		}
-	}
-	return t
 }
 
 // healthz answers the gateway's fleet view: 200 while at least one
 // replica is healthy, 503 when none is.
 func (gw *gateway) healthz(w http.ResponseWriter, r *http.Request) {
-	rows := gw.replicaRows(gw.fleet())
-	t := totals(rows)
+	rows := make([]replicaHealth, 0, len(gw.replicas))
+	healthy := 0
+	for _, rep := range gw.replicas {
+		row := replicaHealth{URL: rep.url, Healthy: rep.healthy.Load(), LastError: rep.errString()}
+		if row.Healthy {
+			healthy++
+		}
+		rows = append(rows, row)
+	}
 	status := "ok"
 	code := http.StatusOK
 	switch {
-	case t.healthy == 0:
+	case healthy == 0:
 		status = "unavailable"
 		code = http.StatusServiceUnavailable
-	case t.healthy < len(rows):
+	case healthy < len(rows):
 		status = "degraded"
-	}
-	body := map[string]any{
-		"status":              status,
-		"replicas":            rows,
-		"fleet_peers_healthy": t.healthy,
-		"tasks_executed":      t.tasksExecuted,
-		"tasks_failed":        t.tasksFailed,
-		"requests_total":      gw.requests.Load(),
-		"rate_limited_total":  gw.rateLimited.Load(),
-		"failovers_total":     gw.failovers.Load(),
-		"fleet_updates":       gw.fleetUpdates.Load(),
-	}
-	if t.replicated > 0 {
-		body["replication"] = map[string]any{
-			"replicas":      t.replicated,
-			"fanout_writes": t.fanoutWrites,
-			"repair_hits":   t.repairHits,
-		}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(body)
+	_ = enc.Encode(map[string]any{
+		"status":              status,
+		"replicas":            rows,
+		"fleet_peers_healthy": healthy,
+		"requests_total":      gw.requests.Load(),
+		"rate_limited_total":  gw.rateLimited.Load(),
+		"failovers_total":     gw.failovers.Load(),
+	})
 }
 
 // metrics serves the gateway's route counters in Prometheus text form.
 func (gw *gateway) metrics(w http.ResponseWriter, r *http.Request) {
-	view := gw.fleet()
-	rows := gw.replicaRows(view)
-	t := totals(rows)
 	m := promtext.New()
 	m.Counter("tapas_gateway_requests_total", "Requests accepted for routing.", float64(gw.requests.Load()), nil)
 	m.Counter("tapas_gateway_rate_limited_total", "Requests answered 429 by the per-client limiter.", float64(gw.rateLimited.Load()), nil)
 	m.Counter("tapas_gateway_failovers_total", "Requests moved to the next ring node after a transport failure.", float64(gw.failovers.Load()), nil)
-	m.Counter("tapas_gateway_fleet_updates_total", "Hot fleet reloads applied via PUT /v1/fleet.", float64(gw.fleetUpdates.Load()), nil)
 	m.Gauge("tapas_gateway_job_owners", "Job-to-replica stickiness entries resident.", float64(gw.owners.len()), nil)
-	for i, rep := range view.replicas {
-		row := rows[i]
+	healthy := 0
+	for _, rep := range gw.replicas {
 		l := promtext.Labels{"replica": rep.url}
 		m.Counter("tapas_gateway_proxied_total", "Responses relayed, per replica.", float64(rep.proxied.Load()), l)
 		m.Counter("tapas_gateway_proxy_errors_total", "Transport failures, per replica.", float64(rep.proxyErrors.Load()), l)
-		m.Counter("tapas_gateway_replica_tasks_executed_total", "Prefix tasks the replica executed for coordinators, as of its last health check.", float64(row.TasksExecuted), l)
-		m.Counter("tapas_gateway_replica_tasks_failed_total", "Rejected or failed /v1/tasks batches on the replica, as of its last health check.", float64(row.TasksFailed), l)
-		if rp := row.Replication; rp != nil {
-			m.Gauge("tapas_gateway_replica_store_peers_healthy", "Replication peers the replica reports reachable, as of its last health check.", float64(rp.PeersHealthy), l)
-		}
 		up := 0.0
-		if row.Healthy {
+		if rep.healthy.Load() {
 			up = 1
+			healthy++
 		}
 		m.Gauge("tapas_gateway_replica_healthy", "1 while the replica passes health checks.", up, l)
 	}
-	m.Gauge("tapas_gateway_fleet_peers_healthy", "Replicas currently passing health checks.", float64(t.healthy), nil)
-	m.Counter("tapas_gateway_replication_fanout_writes_total", "Store fanout writes summed across the fleet's last health checks.", float64(t.fanoutWrites), nil)
-	m.Counter("tapas_gateway_replication_repair_hits_total", "Store read-repairs summed across the fleet's last health checks.", float64(t.repairHits), nil)
+	m.Gauge("tapas_gateway_fleet_peers_healthy", "Replicas currently passing health checks.", float64(healthy), nil)
 	m.Histogram("tapas_request_duration_seconds",
 		"Proxied request latency by wall clock, all routed endpoints.", gw.reqHist, nil)
 	promtext.AddRuntime(m)
@@ -847,22 +643,20 @@ func writeJSONErr(w http.ResponseWriter, status int, msg string) {
 // Job-owner stickiness
 
 // ownerTable remembers which replica owns each submitted job, FIFO
-// bounded (job IDs are unguessable and short-lived; on overflow,
-// gateway restart, or fleet update the probe path recovers ownership).
-// Owners are pinned by URL, not index, so a fleet reload cannot
-// silently repoint a pin at a different replica.
+// bounded (job IDs are unguessable and short-lived; on overflow or
+// gateway restart the probe path recovers ownership).
 type ownerTable struct {
 	mu    sync.Mutex
-	m     map[string]string
+	m     map[string]*replicaState
 	order []string
 	max   int
 }
 
 func newOwnerTable(max int) *ownerTable {
-	return &ownerTable{m: make(map[string]string), max: max}
+	return &ownerTable{m: make(map[string]*replicaState), max: max}
 }
 
-func (o *ownerTable) put(id, url string) {
+func (o *ownerTable) put(id string, rep *replicaState) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if _, ok := o.m[id]; !ok {
@@ -872,7 +666,7 @@ func (o *ownerTable) put(id, url string) {
 			o.order = o.order[1:]
 		}
 	}
-	o.m[id] = url
+	o.m[id] = rep
 }
 
 // drop forgets a pin proven stale (the pinned replica disclaimed or
@@ -892,11 +686,11 @@ func (o *ownerTable) drop(id string) {
 	}
 }
 
-func (o *ownerTable) get(id string) (string, bool) {
+// get returns the replica pinned as id's owner, nil when none is.
+func (o *ownerTable) get(id string) *replicaState {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	u, ok := o.m[id]
-	return u, ok
+	return o.m[id]
 }
 
 func (o *ownerTable) len() int {

@@ -31,8 +31,6 @@ type fakeReplica struct {
 	searches atomic.Int64
 	submits  atomic.Int64
 	healthy  atomic.Bool
-	// healthBody, when set, replaces the minimal healthz answer.
-	healthBody atomic.Pointer[string]
 }
 
 func newFakeReplica(t *testing.T, name string) *fakeReplica {
@@ -85,10 +83,6 @@ func newFakeReplica(t *testing.T, name string) *fakeReplica {
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if !f.healthy.Load() {
 			w.WriteHeader(http.StatusServiceUnavailable)
-			return
-		}
-		if body := f.healthBody.Load(); body != nil {
-			fmt.Fprint(w, *body)
 			return
 		}
 		fmt.Fprint(w, `{"status":"ok"}`)
@@ -202,7 +196,7 @@ func TestRoutingIsStructural(t *testing.T) {
 func bodyWhoseRingHeadIs(gw *gateway, head int) string {
 	for i := 0; ; i++ {
 		body := fmt.Sprintf(`{"model":"unknown-%d","gpus":8}`, i)
-		if gw.fleet().ring.order(gw.routeKey("/v1/search", []byte(body)))[0] == head {
+		if gw.ring.order(gw.routeKey("/v1/search", []byte(body)))[0] == head {
 			return body
 		}
 	}
@@ -228,7 +222,7 @@ func TestFailoverToNextRingNode(t *testing.T) {
 	if gw.failovers.Load() == 0 {
 		t.Error("failover not counted")
 	}
-	if gw.fleet().replicas[0].healthy.Load() {
+	if gw.replicas[0].healthy.Load() {
 		t.Error("dead replica not passively marked down")
 	}
 
@@ -349,18 +343,18 @@ func TestProbeDoesNotPinOnError(t *testing.T) {
 	if resp.StatusCode == http.StatusNotFound {
 		t.Fatalf("probe swallowed the sick replica's answer: %d", resp.StatusCode)
 	}
-	if _, pinned := gw.owners.get("b-job-7"); pinned && resp.StatusCode/100 != 2 {
+	if gw.owners.get("b-job-7") != nil && resp.StatusCode/100 != 2 {
 		t.Fatal("job pinned to a replica that answered an error")
 	}
 	// … so once the sick replica is known-down, the probe finds the
 	// real owner.
-	gw.fleet().replicas[0].healthy.Store(false)
+	gw.replicas[0].healthy.Store(false)
 	resp2, body := getURL(t, srv.URL+"/v1/jobs/b-job-7")
 	if resp2.StatusCode != http.StatusOK || !strings.Contains(string(body), `"served_by":"b"`) {
 		t.Errorf("real owner not found after the sick replica: %d %s", resp2.StatusCode, body)
 	}
-	if u, ok := gw.owners.get("b-job-7"); !ok || u != owner.srv.URL {
-		t.Errorf("successful probe did not record the owner: %v %v", u, ok)
+	if rep := gw.owners.get("b-job-7"); rep == nil || rep.url != owner.srv.URL {
+		t.Errorf("successful probe did not record the owner: %v", rep)
 	}
 }
 
@@ -377,7 +371,7 @@ func TestStaleStickyPinReprobes(t *testing.T) {
 
 	// The job lives on b, but the gateway still remembers the replica
 	// that held it before a restart: a, which will answer 404.
-	gw.owners.put("b-job-3", urls[0])
+	gw.owners.put("b-job-3", gw.replicas[0])
 
 	get, body := getURL(t, srv.URL+"/v1/jobs/b-job-3")
 	if get.StatusCode != http.StatusOK {
@@ -386,18 +380,18 @@ func TestStaleStickyPinReprobes(t *testing.T) {
 	if got := get.Header.Get(replicaHeader); got != urls[1] {
 		t.Errorf("answered by %q, want the adopting replica %q", got, urls[1])
 	}
-	if u, ok := gw.owners.get("b-job-3"); !ok || u != urls[1] {
-		t.Errorf("pin not moved to the adopting replica: url=%s ok=%v", u, ok)
+	if rep := gw.owners.get("b-job-3"); rep != gw.replicas[1] {
+		t.Errorf("pin not moved to the adopting replica: %v", rep)
 	}
 
 	// A job no replica knows still yields one clean 404 even when a
 	// stale pin pointed somewhere first.
-	gw.owners.put("ghost-job-9", urls[0])
+	gw.owners.put("ghost-job-9", gw.replicas[0])
 	get2, _ := getURL(t, srv.URL+"/v1/jobs/ghost-job-9")
 	if get2.StatusCode != http.StatusNotFound {
 		t.Errorf("vanished job: %d, want 404", get2.StatusCode)
 	}
-	if _, ok := gw.owners.get("ghost-job-9"); ok {
+	if gw.owners.get("ghost-job-9") != nil {
 		t.Error("vanished job kept its stale pin")
 	}
 }
@@ -453,7 +447,7 @@ func TestSubmitNotReplayedMidFlight(t *testing.T) {
 	var body string
 	for i := 0; ; i++ {
 		body = fmt.Sprintf(`{"model":"unknown-%d","gpus":8}`, i)
-		if gw.fleet().ring.order(gw.routeKey("/v1/jobs", []byte(body)))[0] == 0 {
+		if gw.ring.order(gw.routeKey("/v1/jobs", []byte(body)))[0] == 0 {
 			break
 		}
 	}
@@ -472,7 +466,7 @@ func TestSubmitNotReplayedMidFlight(t *testing.T) {
 	var body2 string
 	for i := 0; ; i++ {
 		body2 = fmt.Sprintf(`{"model":"other-%d","gpus":8}`, i)
-		if gw2.fleet().ring.order(gw2.routeKey("/v1/jobs", []byte(body2)))[0] == 0 {
+		if gw2.ring.order(gw2.routeKey("/v1/jobs", []byte(body2)))[0] == 0 {
 			break
 		}
 	}
@@ -556,15 +550,11 @@ func TestFleetHealthAndJobsMerge(t *testing.T) {
 }
 
 // TestGatewayMetrics: route counters come out in Prometheus text form,
-// the task and replication counters of each replica's last healthz are
-// mirrored per replica and summed over the fleet on /metrics and
-// /v1/healthz alike, and the metric-name and healthz-key sets are
-// pinned: dashboards and the benchmark read them by name.
+// and the metric-name and healthz-key sets are pinned: dashboards read
+// them by name. The replicas' own counters are not mirrored; each
+// replica serves them on its own /metrics and /v1/healthz.
 func TestGatewayMetrics(t *testing.T) {
 	a, b := newFakeReplica(t, "a"), newFakeReplica(t, "b")
-	replicated := `{"status":"ok","tasks_executed":7,"tasks_failed":1,"replication":{"peers":2,"peers_healthy":1,` +
-		`"fanout_writes":5,"fanout_errors":9,"repair_hits":3}}`
-	a.healthBody.Store(&replicated)
 	gw, srv := testGateway(t, gatewayConfig{replicas: []string{a.srv.URL, b.srv.URL}})
 	gw.checkAll(context.Background())
 	served, _ := postJSON(t, srv.URL+"/v1/search", `{"model":"t5-100M","gpus":8}`, nil)
@@ -579,20 +569,11 @@ func TestGatewayMetrics(t *testing.T) {
 		"tapas_gateway_requests_total 1",
 		fmt.Sprintf(`tapas_gateway_proxied_total{replica="%s"} 1`, served.Header.Get(replicaHeader)),
 		fmt.Sprintf(`tapas_gateway_replica_healthy{replica="%s"} 1`, b.srv.URL),
-		fmt.Sprintf(`tapas_gateway_replica_tasks_executed_total{replica="%s"} 7`, a.srv.URL),
-		fmt.Sprintf(`tapas_gateway_replica_tasks_executed_total{replica="%s"} 0`, b.srv.URL),
-		fmt.Sprintf(`tapas_gateway_replica_tasks_failed_total{replica="%s"} 1`, a.srv.URL),
-		fmt.Sprintf(`tapas_gateway_replica_store_peers_healthy{replica="%s"} 1`, a.srv.URL),
 		"tapas_gateway_fleet_peers_healthy 2",
-		"tapas_gateway_replication_fanout_writes_total 5",
-		"tapas_gateway_replication_repair_hits_total 3",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
 		}
-	}
-	if unreplicated := fmt.Sprintf(`tapas_gateway_replica_store_peers_healthy{replica="%s"}`, b.srv.URL); strings.Contains(text, unreplicated) {
-		t.Errorf("unreplicated replica got a %s row", unreplicated)
 	}
 	var families []string
 	for _, line := range strings.Split(text, "\n") {
@@ -604,17 +585,11 @@ func TestGatewayMetrics(t *testing.T) {
 	wantFamilies := []string{
 		"tapas_gateway_failovers_total counter",
 		"tapas_gateway_fleet_peers_healthy gauge",
-		"tapas_gateway_fleet_updates_total counter",
 		"tapas_gateway_job_owners gauge",
 		"tapas_gateway_proxied_total counter",
 		"tapas_gateway_proxy_errors_total counter",
 		"tapas_gateway_rate_limited_total counter",
 		"tapas_gateway_replica_healthy gauge",
-		"tapas_gateway_replica_store_peers_healthy gauge",
-		"tapas_gateway_replica_tasks_executed_total counter",
-		"tapas_gateway_replica_tasks_failed_total counter",
-		"tapas_gateway_replication_fanout_writes_total counter",
-		"tapas_gateway_replication_repair_hits_total counter",
 		"tapas_gateway_requests_total counter",
 		"tapas_gc_pause_seconds_total counter",
 		"tapas_goroutines gauge",
@@ -625,12 +600,11 @@ func TestGatewayMetrics(t *testing.T) {
 		t.Errorf("metric families changed:\n got %q\nwant %q", families, wantFamilies)
 	}
 
-	// The same mirror as JSON: sums at the top, one row per replica.
+	// The same view as JSON: the gateway's counters at the top, one
+	// health row per replica.
 	_, body = getURL(t, srv.URL+"/v1/healthz")
 	var health struct {
-		TasksExecuted uint64                       `json:"tasks_executed"`
-		Replication   map[string]uint64            `json:"replication"`
-		Replicas      []map[string]json.RawMessage `json:"replicas"`
+		Replicas []map[string]json.RawMessage `json:"replicas"`
 	}
 	var keys map[string]json.RawMessage
 	if err := json.Unmarshal(body, &health); err != nil {
@@ -639,22 +613,17 @@ func TestGatewayMetrics(t *testing.T) {
 	if err := json.Unmarshal(body, &keys); err != nil {
 		t.Fatal(err)
 	}
-	wantRepl := map[string]uint64{"replicas": 1, "fanout_writes": 5, "repair_hits": 3}
-	if health.TasksExecuted != 7 || !reflect.DeepEqual(health.Replication, wantRepl) {
-		t.Errorf("healthz sums: tasks_executed %d replication %v, want 7 and %v", health.TasksExecuted, health.Replication, wantRepl)
-	}
-	if got, want := sortedKeys(keys), []string{"failovers_total", "fleet_peers_healthy", "fleet_updates", "rate_limited_total",
-		"replicas", "replication", "requests_total", "status", "tasks_executed", "tasks_failed"}; !reflect.DeepEqual(got, want) {
+	if got, want := sortedKeys(keys), []string{"failovers_total", "fleet_peers_healthy", "rate_limited_total",
+		"replicas", "requests_total", "status"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("healthz keys %q, want %q", got, want)
 	}
-	if got, want := sortedKeys(health.Replicas[0]), []string{"healthy", "replication", "tasks_executed", "tasks_failed", "url"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("replicated row keys %q, want %q", got, want)
+	if len(health.Replicas) != 2 {
+		t.Fatalf("healthz lists %d replica rows, want 2", len(health.Replicas))
 	}
-	if got, want := string(health.Replicas[0]["replication"]), `{"peers_healthy":1,"fanout_writes":5,"repair_hits":3}`; compactJSON(got) != want {
-		t.Errorf("replicated row mirror %s, want %s", got, want)
-	}
-	if got, want := sortedKeys(health.Replicas[1]), []string{"healthy", "tasks_executed", "tasks_failed", "url"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("unreplicated row keys %q, want %q", got, want)
+	for i, row := range health.Replicas {
+		if got, want := sortedKeys(row), []string{"healthy", "url"}; !reflect.DeepEqual(got, want) {
+			t.Errorf("row %d keys %q, want %q", i, got, want)
+		}
 	}
 }
 
@@ -665,14 +634,6 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-func compactJSON(s string) string {
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, []byte(s)); err != nil {
-		return s
-	}
-	return buf.String()
 }
 
 // TestCrossReplicaStoreHitThroughGateway is the acceptance round trip
@@ -746,7 +707,7 @@ func TestCrossReplicaStoreHitThroughGateway(t *testing.T) {
 
 	// Take the answering replica down; the ring fails the same key over
 	// to the other one, which must answer from the shared store.
-	for _, rep := range gw.fleet().replicas {
+	for _, rep := range gw.replicas {
 		if rep.url == coldReplica {
 			rep.healthy.Store(false)
 		}
@@ -919,85 +880,47 @@ func TestLargeJobListRelayedWhole(t *testing.T) {
 	}
 }
 
-// TestFleetHotReload: PUT /v1/fleet swaps the replica ring without a
-// restart — new replicas serve traffic immediately, removed ones stop
-// receiving it, surviving ones keep their counters — and GET /v1/fleet
-// reflects the change.
-func TestFleetHotReload(t *testing.T) {
+// TestJobsListSkipsUnhealthy: GET /v1/jobs merges only the replicas
+// the checker marked healthy. One that is down but still accepts
+// connections, and never answers its listing, cannot stall the merge;
+// with no healthy replica the listing is a 502.
+func TestJobsListSkipsUnhealthy(t *testing.T) {
 	a := newFakeReplica(t, "a")
-	b := newFakeReplica(t, "b")
-	c := newFakeReplica(t, "c")
-	gw, srv := testGateway(t, gatewayConfig{replicas: []string{a.srv.URL, b.srv.URL}})
+	release := make(chan struct{})
+	stuck := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/healthz" {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	t.Cleanup(stuck.Close)
+	t.Cleanup(func() { close(release) })
+	gw, srv := testGateway(t, gatewayConfig{replicas: []string{stuck.URL, a.srv.URL}})
+	gw.checkAll(context.Background())
 
-	// Seed traffic so the fleet has counters; remember the surviving
-	// replica's share to prove the update carries its state over.
-	for gpus := 1; gpus <= 6; gpus++ {
-		postJSON(t, srv.URL+"/v1/search", fmt.Sprintf(`{"model":"t5-100M","gpus":%d}`, gpus), nil)
-	}
-	keptProxied := gw.fleet().byURL(a.srv.URL).proxied.Load()
-
-	// Swap b out for c.
-	req, err := http.NewRequest(http.MethodPut, srv.URL+"/v1/fleet",
-		strings.NewReader(fmt.Sprintf(`{"replicas":[%q,%q]}`, a.srv.URL, c.srv.URL)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("fleet update: %d %s", resp.StatusCode, data)
-	}
-	if !strings.Contains(string(data), c.srv.URL) || strings.Contains(string(data), b.srv.URL) {
-		t.Fatalf("update response shows the wrong fleet: %s", data)
-	}
-
-	view := gw.fleet()
-	if len(view.replicas) != 2 || view.byURL(b.srv.URL) != nil || view.byURL(c.srv.URL) == nil {
-		t.Fatalf("ring not re-rung: %v", view.replicas)
-	}
-	if view.byURL(a.srv.URL).proxied.Load() != keptProxied {
-		t.Error("surviving replica lost its counters across the update")
-	}
-	if gw.fleetUpdates.Load() != 1 {
-		t.Errorf("fleet updates counter %d, want 1", gw.fleetUpdates.Load())
-	}
-
-	// Traffic spreads over the new fleet only.
-	before := b.searches.Load()
-	for gpus := 1; gpus <= 12; gpus++ {
-		postJSON(t, srv.URL+"/v1/search", fmt.Sprintf(`{"model":"t5-100M","gpus":%d}`, gpus), nil)
-	}
-	if b.searches.Load() != before {
-		t.Error("removed replica still receives traffic")
-	}
-	if c.searches.Load() == 0 && a.searches.Load() == 0 {
-		t.Error("new fleet served nothing")
-	}
-
-	// GET /v1/fleet lists the live generation.
-	gresp, gbody := getURL(t, srv.URL+"/v1/fleet")
-	if gresp.StatusCode != http.StatusOK || !strings.Contains(string(gbody), c.srv.URL) {
-		t.Errorf("GET /v1/fleet: %d %s", gresp.StatusCode, gbody)
-	}
-
-	// Garbage is rejected without touching the ring.
-	for _, bad := range []string{`{}`, `{"replicas":[]}`, `{"replicas":["ftp://x"]}`, `{"replicas":["not a url"]}`} {
-		req, _ := http.NewRequest(http.MethodPut, srv.URL+"/v1/fleet", strings.NewReader(bad))
-		resp, err := http.DefaultClient.Do(req)
+	client := &http.Client{Timeout: 2 * time.Second}
+	list := func() (int, string) {
+		t.Helper()
+		resp, err := client.Get(srv.URL + "/v1/jobs")
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("job listing: %v", err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("fleet update %q answered %d, want 400", bad, resp.StatusCode)
-		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
 	}
-	if gw.fleetUpdates.Load() != 1 {
-		t.Error("rejected updates mutated the fleet")
+	if code, body := list(); code != http.StatusOK || !strings.Contains(body, "a-job-1") {
+		t.Errorf("listing with one healthy replica: %d %s", code, body)
+	}
+
+	a.healthy.Store(false)
+	gw.checkAll(context.Background())
+	if code, body := list(); code != http.StatusBadGateway {
+		t.Errorf("listing with no healthy replica: %d %s, want 502", code, body)
 	}
 }
 
@@ -1005,15 +928,24 @@ func TestFleetHotReload(t *testing.T) {
 // handler — on a free loopback port: -replicas seeds a fleet that is
 // health-checked before traffic is taken, -rate arms the per-client
 // limiter (429 + Retry-After for the bursty client only),
-// cancelling the context drains to exit 0, and no -replicas is exit 2.
+// cancelling the context drains to exit 0, and no -replicas or an
+// unknown flag is exit 2.
 func TestRunWiresFlags(t *testing.T) {
 	if code := run(context.Background(), []string{"-addr", "127.0.0.1:0"}, io.Discard, nil); code != 2 {
 		t.Errorf("no -replicas: exit %d, want 2", code)
 	}
-
 	a, b := newFakeReplica(t, "a"), newFakeReplica(t, "b")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	// The health-check period is a constant, so -health-interval is an
+	// unknown flag. The context is already done: had the flag parsed,
+	// run would drain straight to exit 0.
+	stopped, stop := context.WithCancel(ctx)
+	stop()
+	if code := run(stopped, []string{"-addr", "127.0.0.1:0", "-replicas", a.srv.URL, "-health-interval", "1s"}, io.Discard, nil); code != 2 {
+		t.Errorf("-health-interval: exit %d, want 2", code)
+	}
+
 	addr := make(chan string, 1)
 	exit := make(chan int, 1)
 	go func() {

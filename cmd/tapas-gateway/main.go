@@ -7,9 +7,13 @@
 // replicas' caches and stores use — so repeat traffic for one plan
 // always lands on the replica whose memory cache already holds it.
 // Job status/cancel/events follow the replica that owns the job.
-// Replicas are health-checked actively (/v1/healthz) and failed over
-// along the hash ring on transport errors; which replica answered is
-// reported in the X-Tapas-Replica response header.
+// Replicas are health-checked actively (/v1/healthz, every 2 s) and
+// failed over along the hash ring on transport errors; which replica
+// answered is reported in the X-Tapas-Replica response header.
+//
+// -replicas fixes the replica set for the life of the process. The
+// ring is a pure function of that list and job owners are recovered by
+// probing, so a restart with a new list reaches the same routing.
 //
 // With -rate R, each client (the X-Tapas-Client header, else the client
 // IP) gets a token bucket of depth max(1, 2R); requests beyond it are
@@ -21,13 +25,6 @@
 // flushed as it goes. Identical concurrent searches share one key, so
 // they reach one replica, whose engine runs the search once and joins
 // the rest onto it (tapas_cache_joined_total).
-//
-// The replica set itself is hot-reloadable: PUT /v1/fleet with
-// {"replicas":[...]} swaps the ring without a restart (new replicas
-// are probed before the call returns; surviving ones keep their health
-// and counters), and GET /v1/fleet shows the live generation — so an
-// autoscaler never needs to bounce the proxy. -replicas only seeds the
-// initial fleet.
 //
 // docs/api-v1.md ("Surface") has the one table of every endpoint and
 // flag, which daemon serves it and the question it answers.
@@ -43,7 +40,7 @@
 // Usage:
 //
 //	tapas-gateway -addr :8090 -replicas http://127.0.0.1:8081,http://127.0.0.1:8082
-//	tapas-gateway -addr :8090 -replicas ... -rate 10 -health-interval 2s
+//	tapas-gateway -addr :8090 -replicas ... -rate 10
 package main
 
 import (
@@ -73,7 +70,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 	addr := fs.String("addr", ":8090", "listen address")
 	var replicas cli.StringList
 	fs.Var(&replicas, "replicas", "comma-separated tapas-serve base URLs (required)")
-	healthInterval := fs.Duration("health-interval", 2*time.Second, "active health-check period")
 	rate := fs.Float64("rate", 0, "per-client request rate (tokens/second, bursts up to max(1, 2*rate); 0 disables rate limiting)")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight requests")
 	pprofAddr := fs.String("pprof-addr", "", "listen address of the pprof debug server (empty disables)")
@@ -90,13 +86,12 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 	}
 
 	gw := newGateway(gatewayConfig{
-		replicas:       replicas,
-		healthInterval: *healthInterval,
-		rate:           *rate,
-		logf:           logf,
-		rec:            trace.NewRecorder(trace.Config{Process: "tapas-gateway" + *addr, SampleEvery: *traceSample}),
-		traceSlow:      *traceSlow,
-		logRequests:    *logRequests,
+		replicas:    replicas,
+		rate:        *rate,
+		logf:        logf,
+		rec:         trace.NewRecorder(trace.Config{Process: "tapas-gateway" + *addr, SampleEvery: *traceSample}),
+		traceSlow:   *traceSlow,
+		logRequests: *logRequests,
 	})
 	defer cli.ServePprof(*pprofAddr, logf)()
 	gw.checkAll(ctx) // seed health state before taking traffic

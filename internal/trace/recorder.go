@@ -192,12 +192,12 @@ func (r *Recorder) record(d SpanData) {
 
 // TraceSummary is one row of the GET /v1/traces listing.
 type TraceSummary struct {
-	TraceID    string `json:"trace_id"`
-	Root       string `json:"root"` // name of the earliest-starting span
-	Start      int64  `json:"start_unix_ns"`
+	TraceID    string  `json:"trace_id"`
+	Root       string  `json:"root"` // name of the earliest-starting span
+	Start      int64   `json:"start_unix_ns"`
 	DurationMS float64 `json:"duration_ms"` // max span end − min span start
-	Spans      int    `json:"spans"`
-	Errors     int    `json:"errors"`
+	Spans      int     `json:"spans"`
+	Errors     int     `json:"errors"`
 }
 
 // Traces returns summaries of recorded traces, newest first, keeping
