@@ -257,10 +257,53 @@ const (
 	PhaseSimulate Phase = "simulate"
 )
 
+// coldStages is the cold search pipeline (Fig. 2 of the paper) in
+// execution order: each phase, followed by the parts its work times
+// itself (the strategy layer splits search into enum and assemble).
+// runSearch walks it for each phase's progress events, spans and
+// durations; StageTimes walks it for the serving layer's phase
+// histograms and slow-request log.
+var coldStages = []coldStage{
+	{name: string(PhaseGroup), dur: func(r *Result) *time.Duration { return &r.GroupTime }, run: (*coldRun).group},
+	{name: string(PhaseMine), dur: func(r *Result) *time.Duration { return &r.MineTime }, run: (*coldRun).mine, foldedOnly: true,
+		attrs: func(r *Result) []string {
+			return []string{"levels", strconv.Itoa(r.MineLevels), "classes", strconv.Itoa(r.UniqueGraphs)}
+		}},
+	{name: string(PhaseSearch), dur: func(r *Result) *time.Duration { return &r.SearchTime }, run: (*coldRun).search, parts: 2},
+	{name: "enum", dur: func(r *Result) *time.Duration { return &r.EnumTime },
+		attrs: func(r *Result) []string {
+			return []string{"classes", strconv.Itoa(r.Classes), "examined", strconv.Itoa(r.Examined), "pruned", strconv.Itoa(r.Pruned)}
+		}},
+	{name: "assemble", dur: func(r *Result) *time.Duration { return &r.AssembleTime }},
+	{name: string(PhaseReconstruct), dur: func(r *Result) *time.Duration { return &r.ReconstructTime }, run: (*coldRun).reconstruct},
+	{name: string(PhaseSimulate), dur: func(r *Result) *time.Duration { return &r.SimulateTime }, run: (*coldRun).simulate},
+}
+
+// coldStage is one entry of coldStages. Its name is its span's name
+// and, for a phase, its Phase.
+type coldStage struct {
+	name       string
+	dur        func(*Result) *time.Duration // where its duration is kept
+	attrs      func(*Result) []string       // its span's attributes (nil: none)
+	run        func(*coldRun) error         // a phase's work (nil: a part)
+	parts      int                          // entries after the phase that its work times
+	foldedOnly bool                         // an exhaustive search skips the phase
+}
+
+// StageTimes calls f with each stage of the cold pipeline, in execution
+// order, and the time r's cold computation spent in it: group, mine,
+// search, enum, assemble, reconstruct, simulate (enum and assemble are
+// the two parts of search). A stage that did not run reports zero.
+func (r *Result) StageTimes(f func(stage string, d time.Duration)) {
+	for _, st := range coldStages {
+		f(st.name, *st.dur(r))
+	}
+}
+
 // ProgressEvent is one observation of a running search, delivered to
-// that search's SearchSpec.Progress observer. Counter fields
-// are populated on PhaseProgress ticks of the search phase and on the
-// search phase's exit event; they are cumulative within one search.
+// that search's SearchSpec.Progress observer. Counter fields are
+// cumulative within one search: each event carries the counts reached
+// so far (the search phase's ticks advance them).
 type ProgressEvent struct {
 	Model string // model identity (graph name for SearchGraph)
 	GPUs  int
@@ -490,7 +533,8 @@ func (e *Engine) searchGraph(ctx context.Context, name string, g *graph.Graph, f
 // name); it must be fixed here, before the Result is published to the
 // cache, because published Results are shared and must never be written.
 func (e *Engine) runSearch(ctx context.Context, name string, g *graph.Graph, gpus int, cfg engineConfig) (*Result, error) {
-	cl, model, enum, mopt := cfg.resolve(gpus)
+	r := &coldRun{cfg: cfg, g: g, res: &Result{GPUs: gpus, ModelName: name}}
+	r.cl, r.model, r.enum, r.mopt = cfg.resolve(gpus)
 
 	// Task shipping: only searches a remote executor can reproduce are
 	// scattered — a wire-identifiable graph on the default cluster (a
@@ -499,27 +543,12 @@ func (e *Engine) runSearch(ctx context.Context, name string, g *graph.Graph, gpu
 	// selected strategy is identical.
 	if cfg.runnerFor != nil && cfg.cluster == nil &&
 		(cfg.wireModel != "" || cfg.wireSpec != "") {
-		enum.Runner = cfg.runnerFor(TaskRef{Model: cfg.wireModel, Spec: cfg.wireSpec, GPUs: gpus})
+		r.enum.Runner = cfg.runnerFor(TaskRef{Model: cfg.wireModel, Spec: cfg.wireSpec, GPUs: gpus})
 	}
 
-	res := &Result{GPUs: gpus, ModelName: name}
-	start := time.Now()
-	// One search's events are serialized among themselves (progMu), so
-	// its observer never sees two at once, though they may come from any
-	// worker goroutine.
-	var progMu sync.Mutex
-	progress := func(kind ProgressKind, phase Phase, done, total, examined int) {
-		if cfg.progress == nil {
-			return
-		}
-		ev := ProgressEvent{
-			Model: name, GPUs: gpus, Phase: phase, Kind: kind,
-			ClassesDone: done, ClassesTotal: total, Examined: examined,
-			Elapsed: time.Since(start),
-		}
-		progMu.Lock()
-		defer progMu.Unlock()
-		cfg.progress(ev)
+	r.start = time.Now()
+	r.enum.Progress = func(done, total, examined int) {
+		r.emit(PhaseProgress, PhaseSearch, ProgressEvent{ClassesDone: done, ClassesTotal: total, Examined: examined})
 	}
 
 	// Span per phase, mirroring the progress stream. Spans are nil (and
@@ -530,91 +559,122 @@ func (e *Engine) runSearch(ctx context.Context, name string, g *graph.Graph, gpu
 	searchSpan.SetAttr("model", name)
 	searchSpan.SetAttr("gpus", strconv.Itoa(gpus))
 	defer searchSpan.End()
+	r.ctx = ctx
 
-	progress(PhaseEnter, PhaseGroup, 0, 0, 0)
-	t0 := time.Now()
-	gg, err := ir.Group(g)
-	if err != nil {
-		err = fmt.Errorf("tapas: grouping failed: %w", err)
-		searchSpan.SetError(err)
-		return nil, err
-	}
-	res.GroupTime = time.Since(t0)
-	trace.Record(ctx, "group", t0, res.GroupTime)
-	progress(PhaseExit, PhaseGroup, 0, 0, 0)
-
-	var s *strategy.Strategy
-	var stats *strategy.SearchStats
-	enum.Progress = func(done, total, examined int) {
-		progress(PhaseProgress, PhaseSearch, done, total, examined)
-	}
-	searchPhase := time.Now()
-	if cfg.exhaustive {
-		enum.MaxCandidates = max(enum.MaxCandidates, 1<<15)
-		progress(PhaseEnter, PhaseSearch, 0, 0, 0)
-		searchPhase = time.Now()
-		s, stats, err = strategy.SearchExhaustive(ctx, gg, model, enum, cl.MemoryPerGP)
-		res.UniqueGraphs = len(gg.Nodes)
-	} else {
-		progress(PhaseEnter, PhaseMine, 0, 0, 0)
-		t1 := time.Now()
-		mres := mining.Mine(ctx, gg, mopt)
-		classes := mining.Fold(gg, mres)
-		res.MineTime = time.Since(t1)
-		res.MineLevels = mres.Levels
-		res.UniqueGraphs = len(classes)
-		trace.Record(ctx, "mine", t1, res.MineTime,
-			"levels", strconv.Itoa(mres.Levels), "classes", strconv.Itoa(len(classes)))
-		progress(PhaseExit, PhaseMine, 0, len(classes), 0)
-		if err := ctx.Err(); err != nil {
-			err = fmt.Errorf("tapas: search canceled during mining: %w", err)
+	for i := range coldStages {
+		if err := r.runStage(i); err != nil {
 			searchSpan.SetError(err)
 			return nil, err
 		}
-		progress(PhaseEnter, PhaseSearch, 0, len(classes), 0)
-		searchPhase = time.Now()
-		s, stats, err = strategy.SearchFolded(ctx, gg, classes, model, enum, cl.MemoryPerGP)
+	}
+	r.res.TotalTime = time.Since(r.start)
+	return r.res, nil
+}
+
+// coldRun is the state one cold search carries through coldStages.
+type coldRun struct {
+	ctx   context.Context
+	cfg   engineConfig
+	cl    *cluster.Cluster
+	model *cost.Model
+	enum  strategy.EnumOptions
+	mopt  mining.Options
+	start time.Time
+	res   *Result
+
+	// progMu serializes the search's events, which may come from any
+	// worker goroutine; counts holds the counters phase events carry.
+	progMu sync.Mutex
+	counts ProgressEvent
+
+	g       *graph.Graph
+	gg      *ir.GNGraph
+	classes []*mining.Class
+}
+
+// runStage runs the phase coldStages[i] between its enter and exit
+// events, keeps its duration unless its work times its parts, and
+// records its span, or its parts' spans back to back from its start.
+func (r *coldRun) runStage(i int) error {
+	st := &coldStages[i]
+	if st.run == nil || st.foldedOnly && r.cfg.exhaustive {
+		return nil // a part, recorded with its phase, or a skipped phase
+	}
+	r.emit(PhaseEnter, Phase(st.name), r.counts)
+	start := time.Now()
+	if err := st.run(r); err != nil {
+		return fmt.Errorf("tapas: %s phase failed: %w", st.name, err)
+	}
+	spans := coldStages[i : i+1]
+	if st.parts > 0 {
+		spans = coldStages[i+1 : i+1+st.parts]
+	} else {
+		*st.dur(r.res) = time.Since(start)
+	}
+	for _, sp := range spans {
+		var attrs []string
+		if sp.attrs != nil {
+			attrs = sp.attrs(r.res)
+		}
+		trace.Record(r.ctx, sp.name, start, *sp.dur(r.res), attrs...)
+		start = start.Add(*sp.dur(r.res))
+	}
+	r.emit(PhaseExit, Phase(st.name), r.counts)
+	return nil
+}
+
+// emit stamps one event and hands it to the search's observer.
+func (r *coldRun) emit(kind ProgressKind, phase Phase, ev ProgressEvent) {
+	if r.cfg.progress == nil {
+		return
+	}
+	ev.Kind, ev.Phase = kind, phase
+	ev.Model, ev.GPUs, ev.Elapsed = r.res.ModelName, r.res.GPUs, time.Since(r.start)
+	r.progMu.Lock()
+	defer r.progMu.Unlock()
+	r.cfg.progress(ev)
+}
+
+func (r *coldRun) group() (err error) {
+	r.gg, err = ir.Group(r.g)
+	return err
+}
+
+func (r *coldRun) mine() error {
+	mres := mining.Mine(r.ctx, r.gg, r.mopt)
+	r.classes = mining.Fold(r.gg, mres)
+	r.res.MineLevels, r.res.UniqueGraphs = mres.Levels, len(r.classes)
+	r.counts.ClassesTotal = len(r.classes)
+	return r.ctx.Err()
+}
+
+func (r *coldRun) search() (err error) {
+	var stats *strategy.SearchStats
+	if r.cfg.exhaustive {
+		r.enum.MaxCandidates = max(r.enum.MaxCandidates, 1<<15)
+		r.res.Strategy, stats, err = strategy.SearchExhaustive(r.ctx, r.gg, r.model, r.enum, r.cl.MemoryPerGP)
+		r.res.UniqueGraphs = len(r.gg.Nodes)
+	} else {
+		r.res.Strategy, stats, err = strategy.SearchFolded(r.ctx, r.gg, r.classes, r.model, r.enum, r.cl.MemoryPerGP)
 	}
 	if err != nil {
-		err = fmt.Errorf("tapas: strategy search failed: %w", err)
-		searchSpan.SetError(err)
-		return nil, err
+		return err
 	}
-	res.SearchTime = stats.EnumTime + stats.AssembleTime
-	res.EnumTime = stats.EnumTime
-	res.AssembleTime = stats.AssembleTime
-	res.Classes = stats.Classes
-	res.Examined = stats.Examined
-	res.Pruned = stats.Pruned
-	// The enum/assemble split is measured inside the strategy layer;
-	// report it as two back-to-back children of the search phase.
-	trace.Record(ctx, "enum", searchPhase, stats.EnumTime,
-		"classes", strconv.Itoa(stats.Classes),
-		"examined", strconv.Itoa(stats.Examined),
-		"pruned", strconv.Itoa(stats.Pruned))
-	trace.Record(ctx, "assemble", searchPhase.Add(stats.EnumTime), stats.AssembleTime)
-	progress(PhaseExit, PhaseSearch, stats.Classes, stats.Classes, stats.Examined)
+	r.res.EnumTime, r.res.AssembleTime = stats.EnumTime, stats.AssembleTime
+	r.res.SearchTime = stats.EnumTime + stats.AssembleTime
+	r.res.Classes, r.res.Examined, r.res.Pruned = stats.Classes, stats.Examined, stats.Pruned
+	r.counts = ProgressEvent{ClassesDone: stats.Classes, ClassesTotal: stats.Classes, Examined: stats.Examined}
+	return nil
+}
 
-	progress(PhaseEnter, PhaseReconstruct, 0, 0, 0)
-	t2 := time.Now()
-	pg, err := reconstruct.Reconstruct(s)
-	if err != nil {
-		err = fmt.Errorf("tapas: reconstruction failed: %w", err)
-		searchSpan.SetError(err)
-		return nil, err
-	}
-	trace.Record(ctx, "reconstruct", t2, time.Since(t2))
-	progress(PhaseExit, PhaseReconstruct, 0, 0, 0)
+func (r *coldRun) reconstruct() (err error) {
+	r.res.Parallel, err = reconstruct.Reconstruct(r.res.Strategy)
+	return err
+}
 
-	res.Strategy = s
-	res.Parallel = pg
-	progress(PhaseEnter, PhaseSimulate, 0, 0, 0)
-	t3 := time.Now()
-	res.Report = sim.Run(s, sim.DefaultConfig(cl))
-	trace.Record(ctx, "simulate", t3, time.Since(t3))
-	progress(PhaseExit, PhaseSimulate, 0, 0, 0)
-	res.TotalTime = time.Since(start)
-	return res, nil
+func (r *coldRun) simulate() error {
+	r.res.Report = sim.Run(r.res.Strategy, sim.DefaultConfig(r.cl))
+	return nil
 }
 
 // baselineGraph keys, deduplicates and caches one baseline derivation;

@@ -126,26 +126,8 @@ func (e *Engine) restoreResult(rec *store.Record, name string, g *graph.Graph, g
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		ModelName:    name,
-		GPUs:         gpus,
-		Strategy:     s,
-		Parallel:     pg,
-		StoreHit:     true,
-		GroupTime:    time.Duration(rec.Timing.GroupNS),
-		MineTime:     time.Duration(rec.Timing.MineNS),
-		SearchTime:   time.Duration(rec.Timing.SearchNS),
-		EnumTime:     time.Duration(rec.Timing.EnumNS),
-		AssembleTime: time.Duration(rec.Timing.AssembleNS),
-		TotalTime:    time.Duration(rec.Timing.TotalNS),
-		Classes:      rec.Timing.Classes,
-		Examined:     rec.Timing.Examined,
-		Pruned:       rec.Timing.Pruned,
-		UniqueGraphs: rec.Timing.UniqueGraphs,
-		MineLevels:   rec.Timing.MineLevels,
-	}
-	res.Report = sim.Run(s, sim.DefaultConfig(cl))
-	return res, nil
+	return &Result{ModelName: name, GPUs: gpus, Strategy: s, Parallel: pg, StoreHit: true,
+		Report: sim.Run(s, sim.DefaultConfig(cl)), Timing: rec.Timing}, nil
 }
 
 // grouped returns the grouped graph a store hit rehydrates against: for
@@ -188,22 +170,5 @@ func (e *Engine) storePersist(key cacheKey, res *Result) {
 	if err != nil {
 		return
 	}
-	e.store.PutAsync(storeKey(key), &store.Record{
-		Model: res.ModelName,
-		GPUs:  res.GPUs,
-		Plan:  plan,
-		Timing: store.Timing{
-			GroupNS:      int64(res.GroupTime),
-			MineNS:       int64(res.MineTime),
-			SearchNS:     int64(res.SearchTime),
-			EnumNS:       int64(res.EnumTime),
-			AssembleNS:   int64(res.AssembleTime),
-			TotalNS:      int64(res.TotalTime),
-			Classes:      res.Classes,
-			Examined:     res.Examined,
-			Pruned:       res.Pruned,
-			UniqueGraphs: res.UniqueGraphs,
-			MineLevels:   res.MineLevels,
-		},
-	})
+	e.store.PutAsync(storeKey(key), &store.Record{Model: res.ModelName, GPUs: res.GPUs, Plan: plan, Timing: res.Timing})
 }

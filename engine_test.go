@@ -202,62 +202,80 @@ func TestEngineCancellationMidSearch(t *testing.T) {
 	t.Errorf("goroutines leaked: %d before, %d after cancellation", before, runtime.NumGoroutine())
 }
 
-// TestEngineProgressStream checks the event stream's shape on a cold
-// search: phases enter and exit in pipeline order and the per-class ticks
-// count monotonically up to the class total.
+// TestEngineProgressStream checks the event stream's shape on a folded
+// and an exhaustive cold search: phases enter and exit in pipeline order
+// (an exhaustive search has no mine phase) and the per-class ticks count
+// monotonically up to the class total.
 func TestEngineProgressStream(t *testing.T) {
-	var events []ProgressEvent
-	eng := NewEngine()
-	spec := SearchSpec{Model: "t5-100M", GPUs: 8, Progress: func(ev ProgressEvent) {
-		events = append(events, ev) // serialized by the engine
-	}}
-	res, err := eng.SearchSpec(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var order []string
-	lastDone := 0
-	ticks := 0
-	for _, ev := range events {
-		if ev.Model != "t5-100M" || ev.GPUs != 8 {
-			t.Fatalf("event carries wrong identity: %+v", ev)
-		}
-		switch ev.Kind {
-		case PhaseEnter, PhaseExit:
-			order = append(order, ev.Kind.String()+":"+string(ev.Phase))
-		case PhaseProgress:
-			ticks++
-			if ev.ClassesDone <= lastDone {
-				t.Errorf("classes-done not monotonic: %d after %d", ev.ClassesDone, lastDone)
+	for _, tc := range []struct {
+		name  string
+		model string
+		gpus  int
+		opts  *Options
+		want  []string
+	}{
+		{"folded", "t5-100M", 8, nil, []string{
+			"enter:group", "exit:group",
+			"enter:mine", "exit:mine",
+			"enter:search", "exit:search",
+			"enter:reconstruct", "exit:reconstruct",
+			"enter:simulate", "exit:simulate",
+		}},
+		{"exhaustive", "twotower-small", 4, &Options{Exhaustive: true}, []string{
+			"enter:group", "exit:group",
+			"enter:search", "exit:search",
+			"enter:reconstruct", "exit:reconstruct",
+			"enter:simulate", "exit:simulate",
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var events []ProgressEvent
+			eng := NewEngine()
+			spec := SearchSpec{Model: tc.model, GPUs: tc.gpus, Options: tc.opts, Progress: func(ev ProgressEvent) {
+				events = append(events, ev) // serialized by the engine
+			}}
+			res, err := eng.SearchSpec(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
 			}
-			lastDone = ev.ClassesDone
-			if ev.ClassesTotal != res.UniqueGraphs {
-				t.Errorf("tick total %d, want %d", ev.ClassesTotal, res.UniqueGraphs)
-			}
-		}
-	}
-	want := []string{
-		"enter:group", "exit:group",
-		"enter:mine", "exit:mine",
-		"enter:search", "exit:search",
-		"enter:reconstruct", "exit:reconstruct",
-		"enter:simulate", "exit:simulate",
-	}
-	if got := strings.Join(order, " "); got != strings.Join(want, " ") {
-		t.Errorf("phase order:\n got %s\nwant %s", got, strings.Join(want, " "))
-	}
-	if ticks != res.UniqueGraphs {
-		t.Errorf("%d progress ticks for %d classes", ticks, res.UniqueGraphs)
-	}
 
-	// Cache hits answer without re-running the pipeline, hence silently.
-	events = nil
-	if _, err := eng.SearchSpec(context.Background(), spec); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 0 {
-		t.Errorf("cache hit emitted %d progress events, want none", len(events))
+			var order []string
+			lastDone := 0
+			ticks := 0
+			for _, ev := range events {
+				if ev.Model != tc.model || ev.GPUs != tc.gpus {
+					t.Fatalf("event carries wrong identity: %+v", ev)
+				}
+				switch ev.Kind {
+				case PhaseEnter, PhaseExit:
+					order = append(order, ev.Kind.String()+":"+string(ev.Phase))
+				case PhaseProgress:
+					ticks++
+					if ev.ClassesDone <= lastDone {
+						t.Errorf("classes-done not monotonic: %d after %d", ev.ClassesDone, lastDone)
+					}
+					lastDone = ev.ClassesDone
+					if ev.ClassesTotal != res.Classes {
+						t.Errorf("tick total %d, want %d", ev.ClassesTotal, res.Classes)
+					}
+				}
+			}
+			if got := strings.Join(order, " "); got != strings.Join(tc.want, " ") {
+				t.Errorf("phase order:\n got %s\nwant %s", got, strings.Join(tc.want, " "))
+			}
+			if ticks != res.Classes {
+				t.Errorf("%d progress ticks for %d classes", ticks, res.Classes)
+			}
+
+			// Cache hits answer without re-running the pipeline, hence silently.
+			events = nil
+			if _, err := eng.SearchSpec(context.Background(), spec); err != nil {
+				t.Fatal(err)
+			}
+			if len(events) != 0 {
+				t.Errorf("cache hit emitted %d progress events, want none", len(events))
+			}
+		})
 	}
 }
 

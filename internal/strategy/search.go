@@ -491,7 +491,8 @@ func SearchExhaustive(ctx context.Context, g *ir.GNGraph, model *cost.Model, opt
 	if len(cs) == 0 {
 		return nil, stats, fmt.Errorf("strategy: exhaustive search found no valid plan")
 	}
-	// Prefer the cheapest memory-feasible candidate.
+	// Assembly: spread the cheapest memory-feasible candidate over g.
+	t1 := time.Now()
 	pick := cs[0]
 	if memLimit > 0 {
 		for _, c := range cs {
@@ -505,6 +506,7 @@ func SearchExhaustive(ctx context.Context, g *ir.GNGraph, model *cost.Model, opt
 	for i, gn := range g.TopoOrder() {
 		assign[gn] = pick.Patterns[i]
 	}
+	stats.AssembleTime = time.Since(t1)
 	s, err := finishStrategy(g, assign, model, opt)
 	return s, stats, err
 }

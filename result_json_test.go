@@ -67,7 +67,8 @@ func TestResultSummaryAndMarshalJSON(t *testing.T) {
 func TestSummaryOfPartialResult(t *testing.T) {
 	// A Result without a Strategy (as a failed or synthetic result may
 	// be) must summarize without panicking.
-	r := &Result{ModelName: "x", GPUs: 4, TotalTime: time.Second}
+	r := &Result{ModelName: "x", GPUs: 4}
+	r.TotalTime = time.Second
 	sum := r.Summary()
 	if sum.PlanSummary != "" || sum.CostSeconds != 0 {
 		t.Errorf("strategy-less summary invented plan data: %+v", sum)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"tapas"
 	"tapas/store/replicate"
 )
 
@@ -97,7 +98,9 @@ func TestObservabilityMetrics(t *testing.T) {
 	o := newObservability(Config{})
 	o.reqHist.Observe(0.003)
 	o.reqHist.Observe(0.2)
-	o.observePhase("enum", 40*time.Millisecond)
+	res := &tapas.Result{}
+	res.EnumTime = 40 * time.Millisecond
+	o.observeCold(res)
 	o.taskHist.Observe(1.5)
 
 	var sb strings.Builder

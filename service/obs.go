@@ -13,19 +13,12 @@ import (
 	"tapas/internal/trace"
 )
 
-// phaseLabels are the per-phase latency series exported as
-// tapas_phase_duration_seconds{phase=...}: the five pipeline phases the
-// progress stream reports, with the search phase additionally split
-// into its enum/assemble halves from the engine's own stopwatches.
-var phaseLabels = []string{"group", "mine", "search", "enum", "assemble", "reconstruct", "simulate"}
-
 // observability is the service's tracing and latency-metrics state, one
-// per Service. The zero value disables everything (nil recorder, nil
-// histograms are never reached because newObservability always builds
-// the histograms).
+// per Service, built by newObservability.
 type observability struct {
 	rec         *trace.Recorder
 	reqHist     *promtext.Histogram            // tapas_request_duration_seconds
+	stages      []string                       // the phase labels, in pipeline order
 	phaseHist   map[string]*promtext.Histogram // tapas_phase_duration_seconds{phase=...}
 	taskHist    *promtext.Histogram            // tapas_task_duration_seconds
 	slowThresh  time.Duration                  // 0 disables the slow-request log
@@ -37,33 +30,42 @@ func newObservability(cfg Config) *observability {
 	o := &observability{
 		rec:         cfg.Trace,
 		reqHist:     promtext.NewHistogram(nil),
-		phaseHist:   make(map[string]*promtext.Histogram, len(phaseLabels)),
+		phaseHist:   make(map[string]*promtext.Histogram),
 		taskHist:    promtext.NewHistogram(nil),
 		slowThresh:  cfg.TraceSlow,
 		logf:        cfg.Logf,
 		logRequests: cfg.LogRequests,
 	}
-	for _, p := range phaseLabels {
-		o.phaseHist[p] = promtext.NewHistogram(nil)
-	}
+	// One phase series per stage of the engine's cold pipeline.
+	new(tapas.Result).StageTimes(func(stage string, _ time.Duration) {
+		o.stages = append(o.stages, stage)
+		o.phaseHist[stage] = promtext.NewHistogram(nil)
+	})
 	if o.logf == nil {
 		o.logf = func(string, ...any) {}
 	}
 	return o
 }
 
-// observePhase records one phase duration in its histogram.
-func (o *observability) observePhase(phase string, d time.Duration) {
-	if h := o.phaseHist[phase]; h != nil {
-		h.Observe(d.Seconds())
+// observeCold records a cold search's stage durations in the phase
+// histograms. Cache and store hits ran no pipeline and record nothing,
+// nor does a stage the search skipped.
+func (o *observability) observeCold(res *tapas.Result) {
+	if res == nil || res.CacheHit || res.StoreHit {
+		return
 	}
+	res.StageTimes(func(stage string, d time.Duration) {
+		if d > 0 {
+			o.phaseHist[stage].Observe(d.Seconds())
+		}
+	})
 }
 
 // addMetrics renders the request/phase/task histograms into m.
 func (o *observability) addMetrics(m *promtext.Metrics) {
 	m.Histogram("tapas_request_duration_seconds",
 		"HTTP request latency by wall clock, all v1 endpoints.", o.reqHist, nil)
-	for _, p := range phaseLabels {
+	for _, p := range o.stages {
 		m.Histogram("tapas_phase_duration_seconds",
 			"Cold-search pipeline phase latency.", o.phaseHist[p], promtext.Labels{"phase": p})
 	}
@@ -94,34 +96,15 @@ func withObs(o *observability, next http.Handler) http.Handler {
 	}, next)
 }
 
-// searchObserver wraps one search call: a span under the request's
-// trace, per-phase histogram observations derived from the progress
-// stream (which only fires on genuine cold runs, so cache hits never
-// skew the phase series), and the slow-request log line.
-func (s *Service) observeSearch(ctx context.Context, req SearchRequest, progress func(tapas.ProgressEvent)) (context.Context, func(tapas.ProgressEvent), func(*tapas.Result, error)) {
+// observeSearch wraps one search call: a span under the request's
+// trace, the phase histograms of a cold result, and the slow-request
+// log line.
+func (s *Service) observeSearch(ctx context.Context, req SearchRequest) (context.Context, func(*tapas.Result, error)) {
 	o := s.obs
 	start := time.Now()
 	ctx, span := trace.StartSpan(ctx, "service.search")
 	span.SetAttr("model", req.Model)
 	span.SetAttr("gpus", strconv.Itoa(req.GPUs))
-
-	// Phase durations: Elapsed is cumulative within one search, so a
-	// phase's cost is exit.Elapsed − enter.Elapsed. One search's events
-	// are serialized, so the map needs no lock.
-	enters := make(map[tapas.Phase]time.Duration, 8)
-	wrapped := func(ev tapas.ProgressEvent) {
-		switch ev.Kind {
-		case tapas.PhaseEnter:
-			enters[ev.Phase] = ev.Elapsed
-		case tapas.PhaseExit:
-			if at, ok := enters[ev.Phase]; ok {
-				o.observePhase(string(ev.Phase), ev.Elapsed-at)
-			}
-		}
-		if progress != nil {
-			progress(ev)
-		}
-	}
 
 	finish := func(res *tapas.Result, err error) {
 		dur := time.Since(start)
@@ -129,13 +112,8 @@ func (s *Service) observeSearch(ctx context.Context, req SearchRequest, progress
 		if res != nil {
 			span.SetAttr("cache_hit", strconv.FormatBool(res.CacheHit))
 			span.SetAttr("store_hit", strconv.FormatBool(res.StoreHit))
-			if !res.CacheHit && !res.StoreHit {
-				// The enum/assemble split is measured inside the strategy
-				// layer; genuine cold runs only, mirroring the phase events.
-				o.observePhase("enum", res.EnumTime)
-				o.observePhase("assemble", res.AssembleTime)
-			}
 		}
+		o.observeCold(res)
 		span.End()
 		if o.slowThresh > 0 && dur >= o.slowThresh {
 			client, _ := ctx.Value(clientKey{}).(string)
@@ -147,14 +125,10 @@ func (s *Service) observeSearch(ctx context.Context, req SearchRequest, progress
 				"dur", dur,
 			}
 			if res != nil {
-				pairs = append(pairs,
-					"cache_hit", res.CacheHit,
-					"store_hit", res.StoreHit,
-					"group", res.GroupTime,
-					"mine", res.MineTime,
-					"enum", res.EnumTime,
-					"assemble", res.AssembleTime,
-				)
+				pairs = append(pairs, "cache_hit", res.CacheHit, "store_hit", res.StoreHit)
+				res.StageTimes(func(stage string, d time.Duration) {
+					pairs = append(pairs, stage, d)
+				})
 			}
 			if err != nil {
 				pairs = append(pairs, "err", err.Error())
@@ -162,5 +136,5 @@ func (s *Service) observeSearch(ctx context.Context, req SearchRequest, progress
 			o.logf("%s", logkv.Line("slow_request", pairs...))
 		}
 	}
-	return ctx, wrapped, finish
+	return ctx, finish
 }

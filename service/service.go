@@ -332,9 +332,9 @@ func (s *Service) resolveGraph(req SearchRequest) (*graph.Graph, error) {
 // progress, when set, observes exactly this search's events (the job
 // path passes its job's callback; the sync path passes nil).
 func (s *Service) search(ctx context.Context, req SearchRequest, g *graph.Graph, progress func(tapas.ProgressEvent)) (*SearchResponse, error) {
-	ctx, wrapped, finish := s.observeSearch(ctx, req, progress)
+	ctx, finish := s.observeSearch(ctx, req)
 	spec := specForRequest(req, g)
-	spec.Progress = wrapped
+	spec.Progress = progress
 	res, err := s.eng.SearchSpec(ctx, spec)
 	finish(res, err)
 	if err != nil {
@@ -409,6 +409,7 @@ func (s *Service) SearchBatch(ctx context.Context, req BatchSearchRequest) (*Bat
 	for j, i := range pos {
 		switch {
 		case results[j] != nil:
+			s.obs.observeCold(results[j])
 			resp, rerr := NewSearchResponse(results[j])
 			if rerr != nil {
 				items[i] = batchErrItem(rerr)

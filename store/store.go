@@ -83,19 +83,23 @@ func (k Key) ID() string {
 
 // Timing is the cold search-time breakdown persisted with a plan, so a
 // store hit can report the original cost of producing it (mirroring the
-// cache-hit contract: timing describes the cold computation).
+// cache-hit contract: timing describes the cold computation); it is the
+// Timing block of tapas.Result. Durations encode as int64 nanoseconds;
+// MineLevels counts the Apriori growth iterations mining executed.
 type Timing struct {
-	GroupNS      int64 `json:"group_ns"`
-	MineNS       int64 `json:"mine_ns"`
-	SearchNS     int64 `json:"search_ns"`
-	EnumNS       int64 `json:"enum_ns"`
-	AssembleNS   int64 `json:"assemble_ns"`
-	TotalNS      int64 `json:"total_ns"`
-	Classes      int   `json:"classes"`
-	Examined     int   `json:"examined"`
-	Pruned       int   `json:"pruned"`
-	UniqueGraphs int   `json:"unique_graphs"`
-	MineLevels   int   `json:"mine_levels"`
+	GroupTime       time.Duration `json:"group_ns"`
+	MineTime        time.Duration `json:"mine_ns"`
+	SearchTime      time.Duration `json:"search_ns"`
+	EnumTime        time.Duration `json:"enum_ns"`
+	AssembleTime    time.Duration `json:"assemble_ns"`
+	ReconstructTime time.Duration `json:"reconstruct_ns,omitempty"`
+	SimulateTime    time.Duration `json:"simulate_ns,omitempty"`
+	TotalTime       time.Duration `json:"total_ns"`
+	Classes         int           `json:"classes"`
+	Examined        int           `json:"examined"`
+	Pruned          int           `json:"pruned"`
+	UniqueGraphs    int           `json:"unique_graphs"`
+	MineLevels      int           `json:"mine_levels"`
 }
 
 // Record is one persisted search outcome: the versioned plan document

@@ -27,7 +27,7 @@ func testRecord(i int) *Record {
 			Workers:       8,
 			CostSeconds:   0.25,
 		},
-		Timing: Timing{TotalNS: int64(time.Millisecond), Classes: i},
+		Timing: Timing{TotalTime: time.Millisecond, Classes: i},
 	}
 }
 
@@ -74,6 +74,35 @@ func TestPutGetRoundTrip(t *testing.T) {
 	st := s.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Puts != 1 || st.Entries != 1 {
 		t.Errorf("stats wrong: %+v", st)
+	}
+}
+
+// TestTimingReadsNanosecondRecords: a timing block written with int64
+// nanosecond fields (records that predate the reconstruct and simulate
+// durations) decodes to the same durations and counters, and
+// re-encodes to the same bytes.
+func TestTimingReadsNanosecondRecords(t *testing.T) {
+	const old = `{"group_ns":1500,"mine_ns":2500,"search_ns":7000,"enum_ns":4000,` +
+		`"assemble_ns":3000,"total_ns":12000,"classes":13,"examined":4578,` +
+		`"pruned":15417,"unique_graphs":13,"mine_levels":5}`
+	var got Timing
+	if err := json.Unmarshal([]byte(old), &got); err != nil {
+		t.Fatal(err)
+	}
+	want := Timing{
+		GroupTime: 1500, MineTime: 2500, SearchTime: 7000, EnumTime: 4000,
+		AssembleTime: 3000, TotalTime: 12000,
+		Classes: 13, Examined: 4578, Pruned: 15417, UniqueGraphs: 13, MineLevels: 5,
+	}
+	if got != want {
+		t.Errorf("decoded %+v\nwant    %+v", got, want)
+	}
+	again, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != old {
+		t.Errorf("re-encoded %s\nwant       %s", again, old)
 	}
 }
 

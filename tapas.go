@@ -43,11 +43,13 @@
 //
 // # Observability
 //
-// A SearchSpec's Progress field streams that search's live progress
-// events while it runs: phase enter/exit (group, mine, search,
-// reconstruct, simulate), classes enumerated, and candidates examined.
-// Calls are serialized per search; concurrent searches each report to
-// their own observer.
+// The cold pipeline is one ordered list of stages, and each signal is
+// walked from it: a SearchSpec's Progress observer receives every
+// phase's enter/exit events (group, mine, search, reconstruct, simulate)
+// and per-class ticks; a traced context gets a span per stage; and
+// Result.StageTimes lists each stage's duration, with search split into
+// enum and assemble. Calls are serialized per search; concurrent
+// searches each report to their own observer.
 //
 // # Determinism
 //
@@ -77,6 +79,7 @@ import (
 	"tapas/internal/reconstruct"
 	"tapas/internal/sim"
 	"tapas/internal/strategy"
+	"tapas/store"
 )
 
 // Options are the per-search overrides of one SearchSpec, laid over the
@@ -127,23 +130,11 @@ type Result struct {
 	// flags — a store-restored Result re-served from the memory cache.
 	StoreHit bool
 
-	// Search-time breakdown (the paper's headline metric). EnumTime and
-	// AssembleTime split SearchTime into its two phases (enumeration
-	// fan-out vs greedy assembly + repair); MineLevels counts the Apriori
-	// growth iterations mining executed. All three are deterministic for
-	// a given (graph, options) pair — worker counts only move the
-	// durations, never Examined/Classes/MineLevels.
-	GroupTime    time.Duration
-	MineTime     time.Duration
-	SearchTime   time.Duration
-	EnumTime     time.Duration
-	AssembleTime time.Duration
-	TotalTime    time.Duration
-	Classes      int
-	Examined     int
-	Pruned       int
-	UniqueGraphs int
-	MineLevels   int
+	// Timing is the search-time breakdown (the paper's headline metric):
+	// a duration per pipeline stage (see StageTimes), TotalTime, and the
+	// counters, which are deterministic for a given (graph, options) pair
+	// — worker counts only move the durations. The plan store persists it.
+	store.Timing
 }
 
 // ErrUnknownModel is returned (wrapped) by every entry point asked for
@@ -189,9 +180,8 @@ type SearchSpec struct {
 	// progress observer. Events of one search are serialized, though
 	// they may come from any worker goroutine; the callback must return
 	// quickly and must not call back into the Engine. Cache and store
-	// hits skip the pipeline and
-	// emit nothing, and a call that joins an identical in-flight search
-	// receives no events (the leader's observer does).
+	// hits skip the pipeline and emit nothing, and a call that joins an
+	// identical in-flight search receives no events (the leader's does).
 	Progress func(ProgressEvent)
 }
 
