@@ -18,7 +18,6 @@ import (
 type observability struct {
 	rec         *trace.Recorder
 	reqHist     *promtext.Histogram            // tapas_request_duration_seconds
-	stages      []string                       // the phase labels, in pipeline order
 	phaseHist   map[string]*promtext.Histogram // tapas_phase_duration_seconds{phase=...}
 	taskHist    *promtext.Histogram            // tapas_task_duration_seconds
 	slowThresh  time.Duration                  // 0 disables the slow-request log
@@ -38,7 +37,6 @@ func newObservability(cfg Config) *observability {
 	}
 	// One phase series per stage of the engine's cold pipeline.
 	new(tapas.Result).StageTimes(func(stage string, _ time.Duration) {
-		o.stages = append(o.stages, stage)
 		o.phaseHist[stage] = promtext.NewHistogram(nil)
 	})
 	if o.logf == nil {
@@ -65,10 +63,10 @@ func (o *observability) observeCold(res *tapas.Result) {
 func (o *observability) addMetrics(m *promtext.Metrics) {
 	m.Histogram("tapas_request_duration_seconds",
 		"HTTP request latency by wall clock, all v1 endpoints.", o.reqHist, nil)
-	for _, p := range o.stages {
+	new(tapas.Result).StageTimes(func(stage string, _ time.Duration) {
 		m.Histogram("tapas_phase_duration_seconds",
-			"Cold-search pipeline phase latency.", o.phaseHist[p], promtext.Labels{"phase": p})
-	}
+			"Cold-search pipeline phase latency.", o.phaseHist[stage], promtext.Labels{"phase": stage})
+	})
 	m.Histogram("tapas_task_duration_seconds",
 		"Shipped prefix-task batch execution latency (/v1/tasks).", o.taskHist, nil)
 }
