@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"tapas"
+	"tapas/store"
 	"tapas/store/replicate"
 )
 
@@ -73,6 +74,69 @@ func TestMetricsForReplicationBlock(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestMetricsForStoreBlock: a daemon with a plan store and durable jobs
+// renders exactly these tapas_store_* and tapas_job_store_* families,
+// each with its snapshot value.
+func TestMetricsForStoreBlock(t *testing.T) {
+	st := Stats{
+		Store: &store.Stats{
+			Hits:        1,
+			Misses:      2,
+			Puts:        3,
+			Evictions:   4,
+			Corrupt:     5,
+			Dropped:     6,
+			WriteErrors: 7,
+			ReadErrors:  8,
+			GCRuns:      9,
+			GCRemoved:   10,
+			Entries:     11,
+			Capacity:    12,
+		},
+		JobStore: &JobStoreStats{
+			Records:     21,
+			Persists:    22,
+			Deletes:     23,
+			Dropped:     24,
+			WriteErrors: 25,
+			Corrupt:     26,
+		},
+	}
+	var sb strings.Builder
+	if _, err := metricsFor(st).WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if strings.HasPrefix(line, "tapas_store_") || strings.HasPrefix(line, "tapas_job_store_") {
+			got = append(got, line)
+		}
+	}
+	want := []string{
+		"tapas_job_store_records 21",
+		"tapas_job_store_persists_total 22",
+		"tapas_job_store_deletes_total 23",
+		"tapas_job_store_dropped_total 24",
+		"tapas_job_store_write_errors_total 25",
+		"tapas_job_store_corrupt_total 26",
+		"tapas_store_hits_total 1",
+		"tapas_store_misses_total 2",
+		"tapas_store_puts_total 3",
+		"tapas_store_evictions_total 4",
+		"tapas_store_corrupt_total 5",
+		"tapas_store_dropped_total 6",
+		"tapas_store_write_errors_total 7",
+		"tapas_store_read_errors_total 8",
+		"tapas_store_gc_runs_total 9",
+		"tapas_store_gc_removed_total 10",
+		"tapas_store_entries 11",
+		"tapas_store_capacity 12",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("store families:\n got %q\nwant %q", got, want)
 	}
 }
 
