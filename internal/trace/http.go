@@ -21,9 +21,29 @@ func Inject(ctx context.Context, h http.Header) {
 	h.Set(ParentHeader, s.id)
 }
 
-// Extract reads the propagation headers from an inbound request.
+// Extract reads the propagation headers from an inbound request. Only
+// a well-formed ID (validID) is adopted; anything else reads as absent,
+// so a request with a malformed trace header is sampled like an
+// untraced one, and one with a malformed parent starts a root span.
 func Extract(h http.Header) (traceID, parentID string) {
-	return h.Get(TraceHeader), h.Get(ParentHeader)
+	traceID, parentID = h.Get(TraceHeader), h.Get(ParentHeader)
+	if !validID(traceID) {
+		return "", ""
+	}
+	if !validID(parentID) {
+		parentID = ""
+	}
+	return traceID, parentID
+}
+
+// idChars is the alphabet of an adoptable trace or span ID.
+const idChars = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_-"
+
+// validID reports whether id is 1–64 characters of idChars: every ID
+// newID mints qualifies, and an adopted one stays addressable as
+// GET /v1/traces/{id} and small enough to echo back as a header.
+func validID(id string) bool {
+	return id != "" && len(id) <= 64 && strings.Trim(id, idChars) == ""
 }
 
 // Handler serves the flight-recorder API for rec:

@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strings"
 	"testing"
 	"time"
 )
@@ -186,6 +189,71 @@ func TestInjectExtract(t *testing.T) {
 	if req2.Header.Get(TraceHeader) != "" {
 		t.Fatalf("untraced Inject set %q", req2.Header.Get(TraceHeader))
 	}
+}
+
+// TestExtractValidatesIDs: only IDs of 1–64 characters of
+// [0-9A-Za-z_-] are adopted. Any other trace ID reads as absent (the
+// request is sampled like an untraced one), and any other parent ID
+// leaves the adopted trace without a remote parent.
+func TestExtractValidatesIDs(t *testing.T) {
+	long := strings.Repeat("a", 64)
+	for _, tc := range []struct {
+		trace, parent         string
+		wantTrace, wantParent string
+	}{
+		{"cafebabecafebabe", "0123456789abcdef", "cafebabecafebabe", "0123456789abcdef"},
+		{fmt.Sprintf("c01d%012x", 7), "", fmt.Sprintf("c01d%012x", 7), ""},
+		{"Run_42-b", "x", "Run_42-b", "x"},
+		{long, long, long, long},
+		{"", "0123456789abcdef", "", ""},
+		{"abc/def", "0123456789abcdef", "", ""},
+		{long + "a", "0123456789abcdef", "", ""},
+		{strings.Repeat("f", 200000), "", "", ""},
+		{"has space", "", "", ""},
+		{"dot.ted", "", "", ""},
+		{"caf\u00e9", "", "", ""},
+		{"cafebabecafebabe", "../up", "cafebabecafebabe", ""},
+		{"cafebabecafebabe", long + "a", "cafebabecafebabe", ""},
+	} {
+		h := http.Header{}
+		h.Set(TraceHeader, tc.trace)
+		h.Set(ParentHeader, tc.parent)
+		traceID, parentID := Extract(h)
+		if traceID != tc.wantTrace || parentID != tc.wantParent {
+			t.Errorf("Extract(%.20q, %.20q) = %.20q, %.20q; want %.20q, %.20q",
+				tc.trace, tc.parent, traceID, parentID, tc.wantTrace, tc.wantParent)
+		}
+	}
+}
+
+// FuzzTraceHeaders: whatever Extract adopts from the propagation
+// headers is either empty or, once the request's span ends, fetchable
+// through Handler under that ID.
+func FuzzTraceHeaders(f *testing.F) {
+	f.Add("cafebabecafebabe", "0123456789abcdef")
+	f.Add("abc/def", "")
+	f.Add("%2F", "a b")
+	f.Add(strings.Repeat("z", 65), "-")
+	f.Fuzz(func(t *testing.T, traceHdr, parentHdr string) {
+		h := http.Header{}
+		h.Set(TraceHeader, traceHdr)
+		h.Set(ParentHeader, parentHdr)
+		traceID, parentID := Extract(h)
+		if traceID == "" {
+			if parentID != "" {
+				t.Fatalf("parent %q adopted without a trace", parentID)
+			}
+			return
+		}
+		rec := NewRecorder(Config{})
+		_, s := rec.StartRequest(context.Background(), "r", traceID, parentID)
+		s.End()
+		rw := httptest.NewRecorder()
+		Handler(rec).ServeHTTP(rw, httptest.NewRequest("GET", "/v1/traces/"+url.PathEscape(traceID), nil))
+		if rw.Code != http.StatusOK {
+			t.Fatalf("adopted trace %q (parent %q) is not fetchable: status %d", traceID, parentID, rw.Code)
+		}
+	})
 }
 
 func TestHandler(t *testing.T) {
