@@ -8,15 +8,14 @@
 //
 //   - -store-dir persists every searched plan and serves repeat traffic
 //     from it across restarts (hit precedence: memory cache → store →
-//     search), and makes jobs durable under <store-dir>/jobs (-jobs-dir
-//     overrides): orphaned queued/running jobs left by a crash or
+//     search), bounded by -store-max (LRU), and makes jobs durable under
+//     <store-dir>/jobs: orphaned queued/running jobs left by a crash or
 //     kill -9 are adopted at start-up under their original IDs.
-//   - A lone -store-peer mounts that peer's corpus instead of a local
-//     one; -store-dir plus -store-peer (repeatable) replicates the
-//     corpus: writes fan out write-behind and local misses fall through
-//     to peers with read-repair, so when every replica lists every other
-//     as a -store-peer, killing any replica — a record's writer
-//     included — loses no warm state.
+//   - -store-peer (repeatable, needs -store-dir) replicates that corpus:
+//     writes fan out write-behind and local misses fall through to peers
+//     with read-repair, so when every replica lists every other as a
+//     -store-peer, killing any replica — a record's writer included —
+//     loses no warm state.
 //   - -fleet makes the daemon a distributed-cold-search coordinator
 //     that scatters enumeration prefix tasks over POST /v1/tasks (which
 //     every daemon serves) and falls back to the local pool, with the
@@ -31,6 +30,7 @@
 //
 //	tapas-serve -addr :8080
 //	tapas-serve -addr :8080 -store-dir /var/lib/tapas/plans
+//	tapas-serve -addr :8080 -store-dir /var/lib/tapas/plans -store-peer http://replica-b:8080
 //	tapas-serve -addr :8080 -fleet http://replica-b:8080,http://replica-c:8080
 //	tapas-serve -addr :8080 -queue 128 -job-workers 4 -cache 256 -drain-timeout 10s
 package main
@@ -71,13 +71,11 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 	jobWorkers := fs.Int("job-workers", 2, "jobs run concurrently")
 	workers := fs.Int("workers", 0, "search worker goroutines per job (0 = GOMAXPROCS)")
 	cache := fs.Int("cache", tapas.DefaultCacheSize, "result cache entries (0 disables)")
-	storeDir := fs.String("store-dir", "", "persistent plan store directory; searches survive restarts (empty disables)")
+	storeDir := fs.String("store-dir", "", "persistent plan store directory, with job records under jobs/; plans and accepted jobs survive restarts (empty disables)")
 	var storePeers cli.StringList
-	fs.Var(&storePeers, "store-peer", "peer daemon URL sharing the plan corpus (repeatable, commas allowed). Alone: read/write that peer's corpus. With -store-dir: replicate — writes fan out to every peer, reads fall through with read-repair")
+	fs.Var(&storePeers, "store-peer", "peer daemon URL to replicate the -store-dir corpus with (repeatable, commas allowed): writes fan out to every peer, local misses fall through with read-repair")
 	storeMax := fs.Int("store-max", store.DefaultMaxEntries, "plan store record bound (LRU eviction past it)")
-	storeGCAge := fs.Duration("store-gc-age", 0, "delete store records unused for longer than this, at open and every age/4 (clamped to [1s, 1h]) after (0 disables GC; incompatible with -store-peer)")
 	storeProbe := fs.Duration("store-probe-interval", 3*time.Second, "how often a down replication peer is re-probed")
-	jobsDir := fs.String("jobs-dir", "", "durable job record directory; queued/running jobs survive restarts (default <store-dir>/jobs when -store-dir is set, empty disables)")
 	maxFinished := fs.Int("max-finished", 256, "finished jobs retained for status polling")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for running jobs and in-flight requests before cancelling them")
 	var fleet cli.StringList
@@ -97,12 +95,8 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 		}
 	}()
 
-	if len(storePeers) > 0 && *storeGCAge > 0 {
-		logf("-store-gc-age cannot run against a shared or replicated corpus; GC only an exclusively-owned -store-dir")
-		return 2
-	}
-	if *storeDir == "" && len(storePeers) > 1 {
-		logf("replicating across %d peers needs a local corpus: add -store-dir (a single -store-peer reads a shared corpus without one)", len(storePeers))
+	if *storeDir == "" && len(storePeers) > 0 {
+		logf("-store-peer replicates the local corpus: add -store-dir")
 		return 2
 	}
 	fail := func(what string, err error) int {
@@ -124,11 +118,10 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 		Logf:        logf,
 		LogRequests: *logRequests,
 	}
-	if *storeDir != "" || len(storePeers) > 0 {
+	if *storeDir != "" {
 		st, repl, err := openStore(store.Options{
 			Dir:        *storeDir,
 			MaxEntries: *storeMax,
-			GCAge:      *storeGCAge,
 			OnCorrupt: func(path string, err error) {
 				logf("store: skipping unreadable record %s: %v", path, err)
 			},
@@ -155,13 +148,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 		if repl != nil {
 			cfg.Replication = repl
 		}
-	}
-	jdir := *jobsDir
-	if jdir == "" && *storeDir != "" {
-		jdir = filepath.Join(*storeDir, "jobs")
-	}
-	if jdir != "" {
-		jb, err := store.NewFS(jdir)
+		jb, err := store.NewFS(filepath.Join(*storeDir, "jobs"))
 		if err != nil {
 			return fail("opening job store", err)
 		}
@@ -186,9 +173,8 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 	if err != nil {
 		return fail("loading durable jobs", err)
 	}
-	if jdir != "" {
-		st := svc.Stats()
-		logf("durable jobs %s: %d records, %d adopted", jdir, st.JobStore.Records, st.JobsAdopted)
+	if st := svc.Stats(); st.JobsDurable {
+		logf("durable jobs %s: %d records, %d adopted", filepath.Join(*storeDir, "jobs"), st.JobStore.Records, st.JobsAdopted)
 	}
 	logf("queue=%d job-workers=%d cache=%d", *queue, *jobWorkers, *cache)
 	err = cli.Server{
@@ -208,19 +194,13 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 	return 0
 }
 
-// openStore opens the plan store the flags describe: an exclusively
-// owned directory (dir alone), one peer's corpus mounted remotely (a
-// lone peer, no dir), or a replicated corpus (dir plus peers), whose
-// fan-out backend is returned as well so the caller can report and
-// drain it.
+// openStore opens the plan store the flags describe: the opts.Dir
+// corpus, owned by this daemon alone, or — with peers — replicated
+// across them, in which case the fan-out backend is returned as well so
+// the caller can report and drain it.
 func openStore(opts store.Options, peers []string, ropts replicate.Options) (*store.Store, *replicate.Backend, error) {
 	var repl *replicate.Backend
-	switch {
-	case opts.Dir == "":
-		// Shared mode: no local bytes, one peer owns the corpus.
-		opts.Backend = remotebackend.New(peers[0])
-		opts.Shared = true
-	case len(peers) > 0:
+	if len(peers) > 0 {
 		// Replicated corpus: this daemon owns bytes locally AND fans
 		// writes out to every peer; reads fall through with read-repair.
 		local, err := store.NewFS(opts.Dir)

@@ -252,16 +252,15 @@ func records(t *testing.T, dir string) []string {
 // generation survives its drain (cancel → exit 0, write-behind queue
 // flushed to disk) and the next generation over the same directory
 // answers it from the store, identical down to the timing block.
-// -store-gc-age rides along: GC runs at open.
 func TestRunWarmRestart(t *testing.T) {
 	dir := t.TempDir()
-	gen1 := startDaemon(t, "-store-dir", dir, "-store-gc-age", "24h")
+	gen1 := startDaemon(t, "-store-dir", dir)
 	cold := gen1.search(t, "t5-100M", 8)
 	if cold.StoreHit || cold.CacheHit {
 		t.Fatalf("first-generation search must be cold: %+v", cold.ResultSummary)
 	}
-	if h := gen1.health(t); h.Store == nil || h.Store.GCRuns < 1 || !h.JobsDurable || h.Replication != nil || h.Fleet != nil {
-		t.Errorf("healthz of a -store-dir -store-gc-age daemon: store %+v jobs_durable %v replication %v fleet %v",
+	if h := gen1.health(t); h.Store == nil || !h.JobsDurable || h.Replication != nil || h.Fleet != nil {
+		t.Errorf("healthz of a -store-dir daemon: store %+v jobs_durable %v replication %v fleet %v",
 			h.Store, h.JobsDurable, h.Replication, h.Fleet)
 	}
 	if code := gen1.stop(); code != 0 {
@@ -282,24 +281,6 @@ func TestRunWarmRestart(t *testing.T) {
 	samePlan(t, "restored", cold, warm, true)
 	if h := gen2.health(t); h.Store.Hits != 1 || h.Store.Entries != 1 {
 		t.Errorf("healthz store stats after one hit: %+v", h.Store)
-	}
-}
-
-// TestRunSharedCorpus: a lone -store-peer mounts that peer's corpus —
-// no local bytes, no replication — so a plan the owner searched is a
-// store hit on the mounting daemon.
-func TestRunSharedCorpus(t *testing.T) {
-	owner := startDaemon(t, "-store-dir", t.TempDir())
-	mount := startDaemon(t, "-store-peer", owner.url)
-	cold := owner.search(t, "twotower-small", 4)
-	eventually(t, "the owner's write-behind persist", func() bool { return owner.health(t).Store.Puts == 1 })
-	warm := mount.search(t, "twotower-small", 4)
-	if !warm.StoreHit || warm.CacheHit {
-		t.Fatalf("the mounting daemon re-searched instead of reading the shared corpus: %+v", warm.ResultSummary)
-	}
-	samePlan(t, "shared corpus", cold, warm, true)
-	if h := mount.health(t); h.Store == nil || h.Replication != nil || h.JobsDurable {
-		t.Errorf("healthz of a lone -store-peer daemon: store %+v replication %+v jobs_durable %v", h.Store, h.Replication, h.JobsDurable)
 	}
 }
 
@@ -387,20 +368,31 @@ func TestRunReplicatedCorpus(t *testing.T) {
 	samePlan(t, "fanned out", fanned, warm, true)
 }
 
-// TestRunRefusesBadStoreFlags: GC against a corpus this daemon does not
-// own exclusively, and replication without a local corpus, are usage
-// errors — exit 2 before anything is opened.
+// TestRunRefusesBadStoreFlags: -store-peer replicates a -store-dir
+// corpus, so peers without one are a usage error, and the retired
+// -store-gc-age and -jobs-dir flags are unknown — exit 2 before anything
+// is opened, with a message naming the flag at fault.
 func TestRunRefusesBadStoreFlags(t *testing.T) {
-	for _, args := range [][]string{
-		{"-store-peer", "http://127.0.0.1:1", "-store-gc-age", "1h"},
-		{"-store-dir", t.TempDir(), "-store-peer", "http://127.0.0.1:1", "-store-gc-age", "1h"},
-		{"-store-peer", "http://127.0.0.1:1", "-store-peer", "http://127.0.0.1:2"},
-		{"-no-such-flag"},
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-store-peer", "http://127.0.0.1:1"}, "-store-dir"},
+		{[]string{"-store-peer", "http://127.0.0.1:1", "-store-peer", "http://127.0.0.1:2"}, "-store-dir"},
+		{[]string{"-store-dir", t.TempDir(), "-store-gc-age", "1h"}, "-store-gc-age"},
+		{[]string{"-store-dir", t.TempDir(), "-jobs-dir", t.TempDir()}, "-jobs-dir"},
+		{[]string{"-no-such-flag"}, "-no-such-flag"},
 	} {
 		var log bytes.Buffer
-		ready := func(addr string) { t.Errorf("%v: daemon listened on %s", args, addr) }
-		if code := run(context.Background(), args, &log, ready); code != 2 {
-			t.Errorf("%v: exit %d, want 2\n%s", args, code, &log)
+		ctx, cancel := context.WithCancel(context.Background())
+		ready := func(addr string) {
+			t.Errorf("%v: daemon listened on %s", tc.args, addr)
+			cancel()
+		}
+		code := run(ctx, append([]string{"-addr", "127.0.0.1:0"}, tc.args...), &log, ready)
+		cancel()
+		if code != 2 || !strings.Contains(log.String(), tc.want) {
+			t.Errorf("%v: exit %d, want 2 and a message naming %s\n%s", tc.args, code, tc.want, &log)
 		}
 	}
 }

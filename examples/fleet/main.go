@@ -10,10 +10,12 @@
 //
 //	go run ./examples/fleet -model t5-100M -gpus 8
 //
-// For real processes, the same wiring is:
+// Real daemons share plans by replication instead: each owns a
+// -store-dir and lists the other as a -store-peer, so a plan searched
+// by either is a store hit on both, and killing either loses nothing:
 //
-//	tapas-serve   -addr :8081 -store-dir ./plans
-//	tapas-serve   -addr :8082 -store-peer http://127.0.0.1:8081
+//	tapas-serve   -addr :8081 -store-dir ./plans-a -store-peer http://127.0.0.1:8082
+//	tapas-serve   -addr :8082 -store-dir ./plans-b -store-peer http://127.0.0.1:8081
 //	tapas-gateway -addr :8080 -replicas http://127.0.0.1:8081,http://127.0.0.1:8082
 package main
 

@@ -248,7 +248,8 @@ type Stats struct {
 	// daemon runs without -store-dir.
 	Store *store.Stats `json:"store,omitempty"`
 	// JobsDurable reports whether the async job table persists through
-	// a jobs backend (daemon flag -jobs-dir).
+	// a jobs backend (a daemon with -store-dir keeps its job records
+	// under <store-dir>/jobs).
 	JobsDurable bool `json:"jobs_durable,omitempty"`
 	// JobsAdopted is the number of orphaned queued/running jobs this
 	// process adopted (re-enqueued) from durable records at startup.
@@ -266,8 +267,7 @@ type Stats struct {
 	Fleet *FleetStats `json:"fleet,omitempty"`
 	// Replication reports the replicating store backend's traffic —
 	// write fanout and read-repair — and per-peer health; nil when the
-	// daemon runs without replication (no -store-dir beside
-	// -store-peer).
+	// daemon runs without replication (no -store-peer).
 	Replication *replicate.Stats `json:"replication,omitempty"`
 }
 

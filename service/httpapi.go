@@ -201,8 +201,6 @@ func metricsFor(st Stats) *promtext.Metrics {
 		m.Counter("tapas_store_dropped_total", "Write-behind persists dropped (queue full).", float64(s.Dropped), nil)
 		m.Counter("tapas_store_write_errors_total", "Write-behind persists that failed at the backend.", float64(s.WriteErrors), nil)
 		m.Counter("tapas_store_read_errors_total", "Transient backend read failures answered as misses.", float64(s.ReadErrors), nil)
-		m.Counter("tapas_store_gc_runs_total", "Age-based GC passes.", float64(s.GCRuns), nil)
-		m.Counter("tapas_store_gc_removed_total", "Records deleted by age-based GC.", float64(s.GCRemoved), nil)
 		m.Gauge("tapas_store_entries", "Records indexed.", float64(s.Entries), nil)
 		m.Gauge("tapas_store_capacity", "Store index capacity.", float64(s.Capacity), nil)
 	}

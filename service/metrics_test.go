@@ -91,10 +91,8 @@ func TestMetricsForStoreBlock(t *testing.T) {
 			Dropped:     6,
 			WriteErrors: 7,
 			ReadErrors:  8,
-			GCRuns:      9,
-			GCRemoved:   10,
-			Entries:     11,
-			Capacity:    12,
+			Entries:     9,
+			Capacity:    10,
 		},
 		JobStore: &JobStoreStats{
 			Records:     21,
@@ -130,10 +128,8 @@ func TestMetricsForStoreBlock(t *testing.T) {
 		"tapas_store_dropped_total 6",
 		"tapas_store_write_errors_total 7",
 		"tapas_store_read_errors_total 8",
-		"tapas_store_gc_runs_total 9",
-		"tapas_store_gc_removed_total 10",
-		"tapas_store_entries 11",
-		"tapas_store_capacity 12",
+		"tapas_store_entries 9",
+		"tapas_store_capacity 10",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("store families:\n got %q\nwant %q", got, want)

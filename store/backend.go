@@ -8,8 +8,8 @@ import (
 // Backend is the byte-level persistence behind a Store: a flat namespace
 // of immutable-once-published blobs addressed by the record's content
 // hash (Key.ID(), 64 hex characters). The Store layers everything else —
-// the LRU index, decode/validation, corruption policy, write-behind and
-// GC — on top, so a backend only moves bytes.
+// the LRU index, decode/validation, corruption policy and write-behind —
+// on top, so a backend only moves bytes.
 //
 // Two implementations ship: the filesystem backend (NewFS, one JSON file
 // per record, atomic temp+rename publishes) and the HTTP client in
@@ -21,8 +21,8 @@ import (
 //   - Get returns the exact bytes of the last successful Put, or an
 //     error wrapping ErrNotFound. Get itself must not refresh recency:
 //     the Store distinguishes genuine hits (which it marks through the
-//     optional Toucher interface) from validation and GC scans (which
-//     must not rejuvenate what they read).
+//     optional Toucher interface) from reads that are not hits (a record
+//     dropped as corrupt must not be rejuvenated).
 //   - Put publishes atomically: a concurrent reader sees the old bytes
 //     or the new bytes, never a mixture, and concurrent Puts of the same
 //     id leave one of the payloads intact.
@@ -45,8 +45,8 @@ type Backend interface {
 
 // Toucher is the optional recency interface: backends that persist a
 // last-used timestamp (the filesystem backend's mtime) implement it,
-// and the Store calls it on genuine hits so LRU order and GC age
-// survive restarts. The remote backend omits it — the corpus owner
+// and the Store calls it on genuine hits so LRU order survives
+// restarts. The remote backend omits it — the corpus owner
 // touches server-side when a peer reads.
 type Toucher interface {
 	Touch(id string)
@@ -68,7 +68,7 @@ type EntryInfo struct {
 	// Size is the payload length in bytes.
 	Size int64 `json:"size"`
 	// ModTime is the last write or recency refresh. The Store's LRU
-	// order and age-based GC both derive from it.
+	// order at Open derives from it.
 	ModTime time.Time `json:"-"`
 }
 

@@ -12,8 +12,8 @@ import (
 // directory, named "<id>.json" so the filename is verifiable from the
 // content. Writes are atomic (temp file + rename in the same directory),
 // so a crash mid-write can never leave a half-record under a live name.
-// Get refreshes the file's mtime best-effort, which is how LRU recency
-// and GC age survive restarts.
+// Touch refreshes the file's mtime best-effort on every hit, which is
+// how LRU recency survives restarts.
 //
 // A directory on shared storage (NFS, a mounted object-store gateway) is
 // the zero-code way to share one corpus across replicas — open it with
@@ -58,7 +58,7 @@ func (f *FS) Get(id string) ([]byte, error) {
 }
 
 // Touch refreshes a record's mtime, best-effort, persisting recency for
-// the next Open and extending its life under age-based GC.
+// the next Open's LRU order.
 func (f *FS) Touch(id string) {
 	if !validID(id) {
 		return

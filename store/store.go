@@ -9,17 +9,19 @@
 //
 // Bytes live behind the pluggable Backend interface: the filesystem
 // backend (one JSON file per record, atomic temp+rename writes) is the
-// default, and store/remotebackend reads and writes a peer daemon's
-// corpus over HTTP so N replicas share one plan store — any cold search
-// by one replica warms all of them.
+// default, store/remotebackend reads and writes a peer daemon's corpus
+// over HTTP, and store/replicate combines the two so each replica owns
+// a local corpus, fans its writes out to its peers and reads through
+// them on a miss — any cold search by one replica warms all of them.
 //
 // The Store layers policy over the backend: a bounded in-memory LRU
 // index built at Open from the backend's listing alone (recency
 // persisted via backend timestamps), corruption-tolerant reads (a
 // record that fails to parse, carries a future schema version, or does
 // not match its content address is dropped and reported on its first
-// read, never fatal), a write-behind queue with Flush/Close drain, and
-// optional age-based GC (at Open and on a timer).
+// read, never fatal) and a write-behind queue with Flush/Close drain.
+// The LRU bound (Options.MaxEntries) is the store's one retention
+// policy.
 //
 // All methods are safe for concurrent use.
 package store
@@ -138,14 +140,6 @@ type Options struct {
 	// MaxEntries bounds the indexed record count (LRU eviction past
 	// it). 0 selects DefaultMaxEntries.
 	MaxEntries int
-	// GCAge enables age-based garbage collection: records whose backend
-	// timestamp (last write or recency refresh) is older than GCAge are
-	// deleted at Open and then on a timer. 0 disables GC. Ignored on a
-	// shared corpus — its bound belongs to the owner (see Store.GC).
-	GCAge time.Duration
-	// GCInterval is the GC timer period; 0 selects GCAge/4, clamped to
-	// [1s, 1h].
-	GCInterval time.Duration
 	// OnCorrupt, when set, observes every record dropped as unreadable
 	// on its first Get, and every failed write-behind persist. The store
 	// never fails on either; this is the report.
@@ -177,12 +171,8 @@ type Stats struct {
 	// than the record being absent — a transient failure (network blip,
 	// permissions), answered as a miss without dropping the record.
 	ReadErrors uint64 `json:"read_errors"`
-	// GCRuns and GCRemoved count age-based GC passes and the records
-	// they deleted.
-	GCRuns    uint64 `json:"gc_runs"`
-	GCRemoved uint64 `json:"gc_removed"`
-	Entries   int    `json:"entries"`
-	Capacity  int    `json:"capacity"`
+	Entries    int    `json:"entries"`
+	Capacity   int    `json:"capacity"`
 }
 
 // entry is one indexed record.
@@ -203,7 +193,6 @@ type Store struct {
 	backend   Backend
 	shared    bool
 	max       int
-	gcAge     time.Duration
 	onCorrupt func(string, error)
 
 	mu    sync.Mutex
@@ -212,10 +201,6 @@ type Store struct {
 	stats Stats
 
 	writes *wbq.Queue[writeTask]
-
-	gcStop    chan struct{} // nil when GC is disabled
-	closeOnce sync.Once
-	wg        sync.WaitGroup // the GC timer goroutine
 }
 
 // Open loads (or creates) the store over opts.Backend (or the filesystem
@@ -239,21 +224,12 @@ func Open(opts Options) (*Store, error) {
 		backend:   backend,
 		shared:    opts.Shared,
 		max:       opts.MaxEntries,
-		gcAge:     opts.GCAge,
 		onCorrupt: opts.OnCorrupt,
 		index:     make(map[string]*list.Element),
 		ll:        list.New(),
 	}
 	if err := s.load(); err != nil {
 		return nil, err
-	}
-	if s.gcAge > 0 && !s.shared {
-		// GC never runs against a shared corpus — its bound belongs to
-		// the owner (Store.GC enforces this too).
-		s.runGC()
-		s.gcStop = make(chan struct{})
-		s.wg.Add(1)
-		go s.gcLoop(gcInterval(opts))
 	}
 	s.writes = wbq.New(queueSize, s.persist)
 	return s, nil
@@ -568,16 +544,10 @@ func (s *Store) Len() int {
 	return s.ll.Len()
 }
 
-// Close drains the write-behind queue and stops the writer and the GC
-// timer. Further PutAsync calls are dropped (counted); Get/Put keep
-// working — Close only retires the async machinery. Idempotent.
+// Close drains the write-behind queue and stops its writer. Further
+// PutAsync calls are dropped (counted); Get/Put keep working — Close
+// only retires the async machinery. Idempotent.
 func (s *Store) Close() error {
-	s.closeOnce.Do(func() {
-		if s.gcStop != nil {
-			close(s.gcStop)
-		}
-	})
 	s.writes.Close()
-	s.wg.Wait()
 	return nil
 }

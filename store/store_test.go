@@ -217,6 +217,37 @@ func TestEvictionOrderSurvivesReopen(t *testing.T) {
 	}
 }
 
+// TestHitRecencySurvivesReopen: a hit refreshes the record's backend
+// timestamp, so the LRU bound keeps what is being used across a
+// restart — the oldest-written record outlives a newer one it was
+// served after.
+func TestHitRecencySurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir)
+	for i := 0; i < 2; i++ {
+		if err := s.Put(testKey(i), testRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, testKey(i).ID()+".json")
+		mt := time.Now().Add(time.Duration(i-3) * time.Hour)
+		if err := os.Chtimes(path, mt, mt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := s.Get(testKey(0)); !ok { // refreshes the older record
+		t.Fatal("warm-up get failed")
+	}
+	s.Close()
+
+	s2 := open(t, dir, Options{MaxEntries: 1})
+	if _, ok := s2.Get(testKey(0)); !ok {
+		t.Error("the just-served record did not survive the bounded reopen")
+	}
+	if _, ok := s2.Get(testKey(1)); ok {
+		t.Error("the unserved record outlived the one served after it")
+	}
+}
+
 // TestCorruptRecordsDroppedOnFirstGet: Open reads no record, so a
 // corrupt one costs nothing until it is asked for; its first Get drops
 // it from index and disk, reports it and counts it, and the valid
