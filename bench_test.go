@@ -164,6 +164,8 @@ func BenchmarkEnumerateTransformerLayer(b *testing.B) {
 		}
 	}
 	opt := strategy.DefaultEnumOptions(8)
+	opt.Workers = 1 // the serial walk TestEnumerateAllocationBudget holds
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		strategy.EnumerateInstance(context.Background(), g, layer.Representative(), model, opt)

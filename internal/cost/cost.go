@@ -187,9 +187,17 @@ func (m *Model) EventsCost(events []comm.Event) Breakdown {
 // patterns (the critical path of a sequential training step) plus any
 // resharding events (Eq. 4).
 func (m *Model) StrategyCost(patterns []*ir.Pattern, reshard []comm.Event) Breakdown {
+	return m.SumCost(len(patterns), func(i int) Breakdown { return m.PatternCost(patterns[i]) }, reshard)
+}
+
+// SumCost is Eq. 4's summation, the one copy of it: the n pattern costs
+// part(0), …, part(n-1) in that order, then the resharding events.
+// StrategyCost computes each part on the spot; the enumeration reads them
+// from a table of PatternCost values, and gets the same bits.
+func (m *Model) SumCost(n int, part func(i int) Breakdown, reshard []comm.Event) Breakdown {
 	var b Breakdown
-	for _, p := range patterns {
-		pb := m.PatternCost(p)
+	for i := 0; i < n; i++ {
+		pb := part(i)
 		b.Latency += pb.Latency
 		b.Trans += pb.Trans
 		b.Compute += pb.Compute

@@ -1,9 +1,10 @@
 package strategy
 
 import (
+	"cmp"
 	"context"
+	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"tapas/internal/comm"
@@ -14,6 +15,10 @@ import (
 )
 
 // Candidate is one validated pattern assignment for a subgraph instance.
+// The enumeration's walk never builds one: it records each complete
+// assignment as one menu index per node — the encoding TaskSpec and
+// TaskResult carry on the wire — and only the assignments ranking keeps
+// are materialised as Candidates.
 type Candidate struct {
 	Patterns []*ir.Pattern // parallel to the instance's node order
 	Reshard  []comm.Event  // intra-instance boundary collectives
@@ -103,8 +108,9 @@ type enumShared struct {
 	instance []*ir.GraphNode
 	pos      []int32    // instance position by GraphNode.ID, -1 outside
 	in       [][]inEdge // per position: the edges checked when it is assigned
-	owns     []bool     // per position: its weights count toward memory
 	menus    [][]*ir.Pattern
+	prices   [][]price // per position and menu entry: PatternCost and nodeMem
+	leaves   int       // complete assignments the menus allow, capped at MaxCandidates
 	model    *cost.Model
 	opt      EnumOptions
 	start    time.Time
@@ -119,16 +125,63 @@ type inEdge struct {
 	bytes   int64
 }
 
+// price is what a pattern adds to an assignment — its PatternCost and
+// its nodeMem — or, summed over positions, what a whole assignment costs.
+type price struct {
+	cost cost.Breakdown
+	mem  int64
+}
+
+// records is the enumeration's output before ranking: one price per
+// complete assignment, in the order found, with assignment k's menu
+// indices at idx[k*n : (k+1)*n]. Nothing in it is a pointer, so the
+// thousands of assignments a class examines cost the garbage collector
+// nothing; only the ones ranking keeps become Candidates.
+type records struct {
+	n      int
+	idx    []int32
+	prices []price
+}
+
+// newRecords returns an empty set with room for capacity assignments.
+func (sh *enumShared) newRecords(capacity int) records {
+	n := len(sh.instance)
+	return records{n: n, idx: make([]int32, 0, capacity*n), prices: make([]price, 0, capacity)}
+}
+
+func (r *records) len() int { return len(r.prices) }
+
+// at returns the menu indices of assignment k.
+func (r *records) at(k int) []int32 { return r.idx[k*r.n : (k+1)*r.n] }
+
+func (r *records) add(mi []int32, p price) {
+	r.idx = append(r.idx, mi...)
+	r.prices = append(r.prices, p)
+}
+
+// merge appends o's assignments after r's.
+func (r *records) merge(o records) {
+	r.idx = append(r.idx, o.idx...)
+	r.prices = append(r.prices, o.prices...)
+}
+
+// truncate drops every assignment from the k-th on.
+func (r *records) truncate(k int) {
+	r.idx, r.prices = r.idx[:k*r.n], r.prices[:k]
+}
+
 // enumState is the mutable state of one depth-first enumeration walk. Each
 // parallel worker owns a private enumState; merging concatenates the out
-// lists in deterministic task order and sums the stats.
+// records in deterministic task order and sums the stats.
 type enumState struct {
 	*enumShared
 	stats    EnumStats
-	out      []*Candidate
+	out      records
 	assigned []*ir.Pattern
 	events   [][]comm.Event
-	steps    uint // dfs call counter throttling the context poll
+	mi       []int32      // menu index of assigned[i]
+	cat      []comm.Event // scratch: the assignment's events in position order
+	steps    uint         // dfs call counter throttling the context poll
 	// Per-depth scratch reused by every branchesAt call at that depth: the
 	// surviving branches and the event storage their evs slice into. Both
 	// stay valid until the next branchesAt at the same depth.
@@ -136,12 +189,16 @@ type enumState struct {
 	evbuf [][]comm.Event
 }
 
-func newEnumState(sh *enumShared) *enumState {
+// newEnumState returns a walk state whose output has room for capacity
+// assignments.
+func newEnumState(sh *enumShared, capacity int) *enumState {
 	n := len(sh.instance)
 	return &enumState{
 		enumShared: sh,
+		out:        sh.newRecords(capacity),
 		assigned:   make([]*ir.Pattern, n),
 		events:     make([][]comm.Event, n),
+		mi:         make([]int32, n),
 		brs:        make([][]branch, n),
 		evbuf:      make([][]comm.Event, n),
 	}
@@ -180,19 +237,32 @@ func newEnumShared(ctx context.Context, g *ir.GNGraph, instance []*ir.GraphNode,
 
 	// Pattern menus, cheapest-first (optionally memory-weighted) so
 	// depth-first search reaches good complete strategies before any
-	// budget triggers.
+	// budget triggers. Each entry is priced once here; the walk only
+	// adds up table values.
 	menus := make([][]*ir.Pattern, len(instance))
-	score := func(p *ir.Pattern) float64 {
-		s := model.PatternCost(p).Total()
-		if opt.MemPenalty > 0 {
-			s += opt.MemPenalty * float64(4*p.WeightBytesPerDev+p.OutBytesPerDev)
-		}
-		return s
+	prices := make([][]price, len(instance))
+	leaves := 1
+	type entry struct {
+		p     *ir.Pattern
+		pr    price
+		score float64
 	}
 	for i, gn := range instance {
 		ps := ir.PatternsFor(gn, opt.W)
-		sort.SliceStable(ps, func(a, b int) bool { return score(ps[a]) < score(ps[b]) })
-		menus[i] = ps
+		es := make([]entry, len(ps))
+		for j, p := range ps {
+			pr := price{model.PatternCost(p), nodeMem(p, owns[i])}
+			es[j] = entry{p, pr, pr.cost.Total()}
+			if opt.MemPenalty > 0 {
+				es[j].score += opt.MemPenalty * float64(4*p.WeightBytesPerDev+p.OutBytesPerDev)
+			}
+		}
+		slices.SortStableFunc(es, func(a, b entry) int { return cmp.Compare(a.score, b.score) })
+		menus[i], prices[i] = ps, make([]price, len(ps))
+		for j, e := range es {
+			menus[i][j], prices[i][j] = e.p, e.pr
+		}
+		leaves = min(leaves*len(ps), max(opt.MaxCandidates, 0))
 	}
 
 	return &enumShared{
@@ -201,8 +271,9 @@ func newEnumShared(ctx context.Context, g *ir.GNGraph, instance []*ir.GraphNode,
 		instance: instance,
 		pos:      pos,
 		in:       in,
-		owns:     owns,
 		menus:    menus,
+		prices:   prices,
+		leaves:   leaves,
 		model:    model,
 		opt:      opt,
 		start:    time.Now(),
@@ -216,32 +287,23 @@ func newEnumShared(ctx context.Context, g *ir.GNGraph, instance []*ir.GraphNode,
 type branch struct {
 	p   *ir.Pattern
 	evs []comm.Event
-	mi  int
+	mi  int32
 }
 
-// branchBudgets splits a node's candidate budget across its n compatible
+// share is the candidate budget of branch idx of a node's n compatible
 // branches: equal shares with the remainder spread over the leading
 // (cheapest) branches, and the first branch guaranteed at least one slot
-// so enumeration cannot come back empty while valid strategies exist. A
-// zero entry means the branch is skipped. truncated reports that the
-// budget could not cover every branch. Both the serial dfs and the
-// parallel splitTasks expansion call this — the bit-identical-results
+// so enumeration cannot come back empty while valid strategies exist.
+// The zero shares are a suffix, so callers stop at the first; a budget
+// below n leaves some (the enumeration is truncated). Both the serial dfs
+// and the parallel splitTasks call this — the bit-identical-results
 // contract depends on there being exactly one copy of this arithmetic.
-func branchBudgets(budget, n int) (shares []int, truncated bool) {
-	shares = make([]int, n)
-	share := budget / n
-	extra := budget % n
-	truncated = share == 0
-	for i := range shares {
-		shares[i] = share
-		if i < extra {
-			shares[i]++
-		}
+func share(budget, n, idx int) int {
+	s := budget / n
+	if idx < budget%n || idx == 0 && s == 0 {
+		s++
 	}
-	if shares[0] == 0 {
-		shares[0] = 1
-	}
-	return shares, truncated
+	return s
 }
 
 // branchesAt applies the symbolic shape check of node i against the
@@ -259,7 +321,7 @@ func (s *enumState) branchesAt(i int) []branch {
 			s.stats.Pruned++
 			continue
 		}
-		brs = append(brs, branch{p, buf[start:len(buf):len(buf)], mi})
+		brs = append(brs, branch{p, buf[start:len(buf):len(buf)], int32(mi)})
 	}
 	s.brs[i], s.evbuf[i] = brs, buf
 	return brs
@@ -268,9 +330,9 @@ func (s *enumState) branchesAt(i int) []branch {
 // eventsFor validates pattern p at position i against the already-
 // assigned intra-instance predecessors, appending the reshard events the
 // edge checks require to dst. branchesAt, the seeds, the task executor's
-// prefix replay and the coordinator's candidate rebuild all share it —
-// the bit-identical contract depends on the replayed events equaling
-// the serial descent's exactly.
+// prefix replay and the candidate rebuild all share it — the
+// bit-identical contract depends on the replayed events equaling the
+// serial descent's exactly.
 func (s *enumState) eventsFor(dst []comm.Event, i int, p *ir.Pattern) ([]comm.Event, bool) {
 	for _, e := range s.in[i] {
 		var ok bool
@@ -282,74 +344,106 @@ func (s *enumState) eventsFor(dst []comm.Event, i int, p *ir.Pattern) ([]comm.Ev
 	return dst, true
 }
 
-// complete scores the full assignment currently held in s.assigned.
+// complete records the full assignment currently held in s.
 func (s *enumState) complete() {
 	s.stats.Examined++
-	s.out = append(s.out, s.newCandidate(s.assigned, s.events))
+	s.out.add(s.mi, s.price())
 }
 
-// newCandidate prices one complete assignment: a copy of the patterns,
-// the per-position events concatenated in position order, memory as the
-// positional sum of nodeMem, and one StrategyCost call.
-func (sh *enumShared) newCandidate(assigned []*ir.Pattern, events [][]comm.Event) *Candidate {
+// price prices the full assignment held in s from the menu table: the
+// memory is the positional sum of nodeMem, the cost StrategyCost's
+// summation over the table's PatternCost values and the events
+// concatenated in position order.
+func (s *enumState) price() price {
+	cat, mem := s.cat[:0], int64(0)
+	for i, evs := range s.events {
+		cat = append(cat, evs...)
+		mem += s.prices[i][s.mi[i]].mem
+	}
+	s.cat = cat
+	mi := s.mi
+	c := s.model.SumCost(len(mi), func(i int) cost.Breakdown { return s.prices[i][mi[i]].cost }, cat)
+	return price{c, mem}
+}
+
+// newCandidate materialises the assignment held in s, which p prices: a
+// copy of the patterns and the events concatenated in position order.
+func (s *enumState) newCandidate(p price) *Candidate {
 	n := 0
-	for _, evs := range events {
+	for _, evs := range s.events {
 		n += len(evs)
 	}
-	cand := &Candidate{Patterns: slices.Clone(assigned), Reshard: make([]comm.Event, 0, n)}
-	for i, p := range assigned {
-		cand.Reshard = append(cand.Reshard, events[i]...)
-		cand.MemBytes += nodeMem(p, sh.owns[i])
+	c := &Candidate{Patterns: slices.Clone(s.assigned), Reshard: make([]comm.Event, 0, n), Cost: p.cost, MemBytes: p.mem}
+	for _, evs := range s.events {
+		c.Reshard = append(c.Reshard, evs...)
 	}
-	cand.Cost = sh.model.StrategyCost(cand.Patterns, cand.Reshard)
-	return cand
+	return c
+}
+
+// replayPrefix assigns the menu choices of prefix into st, validating
+// each against the already-replayed predecessors exactly as the serial
+// descent did when it made them. It serves the wire (a TaskSpec prefix, a
+// TaskResult candidate) and the records alike. The events go to the depth
+// scratch of their positions, which a walk under the prefix never
+// revisits.
+func replayPrefix[I int | int32](st *enumState, prefix []I) error {
+	for i, v := range prefix {
+		if v < 0 || int(v) >= len(st.menus[i]) {
+			return fmt.Errorf("strategy: prefix index %d out of range for node %d (menu size %d)", v, i, len(st.menus[i]))
+		}
+		p := st.menus[i][v]
+		evs, ok := st.eventsFor(st.evbuf[i][:0], i, p)
+		if !ok {
+			return fmt.Errorf("strategy: inconsistent task prefix at node %d", i)
+		}
+		st.evbuf[i] = evs
+		st.assigned[i], st.events[i], st.mi[i] = p, evs, int32(v)
+	}
+	return nil
 }
 
 // dfs is the budgeted decision-tree search: every depth splits its
 // candidate budget across the compatible patterns of the current node
 // (cheapest branch first and largest share), so the collected candidates
 // sample the whole tree instead of exhausting the budget inside the first
-// subtree. A branch with zero budget is skipped; the first branch always
-// gets at least one slot so enumeration cannot come back empty while valid
-// strategies exist. Returns the number of candidates produced.
-func (s *enumState) dfs(i, budget int) int {
+// subtree. Branches past the budget are skipped; the first branch always
+// gets at least one slot so enumeration cannot come back empty while
+// valid strategies exist.
+func (s *enumState) dfs(i, budget int) {
 	if budget <= 0 {
-		return 0
+		return
 	}
 	// Poll the context every 256 tree steps: cheap enough for the hot
 	// path, frequent enough that cancellation lands within microseconds.
 	s.steps++
 	if s.steps&0xff == 0 && s.ctx.Err() != nil {
 		s.stats.Canceled = true
-		return 0
+		return
 	}
 	if s.opt.TimeBudget > 0 && time.Since(s.start) > s.opt.TimeBudget {
 		s.stats.TimedOut = true
-		return 0
+		return
 	}
 	if i == len(s.instance) {
 		s.complete()
-		return 1
+		return
 	}
 	compat := s.branchesAt(i)
-	if len(compat) == 0 {
-		return 0
+	n := len(compat)
+	if n == 0 {
+		return
 	}
-
-	shares, truncated := branchBudgets(budget, len(compat))
-	if truncated {
+	if budget < n {
 		s.stats.Truncated = true
 	}
-	produced := 0
 	for idx, br := range compat {
-		if shares[idx] == 0 {
-			continue
+		b := share(budget, n, idx)
+		if b == 0 {
+			break
 		}
-		s.assigned[i], s.events[i] = br.p, br.evs
-		produced += s.dfs(i+1, shares[idx])
-		s.assigned[i], s.events[i] = nil, nil
+		s.assigned[i], s.events[i], s.mi[i] = br.p, br.evs, br.mi
+		s.dfs(i+1, b)
 	}
-	return produced
 }
 
 // prefixTask is one unit of parallel enumeration work: a fixed assignment
@@ -369,9 +463,12 @@ type prefixTask struct {
 
 // walk runs the budgeted dfs of t's subtree on a private state.
 func (t prefixTask) walk(sh *enumShared) *enumState {
-	st := newEnumState(sh)
+	st := newEnumState(sh, min(t.budget, sh.leaves))
 	copy(st.assigned, t.assigned)
 	copy(st.events, t.events)
+	for d, mi := range t.prefix {
+		st.mi[d] = int32(mi)
+	}
 	st.dfs(t.depth, t.budget)
 	return st
 }
@@ -382,7 +479,7 @@ func (t prefixTask) walk(sh *enumShared) *enumState {
 // accounting of expanded prefixes lands in the returned stats, exactly
 // once per prefix, as in the serial walk.
 func splitTasks(sh *enumShared, target int) ([]prefixTask, EnumStats) {
-	scratch := newEnumState(sh)
+	scratch := newEnumState(sh, 0)
 	tasks := []prefixTask{{
 		assigned: make([]*ir.Pattern, len(sh.instance)),
 		events:   make([][]comm.Event, len(sh.instance)),
@@ -403,23 +500,22 @@ func splitTasks(sh *enumShared, target int) ([]prefixTask, EnumStats) {
 		t := tasks[pick]
 		scratch.assigned = t.assigned
 		compat := scratch.branchesAt(t.depth)
+		n := len(compat)
+		if n > 0 && t.budget < n {
+			scratch.stats.Truncated = true
+		}
 		var children []prefixTask
-		if len(compat) > 0 {
-			shares, truncated := branchBudgets(t.budget, len(compat))
-			if truncated {
-				scratch.stats.Truncated = true
+		for idx, br := range compat {
+			b := share(t.budget, n, idx)
+			if b == 0 {
+				break
 			}
-			for idx, br := range compat {
-				if shares[idx] == 0 {
-					continue
-				}
-				na := append([]*ir.Pattern{}, t.assigned...)
-				ne := append([][]comm.Event{}, t.events...)
-				// The events outlive the depth's scratch: copy them.
-				na[t.depth], ne[t.depth] = br.p, slices.Clone(br.evs)
-				np := append(append([]int{}, t.prefix...), br.mi)
-				children = append(children, prefixTask{na, ne, t.depth + 1, shares[idx], np})
-			}
+			na := append([]*ir.Pattern{}, t.assigned...)
+			ne := append([][]comm.Event{}, t.events...)
+			// The events outlive the depth's scratch: copy them.
+			na[t.depth], ne[t.depth] = br.p, slices.Clone(br.evs)
+			np := append(append([]int{}, t.prefix...), int(br.mi))
+			children = append(children, prefixTask{na, ne, t.depth + 1, b, np})
 		}
 		rest := append(children, tasks[pick+1:]...)
 		tasks = append(tasks[:pick], rest...)
@@ -434,6 +530,11 @@ func splitTasks(sh *enumShared, target int) ([]prefixTask, EnumStats) {
 // stop it without exploring this strategy to the fullest"). Complete
 // assignments are scored with the cost model; the TopK cheapest survive.
 //
+// The walk records each complete assignment as one menu index per node —
+// the encoding TaskSpec and TaskResult carry on the wire — priced from a
+// per-menu-entry table; ranking works on those records, and only the
+// candidates it keeps are ever materialised as *Candidate.
+//
 // With opt.Workers != 1 the tree is split into deterministic prefix tasks
 // that fan out across a bounded worker pool; the returned candidates and
 // stats are identical to the serial run for every worker count, unless a
@@ -445,7 +546,7 @@ func EnumerateInstance(ctx context.Context, g *ir.GNGraph, instance []*ir.GraphN
 	sh := newEnumShared(ctx, g, instance, model, opt)
 
 	var (
-		out   []*Candidate
+		out   records
 		stats EnumStats
 	)
 	workers := parallel.Workers(opt.Workers)
@@ -457,7 +558,7 @@ func EnumerateInstance(ctx context.Context, g *ir.GNGraph, instance []*ir.GraphN
 	case runner != nil:
 		out, stats = runWithRunner(ctx, sh, runner, workers)
 	case workers <= 1 || len(instance) < 2 || opt.MaxCandidates <= 0:
-		st := newEnumState(sh)
+		st := newEnumState(sh, sh.leaves+seedCount)
 		st.dfs(0, opt.MaxCandidates)
 		out, stats = st.out, st.stats
 	default:
@@ -466,12 +567,13 @@ func EnumerateInstance(ctx context.Context, g *ir.GNGraph, instance []*ir.GraphN
 		states, _ := parallel.Map(ctx, workers, tasks, func(_ context.Context, _ int, t prefixTask) (*enumState, error) {
 			return t.walk(sh), nil
 		})
+		out = sh.newRecords(sh.leaves + seedCount)
 		for _, st := range states {
 			if st == nil {
 				continue // task skipped by cancellation
 			}
 			stats.merge(st.stats)
-			out = append(out, st.out...)
+			out.merge(st.out)
 		}
 	}
 	if ctx.Err() != nil {
@@ -487,14 +589,40 @@ func EnumerateInstance(ctx context.Context, g *ir.GNGraph, instance []*ir.GraphN
 	// are always represented, even deep in large instances where the
 	// branch budget has collapsed to a single greedy path.
 	if !opt.DisableSeeds {
-		out = append(out, sh.seededCandidates()...)
+		sh.appendSeeds(&out)
+	}
+	return sh.rank(out), stats
+}
+
+// rank orders the records cheapest-first, ties in record order (the
+// keys are unique, so the unstable sort gives the stable order), applies
+// diverseTopK, and materialises the kept assignments — and only those —
+// as Candidates.
+func (sh *enumShared) rank(recs records) []*Candidate {
+	type key struct {
+		total float64
+		k     int32
+	}
+	keys := make([]key, recs.len())
+	for k, p := range recs.prices {
+		keys[k] = key{p.cost.Total(), int32(k)}
+	}
+	slices.SortFunc(keys, func(a, b key) int { return cmp.Or(cmp.Compare(a.total, b.total), cmp.Compare(a.k, b.k)) })
+	order := make([]int32, len(keys))
+	for j, key := range keys {
+		order[j] = key.k
 	}
 
-	sort.SliceStable(out, func(a, b int) bool {
-		return out[a].Cost.Total() < out[b].Cost.Total()
-	})
-	out = sh.diverseTopK(out)
-	return out, stats
+	kept := sh.diverseTopK(recs, order)
+	st := newEnumState(sh, 0)
+	out := make([]*Candidate, len(kept))
+	for j, k := range kept {
+		if err := replayPrefix(st, recs.at(int(k))); err != nil {
+			panic(err) // the walk recorded an assignment its own checks reject
+		}
+		out[j] = st.newCandidate(recs.prices[k])
+	}
+	return out
 }
 
 // seedPreferences is the exploration library: each row is tried as a
@@ -511,38 +639,47 @@ var seedPreferences = [][]string{
 	{"outchannel-parallel", "inchannel-parallel", "pass-split3", "column-parallel", "row-parallel", "data-parallel", "pass-split0"},
 }
 
-// seededCandidates builds one candidate per preference row plus one
-// memory-minimal candidate. Patterns are offered to pick in ir.PatternsFor
-// order, not menu order, so ties resolve as they always have.
-func (sh *enumShared) seededCandidates() []*Candidate {
-	var out []*Candidate
+// seedCount bounds the records appendSeeds adds: one per preference row
+// plus the memory-minimal one.
+var seedCount = len(seedPreferences) + 1
 
-	build := func(pick func(compat []*ir.Pattern) *ir.Pattern) *Candidate {
-		st := newEnumState(sh)
-		var buf []comm.Event
-		for i, gn := range sh.instance {
-			var compat []*ir.Pattern
-			for _, p := range ir.PatternsFor(gn, sh.opt.W) {
+// appendSeeds records one assignment per preference row plus one
+// memory-minimal assignment after the tree's. Patterns are offered to
+// pick in ir.PatternsFor order, not menu order, so ties resolve as they
+// always have.
+func (sh *enumShared) appendSeeds(out *records) {
+	st := newEnumState(sh, 0)
+	natural := make([][]*ir.Pattern, len(sh.instance))
+	for i, gn := range sh.instance {
+		natural[i] = ir.PatternsFor(gn, sh.opt.W)
+	}
+	var compat []*ir.Pattern
+	var buf []comm.Event
+	build := func(pick func(compat []*ir.Pattern) *ir.Pattern) {
+		for i := range sh.instance {
+			compat = compat[:0]
+			for _, p := range natural[i] {
 				var ok bool
 				if buf, ok = st.eventsFor(buf[:0], i, p); ok {
 					compat = append(compat, p)
 				}
 			}
 			if len(compat) == 0 {
-				return nil
+				return
 			}
 			choice := pick(compat)
 			if choice == nil {
 				choice = compat[0]
 			}
-			st.assigned[i] = choice
-			st.events[i], _ = st.eventsFor(nil, i, choice)
+			st.assigned[i], st.mi[i] = choice, int32(slices.Index(sh.menus[i], choice))
+			st.evbuf[i], _ = st.eventsFor(st.evbuf[i][:0], i, choice)
+			st.events[i] = st.evbuf[i]
 		}
-		return sh.newCandidate(st.assigned, st.events)
+		out.add(st.mi, st.price())
 	}
 
 	for _, prefs := range seedPreferences {
-		c := build(func(compat []*ir.Pattern) *ir.Pattern {
+		build(func(compat []*ir.Pattern) *ir.Pattern {
 			for _, want := range prefs {
 				for _, p := range compat {
 					if p.Name == want {
@@ -558,13 +695,10 @@ func (sh *enumShared) seededCandidates() []*Candidate {
 			}
 			return best
 		})
-		if c != nil {
-			out = append(out, c)
-		}
 	}
 
 	// Memory-minimal seed: smallest per-device footprint at every node.
-	if c := build(func(compat []*ir.Pattern) *ir.Pattern {
+	build(func(compat []*ir.Pattern) *ir.Pattern {
 		best := compat[0]
 		bestMem := 4*best.WeightBytesPerDev + best.OutBytesPerDev
 		for _, p := range compat[1:] {
@@ -573,20 +707,18 @@ func (sh *enumShared) seededCandidates() []*Candidate {
 			}
 		}
 		return best
-	}); c != nil {
-		out = append(out, c)
-	}
-	return out
+	})
 }
 
-// diverseTopK keeps the cheapest candidate per boundary interface (the
-// layouts visible at the instance's entry and exit nodes), so assembly can
-// always find a candidate compatible with whatever the neighboring classes
-// chose; remaining slots are filled with the next-cheapest candidates.
-func (sh *enumShared) diverseTopK(cands []*Candidate) []*Candidate {
+// diverseTopK selects, from the record indices in rank order, the
+// cheapest assignment per boundary interface (the layouts visible at the
+// instance's entry and exit nodes), so assembly can always find a
+// candidate compatible with whatever the neighboring classes chose;
+// remaining slots are filled with the next-cheapest assignments.
+func (sh *enumShared) diverseTopK(recs records, order []int32) []int32 {
 	g, topK := sh.g, sh.opt.TopK
-	if topK <= 0 || len(cands) <= topK {
-		return cands
+	if topK <= 0 || len(order) <= topK {
+		return order
 	}
 	// Boundary node indexes: entries have an external (or no)
 	// predecessor, exits an external (or no) successor.
@@ -603,54 +735,55 @@ func (sh *enumShared) diverseTopK(cands []*Candidate) []*Candidate {
 			boundary = append(boundary, i)
 		}
 	}
-	keptSet := map[*Candidate]bool{}
-	var kept []*Candidate
-	keep := func(c *Candidate) {
-		if !keptSet[c] {
-			keptSet[c] = true
-			kept = append(kept, c)
+	keptSet := make([]bool, recs.len())
+	var kept []int32
+	keep := func(k int32) {
+		if !keptSet[k] {
+			keptSet[k] = true
+			kept = append(kept, k)
 		}
 	}
 
-	// Round 1: for every boundary node, keep the cheapest candidate
+	// Round 1: for every boundary node, keep the cheapest assignment
 	// exposing each distinct input and output layout there — assembly can
 	// then always match whatever the neighbors chose, if a match exists
 	// at all.
+	var seenIn, seenOut []int
 	for _, i := range boundary {
-		seenIn := map[int]bool{}
-		seenOut := map[int]bool{}
-		for _, c := range cands {
-			if ax := c.Patterns[i].In.Axis; !seenIn[ax] {
-				seenIn[ax] = true
-				keep(c)
+		seenIn, seenOut = seenIn[:0], seenOut[:0]
+		for _, k := range order {
+			p := sh.menus[i][recs.idx[int(k)*recs.n+i]]
+			if ax := p.In.Axis; !slices.Contains(seenIn, ax) {
+				seenIn = append(seenIn, ax)
+				keep(k)
 			}
-			if ax := c.Patterns[i].Out.Axis; !seenOut[ax] {
-				seenOut[ax] = true
-				keep(c)
+			if ax := p.Out.Axis; !slices.Contains(seenOut, ax) {
+				seenOut = append(seenOut, ax)
+				keep(k)
 			}
 		}
 	}
-	// Round 2: always retain the lightest-memory candidate so the
+	// Round 2: always retain the lightest-memory assignment so the
 	// assembler can trade communication for memory when the plain plans
 	// would OOM (the paper's TAPAS never runs out of memory when any
 	// feasible plan exists).
-	light := cands[0]
-	for _, c := range cands[1:] {
-		if c.MemBytes < light.MemBytes {
-			light = c
+	light := order[0]
+	for _, k := range order[1:] {
+		if recs.prices[k].mem < recs.prices[light].mem {
+			light = k
 		}
 	}
 	keep(light)
 
-	// Round 3: fill up to topK with the globally cheapest candidates.
-	for _, c := range cands {
+	// Round 3: fill up to topK with the globally cheapest assignments.
+	for _, k := range order {
 		if len(kept) >= topK {
 			break
 		}
-		keep(c)
+		keep(k)
 	}
-	sort.SliceStable(kept, func(a, b int) bool {
-		return kept[a].Cost.Total() < kept[b].Cost.Total()
+	slices.SortStableFunc(kept, func(a, b int32) int {
+		return cmp.Compare(recs.prices[a].cost.Total(), recs.prices[b].cost.Total())
 	})
 	return kept
 }

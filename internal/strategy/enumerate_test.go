@@ -3,6 +3,7 @@ package strategy
 import (
 	"context"
 	"slices"
+	"sort"
 	"testing"
 
 	"tapas/internal/cluster"
@@ -177,11 +178,161 @@ func TestEnumerationMatchesReference(t *testing.T) {
 	}
 }
 
+// refRank is the pointer-based ranking this package used before the
+// walk recorded menu indices, kept as the oracle of the record ranking: a
+// stable sort of every candidate by total cost, then diverseTopK over the
+// *Candidate list — per boundary node the cheapest candidate exposing each
+// distinct input and output layout, the lightest-memory one, the cheapest
+// up to topK, the kept ones stably re-sorted by cost.
+func refRank(g *ir.GNGraph, instance []*ir.GraphNode, topK int, cands []*Candidate) []*Candidate {
+	cands = slices.Clone(cands)
+	sort.SliceStable(cands, func(a, b int) bool {
+		return cands[a].Cost.Total() < cands[b].Cost.Total()
+	})
+	if topK <= 0 || len(cands) <= topK {
+		return cands
+	}
+	member := make(map[*ir.GraphNode]bool, len(instance))
+	for _, gn := range instance {
+		member[gn] = true
+	}
+	var boundary []int
+	for i, gn := range instance {
+		external := len(g.Preds(gn)) == 0 || len(g.Succs(gn)) == 0
+		for _, p := range g.Preds(gn) {
+			external = external || !member[p]
+		}
+		for _, s := range g.Succs(gn) {
+			external = external || !member[s]
+		}
+		if external {
+			boundary = append(boundary, i)
+		}
+	}
+	keptSet := map[*Candidate]bool{}
+	var kept []*Candidate
+	keep := func(c *Candidate) {
+		if !keptSet[c] {
+			keptSet[c] = true
+			kept = append(kept, c)
+		}
+	}
+	for _, i := range boundary {
+		seenIn := map[int]bool{}
+		seenOut := map[int]bool{}
+		for _, c := range cands {
+			if ax := c.Patterns[i].In.Axis; !seenIn[ax] {
+				seenIn[ax] = true
+				keep(c)
+			}
+			if ax := c.Patterns[i].Out.Axis; !seenOut[ax] {
+				seenOut[ax] = true
+				keep(c)
+			}
+		}
+	}
+	light := cands[0]
+	for _, c := range cands[1:] {
+		if c.MemBytes < light.MemBytes {
+			light = c
+		}
+	}
+	keep(light)
+	for _, c := range cands {
+		if len(kept) >= topK {
+			break
+		}
+		keep(c)
+	}
+	sort.SliceStable(kept, func(a, b int) bool {
+		return kept[a].Cost.Total() < kept[b].Cost.Total()
+	})
+	return kept
+}
+
+// recordedOrder materialises every assignment the serial walk and the
+// seeds record, in the order they are recorded: the list the pointer-based
+// kernel handed to its stable sort.
+func recordedOrder(t *testing.T, sh *enumShared) []*Candidate {
+	st := newEnumState(sh, sh.leaves+seedCount)
+	st.dfs(0, sh.opt.MaxCandidates)
+	sh.appendSeeds(&st.out)
+	rs := newEnumState(sh, 0)
+	out := make([]*Candidate, st.out.len())
+	for k := range out {
+		if err := replayPrefix(rs, st.out.at(k)); err != nil {
+			t.Fatal(err)
+		}
+		out[k] = rs.newCandidate(st.out.prices[k])
+	}
+	return out
+}
+
+// TestRankingMatchesReference holds the record ranking to refRank: for
+// every class of every registered model, at W 4 and 8, through the serial
+// walk, the 4-worker prefix-task split and a round-tripping TaskRunner,
+// EnumerateInstance at the default TopK must return exactly refRank of its
+// own TopK 0 output, candidate for candidate and in the same order, ties
+// included. The TopK 0 output must itself be refRank's stable sort of the
+// assignments in recorded order, which pins the order of equal costs.
+func TestRankingMatchesReference(t *testing.T) {
+	names := models.Names()
+	if testing.Short() {
+		names = []string{"t5-100M", "moe-380M", "resnet-26M"}
+	}
+	ctx := context.Background()
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			g := groupModel(t, name)
+			remote := groupModel(t, name)
+			classes := mining.Fold(g, mining.Mine(ctx, g, mining.DefaultOptions()))
+			ranked := 0
+			for _, w := range []int{4, 8} {
+				model := cost.Default(cluster.V100GPUs(w))
+				runs := []struct {
+					name    string
+					workers int
+					runner  TaskRunner
+				}{
+					{"workers=1", 1, nil},
+					{"workers=4", 4, nil},
+					{"runner", 4, &roundTripRunner{g: remote, model: cost.Default(cluster.V100GPUs(w))}},
+				}
+				for ci, c := range classes {
+					inst := c.Representative()
+					sorted := refRank(g, inst, 0, recordedOrder(t, newEnumShared(ctx, g, inst, model, DefaultEnumOptions(w))))
+					for _, run := range runs {
+						opt := DefaultEnumOptions(w)
+						opt.Workers, opt.Runner = run.workers, run.runner
+						all := opt
+						all.TopK = 0
+						every, _ := EnumerateInstance(ctx, g, inst, model, all)
+						if !slices.EqualFunc(every, sorted, sameCandidate) {
+							t.Fatalf("W=%d class %d %s: TopK 0 output of %d candidates is not the stable sort of the %d recorded", w, ci, run.name, len(every), len(sorted))
+						}
+						got, _ := EnumerateInstance(ctx, g, inst, model, opt)
+						want := refRank(g, inst, opt.TopK, every)
+						if !slices.EqualFunc(got, want, sameCandidate) {
+							t.Fatalf("W=%d class %d %s: ranked %d of %d candidates, reference keeps %d", w, ci, run.name, len(got), len(every), len(want))
+						}
+						if len(every) > opt.TopK {
+							ranked++
+						}
+					}
+				}
+			}
+			t.Logf("%d classes: %d enumerations cut to TopK", len(classes), ranked)
+		})
+	}
+}
+
 // TestEnumerateAllocationBudget holds the enumeration's allocation count
 // inside tier-1: the map-based kernel made about 127,000 allocations per
 // call on t5-100M's largest class (an assignment map per candidate, a
 // fresh branch and event slice per tree node), the position-indexed one
-// about 24,000.
+// about 24,000 (a *Candidate with two slices per complete assignment),
+// and the record walk, which materialises only the kept candidates,
+// 200.
 func TestEnumerateAllocationBudget(t *testing.T) {
 	g := groupModel(t, "t5-100M")
 	model := cost.Default(cluster.V100GPUs(8))
@@ -197,8 +348,8 @@ func TestEnumerateAllocationBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(3, func() {
 		EnumerateInstance(context.Background(), g, layer.Representative(), model, opt)
 	})
-	if allocs > 40000 {
-		t.Errorf("EnumerateInstance(t5-100M largest class, W 8, Workers 1) made %.0f allocations, budget 40,000", allocs)
+	if allocs > 2000 {
+		t.Errorf("EnumerateInstance(t5-100M largest class, W 8, Workers 1) made %.0f allocations, budget 2,000", allocs)
 	}
 	t.Logf("EnumerateInstance(t5-100M largest class, W 8, Workers 1): %.0f allocations", allocs)
 }

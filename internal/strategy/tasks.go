@@ -19,7 +19,12 @@ import (
 // deterministically per (node, W, MemPenalty, cost model) — see
 // newEnumShared — so "pattern j of node i's menu" names the same
 // pattern on every machine holding the same graph, and a candidate is
-// just one index per node. Everything float-valued (events, memory,
+// just one index per node. It is the walk's own encoding too: every arm
+// of EnumerateInstance records complete assignments as menu indices in a
+// pointer-free arena, an executor reads TaskResult.Candidates straight
+// off it, and the coordinator appends the rebuilt results to the same
+// kind of arena; only the assignments ranking keeps are ever
+// materialised as *Candidate. Everything float-valued (events, memory,
 // cost) is recomputed from the indices on the receiving side, never
 // parsed off the wire, which is what keeps the scattered search
 // bit-identical to the single-process one.
@@ -83,16 +88,15 @@ type TaskRunner interface {
 
 // runWithRunner is the Runner-backed arm of EnumerateInstance: split the
 // tree exactly as the local parallel path would, hand the wire batch to
-// the runner, and rebuild candidates in serial task order. Any task the
-// runner failed to deliver is recomputed in-process from its retained
-// prefix, so the merged output never depends on runner behavior.
-func runWithRunner(ctx context.Context, sh *enumShared, runner TaskRunner, workers int) ([]*Candidate, EnumStats) {
+// the runner, and record the returned assignments in serial task order.
+// Any task the runner failed to deliver is recomputed in-process from its
+// retained prefix, so the merged output never depends on runner behavior.
+func runWithRunner(ctx context.Context, sh *enumShared, runner TaskRunner, workers int) (records, EnumStats) {
 	target := 4 * workers
 	if f := runner.Fanout(); f > target {
 		target = f
 	}
 	tasks, stats := splitTasks(sh, target)
-	exec := newTaskExec(sh)
 	specs := make([]TaskSpec, len(tasks))
 	for i, t := range tasks {
 		specs[i] = TaskSpec{Prefix: t.prefix, Budget: t.budget}
@@ -108,38 +112,52 @@ func runWithRunner(ctx context.Context, sh *enumShared, runner TaskRunner, worke
 		Opt:      opt,
 		Tasks:    specs,
 		Local: func(lctx context.Context, ts []TaskSpec) []TaskResult {
-			res, _ := exec.runAll(lctx, workers, ts)
+			res, _ := runTasks(lctx, sh, workers, ts)
 			return res
 		},
 	}
 	results, err := runner.RunTasks(ctx, batch)
 	if err != nil {
 		stats.Canceled = true
-		return nil, stats
+		return records{}, stats
 	}
-	var out []*Candidate
+	out := sh.newRecords(sh.leaves + seedCount)
+	st := newEnumState(sh, 0) // each replay overwrites every position
 	for i, t := range tasks {
-		var (
-			cands []*Candidate
-			es    EnumStats
-			ok    bool
-		)
 		// A result cut short by a remote cancellation is partial: its
 		// subtree was not fully walked, so merging it would diverge from
 		// serial. Recompute it like a missing result.
 		if i < len(results) && !results[i].Stats.Canceled {
-			if cs, rerr := exec.rebuild(results[i]); rerr == nil {
-				cands, es, ok = cs, results[i].Stats, true
+			mark := out.len()
+			if st.rebuild(&out, results[i]) == nil {
+				stats.merge(results[i].Stats)
+				continue
 			}
+			out.truncate(mark)
 		}
-		if !ok {
-			st := t.walk(sh)
-			cands, es = st.out, st.stats
-		}
-		stats.merge(es)
-		out = append(out, cands...)
+		ws := t.walk(sh)
+		stats.merge(ws.stats)
+		out.merge(ws.out)
 	}
 	return out, stats
+}
+
+// rebuild appends one wire result's assignments to out, replaying each
+// against the menus and pricing it locally — byte-precision floats never
+// cross the wire, so the records are exactly what complete() would have
+// produced in-process. The scratch state's stats are untouched: the
+// executor already accounted this subtree's effort in TaskResult.Stats.
+func (st *enumState) rebuild(out *records, r TaskResult) error {
+	for _, idx := range r.Candidates {
+		if len(idx) != len(st.instance) {
+			return fmt.Errorf("strategy: candidate of %d indices for instance of %d", len(idx), len(st.instance))
+		}
+		if err := replayPrefix(st, idx); err != nil {
+			return err
+		}
+		out.add(st.mi, st.price())
+	}
+	return nil
 }
 
 // ExecuteTasks runs shipped prefix tasks against a local copy of the
@@ -171,44 +189,23 @@ func ExecuteTasks(ctx context.Context, g *ir.GNGraph, instanceIDs []int, model *
 	}
 	opt.Progress, opt.Runner = nil, nil
 	sh := newEnumShared(ctx, g, instance, model, opt)
-	exec := newTaskExec(sh)
-	return exec.runAll(ctx, parallel.Workers(opt.Workers), tasks)
+	return runTasks(ctx, sh, parallel.Workers(opt.Workers), tasks)
 }
 
-// taskExec executes and rebuilds wire tasks over one enumeration
-// context. menuIdx inverts each node's menu so completed candidates can
-// be rendered back to indices.
-type taskExec struct {
-	sh      *enumShared
-	menuIdx []map[*ir.Pattern]int
-}
-
-func newTaskExec(sh *enumShared) *taskExec {
-	idx := make([]map[*ir.Pattern]int, len(sh.menus))
-	for i, menu := range sh.menus {
-		m := make(map[*ir.Pattern]int, len(menu))
-		for j, p := range menu {
-			m[p] = j
-		}
-		idx[i] = m
-	}
-	return &taskExec{sh: sh, menuIdx: idx}
-}
-
-// runAll executes tasks across a bounded pool, one private enumState per
-// task. The first invalid task aborts the batch; cancellation instead
+// runTasks executes tasks across a bounded pool, one private enumState
+// per task. The first invalid task aborts the batch; cancellation instead
 // lands in the per-result stats.
-func (x *taskExec) runAll(ctx context.Context, workers int, tasks []TaskSpec) ([]TaskResult, error) {
+func runTasks(ctx context.Context, sh *enumShared, workers int, tasks []TaskSpec) ([]TaskResult, error) {
 	return parallel.Map(ctx, workers, tasks, func(tctx context.Context, _ int, t TaskSpec) (TaskResult, error) {
-		return x.run(tctx, t)
+		return runTask(tctx, sh, t)
 	})
 }
 
-// run replays one task's prefix (recomputing the reshard events the
-// serial descent attached) and walks its subtree with the shipped
-// budget.
-func (x *taskExec) run(ctx context.Context, t TaskSpec) (TaskResult, error) {
-	n := len(x.sh.instance)
+// runTask replays one task's prefix (recomputing the reshard events the
+// serial descent attached), walks its subtree with the shipped budget,
+// and reads the result's candidates straight off the record arena.
+func runTask(ctx context.Context, sh *enumShared, t TaskSpec) (TaskResult, error) {
+	n := len(sh.instance)
 	if len(t.Prefix) > n {
 		return TaskResult{}, fmt.Errorf("strategy: task prefix of %d exceeds instance size %d", len(t.Prefix), n)
 	}
@@ -217,65 +214,24 @@ func (x *taskExec) run(ctx context.Context, t TaskSpec) (TaskResult, error) {
 	}
 	// Per-task context: the shared struct is read-only, so a shallow
 	// copy rebinds ctx without touching the coordinator's.
-	shc := *x.sh
+	shc := *sh
 	shc.ctx = ctx
-	st := newEnumState(&shc)
-	if err := x.replayPrefix(st, t.Prefix); err != nil {
+	st := newEnumState(&shc, min(t.Budget, sh.leaves))
+	if err := replayPrefix(st, t.Prefix); err != nil {
 		return TaskResult{}, err
 	}
 	st.dfs(len(t.Prefix), t.Budget)
 
 	res := TaskResult{Stats: st.stats}
-	if len(st.out) > 0 {
-		res.Candidates = make([][]int, len(st.out))
-		for k, c := range st.out {
-			idx := make([]int, n)
-			for i, p := range c.Patterns {
-				idx[i] = x.menuIdx[i][p]
-			}
-			res.Candidates[k] = idx
+	if k := st.out.len(); k > 0 {
+		flat := make([]int, len(st.out.idx))
+		for j, mi := range st.out.idx {
+			flat[j] = int(mi)
+		}
+		res.Candidates = make([][]int, k)
+		for j := range res.Candidates {
+			res.Candidates[j] = flat[j*n : (j+1)*n : (j+1)*n]
 		}
 	}
 	return res, nil
-}
-
-// replayPrefix assigns the prefix's menu choices into st, validating
-// each against the already-replayed predecessors exactly as the serial
-// descent did when it created the task. The events are freshly
-// allocated, not depth scratch: the walk under the prefix keeps them.
-func (x *taskExec) replayPrefix(st *enumState, prefix []int) error {
-	for i, mi := range prefix {
-		if mi < 0 || mi >= len(x.sh.menus[i]) {
-			return fmt.Errorf("strategy: prefix index %d out of range for node %d (menu size %d)", mi, i, len(x.sh.menus[i]))
-		}
-		p := x.sh.menus[i][mi]
-		evs, ok := st.eventsFor(nil, i, p)
-		if !ok {
-			return fmt.Errorf("strategy: inconsistent task prefix at node %d", i)
-		}
-		st.assigned[i], st.events[i] = p, evs
-	}
-	return nil
-}
-
-// rebuild converts one wire result back into Candidates, recomputing
-// events, memory and cost locally — byte-precision floats never cross
-// the wire, so the rebuilt candidates are exactly what complete() would
-// have produced in-process. The scratch state's stats are discarded:
-// the executor already accounted this subtree's effort in
-// TaskResult.Stats.
-func (x *taskExec) rebuild(r TaskResult) ([]*Candidate, error) {
-	n := len(x.sh.instance)
-	out := make([]*Candidate, 0, len(r.Candidates))
-	st := newEnumState(x.sh) // each replay overwrites every position
-	for _, idx := range r.Candidates {
-		if len(idx) != n {
-			return nil, fmt.Errorf("strategy: candidate of %d indices for instance of %d", len(idx), n)
-		}
-		if err := x.replayPrefix(st, idx); err != nil {
-			return nil, err
-		}
-		out = append(out, x.sh.newCandidate(st.assigned, st.events))
-	}
-	return out, nil
 }
