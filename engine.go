@@ -847,7 +847,10 @@ func (c *lruCache) put(k cacheKey, r *Result) {
 //     with followers woken by the leader and handed hit-copies;
 //   - otherwise the caller becomes the leader and runs compute. The cache
 //     stores a private shallow copy, so a cold-path caller that writes a
-//     field of the Result it was handed cannot corrupt later hits.
+//     field of the Result it was handed cannot corrupt later hits. The
+//     leader's Result, the cached copy and every hit on it share one plan
+//     memo (see Result.PlanDocument), installed before the result is
+//     published.
 //
 // With caching disabled (WithCache(0)) every call computes independently.
 func (e *Engine) doCached(ctx context.Context, key cacheKey, name string, compute func() (*Result, error)) (*Result, error) {
@@ -890,6 +893,7 @@ func (e *Engine) doCached(ctx context.Context, key cacheKey, name string, comput
 					e.mu.Lock()
 					delete(e.inflight, key)
 					if completed && err == nil && e.cache != nil {
+						res.plan = new(planMemo)
 						stored := *res
 						e.cache.put(key, &stored)
 					}

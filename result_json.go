@@ -2,7 +2,10 @@ package tapas
 
 import (
 	"encoding/json"
+	"errors"
+	"sync"
 
+	"tapas/internal/export"
 	"tapas/internal/sim"
 )
 
@@ -106,4 +109,42 @@ func (r *Result) Summary() ResultSummary {
 // internal pointer graphs that cannot cross a process boundary.
 func (r *Result) MarshalJSON() ([]byte, error) {
 	return json.Marshal(r.Summary())
+}
+
+// planMemo is a Result's plan document, rendered at most once and shared
+// by every shallow copy of the Result that carries the same memo.
+type planMemo struct {
+	once sync.Once
+	doc  []byte
+	err  error
+}
+
+// PlanDocument renders the Result's plan as the versioned plan document
+// (the service package's PlanJSON): two-space-indented JSON, without a
+// trailing newline — the byte form of the service package's golden plan
+// fixtures. A Result served from the Engine's cache renders it once per
+// cache entry, and every hit returns the same bytes, which callers must
+// not modify; an uncached Result (WithCache(0)) renders on every call.
+//
+// The plan describes the graph that was searched first for a cache key:
+// its model name and node names come from that graph, even when a hit is
+// served for a structurally identical graph under another name.
+func (r *Result) PlanDocument() ([]byte, error) {
+	if r.plan == nil {
+		return renderPlan(r)
+	}
+	r.plan.once.Do(func() { r.plan.doc, r.plan.err = renderPlan(r) })
+	return r.plan.doc, r.plan.err
+}
+
+// renderPlan encodes r's strategy as a plan document.
+func renderPlan(r *Result) ([]byte, error) {
+	if r.Strategy == nil {
+		return nil, errors.New("tapas: result has no strategy")
+	}
+	p, err := export.FromStrategy(r.Strategy)
+	if err != nil {
+		return nil, err
+	}
+	return json.MarshalIndent(p, "", "  ")
 }

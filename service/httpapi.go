@@ -1,10 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
+	"tapas"
 	"tapas/internal/promtext"
 	"tapas/internal/trace"
 	"tapas/store"
@@ -45,12 +49,12 @@ func NewHandler(svc *Service) http.Handler {
 		if !decodeJSON(w, r, &req) {
 			return
 		}
-		resp, err := svc.Search(r.Context(), req)
+		res, err := svc.searchSync(r.Context(), req)
 		if err != nil {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		writeSearchResult(w, res)
 	})
 	mux.HandleFunc("POST /v1/search:batch", func(w http.ResponseWriter, r *http.Request) {
 		var req BatchSearchRequest
@@ -256,13 +260,20 @@ func serveEvents(svc *Service, w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// decodeJSON parses the request body into dst, answering 400 on
-// malformed input. Returns false when a response was already written.
+// decodeJSON parses the request body — one JSON value, optionally
+// followed by whitespace — into dst, answering 400 on malformed input.
+// Returns false when a response was already written.
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	err := dec.Decode(dst)
+	if err == nil {
+		if _, next := dec.Token(); next != io.EOF {
+			err = errors.New("unexpected data after the JSON value")
+		}
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errBody(fmt.Sprintf("invalid request body: %v", err)))
 		return false
 	}
@@ -278,6 +289,51 @@ func errBody(msg string) map[string]string { return map[string]string{"error": m
 // of batch responses.
 func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, ErrorStatus(err), errBody(err.Error()))
+}
+
+// planKey and devicesKey are the depth-1 keys of a SearchResponse's
+// last two fields as writeJSON indents them.
+var (
+	planKey    = []byte("\n  \"plan\": ")
+	devicesKey = []byte("\n  \"devices\": ")
+)
+
+// writeSearchResult answers a search with the bytes writeJSON writes for
+// NewSearchResponse(res), without rebuilding or re-encoding the plan:
+// the envelope is encoded without it, and the Result's memoized plan
+// document is spliced in where "plan" sits, before "devices", one level
+// deeper (every newline gains two spaces of indent).
+func writeSearchResult(w http.ResponseWriter, res *tapas.Result) {
+	resp, err := newEnvelope(res)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	doc, err := res.PlanDocument()
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	env, err := json.MarshalIndent(resp, "", "  ")
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	at := bytes.LastIndex(env, devicesKey)
+	body := make([]byte, 0, len(env)+len(planKey)+len(doc)+2*bytes.Count(doc, []byte{'\n'})+2)
+	body = append(append(body, env[:at]...), planKey...)
+	for {
+		i := bytes.IndexByte(doc, '\n')
+		if i < 0 {
+			break
+		}
+		body = append(append(body, doc[:i+1]...), ' ', ' ')
+		doc = doc[i+1:]
+	}
+	body = append(append(append(body, doc...), ','), env[at:]...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 // writeJSON emits one JSON response.

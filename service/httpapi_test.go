@@ -142,3 +142,43 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestRequestBodyIsOneJSONValue: every POST endpoint decodes exactly one
+// JSON value. Trailing whitespace is accepted; anything else after the
+// value — a second object, stray bytes — is a 400, never a 200 that
+// silently answers only the first object.
+func TestRequestBodyIsOneJSONValue(t *testing.T) {
+	svc, err := service.New(service.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(service.NewHandler(svc))
+	t.Cleanup(func() {
+		srv.Close()
+		svc.Shutdown(context.Background())
+	})
+	const one = `{"model":"bert-large","gpus":4}`
+	for _, tc := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/v1/search", one + " \n\t", http.StatusOK},
+		{"/v1/search", one + ` {"model":"t5-1.4B","gpus":32}`, http.StatusBadRequest},
+		{"/v1/search", one + `}`, http.StatusBadRequest},
+		{"/v1/search", one + `x`, http.StatusBadRequest},
+		{"/v1/search", `{"model":"bert-large","gpus":4,"extra":1}`, http.StatusBadRequest},
+		{"/v1/search:batch", `{"requests":[` + one + `]} {}`, http.StatusBadRequest},
+		{"/v1/jobs", one + ` ` + one, http.StatusBadRequest},
+		{"/v1/tasks", `{} []`, http.StatusBadRequest},
+	} {
+		resp, err := http.Post(srv.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("POST %s %q: %d %s, want %d", tc.path, tc.body, resp.StatusCode, body, tc.want)
+		}
+	}
+}

@@ -580,7 +580,11 @@ func (s *Service) runJob(j *job) {
 		span.SetAttr("job", j.id)
 		span.SetAttr("model", j.model)
 	}
-	resp, err := s.search(ctx, j.req, j.graph, j.noteProgress)
+	var resp *SearchResponse
+	res, err := s.search(ctx, j.req, j.graph, j.noteProgress)
+	if err == nil {
+		resp, err = NewSearchResponse(res)
+	}
 	s.finishJob(j, resp, err)
 	if span != nil {
 		span.SetError(err)

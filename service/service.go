@@ -291,6 +291,17 @@ func (s *Service) Stats() Stats {
 // parse the inline spec, search through the shared engine (cache,
 // singleflight), and render the v1 response.
 func (s *Service) Search(ctx context.Context, req SearchRequest) (*SearchResponse, error) {
+	res, err := s.searchSync(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	return NewSearchResponse(res)
+}
+
+// searchSync is the engine round of one synchronous request, shared by
+// Search and POST /v1/search (which renders the result from its
+// memoized plan document instead of a SearchResponse).
+func (s *Service) searchSync(ctx context.Context, req SearchRequest) (*tapas.Result, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
@@ -331,16 +342,13 @@ func (s *Service) resolveGraph(req SearchRequest) (*graph.Graph, error) {
 // search is the engine round shared by the sync path and job workers.
 // progress, when set, observes exactly this search's events (the job
 // path passes its job's callback; the sync path passes nil).
-func (s *Service) search(ctx context.Context, req SearchRequest, g *graph.Graph, progress func(tapas.ProgressEvent)) (*SearchResponse, error) {
+func (s *Service) search(ctx context.Context, req SearchRequest, g *graph.Graph, progress func(tapas.ProgressEvent)) (*tapas.Result, error) {
 	ctx, finish := s.observeSearch(ctx, req)
 	spec := specForRequest(req, g)
 	spec.Progress = progress
 	res, err := s.eng.SearchSpec(ctx, spec)
 	finish(res, err)
-	if err != nil {
-		return nil, err
-	}
-	return NewSearchResponse(res)
+	return res, err
 }
 
 // specForRequest renders a validated request as an engine spec.
@@ -442,18 +450,27 @@ func joinedErrors(err error) []error {
 }
 
 // NewSearchResponse renders an engine Result as the v1 wire response.
+// Encoded by writeJSON, it is the byte form POST /v1/search answers with.
 func NewSearchResponse(res *tapas.Result) (*SearchResponse, error) {
-	if res.Strategy == nil {
-		return nil, fmt.Errorf("service: result has no strategy")
-	}
-	plan, err := NewPlan(res.Strategy)
+	resp, err := newEnvelope(res)
 	if err != nil {
 		return nil, err
+	}
+	if resp.Plan, err = NewPlan(res.Strategy); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// newEnvelope renders every field of a Result's v1 response except the
+// plan.
+func newEnvelope(res *tapas.Result) (*SearchResponse, error) {
+	if res.Strategy == nil {
+		return nil, fmt.Errorf("service: result has no strategy")
 	}
 	resp := &SearchResponse{
 		SchemaVersion: SchemaVersion,
 		ResultSummary: res.Summary(),
-		Plan:          plan,
 		Devices: &DeviceSummary{
 			Devices:           res.GPUs,
 			MemBytesPerDevice: res.Strategy.MemPerDev,

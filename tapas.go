@@ -104,8 +104,10 @@ type Options struct {
 //
 // Result has no stable serialization of its own: Strategy and Parallel
 // are internal pointer graphs. Summary (also the MarshalJSON encoding)
-// renders the wire-safe form; the service package carries the full
-// per-node plan as a versioned PlanJSON.
+// renders the wire-safe form; PlanDocument renders the full per-node
+// plan as the versioned plan document the service package carries as
+// PlanJSON. A cached Result renders that document once: every hit on the
+// same cache entry shares the bytes.
 type Result struct {
 	ModelName string
 	GPUs      int
@@ -135,6 +137,11 @@ type Result struct {
 	// counters, which are deterministic for a given (graph, options) pair
 	// — worker counts only move the durations. The plan store persists it.
 	store.Timing
+
+	// plan memoizes PlanDocument. The Engine installs it when the Result
+	// enters its cache, so the cached copy, its hits and joined followers
+	// share one rendering; nil renders on every call.
+	plan *planMemo
 }
 
 // ErrUnknownModel is returned (wrapped) by every entry point asked for
