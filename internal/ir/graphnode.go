@@ -139,7 +139,9 @@ func (gn *GraphNode) OutBytes() int64 {
 // Signature returns a canonical structural description of the node: kind,
 // member operator kinds, weight shapes and boundary shapes. Two GraphNodes
 // with equal signatures are interchangeable for strategy reuse — the core
-// of the paper's Observation #2.
+// of the paper's Observation #2. Mining compares the same fields without
+// rendering this string (it interns a structural label per node) and
+// renders it only for the signatures of the patterns and classes it emits.
 func (gn *GraphNode) Signature() string {
 	gn.patMu.Lock()
 	defer gn.patMu.Unlock()

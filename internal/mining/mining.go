@@ -11,8 +11,10 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
+	"tapas/internal/graph"
 	"tapas/internal/ir"
 	"tapas/internal/parallel"
 )
@@ -54,7 +56,8 @@ func DefaultOptions() Options {
 }
 
 // Instance is one embedding of a pattern: a connected set of GraphNodes,
-// sorted by ID.
+// sorted by ID. Mining itself holds instances as member IDs in a level
+// arena; an Instance is built only for the patterns Mine emits.
 type Instance []*ir.GraphNode
 
 // FNV-1a 64 parameters. Hash values are frozen: they order group merges,
@@ -74,24 +77,22 @@ func fnvWord(h, v uint64) uint64 {
 	return h
 }
 
-// key returns a collision-resistant identity for the node set.
-func (in Instance) key() uint64 {
-	h := fnvOffset
-	for _, gn := range in {
-		h = fnvWord(h, uint64(gn.ID))
-	}
-	return h
+// splitmix64 is the SplitMix64 output function: a bijection on uint64 that
+// mixes every input bit into every output bit.
+func splitmix64(z uint64) uint64 {
+	z += 0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
-// contains reports membership of a GraphNode.
-func (in Instance) contains(gn *ir.GraphNode) bool {
-	for _, m := range in {
-		if m == gn {
-			return true
-		}
-	}
-	return false
-}
+// word is node v's fixed contribution to an instance key. An instance's
+// key is the XOR of its members' words: it does not depend on member
+// order, and an instance grown from parent by nb has key parent ^ word(nb),
+// so keys are carried from level to level instead of rehashed. Distinct
+// nodes have distinct words; larger distinct sets may still share a key,
+// which is why the merge confirms every key match on the members.
+func word(v int32) uint64 { return splitmix64(uint64(v)) }
 
 // Subgraph is a frequent pattern with all its discovered embeddings.
 type Subgraph struct {
@@ -119,17 +120,55 @@ type Result struct {
 }
 
 // miner carries the per-run state. Everything per-node is a slice indexed
-// by GraphNode.ID, the dense position in g.Nodes.
+// by GraphNode.ID, the dense position in g.Nodes, and nodes are named by
+// int32 IDs throughout.
 type miner struct {
-	g      *ir.GNGraph
-	labels []uint32 // interned structural label, by node ID
-	opt    Options
+	g       *ir.GNGraph
+	labels  []uint32     // interned structural label, by node ID
+	adj     [2]adjacency // successors, then predecessors
+	claimed []bool       // filterFrequent's scratch, by node ID; all false between calls
+	hashers sync.Pool    // *hasher: one per concurrent expandGroup
+	opt     Options
+	workers int
 }
 
-// newMiner interns the node labels once and resolves the zero options
-// (auto MinSupport reads the same labels).
+// adjacency is one direction of the graph's edges as node IDs, in GNGraph
+// order: node v's neighbours are to[off[v]:off[v+1]].
+type adjacency struct {
+	off, to []int32
+}
+
+func newAdjacency(g *ir.GNGraph, list func(*ir.GraphNode) []*ir.GraphNode) adjacency {
+	a := adjacency{off: make([]int32, len(g.Nodes)+1)}
+	for _, gn := range g.Nodes {
+		a.off[gn.ID+1] = int32(len(list(gn)))
+	}
+	for v := range g.Nodes {
+		a.off[v+1] += a.off[v]
+	}
+	a.to = make([]int32, 0, a.off[len(g.Nodes)])
+	for _, gn := range g.Nodes {
+		for _, nb := range list(gn) {
+			a.to = append(a.to, int32(nb.ID))
+		}
+	}
+	return a
+}
+
+// of returns node v's neighbours.
+func (a *adjacency) of(v int32) []int32 { return a.to[a.off[v]:a.off[v+1]] }
+
+// newMiner interns the node labels and builds the adjacency lists once,
+// and resolves the zero options (auto MinSupport reads the same labels).
 func newMiner(g *ir.GNGraph, opt Options) *miner {
-	m := &miner{g: g, labels: internLabels(g)}
+	labels, _ := internLabels(g)
+	m := &miner{
+		g:       g,
+		labels:  labels,
+		adj:     [2]adjacency{newAdjacency(g, g.Succs), newAdjacency(g, g.Preds)},
+		claimed: make([]bool, len(g.Nodes)),
+	}
+	m.hashers.New = func() any { return m.newHasher() }
 	if opt.MinSupport <= 0 {
 		opt.MinSupport = autoMinSupport(g, m.labels)
 	}
@@ -143,48 +182,114 @@ func newMiner(g *ir.GNGraph, opt Options) *miner {
 		opt.MaxPatternsPerLevel = 8
 	}
 	m.opt = opt
+	m.workers = parallel.Workers(opt.Workers)
 	return m
 }
 
-// internLabels assigns a small integer to every distinct GraphNode
-// signature, indexed by node ID.
-func internLabels(g *ir.GNGraph) []uint32 {
-	bySig := make(map[string]uint32)
-	out := make([]uint32, len(g.Nodes))
+// internLabels numbers the distinct GraphNode Signatures in first-seen
+// order without rendering one: nodes are bucketed by structHash, every
+// hash match is confirmed by sameStructure, and a collision falls back to
+// a scan of all labels. So each label equals the one interning the
+// Signature strings would give. It returns the labels by node ID and the
+// label count.
+func internLabels(g *ir.GNGraph) ([]uint32, int) {
+	labels := make([]uint32, len(g.Nodes))
+	byHash := make(map[uint64]uint32) // structural hash → first label with it
+	var reps []*ir.GraphNode          // by label: the node that introduced it
 	for _, gn := range g.Nodes {
-		sig := gn.Signature()
-		id, ok := bySig[sig]
-		if !ok {
-			id = uint32(len(bySig))
-			bySig[sig] = id
+		h := structHash(gn)
+		l, ok := byHash[h]
+		if !ok || !sameStructure(gn, reps[l]) {
+			i := -1
+			if ok {
+				i = slices.IndexFunc(reps, func(r *ir.GraphNode) bool { return sameStructure(gn, r) })
+			}
+			if i < 0 {
+				i = len(reps)
+				reps = append(reps, gn)
+				if !ok {
+					byHash[h] = uint32(i)
+				}
+			}
+			l = uint32(i)
 		}
-		out[gn.ID] = id
+		labels[gn.ID] = l
 	}
-	return out
+	return labels, len(reps)
 }
 
+// structHash mixes what Signature renders — kind, op kinds, weight shapes,
+// boundary shapes — into 64 bits, a word at a time. Signature omits a nil
+// boundary shape and renders an empty one, so the two hash apart; it
+// renders a nil and an empty weight shape alike, so only a weight's dims
+// count.
+func structHash(gn *ir.GraphNode) uint64 {
+	h := mixWord(fnvOffset, uint64(gn.Kind))
+	h = mixWord(h, uint64(len(gn.Ops)))
+	for _, op := range gn.Ops {
+		h = mixWord(h, uint64(op.Kind))
+	}
+	h = mixWord(h, uint64(len(gn.Weights)))
+	for _, w := range gn.Weights {
+		h = hashShape(h, w.Shape)
+	}
+	for _, s := range [2]graph.Shape{gn.InShape(), gn.OutShape()} {
+		if s == nil {
+			h = mixWord(h, 0)
+		} else {
+			h = hashShape(mixWord(h, 1), s)
+		}
+	}
+	return h
+}
+
+func hashShape(h uint64, s graph.Shape) uint64 {
+	h = mixWord(h, uint64(len(s)))
+	for _, d := range s {
+		h = mixWord(h, uint64(d))
+	}
+	return h
+}
+
+// mixWord folds v into h as one FNV-1a round over the whole word: cheaper
+// than fnvWord's eight byte rounds. Unlike the pattern hashes, a structural
+// hash is never frozen, and every match is confirmed.
+func mixWord(h, v uint64) uint64 { return (h ^ v) * fnvPrime }
+
+// sameStructure reports whether a and b render the same Signature.
+func sameStructure(a, b *ir.GraphNode) bool {
+	return a.Kind == b.Kind &&
+		slices.EqualFunc(a.Ops, b.Ops, func(x, y *graph.Node) bool { return x.Kind == y.Kind }) &&
+		slices.EqualFunc(a.Weights, b.Weights, func(x, y *graph.Tensor) bool { return slices.Equal(x.Shape, y.Shape) }) &&
+		sameBoundary(a.InShape(), b.InShape()) && sameBoundary(a.OutShape(), b.OutShape())
+}
+
+func sameBoundary(x, y graph.Shape) bool { return (x == nil) == (y == nil) && slices.Equal(x, y) }
+
 // hasher is the scratch one expandGroup call hashes and compares its
-// candidates on, so neither allocates once the edge buffers have grown.
+// candidates on, so neither allocates once the buffers have grown. It is
+// reused across calls through the miner's pool.
 type hasher struct {
-	m     *miner
-	pos   []int32  // by node ID: member index+1 during an edge walk, else 0
-	edges []uint64 // the sorted edge list of the instance last hashed
-	other []uint64 // the sorted edge list of the instance last compared
+	m           *miner
+	pos         []int32  // by node ID: member index+1 during an edge walk, else 0
+	edges       []uint64 // the sorted edge list of the instance last hashed
+	other       []uint64 // the sorted edge list of the instance last compared
+	ext, replay []int32  // expandGroup's candidate member lists
 }
 
 func (m *miner) newHasher() *hasher {
 	return &hasher{m: m, pos: make([]int32, len(m.g.Nodes))}
 }
 
-// canonicalHash produces a canonical structural hash of an instance:
-// member labels in ID order plus the internal edge relation in
-// member-index space. Instances of a repeated block keep consistent
-// internal ID ordering (GraphNodes are numbered topologically), so
-// structurally identical repeats map to equal hashes.
-func (hs *hasher) canonicalHash(in Instance) uint64 {
+// canonicalHash produces a canonical structural hash of an instance, given
+// as ascending member IDs: member labels in ID order plus the internal
+// edge relation in member-index space. Instances of a repeated block keep
+// consistent internal ID ordering (GraphNodes are numbered topologically),
+// so structurally identical repeats map to equal hashes.
+func (hs *hasher) canonicalHash(in []int32) uint64 {
 	h := fnvOffset
-	for _, gn := range in {
-		h = fnvWord(h, uint64(hs.m.labels[gn.ID]))
+	for _, v := range in {
+		h = fnvWord(h, uint64(hs.m.labels[v]))
 	}
 	hs.edges = hs.edgeList(hs.edges[:0], in)
 	for _, e := range hs.edges {
@@ -196,9 +301,9 @@ func (hs *hasher) canonicalHash(in Instance) uint64 {
 // sameForm reports whether in has the label sequence and sorted edge list
 // of ref, the instance canonicalHash last hashed: the hash's whole input,
 // so canonicalHash(in) == canonicalHash(ref) short of a 64-bit collision.
-func (hs *hasher) sameForm(ref, in Instance) bool {
-	for i, gn := range in {
-		if hs.m.labels[gn.ID] != hs.m.labels[ref[i].ID] {
+func (hs *hasher) sameForm(ref, in []int32) bool {
+	for i, v := range in {
+		if hs.m.labels[v] != hs.m.labels[ref[i]] {
 			return false
 		}
 	}
@@ -209,19 +314,20 @@ func (hs *hasher) sameForm(ref, in Instance) bool {
 // edgeList appends in's internal edges, in member-index space and sorted,
 // to an empty dst. pos is written for the members and zeroed again before
 // returning: a stale entry would count as a member of the next instance.
-func (hs *hasher) edgeList(dst []uint64, in Instance) []uint64 {
-	for i, gn := range in {
-		hs.pos[gn.ID] = int32(i + 1)
+func (hs *hasher) edgeList(dst []uint64, in []int32) []uint64 {
+	for i, v := range in {
+		hs.pos[v] = int32(i + 1)
 	}
-	for i, gn := range in {
-		for _, s := range hs.m.g.Succs(gn) {
-			if j := hs.pos[s.ID]; j != 0 {
+	succ := &hs.m.adj[0]
+	for i, v := range in {
+		for _, s := range succ.of(v) {
+			if j := hs.pos[s]; j != 0 {
 				dst = append(dst, uint64(i)<<32|uint64(j-1))
 			}
 		}
 	}
-	for _, gn := range in {
-		hs.pos[gn.ID] = 0
+	for _, v := range in {
+		hs.pos[v] = 0
 	}
 	slices.Sort(dst)
 	return dst
@@ -243,7 +349,10 @@ func (m *miner) readableSig(in Instance) string {
 // of the most-repeated layer structure. Layers are compared by the
 // multiset of their GraphNode labels, so e.g. all encoder layers of a T5
 // form one group whose size becomes the support threshold.
-func AutoMinSupport(g *ir.GNGraph) int { return autoMinSupport(g, internLabels(g)) }
+func AutoMinSupport(g *ir.GNGraph) int {
+	labels, _ := internLabels(g)
+	return autoMinSupport(g, labels)
+}
 
 func autoMinSupport(g *ir.GNGraph, labels []uint32) int {
 	byLayer := make(map[string][]uint32)
@@ -280,68 +389,20 @@ func autoMinSupport(g *ir.GNGraph, labels []uint32) int {
 func Mine(ctx context.Context, g *ir.GNGraph, opt Options) *Result {
 	start := time.Now()
 	m := newMiner(g, opt)
-	opt = m.opt
-	res := &Result{MinSupportUsed: opt.MinSupport}
-	workers := parallel.Workers(opt.Workers)
+	res := &Result{MinSupportUsed: m.opt.MinSupport}
 
-	// Level 1: every GraphNode is a candidate single-node subgraph
-	// (Algorithm 1 lines 2–6), grown from the empty parent. A lone node
-	// has no internal edge: its canonical hash is its label folded once.
-	seeds := make(map[uint64][]addition)
-	for _, gn := range g.Nodes {
-		h := fnvWord(fnvOffset, uint64(m.labels[gn.ID]))
-		seeds[h] = append(seeds[h], addition{h: h, nb: gn})
-	}
-	level := m.filterFrequent(seeds)
-	m.emit(res, level, 1)
+	// Level 1, then one level per iteration; each level replaces the last.
+	lv := m.seed()
+	m.emit(res, lv)
 	res.Levels = 1
-
-	// Levels 2..MaxSize: extend frequent patterns by one adjacent node
-	// (lines 7–14). Extensions are enumerated once on a representative
-	// instance and replayed positionally on the others — instances of a
-	// repeated block keep consistent internal ordering, so the j-th
-	// neighbor of member i corresponds across instances; instances where
-	// the replay diverges (block boundaries) simply drop out of the
-	// support count.
-	//
-	// Pattern groups expand independently, so each group runs as one
-	// work unit on the pool. Dedup and the MaxInstancesPerPattern cap
-	// are order-sensitive, so they are NOT applied inside workers:
-	// each worker emits its group's candidate additions in deterministic
-	// local order, and the merge below replays them in ascending
-	// canonical-hash group order. Every worker count therefore produces
-	// the exact frontier of a serial sweep in sorted-group order.
-	for k := 2; k <= opt.MaxSize && len(level) > 0 && ctx.Err() == nil; k++ {
-		groups := sortedHashes(level)
-		lists, err := parallel.Map(ctx, workers, groups, func(_ context.Context, _ int, h uint64) ([]addition, error) {
-			return m.expandGroup(level[h]), nil
-		})
-		if err != nil {
-			break
-		}
-		total := 0
-		for _, adds := range lists {
-			total += len(adds)
-		}
-		next := make(map[uint64][]addition)
-		seen := make(map[[2]uint64]struct{}, total) // (pattern hash, instance key)
-		for _, adds := range lists {
-			for _, a := range adds {
-				id := [2]uint64{a.h, a.key}
-				if _, dup := seen[id]; dup || len(next[a.h]) >= opt.MaxInstancesPerPattern {
-					continue
-				}
-				seen[id] = struct{}{}
-				next[a.h] = append(next[a.h], a)
-			}
-		}
-		built := m.filterFrequent(next)
-		if len(built) == 0 {
+	for lv.k < m.opt.MaxSize && len(lv.runs) > 0 && ctx.Err() == nil {
+		next, err := m.grow(ctx, lv)
+		if err != nil || len(next.runs) == 0 {
 			break // lines 12–13: no more frequent subgraphs of size k
 		}
-		res.Levels = k
-		m.emit(res, built, k)
-		level = built
+		res.Levels = next.k
+		m.emit(res, next)
+		lv = next
 	}
 
 	// Largest patterns first, then by support, then deterministic by
@@ -360,94 +421,156 @@ func Mine(ctx context.Context, g *ir.GNGraph, opt Options) *Result {
 	return res
 }
 
-// addition is one candidate instance for the next Apriori level: the
-// canonical pattern hash, the embedding's key (for the merge's dedup) and
-// the embedding by reference — parent, a current-level instance shared by
-// every addition grown from it, plus the node nb it grows by. Only
-// additions that survive filterFrequent are built into an Instance.
-// Workers emit additions in deterministic per-group order; the level loop
-// replays them in sorted group order to apply dedup and the instance cap.
-type addition struct {
-	h, key uint64
-	parent Instance
-	nb     *ir.GraphNode
+// level is one Apriori level, held in an arena: instance i has the k
+// ascending member IDs ids[i*k:(i+1)*k] and the key keys[i]. A pattern's
+// instances are one contiguous run of indices, and the runs ascend by
+// pattern hash. Workers share a level read-only while they expand it.
+type level struct {
+	k    int
+	ids  []int32
+	keys []uint64
+	runs []run
 }
 
-// extent returns the lowest member ID of parent ∪ {nb} and its ID span.
-func (a addition) extent() (first, span int) {
-	lo, hi := a.nb.ID, a.nb.ID
-	if n := len(a.parent); n > 0 {
-		lo, hi = min(lo, a.parent[0].ID), max(hi, a.parent[n-1].ID)
+// run is one pattern's instances in a level, or its additions in a merged
+// list: indices [lo, hi), under the pattern's canonical hash h.
+type run struct {
+	h      uint64
+	lo, hi int32
+}
+
+// members returns instance i's member IDs; the empty parent −1 has none.
+func (lv *level) members(i int32) []int32 {
+	if i < 0 {
+		return nil
+	}
+	at := int(i) * lv.k
+	return lv.ids[at : at+lv.k : at+lv.k]
+}
+
+// addition is one candidate instance for the next level: parent ∪ {nb},
+// where parent indexes the current level's arena (−1 is level 1's empty
+// parent), h is the pattern's canonical hash and key the instance key,
+// carried as the parent's key ^ word(nb). It holds no pointer, so the GC
+// never scans an addition list and copying one needs no write barrier.
+// Only additions that survive filterFrequent are built into the next
+// level's arena.
+type addition struct {
+	h, key     uint64
+	parent, nb int32
+}
+
+// extent returns the lowest member ID of a's instance and its ID span.
+func (lv *level) extent(a addition) (first, span int32) {
+	lo, hi := a.nb, a.nb
+	if p := lv.members(a.parent); len(p) > 0 {
+		lo, hi = min(lo, p[0]), max(hi, p[len(p)-1])
 	}
 	return lo, hi - lo
 }
 
-// sortedHashes returns the level's pattern hashes in ascending order.
-func sortedHashes(level map[uint64][]Instance) []uint64 {
-	hs := make([]uint64, 0, len(level))
-	for h := range level {
-		hs = append(hs, h)
+// seed builds level 1 (Algorithm 1 lines 2–6): every GraphNode is a
+// candidate single-node subgraph, grown from the empty parent. A lone
+// node has no internal edge: its canonical hash is its label folded once.
+// Seeds are never capped.
+func (m *miner) seed() *level {
+	seeds := make([]addition, len(m.g.Nodes))
+	for v := range seeds {
+		h := fnvWord(fnvOffset, uint64(m.labels[v]))
+		seeds[v] = addition{h: h, key: word(int32(v)), parent: -1, nb: int32(v)}
 	}
-	slices.Sort(hs)
-	return hs
+	empty := &level{}
+	adds, runs := merge(empty, [][]addition{seeds}, len(seeds))
+	return m.filterFrequent(empty, adds, runs)
 }
 
-// expandGroup enumerates the one-node extensions of a single pattern
-// group: every (member, direction, neighbor-index) extension of the
-// representative, hashed once, replayed positionally on the other
-// instances and kept where the replay has the representative's form. It
-// is pure with respect to shared state and does no dedup: an instance
-// emitted twice is dropped by the merge. The hasher and two scratch
-// Instances (the representative's extension and a replay) are private to
-// the call, so the only allocation per addition is its slot in the list.
-func (m *miner) expandGroup(instances []Instance) []addition {
-	rep := instances[0]
-	hs := m.newHasher()
-	var adds []addition
-	ext := make(Instance, 0, len(rep)+1)
-	replay := make(Instance, 0, len(rep)+1)
-	for i, gn := range rep {
-		for dir := 0; dir < 2; dir++ {
-			for j, nb := range m.adj(dir, gn) {
-				if rep.contains(nb) {
+// grow builds level lv.k+1 (lines 7–14) by extending lv's frequent
+// patterns by one adjacent node. Extensions are enumerated once on a
+// representative instance and replayed positionally on the others —
+// instances of a repeated block keep consistent internal ordering, so the
+// j-th neighbor of member i corresponds across instances; instances where
+// the replay diverges (block boundaries) simply drop out of the support
+// count.
+//
+// Pattern groups expand independently, so each group runs as one work
+// unit on the pool. Dedup and the MaxInstancesPerPattern cap are
+// order-sensitive, so they are NOT applied inside workers: each worker
+// emits its group's candidate additions in deterministic local order, and
+// merge replays them in ascending canonical-hash group order. Every worker
+// count therefore produces the exact frontier of a serial sweep in
+// sorted-group order.
+func (m *miner) grow(ctx context.Context, lv *level) (*level, error) {
+	lists, err := parallel.Map(ctx, m.workers, lv.runs, func(_ context.Context, _ int, r run) ([]addition, error) {
+		return m.expandGroup(lv, r), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	adds, runs := merge(lv, lists, m.opt.MaxInstancesPerPattern)
+	return m.filterFrequent(lv, adds, runs), nil
+}
+
+// expandGroup enumerates the one-node extensions of the pattern whose
+// instances are lv's run r: every (member, direction, neighbor-index)
+// extension of the representative, hashed once, replayed positionally on
+// the other instances and kept where the replay has the representative's
+// form. It reads lv and the miner without writing them and does no dedup:
+// an instance emitted twice is dropped by the merge. Each extension of
+// the representative yields at most one addition per instance, so the
+// list is sized once, from a count of the extensions, and never grows.
+func (m *miner) expandGroup(lv *level, r run) []addition {
+	hs := m.hashers.Get().(*hasher)
+	defer m.hashers.Put(hs)
+	rep := lv.members(r.lo)
+	exts := 0
+	for _, v := range rep {
+		for dir := range m.adj {
+			for _, nb := range m.adj[dir].of(v) {
+				if !slices.Contains(rep, nb) {
+					exts++
+				}
+			}
+		}
+	}
+	adds := make([]addition, 0, exts*int(r.hi-r.lo))
+	ext, replay := hs.ext, hs.replay
+	for i, v := range rep {
+		for dir := range m.adj {
+			a := &m.adj[dir]
+			for j, nb := range a.of(v) {
+				if slices.Contains(rep, nb) {
 					continue
 				}
 				ext = extendInto(ext, rep, nb)
 				h := hs.canonicalHash(ext)
-				adds = append(adds, addition{h, ext.key(), rep, nb})
+				adds = append(adds, addition{h, lv.keys[r.lo] ^ word(nb), r.lo, nb})
 				// Replay the (i, dir, j) extension on the other
 				// instances.
-				for _, inst := range instances[1:] {
-					nbs := m.adj(dir, inst[i])
-					if j >= len(nbs) || inst.contains(nbs[j]) {
+				for inst := r.lo + 1; inst < r.hi; inst++ {
+					members := lv.members(inst)
+					nbs := a.of(members[i])
+					if j >= len(nbs) || slices.Contains(members, nbs[j]) {
 						continue
 					}
-					replay = extendInto(replay, inst, nbs[j])
+					replay = extendInto(replay, members, nbs[j])
 					if hs.sameForm(ext, replay) {
-						adds = append(adds, addition{h, replay.key(), inst, nbs[j]})
+						adds = append(adds, addition{h, lv.keys[inst] ^ word(nbs[j]), inst, nbs[j]})
 					}
 				}
 			}
 		}
 	}
+	hs.ext, hs.replay = ext, replay
 	return adds
 }
 
-// adj returns gn's successors (dir 0) or predecessors (dir 1).
-func (m *miner) adj(dir int, gn *ir.GraphNode) []*ir.GraphNode {
-	if dir == 0 {
-		return m.g.Succs(gn)
-	}
-	return m.g.Preds(gn)
-}
-
-// extendInto writes in ∪ {nb} into dst (ID-sorted) and returns it,
+// extendInto writes in ∪ {nb} into dst (ascending) and returns it,
 // reusing dst's backing array when it has capacity.
-func extendInto(dst, in Instance, nb *ir.GraphNode) Instance {
+func extendInto(dst, in []int32, nb int32) []int32 {
 	dst = append(dst[:0], in...)
 	dst = append(dst, nb)
 	p := len(dst) - 1
-	for p > 0 && dst[p-1].ID > nb.ID {
+	for p > 0 && dst[p-1] > nb {
 		dst[p] = dst[p-1]
 		p--
 	}
@@ -455,111 +578,187 @@ func extendInto(dst, in Instance, nb *ir.GraphNode) Instance {
 	return dst
 }
 
-// filterFrequent reduces each pattern to a maximal set of pairwise
-// disjoint additions (disjoint support keeps the Apriori downward-closure
-// property and is exactly what folding needs), drops infrequent patterns,
-// caps the level width, and builds the surviving additions — and only
-// those — into the level's instances.
-func (m *miner) filterFrequent(level map[uint64][]addition) map[uint64][]Instance {
-	type pattern struct {
-		h    uint64
-		adds []addition
+// merge replays the addition lists in order, drops duplicate instances
+// and each pattern's additions past limit, and returns the survivors
+// bucketed by pattern: the additions of runs[p] are adds[runs[p].lo:
+// runs[p].hi], in arrival order, and runs are in first-arrival order. An
+// addition is a duplicate when a survivor has its hash, its key and its
+// member set. The first survivor with the key is checked first and, when
+// it is not one — a key collision — every later survivor, so dedup never
+// rests on the key being collision-free.
+func merge(lv *level, lists [][]addition, limit int) ([]addition, []run) {
+	total := 0
+	for _, adds := range lists {
+		total += len(adds)
 	}
-	var kept []pattern
-	claimed := make([]bool, len(m.g.Nodes))
-	for h, adds := range level {
-		if adds = disjointInstances(adds, claimed); len(adds) >= m.opt.MinSupport {
-			kept = append(kept, pattern{h, adds})
+	kept := make([]addition, 0, total)
+	pattern := make([]int32, 0, total) // kept[i]'s index in runs
+	var runs []run                     // hi counts survivors until bucketing
+	index := make(map[uint64]int32)
+	seen := make(map[uint64]int32, total) // key → first survivor with it
+	var sa, sb []int32
+	duplicate := func(first int32, a addition) bool {
+		sa = extendInto(sa, lv.members(a.parent), a.nb)
+		for _, b := range kept[first:] {
+			if b.h == a.h && b.key == a.key {
+				if sb = extendInto(sb, lv.members(b.parent), b.nb); slices.Equal(sa, sb) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for _, adds := range lists {
+		for _, a := range adds {
+			p, ok := index[a.h]
+			if !ok {
+				p = int32(len(runs))
+				index[a.h] = p
+				runs = append(runs, run{h: a.h})
+			}
+			if int(runs[p].hi) >= limit {
+				continue
+			}
+			if first, ok := seen[a.key]; !ok {
+				seen[a.key] = int32(len(kept))
+			} else if duplicate(first, a) {
+				continue
+			}
+			kept = append(kept, a)
+			pattern = append(pattern, p)
+			runs[p].hi++
+		}
+	}
+	off := int32(0)
+	for p := range runs {
+		n := runs[p].hi
+		runs[p].lo, runs[p].hi = off, off
+		off += n
+	}
+	adds := make([]addition, len(kept))
+	for i, a := range kept {
+		r := &runs[pattern[i]]
+		adds[r.hi] = a
+		r.hi++
+	}
+	return adds, runs
+}
+
+// filterFrequent reduces each pattern's additions (runs over adds, from
+// merge, on level lv) to a maximal set of pairwise disjoint ones
+// (disjoint support keeps the Apriori downward-closure property and is
+// exactly what folding needs), drops infrequent patterns, caps the level
+// width, and builds the surviving additions — and only those — into the
+// next level's arena, patterns in ascending hash order.
+func (m *miner) filterFrequent(lv *level, adds []addition, runs []run) *level {
+	kept := runs[:0]
+	for _, r := range runs {
+		if n := disjointInstances(lv, adds[r.lo:r.hi], m.claimed); n >= m.opt.MinSupport {
+			kept = append(kept, run{r.h, r.lo, r.lo + int32(n)})
 		}
 	}
 	if len(kept) > m.opt.MaxPatternsPerLevel {
-		slices.SortFunc(kept, func(a, b pattern) int {
-			if len(a.adds) != len(b.adds) {
-				return len(b.adds) - len(a.adds)
-			}
-			return cmp.Compare(a.h, b.h)
+		slices.SortFunc(kept, func(a, b run) int {
+			return cmp.Or(cmp.Compare(b.hi-b.lo, a.hi-a.lo), cmp.Compare(a.h, b.h))
 		})
 		kept = kept[:m.opt.MaxPatternsPerLevel]
 	}
-	// A pattern's instances share one backing array; each is a window
-	// capped at its own size, so an append to one never reaches the next.
-	out := make(map[uint64][]Instance, len(kept))
-	for _, p := range kept {
-		k := len(p.adds[0].parent) + 1
-		ins, nodes := make([]Instance, len(p.adds)), make([]*ir.GraphNode, len(p.adds)*k)
-		for i, a := range p.adds {
-			ins[i] = extendInto(nodes[i*k:i*k:(i+1)*k], a.parent, a.nb)
-		}
-		out[p.h] = ins
+	slices.SortFunc(kept, func(a, b run) int { return cmp.Compare(a.h, b.h) })
+	n := 0
+	for _, r := range kept {
+		n += int(r.hi - r.lo)
 	}
-	return out
+	k := lv.k + 1
+	next := &level{k: k, ids: make([]int32, n*k), keys: make([]uint64, n), runs: kept}
+	i := 0
+	for p, r := range kept {
+		kept[p].lo = int32(i)
+		for _, a := range adds[r.lo:r.hi] {
+			extendInto(next.ids[i*k:i*k:(i+1)*k], lv.members(a.parent), a.nb)
+			next.keys[i] = a.key
+			i++
+		}
+		kept[p].hi = int32(i)
+	}
+	return next
 }
 
-// disjointInstances greedily selects a maximal subset of pairwise
-// node-disjoint additions. Compact instances (smallest ID span) are
-// claimed first: embeddings that bridge two repeats of a block span more
-// IDs than embeddings aligned with one repeat, so this keeps the
-// surviving tiling aligned with the natural block boundaries — which both
-// maximizes the disjoint support and keeps pipeline stages cuttable.
-// claimed is the caller's scratch, one flag per node ID; it is cleared
-// here.
-func disjointInstances(adds []addition, claimed []bool) []addition {
+// disjointInstances greedily moves a maximal subset of pairwise
+// node-disjoint additions to the front of adds and returns its size.
+// Compact instances (smallest ID span) are claimed first: embeddings that
+// bridge two repeats of a block span more IDs than embeddings aligned
+// with one repeat, so this keeps the surviving tiling aligned with the
+// natural block boundaries — which both maximizes the disjoint support
+// and keeps pipeline stages cuttable. claimed is the caller's scratch,
+// one flag per node ID; it is cleared here.
+func disjointInstances(lv *level, adds []addition, claimed []bool) int {
 	// Stable: the incoming order is deterministic (merge order), so ties
 	// on (span, first ID) must not be reshuffled.
 	slices.SortStableFunc(adds, func(a, b addition) int {
-		af, as := a.extent()
-		bf, bs := b.extent()
-		return cmp.Or(as-bs, af-bf)
+		af, as := lv.extent(a)
+		bf, bs := lv.extent(b)
+		return cmp.Or(cmp.Compare(as, bs), cmp.Compare(af, bf))
 	})
 	clear(claimed)
-	out := adds[:0]
+	n := 0
 	for _, a := range adds {
 		// Sprawling embeddings (e.g. star-shaped subgraphs hanging off a
 		// high-fanout tensor) are poor reuse units: they interleave with
 		// many other blocks and block pipeline-stage cuts. Cap the ID
 		// span at 4× the member count.
-		if _, span := a.extent(); span >= 4*(len(a.parent)+1) {
+		if _, span := lv.extent(a); int(span) >= 4*(lv.k+1) {
 			continue
 		}
-		if claim(claimed, a.parent, a.nb) {
-			out = append(out, a)
+		if claim(claimed, lv.members(a.parent), a.nb) {
+			adds[n] = a
+			n++
 		}
 	}
-	return out
+	return n
 }
 
 // claim marks the nodes of in and nb in the ID-indexed claimed table and
 // reports true, or leaves the table alone and reports false when any of
 // them is already taken.
-func claim(claimed []bool, in Instance, nb *ir.GraphNode) bool {
-	if claimed[nb.ID] {
+func claim(claimed []bool, in []int32, nb int32) bool {
+	if claimed[nb] {
 		return false
 	}
-	for _, gn := range in {
-		if claimed[gn.ID] {
+	for _, v := range in {
+		if claimed[v] {
 			return false
 		}
 	}
-	for _, gn := range in {
-		claimed[gn.ID] = true
+	for _, v := range in {
+		claimed[v] = true
 	}
-	claimed[nb.ID] = true
+	claimed[nb] = true
 	return true
 }
 
 // emit records the frequent patterns of a level that meet MinSize, in
 // ascending canonical-hash order so res.Frequent is fully deterministic
 // even when the final sort's keys tie (readable signatures omit edges,
-// so two distinct patterns can share one).
-func (m *miner) emit(res *Result, level map[uint64][]Instance, size int) {
-	if size < m.opt.MinSize {
+// so two distinct patterns can share one). This is where a pattern's
+// instances become GraphNodes: one backing array per pattern, each
+// instance a window capped at its own size, so an append to one never
+// reaches the next.
+func (m *miner) emit(res *Result, lv *level) {
+	if lv.k < m.opt.MinSize {
 		return
 	}
-	for _, h := range sortedHashes(level) {
-		ins := level[h]
+	for _, r := range lv.runs {
+		ids := lv.ids[int(r.lo)*lv.k : int(r.hi)*lv.k]
+		nodes, ins := make([]*ir.GraphNode, len(ids)), make([]Instance, r.hi-r.lo)
+		for i, v := range ids {
+			nodes[i] = m.g.Nodes[v]
+		}
+		for i := range ins {
+			ins[i] = nodes[i*lv.k : (i+1)*lv.k : (i+1)*lv.k]
+		}
 		res.Frequent = append(res.Frequent, &Subgraph{
 			Signature: m.readableSig(ins[0]),
-			Size:      size,
+			Size:      lv.k,
 			Instances: ins,
 		})
 	}
@@ -606,7 +805,10 @@ func Fold(g *ir.GNGraph, res *Result) []*Class {
 	for _, sub := range ordered {
 		var taken []Instance
 		for _, in := range sub.Instances {
-			if claim(claimed, in[1:], in[0]) {
+			if !slices.ContainsFunc(in, func(gn *ir.GraphNode) bool { return claimed[gn.ID] }) {
+				for _, gn := range in {
+					claimed[gn.ID] = true
+				}
 				taken = append(taken, in)
 			}
 		}
@@ -624,25 +826,22 @@ func Fold(g *ir.GNGraph, res *Result) []*Class {
 		classes = append(classes, &Class{Signature: sub.Signature, Instances: taken})
 	}
 
-	// Leftovers: group singletons by node signature so e.g. the encoder
-	// and decoder embedding lookups still share one search.
-	bySig := make(map[string]*Class)
-	var order []string
+	// Leftovers: group singletons by node label — equal labels are equal
+	// Signatures — so e.g. the encoder and decoder embedding lookups still
+	// share one search. Each leftover class renders one Signature.
+	labels, n := internLabels(g)
+	byLabel := make([]*Class, n)
 	for _, gn := range g.Nodes {
 		if claimed[gn.ID] {
 			continue
 		}
-		sig := gn.Signature()
-		c, ok := bySig[sig]
-		if !ok {
-			c = &Class{Signature: sig}
-			bySig[sig] = c
-			order = append(order, sig)
+		c := byLabel[labels[gn.ID]]
+		if c == nil {
+			c = &Class{Signature: gn.Signature()}
+			byLabel[labels[gn.ID]] = c
+			classes = append(classes, c)
 		}
 		c.Instances = append(c.Instances, Instance{gn})
-	}
-	for _, sig := range order {
-		classes = append(classes, bySig[sig])
 	}
 	return classes
 }

@@ -30,7 +30,7 @@ func groupNamed(tb testing.TB, name string) *ir.GNGraph {
 // BenchmarkMineLevels times the full Apriori sweep (level-1 hashing plus
 // every level-k group expansion and merge) on t5-770M at several worker
 // counts, and on t5-1.4B, the deepest registered graph (15 levels), at
-// one:
+// one, both on a reused graph and on a freshly grouped one:
 //
 //	go test -run xxx -bench BenchmarkMineLevels ./internal/mining
 func BenchmarkMineLevels(b *testing.B) {
@@ -52,7 +52,24 @@ func BenchmarkMineLevels(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), mine(g, workers))
 	}
 	deep := groupNamed(b, "t5-1.4B")
-	b.Run("model=t5-1.4B", func(b *testing.B) { b.Run("workers=1", mine(deep, 1)) })
+	b.Run("model=t5-1.4B", func(b *testing.B) {
+		b.Run("workers=1", mine(deep, 1))
+		// A graph nothing has mined yet, as in a cold search: none of its
+		// GraphNode.Signature strings is memoized. Grouping it is untimed.
+		b.Run("fresh", func(b *testing.B) {
+			b.ReportAllocs()
+			opt := DefaultOptions()
+			opt.Workers = 1
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				g := groupNamed(b, "t5-1.4B")
+				b.StartTimer()
+				if res := Mine(context.Background(), g, opt); len(res.Frequent) == 0 {
+					b.Fatal("no frequent subgraphs")
+				}
+			}
+		})
+	})
 }
 
 // TestMineWorkerEquivalence is the mining-local determinism contract:
