@@ -190,7 +190,7 @@ func BenchmarkCostModelStrategy(b *testing.B) {
 		b.Fatal(err)
 	}
 	m := cost.Default(cluster.V100x8())
-	ps := res.Strategy.Patterns()
+	ps := res.Strategy.Assign
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.StrategyCost(ps, res.Strategy.Reshard)

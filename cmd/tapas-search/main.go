@@ -346,7 +346,7 @@ func splitJoined(err error) []error {
 func printAssignment(res *tapas.Result) {
 	fmt.Println("assignment:")
 	for _, gn := range res.Strategy.Graph.TopoOrder() {
-		p := res.Strategy.Assign[gn]
+		p := res.Strategy.Assign[gn.ID]
 		fmt.Printf("  %-40s %-20s in=%-3s out=%-3s  %s\n",
 			gn.String(), p.Name, p.In, p.Out, p.SRC)
 	}

@@ -59,7 +59,7 @@ func main() {
 	fmt.Printf("%s on 8 GPUs — %s\n", *model, res.Strategy.Describe())
 	if *src {
 		for _, gn := range res.Strategy.Graph.TopoOrder() {
-			p := res.Strategy.Assign[gn]
+			p := res.Strategy.Assign[gn.ID]
 			if p.SRC == "" {
 				continue
 			}

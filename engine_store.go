@@ -105,9 +105,9 @@ func (e *Engine) storeLookup(key cacheKey, name string, g *graph.Graph, gpus int
 
 // restoreResult rebuilds a full Result from a persisted record: the
 // plan is rehydrated against the model's grouped graph (see grouped;
-// name-independent, by topological node ID and pattern name), re-priced
-// under the resolved cost model, reconstructed into the per-device graph
-// and re-simulated. All of these are deterministic, so the restored
+// name-independent, by topological node ID and pattern name) and priced
+// under the resolved cost model, then reconstructed into the per-device
+// graph and re-simulated. All of these are deterministic, so the restored
 // Result is identical to the cold one — except the hit markers, and the
 // timing block, which is restored from the record (mirroring the
 // cache-hit contract: timing describes the original cold computation).
@@ -117,11 +117,10 @@ func (e *Engine) restoreResult(rec *store.Record, name string, g *graph.Graph, g
 	if err != nil {
 		return nil, err
 	}
-	s, err := rec.Plan.Rehydrate(gg)
+	s, err := rec.Plan.Rehydrate(gg, model)
 	if err != nil {
 		return nil, err
 	}
-	s.Cost = model.StrategyCost(s.Patterns(), s.Reshard)
 	pg, err := reconstruct.Reconstruct(s)
 	if err != nil {
 		return nil, err

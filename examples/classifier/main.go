@@ -28,8 +28,8 @@ func main() {
 		fmt.Printf("\n%s:\n  plan: %s\n  perf: %s\n", model, res.Strategy.Describe(), res.Report)
 
 		// Show where the classifier head landed.
-		for gn, p := range res.Strategy.Assign {
-			if gn.Anchor != nil && strings.HasPrefix(gn.Anchor.Name, "fc_matmul") {
+		for _, gn := range res.Strategy.Graph.Nodes {
+			if p := res.Strategy.Assign[gn.ID]; gn.Anchor != nil && strings.HasPrefix(gn.Anchor.Name, "fc_matmul") {
 				fmt.Printf("  FC head (%s params): %s — %s\n",
 					gn.Weights[0].Shape, p.Name, p.SRC)
 			}

@@ -129,22 +129,22 @@ func AlpaSearch(ctx context.Context, g *ir.GNGraph, w int, model *cost.Model, op
 	}
 
 	// Stitch the chosen segments into one assignment.
-	assign := make(map[*ir.GraphNode]*ir.Pattern, n)
+	assign := make([]*ir.Pattern, n)
 	for i := n; i > 0; i = back[i] {
 		j := back[i]
 		sr := segBest[[2]int{j, i}]
 		for k, gn := range nodes[j:i] {
-			assign[gn] = sr.cand.Patterns[k]
+			assign[gn.ID] = sr.cand.Patterns[k]
 		}
 	}
 
 	// Segment boundaries may disagree; repair with layout propagation
 	// like the expert planners do.
 	for _, gn := range nodes {
-		p := assign[gn]
+		p := assign[gn.ID]
 		ok := true
 		for _, pred := range g.Preds(gn) {
-			if _, c := strategy.CheckEdge(g, pred, gn, assign[pred], p, w, true); !c {
+			if _, c := strategy.CheckEdge(g, pred, gn, assign[pred.ID], p, w, true); !c {
 				ok = false
 				break
 			}
@@ -155,30 +155,22 @@ func AlpaSearch(ctx context.Context, g *ir.GNGraph, w int, model *cost.Model, op
 		for _, alt := range ir.PatternsFor(gn, w) {
 			good := true
 			for _, pred := range g.Preds(gn) {
-				if _, c := strategy.CheckEdge(g, pred, gn, assign[pred], alt, w, true); !c {
+				if _, c := strategy.CheckEdge(g, pred, gn, assign[pred.ID], alt, w, true); !c {
 					good = false
 					break
 				}
 			}
 			if good {
-				assign[gn] = alt
+				assign[gn.ID] = alt
 				break
 			}
 		}
 	}
 
-	events, err := strategy.Validate(g, assign, w, true)
+	s, err := strategy.New(g, assign, w, true, model)
 	if err != nil {
 		return nil, stats, fmt.Errorf("alpa: stitched plan invalid: %w", err)
 	}
-	s := &strategy.Strategy{
-		Graph:     g,
-		W:         w,
-		Assign:    assign,
-		Reshard:   events,
-		MemPerDev: strategy.MemoryPerDevice(assign),
-	}
-	s.Cost = model.StrategyCost(s.Patterns(), events)
 	stats.Elapsed = time.Since(start)
 	return s, stats, nil
 }

@@ -52,7 +52,8 @@ func TestDataParallelPlanValid(t *testing.T) {
 			t.Errorf("%s: DP plan invalid: %v", name, err)
 		}
 		// DP never shards weights.
-		for gn, p := range s.Assign {
+		for _, gn := range s.Graph.Nodes {
+			p := s.Assign[gn.ID]
 			for i := range gn.Weights {
 				if !p.WeightSpecs[i].IsReplicated() {
 					t.Errorf("%s: DP sharded weight on %v", name, gn)
@@ -69,7 +70,8 @@ func TestMegatronShardsAttentionAndFFN(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := map[string]int{}
-	for gn, p := range s.Assign {
+	for _, gn := range s.Graph.Nodes {
+		p := s.Assign[gn.ID]
 		counts[Classify(gn).String()+"/"+p.Name]++
 	}
 	if counts["qkv/column-parallel"] == 0 {
@@ -89,7 +91,8 @@ func TestFFNOnlyReplicatesAttention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for gn, p := range s.Assign {
+	for _, gn := range s.Graph.Nodes {
+		p := s.Assign[gn.ID]
 		switch Classify(gn) {
 		case RoleQKV, RoleAttnOut:
 			if p.Name != "replicate" {
@@ -114,7 +117,8 @@ func TestGShardExpertUsesAllToAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	a2a, ep := 0, 0
-	for gn, p := range s.Assign {
+	for _, gn := range s.Graph.Nodes {
+		p := s.Assign[gn.ID]
 		switch Classify(gn) {
 		case RoleDispatch, RoleCombine:
 			if p.Name == "alltoall" {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"tapas/internal/cost"
@@ -60,15 +61,9 @@ func FlexFlowSearch(ctx context.Context, g *ir.GNGraph, w int, model *cost.Model
 	if err != nil {
 		return nil, stats, err
 	}
-	curAssign := make(map[*ir.GraphNode]*ir.Pattern, len(cur.Assign))
-	for gn, p := range cur.Assign {
-		curAssign[gn] = p
-	}
+	curAssign := slices.Clone(cur.Assign)
 	curCost := cur.Cost.Total()
-	bestAssign := make(map[*ir.GraphNode]*ir.Pattern, len(curAssign))
-	for gn, p := range curAssign {
-		bestAssign[gn] = p
-	}
+	bestAssign := slices.Clone(curAssign)
 	bestCost := curCost
 
 	menus := make([][]*ir.Pattern, len(nodes))
@@ -76,16 +71,12 @@ func FlexFlowSearch(ctx context.Context, g *ir.GNGraph, w int, model *cost.Model
 		menus[i] = ir.PatternsFor(gn, w)
 	}
 
-	score := func(assign map[*ir.GraphNode]*ir.Pattern) (float64, bool) {
+	score := func(assign []*ir.Pattern) (float64, bool) {
 		events, err := strategy.Validate(g, assign, w, true)
 		if err != nil {
 			return 0, false
 		}
-		ps := make([]*ir.Pattern, 0, len(nodes))
-		for _, gn := range nodes {
-			ps = append(ps, assign[gn])
-		}
-		return model.StrategyCost(ps, events).Total(), true
+		return model.StrategyCost(assign, events).Total(), true
 	}
 
 	for it := 0; it < opt.Budget; it++ {
@@ -101,11 +92,11 @@ func FlexFlowSearch(ctx context.Context, g *ir.GNGraph, w int, model *cost.Model
 		}
 		prop := menu[rng.Intn(len(menu))]
 		gn := nodes[i]
-		old := curAssign[gn]
+		old := curAssign[gn.ID]
 		if prop == old {
 			continue
 		}
-		curAssign[gn] = prop
+		curAssign[gn.ID] = prop
 		c, valid := score(curAssign)
 		accept := false
 		if valid {
@@ -121,28 +112,17 @@ func FlexFlowSearch(ctx context.Context, g *ir.GNGraph, w int, model *cost.Model
 			curCost = c
 			if c < bestCost {
 				bestCost = c
-				bestAssign = make(map[*ir.GraphNode]*ir.Pattern, len(curAssign))
-				for k, v := range curAssign {
-					bestAssign[k] = v
-				}
+				bestAssign = slices.Clone(curAssign)
 			}
 		} else {
-			curAssign[gn] = old
+			curAssign[gn.ID] = old
 		}
 	}
 
-	events, err := strategy.Validate(g, bestAssign, w, true)
+	s, err := strategy.New(g, bestAssign, w, true, model)
 	if err != nil {
 		return nil, stats, err
 	}
-	s := &strategy.Strategy{
-		Graph:     g,
-		W:         w,
-		Assign:    bestAssign,
-		Reshard:   events,
-		MemPerDev: strategy.MemoryPerDevice(bestAssign),
-	}
-	s.Cost = model.StrategyCost(s.Patterns(), events)
 	stats.Elapsed = time.Since(start)
 	return s, stats, nil
 }

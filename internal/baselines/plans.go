@@ -121,15 +121,15 @@ type PlanFunc func(Role) []string
 // is boundary-compatible with the already-assigned producers, and falling
 // back to layout propagation when the rule is silent or unsatisfiable.
 func BuildPlan(g *ir.GNGraph, w int, model *cost.Model, rule PlanFunc) (*strategy.Strategy, error) {
-	assign := make(map[*ir.GraphNode]*ir.Pattern, len(g.Nodes))
+	assign := make([]*ir.Pattern, len(g.Nodes))
 
 	compatible := func(gn *ir.GraphNode, p *ir.Pattern) bool {
 		for _, pred := range g.Preds(gn) {
-			pf := assign[pred]
+			pf := assign[pred.ID]
 			if pf == nil {
 				continue
 			}
-			if _, ok := checkEdgeExported(g, pred, gn, pf, p, w); !ok {
+			if _, ok := strategy.CheckEdge(g, pred, gn, pf, p, w, true); !ok {
 				return false
 			}
 		}
@@ -163,22 +163,9 @@ func BuildPlan(g *ir.GNGraph, w int, model *cost.Model, rule PlanFunc) (*strateg
 		if chosen == nil {
 			return nil, fmt.Errorf("baselines: no compatible pattern for %v", gn)
 		}
-		assign[gn] = chosen
+		assign[gn.ID] = chosen
 	}
-
-	events, err := strategy.Validate(g, assign, w, true)
-	if err != nil {
-		return nil, err
-	}
-	s := &strategy.Strategy{
-		Graph:     g,
-		W:         w,
-		Assign:    assign,
-		Reshard:   events,
-		MemPerDev: strategy.MemoryPerDevice(assign),
-	}
-	s.Cost = model.StrategyCost(s.Patterns(), events)
-	return s, nil
+	return strategy.New(g, assign, w, true, model)
 }
 
 // DataParallel replicates every weight and splits the batch — the
@@ -277,7 +264,8 @@ func DeepSpeed(g *ir.GNGraph, w int, model *cost.Model) (*strategy.Strategy, err
 		return nil, err
 	}
 	var weightBytes, actBytes int64
-	for gn, shared := range s.Assign {
+	for _, gn := range g.Nodes {
+		shared := s.Assign[gn.ID]
 		weightBytes += gn.WeightBytes() // DP keeps weights unsharded
 		actBytes += shared.OutBytesPerDev
 		// Rewrite the gradient synchronization of every weight-bearing
@@ -298,16 +286,10 @@ func DeepSpeed(g *ir.GNGraph, w int, model *cost.Model) (*strategy.Strategy, err
 			}
 		}
 		p.BwdComm = bwd
-		s.Assign[gn] = p
+		s.Assign[gn.ID] = p
 	}
 	// weights (1×) + gradients/w + two Adam moments/w + activations.
 	s.MemPerDev = weightBytes + 3*weightBytes/int64(w) + actBytes
-	s.Cost = model.StrategyCost(s.Patterns(), s.Reshard)
+	s.Cost = model.StrategyCost(s.Assign, s.Reshard)
 	return s, nil
-}
-
-// checkEdgeExported adapts the strategy package's edge validation for plan
-// construction.
-func checkEdgeExported(g *ir.GNGraph, from, to *ir.GraphNode, pf, pt *ir.Pattern, w int) ([]comm.Event, bool) {
-	return strategy.CheckEdge(g, from, to, pf, pt, w, true)
 }

@@ -67,7 +67,8 @@ func TestMegatronOnViTShardsAttention(t *testing.T) {
 		t.Fatal(err)
 	}
 	qkvCol := 0
-	for gn, p := range s.Assign {
+	for _, gn := range s.Graph.Nodes {
+		p := s.Assign[gn.ID]
 		if Classify(gn) == RoleQKV && p.Name == "column-parallel" {
 			qkvCol++
 		}

@@ -115,6 +115,33 @@ func TestFigure9ShowsKnownPlans(t *testing.T) {
 	t.Fatalf("no Megatron row in:\n%s", out)
 }
 
+// TestFigure9IsDeterministic: the full Figure 9 draws one sharded layer
+// of the memory-constrained t5-1.4B plan and one mark per role. Both are
+// chosen by the first node in GraphNode.ID order, so repeated runs must
+// print the same figure; a walk in map order named a different layer
+// nearly every run.
+func TestFigure9IsDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("searches t5-1.4B three times")
+	}
+	g, ok := Find("fig9")
+	if !ok {
+		t.Fatal("generator fig9 missing")
+	}
+	var first string
+	for i := 0; i < 3; i++ {
+		var sb strings.Builder
+		if err := g.Run(context.Background(), &sb, Config{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = sb.String()
+		} else if sb.String() != first {
+			t.Fatalf("run %d differs from run 0:\n%s\nvs\n%s", i, sb.String(), first)
+		}
+	}
+}
+
 func TestFigure10SubgraphCountsDrop(t *testing.T) {
 	out := runQuick(t, "fig10")
 	if !strings.Contains(out, "#subgraphs") {

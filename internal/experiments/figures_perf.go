@@ -200,17 +200,24 @@ func Figure9(ctx context.Context, w io.Writer, cfg Config) error {
 		}
 	}
 
-	render := func(name string, s *strategy.Strategy) {
+	// layerCells marks each role of one layer by the pattern of the
+	// role's first node in GraphNode.ID order.
+	layerCells := func(s *strategy.Strategy, layer string) map[baselines.Role]string {
 		cells := map[baselines.Role]string{}
-		for gn, p := range s.Assign {
-			if gn.Layer != "enc.0" {
+		for _, gn := range s.Graph.Nodes {
+			if gn.Layer != layer {
 				continue
 			}
 			r := baselines.Classify(gn)
 			if _, ok := cells[r]; !ok {
-				cells[r] = mark(p)
+				cells[r] = mark(s.Assign[gn.ID])
 			}
 		}
+		return cells
+	}
+
+	render := func(name string, s *strategy.Strategy) {
+		cells := layerCells(s, "enc.0")
 		fmt.Fprintf(w, "%-14s %3s %3s %3s %4s | %3s %5s\n", name,
 			cells[baselines.RoleQKV], cells[baselines.RoleQKV], cells[baselines.RoleQKV],
 			cells[baselines.RoleAttnOut], cells[baselines.RoleFFNUp], cells[baselines.RoleFFNDown])
@@ -242,24 +249,15 @@ func Figure9(ctx context.Context, w io.Writer, cfg Config) error {
 			return err
 		}
 		// The memory-constrained plan mixes data-parallel and
-		// tensor-sharded layers; draw one of the sharded ones.
+		// tensor-sharded layers; draw the first sharded one.
 		layer := "enc.0"
-		for gn, p := range tb.Assign {
-			if p.Name == "column-parallel" && gn.Layer != "" {
+		for _, gn := range big.Nodes {
+			if tb.Assign[gn.ID].Name == "column-parallel" && gn.Layer != "" {
 				layer = gn.Layer
 				break
 			}
 		}
-		cells := map[baselines.Role]string{}
-		for gn, p := range tb.Assign {
-			if gn.Layer != layer {
-				continue
-			}
-			r := baselines.Classify(gn)
-			if _, ok := cells[r]; !ok {
-				cells[r] = mark(p)
-			}
-		}
+		cells := layerCells(tb, layer)
 		fmt.Fprintf(w, "%-14s %3s %3s %3s %4s | %3s %5s   (sharded layer %s of the mixed plan)\n",
 			"TAPAS(1.4B)",
 			cells[baselines.RoleQKV], cells[baselines.RoleQKV], cells[baselines.RoleQKV],

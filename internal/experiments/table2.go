@@ -100,17 +100,12 @@ func table2Candidates(ctx context.Context, gg *ir.GNGraph, cl *cluster.Cluster, 
 		return nil, err // a truncated candidate pool would skew the metrics
 	}
 	for i, c := range cands {
-		assign := make(map[*ir.GraphNode]*ir.Pattern, len(gg.Nodes))
-		for j, gn := range gg.TopoOrder() {
-			assign[gn] = c.Patterns[j]
-		}
-		events, err := strategy.Validate(gg, assign, w, true)
+		// The instance is gg.TopoOrder(), so c.Patterns is already
+		// indexed by GraphNode.ID.
+		s, err := strategy.New(gg, c.Patterns, w, true, model)
 		if err != nil {
 			continue
 		}
-		s := &strategy.Strategy{Graph: gg, W: w, Assign: assign, Reshard: events,
-			MemPerDev: strategy.MemoryPerDevice(assign)}
-		s.Cost = model.StrategyCost(s.Patterns(), events)
 		if err := add(fmt.Sprintf("enum-%02d", i), s, nil); err != nil {
 			return nil, err
 		}
@@ -201,7 +196,7 @@ func Table2(ctx context.Context, w io.Writer, cfg Config) error {
 		for vi, v := range variants {
 			scores := map[string]float64{}
 			for name, s := range cands {
-				scores[name] = v.model.StrategyCost(s.Patterns(), s.Reshard).Total()
+				scores[name] = v.model.StrategyCost(s.Assign, s.Reshard).Total()
 			}
 			rank := rankOf(scores, best)
 			results[vi].n++

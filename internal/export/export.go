@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"tapas/internal/comm"
+	"tapas/internal/cost"
 	"tapas/internal/ir"
 	"tapas/internal/strategy"
 )
@@ -80,8 +81,8 @@ func FromStrategy(s *strategy.Strategy) (*StrategyJSON, error) {
 		MemBytes:      s.MemPerDev,
 	}
 	for _, gn := range s.Graph.TopoOrder() {
-		p, ok := s.Assign[gn]
-		if !ok {
+		p := s.Assign[gn.ID]
+		if p == nil {
 			return nil, fmt.Errorf("export: node %v unassigned", gn)
 		}
 		a := AssignmentJSON{
@@ -143,11 +144,11 @@ func ReadStrategyJSON(r io.Reader) (*StrategyJSON, error) {
 const maxRehydrateWorkers = 1 << 20
 
 // Rehydrate re-attaches the serialized strategy to its GraphNode graph,
-// reconstructing the full in-memory Strategy. The graph must be
-// structurally the same model the strategy was searched on (checked via
-// node count and pattern availability; node names may differ — matching
-// is by topological node ID and pattern name).
-func (sj *StrategyJSON) Rehydrate(g *ir.GNGraph) (*strategy.Strategy, error) {
+// reconstructing the full in-memory Strategy priced under model. The
+// graph must be structurally the same model the strategy was searched on
+// (checked via node count and pattern availability; node names may
+// differ — matching is by topological node ID and pattern name).
+func (sj *StrategyJSON) Rehydrate(g *ir.GNGraph, model *cost.Model) (*strategy.Strategy, error) {
 	if err := checkVersion(sj.SchemaVersion); err != nil {
 		return nil, err
 	}
@@ -158,7 +159,7 @@ func (sj *StrategyJSON) Rehydrate(g *ir.GNGraph) (*strategy.Strategy, error) {
 		return nil, fmt.Errorf("export: strategy has %d assignments, graph has %d nodes",
 			len(sj.Assignments), len(g.Nodes))
 	}
-	assign := make(map[*ir.GraphNode]*ir.Pattern, len(g.Nodes))
+	assign := make([]*ir.Pattern, len(g.Nodes))
 	for _, a := range sj.Assignments {
 		if a.Node < 0 || a.Node >= len(g.Nodes) {
 			return nil, fmt.Errorf("export: node id %d out of range", a.Node)
@@ -174,19 +175,13 @@ func (sj *StrategyJSON) Rehydrate(g *ir.GNGraph) (*strategy.Strategy, error) {
 		if found == nil {
 			return nil, fmt.Errorf("export: pattern %q unavailable for node %v", a.Pattern, gn)
 		}
-		assign[gn] = found
+		assign[gn.ID] = found
 	}
-	events, err := strategy.Validate(g, assign, sj.Workers, true)
+	s, err := strategy.New(g, assign, sj.Workers, true, model)
 	if err != nil {
 		return nil, fmt.Errorf("export: rehydrated strategy invalid: %w", err)
 	}
-	return &strategy.Strategy{
-		Graph:     g,
-		W:         sj.Workers,
-		Assign:    assign,
-		Reshard:   events,
-		MemPerDev: strategy.MemoryPerDevice(assign),
-	}, nil
+	return s, nil
 }
 
 // WriteDOT renders the GraphNode graph in Graphviz DOT form, coloring
@@ -216,7 +211,7 @@ func WriteDOT(w io.Writer, g *ir.GNGraph, s *strategy.Strategy) error {
 	for _, gn := range g.Nodes {
 		var p *ir.Pattern
 		if s != nil {
-			p = s.Assign[gn]
+			p = s.Assign[gn.ID]
 		}
 		label := fmt.Sprintf("%s\\n%s", gn.Kind, gn.Layer)
 		if p != nil {

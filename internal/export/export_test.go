@@ -50,14 +50,15 @@ func TestStrategyJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round trip lost data: workers=%d assignments=%d", sj.Workers, len(sj.Assignments))
 	}
 
-	re, err := sj.Rehydrate(g)
+	re, err := sj.Rehydrate(g, cost.Default(cluster.V100x8()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The rehydrated strategy must assign the same pattern names.
-	for gn, p := range s.Assign {
-		if re.Assign[gn].Name != p.Name {
-			t.Errorf("node %v: %s became %s", gn, p.Name, re.Assign[gn].Name)
+	for _, gn := range s.Graph.Nodes {
+		p := s.Assign[gn.ID]
+		if re.Assign[gn.ID].Name != p.Name {
+			t.Errorf("node %v: %s became %s", gn, p.Name, re.Assign[gn.ID].Name)
 		}
 	}
 	if re.MemPerDev != s.MemPerDev {
@@ -84,7 +85,7 @@ func TestRehydrateRejectsWrongGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sj.Rehydrate(og); err == nil {
+	if _, err := sj.Rehydrate(og, cost.Default(cluster.V100x8())); err == nil {
 		t.Error("rehydrating onto the wrong graph must fail")
 	}
 	_ = g
@@ -129,7 +130,7 @@ func TestSchemaVersioning(t *testing.T) {
 	g, _ := megatronPlan(t)
 	for _, v := range []int{0, 99} {
 		sj.SchemaVersion = v
-		if _, err := sj.Rehydrate(g); err == nil {
+		if _, err := sj.Rehydrate(g, cost.Default(cluster.V100x8())); err == nil {
 			t.Errorf("Rehydrate must reject schema_version %d", v)
 		}
 	}
@@ -178,11 +179,11 @@ func TestRehydrateRenamedNodes(t *testing.T) {
 	}
 
 	renamed := build("omega") // same structure, every name different
-	re, err := sj.Rehydrate(renamed)
+	re, err := sj.Rehydrate(renamed, model)
 	if err != nil {
 		t.Fatalf("rehydrating onto renamed graph: %v", err)
 	}
-	if got, want := model.StrategyCost(re.Patterns(), re.Reshard).Total(), s.Cost.Total(); got != want {
+	if got, want := model.StrategyCost(re.Assign, re.Reshard).Total(), s.Cost.Total(); got != want {
 		t.Errorf("renamed-graph cost %v != original %v", got, want)
 	}
 	if re.MemPerDev != s.MemPerDev {
@@ -190,8 +191,8 @@ func TestRehydrateRenamedNodes(t *testing.T) {
 	}
 	// Pattern choices align position-by-position.
 	for i, gn := range renamed.Nodes {
-		if re.Assign[gn].Name != s.Assign[orig.Nodes[i]].Name {
-			t.Errorf("node %d: pattern %q != original %q", i, re.Assign[gn].Name, s.Assign[orig.Nodes[i]].Name)
+		if re.Assign[gn.ID].Name != s.Assign[orig.Nodes[i].ID].Name {
+			t.Errorf("node %d: pattern %q != original %q", i, re.Assign[gn.ID].Name, s.Assign[orig.Nodes[i].ID].Name)
 		}
 	}
 }
@@ -262,7 +263,7 @@ func TestRehydrateSearchResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sj.Rehydrate(g); err != nil {
+	if _, err := sj.Rehydrate(g, cost.Default(cluster.V100x8())); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -72,8 +72,8 @@ func Reconstruct(s *strategy.Strategy) (*ParallelGraph, error) {
 	}
 
 	for _, gn := range s.Graph.TopoOrder() {
-		p, ok := s.Assign[gn]
-		if !ok {
+		p := s.Assign[gn.ID]
+		if p == nil {
 			return nil, fmt.Errorf("reconstruct: node %v unassigned", gn)
 		}
 

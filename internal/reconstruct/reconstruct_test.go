@@ -81,7 +81,7 @@ func TestReconstructShardsWeights(t *testing.T) {
 	var want int64
 	seen := map[*graph.Tensor]bool{}
 	for _, gn := range s.Graph.Nodes {
-		p := s.Assign[gn]
+		p := s.Assign[gn.ID]
 		fresh := false
 		for _, w := range gn.Weights {
 			if !seen[w] {

@@ -122,7 +122,7 @@ func Run(s *strategy.Strategy, cfg Config) Report {
 	var modelFwdFLOPs int64
 
 	for _, gn := range s.Graph.TopoOrder() {
-		p := s.Assign[gn]
+		p := s.Assign[gn.ID]
 		gnFwd := gn.ForwardFLOPs()
 		modelFwdFLOPs += gnFwd
 

@@ -36,7 +36,7 @@ func BuildTimeline(s *strategy.Strategy, cfg Config) *Timeline {
 
 	// Forward pass: compute and forward collectives in topological order.
 	for _, gn := range s.Graph.TopoOrder() {
-		p := s.Assign[gn]
+		p := s.Assign[gn.ID]
 		factor := 1.0
 		if f := gn.ForwardFLOPs(); f > 0 {
 			factor = float64(p.FLOPsPerDev) / float64(f)
@@ -70,7 +70,7 @@ func BuildTimeline(s *strategy.Strategy, cfg Config) *Timeline {
 	order := s.Graph.TopoOrder()
 	for i := len(order) - 1; i >= 0; i-- {
 		gn := order[i]
-		p := s.Assign[gn]
+		p := s.Assign[gn.ID]
 		factor := 1.0
 		if f := gn.ForwardFLOPs(); f > 0 {
 			factor = float64(p.FLOPsPerDev) / float64(f)

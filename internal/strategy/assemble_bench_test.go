@@ -3,8 +3,8 @@ package strategy
 import (
 	"context"
 	"fmt"
-	"maps"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -15,15 +15,20 @@ import (
 	"tapas/internal/mining"
 )
 
-// BenchmarkAssemble isolates the greedy-assembly half of a folded
-// search: candidates are enumerated once outside the timed loop, then
-// each iteration re-runs scoring + greedy pick + memory repair through
-// the assembler at several worker counts. Compare sub-benchmarks to see
-// how the candidate-scoring fan-out and the pooled scratch maps behave:
-//
-//	go test -run xxx -bench BenchmarkAssemble ./internal/strategy
-func BenchmarkAssemble(b *testing.B) {
-	g := groupModel(b, "t5-770M")
+// assemblyInput is the input of greedy assembly for name at 8 GPUs:
+// the graph, its classes in SearchFolded's order, and every class's
+// candidates, enumerated once at Workers 1.
+type assemblyInput struct {
+	g       *ir.GNGraph
+	model   *cost.Model
+	opt     EnumOptions
+	memory  int64
+	ordered []*mining.Class
+	cands   [][]*Candidate
+}
+
+func newAssemblyInput(tb testing.TB, name string) *assemblyInput {
+	g := groupModel(tb, name)
 	const w = 8
 	cl := cluster.V100GPUs(w)
 	model := cost.Default(cl)
@@ -47,25 +52,66 @@ func BenchmarkAssemble(b *testing.B) {
 	for i, c := range ordered {
 		cs, _ := EnumerateInstance(context.Background(), g, c.Representative(), model, opt)
 		if len(cs) == 0 {
-			b.Fatalf("class %d: no candidates", i)
+			tb.Fatalf("class %d: no candidates", i)
 		}
 		cands[i] = cs
 	}
+	return &assemblyInput{g, model, opt, cl.MemoryPerGP, ordered, cands}
+}
 
+// run assembles and repairs the plan at the given worker count, as
+// SearchFolded does after enumeration.
+func (in *assemblyInput) run(tb testing.TB, workers int) {
+	asm := newAssembler(in.g, in.ordered, in.model, in.opt, workers)
+	assign, menus, chosen, err := asm.assemble(context.Background(), in.ordered, in.cands, in.memory)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := asm.repair(context.Background(), in.ordered, assign, menus, chosen, in.memory); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkAssemble isolates the greedy-assembly half of a folded
+// search: candidates are enumerated once outside the timed loop, then
+// each iteration re-runs scoring + greedy pick + memory repair through
+// the assembler at several worker counts. Compare sub-benchmarks to see
+// how the candidate-scoring fan-out behaves:
+//
+//	go test -run xxx -bench BenchmarkAssemble -benchmem ./internal/strategy
+func BenchmarkAssemble(b *testing.B) {
+	in := newAssemblyInput(b, "t5-770M")
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				asm := newAssembler(g, model, opt, workers)
-				assign, menus, chosen, err := asm.assemble(context.Background(), ordered, cands, cl.MemoryPerGP)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := asm.repair(context.Background(), ordered, assign, menus, chosen, cl.MemoryPerGP); err != nil {
-					b.Fatal(err)
-				}
+				in.run(b, workers)
 			}
 		})
+	}
+}
+
+// TestAssembleAllocationBudget holds assembly + repair at Workers 1 to a
+// per-grouped-node allocation budget on the two deepest T5 graphs at 8
+// GPUs, so allocations that grow faster than the graph fail here rather
+// than in a benchmark. When positional slices replaced the per-candidate
+// assignment maps, BenchmarkAssemble/workers=1 (t5-770M) went from
+// 2,262 allocs/op and 720 KB/op to 956 allocs/op and 196 KB/op: 1.47
+// allocations per grouped node on t5-770M and 1.32 on t5-1.4B, one of
+// them the menu copy ir.PatternsFor returns per node.
+func TestAssembleAllocationBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("enumerates two deep graphs")
+	}
+	const budget = 2.0
+	for _, name := range []string{"t5-770M", "t5-1.4B"} {
+		in := newAssemblyInput(t, name)
+		allocs := testing.AllocsPerRun(3, func() { in.run(t, 1) })
+		perNode := allocs / float64(len(in.g.Nodes))
+		t.Logf("%s: %.0f allocs for %d grouped nodes, %.2f per node", name, allocs, len(in.g.Nodes), perNode)
+		if perNode > budget {
+			t.Errorf("%s: assembly allocates %.2f times per grouped node, budget %v", name, perNode, budget)
+		}
 	}
 }
 
@@ -91,13 +137,13 @@ func TestScoreCandidateSumsInInstanceOrder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			asm := newAssembler(g, model, opt, 1)
+			asm := newAssembler(g, classes, model, opt, 1)
 			scoredN := 0
 			for ci, c := range classes {
-				frozen := maps.Clone(plan.Assign)
+				frozen := slices.Clone(plan.Assign)
 				for _, inst := range c.Instances {
 					for _, gn := range inst {
-						delete(frozen, gn)
+						frozen[gn.ID] = nil
 					}
 				}
 				cands, _ := EnumerateInstance(ctx, g, c.Representative(), model, opt)
@@ -107,9 +153,6 @@ func TestScoreCandidateSumsInInstanceOrder(t *testing.T) {
 						got, ok := asm.scoreCandidate(c, cand, frozen)
 						if ok != wantOK || ok && got.total != want {
 							t.Fatalf("class %d candidate %d: scoreCandidate = (%v, %v), instance-order oracle (%v, %v)", ci, k, got.total, ok, want, wantOK)
-						}
-						if ok {
-							asm.putPatts(got.patts)
 						}
 					}
 					if wantOK {
@@ -127,31 +170,33 @@ func TestScoreCandidateSumsInInstanceOrder(t *testing.T) {
 // refScoreTotal prices cand on every instance of c against assign the way
 // assembly must: internal cost × instance count, plus each boundary
 // edge's events added in c.Instances order.
-func refScoreTotal(a *assembler, c *mining.Class, cand *Candidate, assign map[*ir.GraphNode]*ir.Pattern) (float64, bool) {
-	patts := map[*ir.GraphNode]*ir.Pattern{}
-	if !applyCandidate(c, cand, a.menuOf, patts) {
+func refScoreTotal(a *assembler, c *mining.Class, cand *Candidate, assign []*ir.Pattern) (float64, bool) {
+	flat := a.applyCandidate(c, cand)
+	if flat == nil {
 		return 0, false
 	}
+	patts := make([]*ir.Pattern, len(a.g.Nodes))
+	place(c, flat, patts)
 	boundary := 0.0
 	for _, inst := range c.Instances {
 		for _, gn := range inst {
 			for _, pred := range a.g.Preds(gn) {
-				pf := assign[pred]
+				pf := assign[pred.ID]
 				if pf == nil {
-					pf = patts[pred]
+					pf = patts[pred.ID]
 				}
 				if pf == nil {
 					continue
 				}
-				ev, ok := checkEdge(a.g, pred, gn, pf, patts[gn], a.opt.W, a.opt.AllowReshard)
+				ev, ok := checkEdge(a.g, pred, gn, pf, patts[gn.ID], a.opt.W, a.opt.AllowReshard)
 				if !ok {
 					return 0, false
 				}
 				boundary += a.model.EventsCost(ev).Total()
 			}
 			for _, succ := range a.g.Succs(gn) {
-				if pt := assign[succ]; pt != nil {
-					ev, ok := checkEdge(a.g, gn, succ, patts[gn], pt, a.opt.W, a.opt.AllowReshard)
+				if pt := assign[succ.ID]; pt != nil {
+					ev, ok := checkEdge(a.g, gn, succ, patts[gn.ID], pt, a.opt.W, a.opt.AllowReshard)
 					if !ok {
 						return 0, false
 					}

@@ -17,8 +17,8 @@ import (
 // refEventsFor and refComplete are the map-based enumeration kernel this
 // package used before the edge table, the per-depth scratch and the
 // positional memory sum (a member map looked up per predecessor, the edge
-// tensor recomputed at every check, a fresh event slice per call, an
-// assignment map handed to MemoryPerDevice), kept as the oracle: the
+// tensor recomputed at every check, a fresh event slice per call, a
+// whole-graph assignment handed to MemoryPerDevice), kept as the oracle: the
 // kernel may change its layout but never a candidate.
 func refEventsFor(g *ir.GNGraph, instance []*ir.GraphNode, member map[*ir.GraphNode]int, assigned []*ir.Pattern, i int, p *ir.Pattern, opt EnumOptions) ([]comm.Event, bool) {
 	gn := instance[i]
@@ -55,14 +55,14 @@ func refComplete(g *ir.GNGraph, instance []*ir.GraphNode, model *cost.Model, opt
 		assigned[i] = p
 		reshard = append(reshard, evs...)
 	}
-	assign := make(map[*ir.GraphNode]*ir.Pattern, len(instance))
+	assign := make([]*ir.Pattern, len(g.Nodes))
 	for j, gn := range instance {
-		assign[gn] = assigned[j]
+		assign[gn.ID] = assigned[j]
 	}
 	return &Candidate{
 		Patterns: assigned,
 		Reshard:  reshard,
-		MemBytes: MemoryPerDevice(assign),
+		MemBytes: MemoryPerDevice(g, assign),
 		Cost:     model.StrategyCost(assigned, reshard),
 	}, true
 }

@@ -105,28 +105,20 @@ func TestPropertySearchNeverBeatenByItsOwnCandidatePool(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		repl := make(map[*ir.GraphNode]*ir.Pattern, len(g.Nodes))
+		repl := make([]*ir.Pattern, len(g.Nodes))
 		for _, gn := range g.Nodes {
-			repl[gn] = ir.PatternsFor(gn, 8)[0]
+			repl[gn.ID] = ir.PatternsFor(gn, 8)[0]
 		}
 		events, err := Validate(g, repl, 8, true)
 		if err != nil {
 			return false
 		}
-		replCost := model.StrategyCost(patternsOf(g, repl), events).Total()
+		replCost := model.StrategyCost(repl, events).Total()
 		return s.Cost.Total() <= replCost*1.0001
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
 	}
-}
-
-func patternsOf(g *ir.GNGraph, assign map[*ir.GraphNode]*ir.Pattern) []*ir.Pattern {
-	out := make([]*ir.Pattern, 0, len(assign))
-	for _, gn := range g.Nodes {
-		out = append(out, assign[gn])
-	}
-	return out
 }
 
 func TestPropertyEnumerationCandidatesAllValid(t *testing.T) {
@@ -148,11 +140,7 @@ func TestPropertyEnumerationCandidatesAllValid(t *testing.T) {
 			return false
 		}
 		for _, c := range cands {
-			assign := make(map[*ir.GraphNode]*ir.Pattern, len(g.Nodes))
-			for i, gn := range g.TopoOrder() {
-				assign[gn] = c.Patterns[i]
-			}
-			if _, err := Validate(g, assign, 8, true); err != nil {
+			if _, err := Validate(g, c.Patterns, 8, true); err != nil {
 				t.Logf("seed %d: candidate invalid: %v", seed, err)
 				return false
 			}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"tapas/internal/comm"
 	"tapas/internal/cost"
 	"tapas/internal/ir"
 	"tapas/internal/mining"
@@ -144,7 +145,7 @@ func SearchFolded(ctx context.Context, g *ir.GNGraph, classes []*mining.Class, m
 	// same pool as enumeration; both merge their results in serial order,
 	// so the plan stays bit-identical at every worker count.
 	t1 := time.Now()
-	asm := newAssembler(g, model, opt, workers)
+	asm := newAssembler(g, ordered, model, opt, workers)
 	assign, menus, chosen, err := asm.assemble(ctx, ordered, cands, memLimit)
 	if err != nil {
 		stats.AssembleTime = time.Since(t1)
@@ -160,101 +161,118 @@ func SearchFolded(ctx context.Context, g *ir.GNGraph, classes []*mining.Class, m
 	}
 	stats.AssembleTime = time.Since(t1)
 
-	s, err := finishStrategy(g, assign, model, opt)
+	s, err := New(g, assign, opt.W, opt.AllowReshard, model)
 	return s, stats, err
 }
 
 // scored is one feasible assembly choice for a class: a candidate, its
 // total cost (internal × instance count + boundary resharding), its
-// memory footprint, and the concrete per-node pattern assignment.
+// memory footprint, and the concrete pattern of every instance member,
+// positionally: c.Instances flattened in order, member k of instance i
+// at i·c.Size()+k (see assembler.slotOf).
 type scored struct {
 	cand  *Candidate
 	total float64
 	mem   int64
-	patts map[*ir.GraphNode]*ir.Pattern
+	patts []*ir.Pattern
 }
 
 // assembler carries the shared read-only state of greedy assembly and
-// repair. Scoring workers only read g/model/opt/menuOf and the frozen
-// assignment snapshot they are handed; all mutation happens between
-// fan-outs on the caller's goroutine.
+// repair. Scoring workers only read it and the frozen assignment
+// snapshot they are handed; all mutation happens between fan-outs on
+// the caller's goroutine. Assignments are indexed by GraphNode.ID, nil
+// for a node whose class is not placed yet.
 type assembler struct {
 	g       *ir.GNGraph
 	model   *cost.Model
 	opt     EnumOptions
 	workers int
-	// menuOf is the per-node pattern menu, computed with one
-	// ir.PatternsFor call per node up front. Scoring probes menus for
+	// menuOf is the per-node pattern menu by GraphNode.ID, computed with
+	// one ir.PatternsFor call per node up front. Scoring probes menus for
 	// every candidate × instance member; taking the per-node memo mutex
 	// from every worker would serialize the fan-out right back. The
 	// slices and the *Pattern values they hold are shared read-only.
-	menuOf map[*ir.GraphNode][]*ir.Pattern
-	// pattsPool recycles the per-candidate assignment maps: on wide
-	// fan-outs the infeasible majority of candidates would otherwise
-	// allocate an (instances × size)-entry map just to discard it.
-	pattsPool sync.Pool
+	menuOf [][]*ir.Pattern
+	// classOf and slotOf map a GraphNode.ID to the index of its class
+	// (the classes partition the nodes; -1 for a node in none) and to
+	// its position in that class's scored.patts.
+	classOf, slotOf []int32
 }
 
-func newAssembler(g *ir.GNGraph, model *cost.Model, opt EnumOptions, workers int) *assembler {
-	menuOf := make(map[*ir.GraphNode][]*ir.Pattern, len(g.Nodes))
-	for _, gn := range g.Nodes {
-		menuOf[gn] = ir.PatternsFor(gn, opt.W)
+func newAssembler(g *ir.GNGraph, classes []*mining.Class, model *cost.Model, opt EnumOptions, workers int) *assembler {
+	a := &assembler{g: g, model: model, opt: opt, workers: workers,
+		menuOf:  make([][]*ir.Pattern, len(g.Nodes)),
+		classOf: make([]int32, len(g.Nodes)),
+		slotOf:  make([]int32, len(g.Nodes)),
 	}
-	a := &assembler{g: g, model: model, opt: opt, workers: workers, menuOf: menuOf}
-	a.pattsPool.New = func() any { return make(map[*ir.GraphNode]*ir.Pattern) }
+	for _, gn := range g.Nodes {
+		a.menuOf[gn.ID] = ir.PatternsFor(gn, opt.W)
+		a.classOf[gn.ID] = -1
+	}
+	for ci, c := range classes {
+		k := int32(0)
+		for _, inst := range c.Instances {
+			for _, gn := range inst {
+				a.classOf[gn.ID], a.slotOf[gn.ID] = int32(ci), k
+				k++
+			}
+		}
+	}
 	return a
 }
 
-func (a *assembler) getPatts() map[*ir.GraphNode]*ir.Pattern {
-	return a.pattsPool.Get().(map[*ir.GraphNode]*ir.Pattern)
+// inClass reports whether gn is a member of class c.
+func (a *assembler) inClass(c *mining.Class, gn *ir.GraphNode) bool {
+	return a.classOf[gn.ID] == a.classOf[c.Instances[0][0].ID]
 }
 
-func (a *assembler) putPatts(patts map[*ir.GraphNode]*ir.Pattern) {
-	clear(patts)
-	a.pattsPool.Put(patts)
+// place writes class c's patterns into assign.
+func place(c *mining.Class, patts []*ir.Pattern, assign []*ir.Pattern) {
+	k := 0
+	for _, inst := range c.Instances {
+		for _, gn := range inst {
+			assign[gn.ID] = patts[k]
+			k++
+		}
+	}
 }
 
 // scoreCandidate maps cand onto every instance of c and prices it against
 // the frozen assignment. It returns ok=false when the candidate's pattern
-// set does not exist on some instance or a boundary edge is incompatible;
-// the scratch map is recycled on rejection and escapes into the returned
-// scored (retained by the repair menu) on success.
-func (a *assembler) scoreCandidate(c *mining.Class, cand *Candidate, assign map[*ir.GraphNode]*ir.Pattern) (scored, bool) {
-	patts := a.getPatts()
-	if !applyCandidate(c, cand, a.menuOf, patts) {
-		a.putPatts(patts)
+// set does not exist on some instance or a boundary edge is incompatible.
+func (a *assembler) scoreCandidate(c *mining.Class, cand *Candidate, assign []*ir.Pattern) (scored, bool) {
+	patts := a.applyCandidate(c, cand)
+	if patts == nil {
 		return scored{}, false
 	}
 	// Boundary check against already-fixed classes AND between
 	// instances of this class (consecutive repeats of a layer
 	// feed each other, so the candidate's entry layout must also
 	// accept its own exit layout). The float sum runs in instance
-	// order, never map order, so a total is the same on every run.
+	// order, so a total is the same on every run.
 	boundary := 0.0
-	lookup := func(gn *ir.GraphNode) *ir.Pattern {
-		if p := assign[gn]; p != nil {
-			return p
-		}
-		return patts[gn]
-	}
+	var buf [1]comm.Event // an edge needs at most one event
 	edge := func(from, to *ir.GraphNode, pf, pt *ir.Pattern) bool {
-		ev, ok := checkEdge(a.g, from, to, pf, pt, a.opt.W, a.opt.AllowReshard)
+		bytes, primary := edgeTensor(a.g, from, to)
+		ev, ok := appendEdge(buf[:0], pf.Out, needFor(pt, primary), bytes, a.opt.W, a.opt.AllowReshard)
 		boundary += a.model.EventsCost(ev).Total()
 		return ok
 	}
 	for _, inst := range c.Instances {
 		for _, gn := range inst {
-			p := patts[gn]
+			p := patts[a.slotOf[gn.ID]]
 			for _, pred := range a.g.Preds(gn) {
-				if pf := lookup(pred); pf != nil && !edge(pred, gn, pf, p) {
-					a.putPatts(patts)
+				pf := assign[pred.ID]
+				if pf == nil && a.inClass(c, pred) {
+					pf = patts[a.slotOf[pred.ID]]
+				}
+				if pf != nil && !edge(pred, gn, pf, p) {
 					return scored{}, false
 				}
 			}
 			for _, succ := range a.g.Succs(gn) {
 				// Same-class successors are covered from their pred side.
-				if pt := assign[succ]; pt != nil && !edge(gn, succ, p, pt) {
-					a.putPatts(patts)
+				if pt := assign[succ.ID]; pt != nil && !edge(gn, succ, p, pt) {
 					return scored{}, false
 				}
 			}
@@ -273,8 +291,8 @@ func (a *assembler) scoreCandidate(c *mining.Class, cand *Candidate, assign map[
 // classes, so they fan across the pool; results come back positionally
 // and feasible is filtered in candidate order, so sort.SliceStable sees
 // exactly the serial sequence.
-func (a *assembler) assemble(ctx context.Context, ordered []*mining.Class, cands [][]*Candidate, memLimit int64) (map[*ir.GraphNode]*ir.Pattern, [][]scored, []int, error) {
-	assign := make(map[*ir.GraphNode]*ir.Pattern, len(a.g.Nodes))
+func (a *assembler) assemble(ctx context.Context, ordered []*mining.Class, cands [][]*Candidate, memLimit int64) ([]*ir.Pattern, [][]scored, []int, error) {
+	assign := make([]*ir.Pattern, len(a.g.Nodes))
 	var memUsed int64
 
 	// Remember the per-class menus and choices for the repair pass.
@@ -304,12 +322,12 @@ func (a *assembler) assemble(ctx context.Context, ordered []*mining.Class, cands
 			// Last resort: replicate the whole class. A replicated node
 			// accepts any producer layout (all-gather) and feeds any
 			// consumer layout (local slice), so this always validates.
-			patts := make(map[*ir.GraphNode]*ir.Pattern, len(c.Instances)*c.Size())
+			patts := make([]*ir.Pattern, 0, len(c.Instances)*c.Size())
 			var mem int64
 			for _, inst := range c.Instances {
 				for _, gn := range inst {
-					p := a.menuOf[gn][0] // replicate is first
-					patts[gn] = p
+					p := a.menuOf[gn.ID][0] // replicate is first
+					patts = append(patts, p)
 					mem += 4*p.WeightBytesPerDev + p.OutBytesPerDev
 				}
 			}
@@ -339,9 +357,7 @@ func (a *assembler) assemble(ctx context.Context, ordered []*mining.Class, cands
 		}
 		pick := feasible[pickIdx]
 		memUsed += pick.mem
-		for gn, p := range pick.patts {
-			assign[gn] = p
-		}
+		place(c, pick.patts, assign)
 		menus[ci] = feasible
 		chosen[ci] = pickIdx
 	}
@@ -357,7 +373,7 @@ func (a *assembler) assemble(ctx context.Context, ordered []*mining.Class, cands
 // assignment, then reduces in ascending class order with a strictly-
 // greater comparison — the same (class, alternative) the serial scan
 // picks, at every worker count.
-func (a *assembler) repair(ctx context.Context, ordered []*mining.Class, assign map[*ir.GraphNode]*ir.Pattern, menus [][]scored, chosen []int, memLimit int64) error {
+func (a *assembler) repair(ctx context.Context, ordered []*mining.Class, assign []*ir.Pattern, menus [][]scored, chosen []int, memLimit int64) error {
 	type altPick struct {
 		save int64
 		alt  int
@@ -366,11 +382,11 @@ func (a *assembler) repair(ctx context.Context, ordered []*mining.Class, assign 
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if MemoryPerDevice(assign) <= memLimit {
+		if MemoryPerDevice(a.g, assign) <= memLimit {
 			break
 		}
 		picks, err := parallel.Map(ctx, a.workers, ordered,
-			func(_ context.Context, ci int, _ *mining.Class) (altPick, error) {
+			func(_ context.Context, ci int, c *mining.Class) (altPick, error) {
 				best := altPick{save: 0, alt: -1}
 				cur := menus[ci][chosen[ci]]
 				for ai := range menus[ci] {
@@ -380,7 +396,7 @@ func (a *assembler) repair(ctx context.Context, ordered []*mining.Class, assign 
 					}
 					// Cheap test first: a save that doesn't beat the class
 					// best can't win the reduce, so skip its boundary sweep.
-					if save := cur.mem - alt.mem; save > best.save && swapCompatible(a.g, assign, alt.patts, a.opt) {
+					if save := cur.mem - alt.mem; save > best.save && a.swapCompatible(c, assign, alt.patts) {
 						best = altPick{save: save, alt: ai}
 					}
 				}
@@ -400,42 +416,40 @@ func (a *assembler) repair(ctx context.Context, ordered []*mining.Class, assign 
 			break // no lighter compatible alternative anywhere
 		}
 		chosen[bestClass] = bestAlt
-		for gn, p := range menus[bestClass][bestAlt].patts {
-			assign[gn] = p
-		}
+		place(ordered[bestClass], menus[bestClass][bestAlt].patts, assign)
 	}
 	return nil
 }
 
-// swapCompatible reports whether replacing the patterns in patts keeps
-// every boundary edge valid against the rest of the assignment.
-func swapCompatible(g *ir.GNGraph, assign map[*ir.GraphNode]*ir.Pattern, patts map[*ir.GraphNode]*ir.Pattern, opt EnumOptions) bool {
-	lookup := func(gn *ir.GraphNode) *ir.Pattern {
-		if p, ok := patts[gn]; ok {
-			return p
-		}
-		return assign[gn]
-	}
-	for gn, p := range patts {
-		for _, pred := range g.Preds(gn) {
-			pf := lookup(pred)
-			if pf == nil {
-				continue
+// swapCompatible reports whether replacing class c's patterns with patts
+// keeps every boundary edge valid against the rest of the assignment.
+func (a *assembler) swapCompatible(c *mining.Class, assign []*ir.Pattern, patts []*ir.Pattern) bool {
+	for _, inst := range c.Instances {
+		for _, gn := range inst {
+			p := patts[a.slotOf[gn.ID]]
+			for _, pred := range a.g.Preds(gn) {
+				pf := assign[pred.ID]
+				if a.inClass(c, pred) {
+					pf = patts[a.slotOf[pred.ID]]
+				}
+				if pf == nil {
+					continue
+				}
+				if _, ok := checkEdge(a.g, pred, gn, pf, p, a.opt.W, a.opt.AllowReshard); !ok {
+					return false
+				}
 			}
-			if _, ok := checkEdge(g, pred, gn, pf, p, opt.W, opt.AllowReshard); !ok {
-				return false
-			}
-		}
-		for _, succ := range g.Succs(gn) {
-			if _, inPatts := patts[succ]; inPatts {
-				continue // covered from the successor's pred side
-			}
-			pt := assign[succ]
-			if pt == nil {
-				continue
-			}
-			if _, ok := checkEdge(g, gn, succ, p, pt, opt.W, opt.AllowReshard); !ok {
-				return false
+			for _, succ := range a.g.Succs(gn) {
+				if a.inClass(c, succ) {
+					continue // covered from the successor's pred side
+				}
+				pt := assign[succ.ID]
+				if pt == nil {
+					continue
+				}
+				if _, ok := checkEdge(a.g, gn, succ, p, pt, a.opt.W, a.opt.AllowReshard); !ok {
+					return false
+				}
 			}
 		}
 	}
@@ -447,26 +461,27 @@ func swapCompatible(g *ir.GNGraph, assign map[*ir.GraphNode]*ir.Pattern, patts m
 // the pattern with the same name from its own menu (looked up in the
 // precomputed menuOf, never through the ir.PatternsFor memo mutex).
 // Instances share a canonical structural hash, so the menus are
-// identical. Matched patterns are written into out; the caller owns the
-// map and out's prior contents must be empty.
-func applyCandidate(c *mining.Class, cand *Candidate, menuOf map[*ir.GraphNode][]*ir.Pattern, out map[*ir.GraphNode]*ir.Pattern) bool {
+// identical. It returns the patterns in scored.patts order, or nil when
+// some member's menu lacks the wanted pattern.
+func (a *assembler) applyCandidate(c *mining.Class, cand *Candidate) []*ir.Pattern {
+	patts := make([]*ir.Pattern, 0, len(c.Instances)*c.Size())
 	for _, inst := range c.Instances {
 		for i, gn := range inst {
 			want := cand.Patterns[i].Name
 			var found *ir.Pattern
-			for _, p := range menuOf[gn] {
+			for _, p := range a.menuOf[gn.ID] {
 				if p.Name == want {
 					found = p
 					break
 				}
 			}
 			if found == nil {
-				return false
+				return nil
 			}
-			out[gn] = found
+			patts = append(patts, found)
 		}
 	}
-	return true
+	return patts
 }
 
 // SearchExhaustive enumerates the unfolded graph as a single instance —
@@ -502,28 +517,9 @@ func SearchExhaustive(ctx context.Context, g *ir.GNGraph, model *cost.Model, opt
 			}
 		}
 	}
-	assign := make(map[*ir.GraphNode]*ir.Pattern, len(g.Nodes))
-	for i, gn := range g.TopoOrder() {
-		assign[gn] = pick.Patterns[i]
-	}
 	stats.AssembleTime = time.Since(t1)
-	s, err := finishStrategy(g, assign, model, opt)
+	// The instance is g.TopoOrder(), so the candidate's patterns are
+	// already indexed by GraphNode.ID.
+	s, err := New(g, pick.Patterns, opt.W, opt.AllowReshard, model)
 	return s, stats, err
-}
-
-// finishStrategy runs the global static analysis and prices the plan.
-func finishStrategy(g *ir.GNGraph, assign map[*ir.GraphNode]*ir.Pattern, model *cost.Model, opt EnumOptions) (*Strategy, error) {
-	events, err := Validate(g, assign, opt.W, opt.AllowReshard)
-	if err != nil {
-		return nil, err
-	}
-	s := &Strategy{
-		Graph:     g,
-		W:         opt.W,
-		Assign:    assign,
-		Reshard:   events,
-		MemPerDev: MemoryPerDevice(assign),
-	}
-	s.Cost = model.StrategyCost(s.Patterns(), events)
-	return s, nil
 }

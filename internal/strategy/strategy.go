@@ -8,7 +8,6 @@ package strategy
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"tapas/internal/comm"
@@ -19,11 +18,15 @@ import (
 
 // Strategy is a complete parallel plan: one ShardingPattern per GraphNode,
 // plus the resharding collectives inserted at incompatible-but-recoverable
-// boundaries.
+// boundaries. New builds every Strategy.
 type Strategy struct {
-	Graph   *ir.GNGraph
-	W       int
-	Assign  map[*ir.GraphNode]*ir.Pattern
+	Graph *ir.GNGraph
+	W     int
+	// Assign is indexed by GraphNode.ID, a node's topological position:
+	// Assign[i] is the pattern of Graph.Nodes[i]. A nil entry means
+	// "unassigned"; it appears only in the partial assignments inside
+	// assembly, never in a Strategy New returns.
+	Assign  []*ir.Pattern
 	Reshard []comm.Event
 	Cost    cost.Breakdown
 
@@ -32,15 +35,23 @@ type Strategy struct {
 	MemPerDev int64
 }
 
-// Patterns returns the assigned patterns in GraphNode order.
-func (s *Strategy) Patterns() []*ir.Pattern {
-	out := make([]*ir.Pattern, 0, len(s.Assign))
-	for _, gn := range s.Graph.Nodes {
-		if p, ok := s.Assign[gn]; ok {
-			out = append(out, p)
-		}
+// New builds the Strategy for a complete assignment (indexed by
+// GraphNode.ID) at w workers: it runs the global static analysis,
+// records the resharding events and the per-device memory, and prices
+// the plan under model. The error is Validate's.
+func New(g *ir.GNGraph, assign []*ir.Pattern, w int, allowReshard bool, model *cost.Model) (*Strategy, error) {
+	events, err := Validate(g, assign, w, allowReshard)
+	if err != nil {
+		return nil, err
 	}
-	return out
+	return &Strategy{
+		Graph:     g,
+		W:         w,
+		Assign:    assign,
+		Reshard:   events,
+		Cost:      model.StrategyCost(assign, events),
+		MemPerDev: MemoryPerDevice(g, assign),
+	}, nil
 }
 
 // Describe summarizes the plan as pattern-name counts, e.g.
@@ -135,17 +146,19 @@ func checkEdge(g *ir.GNGraph, from, to *ir.GraphNode, pf, pt *ir.Pattern, w int,
 
 // Validate runs the full static analysis over a strategy: every edge must
 // be compatible (collecting reshard events), and weights shared between
-// GraphNodes must agree on their sharding. It returns the reshard events
-// and an error describing the first violation.
-func Validate(g *ir.GNGraph, assign map[*ir.GraphNode]*ir.Pattern, w int, allowReshard bool) ([]comm.Event, error) {
+// GraphNodes must agree on their sharding. assign has one entry per
+// node, indexed by GraphNode.ID; a nil entry is an unassigned node. It
+// returns the reshard events and an error describing the first
+// violation.
+func Validate(g *ir.GNGraph, assign []*ir.Pattern, w int, allowReshard bool) ([]comm.Event, error) {
 	var events []comm.Event
 	for _, gn := range g.Nodes {
-		pt, ok := assign[gn]
-		if !ok {
+		pt := assign[gn.ID]
+		if pt == nil {
 			return nil, fmt.Errorf("strategy: node %v has no pattern", gn)
 		}
 		for _, pred := range g.Preds(gn) {
-			pf := assign[pred]
+			pf := assign[pred.ID]
 			if pf == nil {
 				return nil, fmt.Errorf("strategy: predecessor %v unassigned", pred)
 			}
@@ -165,7 +178,7 @@ func Validate(g *ir.GNGraph, assign map[*ir.GraphNode]*ir.Pattern, w int, allowR
 	}
 	seen := map[interface{}]wspec{}
 	for _, gn := range g.Nodes {
-		p := assign[gn]
+		p := assign[gn.ID]
 		for i, wt := range gn.Weights {
 			if prev, ok := seen[wt]; ok {
 				if !prev.spec.Equal(p.WeightSpecs[i]) {
@@ -187,19 +200,17 @@ func Validate(g *ir.GNGraph, assign map[*ir.GraphNode]*ir.Pattern, w int, allowR
 // for caching gradients" the paper observes pushing wide-classifier DP
 // into OOM.
 //
-// Nodes are walked in ascending GraphNode.ID, so a weight shared by
-// several nodes is charged to its lowest-ID user whatever the users'
-// patterns — the rule EnumerateInstance applies by instance position.
-func MemoryPerDevice(assign map[*ir.GraphNode]*ir.Pattern) int64 {
-	nodes := make([]*ir.GraphNode, 0, len(assign))
-	for gn := range assign {
-		nodes = append(nodes, gn)
-	}
-	slices.SortFunc(nodes, func(a, b *ir.GraphNode) int { return a.ID - b.ID })
+// assign is indexed by GraphNode.ID and nil entries are skipped. Nodes
+// are walked in ascending ID, so a weight shared by several nodes is
+// charged to its lowest-ID assigned user whatever the users' patterns —
+// the rule EnumerateInstance applies by instance position.
+func MemoryPerDevice(g *ir.GNGraph, assign []*ir.Pattern) int64 {
 	var mem int64
 	seen := map[*graph.Tensor]bool{}
-	for _, gn := range nodes {
-		mem += nodeMem(assign[gn], ownsWeights(gn, seen))
+	for _, gn := range g.Nodes {
+		if p := assign[gn.ID]; p != nil {
+			mem += nodeMem(p, ownsWeights(gn, seen))
+		}
 	}
 	return mem
 }

@@ -89,11 +89,7 @@ func TestEnumerateDenseChainValidatesAllEdges(t *testing.T) {
 	// Without resharding, every candidate must chain exactly: verify with
 	// the global validator.
 	for _, c := range cands {
-		assign := map[*ir.GraphNode]*ir.Pattern{}
-		for i, gn := range g.TopoOrder() {
-			assign[gn] = c.Patterns[i]
-		}
-		if _, err := Validate(g, assign, 8, false); err != nil {
+		if _, err := Validate(g, c.Patterns, 8, false); err != nil {
 			t.Errorf("candidate failed global validation: %v", err)
 		}
 	}
@@ -148,7 +144,8 @@ func TestSearchFoldedResNetShardsFC(t *testing.T) {
 		t.Errorf("backbone should be data-parallel: %s", desc)
 	}
 	var fcPattern string
-	for gn, p := range s.Assign {
+	for _, gn := range s.Graph.Nodes {
+		p := s.Assign[gn.ID]
 		if gn.Anchor != nil && strings.HasPrefix(gn.Anchor.Name, "fc_matmul") {
 			fcPattern = p.Name
 		}
@@ -162,8 +159,8 @@ func TestSearchFoldedRespectsMemory(t *testing.T) {
 	// With a generous budget the T5-100M plan fits; the estimate must be
 	// consistent with MemoryPerDevice.
 	s, _ := searchModel(t, "t5-100M", 8)
-	if s.MemPerDev != MemoryPerDevice(s.Assign) {
-		t.Errorf("MemPerDev %d != recomputed %d", s.MemPerDev, MemoryPerDevice(s.Assign))
+	if s.MemPerDev != MemoryPerDevice(s.Graph, s.Assign) {
+		t.Errorf("MemPerDev %d != recomputed %d", s.MemPerDev, MemoryPerDevice(s.Graph, s.Assign))
 	}
 	if s.MemPerDev <= 0 {
 		t.Error("memory estimate must be positive")
@@ -224,9 +221,9 @@ func TestValidateRejectsIncoherentSharedWeights(t *testing.T) {
 	if len(embeds) < 2 {
 		t.Skip("model does not share embeddings")
 	}
-	assign := map[*ir.GraphNode]*ir.Pattern{}
+	assign := make([]*ir.Pattern, len(g.Nodes))
 	for _, gn := range g.Nodes {
-		assign[gn] = ir.PatternsFor(gn, 8)[0] // replicate everywhere
+		assign[gn.ID] = ir.PatternsFor(gn, 8)[0] // replicate everywhere
 	}
 	// Force conflicting shardings on the shared table.
 	p0 := namedPattern(embeds[0], 8, "vocab-parallel")
@@ -234,7 +231,7 @@ func TestValidateRejectsIncoherentSharedWeights(t *testing.T) {
 	if p0 == nil || p1 == nil {
 		t.Skip("embedding patterns unavailable")
 	}
-	assign[embeds[0]], assign[embeds[1]] = p0, p1
+	assign[embeds[0].ID], assign[embeds[1].ID] = p0, p1
 	if _, err := Validate(g, assign, 8, true); err == nil {
 		t.Error("conflicting shared-weight shardings must fail validation")
 	}
@@ -256,12 +253,12 @@ func TestMemoryPerDeviceChargesTiedWeightToLowestID(t *testing.T) {
 	if len(embeds) != 2 || embeds[0].Weights[0] != embeds[1].Weights[0] {
 		t.Fatalf("want t5-100M's two embedding nodes sharing one table, got %v", embeds)
 	}
-	assign := map[*ir.GraphNode]*ir.Pattern{}
+	assign := make([]*ir.Pattern, len(g.Nodes))
 	for _, gn := range g.Nodes {
-		assign[gn] = ir.PatternsFor(gn, 8)[0] // replicate everywhere
+		assign[gn.ID] = ir.PatternsFor(gn, 8)[0] // replicate everywhere
 	}
-	assign[embeds[1]] = namedPattern(embeds[1], 8, "vocab-parallel")
-	if assign[embeds[0]].WeightBytesPerDev == assign[embeds[1]].WeightBytesPerDev {
+	assign[embeds[1].ID] = namedPattern(embeds[1], 8, "vocab-parallel")
+	if assign[embeds[0].ID].WeightBytesPerDev == assign[embeds[1].ID].WeightBytesPerDev {
 		t.Fatal("the two users must hold different weight bytes for the owner to matter")
 	}
 
@@ -270,7 +267,7 @@ func TestMemoryPerDeviceChargesTiedWeightToLowestID(t *testing.T) {
 	var want int64
 	seen := map[*graph.Tensor]bool{}
 	for _, gn := range g.Nodes {
-		p := assign[gn]
+		p := assign[gn.ID]
 		owns := len(gn.Weights) == 0
 		for _, wt := range gn.Weights {
 			owns = owns || !seen[wt]
@@ -287,7 +284,7 @@ func TestMemoryPerDeviceChargesTiedWeightToLowestID(t *testing.T) {
 		}
 	}
 	for i := 0; i < 100; i++ {
-		if got := MemoryPerDevice(assign); got != want {
+		if got := MemoryPerDevice(g, assign); got != want {
 			t.Fatalf("call %d: MemoryPerDevice = %d, positional sum %d", i, got, want)
 		}
 	}
@@ -314,7 +311,8 @@ func TestStrategyDescribeStable(t *testing.T) {
 
 func TestSearchSingleGPUIsReplicate(t *testing.T) {
 	s, _ := searchModel(t, "resnet-26M", 1)
-	for gn, p := range s.Assign {
+	for _, gn := range s.Graph.Nodes {
+		p := s.Assign[gn.ID]
 		if p.Name != "replicate" {
 			t.Errorf("w=1 should replicate everything, %v got %s", gn, p.Name)
 		}

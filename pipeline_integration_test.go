@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 
+	"tapas/internal/cluster"
+	"tapas/internal/cost"
 	"tapas/internal/export"
 	"tapas/internal/ir"
 	"tapas/internal/mining"
@@ -48,7 +50,7 @@ func roundTrip(res *Result) error {
 	if err != nil {
 		return err
 	}
-	_, err = sj.Rehydrate(res.Strategy.Graph)
+	_, err = sj.Rehydrate(res.Strategy.Graph, cost.Default(cluster.V100GPUs(res.Strategy.W)))
 	return err
 }
 

@@ -45,7 +45,7 @@ func ReadPlan(r io.Reader) (*PlanJSON, error) {
 // RehydratePlan re-attaches a plan to a computational graph (the model
 // it was searched on — by structure; node names may differ), rebuilding
 // the full in-memory Strategy: pattern pointers, resharding events,
-// per-device memory, and the plan's cost re-priced under the default
+// per-device memory, and the plan's cost priced under the default
 // cost model for the plan's worker count. A plan that survives
 // rehydration is executable: every pattern exists, every boundary
 // validates under the symbolic shape check.
@@ -54,11 +54,5 @@ func RehydratePlan(p *PlanJSON, g *graph.Graph) (*strategy.Strategy, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := p.Rehydrate(gg)
-	if err != nil {
-		return nil, err
-	}
-	model := cost.Default(cluster.V100GPUs(s.W))
-	s.Cost = model.StrategyCost(s.Patterns(), s.Reshard)
-	return s, nil
+	return p.Rehydrate(gg, cost.Default(cluster.V100GPUs(p.Workers)))
 }

@@ -35,6 +35,34 @@ func TestSearchEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFoldedSearchFlatInDepth is the paper's Figure 6 premise as a
+// guard: t5-1.4B has about twice the grouped nodes of t5-770M, but the
+// fold leaves the same 14 classes, so a cold search enumerates the same
+// 8,674 candidates on both. Growth in Classes or Examined with depth
+// means the fold stopped working.
+func TestFoldedSearchFlatInDepth(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two deep cold searches")
+	}
+	var got [2]*Result
+	for i, model := range []string{"t5-770M", "t5-1.4B"} {
+		res, err := coldSearch(model, 8, WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i] = res
+	}
+	for i, res := range got {
+		if res.Classes != 14 || res.Examined != 8674 {
+			t.Errorf("%s: %d classes, %d examined; want 14 and 8674", res.ModelName, res.Classes, res.Examined)
+		}
+		if i > 0 && len(res.Strategy.Graph.Nodes) < 3*len(got[0].Strategy.Graph.Nodes)/2 {
+			t.Errorf("%s has %d grouped nodes, %s %d: the pair no longer differs in depth",
+				res.ModelName, len(res.Strategy.Graph.Nodes), got[0].ModelName, len(got[0].Strategy.Graph.Nodes))
+		}
+	}
+}
+
 func TestSearchUnknownModel(t *testing.T) {
 	if _, err := coldSearch("nope", 8); err == nil {
 		t.Error("unknown model must error")
