@@ -217,7 +217,8 @@ func openStore(opts store.Options, peers []string, ropts replicate.Options) (*st
 		opts.Backend = repl
 		// Shared: records only the peers hold — plans written while this
 		// replica was down — must be read through past this process's
-		// index, which is where read-repair happens.
+		// index, which is where read-repair happens. -store-max eviction
+		// still deletes this replica's own files (the backend's Local()).
 		opts.Shared = true
 	}
 	st, err := store.Open(opts)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -286,15 +287,20 @@ func TestRunWarmRestart(t *testing.T) {
 
 // hop is a loopback relay to a daemon that a test connects once the
 // daemon is up: until then every request gets a 503, which the
-// replicating backend treats as a dead peer.
+// replicating backend treats as a dead peer. It counts the DELETE
+// requests sent through it.
 type hop struct {
-	srv   *httptest.Server
-	proxy atomic.Pointer[httputil.ReverseProxy]
+	srv     *httptest.Server
+	proxy   atomic.Pointer[httputil.ReverseProxy]
+	deletes atomic.Int64
 }
 
 func newHop(t *testing.T) *hop {
 	h := &hop{}
 	h.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodDelete {
+			h.deletes.Add(1)
+		}
 		if p := h.proxy.Load(); p != nil {
 			p.ServeHTTP(w, r)
 			return
@@ -366,6 +372,76 @@ func TestRunReplicatedCorpus(t *testing.T) {
 		t.Fatalf("the peer re-searched a plan fanned out to it: %+v", warm.ResultSummary)
 	}
 	samePlan(t, "fanned out", fanned, warm, true)
+}
+
+// TestRunReplicaBoundsItsDisk: -store-max bounds each replica's files,
+// not only its index, and no delete crosses the wire. Two replicas list
+// each other; 50 plans searched on A fan out to B, and each replica
+// keeps the 4 it used last. A plan A evicted while B still holds it is
+// served store_hit again, read-repaired from B with one repair hit.
+func TestRunReplicaBoundsItsDisk(t *testing.T) {
+	dirA, dirB := t.TempDir(), t.TempDir()
+	toA, toB := newHop(t), newHop(t)
+	flags := []string{"-cache", "0", "-store-max", "4", "-store-probe-interval", "10ms"}
+	a := startDaemon(t, append([]string{"-store-dir", dirA, "-store-peer", toB.srv.URL}, flags...)...)
+	b := startDaemon(t, append([]string{"-store-dir", dirB, "-store-peer", toA.srv.URL}, flags...)...)
+	toA.connect(t, a)
+	toB.connect(t, b)
+	eventually(t, "both replicas to see their peer", func() bool {
+		return a.health(t).Replication.PeersHealthy == 1 && b.health(t).Replication.PeersHealthy == 1
+	})
+
+	// Each spec is a distinct graph, so each search is one cold Put.
+	search := func(d *daemon, i int) *service.SearchResponse {
+		t.Helper()
+		spec := fmt.Sprintf("model evict-%d\ninput x f32 16 128\ndense fc x %d relu\ndense out fc 128 none\nloss l out\n", i, 128+8*i)
+		resp, err := d.c.Search(context.Background(), service.SearchRequest{Spec: spec, GPUs: 4})
+		if err != nil {
+			t.Fatalf("search spec %d on %s: %v\n%s", i, d.url, err, d.log)
+		}
+		return resp
+	}
+	settled := func(fanned uint64) {
+		t.Helper()
+		eventually(t, "the fan-out to land and both replicas to evict", func() bool {
+			return a.health(t).Replication.FanoutWrites == fanned && len(records(t, dirA)) <= 4 && len(records(t, dirB)) <= 4
+		})
+	}
+	cold := make(map[int]*service.SearchResponse)
+	for i := 0; i < 50; i++ {
+		if cold[i] = search(a, i); cold[i].StoreHit || cold[i].CacheHit {
+			t.Fatalf("spec %d was not searched cold", i)
+		}
+	}
+	settled(50)
+	if na, nb := len(records(t, dirA)), len(records(t, dirB)); na != 4 || nb != 4 {
+		t.Fatalf("after 50 puts with -store-max 4: %d files on A, %d on B, want 4 each", na, nb)
+	}
+
+	// B uses plan 46 again, so B keeps it while A's next two plans
+	// evict it from A (and 47, 48 from B).
+	if hit := search(b, 46); !hit.StoreHit {
+		t.Fatalf("B re-searched plan 46 instead of serving it from its store")
+	}
+	search(a, 50)
+	search(a, 51)
+	settled(52)
+
+	repaired := search(a, 46)
+	if !repaired.StoreHit {
+		t.Fatalf("A re-searched evicted plan 46 that B still holds: %+v", repaired.ResultSummary)
+	}
+	samePlan(t, "read-repaired after eviction", cold[46], repaired, true)
+	if r := a.health(t).Replication; r.RepairHits != 1 {
+		t.Errorf("A's repair_hits = %d, want 1", r.RepairHits)
+	}
+	eventually(t, "A to evict past its bound after the repair", func() bool { return len(records(t, dirA)) == 4 })
+	if nb := len(records(t, dirB)); nb != 4 {
+		t.Errorf("%d files on B, want 4", nb)
+	}
+	if n := toA.deletes.Load() + toB.deletes.Load(); n != 0 {
+		t.Errorf("%d DELETE requests crossed the wire, want 0", n)
+	}
 }
 
 // TestRunRefusesBadStoreFlags: -store-peer replicates a -store-dir

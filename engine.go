@@ -44,8 +44,8 @@ import (
 //
 // The zero value is not usable; call NewEngine. Methods may be called
 // concurrently from any number of goroutines. Results handed out by the
-// Engine (including cache hits, which share Strategy/Parallel pointers
-// with later hits) must be treated as immutable.
+// Engine (including cache hits, which share Strategy pointers and
+// memoized renderings with later hits) must be treated as immutable.
 type Engine struct {
 	base  engineConfig
 	store *store.Store // persistent plan store (nil: not attached)
@@ -251,7 +251,8 @@ const (
 	PhaseMine Phase = "mine"
 	// PhaseSearch enumerates candidates and assembles the global plan.
 	PhaseSearch Phase = "search"
-	// PhaseReconstruct materializes the per-device parallel graph.
+	// PhaseReconstruct sizes the per-device parallel graph (Result.Parallel
+	// materializes it on demand).
 	PhaseReconstruct Phase = "reconstruct"
 	// PhaseSimulate prices the winner on the simulated testbed.
 	PhaseSimulate Phase = "simulate"
@@ -357,7 +358,7 @@ func (e *Engine) searchModel(ctx context.Context, modelName string, gpus int, cf
 // graph.
 //
 // Note the cache is keyed by the structural fingerprint, not graph
-// identity: a hit returns the Strategy/Parallel built over the first
+// identity: a hit returns the Strategy built over the first
 // structurally-equal graph searched, so correlate results through the
 // returned Strategy.Graph rather than the nodes of the argument graph.
 // (This also holds for registered models: Search builds a model's graph
@@ -667,8 +668,10 @@ func (r *coldRun) search() (err error) {
 	return nil
 }
 
+// reconstruct sizes the per-device graph without building it (see
+// Result.Parallel): its counts are all the pipeline keeps of it.
 func (r *coldRun) reconstruct() (err error) {
-	r.res.Parallel, err = reconstruct.Reconstruct(r.res.Strategy)
+	r.res.DeviceNodes, r.res.DeviceCollectives, err = reconstruct.Count(r.res.Strategy)
 	return err
 }
 
@@ -746,6 +749,9 @@ func (e *Engine) runBaseline(ctx context.Context, name, modelName string, g *gra
 	}
 
 	res.Strategy = s
+	if res.DeviceNodes, res.DeviceCollectives, err = reconstruct.Count(s); err != nil {
+		return nil, fmt.Errorf("tapas: baseline %s failed: %w", name, err)
+	}
 	res.Report = sim.Run(s, sim.DefaultConfig(cl))
 	res.TotalTime = time.Since(start)
 	return res, nil
@@ -840,17 +846,17 @@ func (c *lruCache) put(k cacheKey, r *Result) {
 //
 //   - a cached key returns a private shallow copy with CacheHit set and
 //     ModelName set to the caller's name for the model — the name is not
-//     part of the key (the heavy Strategy/Parallel structures stay shared
-//     and must be treated as read-only);
+//     part of the key (the heavy Strategy and memoized structures stay
+//     shared and must be treated as read-only);
 //   - a key already being computed is joined, not recomputed — a burst of
 //     identical cold requests (the serving shape) costs one pipeline run,
 //     with followers woken by the leader and handed hit-copies;
 //   - otherwise the caller becomes the leader and runs compute. The cache
 //     stores a private shallow copy, so a cold-path caller that writes a
 //     field of the Result it was handed cannot corrupt later hits. The
-//     leader's Result, the cached copy and every hit on it share one plan
-//     memo (see Result.PlanDocument), installed before the result is
-//     published.
+//     leader's Result, the cached copy and every hit on it share one memo
+//     (see Result.PlanDocument and Result.Parallel), installed before the
+//     result is published.
 //
 // With caching disabled (WithCache(0)) every call computes independently.
 func (e *Engine) doCached(ctx context.Context, key cacheKey, name string, compute func() (*Result, error)) (*Result, error) {
@@ -893,7 +899,7 @@ func (e *Engine) doCached(ctx context.Context, key cacheKey, name string, comput
 					e.mu.Lock()
 					delete(e.inflight, key)
 					if completed && err == nil && e.cache != nil {
-						res.plan = new(planMemo)
+						res.memo = new(entryMemo)
 						stored := *res
 						e.cache.put(key, &stored)
 					}

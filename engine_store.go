@@ -106,11 +106,12 @@ func (e *Engine) storeLookup(key cacheKey, name string, g *graph.Graph, gpus int
 // restoreResult rebuilds a full Result from a persisted record: the
 // plan is rehydrated against the model's grouped graph (see grouped;
 // name-independent, by topological node ID and pattern name) and priced
-// under the resolved cost model, then reconstructed into the per-device
-// graph and re-simulated. All of these are deterministic, so the restored
-// Result is identical to the cold one — except the hit markers, and the
-// timing block, which is restored from the record (mirroring the
-// cache-hit contract: timing describes the original cold computation).
+// under the resolved cost model; its per-device graph is counted, not
+// built (see Result.Parallel); and it is re-simulated. All of these are
+// deterministic, so the restored Result is identical to the cold one —
+// except the hit markers, and the timing block, which is restored from
+// the record (mirroring the cache-hit contract: timing describes the
+// original cold computation).
 func (e *Engine) restoreResult(rec *store.Record, name string, g *graph.Graph, gpus int, cfg engineConfig) (*Result, error) {
 	cl, model, _, _ := cfg.resolve(gpus)
 	gg, err := e.grouped(g, cfg.wireModel)
@@ -121,19 +122,20 @@ func (e *Engine) restoreResult(rec *store.Record, name string, g *graph.Graph, g
 	if err != nil {
 		return nil, err
 	}
-	pg, err := reconstruct.Reconstruct(s)
+	nodes, collectives, err := reconstruct.Count(s)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ModelName: name, GPUs: gpus, Strategy: s, Parallel: pg, StoreHit: true,
+	return &Result{ModelName: name, GPUs: gpus, Strategy: s, StoreHit: true,
+		DeviceNodes: nodes, DeviceCollectives: collectives,
 		Report: sim.Run(s, sim.DefaultConfig(cl)), Timing: rec.Timing}, nil
 }
 
 // grouped returns the grouped graph a store hit rehydrates against: for
 // a registered model (wireModel set) the one in its memo, built and
 // grouped once, by the model's first store hit; for any other graph, g
-// grouped afresh. Rehydration, pricing, reconstruction and simulation
-// only read it, so concurrent hits share it.
+// grouped afresh. Rehydration, pricing, counting and simulation only
+// read it, so concurrent hits share it.
 func (e *Engine) grouped(g *graph.Graph, wireModel string) (*ir.GNGraph, error) {
 	e.fpMu.Lock()
 	m := e.memo[wireModel]

@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Builder provides a fluent way to assemble graphs. It names tensors
 // uniquely, wires nodes into the graph, and tracks the "current layer" tag
@@ -24,7 +27,7 @@ func (b *Builder) Layer() string { return b.layer }
 
 func (b *Builder) uniq(prefix string) string {
 	b.seq++
-	return fmt.Sprintf("%s_%d", prefix, b.seq)
+	return prefix + "_" + strconv.Itoa(b.seq)
 }
 
 // Input declares a graph input tensor.

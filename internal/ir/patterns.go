@@ -107,11 +107,13 @@ func inBytes(gn *GraphNode) int64 {
 // omitted. For w == 1 only the trivial replicate pattern exists.
 //
 // Results are memoized per (node, w) — the strategy search calls this in
-// its innermost loops, from many goroutines at once. The returned slice is
-// a fresh copy the caller may reorder freely, but the *Pattern values are
-// shared and must be treated as immutable; use Clone before modifying one.
+// its innermost loops, from many goroutines at once. The returned slice
+// is the memoized menu itself, shared by every caller: treat it and its
+// *Pattern values as read-only. Copy the slice before reordering it, and
+// Clone a pattern before modifying it.
 func PatternsFor(gn *GraphNode, w int) []*Pattern {
 	gn.patMu.Lock()
+	defer gn.patMu.Unlock()
 	ps, ok := gn.patCache[w]
 	if !ok {
 		ps = patternsForUncached(gn, w)
@@ -120,10 +122,7 @@ func PatternsFor(gn *GraphNode, w int) []*Pattern {
 		}
 		gn.patCache[w] = ps
 	}
-	out := make([]*Pattern, len(ps))
-	copy(out, ps)
-	gn.patMu.Unlock()
-	return out
+	return ps
 }
 
 // patternsForUncached computes the pattern menu for one (node, w) pair.

@@ -143,16 +143,18 @@ func renderPattern(p *Pattern) string {
 		p.FLOPsPerDev, p.WeightBytesPerDev, p.OutBytesPerDev, p.SRC)
 }
 
-// TestPropertyPatternsForConcurrentImmutable guards the precomputed-menu
-// sharing in assembly: PatternsFor hands out *Pattern values shared via
-// the per-node memo cache, and strategy scoring workers read them from
-// many goroutines at once. The test snapshots every pattern's rendered
-// form, then hammers PatternsFor concurrently while using the menus the
-// way assembly does — name scans, cost-field reads — and additionally
-// reorders and clobbers the returned slices, which are documented as
-// the caller's private copies. Afterwards every shared pattern must
-// render exactly as before. Run under -race this also proves the memo
-// itself is data-race free.
+// TestPropertyPatternsForConcurrentImmutable pins the memo's sharing
+// contract: PatternsFor hands every caller the one memoized menu of a
+// (node, w) pair — the same slice, the same *Pattern values — and
+// callers only read it (the enumerator sorts a private copy). The test
+// snapshots every menu, then hammers PatternsFor from many goroutines
+// while reading the menus the way assembly does — name scans, cost-field
+// reads. Every call must return the memoized slice itself, and afterwards
+// every menu must hold the same patterns in the same order, each
+// rendering exactly as before. Run under -race this also proves the memo
+// itself is data-race free. (That a full folded search leaves the menus
+// unchanged is TestSearchFoldedLeavesMenusUnchanged in the strategy
+// package.)
 func TestPropertyPatternsForConcurrentImmutable(t *testing.T) {
 	src := randomStack(rand.New(rand.NewSource(7)))
 	g, err := Group(src)
@@ -164,19 +166,31 @@ func TestPropertyPatternsForConcurrentImmutable(t *testing.T) {
 		gn *GraphNode
 		w  int
 	}
-	before := make(map[menuKey][]string)
+	type snapshot struct {
+		menu     []*Pattern // the memoized slice, elements as first seen
+		rendered []string
+	}
+	before := make(map[menuKey]snapshot)
 	for _, gn := range g.Nodes {
 		for _, w := range widths {
 			ps := PatternsFor(gn, w)
-			rs := make([]string, len(ps))
+			snap := snapshot{menu: append([]*Pattern(nil), ps...), rendered: make([]string, len(ps))}
 			for i, p := range ps {
-				rs[i] = renderPattern(p)
+				snap.rendered[i] = renderPattern(p)
 			}
-			before[menuKey{gn, w}] = rs
+			before[menuKey{gn, w}] = snap
 		}
+	}
+	sameSlice := func(a, b []*Pattern) bool {
+		return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+	}
+	first := make(map[menuKey][]*Pattern)
+	for k := range before {
+		first[k] = PatternsFor(k.gn, k.w)
 	}
 
 	var wg sync.WaitGroup
+	errs := make(chan string, 8)
 	for worker := 0; worker < 8; worker++ {
 		wg.Add(1)
 		go func(worker int) {
@@ -185,6 +199,10 @@ func TestPropertyPatternsForConcurrentImmutable(t *testing.T) {
 				w := widths[(worker+iter)%len(widths)]
 				for _, gn := range g.Nodes {
 					ps := PatternsFor(gn, w)
+					if !sameSlice(ps, first[menuKey{gn, w}]) {
+						errs <- fmt.Sprintf("node %d w=%d: PatternsFor returned a slice other than the memoized menu", gn.ID, w)
+						return
+					}
 					// Assembly-style use: scan by name, read priced fields.
 					var total float64
 					for _, p := range ps {
@@ -194,31 +212,27 @@ func TestPropertyPatternsForConcurrentImmutable(t *testing.T) {
 						total += float64(p.FLOPsPerDev + int64(len(p.FwdComm)+len(p.BwdComm)))
 					}
 					_ = total
-					// The slice is the caller's private copy: reversing and
-					// clobbering it must never leak into the shared memo.
-					for a, b := 0, len(ps)-1; a < b; a, b = a+1, b-1 {
-						ps[a], ps[b] = ps[b], ps[a]
-					}
-					if len(ps) > 0 {
-						ps[0] = nil
-					}
 				}
 			}
 		}(worker)
 	}
 	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
 
-	for _, gn := range g.Nodes {
-		for _, w := range widths {
-			ps := PatternsFor(gn, w)
-			want := before[menuKey{gn, w}]
-			if len(ps) != len(want) {
-				t.Fatalf("node %d w=%d: menu length changed %d -> %d", gn.ID, w, len(want), len(ps))
+	for k, want := range before {
+		ps := PatternsFor(k.gn, k.w)
+		if len(ps) != len(want.menu) {
+			t.Fatalf("node %d w=%d: menu length changed %d -> %d", k.gn.ID, k.w, len(want.menu), len(ps))
+		}
+		for i, p := range ps {
+			if p != want.menu[i] {
+				t.Errorf("node %d w=%d: menu entry %d replaced or reordered", k.gn.ID, k.w, i)
 			}
-			for i, p := range ps {
-				if got := renderPattern(p); got != want[i] {
-					t.Errorf("node %d w=%d pattern %d mutated:\n got  %s\n want %s", gn.ID, w, i, got, want[i])
-				}
+			if got := renderPattern(p); got != want.rendered[i] {
+				t.Errorf("node %d w=%d pattern %d mutated:\n got  %s\n want %s", k.gn.ID, k.w, i, got, want.rendered[i])
 			}
 		}
 	}

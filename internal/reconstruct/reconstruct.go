@@ -41,6 +41,45 @@ func collectiveKind(k comm.Kind) (graph.OpKind, bool) {
 	}
 }
 
+// collective decides whether Reconstruct emits communication event e,
+// and as which operator. A forward collective consumes its compute op's
+// first per-device output, so it needs one (hasInput); a resharding
+// event brings its own exchange buffer. Reconstruct and Count both ask
+// here, so the counts never drift from the graph.
+func collective(e comm.Event, hasInput bool) (graph.OpKind, bool) {
+	ck, ok := collectiveKind(e.Kind)
+	return ck, ok && hasInput
+}
+
+// Count returns the sizes of the graph Reconstruct(s) would build —
+// len(PerDevice.Nodes) and len(Collectives) — without building it: one
+// compute op per GraphNode plus each emitted collective. It allocates
+// nothing, and fails on an unassigned node as Reconstruct does.
+func Count(s *strategy.Strategy) (nodes, collectives int, err error) {
+	for _, gn := range s.Graph.TopoOrder() {
+		p := s.Assign[gn.ID]
+		if p == nil {
+			return 0, 0, unassigned(gn)
+		}
+		for _, e := range p.FwdComm {
+			if _, ok := collective(e, len(gn.OutTensors) > 0); ok {
+				collectives++
+			}
+		}
+	}
+	for _, e := range s.Reshard {
+		if _, ok := collective(e, true); ok {
+			collectives++
+		}
+	}
+	return len(s.Graph.Nodes) + collectives, collectives, nil
+}
+
+// unassigned is the error for a node without a pattern.
+func unassigned(gn *ir.GraphNode) error {
+	return fmt.Errorf("reconstruct: node %v unassigned", gn)
+}
+
 // shardShape divides the spec'd axis of a shape by w when divisible.
 func shardShape(s graph.Shape, spec ir.ShardSpec, w int64) graph.Shape {
 	if spec.IsReplicated() || spec.Axis >= s.Rank() || !s.Divisible(spec.Axis, w) {
@@ -74,7 +113,7 @@ func Reconstruct(s *strategy.Strategy) (*ParallelGraph, error) {
 	for _, gn := range s.Graph.TopoOrder() {
 		p := s.Assign[gn.ID]
 		if p == nil {
-			return nil, fmt.Errorf("reconstruct: node %v unassigned", gn)
+			return nil, unassigned(gn)
 		}
 
 		// Per-device inputs: boundary activations with the pattern's
@@ -115,8 +154,8 @@ func Reconstruct(s *strategy.Strategy) (*ParallelGraph, error) {
 		// collectives belong to the backward graph and are accounted by
 		// the simulator).
 		for _, e := range p.FwdComm {
-			ck, ok := collectiveKind(e.Kind)
-			if !ok || len(outputs) == 0 {
+			ck, ok := collective(e, len(outputs) > 0)
+			if !ok {
 				continue
 			}
 			cin := outputs[0]
@@ -131,7 +170,7 @@ func Reconstruct(s *strategy.Strategy) (*ParallelGraph, error) {
 	// Strategy-level resharding collectives: standalone exchange buffers
 	// fed by the runtime, not by an in-graph producer.
 	for i, e := range s.Reshard {
-		ck, ok := collectiveKind(e.Kind)
+		ck, ok := collective(e, true)
 		if !ok {
 			continue
 		}

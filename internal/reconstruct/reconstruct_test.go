@@ -5,6 +5,7 @@ import (
 
 	"tapas/internal/baselines"
 	"tapas/internal/cluster"
+	"tapas/internal/comm"
 	"tapas/internal/cost"
 	"tapas/internal/graph"
 	"tapas/internal/ir"
@@ -143,5 +144,69 @@ func TestReconstructDataParallelShapes(t *testing.T) {
 	}
 	if !found {
 		t.Error("DP reconstruction should shard the batch axis 256 → 32")
+	}
+}
+
+// TestCountMatchesReconstruct: Count returns the sizes of the graph
+// Reconstruct builds, without allocating, also for the events
+// Reconstruct skips — kinds with no collective operator, and forward
+// collectives of a node with no output to consume (here a sink op
+// appended to a dense layer) — and fails on an unassigned node with
+// Reconstruct's error.
+func TestCountMatchesReconstruct(t *testing.T) {
+	b := graph.NewBuilder("sink")
+	x := b.Input("x", graph.F32, graph.NewShape(8, 64))
+	y := b.Dense("fc", x, 64, graph.OpReLU)
+	b.OpMulti(graph.OpCrossEntropy, "sink", []*graph.Tensor{y}, nil, nil)
+	g, err := ir.Group(b.G)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const w = 4
+	s := &strategy.Strategy{Graph: g, W: w, Assign: make([]*ir.Pattern, len(g.Nodes))}
+	noOutputs := 0
+	for i, gn := range g.Nodes {
+		var p *ir.Pattern
+		if len(gn.OutTensors) == 0 {
+			// No menu offers a pattern for a node without outputs.
+			p = &ir.Pattern{Name: "sink", GN: gn, W: w, WeightSpecs: make([]ir.ShardSpec, len(gn.Weights))}
+			noOutputs++
+		} else {
+			p = ir.PatternsFor(gn, w)[0].Clone()
+		}
+		p.FwdComm = append(p.FwdComm,
+			comm.Event{Kind: comm.AllReduce, Bytes: 4096, W: w},
+			comm.Event{Kind: comm.Broadcast, Bytes: 4096, W: w})
+		s.Assign[i] = p
+	}
+	if noOutputs == 0 {
+		t.Fatal("no GraphNode without outputs to exercise")
+	}
+	s.Reshard = []comm.Event{{Kind: comm.None, Bytes: 4096, W: w}, {Kind: comm.AllGather, Bytes: 4096, W: w}}
+
+	pg, err := Reconstruct(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, collectives, err := Count(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nodes != len(pg.PerDevice.Nodes) || collectives != len(pg.Collectives) {
+		t.Errorf("Count = %d nodes / %d collectives, Reconstruct built %d / %d",
+			nodes, collectives, len(pg.PerDevice.Nodes), len(pg.Collectives))
+	}
+	if want := len(g.Nodes) - noOutputs + 1; collectives != want {
+		t.Errorf("%d collectives, want %d: one all-reduce per node with an output, one reshard all-gather", collectives, want)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _, _, _ = Count(s) }); allocs != 0 {
+		t.Errorf("Count made %.0f allocations, want 0", allocs)
+	}
+
+	s.Assign[len(s.Assign)-1] = nil
+	_, rerr := Reconstruct(s)
+	_, _, cerr := Count(s)
+	if rerr == nil || cerr == nil || rerr.Error() != cerr.Error() {
+		t.Errorf("unassigned node: Reconstruct %v, Count %v, want one error", rerr, cerr)
 	}
 }

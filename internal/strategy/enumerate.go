@@ -258,7 +258,8 @@ func newEnumShared(ctx context.Context, g *ir.GNGraph, instance []*ir.GraphNode,
 			}
 		}
 		slices.SortStableFunc(es, func(a, b entry) int { return cmp.Compare(a.score, b.score) })
-		menus[i], prices[i] = ps, make([]price, len(ps))
+		// The memoized menu is shared: sort a private copy.
+		menus[i], prices[i] = make([]*ir.Pattern, len(ps)), make([]price, len(ps))
 		for j, e := range es {
 			menus[i][j], prices[i][j] = e.p, e.pr
 		}

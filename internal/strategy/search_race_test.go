@@ -3,10 +3,12 @@ package strategy
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"tapas/internal/cluster"
 	"tapas/internal/cost"
+	"tapas/internal/ir"
 	"tapas/internal/mining"
 )
 
@@ -129,4 +131,58 @@ func patternNames(c *Candidate) []string {
 		out[i] = p.Name
 	}
 	return out
+}
+
+// TestSearchFoldedLeavesMenusUnchanged: ir.PatternsFor hands every
+// caller its memoized menu itself, so a folded search (enumeration,
+// assembly, repair, pricing) must only read it. After a full search of
+// t5-100M at 8 GPUs on two workers, every node's menu is the same slice
+// holding the same patterns in the same order, each with the same
+// fields.
+func TestSearchFoldedLeavesMenusUnchanged(t *testing.T) {
+	const w = 8
+	g := groupModel(t, "t5-100M")
+	render := func(p *ir.Pattern) string {
+		in2 := "nil"
+		if p.In2 != nil {
+			in2 = fmt.Sprint(*p.In2)
+		}
+		return fmt.Sprint(p.Name, p.GN.ID, p.W, p.In, p.Out, in2, p.WeightSpecs, p.FwdComm, p.BwdComm,
+			p.FLOPsPerDev, p.WeightBytesPerDev, p.OutBytesPerDev, p.SRC)
+	}
+	type snapshot struct {
+		menu     []*ir.Pattern // the memoized slice itself
+		patterns []*ir.Pattern
+		rendered []string
+	}
+	before := make([]snapshot, len(g.Nodes))
+	for i, gn := range g.Nodes {
+		ps := ir.PatternsFor(gn, w)
+		before[i] = snapshot{menu: ps, patterns: slices.Clone(ps)}
+		for _, p := range ps {
+			before[i].rendered = append(before[i].rendered, render(p))
+		}
+	}
+
+	cl := cluster.V100GPUs(w)
+	classes := mining.Fold(g, mining.Mine(context.Background(), g, mining.DefaultOptions()))
+	opt := DefaultEnumOptions(w)
+	opt.Workers = 2
+	if _, _, err := SearchFolded(context.Background(), g, classes, cost.Default(cl), opt, cl.MemoryPerGP); err != nil {
+		t.Fatal(err)
+	}
+
+	for i, gn := range g.Nodes {
+		ps, want := ir.PatternsFor(gn, w), before[i]
+		if len(ps) != len(want.menu) || len(ps) > 0 && &ps[0] != &want.menu[0] {
+			t.Fatalf("node %d: the memoized menu was replaced", gn.ID)
+		}
+		for j, p := range ps {
+			if p != want.patterns[j] {
+				t.Errorf("node %d: menu entry %d replaced or reordered", gn.ID, j)
+			} else if got := render(p); got != want.rendered[j] {
+				t.Errorf("node %d pattern %d mutated:\n got  %s\n want %s", gn.ID, j, got, want.rendered[j])
+			}
+		}
+	}
 }

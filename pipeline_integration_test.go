@@ -30,8 +30,12 @@ func TestSearchAllRegisteredModels(t *testing.T) {
 			if res.Report.IterationTime <= 0 {
 				t.Error("no simulated time")
 			}
-			if res.Parallel.PerDevice.Validate() != nil {
-				t.Error("reconstructed graph invalid")
+			pg, err := res.Parallel()
+			if err != nil {
+				t.Fatalf("reconstruct: %v", err)
+			}
+			if err := pg.PerDevice.Validate(); err != nil {
+				t.Errorf("reconstructed graph invalid: %v", err)
 			}
 			// Every searched strategy serializes and rehydrates.
 			if err := roundTrip(res); err != nil {

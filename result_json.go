@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"tapas/internal/export"
+	"tapas/internal/reconstruct"
 	"tapas/internal/sim"
 )
 
@@ -76,8 +77,8 @@ type ResultSummary struct {
 }
 
 // Summary renders the Result in its stable wire form. It never exposes
-// the internal Strategy/Parallel pointers, so the summary of a cached
-// Result is safe to hand to any consumer.
+// the internal Strategy or per-device graph pointers, so the summary of
+// a cached Result is safe to hand to any consumer.
 func (r *Result) Summary() ResultSummary {
 	s := ResultSummary{
 		Model:    r.ModelName,
@@ -105,18 +106,23 @@ func (r *Result) Summary() ResultSummary {
 }
 
 // MarshalJSON encodes the Result as its Summary — the stable wire schema
-// — instead of the raw struct, whose Strategy/Parallel fields are
-// internal pointer graphs that cannot cross a process boundary.
+// — instead of the raw struct, whose Strategy field is an internal
+// pointer graph that cannot cross a process boundary.
 func (r *Result) MarshalJSON() ([]byte, error) {
 	return json.Marshal(r.Summary())
 }
 
-// planMemo is a Result's plan document, rendered at most once and shared
-// by every shallow copy of the Result that carries the same memo.
-type planMemo struct {
-	once sync.Once
-	doc  []byte
-	err  error
+// entryMemo holds what a Result builds at most once — its plan document
+// and its per-device graph — shared by every shallow copy of the Result
+// that carries the same memo.
+type entryMemo struct {
+	plan   sync.Once
+	doc    []byte
+	docErr error
+
+	parallel sync.Once
+	graph    *reconstruct.ParallelGraph
+	graphErr error
 }
 
 // PlanDocument renders the Result's plan as the versioned plan document
@@ -130,17 +136,39 @@ type planMemo struct {
 // its model name and node names come from that graph, even when a hit is
 // served for a structurally identical graph under another name.
 func (r *Result) PlanDocument() ([]byte, error) {
-	if r.plan == nil {
+	if r.memo == nil {
 		return renderPlan(r)
 	}
-	r.plan.once.Do(func() { r.plan.doc, r.plan.err = renderPlan(r) })
-	return r.plan.doc, r.plan.err
+	r.memo.plan.Do(func() { r.memo.doc, r.memo.docErr = renderPlan(r) })
+	return r.memo.doc, r.memo.docErr
 }
+
+// Parallel materializes the Result's plan as the per-device graph a
+// training backend would execute: sharded operators with the inserted
+// collectives (the paper's Graph Reconstructor). Searches and store hits
+// do not build it; the first call does. A Result served from the
+// Engine's cache builds it once per cache entry, and every hit returns
+// the same graph, which callers must not modify; an uncached Result
+// (WithCache(0)) builds it on every call. Its sizes are DeviceNodes and
+// DeviceCollectives.
+func (r *Result) Parallel() (*reconstruct.ParallelGraph, error) {
+	if r.Strategy == nil {
+		return nil, errNoStrategy
+	}
+	if r.memo == nil {
+		return reconstruct.Reconstruct(r.Strategy)
+	}
+	r.memo.parallel.Do(func() { r.memo.graph, r.memo.graphErr = reconstruct.Reconstruct(r.Strategy) })
+	return r.memo.graph, r.memo.graphErr
+}
+
+// errNoStrategy is what a Result without a plan renders.
+var errNoStrategy = errors.New("tapas: result has no strategy")
 
 // renderPlan encodes r's strategy as a plan document.
 func renderPlan(r *Result) ([]byte, error) {
 	if r.Strategy == nil {
-		return nil, errors.New("tapas: result has no strategy")
+		return nil, errNoStrategy
 	}
 	p, err := export.FromStrategy(r.Strategy)
 	if err != nil {

@@ -474,11 +474,9 @@ func newEnvelope(res *tapas.Result) (*SearchResponse, error) {
 		Devices: &DeviceSummary{
 			Devices:           res.GPUs,
 			MemBytesPerDevice: res.Strategy.MemPerDev,
+			Nodes:             res.DeviceNodes,
+			Collectives:       res.DeviceCollectives,
 		},
-	}
-	if res.Parallel != nil && res.Parallel.PerDevice != nil {
-		resp.Devices.Nodes = len(res.Parallel.PerDevice.Nodes)
-		resp.Devices.Collectives = len(res.Parallel.Collectives)
 	}
 	return resp, nil
 }

@@ -26,7 +26,10 @@ import (
 //   - Put publishes atomically: a concurrent reader sees the old bytes
 //     or the new bytes, never a mixture, and concurrent Puts of the same
 //     id leave one of the payloads intact.
-//   - Delete is idempotent; deleting an absent id is not an error.
+//   - Delete is idempotent; deleting an absent id is not an error. It
+//     removes the copy this backend owns: a replicating composite
+//     (store/replicate) removes its local copy only, and serves the id
+//     from a peer's copy until every replica has dropped its own.
 //   - Stat reports an id's size and last-modified time without reading
 //     the payload, or an error wrapping ErrNotFound.
 //   - List enumerates every stored id. Order is unspecified.

@@ -30,11 +30,15 @@ const maxRecordBytes = 32 << 20
 // never a fall-through to a third replica, or reads and fanout writes
 // would cascade around the fleet.
 func (s *Store) localBackend() Backend {
-	if l, ok := s.backend.(interface{ Local() Backend }); ok {
+	if l, ok := s.backend.(localer); ok {
 		return l.Local()
 	}
 	return s.backend
 }
+
+// localer is a composite backend that exposes the backend this process
+// owns (store/replicate).
+type localer interface{ Local() Backend }
 
 // GetRaw returns the encoded record stored under id, refreshing its
 // recency like Get. It serves the peer protocol; the payload is not

@@ -6,11 +6,11 @@
 // Two classic replication disciplines, scaled down to the store's
 // content-addressed record model, do all of the converging:
 //
-//   - Write fanout, write-behind. A Put (or Delete) lands on the local
-//     backend synchronously — the hot path's durability — and is then
-//     queued to every peer on a per-peer outbound queue drained by its
-//     own goroutine, so one slow or dead replica never blocks a search.
-//     A full queue drops the op (counted) instead of stalling.
+//   - Write fanout, write-behind. A Put lands on the local backend
+//     synchronously — the hot path's durability — and is then queued to
+//     every peer on a per-peer outbound queue drained by its own
+//     goroutine, so one slow or dead replica never blocks a search. A
+//     full queue drops the op (counted) instead of stalling.
 //
 //   - Read-repair. A Get that misses locally falls through to the
 //     healthy peers; a record found remotely is served AND re-Put into
@@ -32,11 +32,12 @@
 // answer, even a 404, proves it alive — after which the next write
 // reaches it by fan-out again.
 //
-// Known limitation: there are no tombstones. A Delete that a dead peer
-// never saw is undone by read-repair: a later read of the id on a
-// replica without it copies the record back from that peer. For a plan
-// corpus this is benign — records are immutable search outcomes and
-// deletion is an optimization, not a correctness requirement.
+// Deletes do not replicate. A replica's local copies are its own cache:
+// its store evicts them to bound its own disk, and drops one that fails
+// validation on its own first read. Delete removes the local copy only,
+// so no delete can be missed by a peer, and none can be undone: a record
+// evicted here comes back by read-repair from a peer that still holds
+// it, or by one deterministic re-search if none does.
 //
 // All methods are safe for concurrent use.
 package replicate
@@ -104,9 +105,9 @@ type Stats struct {
 	// sees it (the local backend excluded).
 	Peers        int `json:"peers"`
 	PeersHealthy int `json:"peers_healthy"`
-	// FanoutWrites counts Put/Delete ops successfully applied to peers
-	// by the write-behind queues; FanoutErrors counts ops that failed
-	// at a peer.
+	// FanoutWrites counts Puts successfully applied to peers by the
+	// write-behind queues; FanoutErrors counts ones that failed at a
+	// peer.
 	FanoutWrites uint64 `json:"fanout_writes"`
 	FanoutErrors uint64 `json:"fanout_errors"`
 	// DeadPeerSkips counts operations (writes, read fall-throughs,
@@ -128,9 +129,8 @@ type PeerStatus struct {
 	Healthy bool   `json:"healthy"`
 }
 
-// repOp is one queued fanout operation.
+// repOp is one queued fanout Put.
 type repOp struct {
-	del  bool
 	id   string
 	data []byte
 }
@@ -256,16 +256,10 @@ func (b *Backend) Put(id string, data []byte) error {
 	return nil
 }
 
-// Delete removes id locally and fans the delete out to the peers. See
-// the package note on tombstones: a delete a dead peer never saw can be
-// undone by a later read-repair from that peer.
-func (b *Backend) Delete(id string) error {
-	err := b.local.Delete(id)
-	for _, p := range b.peers {
-		b.enqueue(p, repOp{del: true, id: id})
-	}
-	return err
-}
+// Delete removes the local copy of id only: deletes do not replicate
+// (see the package note), so each peer keeps its own copy until its own
+// store evicts or drops it.
+func (b *Backend) Delete(id string) error { return b.local.Delete(id) }
 
 // Stat reports id local-first, falling through to healthy peers.
 func (b *Backend) Stat(id string) (store.EntryInfo, error) {
@@ -396,20 +390,13 @@ func (b *Backend) apply(p *peerState, op repOp) {
 		return
 	}
 	t0 := time.Now()
-	kind := "put"
-	var err error
-	if op.del {
-		kind = "delete"
-		err = p.b.Delete(op.id)
-	} else {
-		err = p.b.Put(op.id, op.data)
-	}
+	err := p.b.Put(op.id, op.data)
 	errMsg := ""
 	if err != nil {
 		errMsg = err.Error()
 	}
 	b.rec.RecordSpan("replicate.fanout", t0, time.Since(t0), errMsg,
-		"op", kind, "id", short(op.id), "peer", p.name)
+		"op", "put", "id", short(op.id), "peer", p.name)
 	if err != nil {
 		b.fanoutErrors.Add(1)
 		b.markDown(p, err)

@@ -62,11 +62,16 @@ func newReplicated(t *testing.T, opts replicate.Options) *replicate.Backend {
 }
 
 // syncBackend adapts the replicating backend to the conformance
-// battery: the battery's contract is synchronous (Get after Delete must
-// miss), so every write waits for the write-behind fanout to land. The
-// full fanout path still runs — only the timing is pinned.
+// battery: the battery's contract is synchronous, so every write waits
+// for the write-behind fanout to land. The full fanout path still runs —
+// only the timing is pinned. Deletes do not replicate, so the battery's
+// "Get after Delete misses" holds once every replica has dropped its own
+// copy: Delete removes the composite's local copy, then each peer's
+// directly, as each replica's own store would (TestFanoutWriteBehind
+// pins that the composite's Delete alone touches no peer).
 type syncBackend struct {
 	*replicate.Backend
+	peers []store.Backend
 }
 
 func (s syncBackend) Put(id string, data []byte) error {
@@ -77,7 +82,9 @@ func (s syncBackend) Put(id string, data []byte) error {
 
 func (s syncBackend) Delete(id string) error {
 	err := s.Backend.Delete(id)
-	s.Flush()
+	for _, p := range s.peers {
+		_ = p.Delete(id) // a dead peer holds nothing to drop
+	}
 	return err
 }
 
@@ -144,16 +151,16 @@ func TestReplicateConformanceHealthy(t *testing.T) {
 	dirs := map[store.Backend]string{}
 	backendtest.Run(t, backendtest.Harness{
 		Open: func(t *testing.T) store.Backend {
-			local := newFS(t)
+			local, p1, p2 := newFS(t), newFS(t), newFS(t)
 			b := newReplicated(t, replicate.Options{
 				Local: local,
 				Peers: []replicate.Peer{
-					{Name: "p1", Backend: newFS(t)},
-					{Name: "p2", Backend: newFS(t)},
+					{Name: "p1", Backend: p1},
+					{Name: "p2", Backend: p2},
 				},
 				ProbeInterval: -1,
 			})
-			sb := syncBackend{b}
+			sb := &syncBackend{b, []store.Backend{p1, p2}}
 			dirs[sb] = local.Dir()
 			return sb
 		},
@@ -172,16 +179,16 @@ func TestReplicateConformanceOneDeadPeer(t *testing.T) {
 	dirs := map[store.Backend]string{}
 	backendtest.Run(t, backendtest.Harness{
 		Open: func(t *testing.T) store.Backend {
-			local := newFS(t)
+			local, alive := newFS(t), newFS(t)
 			b := newReplicated(t, replicate.Options{
 				Local: local,
 				Peers: []replicate.Peer{
-					{Name: "alive", Backend: newFS(t)},
+					{Name: "alive", Backend: alive},
 					{Name: "dead", Backend: downBackend{}},
 				},
 				ProbeInterval: -1,
 			})
-			sb := syncBackend{b}
+			sb := &syncBackend{b, []store.Backend{alive, downBackend{}}}
 			dirs[sb] = local.Dir()
 			return sb
 		},
@@ -194,8 +201,9 @@ func TestReplicateConformanceOneDeadPeer(t *testing.T) {
 }
 
 // TestFanoutWriteBehind pins the write path: a Put lands on every peer
-// once the queues drain, a Delete removes it everywhere, and the
-// counters see both.
+// once the queues drain, and the counters see it; a Delete removes the
+// local copy only — deletes do not replicate — so the record is still
+// served through the composite, by read-repair from a peer.
 func TestFanoutWriteBehind(t *testing.T) {
 	local, p1, p2 := newFS(t), newFS(t), newFS(t)
 	b := newReplicated(t, replicate.Options{
@@ -226,10 +234,22 @@ func TestFanoutWriteBehind(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Flush()
-	for name, fs := range map[string]*store.FS{"local": local, "p1": p1, "p2": p2} {
-		if _, err := fs.Get(id); !errors.Is(err, store.ErrNotFound) {
-			t.Fatalf("%s still serves the deleted record: %v", name, err)
+	if _, err := local.Get(id); !errors.Is(err, store.ErrNotFound) {
+		t.Fatalf("local still serves the deleted record: %v", err)
+	}
+	for name, fs := range map[string]*store.FS{"p1": p1, "p2": p2} {
+		if got, err := fs.Get(id); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("a local delete reached %s: %v", name, err)
 		}
+	}
+	if st := b.Stats(); st.FanoutWrites != 2 {
+		t.Fatalf("stats after delete: %+v, want the 2 fanout writes of the put alone", st)
+	}
+	if got, err := b.Get(id); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("deleted record not read-repaired from a peer: %v", err)
+	}
+	if st := b.Stats(); st.RepairHits != 1 {
+		t.Fatalf("stats after the read: %+v, want 1 repair hit", st)
 	}
 }
 

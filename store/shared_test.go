@@ -34,9 +34,42 @@ func TestSharedStoresSeeEachOthersWrites(t *testing.T) {
 	}
 }
 
-// TestSharedEvictionKeepsCorpus: a shared store's LRU bound trims only
-// its local index — the corpus bytes belong to the owner — and an
-// evicted record is still served through the backend.
+// twoCopies is a minimal replicated backend, the shape store/replicate
+// has: Put writes this process's copy and a peer's, a local miss is
+// read-repaired from the peer, Delete (embedded) removes the local copy
+// only, and Local exposes the copy this process owns.
+type twoCopies struct {
+	*FS
+	peer *FS
+}
+
+func (b twoCopies) Put(id string, data []byte) error {
+	if err := b.FS.Put(id, data); err != nil {
+		return err
+	}
+	return b.peer.Put(id, data)
+}
+
+func (b twoCopies) Get(id string) ([]byte, error) {
+	if data, err := b.FS.Get(id); err == nil {
+		return data, nil
+	}
+	data, err := b.peer.Get(id)
+	if err == nil {
+		err = b.FS.Put(id, data) // read-repair
+	}
+	return data, err
+}
+
+func (b twoCopies) Local() Backend { return b.FS }
+
+// TestSharedEvictionKeepsCorpus: a shared store's LRU bound deletes
+// only what this process owns. Over a corpus it merely mounts (here a
+// directory on shared storage) eviction trims the index alone — the
+// bytes belong to the corpus owner — and an evicted record is still
+// served through the backend. Over a replicated corpus eviction deletes
+// the local copy, so MaxEntries bounds this replica's disk, and keeps
+// the peer's, from which an evicted record is still served.
 func TestSharedEvictionKeepsCorpus(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, Options{Shared: true, MaxEntries: 1})
@@ -50,12 +83,47 @@ func TestSharedEvictionKeepsCorpus(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		if _, err := os.Stat(filepath.Join(dir, testKey(i).ID()+".json")); err != nil {
-			t.Errorf("shared eviction deleted corpus record %d: %v", i, err)
+			t.Errorf("mount eviction deleted corpus record %d: %v", i, err)
 		}
 	}
 	// An index-evicted record is still a hit via the backend.
 	if _, ok := s.Get(testKey(0)); !ok {
 		t.Error("index-evicted record not served from the shared corpus")
+	}
+
+	local, err := NewFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := NewFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(Options{Backend: twoCopies{local, peer}, Shared: true, MaxEntries: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for i := 0; i < 3; i++ {
+		if err := r.Put(testKey(i), testRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	count := func(fs *FS) int {
+		ents, err := fs.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+	if l, p := count(local), count(peer); l != 1 || p != 3 {
+		t.Fatalf("replicated eviction left %d local and %d peer records, want 1 and 3", l, p)
+	}
+	if _, ok := r.Get(testKey(0)); !ok {
+		t.Fatal("evicted record not served from the peer's copy")
+	}
+	if l := count(local); l != 1 {
+		t.Errorf("the read-back record pushed the local copies to %d, want 1", l)
 	}
 }
 

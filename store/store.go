@@ -129,13 +129,15 @@ type Options struct {
 	// endpoints.
 	Backend Backend
 	// Shared marks the backend's corpus as shared with other replicas
-	// (a remote backend, or a filesystem directory on shared storage).
-	// Every Store indexes the backend's List at Open without reading a
-	// record; a shared one in addition serves index misses by consulting
-	// the backend (a record a peer persisted after this Open is still a
-	// hit), tolerates an unreachable corpus at Open (it starts empty and
-	// fills lazily), and evicts only its local index entries — never the
-	// shared bytes, whose bound belongs to the corpus owner.
+	// (a replicated corpus, a remote backend, or a filesystem directory
+	// on shared storage). Every Store indexes the backend's List at Open
+	// without reading a record; a shared one in addition serves index
+	// misses by consulting the backend (a record a peer persisted after
+	// this Open is still a hit) and tolerates an unreachable corpus at
+	// Open (it starts empty and fills lazily). Eviction deletes only
+	// what this process owns: a replicated backend's local copy (the
+	// backend exposes it as Local()), and nothing of a corpus the store
+	// merely mounts, whose bound belongs to its owner.
 	Shared bool
 	// MaxEntries bounds the indexed record count (LRU eviction past
 	// it). 0 selects DefaultMaxEntries.
@@ -191,6 +193,7 @@ type writeTask struct {
 // retire with Close (which drains pending write-behind persists).
 type Store struct {
 	backend   Backend
+	own       Backend // where eviction deletes (nil: nowhere; see evictLocked)
 	shared    bool
 	max       int
 	onCorrupt func(string, error)
@@ -227,6 +230,11 @@ func Open(opts Options) (*Store, error) {
 		onCorrupt: opts.OnCorrupt,
 		index:     make(map[string]*list.Element),
 		ll:        list.New(),
+	}
+	if l, ok := backend.(localer); ok {
+		s.own = l.Local()
+	} else if !s.shared {
+		s.own = backend
 	}
 	if err := s.load(); err != nil {
 		return nil, err
@@ -494,10 +502,13 @@ func (s *Store) drop(id string) bool {
 	return existed
 }
 
-// evictLocked trims least-recently-used index entries beyond the bound.
-// On an exclusive corpus the backing record is deleted too; on a shared
-// corpus only the local index entry goes (the corpus bound belongs to
-// its owner), and a later lookup can still find the record through the
+// evictLocked trims least-recently-used index entries beyond the bound
+// and deletes this process's own copy of each: the record itself on an
+// exclusive corpus, the local replica's copy on a replicated one (its
+// peers bound their own disks, so no delete crosses the wire). A shared
+// corpus this process only mounts — a peer's /v1/store, a directory on
+// shared storage — keeps its bytes: their bound belongs to the corpus
+// owner, and a later lookup can still find the record through the
 // backend. Callers must hold s.mu.
 func (s *Store) evictLocked() {
 	for s.ll.Len() > s.max {
@@ -505,8 +516,8 @@ func (s *Store) evictLocked() {
 		e := oldest.Value.(*entry)
 		s.ll.Remove(oldest)
 		delete(s.index, e.id)
-		if !s.shared {
-			_ = s.backend.Delete(e.id)
+		if s.own != nil {
+			_ = s.own.Delete(e.id)
 		}
 		s.stats.Evictions++
 	}

@@ -9,7 +9,8 @@
 //  3. sharding patterns are enumerated per subgraph with early stopping,
 //  4. candidates are validated by symbolic shape checks,
 //  5. survivors are ranked by the communication-based cost model, and
-//  6. the winner is reconstructed into a per-device parallel graph.
+//  6. the winner is reconstructed into a per-device parallel graph
+//     (Result.Parallel, built on demand).
 //
 // # Quick start
 //
@@ -29,8 +30,8 @@
 // fingerprint, cluster signature, full option set). A repeated search for
 // the same key returns the memoized Result in microseconds with CacheHit
 // set; WithCache(n) sizes the cache and WithCache(0) disables it. Cached
-// Results share their Strategy/Parallel structures across hits — treat
-// every Result handed out by the Engine as immutable.
+// Results share their Strategy, plan document and per-device graph
+// across hits — treat every Result handed out by the Engine as immutable.
 //
 // # Cancellation
 //
@@ -76,7 +77,6 @@ import (
 	"tapas/internal/cluster"
 	"tapas/internal/graph"
 	"tapas/internal/models"
-	"tapas/internal/reconstruct"
 	"tapas/internal/sim"
 	"tapas/internal/strategy"
 	"tapas/store"
@@ -102,31 +102,41 @@ type Options struct {
 
 // Result bundles everything a search produces.
 //
-// Result has no stable serialization of its own: Strategy and Parallel
-// are internal pointer graphs. Summary (also the MarshalJSON encoding)
-// renders the wire-safe form; PlanDocument renders the full per-node
-// plan as the versioned plan document the service package carries as
-// PlanJSON. A cached Result renders that document once: every hit on the
-// same cache entry shares the bytes.
+// Result has no stable serialization of its own: Strategy and the graph
+// Parallel builds are internal pointer graphs. Summary (also the
+// MarshalJSON encoding) renders the wire-safe form; PlanDocument renders
+// the full per-node plan as the versioned plan document the service
+// package carries as PlanJSON. A cached Result renders that document
+// once: every hit on the same cache entry shares the bytes.
+//
+// No search builds the per-device graph (the paper's Graph Reconstructor
+// output): nothing in a search or a store hit reads it. The reconstruct
+// stage counts its operators and collectives from the Strategy instead,
+// into DeviceNodes and DeviceCollectives, which is all a wire response
+// carries of it. Parallel materializes the graph on demand, once per
+// cache entry.
 type Result struct {
 	ModelName string
 	GPUs      int
 
 	// Strategy is the selected parallel plan.
 	Strategy *strategy.Strategy
-	// Parallel is the reconstructed per-device graph.
-	Parallel *reconstruct.ParallelGraph
 	// Report is the simulated training iteration on the cluster.
 	Report sim.Report
+	// DeviceNodes and DeviceCollectives size the per-device graph
+	// Parallel builds: its operator count (one fused compute operator
+	// per GraphNode plus the collectives) and the collectives inserted
+	// into it. They are computed from Strategy without building it.
+	DeviceNodes, DeviceCollectives int
 
 	// CacheHit reports that this Result was served from the Engine's
 	// result cache: the timing fields below describe the original cold
-	// computation, and Strategy/Parallel are shared with other hits for
-	// the same key (treat them as read-only).
+	// computation, and Strategy (and the graph Parallel builds) are
+	// shared with other hits for the same key (treat them as read-only).
 	CacheHit bool
 	// StoreHit reports that this Result was restored from the Engine's
 	// persistent plan store (WithStore) instead of being computed by the
-	// search pipeline: the plan was rehydrated, re-priced and
+	// search pipeline: the plan was rehydrated, re-priced, counted and
 	// re-simulated, and the timing fields describe the original cold
 	// computation that produced the stored plan. A Result can carry both
 	// flags — a store-restored Result re-served from the memory cache.
@@ -138,10 +148,11 @@ type Result struct {
 	// — worker counts only move the durations. The plan store persists it.
 	store.Timing
 
-	// plan memoizes PlanDocument. The Engine installs it when the Result
-	// enters its cache, so the cached copy, its hits and joined followers
-	// share one rendering; nil renders on every call.
-	plan *planMemo
+	// memo memoizes PlanDocument and Parallel. The Engine installs it
+	// when the Result enters its cache, so the cached copy, its hits and
+	// joined followers share one rendering of each; nil renders on every
+	// call.
+	memo *entryMemo
 }
 
 // ErrUnknownModel is returned (wrapped) by every entry point asked for

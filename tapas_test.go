@@ -20,8 +20,11 @@ func TestSearchEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Strategy == nil || res.Parallel == nil {
-		t.Fatal("missing strategy or parallel graph")
+	if res.Strategy == nil {
+		t.Fatal("missing strategy")
+	}
+	if pg, err := res.Parallel(); err != nil || pg == nil {
+		t.Fatalf("missing parallel graph: %v", err)
 	}
 	if res.Report.IterationTime <= 0 {
 		t.Error("simulation should produce a positive iteration time")
