@@ -4,11 +4,23 @@
 // cleanly; -timeout bounds it; -progress streams live pipeline events to
 // stderr.
 //
+// A search runs in-process, or on a tapas-serve daemon (or gateway) with
+// -serve-addr; either way the result is printed from its v1 wire form
+// (service.SearchResponse). -format picks the view of a single search:
+// text (the default), json (the plan document, as the daemon embeds it
+// in every response), dot (a Graphviz drawing of the annotated GraphNode
+// graph) or trace (a Chrome tracing timeline of one simulated
+// iteration). dot and trace need the in-process plan, so they refuse
+// -serve-addr; a comma batch prints text only.
+//
 // Usage:
 //
 //	tapas-search -model t5-770M -gpus 8
 //	tapas-search -model t5-770M,moe-1.3B,bert-large -gpus 8   # batch via SearchAll
 //	tapas-search -model resnet-228M -gpus 16 -baseline megatron
+//	tapas-search -model moe-380M -baseline gshard -v           # per-GraphNode patterns and SRC
+//	tapas-search -model t5-770M -gpus 8 -format json > plan.json
+//	tapas-search -model resnet-228M -format dot | dot -Tsvg > plan.svg
 //	tapas-search -workers 4 -timeout 2m -progress -model t5-1.4B -gpus 32
 //	tapas-search -serve-addr http://localhost:8080 -model t5-770M -gpus 8   # remote daemon
 //	tapas-search -serve-addr http://localhost:8080 -model t5-770M,bert-large -gpus 8   # remote batch
@@ -17,6 +29,8 @@ package main
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -25,7 +39,9 @@ import (
 
 	"tapas"
 	"tapas/internal/cli"
+	"tapas/internal/export"
 	"tapas/internal/graphio"
+	"tapas/internal/sim"
 	"tapas/service"
 )
 
@@ -41,6 +57,7 @@ func main() {
 	serveAddr := flag.String("serve-addr", "", "post the search to a tapas-serve daemon at this base URL instead of searching in-process")
 	list := flag.Bool("list", false, "list registered models and exit")
 	verbose := flag.Bool("v", false, "print the per-GraphNode pattern assignment")
+	format := flag.String("format", "text", "output of a single search: text, json (the plan document), dot (Graphviz drawing of the plan) or trace (Chrome tracing timeline); dot and trace search in-process")
 	flag.Parse()
 
 	if *list {
@@ -49,11 +66,6 @@ func main() {
 		}
 		return
 	}
-
-	// Ctrl-C (or SIGTERM from a supervisor) cancels the in-flight search;
-	// -timeout layers a deadline on top of the same context.
-	ctx, stop := cli.Context(*timeout)
-	defer stop()
 
 	var names []string
 	for _, n := range strings.Split(*model, ",") {
@@ -64,26 +76,45 @@ func main() {
 	if len(names) == 1 {
 		*model = names[0] // tolerate a stray trailing comma
 	}
-	if len(names) > 1 && (*spec != "" || *baseline != "") {
-		fmt.Fprintln(os.Stderr, "a comma-separated -model batch cannot be combined with -baseline or -spec")
-		os.Exit(2)
+	switch {
+	case *format != "text" && *format != "json" && *format != "dot" && *format != "trace":
+		usage("unknown -format %q (text, json, dot or trace)", *format)
+	case len(names) > 1 && (*spec != "" || *baseline != ""):
+		usage("a comma-separated -model batch cannot be combined with -baseline or -spec")
+	case len(names) > 1 && *format != "text":
+		usage("a comma-separated -model batch prints text only (no -format %s)", *format)
+	case *serveAddr != "" && *baseline != "":
+		usage("-serve-addr supports TAPAS searches only (no -baseline)")
+	case *serveAddr != "" && (*format == "dot" || *format == "trace"):
+		usage("-format %s needs the in-process plan (no -serve-addr)", *format)
 	}
 
+	// Ctrl-C (or SIGTERM from a supervisor) cancels the in-flight search;
+	// -timeout layers a deadline on top of the same context.
+	ctx, stop := cli.Context(*timeout)
+	defer stop()
+
 	if *serveAddr != "" {
-		if *baseline != "" {
-			fmt.Fprintln(os.Stderr, "-serve-addr supports TAPAS searches only (no -baseline)")
-			os.Exit(2)
-		}
+		c := service.NewClient(*serveAddr)
 		if len(names) > 1 {
 			if *progress {
 				// The batch endpoint is synchronous; only single remote
 				// searches stream SSE progress.
 				fmt.Fprintln(os.Stderr, "note: -progress is ignored in remote batch mode")
 			}
-			runRemoteBatch(ctx, *serveAddr, names, *gpus, *workers, *exhaustive, *verbose)
+			reqs := make([]service.SearchRequest, len(names))
+			for i, n := range names {
+				reqs[i] = service.SearchRequest{Model: n, GPUs: *gpus, Workers: *workers, Exhaustive: *exhaustive}
+			}
+			resp, err := c.SearchBatch(ctx, reqs)
+			if err != nil {
+				fatal(err)
+			}
+			printBatch(names, *gpus, resp.Results, *verbose)
 			return
 		}
-		runRemote(ctx, *serveAddr, *model, *spec, *gpus, *workers, *exhaustive, *progress, *verbose)
+		resp := runRemote(ctx, c, *model, *spec, *gpus, *workers, *exhaustive, *progress)
+		printResponse(resp, "TAPAS, remote, "+servedFrom(resp), *format, *verbose)
 		return
 	}
 
@@ -93,30 +124,7 @@ func main() {
 		observe = printProgress
 	}
 	if len(names) > 1 {
-		specs := make([]tapas.SearchSpec, len(names))
-		for i, n := range names {
-			specs[i] = tapas.SearchSpec{Model: n, GPUs: *gpus, Progress: observe}
-		}
-		results, err := eng.SearchAll(ctx, specs)
-		for _, res := range results {
-			if res == nil {
-				continue
-			}
-			fmt.Printf("%-16s %2d GPUs  plan: %-60s  search=%v  %s\n",
-				res.ModelName, res.GPUs, res.Strategy.Describe(), res.TotalTime.Round(1e6), res.Report)
-			if *verbose {
-				printAssignment(res)
-				fmt.Println()
-			}
-		}
-		if err != nil {
-			// One line per failed spec, so a partial failure cannot hide
-			// inside a joined message.
-			for _, e := range splitJoined(err) {
-				fmt.Fprintln(os.Stderr, "error:", e)
-			}
-			os.Exit(cli.ExitCode(err))
-		}
+		printBatch(names, *gpus, searchBatch(ctx, eng, names, *gpus, observe), *verbose)
 		return
 	}
 
@@ -148,37 +156,84 @@ func main() {
 		res, err = eng.SearchSpec(ctx, tapas.SearchSpec{Model: *model, GPUs: *gpus, Progress: observe})
 	}
 	if err != nil {
+		fatal(err)
+	}
+
+	switch *format {
+	case "dot":
+		err = export.WriteDOT(os.Stdout, res.Strategy.Graph, res.Strategy)
+	case "trace":
+		err = sim.BuildTimeline(res.Strategy, sim.DefaultConfig(tapas.NewCluster(*gpus))).WriteChromeTrace(os.Stdout)
+	default:
+		system := "TAPAS"
+		if *baseline != "" {
+			system = *baseline
+		} else if *exhaustive {
+			system = "TAPAS-ES"
+		}
+		var resp *service.SearchResponse
+		if resp, err = service.NewSearchResponse(res); err == nil {
+			printResponse(resp, system, *format, *verbose)
+		}
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(cli.ExitCode(err))
+		os.Exit(1)
 	}
+}
 
-	system := "TAPAS"
-	if *baseline != "" {
-		system = *baseline
-	} else if *exhaustive {
-		system = "TAPAS-ES"
-	}
-	fmt.Printf("model:        %s on %d GPUs (%s)\n", res.ModelName, res.GPUs, system)
-	fmt.Printf("plan:         %s\n", res.Strategy.Describe())
-	fmt.Printf("search time:  total=%v (group=%v mine=%v search=%v)\n",
-		res.TotalTime.Round(1e6), res.GroupTime.Round(1e6), res.MineTime.Round(1e6), res.SearchTime.Round(1e6))
-	fmt.Printf("search space: %d unique subgraphs, %d strategies examined, %d pruned\n",
-		res.UniqueGraphs, res.Examined, res.Pruned)
-	fmt.Printf("cost model:   %.4fs/iter predicted\n", res.Strategy.Cost.Total())
-	fmt.Printf("simulated:    %s\n", res.Report)
-	fmt.Printf("memory:       %.2f GiB/device (limit 32 GiB)\n", float64(res.Strategy.MemPerDev)/(1<<30))
+// usage rejects a flag combination with the flag package's exit code.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(2)
+}
 
-	if *verbose {
-		fmt.Println()
-		printAssignment(res)
+// fatal reports a failed search and exits: 130 when it was interrupted
+// or timed out, 1 otherwise.
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(cli.ExitCode(err))
+}
+
+// searchBatch runs a comma-separated -model batch in-process and answers
+// it in the positional form of the daemon's POST /v1/search:batch, so
+// both print alike.
+func searchBatch(ctx context.Context, eng *tapas.Engine, names []string, gpus int, observe func(tapas.ProgressEvent)) []service.BatchSearchItem {
+	specs := make([]tapas.SearchSpec, len(names))
+	for i, n := range names {
+		specs[i] = tapas.SearchSpec{Model: n, GPUs: gpus, Progress: observe}
 	}
+	results, err := eng.SearchAll(ctx, specs)
+	if ctx.Err() != nil {
+		fatal(ctx.Err())
+	}
+	items := make([]service.BatchSearchItem, len(names))
+	if u, ok := err.(interface{ Unwrap() []error }); ok {
+		for _, e := range u.Unwrap() {
+			var se *tapas.SpecError
+			if errors.As(e, &se) {
+				items[se.Index] = service.BatchSearchItem{Error: se.Err.Error(), Status: service.ErrorStatus(se.Err)}
+			}
+		}
+	}
+	for i, res := range results {
+		if res == nil {
+			continue
+		}
+		resp, err := service.NewSearchResponse(res)
+		if err != nil {
+			items[i] = service.BatchSearchItem{Error: err.Error(), Status: service.ErrorStatus(err)}
+			continue
+		}
+		items[i].Response = resp
+	}
+	return items
 }
 
 // runRemote posts the search to a tapas-serve daemon. With -progress it
 // goes through the async job API and streams live SSE events to stderr;
 // otherwise it is one synchronous POST /v1/search.
-func runRemote(ctx context.Context, addr, model, spec string, gpus, workers int, exhaustive, progress, verbose bool) {
-	c := service.NewClient(addr)
+func runRemote(ctx context.Context, c *service.Client, model, spec string, gpus, workers int, exhaustive, progress bool) *service.SearchResponse {
 	req := service.SearchRequest{
 		Model:      model,
 		GPUs:       gpus,
@@ -205,52 +260,9 @@ func runRemote(ctx context.Context, addr, model, spec string, gpus, workers int,
 		resp, err = c.Search(ctx, req)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(cli.ExitCode(err))
+		fatal(err)
 	}
-	printResponse(resp, verbose)
-}
-
-// runRemoteBatch posts a comma-separated model batch to a daemon's
-// POST /v1/search:batch: positional results, one line per model, one
-// stderr line per failed item (mirroring the local batch mode).
-func runRemoteBatch(ctx context.Context, addr string, names []string, gpus, workers int, exhaustive, verbose bool) {
-	c := service.NewClient(addr)
-	reqs := make([]service.SearchRequest, len(names))
-	for i, n := range names {
-		reqs[i] = service.SearchRequest{Model: n, GPUs: gpus, Workers: workers, Exhaustive: exhaustive}
-	}
-	resp, err := c.SearchBatch(ctx, reqs)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(cli.ExitCode(err))
-	}
-	if len(resp.Results) != len(names) {
-		fmt.Fprintf(os.Stderr, "daemon answered %d results for %d requests\n", len(resp.Results), len(names))
-		os.Exit(1)
-	}
-	failed := false
-	for i, item := range resp.Results {
-		if !item.OK() {
-			failed = true
-			fmt.Fprintf(os.Stderr, "error: %s on %d GPUs: %s (status %d)\n", names[i], gpus, item.Error, item.Status)
-			continue
-		}
-		r := item.Response
-		fmt.Printf("%-16s %2d GPUs  plan: %-60s  search=%.3fs  %.3fs/iter, %.2f TFLOPS/GPU (%s)\n",
-			r.Model, r.GPUs, r.PlanSummary, r.Timing.TotalSeconds,
-			r.Report.IterationSeconds, r.Report.TFLOPSPerGPU, servedFrom(r))
-		if verbose && r.Plan != nil {
-			fmt.Println("assignment:")
-			for _, a := range r.Plan.Assignments {
-				fmt.Printf("  %-40s %-20s in=%-3s out=%-3s  %s\n", a.Name, a.Pattern, a.In, a.Out, a.SRC)
-			}
-			fmt.Println()
-		}
-	}
-	if failed {
-		os.Exit(1)
-	}
+	return resp
 }
 
 // runRemoteJob drives the async path: submit, stream events, fetch the
@@ -284,7 +296,7 @@ func runRemoteJob(ctx context.Context, c *service.Client, req service.SearchRequ
 	return final.Result, nil
 }
 
-// servedFrom labels where a daemon found a plan: its memory cache
+// servedFrom labels where a plan was found: the engine's memory cache
 // ("cache", which wins when a store-restored plan is re-served from
 // memory), its plan store ("store"), or a search it ran ("cold").
 func servedFrom(resp *service.SearchResponse) string {
@@ -297,9 +309,24 @@ func servedFrom(resp *service.SearchResponse) string {
 	return "cold"
 }
 
-// printResponse renders a daemon response in the local output format.
-func printResponse(resp *service.SearchResponse, verbose bool) {
-	fmt.Printf("model:        %s on %d GPUs (TAPAS, remote, %s)\n", resp.Model, resp.GPUs, servedFrom(resp))
+// printResponse writes one search result: its plan document for -format
+// json, else a text report headed by system, the planner and where the
+// plan came from.
+func printResponse(resp *service.SearchResponse, system, format string, verbose bool) {
+	if format == "json" {
+		if resp.Plan == nil {
+			fmt.Fprintln(os.Stderr, "response carries no plan document")
+			os.Exit(1)
+		}
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(resp.Plan); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		return
+	}
+	fmt.Printf("model:        %s on %d GPUs (%s)\n", resp.Model, resp.GPUs, system)
 	fmt.Printf("plan:         %s\n", resp.PlanSummary)
 	fmt.Printf("search time:  total=%.3fs (group=%.3fs mine=%.3fs search=%.3fs)\n",
 		resp.Timing.TotalSeconds, resp.Timing.GroupSeconds, resp.Timing.MineSeconds, resp.Timing.SearchSeconds)
@@ -311,10 +338,43 @@ func printResponse(resp *service.SearchResponse, verbose bool) {
 	fmt.Printf("memory:       %.2f GiB/device (limit 32 GiB)\n", float64(resp.MemBytesPerDevice)/(1<<30))
 	if verbose && resp.Plan != nil {
 		fmt.Println()
-		fmt.Println("assignment:")
-		for _, a := range resp.Plan.Assignments {
-			fmt.Printf("  %-40s %-20s in=%-3s out=%-3s  %s\n", a.Name, a.Pattern, a.In, a.Out, a.SRC)
+		printAssignments(resp)
+	}
+}
+
+// printBatch writes a batch's positional results, one line per model and
+// one stderr line per failed item, and exits 1 when any item failed.
+func printBatch(names []string, gpus int, items []service.BatchSearchItem, verbose bool) {
+	if len(items) != len(names) {
+		fmt.Fprintf(os.Stderr, "daemon answered %d results for %d requests\n", len(items), len(names))
+		os.Exit(1)
+	}
+	failed := false
+	for i, item := range items {
+		if !item.OK() {
+			failed = true
+			fmt.Fprintf(os.Stderr, "error: %s on %d GPUs: %s (status %d)\n", names[i], gpus, item.Error, item.Status)
+			continue
 		}
+		r := item.Response
+		fmt.Printf("%-16s %2d GPUs  plan: %-60s  search=%.3fs  %.3fs/iter, %.2f TFLOPS/GPU (%s)\n",
+			r.Model, r.GPUs, r.PlanSummary, r.Timing.TotalSeconds,
+			r.Report.IterationSeconds, r.Report.TFLOPSPerGPU, servedFrom(r))
+		if verbose && r.Plan != nil {
+			printAssignments(r)
+			fmt.Println()
+		}
+	}
+	if failed {
+		os.Exit(1)
+	}
+}
+
+// printAssignments lists a plan's per-GraphNode pattern choices.
+func printAssignments(resp *service.SearchResponse) {
+	fmt.Println("assignment:")
+	for _, a := range resp.Plan.Assignments {
+		fmt.Printf("  %-40s %-20s in=%-3s out=%-3s  %s\n", a.Name, a.Pattern, a.In, a.Out, a.SRC)
 	}
 }
 
@@ -330,24 +390,5 @@ func printProgress(ev tapas.ProgressEvent) {
 	case ev.Kind == tapas.PhaseEnter:
 		fmt.Fprintf(os.Stderr, "[%8s] %s/%d: %s...\n",
 			ev.Elapsed.Round(time.Millisecond), ev.Model, ev.GPUs, ev.Phase)
-	}
-}
-
-// splitJoined unpacks an errors.Join result into its parts (or returns
-// the error itself when it is not a joined error).
-func splitJoined(err error) []error {
-	if u, ok := err.(interface{ Unwrap() []error }); ok {
-		return u.Unwrap()
-	}
-	return []error{err}
-}
-
-// printAssignment dumps the per-GraphNode pattern assignment of a result.
-func printAssignment(res *tapas.Result) {
-	fmt.Println("assignment:")
-	for _, gn := range res.Strategy.Graph.TopoOrder() {
-		p := res.Strategy.Assign[gn.ID]
-		fmt.Printf("  %-40s %-20s in=%-3s out=%-3s  %s\n",
-			gn.String(), p.Name, p.In, p.Out, p.SRC)
 	}
 }

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"os"
 	"os/exec"
@@ -138,5 +140,73 @@ func TestCLIRemoteStoreHit(t *testing.T) {
 	out := run(t, "-serve-addr", srv.URL, "-model", "t5-100M", "-gpus", "8")
 	if !strings.Contains(out, "(TAPAS, remote, store)") {
 		t.Errorf("store hit not labeled as one:\n%s", out)
+	}
+}
+
+// stdout runs the binary and returns what it wrote to stdout alone.
+func stdout(t *testing.T, args ...string) []byte {
+	t.Helper()
+	out, err := exec.Command(binary, args...).Output()
+	if err != nil {
+		var stderr []byte
+		if ee, ok := err.(*exec.ExitError); ok {
+			stderr = ee.Stderr
+		}
+		t.Fatalf("tapas-search %v: %v\n%s", args, err, stderr)
+	}
+	return out
+}
+
+// TestCLIFormatJSONMatchesGolden: -format json writes the plan document
+// byte-for-byte as the golden fixture pins it, whether the plan was
+// searched in-process or answered by a daemon.
+func TestCLIFormatJSONMatchesGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "..", "service", "testdata", "golden", "t5-100M_4gpu.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-model", "t5-100M", "-gpus", "4", "-format", "json"}
+	if got := stdout(t, args...); !bytes.Equal(got, want) {
+		t.Errorf("in-process -format json differs from the golden plan:\n%s", got)
+	}
+
+	svc, err := service.New(service.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(service.NewHandler(svc))
+	defer srv.Close()
+	defer svc.Shutdown(context.Background())
+	if got := stdout(t, append(args, "-serve-addr", srv.URL)...); !bytes.Equal(got, want) {
+		t.Errorf("remote -format json differs from the golden plan:\n%s", got)
+	}
+}
+
+func TestCLIFormatDotAndTrace(t *testing.T) {
+	if dot := stdout(t, "-model", "t5-100M", "-gpus", "4", "-format", "dot"); !bytes.HasPrefix(dot, []byte("digraph")) {
+		t.Errorf("-format dot does not start with digraph:\n%.200s", dot)
+	}
+	if tr := stdout(t, "-model", "t5-100M", "-gpus", "4", "-format", "trace"); !json.Valid(tr) {
+		t.Errorf("-format trace is not JSON:\n%.200s", tr)
+	}
+}
+
+// TestCLIFormatRefusals: views that need the in-process Strategy refuse
+// -serve-addr, a batch prints text only, and an unknown format is a
+// usage error — all exit 2 before anything is searched or contacted.
+func TestCLIFormatRefusals(t *testing.T) {
+	for _, args := range [][]string{
+		{"-model", "t5-100M", "-format", "dot", "-serve-addr", "http://127.0.0.1:1"},
+		{"-model", "t5-100M", "-format", "trace", "-serve-addr", "http://127.0.0.1:1"},
+		{"-model", "t5-100M,resnet-26M", "-format", "json"},
+		{"-model", "t5-100M,resnet-26M", "-format", "dot"},
+		{"-model", "t5-100M,resnet-26M", "-format", "trace"},
+		{"-model", "t5-100M,resnet-26M", "-format", "json", "-serve-addr", "http://127.0.0.1:1"},
+		{"-model", "t5-100M", "-format", "svg"},
+	} {
+		out, err := exec.Command(binary, args...).CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Errorf("tapas-search %v: want exit 2, got %v\n%s", args, err, out)
+		}
 	}
 }

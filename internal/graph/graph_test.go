@@ -161,12 +161,6 @@ func TestTensorBytes(t *testing.T) {
 	if tn.Bytes() != 400 {
 		t.Errorf("Bytes = %d, want 400", tn.Bytes())
 	}
-	if !tn.IsTrainable() {
-		t.Error("weight should be trainable")
-	}
-	if NewTensor("c", Constant, F32, NewShape(1)).IsTrainable() {
-		t.Error("constant should not be trainable")
-	}
 }
 
 func TestSuccessorsPredecessorsDiamond(t *testing.T) {
@@ -216,11 +210,5 @@ func TestForwardFLOPsConv(t *testing.T) {
 func TestOpKindString(t *testing.T) {
 	if OpMatMul.String() != "MatMul" {
 		t.Errorf("OpMatMul.String() = %q", OpMatMul.String())
-	}
-	if !OpConv2D.HasWeights() {
-		t.Error("Conv2D should carry weights")
-	}
-	if OpReLU.HasWeights() {
-		t.Error("ReLU should not carry weights")
 	}
 }

@@ -119,18 +119,6 @@ func (k OpKind) String() string {
 	return opNames[k]
 }
 
-// HasWeights reports whether this operator kind carries trainable weights
-// among its inputs in well-formed graphs.
-func (k OpKind) HasWeights() bool {
-	switch k {
-	case OpMatMul, OpConv2D, OpConvTranspose2D, OpBiasAdd, OpLayerNorm,
-		OpBatchNorm, OpEmbedding, OpGate:
-		return true
-	default:
-		return false
-	}
-}
-
 // forwardFLOPs returns the forward-pass floating point operations of a node.
 // The formulas follow the standard dense-op conventions used by the paper's
 // FLOPs-based throughput reporting (2·M·K·N for MatMul and the analogous

@@ -57,9 +57,6 @@ func NewTensor(name string, kind TensorKind, dt DType, shape Shape) *Tensor {
 // Bytes returns the storage footprint of the tensor.
 func (t *Tensor) Bytes() int64 { return t.Shape.NumElements() * t.DType.Size() }
 
-// IsTrainable reports whether the tensor is a trainable weight.
-func (t *Tensor) IsTrainable() bool { return t.Kind == Weight }
-
 // String implements fmt.Stringer.
 func (t *Tensor) String() string {
 	return fmt.Sprintf("%s:%s%s[%s]", t.Name, t.DType, t.Shape, t.Kind)

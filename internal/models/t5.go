@@ -33,9 +33,6 @@ type T5Config struct {
 	DecLayers int
 }
 
-// T5Large770M returns the paper's T5-Large configuration (~770M params).
-func T5Large770M() T5Config { return T5Sized("770M") }
-
 // T5Sized returns the paper's T5 scaling points by nominal parameter count:
 // "100M", "200M", "300M" (350M in Fig. 6), "770M" (760M in Fig. 7) and
 // "1.4B". Depth is chosen so total parameters land on the nominal size

@@ -191,19 +191,3 @@ func ProfileCollectives(cfg Config, sizes []int64, workerCounts []int) []cost.Sa
 	}
 	return out
 }
-
-// CompareReports returns the ratio a/b of iteration times, treating OOM as
-// infinitely slow. Used by experiments to rank frameworks.
-func CompareReports(a, b Report) float64 {
-	at, bt := a.IterationTime, b.IterationTime
-	if a.OOM {
-		at = math.Inf(1)
-	}
-	if b.OOM {
-		bt = math.Inf(1)
-	}
-	if bt == 0 {
-		return math.Inf(1)
-	}
-	return at / bt
-}

@@ -132,18 +132,6 @@ func TestFFNOnlyVsMegatronCommunication(t *testing.T) {
 	}
 }
 
-func TestCompareReports(t *testing.T) {
-	a := Report{IterationTime: 2}
-	b := Report{IterationTime: 1}
-	if CompareReports(a, b) != 2 {
-		t.Error("ratio should be 2")
-	}
-	oom := Report{IterationTime: 0.1, OOM: true}
-	if CompareReports(oom, b) <= 1e9 {
-		t.Error("OOM should compare as infinitely slow")
-	}
-}
-
 func TestProfileThenCalibrateRecoversOrdering(t *testing.T) {
 	// The offline-profiling loop of the paper: measure collectives on the
 	// testbed, fit ε, and recover that all-reduce is the most

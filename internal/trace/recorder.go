@@ -105,24 +105,6 @@ func (r *Recorder) StartRequest(ctx context.Context, name, traceID, parentID str
 	return context.WithValue(ctx, ctxKey{}, s), s
 }
 
-// StartTrace begins a standalone sampled trace with no incoming
-// request — background work like replication fan-out and read-repair,
-// where there is no caller to propagate from. Returns (ctx, nil) when
-// the work is not sampled.
-func (r *Recorder) StartTrace(ctx context.Context, name string) (context.Context, *Span) {
-	if r == nil || !r.sample() {
-		return ctx, nil
-	}
-	s := &Span{
-		rec:     r,
-		traceID: newID(),
-		id:      newID(),
-		name:    name,
-		start:   time.Now(),
-	}
-	return context.WithValue(ctx, ctxKey{}, s), s
-}
-
 // RecordSpan records one already-completed span as a standalone
 // single-span trace, subject to sampling — for background work
 // (replication fanout, read-repair) whose call sites have no context

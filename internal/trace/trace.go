@@ -122,15 +122,6 @@ func (s *Span) End() {
 // ctxKey carries the active *Span on a context.
 type ctxKey struct{}
 
-// NewContext returns ctx with s as the active span. A nil s returns
-// ctx unchanged.
-func NewContext(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, s)
-}
-
 // FromContext returns the active span, or nil when the request is not
 // being traced.
 func FromContext(ctx context.Context) *Span {

@@ -12,12 +12,12 @@ import (
 )
 
 // PlanJSON is the versioned wire form of a parallel strategy — the plan
-// document embedded in every SearchResponse and written by tapas-export.
-// It is the public promotion of the internal export schema: one
-// assignment per GraphNode (topological node ID, pattern name, layouts,
-// SRC expression, collectives) plus the resharding events, under an
-// explicit schema_version. See PlanSchemaVersion for the
-// compatibility policy.
+// document embedded in every SearchResponse and written by
+// `tapas-search -format json`. It is the public promotion of the
+// internal export schema: one assignment per GraphNode (topological
+// node ID, pattern name, layouts, SRC expression, collectives) plus the
+// resharding events, under an explicit schema_version. See
+// PlanSchemaVersion for the compatibility policy.
 type PlanJSON = export.StrategyJSON
 
 // PlanAssignment is one GraphNode's pattern choice within a PlanJSON.
