@@ -112,17 +112,6 @@ func FromStrategy(s *strategy.Strategy) (*StrategyJSON, error) {
 	return out, nil
 }
 
-// WriteStrategyJSON serializes a strategy.
-func WriteStrategyJSON(w io.Writer, s *strategy.Strategy) error {
-	out, err := FromStrategy(s)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
 // ReadStrategyJSON parses a serialized strategy (metadata only — the
 // original graph is needed to rehydrate pattern pointers). Documents
 // at any version but SchemaVersion are rejected.

@@ -3,6 +3,7 @@ package export
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -35,14 +36,26 @@ func megatronPlan(t *testing.T) (*ir.GNGraph, *strategy.Strategy) {
 	return g, s
 }
 
+// planDocument encodes s's plan document the way the CLI and the
+// daemon write it.
+func planDocument(t *testing.T, s *strategy.Strategy) *bytes.Buffer {
+	t.Helper()
+	doc, err := FromStrategy(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.NewBuffer(data)
+}
+
 func TestStrategyJSONRoundTrip(t *testing.T) {
 	g, s := megatronPlan(t)
 
-	var buf bytes.Buffer
-	if err := WriteStrategyJSON(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	sj, err := ReadStrategyJSON(&buf)
+	buf := planDocument(t, s)
+	sj, err := ReadStrategyJSON(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +81,8 @@ func TestStrategyJSONRoundTrip(t *testing.T) {
 
 func TestRehydrateRejectsWrongGraph(t *testing.T) {
 	g, s := megatronPlan(t)
-	var buf bytes.Buffer
-	if err := WriteStrategyJSON(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	sj, err := ReadStrategyJSON(&buf)
+	buf := planDocument(t, s)
+	sj, err := ReadStrategyJSON(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +109,7 @@ func TestReadStrategyJSONGarbage(t *testing.T) {
 
 func TestSchemaVersioning(t *testing.T) {
 	_, s := megatronPlan(t)
-	var buf bytes.Buffer
-	if err := WriteStrategyJSON(&buf, s); err != nil {
-		t.Fatal(err)
-	}
+	buf := planDocument(t, s)
 	if !strings.Contains(buf.String(), `"schema_version": 1`) {
 		t.Error("written plan carries no schema_version")
 	}
@@ -169,11 +176,8 @@ func TestRehydrateRenamedNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var buf bytes.Buffer
-	if err := WriteStrategyJSON(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	sj, err := ReadStrategyJSON(&buf)
+	buf := planDocument(t, s)
+	sj, err := ReadStrategyJSON(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,10 +230,7 @@ func TestWriteDOT(t *testing.T) {
 
 func TestJSONIncludesSRCAndComm(t *testing.T) {
 	_, s := megatronPlan(t)
-	var buf bytes.Buffer
-	if err := WriteStrategyJSON(&buf, s); err != nil {
-		t.Fatal(err)
-	}
+	buf := planDocument(t, s)
 	out := buf.String()
 	if !strings.Contains(out, "CAR") {
 		t.Error("JSON should carry SRC expressions")
@@ -255,11 +256,8 @@ func TestRehydrateSearchResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteStrategyJSON(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	sj, err := ReadStrategyJSON(&buf)
+	buf := planDocument(t, s)
+	sj, err := ReadStrategyJSON(buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 package tapas
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 
 	"tapas/internal/cluster"
@@ -46,41 +48,21 @@ func TestSearchAllRegisteredModels(t *testing.T) {
 }
 
 func roundTrip(res *Result) error {
-	var buf sliceWriter
-	if err := export.WriteStrategyJSON(&buf, res.Strategy); err != nil {
+	doc, err := export.FromStrategy(res.Strategy)
+	if err != nil {
 		return err
 	}
-	sj, err := export.ReadStrategyJSON(&buf)
+	data, err := json.Marshal(doc)
+	if err != nil {
+		return err
+	}
+	sj, err := export.ReadStrategyJSON(bytes.NewReader(data))
 	if err != nil {
 		return err
 	}
 	_, err = sj.Rehydrate(res.Strategy.Graph, cost.Default(cluster.V100GPUs(res.Strategy.W)))
 	return err
 }
-
-// sliceWriter is a minimal read-write buffer.
-type sliceWriter struct {
-	data []byte
-	off  int
-}
-
-func (s *sliceWriter) Write(p []byte) (int, error) {
-	s.data = append(s.data, p...)
-	return len(p), nil
-}
-
-func (s *sliceWriter) Read(p []byte) (int, error) {
-	if s.off >= len(s.data) {
-		return 0, errEOF{}
-	}
-	n := copy(p, s.data[s.off:])
-	s.off += n
-	return n, nil
-}
-
-type errEOF struct{}
-
-func (errEOF) Error() string { return "EOF" }
 
 // TestPipelinePlusTensorParallel combines the §5.6 pipeline extension with
 // the TP search: partition a deep model into node-sized stages, then

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -27,6 +29,88 @@ func seedRecord(t *testing.T, b store.Backend, rec *JobRecord) {
 	defer js.Close()
 	if err := js.put(rec); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// requireRecordMatchesStatus flushes svc's job writes and requires the
+// record dir's jobs backend holds for id to encode like Status(id)
+// without its progress.
+func requireRecordMatchesStatus(t *testing.T, svc *Service, dir, id string) {
+	t.Helper()
+	svc.jobStore.Flush()
+	data, err := newJobsBackend(t, dir).Get(JobRecordID(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec JobRecord
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	st, err := svc.Status(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Progress = nil
+	want, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(rec.JobStatus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("record of %s (%s) differs from its status:\n got %s\nwant %s", id, st.State, got, want)
+	}
+}
+
+// Two job records byte for byte as written before JobRecord embedded
+// JobStatus: gpus appears only inside request.
+const (
+	parentDoneRecord   = `{"schema_version":1,"id":"job-000001-aaaaaaaa","request":{"model":"t5-200M","gpus":8},"model":"t5-200M","state":"done","attempts":1,"created_unix_ms":500,"started_unix_ms":600,"finished_unix_ms":700,"result":{"schema_version":1,"model":"t5-200M","gpus":8,"plan_summary":"","cost_seconds":0,"mem_bytes_per_device":0,"cache_hit":false,"store_hit":false,"report":{"iteration_seconds":0,"compute_fwd_seconds":0,"compute_bwd_seconds":0,"comm_fwd_seconds":0,"comm_bwd_seconds":0,"comm_exposed_seconds":0,"mem_bytes_per_device":0,"oom":false,"tflops_per_gpu":0},"timing":{"group_seconds":0,"mine_seconds":0,"search_seconds":0,"total_seconds":0,"classes":0,"examined":0,"pruned":0,"unique_graphs":0}}}`
+	parentQueuedRecord = `{"schema_version":1,"id":"job-000002-bbbbbbbb","request":{"model":"twotower-small","gpus":4},"model":"twotower-small","state":"queued","created_unix_ms":1000}`
+)
+
+// TestRestoreParentRecords: records in the older on-disk shape still
+// load. The done one comes back as history with its result, timestamps
+// and the request's GPU count; the queued one is adopted and run.
+func TestRestoreParentRecords(t *testing.T) {
+	dir := t.TempDir()
+	backend := newJobsBackend(t, dir)
+	for id, data := range map[string]string{
+		"job-000001-aaaaaaaa": parentDoneRecord,
+		"job-000002-bbbbbbbb": parentQueuedRecord,
+	} {
+		if err := backend.Put(JobRecordID(id), []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc, err := New(Config{JobsBackend: newJobsBackend(t, dir)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = svc.Shutdown(context.Background()) })
+
+	done, err := svc.Status("job-000001-aaaaaaaa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.State != JobDone || done.Result == nil || done.Result.Model != "t5-200M" || done.Attempts != 1 || done.Adopted {
+		t.Errorf("restored done job mangled: %+v", done)
+	}
+	if done.CreatedUnixMS != 500 || done.StartedUnixMS != 600 || done.FinishedUnixMS != 700 {
+		t.Errorf("restored done job timestamps = %d/%d/%d, want 500/600/700", done.CreatedUnixMS, done.StartedUnixMS, done.FinishedUnixMS)
+	}
+	if done.GPUs != 8 {
+		t.Errorf("restored done job reports gpus %d, want request.gpus 8", done.GPUs)
+	}
+
+	queued, err := svc.WaitTerminal(context.Background(), "job-000002-bbbbbbbb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if queued.State != JobDone || !queued.Adopted || queued.GPUs != 4 || queued.Result == nil {
+		t.Errorf("adopted queued job = %s (%s), adopted=%v, gpus=%d; want done, adopted, gpus 4", queued.State, queued.Error, queued.Adopted, queued.GPUs)
 	}
 }
 
@@ -61,30 +145,36 @@ func TestAdoptOrphanedJobs(t *testing.T) {
 	doneResult.Model = "t5-200M"
 	seedRecord(t, backend, &JobRecord{
 		SchemaVersion: JobRecordSchemaVersion,
-		ID:            "job-000001-aaaaaaaa",
 		Request:       SearchRequest{Model: "t5-200M", GPUs: 8},
-		Model:         "t5-200M",
-		State:         JobDone,
-		Attempts:      1,
-		CreatedUnixMS: 500, StartedUnixMS: 600, FinishedUnixMS: 700,
-		Result: doneResult,
+		JobStatus: JobStatus{
+			ID:            "job-000001-aaaaaaaa",
+			Model:         "t5-200M",
+			State:         JobDone,
+			Attempts:      1,
+			CreatedUnixMS: 500, StartedUnixMS: 600, FinishedUnixMS: 700,
+			Result: doneResult,
+		},
 	})
 	seedRecord(t, backend, &JobRecord{
 		SchemaVersion: JobRecordSchemaVersion,
-		ID:            "job-000002-bbbbbbbb",
 		Request:       SearchRequest{Model: "t5-100M", GPUs: 8},
-		Model:         "t5-100M",
-		State:         JobQueued,
-		CreatedUnixMS: 1000,
+		JobStatus: JobStatus{
+			ID:            "job-000002-bbbbbbbb",
+			Model:         "t5-100M",
+			State:         JobQueued,
+			CreatedUnixMS: 1000,
+		},
 	})
 	seedRecord(t, backend, &JobRecord{
 		SchemaVersion: JobRecordSchemaVersion,
-		ID:            "job-000003-cccccccc",
 		Request:       SearchRequest{Model: "twotower-small", GPUs: 4},
-		Model:         "twotower-small",
-		State:         JobRunning,
-		Attempts:      1,
-		CreatedUnixMS: 2000, StartedUnixMS: 2100,
+		JobStatus: JobStatus{
+			ID:            "job-000003-cccccccc",
+			Model:         "twotower-small",
+			State:         JobRunning,
+			Attempts:      1,
+			CreatedUnixMS: 2000, StartedUnixMS: 2100,
+		},
 	})
 
 	svc, err := New(Config{JobsBackend: newJobsBackend(t, dir)})
@@ -132,6 +222,7 @@ func TestAdoptOrphanedJobs(t *testing.T) {
 		if st.Attempts != wantAttempts {
 			t.Errorf("adopted job %s attempts = %d, want %d", id, st.Attempts, wantAttempts)
 		}
+		requireRecordMatchesStatus(t, svc, dir, id)
 	}
 
 	// Stats surface the adoption and the durable machinery.
@@ -195,6 +286,9 @@ func TestSubmitPersistsAcrossRestart(t *testing.T) {
 	if _, err := svc.WaitTerminal(context.Background(), st.ID); err != nil {
 		t.Fatal(err)
 	}
+	// The record is the status, in the process that wrote it and in the
+	// one that restores it.
+	requireRecordMatchesStatus(t, svc, dir, st.ID)
 	if err := svc.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -214,6 +308,7 @@ func TestSubmitPersistsAcrossRestart(t *testing.T) {
 	if got.State != JobDone || got.Result == nil || got.Result.Plan == nil {
 		t.Errorf("restarted status incomplete: %+v", got)
 	}
+	requireRecordMatchesStatus(t, svc2, dir, st.ID)
 }
 
 // TestDrainKeepsOrphansAdoptable is the kill-path semantics through the
@@ -291,11 +386,13 @@ func TestAdoptionSkipsCorruptAndForeignRecords(t *testing.T) {
 
 	seedRecord(t, backend, &JobRecord{
 		SchemaVersion: JobRecordSchemaVersion,
-		ID:            "job-000001-aaaaaaaa",
 		Request:       SearchRequest{Model: "twotower-small", GPUs: 4},
-		Model:         "twotower-small",
-		State:         JobQueued,
-		CreatedUnixMS: 1000,
+		JobStatus: JobStatus{
+			ID:            "job-000001-aaaaaaaa",
+			Model:         "twotower-small",
+			State:         JobQueued,
+			CreatedUnixMS: 1000,
+		},
 	})
 	// Not JSON at all.
 	if err := backend.Put(JobRecordID("job-junk"), []byte("{nope")); err != nil {
@@ -341,12 +438,14 @@ func TestAdoptionFailsUnresolvableRequest(t *testing.T) {
 	dir := t.TempDir()
 	seedRecord(t, newJobsBackend(t, dir), &JobRecord{
 		SchemaVersion: JobRecordSchemaVersion,
-		ID:            "job-000001-aaaaaaaa",
 		Request:       SearchRequest{Model: "model-that-never-existed", GPUs: 8},
-		Model:         "model-that-never-existed",
-		State:         JobRunning,
-		Attempts:      1,
-		CreatedUnixMS: 1000,
+		JobStatus: JobStatus{
+			ID:            "job-000001-aaaaaaaa",
+			Model:         "model-that-never-existed",
+			State:         JobRunning,
+			Attempts:      1,
+			CreatedUnixMS: 1000,
+		},
 	})
 	svc, err := New(Config{JobsBackend: newJobsBackend(t, dir)})
 	if err != nil {

@@ -18,23 +18,18 @@ import (
 
 // job is one queued search and its fan-out state.
 type job struct {
-	id     string
 	req    SearchRequest
-	model  string       // display identity
 	graph  *graph.Graph // parsed inline spec (nil: registered model)
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu        sync.Mutex
-	state     JobState
-	created   time.Time
-	started   time.Time
-	finished  time.Time
-	errMsg    string
-	resp      *SearchResponse
-	progress  *JobProgress
-	attempts  int  // times a worker started this job (across processes)
-	adopted   bool // re-enqueued from a previous process's record
+	mu sync.Mutex
+	// st is the job's whole lifecycle state in wire form: every
+	// transition writes it, and the status, the durable record and the
+	// state events all read it. st.ID and st.Model never change once the
+	// job is published. st.Progress is replaced, never mutated, because
+	// status() hands out copies that share the pointer.
+	st        JobStatus
 	cancelled bool // explicit client Cancel (vs a shutdown drain)
 	// traceID/parentID carry the submitter's trace onto the worker that
 	// eventually runs the job, so an async search's spans land in the
@@ -52,57 +47,24 @@ type job struct {
 func (j *job) status() *JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := &JobStatus{
-		ID:            j.id,
-		State:         j.state,
-		Model:         j.model,
-		GPUs:          j.req.GPUs,
-		CreatedUnixMS: j.created.UnixMilli(),
-		Error:         j.errMsg,
-		Attempts:      j.attempts,
-		Adopted:       j.adopted,
-	}
-	if !j.started.IsZero() {
-		st.StartedUnixMS = j.started.UnixMilli()
-	}
-	if !j.finished.IsZero() {
-		st.FinishedUnixMS = j.finished.UnixMilli()
-	}
-	if j.progress != nil && j.state == JobRunning {
-		p := *j.progress
-		st.Progress = &p
-	}
-	if j.state == JobDone {
-		st.Result = j.resp
-	}
-	return st
+	st := j.st
+	return &st
 }
 
-// record snapshots the job in durable form.
+// record snapshots the job in durable form: its status without the
+// live progress.
 func (j *job) record() *JobRecord {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	rec := &JobRecord{
-		SchemaVersion: JobRecordSchemaVersion,
-		ID:            j.id,
-		Request:       j.req,
-		Model:         j.model,
-		State:         j.state,
-		Error:         j.errMsg,
-		Attempts:      j.attempts,
-		Adopted:       j.adopted,
-		CreatedUnixMS: j.created.UnixMilli(),
-	}
-	if !j.started.IsZero() {
-		rec.StartedUnixMS = j.started.UnixMilli()
-	}
-	if !j.finished.IsZero() {
-		rec.FinishedUnixMS = j.finished.UnixMilli()
-	}
-	if j.state == JobDone {
-		rec.Result = j.resp
-	}
+	rec := &JobRecord{SchemaVersion: JobRecordSchemaVersion, Request: j.req, JobStatus: j.st}
+	rec.Progress = nil
 	return rec
+}
+
+// stateEventLocked renders the job's current state as a stream event.
+// Callers must hold j.mu.
+func (j *job) stateEventLocked() JobEvent {
+	return JobEvent{JobID: j.st.ID, Type: EventState, State: j.st.State, Error: j.st.Error}
 }
 
 // broadcastLocked delivers one event to every subscriber without
@@ -140,7 +102,7 @@ func (j *job) closeSubs() {
 // callback and never sees these events.
 func (j *job) noteProgress(ev tapas.ProgressEvent) {
 	jev := JobEvent{
-		JobID:        j.id,
+		JobID:        j.st.ID,
 		Type:         EventProgress,
 		Phase:        string(ev.Phase),
 		Kind:         ev.Kind.String(),
@@ -150,12 +112,14 @@ func (j *job) noteProgress(ev tapas.ProgressEvent) {
 		ElapsedMS:    ev.Elapsed.Milliseconds(),
 	}
 	j.mu.Lock()
-	j.progress = &JobProgress{
-		Phase:        string(ev.Phase),
-		ClassesDone:  ev.ClassesDone,
-		ClassesTotal: ev.ClassesTotal,
-		Examined:     ev.Examined,
-		ElapsedMS:    ev.Elapsed.Milliseconds(),
+	if j.st.State == JobRunning { // progress is reported on running jobs only
+		j.st.Progress = &JobProgress{
+			Phase:        jev.Phase,
+			ClassesDone:  jev.ClassesDone,
+			ClassesTotal: jev.ClassesTotal,
+			Examined:     jev.Examined,
+			ElapsedMS:    jev.ElapsedMS,
+		}
 	}
 	j.broadcastLocked(jev)
 	j.mu.Unlock()
@@ -224,8 +188,8 @@ func (t *jobTable) enqueue(j *job) ([]string, error) {
 	default:
 		return nil, ErrQueueFull
 	}
-	t.byID[j.id] = j
-	t.order = append(t.order, j.id)
+	t.byID[j.st.ID] = j
+	t.order = append(t.order, j.st.ID)
 	return t.evictLocked(), nil
 }
 
@@ -270,7 +234,7 @@ func (t *jobTable) evictLocked() []string {
 func (j *job) terminal() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state.Terminal()
+	return j.st.State.Terminal()
 }
 
 // lookup resolves a job ID.
@@ -287,11 +251,11 @@ func (t *jobTable) counts() (queued, running, finished int, draining bool) {
 	for _, j := range t.byID {
 		j.mu.Lock()
 		switch {
-		case j.state == JobQueued:
+		case j.st.State == JobQueued:
 			queued++
-		case j.state == JobRunning:
+		case j.st.State == JobRunning:
 			running++
-		case j.state.Terminal():
+		case j.st.State.Terminal():
 			finished++
 		}
 		j.mu.Unlock()
@@ -356,28 +320,27 @@ func (s *Service) Submit(ctx context.Context, req SearchRequest) (*JobStatus, er
 	span := trace.FromContext(ctx)
 	j := &job{
 		req:      req,
-		model:    model,
 		graph:    g,
 		ctx:      jctx,
 		cancel:   jcancel,
-		state:    JobQueued,
-		created:  time.Now(),
+		st:       JobStatus{State: JobQueued, Model: model, GPUs: req.GPUs, CreatedUnixMS: time.Now().UnixMilli()},
 		subs:     make(map[int]chan JobEvent),
 		traceID:  span.TraceID(),
 		parentID: span.ID(),
 	}
 	s.jobs.mu.Lock()
-	j.id = s.jobs.newID()
+	j.st.ID = s.jobs.newID()
 	s.jobs.mu.Unlock()
 	s.persistJob(j)
+	st := j.status() // as accepted: a worker may start it once it is queued
 	removed, err := s.jobs.enqueue(j)
 	if err != nil {
 		jcancel()
-		s.dropRecord(j.id) // rejected: retract the submission record
+		s.dropRecord(j.st.ID) // rejected: retract the submission record
 		return nil, err
 	}
 	s.dropRecords(removed)
-	return j.status(), nil
+	return st, nil
 }
 
 // Status reports one job.
@@ -418,15 +381,15 @@ func (s *Service) Result(id string) (*SearchResponse, error) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	switch j.state {
+	switch j.st.State {
 	case JobDone:
-		return j.resp, nil
+		return j.st.Result, nil
 	case JobFailed:
-		return nil, fmt.Errorf("service: job %s failed: %s", id, j.errMsg)
+		return nil, fmt.Errorf("service: job %s failed: %s", id, j.st.Error)
 	case JobCancelled:
 		return nil, fmt.Errorf("service: job %s cancelled", id)
 	default:
-		return nil, fmt.Errorf("service: job %s is %s", id, j.state)
+		return nil, fmt.Errorf("service: job %s is %s", id, j.st.State)
 	}
 }
 
@@ -441,18 +404,17 @@ func (s *Service) Cancel(id string) (*JobStatus, error) {
 	}
 	j.mu.Lock()
 	switch {
-	case j.state == JobQueued:
-		j.state = JobCancelled
+	case j.st.State == JobQueued:
+		j.st.State, j.st.Error = JobCancelled, "cancelled by client"
+		j.st.FinishedUnixMS = time.Now().UnixMilli()
 		j.cancelled = true
-		j.errMsg = "cancelled by client"
-		j.finished = time.Now()
-		j.broadcastLocked(JobEvent{JobID: j.id, Type: EventState, State: JobCancelled, Error: "cancelled by client"})
+		j.broadcastLocked(j.stateEventLocked())
 		j.mu.Unlock()
 		j.cancel()
 		s.persistJob(j)
 		s.dropRecords(s.jobs.evict())
 		j.closeSubs()
-	case j.state == JobRunning:
+	case j.st.State == JobRunning:
 		j.cancelled = true
 		j.mu.Unlock()
 		j.cancel()
@@ -474,7 +436,7 @@ func (s *Service) Subscribe(id string) (<-chan JobEvent, func(), error) {
 	}
 	ch := make(chan JobEvent, 64)
 	j.mu.Lock()
-	snapshot := JobEvent{JobID: j.id, Type: EventState, State: j.state, Error: j.errMsg}
+	snapshot := j.stateEventLocked()
 	if j.subs == nil { // terminal, and its side-effects applied
 		j.mu.Unlock()
 		ch <- snapshot
@@ -560,14 +522,14 @@ func (s *Service) worker() {
 // runJob drives one job through running to a terminal state.
 func (s *Service) runJob(j *job) {
 	j.mu.Lock()
-	if j.state != JobQueued { // cancelled while queued
+	if j.st.State != JobQueued { // cancelled while queued
 		j.mu.Unlock()
 		return
 	}
-	j.state = JobRunning
-	j.started = time.Now()
-	j.attempts++
-	j.broadcastLocked(JobEvent{JobID: j.id, Type: EventState, State: JobRunning})
+	j.st.State = JobRunning
+	j.st.StartedUnixMS = time.Now().UnixMilli()
+	j.st.Attempts++
+	j.broadcastLocked(j.stateEventLocked())
 	j.mu.Unlock()
 	s.persistJob(j)
 
@@ -577,8 +539,8 @@ func (s *Service) runJob(j *job) {
 	var span *trace.Span
 	if j.traceID != "" {
 		ctx, span = s.obs.rec.StartRequest(j.ctx, "job.run", j.traceID, j.parentID)
-		span.SetAttr("job", j.id)
-		span.SetAttr("model", j.model)
+		span.SetAttr("job", j.st.ID)
+		span.SetAttr("model", j.st.Model)
 	}
 	var resp *SearchResponse
 	res, err := s.search(ctx, j.req, j.graph, j.noteProgress)
@@ -589,7 +551,7 @@ func (s *Service) runJob(j *job) {
 	if span != nil {
 		span.SetError(err)
 		j.mu.Lock()
-		span.SetAttr("state", string(j.state))
+		span.SetAttr("state", string(j.st.State))
 		j.mu.Unlock()
 		span.End()
 	}
@@ -600,29 +562,23 @@ func (s *Service) runJob(j *job) {
 // distinguished from genuine failure by the error chain.
 func (s *Service) finishJob(j *job, resp *SearchResponse, err error) {
 	j.mu.Lock()
-	if j.state.Terminal() { // e.g. cancelled-while-queued racing shutdown
+	if j.st.State.Terminal() { // e.g. cancelled-while-queued racing shutdown
 		j.mu.Unlock()
 		j.cancel()
 		return
 	}
-	var ev JobEvent
 	switch {
 	case err == nil:
-		j.state = JobDone
-		j.resp = resp
-		ev = JobEvent{JobID: j.id, Type: EventState, State: JobDone}
+		j.st.State, j.st.Result = JobDone, resp
 	case errors.Is(err, context.Canceled), errors.Is(err, ErrShuttingDown):
-		j.state = JobCancelled
-		j.errMsg = err.Error()
-		ev = JobEvent{JobID: j.id, Type: EventState, State: JobCancelled, Error: j.errMsg}
+		j.st.State, j.st.Error = JobCancelled, err.Error()
 	default:
-		j.state = JobFailed
-		j.errMsg = err.Error()
-		ev = JobEvent{JobID: j.id, Type: EventState, State: JobFailed, Error: j.errMsg}
+		j.st.State, j.st.Error = JobFailed, err.Error()
 	}
-	drainCut := j.state == JobCancelled && !j.cancelled && s.draining.Load()
-	j.finished = time.Now()
-	j.broadcastLocked(ev)
+	drainCut := j.st.State == JobCancelled && !j.cancelled && s.draining.Load()
+	j.st.Progress = nil
+	j.st.FinishedUnixMS = time.Now().UnixMilli()
+	j.broadcastLocked(j.stateEventLocked())
 	j.mu.Unlock()
 	j.cancel() // release the context's resources
 	if !drainCut {

@@ -19,37 +19,25 @@ import (
 // so a rolling downgrade cannot destroy work it merely fails to parse.
 const JobRecordSchemaVersion = 1
 
-// JobRecord is the durable form of one async job: everything needed to
-// re-execute the search after a crash (the validated request) plus the
-// lifecycle trail (state, attempts, timestamps, terminal outcome). It is
-// written through the same store.Backend machinery as plan records, in a
-// separate namespace directory, so every backend — filesystem, shared
-// filesystem, remote peer — makes jobs durable for free.
+// JobRecord is the durable form of one async job: the validated request
+// needed to re-execute the search after a crash, plus the job's status.
+// It is written through the same store.Backend machinery as plan
+// records, in a separate namespace directory, so every backend —
+// filesystem, shared filesystem, remote peer — makes jobs durable for
+// free.
 type JobRecord struct {
 	SchemaVersion int `json:"schema_version"`
-	// ID is the job's public ID ("job-000001-ab12cd34"). The backend
-	// record id is derived from it — see JobRecordID.
-	ID string `json:"id"`
 	// Request is the original, already-validated submission; adoption
 	// re-resolves it against the current binary's model registry.
 	Request SearchRequest `json:"request"`
-	Model   string        `json:"model"`
-	State   JobState      `json:"state"`
-	Error   string        `json:"error,omitempty"`
-	// Attempts counts how many times a worker started this job; a crash
-	// between start and terminal state leaves the count as evidence.
-	Attempts int `json:"attempts,omitempty"`
-	// Adopted marks a job re-enqueued from a previous process's record
-	// rather than submitted to this one.
-	Adopted bool `json:"adopted,omitempty"`
-
-	CreatedUnixMS  int64 `json:"created_unix_ms"`
-	StartedUnixMS  int64 `json:"started_unix_ms,omitempty"`
-	FinishedUnixMS int64 `json:"finished_unix_ms,omitempty"`
-
-	// Result is set when State is done, so a restarted daemon can keep
-	// answering Result polls for work finished by its predecessor.
-	Result *SearchResponse `json:"result,omitempty"`
+	// JobStatus is the job as GET /v1/jobs/{id} reports it, without
+	// Progress; its fields encode at the record's top level. ID names
+	// the backend record (see JobRecordID), Attempts is the evidence of
+	// a crash between start and terminal state, and Result lets a
+	// restarted daemon keep answering polls for its predecessor's work.
+	// Records written before the status was embedded lack gpus; it is
+	// always Request.GPUs.
+	JobStatus
 }
 
 // JobRecordID maps a job ID onto the backend's content-address shape (64

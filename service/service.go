@@ -169,21 +169,14 @@ func New(cfg Config) (*Service, error) {
 // adopted and re-enqueued. Runs before the workers start, so the
 // synchronous persist happens-before the first re-run attempt.
 func (s *Service) restoreJob(rec *JobRecord) {
-	j := &job{
-		id:       rec.ID,
-		req:      rec.Request,
-		model:    rec.Model,
-		state:    rec.State,
-		errMsg:   rec.Error,
-		attempts: rec.Attempts,
-		adopted:  rec.Adopted,
-		created:  time.UnixMilli(rec.CreatedUnixMS),
-	}
-	if rec.StartedUnixMS != 0 {
-		j.started = time.UnixMilli(rec.StartedUnixMS)
-	}
-	if rec.FinishedUnixMS != 0 {
-		j.finished = time.UnixMilli(rec.FinishedUnixMS)
+	j := &job{req: rec.Request, st: rec.JobStatus}
+	// Records written before the status was embedded carry gpus only
+	// inside request. A restored job reports no progress, and a result
+	// only when done, whatever the bytes on disk say.
+	j.st.GPUs = rec.Request.GPUs
+	j.st.Progress = nil
+	if j.st.State != JobDone {
+		j.st.Result = nil
 	}
 	j.ctx, j.cancel = context.WithCancel(s.rootCtx)
 
@@ -194,14 +187,11 @@ func (s *Service) restoreJob(rec *JobRecord) {
 		return // two records hashing to one job ID cannot both live
 	}
 	s.jobs.noteSeq(rec.ID)
-	s.jobs.byID[j.id] = j
-	s.jobs.order = append(s.jobs.order, j.id)
+	s.jobs.byID[rec.ID] = j
+	s.jobs.order = append(s.jobs.order, rec.ID)
 	s.jobs.mu.Unlock()
 
 	if rec.State.Terminal() {
-		if rec.State == JobDone {
-			j.resp = rec.Result
-		}
 		j.cancel()
 		return
 	}
@@ -209,9 +199,7 @@ func (s *Service) restoreJob(rec *JobRecord) {
 	// Orphaned queued/running job: adopt it. Re-resolve the request
 	// against this binary's registry — a model that no longer exists
 	// fails the job instead of crashing the worker later.
-	j.state = JobQueued
-	j.started = time.Time{}
-	j.adopted = true
+	j.st.State, j.st.StartedUnixMS, j.st.Error, j.st.Adopted = JobQueued, 0, "", true
 	err := rec.Request.Validate()
 	if err == nil {
 		var g *graph.Graph
@@ -220,9 +208,8 @@ func (s *Service) restoreJob(rec *JobRecord) {
 		}
 	}
 	if err != nil {
-		j.state = JobFailed
-		j.errMsg = fmt.Sprintf("adoption failed: %v", err)
-		j.finished = time.Now()
+		j.st.State, j.st.Error = JobFailed, fmt.Sprintf("adoption failed: %v", err)
+		j.st.FinishedUnixMS = time.Now().UnixMilli()
 		j.cancel()
 		s.persistRestored(j)
 		return
@@ -243,7 +230,7 @@ func (s *Service) persistRestored(j *job) {
 		return
 	}
 	if err := s.jobStore.put(j.record()); err != nil && s.jobStore.onCorrupt != nil {
-		s.jobStore.onCorrupt(JobRecordID(j.id), err)
+		s.jobStore.onCorrupt(JobRecordID(j.st.ID), err)
 	}
 }
 
