@@ -66,8 +66,9 @@ type Engine struct {
 // they build and group a fresh one. The map is bounded by the registry.
 type modelMemo struct {
 	fp    string
-	group sync.Once // sets gg and err
+	group sync.Once // sets gg, names and err
 	gg    *ir.GNGraph
+	names string // export.GraphNamesDigest(gg)
 	err   error
 }
 
@@ -856,7 +857,9 @@ func (c *lruCache) put(k cacheKey, r *Result) {
 //     field of the Result it was handed cannot corrupt later hits. The
 //     leader's Result, the cached copy and every hit on it share one memo
 //     (see Result.PlanDocument and Result.Parallel), installed before the
-//     result is published.
+//     result is published: the one compute brought when it did (a store
+//     hit's stored plan bytes, or the plan a persisted cold search
+//     rendered), a fresh one otherwise.
 //
 // With caching disabled (WithCache(0)) every call computes independently.
 func (e *Engine) doCached(ctx context.Context, key cacheKey, name string, compute func() (*Result, error)) (*Result, error) {
@@ -899,7 +902,9 @@ func (e *Engine) doCached(ctx context.Context, key cacheKey, name string, comput
 					e.mu.Lock()
 					delete(e.inflight, key)
 					if completed && err == nil && e.cache != nil {
-						res.memo = new(entryMemo)
+						if res.memo == nil { // a store hit or a persisted search brings its own
+							res.memo = new(entryMemo)
+						}
 						stored := *res
 						e.cache.put(key, &stored)
 					}

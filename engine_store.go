@@ -2,6 +2,7 @@ package tapas
 
 import (
 	"context"
+	"math"
 	"time"
 
 	"tapas/internal/export"
@@ -10,6 +11,7 @@ import (
 	"tapas/internal/models"
 	"tapas/internal/reconstruct"
 	"tapas/internal/sim"
+	"tapas/internal/strategy"
 	"tapas/internal/trace"
 	"tapas/store"
 )
@@ -18,9 +20,12 @@ import (
 // the Engine consults the store before searching: a stored plan is
 // rehydrated against the request's graph, re-priced under the resolved
 // cost model and re-simulated — orders of magnitude cheaper than a cold
-// search — and served with Result.StoreHit set. Cold searches persist
-// their plan write-behind (asynchronously, never stalling the caller),
-// so a restarted process answers repeat traffic warm.
+// search — and served with Result.StoreHit set. The hit's plan document
+// (Result.PlanDocument) is the stored bytes when the record proves they
+// are what rendering would give, so serving it renders nothing. Cold
+// searches render their plan document once and persist it write-behind
+// (asynchronously, never stalling the caller), so a restarted process
+// answers repeat traffic warm.
 //
 // Hit precedence is memory cache → store → search. The store's
 // lifecycle belongs to the caller: open it before NewEngine, close it
@@ -91,7 +96,7 @@ func (e *Engine) storeLookup(key cacheKey, name string, g *graph.Graph, gpus int
 		return nil, false
 	}
 	sk := storeKey(key)
-	rec, ok := e.store.Get(sk)
+	rec, ok := e.store.Lookup(sk)
 	if !ok {
 		return nil, false
 	}
@@ -112,13 +117,25 @@ func (e *Engine) storeLookup(key cacheKey, name string, g *graph.Graph, gpus int
 // except the hit markers, and the timing block, which is restored from
 // the record (mirroring the cache-hit contract: timing describes the
 // original cold computation).
+//
+// The Result's plan document is the record's stored bytes when the
+// record is a version 2 one whose pinned cost and memory equal the
+// re-priced plan's bit for bit and whose document was rendered from the
+// names of the graph rehydrated against; otherwise (a version 1
+// record, a renamed graph, a cost model that prices differently) it is
+// rendered again on demand, as for a cold search.
 func (e *Engine) restoreResult(rec *store.Record, name string, g *graph.Graph, gpus int, cfg engineConfig) (*Result, error) {
 	cl, model, _, _ := cfg.resolve(gpus)
-	gg, err := e.grouped(g, cfg.wireModel)
+	gg, names, err := e.grouped(g, cfg.wireModel)
 	if err != nil {
 		return nil, err
 	}
-	s, err := rec.Plan.Rehydrate(gg, model)
+	var s *strategy.Strategy
+	if rec.Doc == nil {
+		s, err = rec.Plan.Rehydrate(gg, model)
+	} else {
+		s, err = export.RehydrateNames(gg, rec.Workers, rec.NodePatterns(), model)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -126,29 +143,41 @@ func (e *Engine) restoreResult(rec *store.Record, name string, g *graph.Graph, g
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ModelName: name, GPUs: gpus, Strategy: s, StoreHit: true,
+	res := &Result{ModelName: name, GPUs: gpus, Strategy: s, StoreHit: true,
 		DeviceNodes: nodes, DeviceCollectives: collectives,
-		Report: sim.Run(s, sim.DefaultConfig(cl)), Timing: rec.Timing}, nil
+		Report: sim.Run(s, sim.DefaultConfig(cl)), Timing: rec.Timing}
+	if rec.Doc != nil && rec.Names == names &&
+		math.Float64bits(rec.CostSeconds) == math.Float64bits(s.Cost.Total()) && rec.MemBytesPerDevice == s.MemPerDev {
+		res.memo = renderedMemo(rec.Doc)
+	}
+	return res, nil
 }
 
-// grouped returns the grouped graph a store hit rehydrates against: for
-// a registered model (wireModel set) the one in its memo, built and
-// grouped once, by the model's first store hit; for any other graph, g
-// grouped afresh. Rehydration, pricing, counting and simulation only
-// read it, so concurrent hits share it.
-func (e *Engine) grouped(g *graph.Graph, wireModel string) (*ir.GNGraph, error) {
+// grouped returns the grouped graph a store hit rehydrates against, and
+// its names digest (export.GraphNamesDigest): for a registered model
+// (wireModel set) the ones in its memo, built, grouped and hashed once,
+// by the model's first store hit; for any other graph, g grouped and
+// hashed afresh. Rehydration, pricing, counting and simulation only
+// read the graph, so concurrent hits share it.
+func (e *Engine) grouped(g *graph.Graph, wireModel string) (*ir.GNGraph, string, error) {
 	e.fpMu.Lock()
 	m := e.memo[wireModel]
 	e.fpMu.Unlock()
 	if m == nil {
-		return ir.Group(g)
+		gg, err := ir.Group(g)
+		if err != nil {
+			return nil, "", err
+		}
+		return gg, export.GraphNamesDigest(gg), nil
 	}
 	m.group.Do(func() {
 		if g, m.err = sourceGraph(g, wireModel); m.err == nil {
-			m.gg, m.err = ir.Group(g)
+			if m.gg, m.err = ir.Group(g); m.err == nil {
+				m.names = export.GraphNamesDigest(m.gg)
+			}
 		}
 	})
-	return m.gg, m.err
+	return m.gg, m.names, m.err
 }
 
 // sourceGraph returns g, or builds the registered model's graph when g
@@ -161,15 +190,28 @@ func sourceGraph(g *graph.Graph, wireModel string) (*graph.Graph, error) {
 }
 
 // storePersist queues one successful cold search for write-behind
-// persistence. Failures to render the plan are swallowed — persistence
-// is an accelerator, never a correctness dependency.
+// persistence: its plan document, rendered here once into the memo the
+// Result keeps (so serving it renders nothing more), with the plan
+// facts a later store hit checks. Failures to render the plan are
+// swallowed — persistence is an accelerator, never a correctness
+// dependency.
 func (e *Engine) storePersist(key cacheKey, res *Result) {
 	if e.store == nil || key.kind != "search" || res == nil || res.Strategy == nil {
 		return
 	}
-	plan, err := export.FromStrategy(res.Strategy)
+	res.memo = new(entryMemo)
+	doc, err := res.PlanDocument()
 	if err != nil {
 		return
 	}
-	e.store.PutAsync(storeKey(key), &store.Record{Model: res.ModelName, GPUs: res.GPUs, Plan: plan, Timing: res.Timing})
+	s := res.Strategy
+	rec := &store.Record{Model: res.ModelName, GPUs: res.GPUs, Timing: res.Timing, Doc: doc,
+		Workers: s.W, CostSeconds: s.Cost.Total(), MemBytesPerDevice: s.MemPerDev,
+		Names: export.GraphNamesDigest(s.Graph)}
+	byNode := make([]string, len(s.Assign))
+	for id, p := range s.Assign {
+		byNode[id] = p.Name
+	}
+	rec.SetPatterns(byNode)
+	e.store.PutAsync(storeKey(key), rec)
 }

@@ -1,12 +1,15 @@
 package tapas
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -172,20 +175,21 @@ func TestStoreHitsShareOneGroupedGraph(t *testing.T) {
 
 // TestStoreHitAllocationBudget holds a warm store hit — the model's
 // grouped graph memoized by an earlier hit — to its allocation budget.
-// A store hit is rehydrate → price → count → simulate; it builds no
-// per-device graph and copies no pattern menu. While it did both,
-// t5-100M@8 made 1,781 allocations per hit and t5-1.4B@8 38,749 (31 per
-// grouped node); now they make 630 and 11,841 (9.5 per grouped node).
-// t5-1.4B@8 is held per grouped node, so a hit whose cost grows faster
-// than the graph fails here.
+// A store hit is read → check → rehydrate from the pattern names →
+// price → count → simulate; it decodes no plan document, renders none,
+// builds no per-device graph and copies no pattern menu. While it
+// decoded the whole plan record, t5-100M@8 made 630 allocations per hit
+// and t5-1.4B@8 11,841 (9.5 per grouped node); now they make 107 and
+// 215 (0.17 per grouped node). t5-1.4B@8 is held per grouped node, so a
+// hit whose cost grows faster than the graph fails here.
 func TestStoreHitAllocationBudget(t *testing.T) {
 	for _, tc := range []struct {
 		model   string
 		budget  func(nodes int) float64
 		explain string
 	}{
-		{"t5-100M", func(int) float64 { return 700 }, "700"},
-		{"t5-1.4B", func(n int) float64 { return 10 * float64(n) }, "10 per grouped node"},
+		{"t5-100M", func(int) float64 { return 150 }, "150"},
+		{"t5-1.4B", func(n int) float64 { return 0.25 * float64(n) }, "0.25 per grouped node"},
 	} {
 		t.Run(tc.model, func(t *testing.T) {
 			ctx := context.Background()
@@ -263,6 +267,64 @@ func TestStoreReadsIndentedRecords(t *testing.T) {
 		if !res.StoreHit || planJSON(t, res) != planJSON(t, cold) {
 			t.Errorf("%s: store hit %v, or its plan differs from the cold plan", filepath.Base(dir), res.StoreHit)
 		}
+	}
+}
+
+// TestStoreHitServesStoredBytes: a store hit's plan document is the
+// record's stored bytes only while the record proves they are what
+// rendering the re-priced plan would give. The test alters the stored
+// document (a model name no render produces) and then one pinned fact
+// at a time: with every fact intact the altered bytes are served, which
+// shows the check can see the splice; with the cost, the memory or the
+// names digest off by any amount the document is rendered again.
+func TestStoreHitServesStoredBytes(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	cold, err := NewEngine(WithStore(st)).Search(ctx, "t5-100M", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Flush()
+	want, err := cold.PlanDocument()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := st.Keys()[0]
+	rec, ok := st.Lookup(k)
+	if !ok || !bytes.Equal(rec.Doc, want) {
+		t.Fatal("the stored document is not the cold search's plan document")
+	}
+	altered := bytes.Replace(rec.Doc, []byte(`"model": "t5-100M"`), []byte(`"model": "t5-100X"`), 1)
+	for _, tc := range []struct {
+		name   string
+		change func(*store.Record)
+		served []byte
+	}{
+		{"intact", func(*store.Record) {}, altered},
+		{"cost", func(r *store.Record) { r.CostSeconds = math.Nextafter(r.CostSeconds, 1) }, want},
+		{"memory", func(r *store.Record) { r.MemBytesPerDevice++ }, want},
+		{"names", func(r *store.Record) { r.Names = strings.Repeat("0", len(r.Names)) }, want},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cp := *rec
+			cp.Doc = altered
+			tc.change(&cp)
+			if err := st.Put(k, &cp); err != nil {
+				t.Fatal(err)
+			}
+			res, err := NewEngine(WithStore(openStore(t, dir))).Search(ctx, "t5-100M", 8)
+			if err != nil || !res.StoreHit {
+				t.Fatalf("err=%v, want a store hit", err)
+			}
+			got, err := res.PlanDocument()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, tc.served) {
+				t.Errorf("served %d bytes (model %q), want %d", len(got), got[:60], len(tc.served))
+			}
+		})
 	}
 }
 

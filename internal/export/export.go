@@ -4,8 +4,12 @@
 package export
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash"
 	"io"
 	"sort"
 	"strings"
@@ -112,6 +116,68 @@ func FromStrategy(s *strategy.Strategy) (*StrategyJSON, error) {
 	return out, nil
 }
 
+// Document renders sj as the plan document: two-space-indented JSON
+// without a trailing newline, byte for byte what json.MarshalIndent(sj,
+// "", "  ") gives. It indents the compact encoding in one pass over its
+// bytes, several times faster than encoding/json's general indenter on
+// a large plan.
+func (sj *StrategyJSON) Document() ([]byte, error) {
+	compact, err := json.Marshal(sj)
+	if err != nil {
+		return nil, err
+	}
+	return indent(make([]byte, 0, len(compact)+len(compact)/2), compact), nil
+}
+
+// indent appends src, compact JSON as json.Marshal writes it, to dst
+// indented as json.Indent(dst, src, "", "  ") would: a newline and two
+// spaces per level after every opening bracket and comma and before
+// every closing bracket, ": " after a key, empty objects and arrays
+// kept as they are.
+func indent(dst, src []byte) []byte {
+	depth := 0
+	newline := func() {
+		dst = append(dst, '\n')
+		for i := 0; i < depth; i++ {
+			dst = append(dst, ' ', ' ')
+		}
+	}
+	for i := 0; i < len(src); i++ {
+		switch c := src[i]; c {
+		case '"':
+			j := i + 1
+			for ; j < len(src) && src[j] != '"'; j++ {
+				if src[j] == '\\' {
+					j++
+				}
+			}
+			dst = append(dst, src[i:min(j+1, len(src))]...)
+			i = j
+		case '{', '[':
+			if i+1 < len(src) && (src[i+1] == '}' || src[i+1] == ']') {
+				dst = append(dst, c, src[i+1])
+				i++
+				continue
+			}
+			dst = append(dst, c)
+			depth++
+			newline()
+		case '}', ']':
+			depth--
+			newline()
+			dst = append(dst, c)
+		case ',':
+			dst = append(dst, c)
+			newline()
+		case ':':
+			dst = append(dst, c, ' ')
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return dst
+}
+
 // ReadStrategyJSON parses a serialized strategy (metadata only — the
 // original graph is needed to rehydrate pattern pointers). Documents
 // at any version but SchemaVersion are rejected.
@@ -141,37 +207,115 @@ func (sj *StrategyJSON) Rehydrate(g *ir.GNGraph, model *cost.Model) (*strategy.S
 	if err := checkVersion(sj.SchemaVersion); err != nil {
 		return nil, err
 	}
-	if sj.Workers < 1 || sj.Workers > maxRehydrateWorkers {
-		return nil, fmt.Errorf("export: implausible worker count %d (want 1..%d)", sj.Workers, maxRehydrateWorkers)
+	if err := checkWorkers(sj.Workers); err != nil {
+		return nil, err
 	}
 	if len(sj.Assignments) != len(g.Nodes) {
 		return nil, fmt.Errorf("export: strategy has %d assignments, graph has %d nodes",
 			len(sj.Assignments), len(g.Nodes))
 	}
-	assign := make([]*ir.Pattern, len(g.Nodes))
+	names := make([]string, len(g.Nodes))
 	for _, a := range sj.Assignments {
 		if a.Node < 0 || a.Node >= len(g.Nodes) {
 			return nil, fmt.Errorf("export: node id %d out of range", a.Node)
 		}
-		gn := g.Nodes[a.Node]
-		var found *ir.Pattern
-		for _, p := range ir.PatternsFor(gn, sj.Workers) {
-			if p.Name == a.Pattern {
-				found = p
+		names[a.Node] = a.Pattern
+	}
+	return RehydrateNames(g, sj.Workers, names, model)
+}
+
+// checkWorkers refuses a worker count no plan can have.
+func checkWorkers(w int) error {
+	if w < 1 || w > maxRehydrateWorkers {
+		return fmt.Errorf("export: implausible worker count %d (want 1..%d)", w, maxRehydrateWorkers)
+	}
+	return nil
+}
+
+// RehydrateNames is Rehydrate from one pattern name per GraphNode,
+// indexed by node ID, at the given worker count: the part of a plan
+// document that determines the strategy.
+func RehydrateNames(g *ir.GNGraph, workers int, names []string, model *cost.Model) (*strategy.Strategy, error) {
+	if err := checkWorkers(workers); err != nil {
+		return nil, err
+	}
+	if len(names) != len(g.Nodes) {
+		return nil, fmt.Errorf("export: strategy has %d assignments, graph has %d nodes", len(names), len(g.Nodes))
+	}
+	assign := make([]*ir.Pattern, len(g.Nodes))
+	for id, gn := range g.Nodes {
+		for _, p := range ir.PatternsFor(gn, workers) {
+			if p.Name == names[id] {
+				assign[id] = p
 				break
 			}
 		}
-		if found == nil {
-			return nil, fmt.Errorf("export: pattern %q unavailable for node %v", a.Pattern, gn)
+		if assign[id] == nil {
+			return nil, fmt.Errorf("export: pattern %q unavailable for node %v", names[id], gn)
 		}
-		assign[gn.ID] = found
 	}
-	s, err := strategy.New(g, assign, sj.Workers, true, model)
+	s, err := strategy.New(g, assign, workers, true, model)
 	if err != nil {
 		return nil, fmt.Errorf("export: rehydrated strategy invalid: %w", err)
 	}
 	return s, nil
 }
+
+// NamesDigest is the hex SHA-256 of what the document took from its
+// graph beyond the graph's structure: the model name and every node's
+// name, kind and layer, in document order. It equals GraphNamesDigest of
+// the graph the document was rendered from.
+func (sj *StrategyJSON) NamesDigest() string {
+	d := newNamesDigest(sj.Model)
+	for _, a := range sj.Assignments {
+		d.str(a.Name)
+		d.str(a.Kind)
+		d.str(a.Layer)
+	}
+	return d.sum()
+}
+
+// GraphNamesDigest is the NamesDigest of any plan document rendered
+// from g (see FromStrategy): two structurally identical graphs render
+// byte-identical documents for one strategy exactly when their digests
+// are equal.
+func GraphNamesDigest(g *ir.GNGraph) string {
+	d := newNamesDigest(g.Src.Name)
+	var name []byte
+	for _, gn := range g.TopoOrder() {
+		name = gn.AppendName(name[:0])
+		d.bytes(name)
+		d.str(gn.Kind.String())
+		d.str(gn.Layer)
+	}
+	return d.sum()
+}
+
+// namesDigest hashes length-prefixed strings.
+type namesDigest struct {
+	h   hash.Hash
+	buf [8]byte
+}
+
+func newNamesDigest(model string) *namesDigest {
+	d := &namesDigest{h: sha256.New()}
+	d.str(model)
+	return d
+}
+
+func (d *namesDigest) str(s string) {
+	binary.LittleEndian.PutUint64(d.buf[:], uint64(len(s)))
+	d.h.Write(d.buf[:])
+	io.WriteString(d.h, s)
+}
+
+func (d *namesDigest) bytes(b []byte) {
+	binary.LittleEndian.PutUint64(d.buf[:], uint64(len(b)))
+	d.h.Write(d.buf[:])
+	d.h.Write(b)
+}
+
+func (d *namesDigest) sum() string { return hex.EncodeToString(d.h.Sum(nil)) }
 
 // WriteDOT renders the GraphNode graph in Graphviz DOT form, coloring
 // nodes by the strategy's pattern choice when s is non-nil.

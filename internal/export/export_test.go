@@ -265,3 +265,79 @@ func TestRehydrateSearchResult(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDocumentIsMarshalIndent: Document is json.MarshalIndent's bytes,
+// for a real plan and for compact JSON whose strings hold every byte the
+// indenter treats specially.
+func TestDocumentIsMarshalIndent(t *testing.T) {
+	_, s := megatronPlan(t)
+	sj, err := FromStrategy(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sj.Model = `odd "name" {with} [brackets], colons: and \ slashes <&>`
+	sj.Assignments[0].Fwd = []EventJSON{}
+	got, err := sj.Document()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.MarshalIndent(sj, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("Document differs from MarshalIndent: %d bytes, want %d", len(got), len(want))
+	}
+	for _, src := range []string{
+		`{}`, `[]`, `[[],{}]`, `{"a":{},"b":[]}`, `{"a":[1,2,{"b":null}],"c":"x,y:{z}[w]"}`,
+		`["\"","\\","\\\"",":",",","{","}","[","]","é\n"]`, `-1.5e-7`, `"s"`, `[true,false,null]`,
+	} {
+		var want bytes.Buffer
+		if err := json.Indent(&want, []byte(src), "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		if got := indent(nil, []byte(src)); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("indent(%s) =\n%s\nwant\n%s", src, got, want.Bytes())
+		}
+	}
+}
+
+// TestNamesDigestOfGraphAndDocument: the names digest of every
+// registered model's grouped graph is the one its plan documents carry,
+// and renaming an operator a document names changes it.
+func TestNamesDigestOfGraphAndDocument(t *testing.T) {
+	for _, name := range models.Names() {
+		src, err := models.Build(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := ir.Group(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assign := make([]*ir.Pattern, len(g.Nodes))
+		for i, gn := range g.Nodes {
+			assign[i] = ir.PatternsFor(gn, 4)[0]
+		}
+		s, err := strategy.New(g, assign, 4, true, cost.Default(cluster.V100GPUs(4)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sj, err := FromStrategy(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digest := GraphNamesDigest(g)
+		if got := sj.NamesDigest(); got != digest {
+			t.Errorf("%s: document digest %s, graph digest %s", name, got[:12], digest[:12])
+		}
+		named := g.Nodes[len(g.Nodes)/2].Ops[0] // a document names a node by its anchor or first operator
+		if a := g.Nodes[len(g.Nodes)/2].Anchor; a != nil {
+			named = a
+		}
+		named.Name += "'"
+		if GraphNamesDigest(g) == digest {
+			t.Errorf("%s: renaming the operator a node is named after left the digest unchanged", name)
+		}
+	}
+}

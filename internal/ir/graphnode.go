@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -174,15 +175,22 @@ func (gn *GraphNode) Signature() string {
 	return gn.sig
 }
 
-// String implements fmt.Stringer.
-func (gn *GraphNode) String() string {
-	name := gn.Kind.String()
+// String implements fmt.Stringer: "GN<id>:<kind>(<name>)", where name
+// is the anchor's, else the first member's, else the kind.
+func (gn *GraphNode) String() string { return string(gn.AppendName(nil)) }
+
+// AppendName appends gn.String() to b.
+func (gn *GraphNode) AppendName(b []byte) []byte {
+	kind := gn.Kind.String()
+	name := kind
 	if gn.Anchor != nil {
 		name = gn.Anchor.Name
 	} else if len(gn.Ops) > 0 {
 		name = gn.Ops[0].Name
 	}
-	return fmt.Sprintf("GN%d:%s(%s)", gn.ID, gn.Kind, name)
+	b = strconv.AppendInt(append(b, "GN"...), int64(gn.ID), 10)
+	b = append(append(append(b, ':'), kind...), '(')
+	return append(append(b, name...), ')')
 }
 
 // GNGraph is the GraphNode-level view of a computational graph — the

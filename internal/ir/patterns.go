@@ -296,9 +296,11 @@ func boundaryMapped(gn *GraphNode, w int, name string, anchorIn, anchorOut Shard
 	// Forward through the suffix: anchor output layout → boundary output.
 	boundOut := anchorOut
 	for _, op := range gn.Post {
-		var ok bool
-		boundOut, ok = PropagateSpec(op, boundOut)
-		if !ok {
+		var (
+			ok  bool
+			err error
+		)
+		if boundOut, ok, err = PropagateSpec(op, boundOut); err != nil || !ok {
 			return nil, false
 		}
 	}
@@ -660,13 +662,13 @@ func gluePatterns(gn *GraphNode, w int) []*Pattern {
 		spec := Split(axis)
 		cur := spec
 		ok := true
+		var err error
 		for _, op := range gn.Ops {
-			cur, ok = PropagateSpec(op, cur)
-			if !ok {
+			if cur, ok, err = PropagateSpec(op, cur); err != nil || !ok {
 				break
 			}
 		}
-		if !ok {
+		if err != nil || !ok {
 			continue
 		}
 		name := "pass-split0"

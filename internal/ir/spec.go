@@ -45,7 +45,9 @@ func (s ShardSpec) String() string {
 // layout of its output, implementing the symbolic shape check of the
 // strategy validator. The second return value is false when the operator
 // cannot execute with the given input layout without extra communication
-// (e.g. Softmax over a split axis), which early-stops the candidate.
+// (e.g. Softmax over a split axis), which early-stops the candidate. An
+// operator without an input or an output has no layout to map: that is
+// an error, whatever the layout.
 //
 // The rules cover the operator vocabulary the model zoo emits:
 //
@@ -57,9 +59,13 @@ func (s ShardSpec) String() string {
 //   - Concat cannot concatenate over a split axis;
 //   - pooling cannot split the pooled spatial axes, and global average
 //     pooling (B,H,W,C)→(B,C) re-maps a channel split.
-func PropagateSpec(n *graph.Node, in ShardSpec) (ShardSpec, bool) {
+func PropagateSpec(n *graph.Node, in ShardSpec) (ShardSpec, bool, error) {
+	if len(n.Inputs) == 0 || len(n.Outputs) == 0 {
+		return in, false, fmt.Errorf("ir: operator %q has %d inputs and %d outputs, no layout to propagate",
+			n.Name, len(n.Inputs), len(n.Outputs))
+	}
 	if in.IsReplicated() {
-		return in, true
+		return in, true, nil
 	}
 	inShape := primaryInput(n).Shape
 	outShape := n.Outputs[0].Shape
@@ -73,98 +79,98 @@ func PropagateSpec(n *graph.Node, in ShardSpec) (ShardSpec, bool) {
 			// (B,S,D) → (B,H,S,Dh): batch stays, hidden→heads.
 			switch in.Axis {
 			case 0:
-				return Split(0), true
+				return Split(0), true, nil
 			case 2:
-				return Split(1), true
+				return Split(1), true, nil
 			}
-			return in, false
+			return in, false, nil
 		case inShape.Rank() == 4 && outShape.Rank() == 3:
 			// (B,H,S,Dh) → (B,S,D): batch stays, heads→hidden.
 			switch in.Axis {
 			case 0:
-				return Split(0), true
+				return Split(0), true, nil
 			case 1:
-				return Split(2), true
+				return Split(2), true, nil
 			}
-			return in, false
+			return in, false, nil
 		default:
 			// Generic reshape: only a leading-axis split survives when
 			// the leading extent is preserved.
 			if in.Axis == 0 && outShape[0] == inShape[0] {
-				return Split(0), true
+				return Split(0), true, nil
 			}
-			return in, false
+			return in, false, nil
 		}
 
 	case graph.OpSoftmax, graph.OpLayerNorm:
 		// Normalization needs the full last axis.
 		if in.Axis == last {
-			return in, false
+			return in, false, nil
 		}
-		return in, true
+		return in, true, nil
 
 	case graph.OpBatchMatMul:
 		// Contraction over the split axis would need a partial-sum
 		// reduction that glue nodes do not emit.
 		if in.Axis == last {
-			return in, false
+			return in, false, nil
 		}
-		return in, true
+		return in, true, nil
 
 	case graph.OpConcat:
 		// Concatenating along the split axis would interleave shards.
 		cat := int(n.AttrOr("axis", int64(outShape.Rank()-1)))
 		if in.Axis == cat {
-			return in, false
+			return in, false, nil
 		}
-		return in, true
+		return in, true, nil
 
 	case graph.OpMaxPool, graph.OpAvgPool:
 		if outShape.Rank() == 2 && inShape.Rank() == 4 {
 			// Global average pool (B,H,W,C) → (B,C).
 			switch in.Axis {
 			case 0:
-				return Split(0), true
+				return Split(0), true, nil
 			case 3:
-				return Split(1), true
+				return Split(1), true, nil
 			}
-			return in, false
+			return in, false, nil
 		}
 		// Window pooling: spatial splits would need halo exchange.
 		if in.Axis == 1 || in.Axis == 2 {
-			return in, false
+			return in, false, nil
 		}
-		return in, true
+		return in, true, nil
 
 	case graph.OpCrossEntropy:
 		// The loss reduces everything; any layout is acceptable and the
 		// (scalar-ish) output inherits a batch split only.
 		if in.Axis == 0 {
-			return Split(0), true
+			return Split(0), true, nil
 		}
-		return Replicated(), true
+		return Replicated(), true, nil
 
 	case graph.OpTopK:
 		// Top-k over the expert (last) axis needs the full axis.
 		if in.Axis == last {
-			return in, false
+			return in, false, nil
 		}
-		return in, true
+		return in, true, nil
 
 	case graph.OpTranspose:
 		// Conservative: only batch splits survive an arbitrary permute.
 		if in.Axis == 0 {
-			return in, true
+			return in, true, nil
 		}
-		return in, false
+		return in, false, nil
 
 	default:
 		// Elementwise and shape-preserving ops: Add, Mul, ReLU, GeLU,
 		// Sigmoid, Tanh, BiasAdd, Dropout, Identity, BatchNorm, Gate.
 		if in.Axis < outShape.Rank() {
-			return in, true
+			return in, true, nil
 		}
-		return in, false
+		return in, false, nil
 	}
 }
 

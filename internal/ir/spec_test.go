@@ -34,7 +34,7 @@ func mkOp(kind graph.OpKind, in, out graph.Shape, attrs map[string]int64) *graph
 func TestPropagateElementwise(t *testing.T) {
 	n := mkOp(graph.OpReLU, graph.NewShape(8, 16), graph.NewShape(8, 16), nil)
 	for _, in := range []ShardSpec{Replicated(), Split(0), Split(1)} {
-		out, ok := PropagateSpec(n, in)
+		out, ok, _ := PropagateSpec(n, in)
 		if !ok || !out.Equal(in) {
 			t.Errorf("ReLU should pass %v through, got %v ok=%v", in, out, ok)
 		}
@@ -43,17 +43,17 @@ func TestPropagateElementwise(t *testing.T) {
 
 func TestPropagateSoftmaxLastAxisInvalid(t *testing.T) {
 	n := mkOp(graph.OpSoftmax, graph.NewShape(8, 16, 32), graph.NewShape(8, 16, 32), nil)
-	if _, ok := PropagateSpec(n, Split(2)); ok {
+	if _, ok, _ := PropagateSpec(n, Split(2)); ok {
 		t.Error("softmax over split axis must be invalid")
 	}
-	if out, ok := PropagateSpec(n, Split(1)); !ok || !out.Equal(Split(1)) {
+	if out, ok, _ := PropagateSpec(n, Split(1)); !ok || !out.Equal(Split(1)) {
 		t.Errorf("softmax with non-normalized split should pass: %v %v", out, ok)
 	}
 }
 
 func TestPropagateLayerNormLastAxisInvalid(t *testing.T) {
 	n := mkOp(graph.OpLayerNorm, graph.NewShape(8, 16, 32), graph.NewShape(8, 16, 32), nil)
-	if _, ok := PropagateSpec(n, Split(2)); ok {
+	if _, ok, _ := PropagateSpec(n, Split(2)); ok {
 		t.Error("layernorm over split feature axis must be invalid")
 	}
 }
@@ -61,15 +61,15 @@ func TestPropagateLayerNormLastAxisInvalid(t *testing.T) {
 func TestPropagateReshapeHeadSplit(t *testing.T) {
 	// (B,S,D) → (B,H,S,Dh): the attention head split remaps hidden→heads.
 	n := mkOp(graph.OpReshape, graph.NewShape(8, 128, 1024), graph.NewShape(8, 16, 128, 64), nil)
-	out, ok := PropagateSpec(n, Split(2))
+	out, ok, _ := PropagateSpec(n, Split(2))
 	if !ok || !out.Equal(Split(1)) {
 		t.Errorf("hidden split should map to head split, got %v ok=%v", out, ok)
 	}
-	out, ok = PropagateSpec(n, Split(0))
+	out, ok, _ = PropagateSpec(n, Split(0))
 	if !ok || !out.Equal(Split(0)) {
 		t.Errorf("batch split should survive reshape, got %v ok=%v", out, ok)
 	}
-	if _, ok := PropagateSpec(n, Split(1)); ok {
+	if _, ok, _ := PropagateSpec(n, Split(1)); ok {
 		t.Error("sequence split through head reshape should be invalid")
 	}
 }
@@ -77,7 +77,7 @@ func TestPropagateReshapeHeadSplit(t *testing.T) {
 func TestPropagateReshapeHeadMerge(t *testing.T) {
 	// (B,H,S,Dh) → (B,S,D): head split maps back to hidden split.
 	n := mkOp(graph.OpReshape, graph.NewShape(8, 16, 128, 64), graph.NewShape(8, 128, 1024), nil)
-	out, ok := PropagateSpec(n, Split(1))
+	out, ok, _ := PropagateSpec(n, Split(1))
 	if !ok || !out.Equal(Split(2)) {
 		t.Errorf("head split should map to hidden split, got %v ok=%v", out, ok)
 	}
@@ -87,7 +87,7 @@ func TestInverseSpecRoundTrip(t *testing.T) {
 	// InverseSpec(PropagateSpec(s)) == s for the reshape mappings.
 	n := mkOp(graph.OpReshape, graph.NewShape(8, 128, 1024), graph.NewShape(8, 16, 128, 64), nil)
 	for _, s := range []ShardSpec{Replicated(), Split(0), Split(2)} {
-		fwd, ok := PropagateSpec(n, s)
+		fwd, ok, _ := PropagateSpec(n, s)
 		if !ok {
 			t.Fatalf("forward %v failed", s)
 		}
@@ -100,10 +100,10 @@ func TestInverseSpecRoundTrip(t *testing.T) {
 
 func TestPropagateBatchMatMulContraction(t *testing.T) {
 	n := mkOp(graph.OpBatchMatMul, graph.NewShape(8, 16, 128, 64), graph.NewShape(8, 16, 128, 128), nil)
-	if _, ok := PropagateSpec(n, Split(3)); ok {
+	if _, ok, _ := PropagateSpec(n, Split(3)); ok {
 		t.Error("split contraction axis must be invalid")
 	}
-	out, ok := PropagateSpec(n, Split(1))
+	out, ok, _ := PropagateSpec(n, Split(1))
 	if !ok || !out.Equal(Split(1)) {
 		t.Errorf("head split should pass through batchmatmul: %v %v", out, ok)
 	}
@@ -111,32 +111,32 @@ func TestPropagateBatchMatMulContraction(t *testing.T) {
 
 func TestPropagateConcatAxis(t *testing.T) {
 	n := mkOp(graph.OpConcat, graph.NewShape(2, 8, 8, 64), graph.NewShape(2, 8, 8, 128), map[string]int64{"axis": 3})
-	if _, ok := PropagateSpec(n, Split(3)); ok {
+	if _, ok, _ := PropagateSpec(n, Split(3)); ok {
 		t.Error("concat along split axis must be invalid")
 	}
-	if out, ok := PropagateSpec(n, Split(0)); !ok || !out.Equal(Split(0)) {
+	if out, ok, _ := PropagateSpec(n, Split(0)); !ok || !out.Equal(Split(0)) {
 		t.Errorf("batch split through concat: %v %v", out, ok)
 	}
 }
 
 func TestPropagateGlobalAvgPool(t *testing.T) {
 	n := mkOp(graph.OpAvgPool, graph.NewShape(8, 7, 7, 2048), graph.NewShape(8, 2048), nil)
-	out, ok := PropagateSpec(n, Split(3))
+	out, ok, _ := PropagateSpec(n, Split(3))
 	if !ok || !out.Equal(Split(1)) {
 		t.Errorf("channel split should map to feature split: %v %v", out, ok)
 	}
-	if _, ok := PropagateSpec(n, Split(1)); ok {
+	if _, ok, _ := PropagateSpec(n, Split(1)); ok {
 		t.Error("spatial split through GAP must be invalid")
 	}
 }
 
 func TestPropagateCrossEntropy(t *testing.T) {
 	n := mkOp(graph.OpCrossEntropy, graph.NewShape(8, 128, 32128), graph.NewShape(8, 128), nil)
-	out, ok := PropagateSpec(n, Split(2))
+	out, ok, _ := PropagateSpec(n, Split(2))
 	if !ok || !out.IsReplicated() {
 		t.Errorf("vocab-split logits into loss should collapse to replicated: %v %v", out, ok)
 	}
-	out, ok = PropagateSpec(n, Split(0))
+	out, ok, _ = PropagateSpec(n, Split(0))
 	if !ok || !out.Equal(Split(0)) {
 		t.Errorf("batch split through loss: %v %v", out, ok)
 	}
@@ -147,7 +147,7 @@ func TestPropagateReplicatedAlwaysOK(t *testing.T) {
 		graph.OpBatchMatMul, graph.OpConcat, graph.OpTopK}
 	for _, k := range kinds {
 		n := mkOp(k, graph.NewShape(4, 8, 16), graph.NewShape(4, 8, 16), nil)
-		out, ok := PropagateSpec(n, Replicated())
+		out, ok, _ := PropagateSpec(n, Replicated())
 		if !ok || !out.IsReplicated() {
 			t.Errorf("%v: replicated should always propagate", k)
 		}
@@ -163,5 +163,41 @@ func TestSRCFormat(t *testing.T) {
 	want := "ReLU(CAR(S0(MatMul(In))),R(BiasAdd))"
 	if got != want {
 		t.Errorf("Format = %q, want %q", got, want)
+	}
+}
+
+// TestPatternsForNodeWithoutOutputs: a hand-built graph whose last
+// operator has no outputs groups into a GraphNode without out-tensors.
+// PropagateSpec refuses that operator with an error instead of
+// indexing its missing output, so the node's menu is replicate alone.
+func TestPatternsForNodeWithoutOutputs(t *testing.T) {
+	b := graph.NewBuilder("sink")
+	x := b.Input("x", graph.F32, graph.NewShape(8, 64))
+	y := b.Dense("fc", x, 64, graph.OpReLU)
+	b.OpMulti(graph.OpCrossEntropy, "sink", []*graph.Tensor{y}, nil, nil)
+	g, err := Group(b.G)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sink *GraphNode
+	for _, gn := range g.Nodes {
+		if len(gn.OutTensors) == 0 {
+			sink = gn
+		}
+	}
+	if sink == nil || sink.InShape() == nil {
+		t.Fatal("no GraphNode with an input and no outputs to exercise")
+	}
+	for _, op := range sink.Ops {
+		if len(op.Outputs) > 0 {
+			continue
+		}
+		if _, ok, err := PropagateSpec(op, Split(0)); err == nil || ok {
+			t.Errorf("PropagateSpec over %q without outputs: ok=%v err=%v, want an error", op.Name, ok, err)
+		}
+	}
+	ps := PatternsFor(sink, 4)
+	if len(ps) != 1 || ps[0].Name != "replicate" {
+		t.Errorf("menu of a node without outputs: %d patterns, want replicate alone", len(ps))
 	}
 }

@@ -130,7 +130,9 @@ type entryMemo struct {
 // trailing newline — the byte form of the service package's golden plan
 // fixtures. A Result served from the Engine's cache renders it once per
 // cache entry, and every hit returns the same bytes, which callers must
-// not modify; an uncached Result (WithCache(0)) renders on every call.
+// not modify; a store hit returns the bytes the store holds, when they
+// are provably what rendering would give (see WithStore); an uncached
+// Result (WithCache(0), no store) renders on every call.
 //
 // The plan describes the graph that was searched first for a cache key:
 // its model name and node names come from that graph, even when a hit is
@@ -162,6 +164,14 @@ func (r *Result) Parallel() (*reconstruct.ParallelGraph, error) {
 	return r.memo.graph, r.memo.graphErr
 }
 
+// renderedMemo returns a memo whose plan document is doc, rendered
+// before: a store hit's stored bytes.
+func renderedMemo(doc []byte) *entryMemo {
+	m := new(entryMemo)
+	m.plan.Do(func() { m.doc = doc })
+	return m
+}
+
 // errNoStrategy is what a Result without a plan renders.
 var errNoStrategy = errors.New("tapas: result has no strategy")
 
@@ -174,5 +184,5 @@ func renderPlan(r *Result) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return json.MarshalIndent(p, "", "  ")
+	return p.Document()
 }

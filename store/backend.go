@@ -60,8 +60,9 @@ type Toucher interface {
 var ErrNotFound = errors.New("store: record not found")
 
 // ErrInvalidRecord reports a payload rejected by validation: not a
-// record, a future schema version, no plan, or a key that does not hash
-// to the id it was stored under.
+// record, a future schema version, a torn record or one whose document
+// fails its CRC, no plan, or a key that does not hash to the id it was
+// stored under.
 var ErrInvalidRecord = errors.New("store: invalid record")
 
 // EntryInfo describes one stored blob without its payload.

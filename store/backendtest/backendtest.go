@@ -10,7 +10,6 @@ package backendtest
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -36,15 +35,12 @@ type Harness struct {
 // distinguishes payloads stored under the same key.
 func record(i int, variant string) (store.Key, string, []byte) {
 	k := store.Key{Kind: "search", Graph: fmt.Sprintf("backendtest-%d", i), GPUs: 8, Cluster: "test", Options: "o"}
-	rec := store.Record{
-		SchemaVersion: store.RecordSchemaVersion,
-		Key:           k,
+	data, err := store.Encode(k, &store.Record{
 		Model:         "model-" + variant,
 		GPUs:          8,
 		Plan:          &export.StrategyJSON{SchemaVersion: export.SchemaVersion, Model: "model-" + variant, Workers: 8},
 		CreatedUnixMS: 1,
-	}
-	data, err := json.Marshal(&rec)
+	})
 	if err != nil {
 		panic(err)
 	}

@@ -27,15 +27,12 @@ import (
 // against filesystem peers and the HTTP peer protocol alike.
 func testRecord(i int, variant string) (store.Key, string, []byte) {
 	k := store.Key{Kind: "search", Graph: fmt.Sprintf("replicate-%d", i), GPUs: 8, Cluster: "test", Options: "o"}
-	rec := store.Record{
-		SchemaVersion: store.RecordSchemaVersion,
-		Key:           k,
+	data, err := store.Encode(k, &store.Record{
 		Model:         "model-" + variant,
 		GPUs:          8,
 		Plan:          &export.StrategyJSON{SchemaVersion: export.SchemaVersion, Model: "model-" + variant, Workers: 8},
 		CreatedUnixMS: 1,
-	}
-	data, err := json.Marshal(&rec)
+	})
 	if err != nil {
 		panic(err)
 	}

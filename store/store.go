@@ -1,14 +1,25 @@
 // Package store persists search plans across process restarts and
-// shares them across replicas: a content-addressed store of PlanJSON
+// shares them across replicas: a content-addressed store of plan
 // records keyed by the same identity the Engine's in-memory result cache
 // uses — structural graph fingerprint × cluster signature × option set.
 // A tapas-serve daemon opened over a warm store answers repeat traffic
-// without re-running the search pipeline (the plan is rehydrated,
-// re-priced and re-simulated, all orders of magnitude cheaper than a
-// cold search).
+// without re-running the search pipeline: the plan is rehydrated from
+// its per-node pattern names, re-priced and re-simulated, all orders of
+// magnitude cheaper than a cold search, and the plan document is served
+// as the bytes the cold search rendered.
+//
+// A record (schema version 2) is one JSON object laid out as a compact
+// header followed by the plan document: the header holds the key, the
+// timing, the plan's pattern names and pinned cost, a digest of the
+// graph names the document was rendered from, and the document's length
+// and CRC-32C; the document is the exact two-space-indented plan
+// (Result.PlanDocument) under "plan", the object's last field. A reader
+// decodes the header and checks the CRC without scanning the document.
+// Version 1 records, whose plan is an ordinary field of one JSON
+// object (compact or indented), are still read.
 //
 // Bytes live behind the pluggable Backend interface: the filesystem
-// backend (one JSON file per record, atomic temp+rename writes) is the
+// backend (one file per record, atomic temp+rename writes) is the
 // default, store/remotebackend reads and writes a peer daemon's corpus
 // over HTTP, and store/replicate combines the two so each replica owns
 // a local corpus, fans its writes out to its peers and reads through
@@ -17,11 +28,11 @@
 // The Store layers policy over the backend: a bounded in-memory LRU
 // index built at Open from the backend's listing alone (recency
 // persisted via backend timestamps), corruption-tolerant reads (a
-// record that fails to parse, carries a future schema version, or does
-// not match its content address is dropped and reported on its first
-// read, never fatal) and a write-behind queue with Flush/Close drain.
-// The LRU bound (Options.MaxEntries) is the store's one retention
-// policy.
+// record that fails to parse, carries a future schema version, is torn,
+// fails its CRC or does not match its content address is dropped and
+// reported on its first read, never fatal) and a write-behind queue
+// with Flush/Close drain. The LRU bound (Options.MaxEntries) is the
+// store's one retention policy.
 //
 // All methods are safe for concurrent use.
 package store
@@ -41,12 +52,6 @@ import (
 	"tapas/internal/export"
 	"tapas/internal/wbq"
 )
-
-// RecordSchemaVersion is the current on-disk record envelope schema.
-// Additive changes keep the version; breaking changes bump it. Get
-// drops records newer than this (reported as corrupt, not fatal); the
-// embedded plan document carries its own export.SchemaVersion.
-const RecordSchemaVersion = 1
 
 // Key identifies one search outcome, mirroring the Engine's cache key:
 // every field that can change the resulting plan participates.
@@ -102,21 +107,6 @@ type Timing struct {
 	Pruned          int           `json:"pruned"`
 	UniqueGraphs    int           `json:"unique_graphs"`
 	MineLevels      int           `json:"mine_levels"`
-}
-
-// Record is one persisted search outcome: the versioned plan document
-// plus enough metadata to serve a repeat request without re-searching.
-type Record struct {
-	SchemaVersion int    `json:"schema_version"`
-	Key           Key    `json:"key"`
-	Model         string `json:"model"`
-	GPUs          int    `json:"gpus"`
-	// Plan is the full per-node assignment, rehydratable against any
-	// structurally identical graph (export.StrategyJSON, the same
-	// document served as service.PlanJSON).
-	Plan          *export.StrategyJSON `json:"plan"`
-	Timing        Timing               `json:"timing"`
-	CreatedUnixMS int64                `json:"created_unix_ms"`
 }
 
 // Options configure Open. One of Dir and Backend is required.
@@ -275,23 +265,6 @@ func (s *Store) load() error {
 	return nil
 }
 
-// decodeRecord decodes one record payload, enforcing the envelope
-// schema. name is the record's display identity for error messages.
-func decodeRecord(name string, data []byte) (*Record, error) {
-	var rec Record
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return nil, fmt.Errorf("store: decode %s: %w", name, err)
-	}
-	if rec.SchemaVersion > RecordSchemaVersion {
-		return nil, fmt.Errorf("store: record schema_version %d is newer than supported version %d",
-			rec.SchemaVersion, RecordSchemaVersion)
-	}
-	if rec.Plan == nil {
-		return nil, fmt.Errorf("store: record %s has no plan", name)
-	}
-	return &rec, nil
-}
-
 // describe names a record for corruption reports: the file path for the
 // filesystem backend, the bare id otherwise.
 func (s *Store) describe(id string) string {
@@ -312,16 +285,31 @@ func (s *Store) reportCorrupt(path string, err error) {
 	}
 }
 
-// Get looks up the record stored under k. On a shared corpus an index
-// miss still consults the backend, so a record persisted by a peer
-// replica after this Open is a hit (and is indexed from then on); an
-// exclusive store answers misses from its authoritative index alone.
-// Get is where records are validated: one that does not decode, carries
-// a future schema, has no plan or holds another key is dropped (counted
-// as corrupt) and reported as a miss; a transient backend failure is a
-// miss that keeps the record. A hit refreshes the record's recency, in
-// memory and at the backend, so the LRU order survives restarts.
+// Lookup looks up the record stored under k, as a store hit serves it:
+// a version 2 record comes back with its header fields and Doc, its
+// document not decoded (Plan is nil); a version 1 record with Plan.
+// On a shared corpus an index miss still consults the backend, so a
+// record persisted by a peer replica after this Open is a hit (and is
+// indexed from then on); an exclusive store answers misses from its
+// authoritative index alone. Lookup is where records are validated: one
+// that does not decode, carries a future schema, is torn, fails its
+// CRC, has no plan or holds another key is dropped (counted as corrupt)
+// and reported as a miss; a transient backend failure is a miss that
+// keeps the record. A hit refreshes the record's recency, in memory and
+// at the backend, so the LRU order survives restarts.
+func (s *Store) Lookup(k Key) (*Record, bool) {
+	return s.lookup(k, false)
+}
+
+// Get is Lookup with the plan document decoded: the record it returns
+// carries Plan and no Doc, so Put renders a changed Plan afresh.
 func (s *Store) Get(k Key) (*Record, bool) {
+	return s.lookup(k, true)
+}
+
+// lookup serves Lookup and Get; withPlan decodes a version 2 record's
+// document into Plan.
+func (s *Store) lookup(k Key, withPlan bool) (*Record, bool) {
 	id := k.ID()
 	s.mu.Lock()
 	el, indexed := s.index[id]
@@ -356,16 +344,22 @@ func (s *Store) Get(k Key) (*Record, bool) {
 		return nil, false
 	}
 	rec, err := decodeRecord(id, data)
+	if err == nil && rec.Key != k {
+		// A hash collision, or a tampered record renamed into place.
+		err = fmt.Errorf("store: record key does not match lookup key")
+	}
+	if err == nil && withPlan {
+		if rec.Plan == nil {
+			var p export.StrategyJSON
+			if err = json.Unmarshal(rec.Doc, &p); err == nil {
+				rec.Plan = &p
+			}
+		}
+		rec.Doc = nil // Plan is the record's plan from here on (see Record.Doc)
+	}
 	if err != nil {
 		s.drop(id)
 		s.reportCorrupt(s.describe(id), err)
-		s.miss()
-		return nil, false
-	}
-	if rec.Key != k {
-		// A hash collision, or a tampered record renamed into place.
-		s.drop(id)
-		s.reportCorrupt(s.describe(id), fmt.Errorf("store: record key does not match lookup key"))
 		s.miss()
 		return nil, false
 	}
@@ -397,23 +391,14 @@ func (s *Store) miss() {
 	s.mu.Unlock()
 }
 
-// Put persists rec under k as compact JSON, synchronously and atomically
-// at the backend (readers accept any JSON layout, so older indented
-// records stay valid). The record's Key and SchemaVersion envelope
-// fields are set by the store; CreatedUnixMS is stamped when zero.
+// Put persists rec under k as a version 2 record (see Encode),
+// synchronously and atomically at the backend. The record's Key and
+// SchemaVersion are set by the store; CreatedUnixMS is stamped when
+// zero.
 func (s *Store) Put(k Key, rec *Record) error {
-	cp := *rec
-	cp.SchemaVersion = RecordSchemaVersion
-	cp.Key = k
-	if cp.CreatedUnixMS == 0 {
-		cp.CreatedUnixMS = time.Now().UnixMilli()
-	}
-	if cp.Plan == nil {
-		return fmt.Errorf("store: refusing to persist a record without a plan")
-	}
-	data, err := json.Marshal(&cp)
+	data, err := Encode(k, rec)
 	if err != nil {
-		return fmt.Errorf("store: encode record: %w", err)
+		return err
 	}
 	id := k.ID()
 	if err := s.backend.Put(id, data); err != nil {

@@ -150,8 +150,9 @@ type Result struct {
 
 	// memo memoizes PlanDocument and Parallel. The Engine installs it
 	// when the Result enters its cache, so the cached copy, its hits and
-	// joined followers share one rendering of each; nil renders on every
-	// call.
+	// joined followers share one rendering of each; a store hit and a
+	// cold search persisted to the store bring one (the first holding
+	// the stored plan bytes). nil renders on every call.
 	memo *entryMemo
 }
 
