@@ -49,25 +49,6 @@ func (k Kind) String() string {
 	}
 }
 
-// SRCSymbol returns the paper's SRC-expression symbol for the collective,
-// e.g. "CAR" for AllReduce.
-func (k Kind) SRCSymbol() string {
-	switch k {
-	case AllReduce:
-		return "CAR"
-	case AllGather:
-		return "CAG"
-	case ReduceScatter:
-		return "CRS"
-	case AllToAll:
-		return "CA2A"
-	case Broadcast:
-		return "CBC"
-	default:
-		return ""
-	}
-}
-
 // WireBytes returns the number of bytes each participant places on the
 // wire for a collective over a logical tensor of n bytes among w workers,
 // using the bandwidth-optimal ring algorithms:

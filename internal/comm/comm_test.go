@@ -87,15 +87,3 @@ func TestEvent(t *testing.T) {
 		t.Error("Event.String should be non-empty")
 	}
 }
-
-func TestSRCSymbol(t *testing.T) {
-	if AllReduce.SRCSymbol() != "CAR" {
-		t.Errorf("AllReduce symbol = %q, want CAR", AllReduce.SRCSymbol())
-	}
-	if AllGather.SRCSymbol() != "CAG" {
-		t.Errorf("AllGather symbol = %q, want CAG", AllGather.SRCSymbol())
-	}
-	if None.SRCSymbol() != "" {
-		t.Errorf("None symbol = %q, want empty", None.SRCSymbol())
-	}
-}

@@ -20,7 +20,6 @@ package cost
 import (
 	"tapas/internal/cluster"
 	"tapas/internal/comm"
-	"tapas/internal/graph"
 	"tapas/internal/ir"
 )
 
@@ -153,20 +152,7 @@ func (m *Model) PatternCost(p *ir.Pattern) Breakdown {
 		// and rank-1 parameter vectors. With CF enabled these are
 		// filtered out before costing.
 		link := m.Cluster.LinkFor(p.W)
-		var still int64
-		for _, t := range p.GN.Weights {
-			if t.Shape.Rank() == 1 {
-				still += t.Bytes()
-			}
-		}
-		for _, op := range p.GN.Ops {
-			for _, t := range op.Inputs {
-				if t.Kind == graph.Constant {
-					still += t.Bytes()
-				}
-			}
-		}
-		b.Noise = float64(still*int64(p.W)) / link.Bandwidth
+		b.Noise = float64(p.StillBytes*int64(p.W)) / link.Bandwidth
 	}
 	return b
 }

@@ -193,9 +193,9 @@ func ReadStrategyJSON(r io.Reader) (*StrategyJSON, error) {
 }
 
 // maxRehydrateWorkers bounds the worker count a plan document may
-// claim. Pattern menus are materialized per (node, W), so an absurd W
-// from a hostile or corrupted document must be rejected up front, not
-// fed to the allocator.
+// claim. Pattern menus are materialized per distinct node and W, so an
+// absurd W from a hostile or corrupted document must be rejected up
+// front, not fed to the allocator.
 const maxRehydrateWorkers = 1 << 20
 
 // Rehydrate re-attaches the serialized strategy to its GraphNode graph,

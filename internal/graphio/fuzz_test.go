@@ -39,6 +39,9 @@ func FuzzParse(f *testing.F) {
 		"input x f32 four",
 		"input x f32 4 4\ndense y x 8",
 		"input x f32 4 4\ndense y x wide none",
+		"input x f32 4 4\ndense y x -1 none",
+		"input img f32 1\nconv2d c img 1 1 1 1",
+		"input x f32 4 4\ninput y f32 4 8\nresidual r x y",
 		"input x f32 4 4\ndense y x 8 swish",
 		"input x f32 4 4\nlayernorm ln x x",
 		"input x f32 4 8 8 3\nconv2d c x 3 3",

@@ -142,7 +142,7 @@ func (p *parser) run(lines []string, from, to, depth int) error {
 				return err
 			}
 			outF, err := strconv.ParseInt(args[2], 10, 64)
-			if err != nil {
+			if err != nil || outF <= 0 {
 				return fmt.Errorf("graphio: line %d: bad width %q", i+1, args[2])
 			}
 			act, err := parseAct(args[3])
@@ -172,6 +172,9 @@ func (p *parser) run(lines []string, from, to, depth int) error {
 			in, err := p.lookup(args[1], i)
 			if err != nil {
 				return err
+			}
+			if in.Shape.Rank() != 4 {
+				return fmt.Errorf("graphio: line %d: conv2d input %q is %v, want NHWC (rank 4)", i+1, args[1], in.Shape)
 			}
 			nums, err := parseDims(args[2:6])
 			if err != nil {
@@ -212,6 +215,9 @@ func (p *parser) run(lines []string, from, to, depth int) error {
 			bb, err := p.lookup(args[2], i)
 			if err != nil {
 				return err
+			}
+			if !a.Shape.Equal(bb.Shape) {
+				return fmt.Errorf("graphio: line %d: residual of %v and %v, want one shape", i+1, a.Shape, bb.Shape)
 			}
 			if err := p.define(args[0], p.b.Residual(args[0], a, bb), i, depth); err != nil {
 				return err

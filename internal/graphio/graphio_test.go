@@ -167,11 +167,14 @@ func TestParseErrorMessages(t *testing.T) {
 		{"input non-numeric dim", "input x f32 four", []string{"line 1", `bad dimension "four"`}},
 		{"dense arity", "input x f32 4 4\ndense y x 8", []string{"line 2", "dense NAME IN OUTFEATURES ACT"}},
 		{"dense bad width", "input x f32 4 4\ndense y x wide none", []string{"line 2", `bad width "wide"`}},
+		{"dense zero width", "input x f32 4 4\ndense y x 0 none", []string{"line 2", `bad width "0"`}},
 		{"dense bad act", "input x f32 4 4\ndense y x 8 swish", []string{"line 2", `unknown activation "swish"`}},
 		{"layernorm arity", "input x f32 4 4\nlayernorm ln x x", []string{"line 2", "layernorm NAME IN"}},
 		{"conv2d arity", "input x f32 4 8 8 3\nconv2d c x 3 3", []string{"line 2", "conv2d NAME IN KH KW COUT STRIDE"}},
+		{"conv2d rank", "input x f32 4 8\nconv2d c x 3 3 8 1", []string{"line 2", "want NHWC (rank 4)"}},
 		{"embedding arity", "input t i32 4 16\nembedding e t 100", []string{"line 2", "embedding NAME IN VOCAB DIM"}},
 		{"residual arity", "input x f32 4 4\nresidual r x", []string{"line 2", "residual NAME A B"}},
+		{"residual shapes", "input x f32 4 4\ninput y f32 4 8\nresidual r x y", []string{"line 3", "want one shape"}},
 		{"loss arity", "input x f32 4 4\nloss l", []string{"line 2", "loss NAME IN"}},
 		{"unknown tensor", "input x f32 4 4\ndense y z 8 none", []string{"line 2", `unknown tensor "z"`}},
 		{"unknown directive", "input x f32 4 4\nsoftmax s x", []string{"line 2", `unknown directive "softmax"`}},

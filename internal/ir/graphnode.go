@@ -63,7 +63,8 @@ func (k NodeKind) String() string {
 // container of operators collectively used together". Grouping matters
 // because sharding decisions are interrelated within a layer — the anchor's
 // split determines the layout flowing through the absorbed prefix/suffix
-// operators.
+// operators. The nodes of one grouped graph that the pattern generators
+// cannot tell apart share one pattern menu per W (see PatternsFor).
 type GraphNode struct {
 	ID     int
 	Kind   NodeKind
@@ -82,14 +83,14 @@ type GraphNode struct {
 	InTensors, OutTensors []*graph.Tensor
 	Weights               []*graph.Tensor
 
-	sig string
+	sigMu sync.Mutex // guards sig
+	sig   string
 
-	// patMu guards patCache, the per-(node, W) memo of PatternsFor.
-	// Attaching the cache to the node (rather than a package-level map)
-	// lets it die with the graph, so long-running batch services do not
-	// accumulate entries for graphs already searched.
-	patMu    sync.Mutex
-	patCache map[int][]*Pattern
+	// menu is PatternsFor's memo cell, shared with every node of the
+	// graph that has the same menu key (see internMenus). It dies with
+	// the graph, so long-running services keep no menus of graphs
+	// already searched.
+	menu *menuCell
 }
 
 // InShape returns the primary boundary input shape (zero Shape if the node
@@ -144,8 +145,8 @@ func (gn *GraphNode) OutBytes() int64 {
 // rendering this string (it interns a structural label per node) and
 // renders it only for the signatures of the patterns and classes it emits.
 func (gn *GraphNode) Signature() string {
-	gn.patMu.Lock()
-	defer gn.patMu.Unlock()
+	gn.sigMu.Lock()
+	defer gn.sigMu.Unlock()
 	if gn.sig != "" {
 		return gn.sig
 	}
@@ -454,6 +455,7 @@ func Group(src *graph.Graph) (*GNGraph, error) {
 			}
 		}
 	}
+	internMenus(g.Nodes)
 	return g, nil
 }
 

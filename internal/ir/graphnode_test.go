@@ -4,12 +4,9 @@ import (
 	"slices"
 	"testing"
 
-	"tapas/internal/comm"
 	"tapas/internal/graph"
 	"tapas/internal/models"
 )
-
-func commAllReduce() comm.Kind { return comm.AllReduce }
 
 // denseLayerGraph builds the paper's Figure-3 example: a single dense
 // layer MatMul+BiasAdd+ReLU.

@@ -10,10 +10,10 @@ import (
 // records the boundary layouts (for the symbolic shape check), the
 // collectives its materialization emits in forward and backward passes
 // (for the cost model), and per-device resource footprints (for the
-// memory-feasibility check and the runtime simulator).
+// memory-feasibility check and the runtime simulator). A pattern names
+// no node: one menu serves every node of a menu key (see PatternsFor).
 type Pattern struct {
 	Name string
-	GN   *GraphNode
 	W    int
 
 	// In is the layout required of the primary activation input; In2 the
@@ -22,7 +22,7 @@ type Pattern struct {
 	In, Out ShardSpec
 	In2     *ShardSpec
 
-	// WeightSpecs is the layout of each tensor in GN.Weights.
+	// WeightSpecs is the layout of each tensor in the node's Weights.
 	WeightSpecs []ShardSpec
 
 	// FwdComm and BwdComm are the collectives executed per iteration.
@@ -33,6 +33,11 @@ type Pattern struct {
 	WeightBytesPerDev int64
 	OutBytesPerDev    int64 // boundary activations stored for backward
 
+	// StillBytes are the node's bytes that never move: its rank-1
+	// weights and its operators' constant inputs. Only the naive cost
+	// model prices them (cost.Model.ConstantFilter off).
+	StillBytes int64
+
 	// SRC is the Split-Replica-Communication expression describing the
 	// implementation, in the paper's notation.
 	SRC string
@@ -40,7 +45,7 @@ type Pattern struct {
 
 // Clone returns a deep copy of the pattern whose mutable slice fields
 // (comm events, weight specs) are private to the copy. Patterns handed out
-// by PatternsFor are shared via the per-node memo cache, so planners that
+// by PatternsFor are shared by every node of a menu cell, so planners that
 // rewrite a pattern's collectives (e.g. the ZeRO-2 baseline) must clone
 // first.
 func (p *Pattern) Clone() *Pattern {
@@ -63,18 +68,6 @@ func (p *Pattern) In2Spec() ShardSpec {
 	return p.In
 }
 
-// CommBytes returns the total logical forward and backward communication
-// volumes of the pattern (N_fwd and N_bwd in the paper's Eq. 1).
-func (p *Pattern) CommBytes() (fwd, bwd int64) {
-	for _, e := range p.FwdComm {
-		fwd += e.Bytes
-	}
-	for _, e := range p.BwdComm {
-		bwd += e.Bytes
-	}
-	return fwd, bwd
-}
-
 // replicatedSpecs returns an all-replicated weight-spec slice for gn.
 func replicatedSpecs(gn *GraphNode) []ShardSpec {
 	ws := make([]ShardSpec, len(gn.Weights))
@@ -92,41 +85,58 @@ func lastAxis(s graph.Shape) int {
 	return s.Rank() - 1
 }
 
-// inBytes sums boundary activation-input bytes of gn.
-func inBytes(gn *GraphNode) int64 {
-	var b int64
-	for _, t := range gn.InTensors {
-		b += t.Bytes()
-	}
-	return b
-}
-
 // PatternsFor enumerates the sharding patterns of a GraphNode for a
 // tensor-parallel group of w devices (Step ③, Strategy Enumeration).
 // Patterns whose splits do not divide the corresponding tensor extents are
 // omitted. For w == 1 only the trivial replicate pattern exists.
 //
-// Results are memoized per (node, w) — the strategy search calls this in
-// its innermost loops, from many goroutines at once. The returned slice
-// is the memoized menu itself, shared by every caller: treat it and its
-// *Pattern values as read-only. Copy the slice before reordering it, and
-// Clone a pattern before modifying it.
+// Results are memoized per distinct node and w: Group gives the nodes of
+// one menu key one memo cell (see internMenus), whose menu is built once,
+// from its first node. The strategy search calls this in its innermost
+// loops, from many goroutines at once. The returned slice is the memoized
+// menu itself, shared by every caller and every node of the cell: treat
+// it and its *Pattern values as read-only. Copy the slice before
+// reordering it, and Clone a pattern before modifying it. gn must come
+// from Group.
 func PatternsFor(gn *GraphNode, w int) []*Pattern {
-	gn.patMu.Lock()
-	defer gn.patMu.Unlock()
-	ps, ok := gn.patCache[w]
+	c := gn.menu
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ps, ok := c.menus[w]
 	if !ok {
-		ps = patternsForUncached(gn, w)
-		if gn.patCache == nil {
-			gn.patCache = make(map[int][]*Pattern)
-		}
-		gn.patCache[w] = ps
+		ps = patternsForUncached(c.first, w)
+		c.menus[w] = ps
 	}
 	return ps
 }
 
 // patternsForUncached computes the pattern menu for one (node, w) pair.
+// Every pattern carries the bytes of gn that never move between devices:
+// its rank-1 weights (biases, norm scales) and its operators' constant
+// inputs (masks, position tables).
 func patternsForUncached(gn *GraphNode, w int) []*Pattern {
+	var still int64
+	for _, t := range gn.Weights {
+		if t.Shape.Rank() == 1 {
+			still += t.Bytes()
+		}
+	}
+	for _, op := range gn.Ops {
+		for _, t := range op.Inputs {
+			if t.Kind == graph.Constant {
+				still += t.Bytes()
+			}
+		}
+	}
+	ps := kindPatterns(gn, w)
+	for _, p := range ps {
+		p.StillBytes = still
+	}
+	return ps
+}
+
+// kindPatterns dispatches to the generator of gn's kind.
+func kindPatterns(gn *GraphNode, w int) []*Pattern {
 	if w <= 1 {
 		return []*Pattern{replicatePattern(gn, 1)}
 	}
@@ -153,7 +163,6 @@ func patternsForUncached(gn *GraphNode, w int) []*Pattern {
 func replicatePattern(gn *GraphNode, w int) *Pattern {
 	return &Pattern{
 		Name:              "replicate",
-		GN:                gn,
 		W:                 w,
 		In:                Replicated(),
 		Out:               Replicated(),
@@ -171,7 +180,6 @@ func replicatePattern(gn *GraphNode, w int) *Pattern {
 func dataParallelPattern(gn *GraphNode, w int) *Pattern {
 	p := &Pattern{
 		Name:              "data-parallel",
-		GN:                gn,
 		W:                 w,
 		In:                Split(0),
 		Out:               Split(0),
@@ -332,7 +340,6 @@ func boundaryMapped(gn *GraphNode, w int, name string, anchorIn, anchorOut Shard
 	}
 	return &Pattern{
 		Name:              name,
-		GN:                gn,
 		W:                 w,
 		In:                boundIn,
 		Out:               boundOut,
@@ -455,7 +462,6 @@ func expertPatterns(gn *GraphNode, w int) []*Pattern {
 	if anchorIn.Shape.Divisible(1, ws) && anchorOut.Shape.Divisible(1, ws) {
 		p := &Pattern{
 			Name:              "capacity-parallel",
-			GN:                gn,
 			W:                 w,
 			In:                Split(1),
 			Out:               Split(1),
@@ -479,7 +485,6 @@ func expertPatterns(gn *GraphNode, w int) []*Pattern {
 		}
 		out = append(out, &Pattern{
 			Name:              "expert-parallel",
-			GN:                gn,
 			W:                 w,
 			In:                Split(0),
 			Out:               Split(0),
@@ -507,7 +512,6 @@ func expertPatterns(gn *GraphNode, w int) []*Pattern {
 			}
 			out = append(out, &Pattern{
 				Name:              "expert-tensor-parallel",
-				GN:                gn,
 				W:                 w,
 				In:                Split(0),
 				Out:               Split(0),
@@ -537,7 +541,6 @@ func dispatchPatterns(gn *GraphNode, w int) []*Pattern {
 	if outT.Shape.Divisible(1, ws) && batchDivisible(gn, w) {
 		out = append(out, &Pattern{
 			Name:           "dp-local",
-			GN:             gn,
 			W:              w,
 			In:             Split(0),
 			Out:            Split(1),
@@ -553,7 +556,6 @@ func dispatchPatterns(gn *GraphNode, w int) []*Pattern {
 		if batchDivisible(gn, w) {
 			out = append(out, &Pattern{
 				Name:           "alltoall",
-				GN:             gn,
 				W:              w,
 				In:             Split(0),
 				Out:            Split(0),
@@ -569,7 +571,6 @@ func dispatchPatterns(gn *GraphNode, w int) []*Pattern {
 		// tokens locally — no communication.
 		out = append(out, &Pattern{
 			Name:           "slice-experts",
-			GN:             gn,
 			W:              w,
 			In:             Replicated(),
 			Out:            Split(0),
@@ -594,7 +595,6 @@ func combinePatterns(gn *GraphNode, w int) []*Pattern {
 	if inT.Shape.Divisible(1, ws) && outT.Shape.Divisible(0, ws) {
 		out = append(out, &Pattern{
 			Name:           "dp-local",
-			GN:             gn,
 			W:              w,
 			In:             Split(1),
 			In2:            &repl,
@@ -609,7 +609,6 @@ func combinePatterns(gn *GraphNode, w int) []*Pattern {
 		if outT.Shape.Divisible(0, ws) {
 			out = append(out, &Pattern{
 				Name:           "alltoall",
-				GN:             gn,
 				W:              w,
 				In:             Split(0),
 				In2:            &repl,
@@ -627,7 +626,6 @@ func combinePatterns(gn *GraphNode, w int) []*Pattern {
 		// them into the full activation.
 		out = append(out, &Pattern{
 			Name:           "gather-experts",
-			GN:             gn,
 			W:              w,
 			In:             Split(0),
 			In2:            &repl,
@@ -677,7 +675,6 @@ func gluePatterns(gn *GraphNode, w int) []*Pattern {
 		}
 		p := &Pattern{
 			Name:              name,
-			GN:                gn,
 			W:                 w,
 			In:                spec,
 			Out:               cur,

@@ -271,19 +271,6 @@ func TestEmbeddingPatterns(t *testing.T) {
 	}
 }
 
-func TestPatternCommBytes(t *testing.T) {
-	g, _ := Group(denseLayerGraph())
-	ps := PatternsFor(g.Nodes[0], 4)
-	dp := patternByName(ps, "data-parallel")
-	fwd, bwd := dp.CommBytes()
-	if fwd != 0 {
-		t.Errorf("DP fwd bytes = %d, want 0", fwd)
-	}
-	if bwd != g.Nodes[0].WeightBytes() {
-		t.Errorf("DP bwd bytes = %d, want %d", bwd, g.Nodes[0].WeightBytes())
-	}
-}
-
 func TestAllPatternsHaveSaneFootprints(t *testing.T) {
 	// Property over the whole model zoo: every pattern of every GraphNode
 	// has non-negative footprints and per-device flops ≤ full flops.

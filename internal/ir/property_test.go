@@ -149,17 +149,37 @@ func renderPattern(p *Pattern) string {
 // callers only read it (the enumerator sorts a private copy). The test
 // snapshots every menu, then hammers PatternsFor from many goroutines
 // while reading the menus the way assembly does — name scans, cost-field
-// reads. Every call must return the memoized slice itself, and afterwards
-// every menu must hold the same patterns in the same order, each
-// rendering exactly as before. Run under -race this also proves the memo
-// itself is data-race free. (That a full folded search leaves the menus
-// unchanged is TestSearchFoldedLeavesMenusUnchanged in the strategy
-// package.)
+// reads. Every call must return the memoized slice itself, the same one
+// for every node of a menu cell, and afterwards every menu must hold the
+// same patterns in the same order, each rendering exactly as before. Run
+// under -race this also proves the memo itself is data-race free. (That a
+// full folded search leaves the menus unchanged is
+// TestSearchFoldedLeavesMenusUnchanged in the strategy package.)
 func TestPropertyPatternsForConcurrentImmutable(t *testing.T) {
-	src := randomStack(rand.New(rand.NewSource(7)))
-	g, err := Group(src)
+	// A varied random stack, then six equal dense layers: the last five
+	// share one menu cell, so goroutines on different nodes meet in one
+	// memo.
+	b := graph.NewBuilder("stack")
+	x := b.Input("x", graph.F32, graph.NewShape(16, 96))
+	for i := 0; i < 6; i++ {
+		b.SetLayer(fmt.Sprintf("r%d", i))
+		x = b.Dense("fc", x, 96, graph.OpReLU)
+	}
+	for _, n := range randomStack(rand.New(rand.NewSource(7))).Nodes {
+		b.G.AddNode(n)
+	}
+	g, err := Group(b.G)
 	if err != nil {
 		t.Fatal(err)
+	}
+	shared := 0
+	for _, gn := range g.Nodes {
+		if gn.menu.first != gn {
+			shared++
+		}
+	}
+	if shared < 4 {
+		t.Fatalf("%d nodes share another node's menu cell, want at least 4", shared)
 	}
 	widths := []int{1, 2, 8}
 	type menuKey struct {
@@ -199,8 +219,8 @@ func TestPropertyPatternsForConcurrentImmutable(t *testing.T) {
 				w := widths[(worker+iter)%len(widths)]
 				for _, gn := range g.Nodes {
 					ps := PatternsFor(gn, w)
-					if !sameSlice(ps, first[menuKey{gn, w}]) {
-						errs <- fmt.Sprintf("node %d w=%d: PatternsFor returned a slice other than the memoized menu", gn.ID, w)
+					if !sameSlice(ps, first[menuKey{gn, w}]) || !sameSlice(ps, first[menuKey{gn.menu.first, w}]) {
+						errs <- fmt.Sprintf("node %d w=%d: PatternsFor returned a slice other than its cell's memoized menu", gn.ID, w)
 						return
 					}
 					// Assembly-style use: scan by name, read priced fields.

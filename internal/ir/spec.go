@@ -1,9 +1,8 @@
 // Package ir implements the TAPAS intermediate representation: GraphNodes
-// (groups of operators that are collectively used together), the
-// Split-Replica-Communication (SRC) expression algebra, sharding
+// (groups of operators that are collectively used together), sharding
 // specifications with symbolic propagation rules, and the ShardingPattern
 // registry that enumerates the parallel implementations of each GraphNode
-// kind.
+// kind, each with its Split-Replica-Communication (SRC) expression.
 package ir
 
 import (

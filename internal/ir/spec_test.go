@@ -154,18 +154,6 @@ func TestPropagateReplicatedAlwaysOK(t *testing.T) {
 	}
 }
 
-func TestSRCFormat(t *testing.T) {
-	// Reproduce the paper's Figure-3 row-parallel expression.
-	expr := Apply("ReLU",
-		C(commAllReduce(), S(0, Apply("MatMul", In("In")))),
-		R(In("BiasAdd")))
-	got := Format(expr)
-	want := "ReLU(CAR(S0(MatMul(In))),R(BiasAdd))"
-	if got != want {
-		t.Errorf("Format = %q, want %q", got, want)
-	}
-}
-
 // TestPatternsForNodeWithoutOutputs: a hand-built graph whose last
 // operator has no outputs groups into a GraphNode without out-tensors.
 // PropagateSpec refuses that operator with an error instead of

@@ -169,7 +169,7 @@ func TestCountMatchesReconstruct(t *testing.T) {
 		var p *ir.Pattern
 		if len(gn.OutTensors) == 0 {
 			// No menu offers a pattern for a node without outputs.
-			p = &ir.Pattern{Name: "sink", GN: gn, W: w, WeightSpecs: make([]ir.ShardSpec, len(gn.Weights))}
+			p = &ir.Pattern{Name: "sink", W: w, WeightSpecs: make([]ir.ShardSpec, len(gn.Weights))}
 			noOutputs++
 		} else {
 			p = ir.PatternsFor(gn, w)[0].Clone()

@@ -189,7 +189,7 @@ type assembler struct {
 	workers int
 	// menuOf is the per-node pattern menu by GraphNode.ID, computed with
 	// one ir.PatternsFor call per node up front. Scoring probes menus for
-	// every candidate × instance member; taking the per-node memo mutex
+	// every candidate × instance member; taking the memo cell's mutex
 	// from every worker would serialize the fan-out right back. The
 	// slices and the *Pattern values they hold are shared read-only.
 	menuOf [][]*ir.Pattern

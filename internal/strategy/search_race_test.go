@@ -147,8 +147,8 @@ func TestSearchFoldedLeavesMenusUnchanged(t *testing.T) {
 		if p.In2 != nil {
 			in2 = fmt.Sprint(*p.In2)
 		}
-		return fmt.Sprint(p.Name, p.GN.ID, p.W, p.In, p.Out, in2, p.WeightSpecs, p.FwdComm, p.BwdComm,
-			p.FLOPsPerDev, p.WeightBytesPerDev, p.OutBytesPerDev, p.SRC)
+		return fmt.Sprint(p.Name, p.W, p.In, p.Out, in2, p.WeightSpecs, p.FwdComm, p.BwdComm,
+			p.FLOPsPerDev, p.WeightBytesPerDev, p.OutBytesPerDev, p.StillBytes, p.SRC)
 	}
 	type snapshot struct {
 		menu     []*ir.Pattern // the memoized slice itself

@@ -69,10 +69,10 @@ type Record struct {
 	Plan *export.StrategyJSON `json:"plan,omitempty"`
 	// Doc is the plan document byte for byte as Result.PlanDocument
 	// renders it: two-space-indented JSON without a trailing newline.
-	// Lookup sets it for version 2 records; Get decodes it into Plan and
-	// leaves it nil. Put writes Doc as-is, with the plan facts the
-	// record carries, when it is set, and renders both from Plan when it
-	// is nil.
+	// Lookup and Get set it for version 2 records (Get also decodes it
+	// into Plan). Put writes Doc as-is, with the plan facts the record
+	// carries, when it is set, and renders both from Plan when it is
+	// nil: a caller that changes Plan must clear Doc.
 	Doc []byte `json:"-"`
 }
 

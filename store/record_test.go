@@ -83,8 +83,8 @@ func TestRecordFraming(t *testing.T) {
 		t.Errorf("patterns %v (table %v), want %v over a table of 2", got.NodePatterns(), got.PatternNames, want)
 	}
 	full, ok := s.Get(k)
-	if !ok || full.Doc != nil || full.Plan == nil || len(full.Plan.Assignments) != 3 {
-		t.Fatalf("Get: ok=%v, want the plan decoded and no document", ok)
+	if !ok || !bytes.Equal(full.Doc, doc) || full.Plan == nil || len(full.Plan.Assignments) != 3 {
+		t.Fatalf("Get: ok=%v, want the plan decoded beside the stored document", ok)
 	}
 	// A record read with Get and written again is the same record.
 	if err := s.Put(k, full); err != nil {

@@ -302,7 +302,8 @@ func (s *Store) Lookup(k Key) (*Record, bool) {
 }
 
 // Get is Lookup with the plan document decoded: the record it returns
-// carries Plan and no Doc, so Put renders a changed Plan afresh.
+// carries Plan beside Doc, so writing it back with Put or PutAsync
+// stores Doc as it is. A caller that changes Plan must clear Doc.
 func (s *Store) Get(k Key) (*Record, bool) {
 	return s.lookup(k, true)
 }
@@ -348,14 +349,11 @@ func (s *Store) lookup(k Key, withPlan bool) (*Record, bool) {
 		// A hash collision, or a tampered record renamed into place.
 		err = fmt.Errorf("store: record key does not match lookup key")
 	}
-	if err == nil && withPlan {
-		if rec.Plan == nil {
-			var p export.StrategyJSON
-			if err = json.Unmarshal(rec.Doc, &p); err == nil {
-				rec.Plan = &p
-			}
+	if err == nil && withPlan && rec.Plan == nil {
+		var p export.StrategyJSON
+		if err = json.Unmarshal(rec.Doc, &p); err == nil {
+			rec.Plan = &p
 		}
-		rec.Doc = nil // Plan is the record's plan from here on (see Record.Doc)
 	}
 	if err != nil {
 		s.drop(id)
