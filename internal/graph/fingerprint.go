@@ -4,7 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"sort"
+	"slices"
 )
 
 // Fingerprint returns a canonical structural hash of the graph: a
@@ -16,23 +16,21 @@ import (
 // tensor names are deliberately excluded.
 //
 // The hash walks nodes in ID order (the construction order AddNode
-// assigns), so it is deterministic across runs and processes.
+// assigns), so it is deterministic across runs and processes. Every
+// field is appended to one buffer as a little-endian 8-byte word (a
+// string as its length, then its bytes) and the buffer is hashed once.
 func (g *Graph) Fingerprint() string {
-	h := sha256.New()
-	var buf [8]byte
-	writeInt := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
+	buf := make([]byte, 0, 256*len(g.Nodes))
+	writeInt := func(v int64) { buf = binary.LittleEndian.AppendUint64(buf, uint64(v)) }
 	writeStr := func(s string) {
 		writeInt(int64(len(s)))
-		h.Write([]byte(s))
+		buf = append(buf, s...)
 	}
 
 	// Tensors are identified by pointer; number them in first-encounter
 	// order so sharing (the same weight consumed by several nodes) is part
 	// of the hash.
-	tensorID := make(map[*Tensor]int)
+	tensorID := make(map[*Tensor]int, 2*len(g.Nodes))
 	idOf := func(t *Tensor) int {
 		if id, ok := tensorID[t]; ok {
 			return id
@@ -56,16 +54,17 @@ func (g *Graph) Fingerprint() string {
 		}
 	}
 
+	var keys []string // the current node's attribute names, sorted
 	writeInt(int64(len(g.Nodes)))
 	for _, n := range g.Nodes {
 		writeInt(int64(n.ID))
 		writeInt(int64(n.Kind))
 		writeStr(n.Layer)
-		keys := make([]string, 0, len(n.Attrs))
+		keys = keys[:0]
 		for k := range n.Attrs {
 			keys = append(keys, k)
 		}
-		sort.Strings(keys)
+		slices.Sort(keys)
 		writeInt(int64(len(keys)))
 		for _, k := range keys {
 			writeStr(k)
@@ -80,5 +79,6 @@ func (g *Graph) Fingerprint() string {
 			writeTensor(t)
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }

@@ -1,15 +1,12 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Node is one operator instance in the graph. A node consumes zero or more
 // tensors (activations produced by other nodes, plus weights/constants it
 // owns) and produces one or more activation tensors.
 type Node struct {
-	ID      int
+	ID      int // the node's index in its graph's Nodes, set by AddNode
 	Name    string
 	Kind    OpKind
 	Layer   string // layer tag, e.g. "encoder.3"; used for L in G(E,V) stats
@@ -138,36 +135,57 @@ func (g *Graph) NumEdges() int {
 	return e
 }
 
-// TopoSort returns the nodes in a topological order. It returns an error
-// if the graph has a cycle (which would indicate a builder bug).
+// TopoSort returns the nodes in a topological order: Kahn's algorithm,
+// seeded in ID order, visiting each node's distinct successors in the
+// order Successors lists them. It returns an error if the graph has a
+// cycle (which would indicate a builder bug). In-degrees and the
+// distinct-neighbour marks are slices indexed by Node.ID, so the sort
+// makes no map and no per-node neighbour list.
 func (g *Graph) TopoSort() ([]*Node, error) {
-	indeg := make(map[*Node]int, len(g.Nodes))
-	for _, n := range g.Nodes {
-		indeg[n] = len(g.Predecessors(n))
-	}
-	// Deterministic order: seed queue sorted by ID.
-	var queue []*Node
-	for _, n := range g.Nodes {
-		if indeg[n] == 0 {
-			queue = append(queue, n)
+	for i, nd := range g.Nodes {
+		if nd.ID != i {
+			return nil, fmt.Errorf("graph %q: node %q has ID %d at index %d", g.Name, nd.Name, nd.ID, i)
 		}
 	}
-	sort.Slice(queue, func(i, j int) bool { return queue[i].ID < queue[j].ID })
-
-	order := make([]*Node, 0, len(g.Nodes))
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		order = append(order, n)
-		for _, s := range g.Successors(n) {
-			indeg[s]--
-			if indeg[s] == 0 {
-				queue = append(queue, s)
+	n := len(g.Nodes)
+	indeg := make([]int32, n)
+	// mark[v] is u+1 while node u's distinct neighbours are walked and v
+	// is one of them already counted.
+	mark := make([]int32, n)
+	for i, nd := range g.Nodes {
+		for _, t := range nd.Inputs {
+			if p := g.producer[t]; p != nil && mark[p.ID] != int32(i+1) {
+				mark[p.ID] = int32(i + 1)
+				indeg[i]++
 			}
 		}
 	}
-	if len(order) != len(g.Nodes) {
-		return nil, fmt.Errorf("graph %q: cycle detected (%d of %d nodes ordered)", g.Name, len(order), len(g.Nodes))
+	clear(mark)
+
+	// order doubles as the FIFO queue: nodes are appended as their
+	// in-degree reaches zero and popped from head.
+	order := make([]*Node, 0, n)
+	for i, nd := range g.Nodes {
+		if indeg[i] == 0 {
+			order = append(order, nd)
+		}
+	}
+	for head := 0; head < len(order); head++ {
+		u := order[head]
+		for _, t := range u.Outputs {
+			for _, s := range g.consumers[t] {
+				if mark[s.ID] == int32(u.ID+1) {
+					continue
+				}
+				mark[s.ID] = int32(u.ID + 1)
+				if indeg[s.ID]--; indeg[s.ID] == 0 {
+					order = append(order, s)
+				}
+			}
+		}
+	}
+	if len(order) != n {
+		return nil, fmt.Errorf("graph %q: cycle detected (%d of %d nodes ordered)", g.Name, len(order), n)
 	}
 	return order, nil
 }

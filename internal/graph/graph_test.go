@@ -62,6 +62,17 @@ func TestGraphTopoSort(t *testing.T) {
 	}
 }
 
+// TestGraphTopoSortRejectsMisnumberedNodes: TopoSort indexes its state by
+// Node.ID, so a graph whose Nodes were reordered by hand, leaving an ID
+// that is not the node's index, is an error rather than a wrong order.
+func TestGraphTopoSortRejectsMisnumberedNodes(t *testing.T) {
+	g := buildDenseChain(t, 2)
+	g.Nodes[0], g.Nodes[1] = g.Nodes[1], g.Nodes[0]
+	if _, err := g.TopoSort(); err == nil || !strings.Contains(err.Error(), "at index 0") {
+		t.Fatalf("TopoSort of swapped nodes: err = %v, want an ID/index mismatch", err)
+	}
+}
+
 func TestGraphDoubleProducePanics(t *testing.T) {
 	g := New("dup")
 	tns := NewTensor("t", Activation, F32, NewShape(2))

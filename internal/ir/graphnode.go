@@ -1,8 +1,9 @@
 package ir
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -201,11 +202,17 @@ type GNGraph struct {
 	Nodes []*GraphNode
 
 	succs, preds [][]*GraphNode // adjacency, indexed by GraphNode.ID
-	owner        map[*graph.Node]*GraphNode
+	owner        []*GraphNode   // indexed by graph.Node.ID
 }
 
-// NodeOf returns the GraphNode containing the given operator.
-func (g *GNGraph) NodeOf(op *graph.Node) *GraphNode { return g.owner[op] }
+// NodeOf returns the GraphNode containing the given operator, or nil
+// when op is not an operator of g.Src.
+func (g *GNGraph) NodeOf(op *graph.Node) *GraphNode {
+	if op.ID < 0 || op.ID >= len(g.owner) || g.Src.Nodes[op.ID] != op {
+		return nil
+	}
+	return g.owner[op.ID]
+}
 
 // Succs returns the GraphNodes consuming outputs of gn, in ID order.
 func (g *GNGraph) Succs(gn *GraphNode) []*GraphNode { return g.succs[gn.ID] }
@@ -271,18 +278,39 @@ func absorbablePre(k graph.OpKind) bool {
 // Group converts an operator graph into the GraphNode graph (Step ① in
 // Figure 2). Weight-bearing anchors absorb adjacent unary plumbing; the
 // remaining operators become glue nodes. Grouping requires no expert
-// annotation — it is driven purely by operator kinds and fan-out.
+// annotation — it is driven purely by operator kinds and fan-out. Its
+// per-operator and per-node state is held in slices indexed by the dense
+// graph.Node.ID and GraphNode.ID, not in maps keyed by pointer, and each
+// node's lists (members, tensors, neighbours) are capped windows of a
+// few shared arrays rather than one allocation per list.
 func Group(src *graph.Graph) (*GNGraph, error) {
 	order, err := src.TopoSort()
 	if err != nil {
 		return nil, err
 	}
 
-	g := &GNGraph{
-		Src:   src,
-		owner: make(map[*graph.Node]*GraphNode),
+	// An operator is assigned once owner names its GraphNode. Every
+	// operator joins exactly one GraphNode, so the member lists fill one
+	// array of len(src.Nodes) operators exactly.
+	g := &GNGraph{Src: src, owner: make([]*GraphNode, len(src.Nodes))}
+	assigned := func(n *graph.Node) bool { return g.owner[n.ID] != nil }
+	ops := make([]*graph.Node, 0, len(src.Nodes))
+	// add records gn with the members pre, head, post in that order.
+	add := func(gn *GraphNode, pre []*graph.Node, head *graph.Node, post []*graph.Node) {
+		at := len(ops)
+		ops = append(append(append(ops, pre...), head), post...)
+		gn.Ops = ops[at:len(ops):len(ops)]
+		if len(pre) > 0 {
+			gn.Pre = gn.Ops[:len(pre):len(pre)]
+		}
+		if len(post) > 0 {
+			gn.Post = gn.Ops[len(pre)+1:]
+		}
+		for _, op := range gn.Ops {
+			g.owner[op.ID] = gn
+		}
+		g.Nodes = append(g.Nodes, gn)
 	}
-	assigned := make(map[*graph.Node]bool)
 
 	singleConsumer := func(n *graph.Node) (*graph.Node, bool) {
 		if len(n.Outputs) != 1 {
@@ -296,38 +324,40 @@ func Group(src *graph.Graph) (*GNGraph, error) {
 	}
 
 	// Pass 1: anchors in topological order, absorbing backward then
-	// forward.
+	// forward. pre and post are scratch: add copies them.
+	var pre, post []*graph.Node
 	for _, n := range order {
-		if assigned[n] {
+		if assigned(n) {
 			continue
 		}
 		kind, isAnchor := anchorKind(n)
 		if !isAnchor {
 			continue
 		}
-		gn := &GraphNode{Kind: kind, Layer: n.Layer, Anchor: n}
 
-		// Absorb backward: unary prefix ops feeding only this chain.
-		var pre []*graph.Node
+		// Absorb backward: unary prefix ops feeding only this chain,
+		// collected nearest first.
+		pre = pre[:0]
 		cur := n
 		for {
 			p := src.Producer(primaryInput(cur))
-			if p == nil || assigned[p] || !absorbablePre(p.Kind) {
+			if p == nil || assigned(p) || !absorbablePre(p.Kind) {
 				break
 			}
 			if c, ok := singleConsumer(p); !ok || c != cur {
 				break
 			}
-			pre = append([]*graph.Node{p}, pre...)
+			pre = append(pre, p)
 			cur = p
 		}
+		slices.Reverse(pre)
 
 		// Absorb forward: unary suffix chain.
-		var post []*graph.Node
+		post = post[:0]
 		tail := n
 		for {
 			c, ok := singleConsumer(tail)
-			if !ok || assigned[c] || !absorbablePost(c.Kind) {
+			if !ok || assigned(c) || !absorbablePost(c.Kind) {
 				break
 			}
 			// The successor must not consume other activations.
@@ -343,28 +373,20 @@ func Group(src *graph.Graph) (*GNGraph, error) {
 			post = append(post, c)
 			tail = c
 		}
-
-		gn.Pre, gn.Post = pre, post
-		gn.Ops = append(append(append([]*graph.Node{}, pre...), n), post...)
-		for _, op := range gn.Ops {
-			assigned[op] = true
-			g.owner[op] = gn
-		}
-		g.Nodes = append(g.Nodes, gn)
+		add(&GraphNode{Kind: kind, Layer: n.Layer, Anchor: n}, pre, n, post)
 	}
 
 	// Pass 2: remaining operators become glue nodes, absorbing forward
 	// through still-unassigned unary suffixes.
 	for _, n := range order {
-		if assigned[n] {
+		if assigned(n) {
 			continue
 		}
-		gn := &GraphNode{Kind: KGlue, Layer: n.Layer}
-		var post []*graph.Node
+		post = post[:0]
 		tail := n
 		for {
 			c, ok := singleConsumer(tail)
-			if !ok || assigned[c] || !absorbablePost(c.Kind) {
+			if !ok || assigned(c) || !absorbablePost(c.Kind) {
 				break
 			}
 			if _, isAnchor := anchorKind(c); isAnchor {
@@ -382,77 +404,117 @@ func Group(src *graph.Graph) (*GNGraph, error) {
 			post = append(post, c)
 			tail = c
 		}
-		gn.Post = post
-		gn.Ops = append([]*graph.Node{n}, post...)
-		for _, op := range gn.Ops {
-			assigned[op] = true
-			g.owner[op] = gn
-		}
-		g.Nodes = append(g.Nodes, gn)
+		add(&GraphNode{Kind: KGlue, Layer: n.Layer}, nil, n, post)
 	}
 
 	// Sort GraphNodes by the topological position of their first op and
-	// assign IDs.
-	pos := make(map[*graph.Node]int, len(order))
+	// assign IDs. Each operator is in one GraphNode, so first ops'
+	// positions are distinct and the order is total.
+	pos := make([]int, len(src.Nodes))
 	for i, n := range order {
-		pos[n] = i
+		pos[n.ID] = i
 	}
-	sort.Slice(g.Nodes, func(i, j int) bool {
-		return pos[g.Nodes[i].Ops[0]] < pos[g.Nodes[j].Ops[0]]
+	slices.SortFunc(g.Nodes, func(a, b *GraphNode) int {
+		return cmp.Compare(pos[a.Ops[0].ID], pos[b.Ops[0].ID])
 	})
 	for i, gn := range g.Nodes {
 		gn.ID = i
 	}
 
-	// Compute boundaries, weights and GraphNode-level edges.
-	for _, gn := range g.Nodes {
-		member := make(map[*graph.Node]bool, len(gn.Ops))
-		for _, op := range gn.Ops {
-			member[op] = true
+	// Compute boundaries and weights. An operator is a member of gn
+	// exactly when owner names gn; a boundary input is kept once, and a
+	// node has few, so the list itself is the dedup. Weights and
+	// boundary inputs come from operator inputs and boundary outputs from
+	// operator outputs, so one array of every input and output holds
+	// all three kinds of list.
+	nt := 0
+	for _, n := range src.Nodes {
+		nt += len(n.Inputs) + len(n.Outputs)
+	}
+	tensors := make([]*graph.Tensor, 0, nt)
+	window := func(ts []*graph.Tensor) []*graph.Tensor {
+		if len(ts) == 0 {
+			return nil
 		}
-		seenIn := make(map[*graph.Tensor]bool)
+		at := len(tensors)
+		tensors = append(tensors, ts...)
+		return tensors[at:len(tensors):len(tensors)]
+	}
+	var ws, ins, outs []*graph.Tensor
+	nIn := 0 // boundary inputs: a bound on the GraphNode-level edges
+	for _, gn := range g.Nodes {
+		member := func(n *graph.Node) bool { return g.owner[n.ID] == gn }
+		ws, ins, outs = ws[:0], ins[:0], outs[:0]
 		for _, op := range gn.Ops {
 			for _, t := range op.Inputs {
 				switch t.Kind {
 				case graph.Weight:
-					gn.Weights = append(gn.Weights, t)
+					ws = append(ws, t)
 				case graph.Activation, graph.Input:
 					p := src.Producer(t)
-					if (p == nil || !member[p]) && !seenIn[t] {
-						seenIn[t] = true
-						gn.InTensors = append(gn.InTensors, t)
+					if (p == nil || !member(p)) && !slices.Contains(ins, t) {
+						ins = append(ins, t)
 					}
 				}
 			}
 			for _, t := range op.Outputs {
 				external := len(src.Consumers(t)) == 0
 				for _, c := range src.Consumers(t) {
-					if !member[c] {
+					if !member(c) {
 						external = true
 					}
 				}
 				if external {
-					gn.OutTensors = append(gn.OutTensors, t)
+					outs = append(outs, t)
 				}
 			}
 		}
+		gn.Weights, gn.InTensors, gn.OutTensors = window(ws), window(ins), window(outs)
+		nIn += len(ins)
 	}
+
+	// GraphNode-level edges, found by target ID and then the target's
+	// InTensors: each target's predecessors are one run of that order,
+	// and a counting sort by source gives each source's successors in
+	// target ID order. edgeSeen[from.ID] is gn.ID+1 once from → gn is
+	// found.
 	g.succs = make([][]*GraphNode, len(g.Nodes))
 	g.preds = make([][]*GraphNode, len(g.Nodes))
-	edgeSeen := make(map[[2]int]bool)
+	edgeSeen := make([]int, len(g.Nodes))
+	succOff := make([]int, len(g.Nodes)+1)
+	preds := make([]*GraphNode, 0, nIn)
 	for _, gn := range g.Nodes {
+		at := len(preds)
 		for _, t := range gn.InTensors {
 			p := src.Producer(t)
 			if p == nil {
 				continue
 			}
-			from := g.owner[p]
-			key := [2]int{from.ID, gn.ID}
-			if from != gn && !edgeSeen[key] {
-				edgeSeen[key] = true
-				g.succs[from.ID] = append(g.succs[from.ID], gn)
-				g.preds[gn.ID] = append(g.preds[gn.ID], from)
+			from := g.owner[p.ID]
+			if from != gn && edgeSeen[from.ID] != gn.ID+1 {
+				edgeSeen[from.ID] = gn.ID + 1
+				preds = append(preds, from)
+				succOff[from.ID+1]++
 			}
+		}
+		if len(preds) > at {
+			g.preds[gn.ID] = preds[at:len(preds):len(preds)]
+		}
+	}
+	for v := range g.Nodes {
+		succOff[v+1] += succOff[v]
+	}
+	succs := make([]*GraphNode, len(preds))
+	next := slices.Clone(succOff[:len(g.Nodes)])
+	for _, gn := range g.Nodes {
+		for _, from := range g.preds[gn.ID] {
+			succs[next[from.ID]] = gn
+			next[from.ID]++
+		}
+	}
+	for v := range g.Nodes {
+		if lo, hi := succOff[v], succOff[v+1]; hi > lo {
+			g.succs[v] = succs[lo:hi:hi]
 		}
 	}
 	internMenus(g.Nodes)

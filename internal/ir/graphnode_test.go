@@ -153,6 +153,13 @@ func TestGroupOwnerLookup(t *testing.T) {
 			t.Errorf("op %v has no owner", op)
 		}
 	}
+	// The owner table is indexed by operator ID, which another graph's
+	// operators share: they have no owner here.
+	for _, op := range denseLayerGraph().Nodes {
+		if gn := g.NodeOf(op); gn != nil {
+			t.Errorf("op %v of another graph is owned by %v", op, gn)
+		}
+	}
 }
 
 func TestGraphNodeFootprints(t *testing.T) {

@@ -11,7 +11,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"tapas/internal/graph"
@@ -127,9 +126,17 @@ type miner struct {
 	labels  []uint32     // interned structural label, by node ID
 	adj     [2]adjacency // successors, then predecessors
 	claimed []bool       // filterFrequent's scratch, by node ID; all false between calls
-	hashers sync.Pool    // *hasher: one per concurrent expandGroup
+	hashers chan *hasher // idle hashers: at most one per worker
 	opt     Options
 	workers int
+
+	// Level buffers, reused from one level to the next so that a level
+	// allocates only where it outgrows every level before it. They live
+	// and die with one Mine call: nothing is kept across searches.
+	found []addition // seed's and grow's candidate additions
+	ends  []int      // grow's scratch: each run's window end in found
+	mergeBufs
+	spare *level // the level before last: filterFrequent builds into its arena
 }
 
 // adjacency is one direction of the graph's edges as node IDs, in GNGraph
@@ -168,7 +175,6 @@ func newMiner(g *ir.GNGraph, opt Options) *miner {
 		adj:     [2]adjacency{newAdjacency(g, g.Succs), newAdjacency(g, g.Preds)},
 		claimed: make([]bool, len(g.Nodes)),
 	}
-	m.hashers.New = func() any { return m.newHasher() }
 	if opt.MinSupport <= 0 {
 		opt.MinSupport = autoMinSupport(g, m.labels)
 	}
@@ -183,6 +189,7 @@ func newMiner(g *ir.GNGraph, opt Options) *miner {
 	}
 	m.opt = opt
 	m.workers = parallel.Workers(opt.Workers)
+	m.hashers = make(chan *hasher, m.workers)
 	return m
 }
 
@@ -273,12 +280,33 @@ type hasher struct {
 	m           *miner
 	pos         []int32  // by node ID: member index+1 during an edge walk, else 0
 	edges       []uint64 // the sorted edge list of the instance last hashed
-	other       []uint64 // the sorted edge list of the instance last compared
+	added       []uint64 // its edges at the added node (see sameReplay)
+	other       []uint64 // the edges of the instance last compared
 	ext, replay []int32  // expandGroup's candidate member lists
 }
 
 func (m *miner) newHasher() *hasher {
 	return &hasher{m: m, pos: make([]int32, len(m.g.Nodes))}
+}
+
+// hasher takes an idle hasher, or makes one when every hasher made so far
+// is in use; release hands it back. At most m.workers expandGroup calls
+// run at once, so a Mine makes at most one hasher per worker. Unlike a
+// sync.Pool, the idle list never drops one, so the count is exact.
+func (m *miner) hasher() *hasher {
+	select {
+	case hs := <-m.hashers:
+		return hs
+	default:
+		return m.newHasher()
+	}
+}
+
+func (m *miner) release(hs *hasher) {
+	select {
+	case m.hashers <- hs:
+	default:
+	}
 }
 
 // canonicalHash produces a canonical structural hash of an instance, given
@@ -309,6 +337,61 @@ func (hs *hasher) sameForm(ref, in []int32) bool {
 	}
 	hs.other = hs.edgeList(hs.other[:0], in)
 	return slices.Equal(hs.other, hs.edges)
+}
+
+// addedEdges appends the edges of in's sorted edge list (see edgeList)
+// that touch member index p to an empty dst, sorted. Group builds the
+// successor and predecessor lists as mirror images with no repeated edge
+// and no self-edge, so in[p]'s successors give its out-edges and its
+// predecessors its in-edges, each once. in ascends, so a neighbour
+// outside [in[0], in[len(in)-1]] is no member, and one inside is found
+// by binary search: a high fan-out node's neighbours are mostly far away.
+func (hs *hasher) addedEdges(dst []uint64, in []int32, p int) []uint64 {
+	v, lo, hi := in[p], in[0], in[len(in)-1]
+	for _, s := range hs.m.adj[0].of(v) {
+		if s < lo || s > hi {
+			continue
+		}
+		if j, ok := slices.BinarySearch(in, s); ok {
+			dst = append(dst, uint64(p)<<32|uint64(j))
+		}
+	}
+	for _, u := range hs.m.adj[1].of(v) {
+		if u < lo || u > hi {
+			continue
+		}
+		if j, ok := slices.BinarySearch(in, u); ok {
+			dst = append(dst, uint64(j)<<32|uint64(p))
+		}
+	}
+	slices.Sort(dst)
+	return dst
+}
+
+// sameReplay reports whether in has the form of ref, where ref is the
+// extension canonicalHash last hashed, its node added at member index p
+// with the edges there in hs.added, and in is another instance of ref's
+// parent pattern grown by nb. It decides what sameForm(ref, in) decides.
+//
+// Invariant: every instance of a run has its first instance's form. The
+// replay keeps only instances with the representative's form, merge
+// buckets additions into runs by canonical hash, and the hash's input is
+// the whole form, so this holds short of a 64-bit collision, as the
+// bucketing already assumes. So in without nb has the form of ref
+// without ref[p]. When nb also lands at index p, the two agree on every
+// other index's label and on every edge between other indices, and the
+// forms are equal exactly when the added nodes' labels and their edges to
+// the other members, by index, are. When nb lands elsewhere the indices
+// shift differently, and the full sameForm decides.
+func (hs *hasher) sameReplay(ref []int32, p int, in []int32, nb int32) bool {
+	if in[p] != nb {
+		return hs.sameForm(ref, in)
+	}
+	if hs.m.labels[nb] != hs.m.labels[ref[p]] {
+		return false
+	}
+	hs.other = hs.addedEdges(hs.other[:0], in, p)
+	return slices.Equal(hs.other, hs.added)
 }
 
 // edgeList appends in's internal edges, in member-index space and sorted,
@@ -402,7 +485,7 @@ func Mine(ctx context.Context, g *ir.GNGraph, opt Options) *Result {
 		}
 		res.Levels = next.k
 		m.emit(res, next)
-		lv = next
+		m.spare, lv = lv, next
 	}
 
 	// Largest patterns first, then by support, then deterministic by
@@ -474,13 +557,14 @@ func (lv *level) extent(a addition) (first, span int32) {
 // node has no internal edge: its canonical hash is its label folded once.
 // Seeds are never capped.
 func (m *miner) seed() *level {
-	seeds := make([]addition, len(m.g.Nodes))
+	m.found = slices.Grow(m.found[:0], len(m.g.Nodes))
+	seeds := m.found[:len(m.g.Nodes)]
 	for v := range seeds {
 		h := fnvWord(fnvOffset, uint64(m.labels[v]))
 		seeds[v] = addition{h: h, key: word(int32(v)), parent: -1, nb: int32(v)}
 	}
 	empty := &level{}
-	adds, runs := merge(empty, [][]addition{seeds}, len(seeds))
+	adds, runs := m.merge(empty, [][]addition{seeds}, len(seeds))
 	return m.filterFrequent(empty, adds, runs)
 }
 
@@ -499,40 +583,62 @@ func (m *miner) seed() *level {
 // merge replays them in ascending canonical-hash group order. Every worker
 // count therefore produces the exact frontier of a serial sweep in
 // sorted-group order.
+//
+// Each extension of a representative yields at most one addition per
+// instance, so run i's additions fit a window of m.found sized from a
+// count of its representative's extensions; the windows are carved
+// before the workers start, and each is written by the one worker that
+// expands its run.
 func (m *miner) grow(ctx context.Context, lv *level) (*level, error) {
-	lists, err := parallel.Map(ctx, m.workers, lv.runs, func(_ context.Context, _ int, r run) ([]addition, error) {
-		return m.expandGroup(lv, r), nil
+	total := 0
+	m.ends = m.ends[:0]
+	for _, r := range lv.runs {
+		total += m.extensions(lv.members(r.lo)) * int(r.hi-r.lo)
+		m.ends = append(m.ends, total)
+	}
+	m.found = slices.Grow(m.found[:0], total)
+	lists, err := parallel.Map(ctx, m.workers, lv.runs, func(_ context.Context, i int, r run) ([]addition, error) {
+		lo := 0
+		if i > 0 {
+			lo = m.ends[i-1]
+		}
+		return m.expandGroup(lv, r, m.found[lo:lo:m.ends[i]]), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	adds, runs := merge(lv, lists, m.opt.MaxInstancesPerPattern)
+	adds, runs := m.merge(lv, lists, m.opt.MaxInstancesPerPattern)
 	return m.filterFrequent(lv, adds, runs), nil
 }
 
-// expandGroup enumerates the one-node extensions of the pattern whose
-// instances are lv's run r: every (member, direction, neighbor-index)
-// extension of the representative, hashed once, replayed positionally on
-// the other instances and kept where the replay has the representative's
-// form. It reads lv and the miner without writing them and does no dedup:
-// an instance emitted twice is dropped by the merge. Each extension of
-// the representative yields at most one addition per instance, so the
-// list is sized once, from a count of the extensions, and never grows.
-func (m *miner) expandGroup(lv *level, r run) []addition {
-	hs := m.hashers.Get().(*hasher)
-	defer m.hashers.Put(hs)
-	rep := lv.members(r.lo)
-	exts := 0
+// extensions counts the one-node extensions of the instance rep: its
+// members' neighbours, in both directions, that are not members.
+func (m *miner) extensions(rep []int32) int {
+	n := 0
 	for _, v := range rep {
 		for dir := range m.adj {
 			for _, nb := range m.adj[dir].of(v) {
 				if !slices.Contains(rep, nb) {
-					exts++
+					n++
 				}
 			}
 		}
 	}
-	adds := make([]addition, 0, exts*int(r.hi-r.lo))
+	return n
+}
+
+// expandGroup appends to adds, an empty window with room for every
+// extension of the representative on every instance (see grow), the
+// one-node extensions of the pattern whose instances are lv's run r:
+// every (member, direction, neighbor-index) extension of the
+// representative, hashed once, replayed positionally on the other
+// instances and kept where the replay has the representative's form
+// (sameReplay). It reads lv and the miner without writing them and does
+// no dedup: an instance emitted twice is dropped by the merge.
+func (m *miner) expandGroup(lv *level, r run, adds []addition) []addition {
+	hs := m.hasher()
+	defer m.release(hs)
+	rep := lv.members(r.lo)
 	ext, replay := hs.ext, hs.replay
 	for i, v := range rep {
 		for dir := range m.adj {
@@ -543,6 +649,8 @@ func (m *miner) expandGroup(lv *level, r run) []addition {
 				}
 				ext = extendInto(ext, rep, nb)
 				h := hs.canonicalHash(ext)
+				p, _ := slices.BinarySearch(ext, nb)
+				hs.added = hs.addedEdges(hs.added[:0], ext, p)
 				adds = append(adds, addition{h, lv.keys[r.lo] ^ word(nb), r.lo, nb})
 				// Replay the (i, dir, j) extension on the other
 				// instances.
@@ -553,7 +661,7 @@ func (m *miner) expandGroup(lv *level, r run) []addition {
 						continue
 					}
 					replay = extendInto(replay, members, nbs[j])
-					if hs.sameForm(ext, replay) {
+					if hs.sameReplay(ext, p, replay, nbs[j]) {
 						adds = append(adds, addition{h, lv.keys[inst] ^ word(nbs[j]), inst, nbs[j]})
 					}
 				}
@@ -578,6 +686,21 @@ func extendInto(dst, in []int32, nb int32) []int32 {
 	return dst
 }
 
+// mergeBufs is merge's scratch. It is kept on the miner and reused by
+// every level: the slices keep their capacity and the map its buckets.
+type mergeBufs struct {
+	kept, adds []addition
+	pattern    []int32 // kept[i]'s index in runs
+	runs       []run
+	index      map[uint64]int32 // pattern hash → index in runs
+	// first maps an instance key to the first survivor with it: an
+	// open-addressing table of 1 + an index in kept, 0 for an empty slot,
+	// probed linearly from the key's low bits. Keys are XORs of SplitMix64
+	// outputs, so their low bits are already mixed.
+	first  []int32
+	sa, sb []int32 // duplicate's member lists
+}
+
 // merge replays the addition lists in order, drops duplicate instances
 // and each pattern's additions past limit, and returns the survivors
 // bucketed by pattern: the additions of runs[p] are adds[runs[p].lo:
@@ -585,63 +708,80 @@ func extendInto(dst, in []int32, nb int32) []int32 {
 // addition is a duplicate when a survivor has its hash, its key and its
 // member set. The first survivor with the key is checked first and, when
 // it is not one — a key collision — every later survivor, so dedup never
-// rests on the key being collision-free.
-func merge(lv *level, lists [][]addition, limit int) ([]addition, []run) {
+// rests on the key being collision-free. Both results are b's buffers:
+// they hold until the next merge on b.
+func (b *mergeBufs) merge(lv *level, lists [][]addition, limit int) ([]addition, []run) {
 	total := 0
 	for _, adds := range lists {
 		total += len(adds)
 	}
-	kept := make([]addition, 0, total)
-	pattern := make([]int32, 0, total) // kept[i]'s index in runs
-	var runs []run                     // hi counts survivors until bucketing
-	index := make(map[uint64]int32)
-	seen := make(map[uint64]int32, total) // key → first survivor with it
-	var sa, sb []int32
-	duplicate := func(first int32, a addition) bool {
-		sa = extendInto(sa, lv.members(a.parent), a.nb)
-		for _, b := range kept[first:] {
-			if b.h == a.h && b.key == a.key {
-				if sb = extendInto(sb, lv.members(b.parent), b.nb); slices.Equal(sa, sb) {
-					return true
-				}
-			}
-		}
-		return false
+	b.kept = slices.Grow(b.kept[:0], total)
+	b.pattern = slices.Grow(b.pattern[:0], total)
+	b.runs = b.runs[:0] // hi counts survivors until bucketing
+	if b.index == nil {
+		b.index = make(map[uint64]int32)
+	} else {
+		clear(b.index)
 	}
+	size := 8 // a power of two at least twice the additions: short probes
+	for size < 2*total {
+		size <<= 1
+	}
+	b.first = slices.Grow(b.first[:0], size)[:size]
+	clear(b.first)
+	mask := uint64(size - 1)
 	for _, adds := range lists {
 		for _, a := range adds {
-			p, ok := index[a.h]
+			p, ok := b.index[a.h]
 			if !ok {
-				p = int32(len(runs))
-				index[a.h] = p
-				runs = append(runs, run{h: a.h})
+				p = int32(len(b.runs))
+				b.index[a.h] = p
+				b.runs = append(b.runs, run{h: a.h})
 			}
-			if int(runs[p].hi) >= limit {
+			if int(b.runs[p].hi) >= limit {
 				continue
 			}
-			if first, ok := seen[a.key]; !ok {
-				seen[a.key] = int32(len(kept))
-			} else if duplicate(first, a) {
+			slot := a.key & mask
+			for b.first[slot] != 0 && b.kept[b.first[slot]-1].key != a.key {
+				slot = (slot + 1) & mask
+			}
+			if f := b.first[slot]; f == 0 {
+				b.first[slot] = int32(len(b.kept)) + 1
+			} else if b.duplicate(lv, f-1, a) {
 				continue
 			}
-			kept = append(kept, a)
-			pattern = append(pattern, p)
-			runs[p].hi++
+			b.kept = append(b.kept, a)
+			b.pattern = append(b.pattern, p)
+			b.runs[p].hi++
 		}
 	}
 	off := int32(0)
-	for p := range runs {
-		n := runs[p].hi
-		runs[p].lo, runs[p].hi = off, off
+	for p := range b.runs {
+		n := b.runs[p].hi
+		b.runs[p].lo, b.runs[p].hi = off, off
 		off += n
 	}
-	adds := make([]addition, len(kept))
-	for i, a := range kept {
-		r := &runs[pattern[i]]
-		adds[r.hi] = a
+	b.adds = slices.Grow(b.adds[:0], len(b.kept))[:len(b.kept)]
+	for i, a := range b.kept {
+		r := &b.runs[b.pattern[i]]
+		b.adds[r.hi] = a
 		r.hi++
 	}
-	return adds, runs
+	return b.adds, b.runs
+}
+
+// duplicate reports whether a survivor from kept[first:] has a's hash,
+// key and member set.
+func (b *mergeBufs) duplicate(lv *level, first int32, a addition) bool {
+	b.sa = extendInto(b.sa, lv.members(a.parent), a.nb)
+	for _, s := range b.kept[first:] {
+		if s.h == a.h && s.key == a.key {
+			if b.sb = extendInto(b.sb, lv.members(s.parent), s.nb); slices.Equal(b.sa, b.sb) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // filterFrequent reduces each pattern's additions (runs over adds, from
@@ -649,7 +789,9 @@ func merge(lv *level, lists [][]addition, limit int) ([]addition, []run) {
 // (disjoint support keeps the Apriori downward-closure property and is
 // exactly what folding needs), drops infrequent patterns, caps the level
 // width, and builds the surviving additions — and only those — into the
-// next level's arena, patterns in ascending hash order.
+// next level's arena, patterns in ascending hash order. The arena is the
+// spare level's when there is one: Mine hands back each level once the
+// one after it is built and emitted.
 func (m *miner) filterFrequent(lv *level, adds []addition, runs []run) *level {
 	kept := runs[:0]
 	for _, r := range runs {
@@ -669,16 +811,23 @@ func (m *miner) filterFrequent(lv *level, adds []addition, runs []run) *level {
 		n += int(r.hi - r.lo)
 	}
 	k := lv.k + 1
-	next := &level{k: k, ids: make([]int32, n*k), keys: make([]uint64, n), runs: kept}
+	next := m.spare
+	if m.spare = nil; next == nil {
+		next = &level{}
+	}
+	next.k = k
+	next.ids = slices.Grow(next.ids[:0], n*k)[:n*k]
+	next.keys = slices.Grow(next.keys[:0], n)[:n]
+	next.runs = append(next.runs[:0], kept...)
 	i := 0
-	for p, r := range kept {
-		kept[p].lo = int32(i)
+	for p, r := range next.runs {
+		next.runs[p].lo = int32(i)
 		for _, a := range adds[r.lo:r.hi] {
 			extendInto(next.ids[i*k:i*k:(i+1)*k], lv.members(a.parent), a.nb)
 			next.keys[i] = a.key
 			i++
 		}
-		kept[p].hi = int32(i)
+		next.runs[p].hi = int32(i)
 	}
 	return next
 }

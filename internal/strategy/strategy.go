@@ -176,7 +176,7 @@ func Validate(g *ir.GNGraph, assign []*ir.Pattern, w int, allowReshard bool) ([]
 		spec ir.ShardSpec
 		gn   *ir.GraphNode
 	}
-	seen := map[interface{}]wspec{}
+	seen := make(map[*graph.Tensor]wspec, numWeights(g))
 	for _, gn := range g.Nodes {
 		p := assign[gn.ID]
 		for i, wt := range gn.Weights {
@@ -206,13 +206,24 @@ func Validate(g *ir.GNGraph, assign []*ir.Pattern, w int, allowReshard bool) ([]
 // the rule EnumerateInstance applies by instance position.
 func MemoryPerDevice(g *ir.GNGraph, assign []*ir.Pattern) int64 {
 	var mem int64
-	seen := map[*graph.Tensor]bool{}
+	seen := make(map[*graph.Tensor]bool, numWeights(g))
 	for _, gn := range g.Nodes {
 		if p := assign[gn.ID]; p != nil {
 			mem += nodeMem(p, ownsWeights(gn, seen))
 		}
 	}
 	return mem
+}
+
+// numWeights counts the weight slots of g's nodes, a shared weight once
+// per node that reads it: the size that keeps a map keyed by weight from
+// growing.
+func numWeights(g *ir.GNGraph) int {
+	n := 0
+	for _, gn := range g.Nodes {
+		n += len(gn.Weights)
+	}
+	return n
 }
 
 // ownsWeights reports whether gn's weights count toward memory, given
