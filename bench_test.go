@@ -152,26 +152,6 @@ func BenchmarkSearchAll(b *testing.B) {
 	}
 }
 
-func BenchmarkEnumerateTransformerLayer(b *testing.B) {
-	g := groupedBench(b, "t5-100M")
-	cl := cluster.V100x8()
-	model := cost.Default(cl)
-	classes := mining.Fold(g, mining.Mine(context.Background(), g, mining.DefaultOptions()))
-	var layer *mining.Class
-	for _, c := range classes {
-		if layer == nil || c.Size() > layer.Size() {
-			layer = c
-		}
-	}
-	opt := strategy.DefaultEnumOptions(8)
-	opt.Workers = 1 // the serial walk TestEnumerateAllocationBudget holds
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		strategy.EnumerateInstance(context.Background(), g, layer.Representative(), model, opt)
-	}
-}
-
 func BenchmarkSimulateIteration(b *testing.B) {
 	res, err := coldSearch("t5-770M", 8)
 	if err != nil {

@@ -125,7 +125,7 @@ type miner struct {
 	g       *ir.GNGraph
 	labels  []uint32     // interned structural label, by node ID
 	adj     [2]adjacency // successors, then predecessors
-	claimed []bool       // filterFrequent's scratch, by node ID; all false between calls
+	claimed []bool       // disjointInstances' scratch, by node ID
 	hashers chan *hasher // idle hashers: at most one per worker
 	opt     Options
 	workers int
@@ -133,8 +133,9 @@ type miner struct {
 	// Level buffers, reused from one level to the next so that a level
 	// allocates only where it outgrows every level before it. They live
 	// and die with one Mine call: nothing is kept across searches.
-	found []addition // seed's and grow's candidate additions
-	ends  []int      // grow's scratch: each run's window end in found
+	found      []addition // seed's and grow's candidate additions
+	ends       []int      // grow's scratch: each run's window end in found
+	claimOrder []claimKey // disjointInstances' scratch
 	mergeBufs
 	spare *level // the level before last: filterFrequent builds into its arena
 }
@@ -170,10 +171,11 @@ func (a *adjacency) of(v int32) []int32 { return a.to[a.off[v]:a.off[v+1]] }
 func newMiner(g *ir.GNGraph, opt Options) *miner {
 	labels, _ := internLabels(g)
 	m := &miner{
-		g:       g,
-		labels:  labels,
-		adj:     [2]adjacency{newAdjacency(g, g.Succs), newAdjacency(g, g.Preds)},
-		claimed: make([]bool, len(g.Nodes)),
+		g:          g,
+		labels:     labels,
+		adj:        [2]adjacency{newAdjacency(g, g.Succs), newAdjacency(g, g.Preds)},
+		claimed:    make([]bool, len(g.Nodes)),
+		claimOrder: make([]claimKey, 0, len(g.Nodes)),
 	}
 	if opt.MinSupport <= 0 {
 		opt.MinSupport = autoMinSupport(g, m.labels)
@@ -795,7 +797,7 @@ func (b *mergeBufs) duplicate(lv *level, first int32, a addition) bool {
 func (m *miner) filterFrequent(lv *level, adds []addition, runs []run) *level {
 	kept := runs[:0]
 	for _, r := range runs {
-		if n := disjointInstances(lv, adds[r.lo:r.hi], m.claimed); n >= m.opt.MinSupport {
+		if n := m.disjointInstances(lv, adds[r.lo:r.hi]); n >= m.opt.MinSupport {
 			kept = append(kept, run{r.h, r.lo, r.lo + int32(n)})
 		}
 	}
@@ -838,32 +840,43 @@ func (m *miner) filterFrequent(lv *level, adds []addition, runs []run) *level {
 // bridge two repeats of a block span more IDs than embeddings aligned
 // with one repeat, so this keeps the surviving tiling aligned with the
 // natural block boundaries — which both maximizes the disjoint support
-// and keeps pipeline stages cuttable. claimed is the caller's scratch,
-// one flag per node ID; it is cleared here.
-func disjointInstances(lv *level, adds []addition, claimed []bool) int {
-	// Stable: the incoming order is deterministic (merge order), so ties
-	// on (span, first ID) must not be reshuffled.
-	slices.SortStableFunc(adds, func(a, b addition) int {
-		af, as := lv.extent(a)
-		bf, bs := lv.extent(b)
-		return cmp.Or(cmp.Compare(as, bs), cmp.Compare(af, bf))
-	})
-	clear(claimed)
-	n := 0
-	for _, a := range adds {
+// and keeps pipeline stages cuttable. The kept additions come first in
+// claim order.
+func (m *miner) disjointInstances(lv *level, adds []addition) int {
+	// Each addition's extent is read once. Ties on (span, first ID) keep
+	// the incoming order, which is deterministic (merge order): with the
+	// position as the last key the order is total, so an unstable sort
+	// gives the stable one.
+	keys := m.claimOrder[:0]
+	for at, a := range adds {
 		// Sprawling embeddings (e.g. star-shaped subgraphs hanging off a
 		// high-fanout tensor) are poor reuse units: they interleave with
 		// many other blocks and block pipeline-stage cuts. Cap the ID
 		// span at 4× the member count.
-		if _, span := lv.extent(a); int(span) >= 4*(lv.k+1) {
-			continue
+		if first, span := lv.extent(a); int(span) < 4*(lv.k+1) {
+			keys = append(keys, claimKey{span, first, int32(at), a})
 		}
-		if claim(claimed, lv.members(a.parent), a.nb) {
-			adds[n] = a
+	}
+	m.claimOrder = keys
+	slices.SortFunc(keys, func(a, b claimKey) int {
+		return cmp.Or(cmp.Compare(a.span, b.span), cmp.Compare(a.first, b.first), cmp.Compare(a.at, b.at))
+	})
+	clear(m.claimed)
+	n := 0
+	for _, key := range keys {
+		if claim(m.claimed, lv.members(key.a.parent), key.a.nb) {
+			adds[n] = key.a
 			n++
 		}
 	}
 	return n
+}
+
+// claimKey is addition a keyed for disjointInstances' claim order: its
+// ID span, its lowest member ID and its position in the run.
+type claimKey struct {
+	span, first, at int32
+	a               addition
 }
 
 // claim marks the nodes of in and nb in the ID-indexed claimed table and

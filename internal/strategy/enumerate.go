@@ -83,8 +83,11 @@ func DefaultEnumOptions(w int) EnumOptions {
 // EnumStats reports search effort — the paper quotes "729 strategies
 // examined" for T5-large.
 type EnumStats struct {
-	Examined  int  // complete assignments validated
-	Pruned    int  // prefixes early-stopped by the symbolic shape check
+	Examined int // complete assignments validated
+	// Pruned counts prefixes early-stopped by the symbolic shape check:
+	// every visit of a tree node adds the menu entries its check rejects,
+	// whether the check ran or its result was memoized.
+	Pruned    int
 	TimedOut  bool // enumeration hit the time budget
 	Truncated bool // enumeration hit MaxCandidates
 	Canceled  bool // enumeration aborted by context cancellation
@@ -111,19 +114,34 @@ type enumShared struct {
 	menus    [][]*ir.Pattern
 	prices   [][]price // per position and menu entry: PatternCost and nodeMem
 	leaves   int       // complete assignments the menus allow, capped at MaxCandidates
-	model    *cost.Model
-	opt      EnumOptions
-	start    time.Time
+	// memoOff is each position's first slot in a walk's branch memo (see
+	// enumState.memoAt), or -1 where the producers' choices span more than
+	// maxMemoSlots keys; slots is the memo's size. arena is the menus'
+	// total length: room for one check of every position.
+	memoOff []int32
+	slots   int
+	arena   int
+	model   *cost.Model
+	opt     EnumOptions
+	start   time.Time
 }
 
 // inEdge is one intra-instance edge into a position: the producer's
 // position j and the tensor it carries (see edgeTensor), resolved once
-// per enumeration instead of at every tree node.
+// per enumeration instead of at every tree node. stride is the weight of
+// the producer's menu index in the position's memo key: the product of
+// the menu sizes of the edges before it.
 type inEdge struct {
 	j       int32
 	primary bool
+	stride  int32
 	bytes   int64
 }
+
+// maxMemoSlots bounds the keys one position's branch memo may span. The
+// registered models need at most 25 (two producers with five-entry
+// menus); a position past the bound is checked afresh at every visit.
+const maxMemoSlots = 1 << 12
 
 // price is what a pattern adds to an assignment — its PatternCost and
 // its nodeMem — or, summed over positions, what a whole assignment costs.
@@ -173,6 +191,14 @@ func (r *records) truncate(k int) {
 // enumState is the mutable state of one depth-first enumeration walk. Each
 // parallel worker owns a private enumState; merging concatenates the out
 // records in deterministic task order and sums the stats.
+//
+// The state memoizes the shape check: a position's surviving branches
+// depend only on the menu indices its intra-instance producers hold, and
+// a walk revisits each such combination many times (t5-1.4B at W 8: about
+// 49,000 visits of 155 distinct class, position and producer-choice
+// inputs). A memo entry is written
+// once and never overwritten, so the branches and events it hands out
+// stay valid for the state's lifetime.
 type enumState struct {
 	*enumShared
 	stats    EnumStats
@@ -182,11 +208,20 @@ type enumState struct {
 	mi       []int32      // menu index of assigned[i]
 	cat      []comm.Event // scratch: the assignment's events in position order
 	steps    uint         // dfs call counter throttling the context poll
-	// Per-depth scratch reused by every branchesAt call at that depth: the
-	// surviving branches and the event storage their evs slice into. Both
-	// stay valid until the next branchesAt at the same depth.
-	brs   [][]branch
-	evbuf [][]comm.Event
+	// The branch memo, by slot. Entries' branches and events are windows
+	// of the two append-only arenas.
+	memo    []memoEntry
+	brArena []branch
+	evArena []comm.Event
+}
+
+// memoEntry is one position's shape check under one combination of its
+// producers' choices: the surviving branches and how many menu entries
+// the check rejected. done marks a filled slot.
+type memoEntry struct {
+	brs    []branch
+	pruned int32
+	done   bool
 }
 
 // newEnumState returns a walk state whose output has room for capacity
@@ -199,8 +234,9 @@ func newEnumState(sh *enumShared, capacity int) *enumState {
 		assigned:   make([]*ir.Pattern, n),
 		events:     make([][]comm.Event, n),
 		mi:         make([]int32, n),
-		brs:        make([][]branch, n),
-		evbuf:      make([][]comm.Event, n),
+		memo:       make([]memoEntry, sh.slots),
+		brArena:    make([]branch, 0, sh.arena),
+		evArena:    make([]comm.Event, 0, len(sh.instance)),
 	}
 }
 
@@ -229,7 +265,7 @@ func newEnumShared(ctx context.Context, g *ir.GNGraph, instance []*ir.GraphNode,
 		for _, pred := range g.Preds(gn) {
 			if j := pos[pred.ID]; j >= 0 && int(j) < i {
 				bytes, primary := edgeTensor(g, pred, gn)
-				in[i] = append(in[i], inEdge{j, primary, bytes})
+				in[i] = append(in[i], inEdge{j: j, primary: primary, bytes: bytes})
 			}
 		}
 		owns[i] = ownsWeights(gn, seen)
@@ -266,6 +302,25 @@ func newEnumShared(ctx context.Context, g *ir.GNGraph, instance []*ir.GraphNode,
 		leaves = min(leaves*len(ps), max(opt.MaxCandidates, 0))
 	}
 
+	// The memo key of position i is its producers' menu indices as a mixed
+	// radix over their menu sizes, offset into one table for all positions.
+	memoOff, slots, arena := make([]int32, len(instance)), 0, 0
+	for i := range instance {
+		arena += len(menus[i])
+		size := 1
+		for k, e := range in[i] {
+			in[i][k].stride = int32(size)
+			if size *= len(menus[e.j]); size > maxMemoSlots {
+				break
+			}
+		}
+		if size > maxMemoSlots {
+			memoOff[i] = -1
+			continue
+		}
+		memoOff[i], slots = int32(slots), slots+size
+	}
+
 	return &enumShared{
 		ctx:      ctx,
 		g:        g,
@@ -275,6 +330,9 @@ func newEnumShared(ctx context.Context, g *ir.GNGraph, instance []*ir.GraphNode,
 		menus:    menus,
 		prices:   prices,
 		leaves:   leaves,
+		memoOff:  memoOff,
+		slots:    slots,
+		arena:    arena,
 		model:    model,
 		opt:      opt,
 		start:    time.Now(),
@@ -309,29 +367,65 @@ func share(budget, n, idx int) int {
 
 // branchesAt applies the symbolic shape check of node i against the
 // already-assigned intra-instance predecessors and returns the surviving
-// patterns (early stopping, Figure 4), counting prunes. The result and
-// its events live in the depth's scratch: they are overwritten by the
-// next branchesAt(i), so a caller keeping events past that copies them.
+// patterns (early stopping, Figure 4), counting prunes. The check comes
+// from the memo when the producers' choices were seen before; the prunes
+// are counted either way, so the stats equal an unmemoized walk's.
 func (s *enumState) branchesAt(i int) []branch {
-	brs, buf := s.brs[i][:0], s.evbuf[i][:0]
+	e := s.memoAt(i)
+	s.stats.Pruned += int(e.pruned)
+	return e.brs
+}
+
+// memoAt returns the shape check of node i under the menu indices its
+// producers hold in s.mi, running it on the first visit of that
+// combination. The key is exact: every producer's index is a digit of it.
+func (s *enumState) memoAt(i int) memoEntry {
+	slot := s.memoOff[i]
+	if slot >= 0 {
+		for _, e := range s.in[i] {
+			slot += s.mi[e.j] * e.stride
+		}
+		if e := s.memo[slot]; e.done {
+			return e
+		}
+	}
+	e := memoEntry{done: true}
+	first := len(s.brArena)
 	for mi, p := range s.menus[i] {
-		start := len(buf)
+		start := len(s.evArena)
 		var ok bool
-		if buf, ok = s.eventsFor(buf, i, p); !ok {
-			buf = buf[:start]
-			s.stats.Pruned++
+		if s.evArena, ok = s.eventsFor(s.evArena, i, p); !ok {
+			s.evArena = s.evArena[:start]
+			e.pruned++
 			continue
 		}
-		brs = append(brs, branch{p, buf[start:len(buf):len(buf)], int32(mi)})
+		end := len(s.evArena)
+		s.brArena = append(s.brArena, branch{p, s.evArena[start:end:end], int32(mi)})
 	}
-	s.brs[i], s.evbuf[i] = brs, buf
-	return brs
+	e.brs = s.brArena[first:len(s.brArena):len(s.brArena)]
+	if slot >= 0 {
+		s.memo[slot] = e
+	}
+	return e
+}
+
+// branchFor returns the branch of node i that chooses menu entry mi
+// under the producers' choices in s.mi, or false when the shape check
+// rejects it.
+func (s *enumState) branchFor(i int, mi int32) (branch, bool) {
+	for _, br := range s.memoAt(i).brs {
+		if br.mi == mi {
+			return br, true
+		}
+	}
+	return branch{}, false
 }
 
 // eventsFor validates pattern p at position i against the already-
 // assigned intra-instance predecessors, appending the reshard events the
-// edge checks require to dst. branchesAt, the seeds, the task executor's
-// prefix replay and the candidate rebuild all share it — the
+// edge checks require to dst. It is the one shape check: the memo runs
+// it, and the walk, the seeds, the task executor's prefix replay and the
+// candidate rebuild all read their events from the memo — the
 // bit-identical contract depends on the replayed events equaling the
 // serial descent's exactly.
 func (s *enumState) eventsFor(dst []comm.Event, i int, p *ir.Pattern) ([]comm.Event, bool) {
@@ -384,21 +478,19 @@ func (s *enumState) newCandidate(p price) *Candidate {
 // replayPrefix assigns the menu choices of prefix into st, validating
 // each against the already-replayed predecessors exactly as the serial
 // descent did when it made them. It serves the wire (a TaskSpec prefix, a
-// TaskResult candidate) and the records alike. The events go to the depth
-// scratch of their positions, which a walk under the prefix never
-// revisits.
+// TaskResult candidate) and the records alike. The check comes from the
+// memo, whose prunes a replay does not count: the descent that made the
+// choices counted them.
 func replayPrefix[I int | int32](st *enumState, prefix []I) error {
 	for i, v := range prefix {
 		if v < 0 || int(v) >= len(st.menus[i]) {
 			return fmt.Errorf("strategy: prefix index %d out of range for node %d (menu size %d)", v, i, len(st.menus[i]))
 		}
-		p := st.menus[i][v]
-		evs, ok := st.eventsFor(st.evbuf[i][:0], i, p)
+		br, ok := st.branchFor(i, int32(v))
 		if !ok {
 			return fmt.Errorf("strategy: inconsistent task prefix at node %d", i)
 		}
-		st.evbuf[i] = evs
-		st.assigned[i], st.events[i], st.mi[i] = p, evs, int32(v)
+		st.assigned[i], st.events[i], st.mi[i] = br.p, br.evs, br.mi
 	}
 	return nil
 }
@@ -500,6 +592,9 @@ func splitTasks(sh *enumShared, target int) ([]prefixTask, EnumStats) {
 		}
 		t := tasks[pick]
 		scratch.assigned = t.assigned
+		for d, mi := range t.prefix {
+			scratch.mi[d] = int32(mi)
+		}
 		compat := scratch.branchesAt(t.depth)
 		n := len(compat)
 		if n > 0 && t.budget < n {
@@ -513,8 +608,7 @@ func splitTasks(sh *enumShared, target int) ([]prefixTask, EnumStats) {
 			}
 			na := append([]*ir.Pattern{}, t.assigned...)
 			ne := append([][]comm.Event{}, t.events...)
-			// The events outlive the depth's scratch: copy them.
-			na[t.depth], ne[t.depth] = br.p, slices.Clone(br.evs)
+			na[t.depth], ne[t.depth] = br.p, br.evs
 			np := append(append([]int{}, t.prefix...), int(br.mi))
 			children = append(children, prefixTask{na, ne, t.depth + 1, b, np})
 		}
@@ -595,26 +689,10 @@ func EnumerateInstance(ctx context.Context, g *ir.GNGraph, instance []*ir.GraphN
 	return sh.rank(out), stats
 }
 
-// rank orders the records cheapest-first, ties in record order (the
-// keys are unique, so the unstable sort gives the stable order), applies
-// diverseTopK, and materialises the kept assignments — and only those —
-// as Candidates.
+// rank selects the records ranking keeps (see ranked) and materialises
+// them — and only them — as Candidates.
 func (sh *enumShared) rank(recs records) []*Candidate {
-	type key struct {
-		total float64
-		k     int32
-	}
-	keys := make([]key, recs.len())
-	for k, p := range recs.prices {
-		keys[k] = key{p.cost.Total(), int32(k)}
-	}
-	slices.SortFunc(keys, func(a, b key) int { return cmp.Or(cmp.Compare(a.total, b.total), cmp.Compare(a.k, b.k)) })
-	order := make([]int32, len(keys))
-	for j, key := range keys {
-		order[j] = key.k
-	}
-
-	kept := sh.diverseTopK(recs, order)
+	kept := sh.ranked(recs)
 	st := newEnumState(sh, 0)
 	out := make([]*Candidate, len(kept))
 	for j, k := range kept {
@@ -625,6 +703,37 @@ func (sh *enumShared) rank(recs records) []*Candidate {
 	}
 	return out
 }
+
+// ranked returns the indices of the records ranking keeps, in output
+// order. Rank order is cheapest-first with ties in record order — (total,
+// index) is a strict total order, so the result never depends on a sort's
+// stability. With TopK <= 0, or no more records than TopK, it is every
+// record in rank order; otherwise diverseTopK selects without sorting the
+// records at all.
+func (sh *enumShared) ranked(recs records) []int32 {
+	tot := make([]float64, recs.len())
+	for k, p := range recs.prices {
+		tot[k] = p.cost.Total()
+	}
+	if topK := sh.opt.TopK; topK > 0 && len(tot) > topK {
+		return sh.diverseTopK(recs, tot)
+	}
+	order := make([]int32, len(tot))
+	for k := range order {
+		order[k] = int32(k)
+	}
+	slices.SortFunc(order, rankOrder(tot))
+	return order
+}
+
+// rankOrder compares record indices by (total, index).
+func rankOrder(tot []float64) func(a, b int32) int {
+	return func(a, b int32) int { return cmp.Or(cmp.Compare(tot[a], tot[b]), cmp.Compare(a, b)) }
+}
+
+// inAxis and outAxis read the layouts diverseTopK diversifies over.
+func inAxis(p *ir.Pattern) int  { return p.In.Axis }
+func outAxis(p *ir.Pattern) int { return p.Out.Axis }
 
 // seedPreferences is the exploration library: each row is tried as a
 // propagation preference order. Names missing from a node's menu are
@@ -655,13 +764,12 @@ func (sh *enumShared) appendSeeds(out *records) {
 		natural[i] = ir.PatternsFor(gn, sh.opt.W)
 	}
 	var compat []*ir.Pattern
-	var buf []comm.Event
 	build := func(pick func(compat []*ir.Pattern) *ir.Pattern) {
 		for i := range sh.instance {
+			brs := st.memoAt(i).brs
 			compat = compat[:0]
 			for _, p := range natural[i] {
-				var ok bool
-				if buf, ok = st.eventsFor(buf[:0], i, p); ok {
+				if slices.ContainsFunc(brs, func(br branch) bool { return br.p == p }) {
 					compat = append(compat, p)
 				}
 			}
@@ -672,9 +780,8 @@ func (sh *enumShared) appendSeeds(out *records) {
 			if choice == nil {
 				choice = compat[0]
 			}
-			st.assigned[i], st.mi[i] = choice, int32(slices.Index(sh.menus[i], choice))
-			st.evbuf[i], _ = st.eventsFor(st.evbuf[i][:0], i, choice)
-			st.events[i] = st.evbuf[i]
+			br, _ := st.branchFor(i, int32(slices.Index(sh.menus[i], choice)))
+			st.assigned[i], st.events[i], st.mi[i] = br.p, br.evs, br.mi
 		}
 		out.add(st.mi, st.price())
 	}
@@ -711,16 +818,17 @@ func (sh *enumShared) appendSeeds(out *records) {
 	})
 }
 
-// diverseTopK selects, from the record indices in rank order, the
-// cheapest assignment per boundary interface (the layouts visible at the
-// instance's entry and exit nodes), so assembly can always find a
-// candidate compatible with whatever the neighboring classes chose;
-// remaining slots are filled with the next-cheapest assignments.
-func (sh *enumShared) diverseTopK(recs records, order []int32) []int32 {
+// diverseTopK selects the cheapest assignment per boundary interface
+// (the layouts visible at the instance's entry and exit nodes), so
+// assembly can always find a candidate compatible with whatever the
+// neighboring classes chose; remaining slots, up to TopK, are filled with
+// the next-cheapest assignments. tot holds each record's total. Every
+// round scans the records for the first in rank order (see ranked) that
+// it wants, so nothing sorts them all. The kept records come back
+// cheapest-first, equal totals in the order they were kept.
+func (sh *enumShared) diverseTopK(recs records, tot []float64) []int32 {
 	g, topK := sh.g, sh.opt.TopK
-	if topK <= 0 || len(order) <= topK {
-		return order
-	}
+	before := rankOrder(tot)
 	// Boundary node indexes: entries have an external (or no)
 	// predecessor, exits an external (or no) successor.
 	var boundary []int
@@ -748,43 +856,76 @@ func (sh *enumShared) diverseTopK(recs records, order []int32) []int32 {
 	// Round 1: for every boundary node, keep the cheapest assignment
 	// exposing each distinct input and output layout there — assembly can
 	// then always match whatever the neighbors chose, if a match exists
-	// at all.
-	var seenIn, seenOut []int
+	// at all. One scan finds the first record in rank order choosing each
+	// menu entry of the node; an entry's record is picked when no entry
+	// with the same input (or output) layout has one ranking before it.
+	// A node's picks are kept in rank order.
+	var cheapest, picks []int32
 	for _, i := range boundary {
-		seenIn, seenOut = seenIn[:0], seenOut[:0]
-		for _, k := range order {
-			p := sh.menus[i][recs.idx[int(k)*recs.n+i]]
-			if ax := p.In.Axis; !slices.Contains(seenIn, ax) {
-				seenIn = append(seenIn, ax)
-				keep(k)
-			}
-			if ax := p.Out.Axis; !slices.Contains(seenOut, ax) {
-				seenOut = append(seenOut, ax)
-				keep(k)
+		menu := sh.menus[i]
+		cheapest = slices.Grow(cheapest[:0], len(menu))[:len(menu)]
+		for m := range cheapest {
+			cheapest[m] = -1
+		}
+		for k := range int32(recs.len()) {
+			if m := recs.idx[int(k)*recs.n+i]; cheapest[m] < 0 || before(k, cheapest[m]) < 0 {
+				cheapest[m] = k
 			}
 		}
+		wins := func(m int, axis func(*ir.Pattern) int) bool {
+			for o, k := range cheapest {
+				if k >= 0 && axis(menu[o]) == axis(menu[m]) && before(k, cheapest[m]) < 0 {
+					return false
+				}
+			}
+			return true
+		}
+		picks = picks[:0]
+		for m, k := range cheapest {
+			if k >= 0 && (wins(m, inAxis) || wins(m, outAxis)) {
+				picks = append(picks, k)
+			}
+		}
+		slices.SortFunc(picks, before)
+		for _, k := range picks {
+			keep(k)
+		}
 	}
-	// Round 2: always retain the lightest-memory assignment so the
-	// assembler can trade communication for memory when the plain plans
-	// would OOM (the paper's TAPAS never runs out of memory when any
-	// feasible plan exists).
-	light := order[0]
-	for _, k := range order[1:] {
-		if recs.prices[k].mem < recs.prices[light].mem {
+	// Round 2: always retain the lightest-memory assignment, the cheapest
+	// among equals, so the assembler can trade communication for memory
+	// when the plain plans would OOM (the paper's TAPAS never runs out of
+	// memory when any feasible plan exists).
+	light := int32(0)
+	for k := range int32(recs.len()) {
+		if m, lm := recs.prices[k].mem, recs.prices[light].mem; m < lm || m == lm && before(k, light) < 0 {
 			light = k
 		}
 	}
 	keep(light)
 
 	// Round 3: fill up to topK with the globally cheapest assignments.
-	for _, k := range order {
-		if len(kept) >= topK {
-			break
+	// Only the topK cheapest can be needed — at most len(kept) of them are
+	// kept already — so they are collected in a bounded window kept in
+	// rank order.
+	if len(kept) < topK {
+		window := make([]int32, 0, topK)
+		for k := range int32(recs.len()) {
+			if len(window) == topK {
+				if before(k, window[topK-1]) > 0 {
+					continue
+				}
+				window = window[:topK-1]
+			}
+			at, _ := slices.BinarySearchFunc(window, k, before)
+			window = slices.Insert(window, at, k)
 		}
-		keep(k)
+		for _, k := range window {
+			if len(kept) >= topK {
+				break
+			}
+			keep(k)
+		}
 	}
-	slices.SortStableFunc(kept, func(a, b int32) int {
-		return cmp.Compare(recs.prices[a].cost.Total(), recs.prices[b].cost.Total())
-	})
+	slices.SortStableFunc(kept, func(a, b int32) int { return cmp.Compare(tot[a], tot[b]) })
 	return kept
 }
