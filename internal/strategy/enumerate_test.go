@@ -82,8 +82,8 @@ func sameCandidate(a, b *Candidate) bool {
 // the tasks through ExecuteTasks and rebuilds their candidates from menu
 // indices. It also replays every prefix splitTasks hands out: the events
 // a task carries must equal a fresh reference replay of its prefix, which
-// fails if a task kept a slice of the per-depth scratch that a later
-// expansion at the same depth overwrote.
+// fails if a task kept a slice of check storage that a later expansion
+// overwrote.
 func TestEnumerationMatchesReference(t *testing.T) {
 	names := models.Names()
 	if testing.Short() {

@@ -95,6 +95,7 @@ func memoAudit(t *testing.T, sh *enumShared, what string) (hits int) {
 	return hits
 }
 
+// choicesOf returns the menu indices the producers hold in st.
 func choicesOf(st *enumState, producers []int32) []int32 {
 	out := make([]int32, len(producers))
 	for d, j := range producers {
