@@ -795,8 +795,10 @@ func optionsSignature(m *cost.Model, enum strategy.EnumOptions, mopt mining.Opti
 	for _, k := range kinds {
 		fmt.Fprintf(&b, "%d=%g,", k, m.Epsilon[comm.Kind(k)])
 	}
-	fmt.Fprintf(&b, "):w%d:mc%d:k%d:ar%v:mp%g:ds%v:tb%d:ex%v",
-		enum.W, enum.MaxCandidates, enum.TopK, enum.AllowReshard, enum.MemPenalty,
+	// mp0 is a literal: the search has no memory-penalty option, but
+	// dropping the field would move every stored plan's content address.
+	fmt.Fprintf(&b, "):w%d:mc%d:k%d:ar%v:mp0:ds%v:tb%d:ex%v",
+		enum.W, enum.MaxCandidates, enum.TopK, enum.AllowReshard,
 		enum.DisableSeeds, enum.TimeBudget, exhaustive)
 	fmt.Fprintf(&b, ":ms%d:mz%d:mx%d:mi%d:ml%d",
 		mopt.MinSupport, mopt.MinSize, mopt.MaxSize, mopt.MaxInstancesPerPattern, mopt.MaxPatternsPerLevel)

@@ -95,35 +95,6 @@ func (g *Graph) Producer(t *Tensor) *Node { return g.producer[t] }
 // Consumers returns the nodes consuming t.
 func (g *Graph) Consumers(t *Tensor) []*Node { return g.consumers[t] }
 
-// Predecessors returns the distinct nodes whose outputs n consumes,
-// in input order.
-func (g *Graph) Predecessors(n *Node) []*Node {
-	var preds []*Node
-	seen := make(map[*Node]bool)
-	for _, t := range n.Inputs {
-		if p := g.producer[t]; p != nil && !seen[p] {
-			seen[p] = true
-			preds = append(preds, p)
-		}
-	}
-	return preds
-}
-
-// Successors returns the distinct nodes consuming any output of n.
-func (g *Graph) Successors(n *Node) []*Node {
-	var succs []*Node
-	seen := make(map[*Node]bool)
-	for _, t := range n.Outputs {
-		for _, c := range g.consumers[t] {
-			if !seen[c] {
-				seen[c] = true
-				succs = append(succs, c)
-			}
-		}
-	}
-	return succs
-}
-
 // NumEdges returns |E|: the number of producer→consumer activation links.
 func (g *Graph) NumEdges() int {
 	e := 0
@@ -137,10 +108,10 @@ func (g *Graph) NumEdges() int {
 
 // TopoSort returns the nodes in a topological order: Kahn's algorithm,
 // seeded in ID order, visiting each node's distinct successors in the
-// order Successors lists them. It returns an error if the graph has a
-// cycle (which would indicate a builder bug). In-degrees and the
-// distinct-neighbour marks are slices indexed by Node.ID, so the sort
-// makes no map and no per-node neighbour list.
+// order its outputs' Consumers lists name them. It returns an error if
+// the graph has a cycle (which would indicate a builder bug). In-degrees
+// and the distinct-neighbour marks are slices indexed by Node.ID, so the
+// sort makes no map and no per-node neighbour list.
 func (g *Graph) TopoSort() ([]*Node, error) {
 	for i, nd := range g.Nodes {
 		if nd.ID != i {

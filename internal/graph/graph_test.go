@@ -54,8 +54,8 @@ func TestGraphTopoSort(t *testing.T) {
 		pos[n] = i
 	}
 	for _, n := range g.Nodes {
-		for _, p := range g.Predecessors(n) {
-			if pos[p] >= pos[n] {
+		for _, in := range n.Inputs {
+			if p := g.Producer(in); p != nil && pos[p] >= pos[n] {
 				t.Errorf("node %v at %d precedes its predecessor %v at %d", n, pos[n], p, pos[p])
 			}
 		}
@@ -171,26 +171,6 @@ func TestTensorBytes(t *testing.T) {
 	tn := NewTensor("t", Weight, F32, NewShape(10, 10))
 	if tn.Bytes() != 400 {
 		t.Errorf("Bytes = %d, want 400", tn.Bytes())
-	}
-}
-
-func TestSuccessorsPredecessorsDiamond(t *testing.T) {
-	// Diamond: a → b, a → c, {b,c} → d.
-	b := NewBuilder("diamond")
-	x := b.Input("x", F32, NewShape(2, 2))
-	a := b.Op(OpIdentity, "a", x.Shape.Clone(), x)
-	l := b.Op(OpReLU, "b", a.Shape.Clone(), a)
-	r := b.Op(OpTanh, "c", a.Shape.Clone(), a)
-	d := b.Op(OpAdd, "d", a.Shape.Clone(), l, r)
-	_ = d
-
-	an := b.G.Producer(a)
-	if got := len(b.G.Successors(an)); got != 2 {
-		t.Errorf("Successors(a) = %d, want 2", got)
-	}
-	dn := b.G.Producer(d)
-	if got := len(b.G.Predecessors(dn)); got != 2 {
-		t.Errorf("Predecessors(d) = %d, want 2", got)
 	}
 }
 

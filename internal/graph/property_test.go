@@ -83,13 +83,21 @@ func TestPropertyEdgesMatchPredSuccCounts(t *testing.T) {
 	// Σ|Succs| == Σ distinct producer-side preds == NumEdges as built.
 	f := func(seed int64) bool {
 		g := randomChain(rand.New(rand.NewSource(seed)))
-		succTotal := 0
+		succTotal, predTotal := 0, 0
 		for _, n := range g.Nodes {
-			succTotal += len(g.Successors(n))
-		}
-		predTotal := 0
-		for _, n := range g.Nodes {
-			predTotal += len(g.Predecessors(n))
+			succs, preds := map[*Node]bool{}, map[*Node]bool{}
+			for _, t := range n.Outputs {
+				for _, c := range g.Consumers(t) {
+					succs[c] = true
+				}
+			}
+			for _, t := range n.Inputs {
+				if p := g.Producer(t); p != nil {
+					preds[p] = true
+				}
+			}
+			succTotal += len(succs)
+			predTotal += len(preds)
 		}
 		// For chains every tensor has at most one consumer, so all three
 		// counts agree.

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -38,11 +39,6 @@ type EnumOptions struct {
 	// AllowReshard permits all-gather recovery at split→replicated
 	// boundaries.
 	AllowReshard bool
-	// MemPenalty (seconds per byte) biases the per-node pattern order
-	// toward weight-sharded implementations. The search sets it when the
-	// replicated model would not fit device memory, so the greedy tail of
-	// the budgeted decision tree prefers memory-saving patterns.
-	MemPenalty float64
 	// DisableSeeds drops the propagation-seeded candidates, leaving only
 	// the budgeted tree search (used by the ablation benchmarks).
 	DisableSeeds bool
@@ -114,6 +110,11 @@ type enumShared struct {
 	menus    [][]*ir.Pattern
 	prices   [][]price // per position and menu entry: PatternCost and nodeMem
 	leaves   int       // complete assignments the menus allow, capped at MaxCandidates
+	// boundary lists the positions whose layouts neighbouring classes see
+	// (see diverseTopK), each with its first slot in a table of one slot
+	// per boundary menu entry; boundSlots is that table's size.
+	boundary   []boundPos
+	boundSlots int
 	// memoOff is each position's first slot in a walk's branch memo (see
 	// enumState.memoAt), or -1 where the producers' choices span more than
 	// maxMemoSlots keys; slots is the memo's size. arena is the menus'
@@ -138,6 +139,10 @@ type inEdge struct {
 	bytes   int64
 }
 
+// boundPos is one boundary position and its first slot in a table over
+// the boundary positions' menu entries.
+type boundPos struct{ i, off int }
+
 // maxMemoSlots bounds the keys one position's branch memo may span. The
 // registered models need at most 25 (two producers with five-entry
 // menus); a position past the bound is checked afresh at every visit.
@@ -151,14 +156,17 @@ type price struct {
 }
 
 // records is the enumeration's output before ranking: one price per
-// complete assignment, in the order found, with assignment k's menu
+// recorded assignment, in the order found, with assignment k's menu
 // indices at idx[k*n : (k+1)*n]. Nothing in it is a pointer, so the
-// thousands of assignments a class examines cost the garbage collector
-// nothing; only the ones ranking keeps become Candidates.
+// assignments a class records cost the garbage collector nothing; only
+// the ones ranking keeps become Candidates. skipped counts the complete
+// assignments a filtered walk examined but did not record (see
+// enumState.keepable).
 type records struct {
-	n      int
-	idx    []int32
-	prices []price
+	n       int
+	idx     []int32
+	prices  []price
+	skipped int
 }
 
 // newRecords returns an empty set with room for capacity assignments.
@@ -181,12 +189,25 @@ func (r *records) add(mi []int32, p price) {
 func (r *records) merge(o records) {
 	r.idx = append(r.idx, o.idx...)
 	r.prices = append(r.prices, o.prices...)
+	r.skipped += o.skipped
 }
 
 // truncate drops every assignment from the k-th on.
 func (r *records) truncate(k int) {
 	r.idx, r.prices = r.idx[:k*r.n], r.prices[:k]
 }
+
+// partial is what a prefix of an assignment adds up to: the sum of its
+// branches' totals (PatternCost plus events, see branch) and of their
+// nodeMem. The memory is exact; the total may differ from the priced
+// assignment's in its last bits, since it adds the same non-negative
+// terms in another order.
+type partial struct {
+	total float64
+	mem   int64
+}
+
+func (a partial) add(br branch) partial { return partial{a.total + br.total, a.mem + br.mem} }
 
 // enumState is the mutable state of one depth-first enumeration walk. Each
 // parallel worker owns a private enumState; merging concatenates the out
@@ -206,8 +227,17 @@ type enumState struct {
 	assigned []*ir.Pattern
 	events   [][]comm.Event
 	mi       []int32      // menu index of assigned[i]
+	acc      []partial    // acc[i]: the running sums of positions before i
 	cat      []comm.Event // scratch: the assignment's events in position order
 	steps    uint         // dfs call counter throttling the context poll
+	// The leaf filter, on when topK > 0 (see keepable): the topK cheapest
+	// recorded totals in ascending order, the lightest recorded memory,
+	// and per boundary slot (see boundPos) the cheapest recorded total
+	// choosing that menu entry there.
+	topK  int
+	kth   []float64
+	light int64
+	best  []float64
 	// The branch memo, by slot. Entries' branches and events are windows
 	// of the two append-only arenas.
 	memo    []memoEntry
@@ -225,7 +255,8 @@ type memoEntry struct {
 }
 
 // newEnumState returns a walk state whose output has room for capacity
-// assignments.
+// assignments. It records every complete assignment it reaches; see
+// startWalk.
 func newEnumState(sh *enumShared, capacity int) *enumState {
 	n := len(sh.instance)
 	return &enumState{
@@ -234,18 +265,49 @@ func newEnumState(sh *enumShared, capacity int) *enumState {
 		assigned:   make([]*ir.Pattern, n),
 		events:     make([][]comm.Event, n),
 		mi:         make([]int32, n),
+		acc:        make([]partial, n+1),
 		memo:       make([]memoEntry, sh.slots),
 		brArena:    make([]branch, 0, sh.arena),
 		evArena:    make([]comm.Event, 0, len(sh.instance)),
 	}
 }
 
+// filterRoom is the record capacity a filtered walk starts with: the
+// leaf filter records a few percent of the leaves of a wide tree, so the
+// buffer grows on the rare walk that outgrows this instead of reserving
+// room for every leaf.
+const filterRoom = 256
+
+// startWalk sizes s's output for a walk of at most budget leaves and,
+// when filter is set and ranking cuts to TopK, turns on the leaf filter;
+// otherwise the walk records every leaf.
+func (s *enumState) startWalk(budget int, filter bool) {
+	if !filter || s.opt.TopK <= 0 {
+		s.out = s.newRecords(budget)
+		return
+	}
+	s.topK = s.opt.TopK
+	buf := make([]float64, s.topK+s.boundSlots)
+	s.kth, s.best = buf[:0:s.topK], buf[s.topK:]
+	for k := range s.best {
+		s.best[k] = math.Inf(1)
+	}
+	s.light = math.MaxInt64
+	s.out = s.newRecords(min(budget, filterRoom))
+}
+
+// take assigns branch br at position i.
+func (s *enumState) take(i int, br branch) {
+	s.assigned[i], s.events[i], s.mi[i] = br.p, br.evs, br.mi
+	s.acc[i+1] = s.acc[i].add(br)
+}
+
 // newEnumShared builds the per-node pattern menus and the shared
 // read-only context of one enumeration. Menus are ordered cheapest-first
-// (optionally memory-weighted) by a stable sort over deterministic
-// float64 scores, so a coordinator and a remote executor given the same
-// graph and options build byte-identical menus — which is what makes
-// menu indices a sound wire encoding for patterns and candidates.
+// by a stable sort over deterministic float64 totals, so a coordinator
+// and a remote executor given the same graph and options build
+// byte-identical menus — which is what makes menu indices a sound wire
+// encoding for patterns and candidates.
 func newEnumShared(ctx context.Context, g *ir.GNGraph, instance []*ir.GraphNode, model *cost.Model, opt EnumOptions) *enumShared {
 	pos := make([]int32, len(g.Nodes))
 	for i := range pos {
@@ -254,52 +316,80 @@ func newEnumShared(ctx context.Context, g *ir.GNGraph, instance []*ir.GraphNode,
 	for i, gn := range instance {
 		pos[gn.ID] = int32(i)
 	}
-	// Positions are assigned in order, so exactly the predecessors at
-	// earlier positions are assigned when position i is decided; the
-	// others are boundary edges (resolved at assembly) or are never
-	// checked inside the instance.
-	in := make([][]inEdge, len(instance))
-	owns := make([]bool, len(instance))
-	seen := map[*graph.Tensor]bool{}
+	// Every per-position table is a window of one flat array, sized by a
+	// first pass over the instance. Positions are assigned in order, so
+	// exactly the predecessors at earlier positions are assigned when
+	// position i is decided; the others are boundary edges (resolved at
+	// assembly) or are never checked inside the instance.
+	nEdges, nEntries, widest := 0, 0, 0
 	for i, gn := range instance {
 		for _, pred := range g.Preds(gn) {
 			if j := pos[pred.ID]; j >= 0 && int(j) < i {
-				bytes, primary := edgeTensor(g, pred, gn)
-				in[i] = append(in[i], inEdge{j: j, primary: primary, bytes: bytes})
+				nEdges++
 			}
 		}
+		m := len(ir.PatternsFor(gn, opt.W))
+		nEntries, widest = nEntries+m, max(widest, m)
+	}
+	in := make([][]inEdge, len(instance))
+	edges := make([]inEdge, 0, nEdges)
+	owns := make([]bool, len(instance))
+	seen := map[*graph.Tensor]bool{}
+	for i, gn := range instance {
+		start := len(edges)
+		for _, pred := range g.Preds(gn) {
+			if j := pos[pred.ID]; j >= 0 && int(j) < i {
+				bytes, primary := edgeTensor(g, pred, gn)
+				edges = append(edges, inEdge{j: j, primary: primary, bytes: bytes})
+			}
+		}
+		in[i] = edges[start:len(edges):len(edges)]
 		owns[i] = ownsWeights(gn, seen)
 	}
 
-	// Pattern menus, cheapest-first (optionally memory-weighted) so
-	// depth-first search reaches good complete strategies before any
-	// budget triggers. Each entry is priced once here; the walk only
-	// adds up table values.
+	// Pattern menus, cheapest-first so depth-first search reaches good
+	// complete strategies before any budget triggers. Each entry is
+	// priced once here; the walk only adds up table values.
 	menus := make([][]*ir.Pattern, len(instance))
 	prices := make([][]price, len(instance))
+	menuArr, priceArr := make([]*ir.Pattern, nEntries), make([]price, nEntries)
 	leaves := 1
 	type entry struct {
-		p     *ir.Pattern
-		pr    price
-		score float64
+		p  *ir.Pattern
+		pr price
 	}
+	es := make([]entry, 0, widest)
 	for i, gn := range instance {
 		ps := ir.PatternsFor(gn, opt.W)
-		es := make([]entry, len(ps))
-		for j, p := range ps {
-			pr := price{model.PatternCost(p), nodeMem(p, owns[i])}
-			es[j] = entry{p, pr, pr.cost.Total()}
-			if opt.MemPenalty > 0 {
-				es[j].score += opt.MemPenalty * float64(4*p.WeightBytesPerDev+p.OutBytesPerDev)
-			}
+		es = es[:0]
+		for _, p := range ps {
+			es = append(es, entry{p, price{model.PatternCost(p), nodeMem(p, owns[i])}})
 		}
-		slices.SortStableFunc(es, func(a, b entry) int { return cmp.Compare(a.score, b.score) })
+		slices.SortStableFunc(es, func(a, b entry) int { return cmp.Compare(a.pr.cost.Total(), b.pr.cost.Total()) })
 		// The memoized menu is shared: sort a private copy.
-		menus[i], prices[i] = make([]*ir.Pattern, len(ps)), make([]price, len(ps))
+		menus[i], menuArr = menuArr[:len(ps):len(ps)], menuArr[len(ps):]
+		prices[i], priceArr = priceArr[:len(ps):len(ps)], priceArr[len(ps):]
 		for j, e := range es {
 			menus[i][j], prices[i][j] = e.p, e.pr
 		}
 		leaves = min(leaves*len(ps), max(opt.MaxCandidates, 0))
+	}
+
+	// Boundary positions: entries have an external (or no) predecessor,
+	// exits an external (or no) successor.
+	boundary, boundSlots := make([]boundPos, 0, len(instance)), 0
+	for i, gn := range instance {
+		external := len(g.Preds(gn)) == 0 || len(g.Succs(gn)) == 0
+		for _, p := range g.Preds(gn) {
+			external = external || pos[p.ID] < 0
+		}
+		for _, s := range g.Succs(gn) {
+			external = external || pos[s.ID] < 0
+		}
+		if external {
+			boundary = append(boundary, boundPos{i, boundSlots})
+			boundSlots += len(menus[i])
+		}
 	}
 
 	// The memo key of position i is its producers' menu indices as a mixed
@@ -322,31 +412,36 @@ func newEnumShared(ctx context.Context, g *ir.GNGraph, instance []*ir.GraphNode,
 	}
 
 	return &enumShared{
-		ctx:      ctx,
-		g:        g,
-		instance: instance,
-		pos:      pos,
-		in:       in,
-		menus:    menus,
-		prices:   prices,
-		leaves:   leaves,
-		memoOff:  memoOff,
-		slots:    slots,
-		arena:    arena,
-		model:    model,
-		opt:      opt,
-		start:    time.Now(),
+		ctx:        ctx,
+		g:          g,
+		instance:   instance,
+		pos:        pos,
+		in:         in,
+		menus:      menus,
+		prices:     prices,
+		leaves:     leaves,
+		boundary:   boundary,
+		boundSlots: boundSlots,
+		memoOff:    memoOff,
+		slots:      slots,
+		arena:      arena,
+		model:      model,
+		opt:        opt,
+		start:      time.Now(),
 	}
 }
 
 // branch is one compatible pattern choice at a tree depth. mi is the
 // pattern's index in the node's menu — the wire encoding of the choice,
 // unambiguous on any machine because menus are built and ordered
-// deterministically (see newEnumShared).
+// deterministically (see newEnumShared). mem and total feed the running
+// sums the leaf filter reads (see partial).
 type branch struct {
-	p   *ir.Pattern
-	evs []comm.Event
-	mi  int32
+	p     *ir.Pattern
+	evs   []comm.Event
+	mi    int32
+	mem   int64   // the entry's nodeMem
+	total float64 // the entry's PatternCost total plus its events' cost
 }
 
 // share is the candidate budget of branch idx of a node's n compatible
@@ -400,7 +495,8 @@ func (s *enumState) memoAt(i int) memoEntry {
 			continue
 		}
 		end := len(s.evArena)
-		s.brArena = append(s.brArena, branch{p, s.evArena[start:end:end], int32(mi)})
+		evs, pr := s.evArena[start:end:end], s.prices[i][mi]
+		s.brArena = append(s.brArena, branch{p, evs, int32(mi), pr.mem, pr.cost.Total() + s.model.EventsCost(evs).Total()})
 	}
 	e.brs = s.brArena[first:len(s.brArena):len(s.brArena)]
 	if slot >= 0 {
@@ -439,10 +535,73 @@ func (s *enumState) eventsFor(dst []comm.Event, i int, p *ir.Pattern) ([]comm.Ev
 	return dst, true
 }
 
-// complete records the full assignment currently held in s.
+// complete records the full assignment currently held in s, unless the
+// leaf filter shows ranking could not keep it.
 func (s *enumState) complete() {
 	s.stats.Examined++
-	s.out.add(s.mi, s.price())
+	if s.topK > 0 && !s.keepable() {
+		s.out.skipped++
+		return
+	}
+	p := s.price()
+	s.out.add(s.mi, p)
+	if s.topK > 0 {
+		s.hold(p)
+	}
+}
+
+// keepable reports whether the assignment held in s could be kept by one
+// of diverseTopK's rounds, given what this walk has recorded. It is false
+// only when the records include topK strictly cheaper assignments (round
+// 3's window), a strictly lighter one (round 2), and at every boundary
+// position a strictly cheaper one choosing the same menu entry there
+// (round 1's per-entry cheapest). Adding an assignment that is none of
+// those changes no round's choice, so dropping it leaves the kept set,
+// its order and the candidates as they were — across tasks too, since
+// the records this walk compared against are all merged.
+//
+// The running total adds the same non-negative terms as price, in
+// another order. Any float sum of m non-negative terms is within a
+// relative (m-1)·2⁻⁵³ (to first order) of their exact sum, so the two
+// totals differ by less than the 1e-9 margin unless an instance had
+// millions of terms: a leaf whose running total·(1-1e-9) exceeds a
+// recorded total truly costs more.
+func (s *enumState) keepable() bool {
+	a := s.acc[len(s.instance)]
+	if len(s.kth) < s.topK || a.mem <= s.light {
+		return true
+	}
+	t := a.total * (1 - 1e-9)
+	if t <= s.kth[s.topK-1] {
+		return true
+	}
+	for _, b := range s.boundary {
+		if t <= s.best[b.off+int(s.mi[b.i])] {
+			return true
+		}
+	}
+	return false
+}
+
+// hold folds the just-recorded assignment held in s, which p prices,
+// into the leaf filter.
+func (s *enumState) hold(p price) {
+	t := p.cost.Total()
+	s.light = min(s.light, p.mem)
+	for _, b := range s.boundary {
+		if k := b.off + int(s.mi[b.i]); t < s.best[k] {
+			s.best[k] = t
+		}
+	}
+	// kth holds the topK cheapest totals in ascending order.
+	if len(s.kth) == s.topK {
+		if !(t < s.kth[s.topK-1]) {
+			return
+		}
+		s.kth = s.kth[:s.topK-1]
+	}
+	at, _ := slices.BinarySearch(s.kth, t)
+	s.kth = slices.Insert(s.kth, at, t)
 }
 
 // price prices the full assignment held in s from the menu table: the
@@ -490,7 +649,7 @@ func replayPrefix[I int | int32](st *enumState, prefix []I) error {
 		if !ok {
 			return fmt.Errorf("strategy: inconsistent task prefix at node %d", i)
 		}
-		st.assigned[i], st.events[i], st.mi[i] = br.p, br.evs, br.mi
+		st.take(i, br)
 	}
 	return nil
 }
@@ -534,7 +693,7 @@ func (s *enumState) dfs(i, budget int) {
 		if b == 0 {
 			break
 		}
-		s.assigned[i], s.events[i], s.mi[i] = br.p, br.evs, br.mi
+		s.take(i, br)
 		s.dfs(i+1, b)
 	}
 }
@@ -552,16 +711,20 @@ type prefixTask struct {
 	// menus[d][prefix[d]] for d < depth) — the wire form of this task;
 	// see TaskSpec.
 	prefix []int
+	acc    partial // the prefix's running sums
 }
 
-// walk runs the budgeted dfs of t's subtree on a private state.
-func (t prefixTask) walk(sh *enumShared) *enumState {
-	st := newEnumState(sh, min(t.budget, sh.leaves))
+// walk runs the budgeted dfs of t's subtree on a private state, through
+// the leaf filter when filter is set.
+func (t prefixTask) walk(sh *enumShared, filter bool) *enumState {
+	st := newEnumState(sh, 0)
+	st.startWalk(min(t.budget, sh.leaves), filter)
 	copy(st.assigned, t.assigned)
 	copy(st.events, t.events)
 	for d, mi := range t.prefix {
 		st.mi[d] = int32(mi)
 	}
+	st.acc[t.depth] = t.acc
 	st.dfs(t.depth, t.budget)
 	return st
 }
@@ -610,7 +773,7 @@ func splitTasks(sh *enumShared, target int) ([]prefixTask, EnumStats) {
 			ne := append([][]comm.Event{}, t.events...)
 			na[t.depth], ne[t.depth] = br.p, br.evs
 			np := append(append([]int{}, t.prefix...), int(br.mi))
-			children = append(children, prefixTask{na, ne, t.depth + 1, b, np})
+			children = append(children, prefixTask{na, ne, t.depth + 1, b, np, t.acc.add(br)})
 		}
 		rest := append(children, tasks[pick+1:]...)
 		tasks = append(tasks[:pick], rest...)
@@ -625,10 +788,11 @@ func splitTasks(sh *enumShared, target int) ([]prefixTask, EnumStats) {
 // stop it without exploring this strategy to the fullest"). Complete
 // assignments are scored with the cost model; the TopK cheapest survive.
 //
-// The walk records each complete assignment as one menu index per node —
-// the encoding TaskSpec and TaskResult carry on the wire — priced from a
-// per-menu-entry table; ranking works on those records, and only the
-// candidates it keeps are ever materialised as *Candidate.
+// The walk records each complete assignment ranking could keep as one
+// menu index per node — the encoding TaskSpec and TaskResult carry on the
+// wire — priced from a per-menu-entry table; ranking works on those
+// records, and only the candidates it keeps are ever materialised as
+// *Candidate. Every budgeted leaf is still visited and counted.
 //
 // With opt.Workers != 1 the tree is split into deterministic prefix tasks
 // that fan out across a bounded worker pool; the returned candidates and
@@ -638,37 +802,52 @@ func splitTasks(sh *enumShared, target int) ([]prefixTask, EnumStats) {
 // Cancelling ctx aborts the walk promptly: the stats report Canceled and
 // the (partial) candidate list must be discarded by the caller.
 func EnumerateInstance(ctx context.Context, g *ir.GNGraph, instance []*ir.GraphNode, model *cost.Model, opt EnumOptions) ([]*Candidate, EnumStats) {
-	sh := newEnumShared(ctx, g, instance, model, opt)
+	return newEnumShared(ctx, g, instance, model, opt).enumerate(true)
+}
 
+// enumerate is EnumerateInstance on a built context. filter selects the
+// leaf filter (see enumState.keepable) for the in-process walks; the
+// result is the same either way.
+func (sh *enumShared) enumerate(filter bool) ([]*Candidate, EnumStats) {
+	ctx, opt := sh.ctx, sh.opt
 	var (
 		out   records
 		stats EnumStats
 	)
+	// st serves the serial walk, or the replay of a runner's results, and
+	// then the seeds and ranking: one branch memo per enumeration.
+	st := newEnumState(sh, 0)
 	workers := parallel.Workers(opt.Workers)
 	runner := opt.Runner
-	if runner != nil && (len(instance) < 2 || opt.MaxCandidates <= 0) {
+	if runner != nil && (len(sh.instance) < 2 || opt.MaxCandidates <= 0) {
 		runner = nil // trivial trees are cheaper to run than to ship
 	}
 	switch {
 	case runner != nil:
-		out, stats = runWithRunner(ctx, sh, runner, workers)
-	case workers <= 1 || len(instance) < 2 || opt.MaxCandidates <= 0:
-		st := newEnumState(sh, sh.leaves+seedCount)
+		out, stats = runWithRunner(ctx, st, runner, workers, filter)
+	case workers <= 1 || len(sh.instance) < 2 || opt.MaxCandidates <= 0:
+		st.startWalk(sh.leaves+seedCount, filter)
 		st.dfs(0, opt.MaxCandidates)
 		out, stats = st.out, st.stats
 	default:
 		tasks, split := splitTasks(sh, 4*workers)
 		stats.merge(split)
 		states, _ := parallel.Map(ctx, workers, tasks, func(_ context.Context, _ int, t prefixTask) (*enumState, error) {
-			return t.walk(sh), nil
+			return t.walk(sh, filter), nil
 		})
-		out = sh.newRecords(sh.leaves + seedCount)
-		for _, st := range states {
-			if st == nil {
+		n := seedCount
+		for _, ts := range states {
+			if ts != nil {
+				n += ts.out.len()
+			}
+		}
+		out = sh.newRecords(n)
+		for _, ts := range states {
+			if ts == nil {
 				continue // task skipped by cancellation
 			}
-			stats.merge(st.stats)
-			out.merge(st.out)
+			stats.merge(ts.stats)
+			out.merge(ts.out)
 		}
 	}
 	if ctx.Err() != nil {
@@ -684,16 +863,15 @@ func EnumerateInstance(ctx context.Context, g *ir.GNGraph, instance []*ir.GraphN
 	// are always represented, even deep in large instances where the
 	// branch budget has collapsed to a single greedy path.
 	if !opt.DisableSeeds {
-		sh.appendSeeds(&out)
+		st.appendSeeds(&out)
 	}
-	return sh.rank(out), stats
+	return st.rank(out), stats
 }
 
 // rank selects the records ranking keeps (see ranked) and materialises
-// them — and only them — as Candidates.
-func (sh *enumShared) rank(recs records) []*Candidate {
-	kept := sh.ranked(recs)
-	st := newEnumState(sh, 0)
+// them — and only them — as Candidates, replaying each on st.
+func (st *enumState) rank(recs records) []*Candidate {
+	kept := st.ranked(recs)
 	out := make([]*Candidate, len(kept))
 	for j, k := range kept {
 		if err := replayPrefix(st, recs.at(int(k))); err != nil {
@@ -707,15 +885,17 @@ func (sh *enumShared) rank(recs records) []*Candidate {
 // ranked returns the indices of the records ranking keeps, in output
 // order. Rank order is cheapest-first with ties in record order — (total,
 // index) is a strict total order, so the result never depends on a sort's
-// stability. With TopK <= 0, or no more records than TopK, it is every
+// stability. With TopK <= 0, or no more assignments than TopK, it is every
 // record in rank order; otherwise diverseTopK selects without sorting the
-// records at all.
+// records at all. The count includes the assignments a filtered walk
+// skipped: diverseTopK orders equal totals differently from the sort, so
+// a filtered walk must take the path the unfiltered one would.
 func (sh *enumShared) ranked(recs records) []int32 {
 	tot := make([]float64, recs.len())
 	for k, p := range recs.prices {
 		tot[k] = p.cost.Total()
 	}
-	if topK := sh.opt.TopK; topK > 0 && len(tot) > topK {
+	if topK := sh.opt.TopK; topK > 0 && len(tot)+recs.skipped > topK {
 		return sh.diverseTopK(recs, tot)
 	}
 	order := make([]int32, len(tot))
@@ -754,21 +934,17 @@ var seedPreferences = [][]string{
 var seedCount = len(seedPreferences) + 1
 
 // appendSeeds records one assignment per preference row plus one
-// memory-minimal assignment after the tree's. Patterns are offered to
-// pick in ir.PatternsFor order, not menu order, so ties resolve as they
-// always have.
-func (sh *enumShared) appendSeeds(out *records) {
-	st := newEnumState(sh, 0)
-	natural := make([][]*ir.Pattern, len(sh.instance))
-	for i, gn := range sh.instance {
-		natural[i] = ir.PatternsFor(gn, sh.opt.W)
-	}
-	var compat []*ir.Pattern
+// memory-minimal assignment after the tree's, building them on st.
+// Patterns are offered to pick in ir.PatternsFor order, not menu order,
+// so ties resolve as they always have.
+func (st *enumState) appendSeeds(out *records) {
+	sh := st.enumShared
+	compat := make([]*ir.Pattern, 0, sh.arena)
 	build := func(pick func(compat []*ir.Pattern) *ir.Pattern) {
-		for i := range sh.instance {
+		for i, gn := range sh.instance {
 			brs := st.memoAt(i).brs
 			compat = compat[:0]
-			for _, p := range natural[i] {
+			for _, p := range ir.PatternsFor(gn, sh.opt.W) {
 				if slices.ContainsFunc(brs, func(br branch) bool { return br.p == p }) {
 					compat = append(compat, p)
 				}
@@ -781,7 +957,7 @@ func (sh *enumShared) appendSeeds(out *records) {
 				choice = compat[0]
 			}
 			br, _ := st.branchFor(i, int32(slices.Index(sh.menus[i], choice)))
-			st.assigned[i], st.events[i], st.mi[i] = br.p, br.evs, br.mi
+			st.take(i, br)
 		}
 		out.add(st.mi, st.price())
 	}
@@ -827,23 +1003,8 @@ func (sh *enumShared) appendSeeds(out *records) {
 // it wants, so nothing sorts them all. The kept records come back
 // cheapest-first, equal totals in the order they were kept.
 func (sh *enumShared) diverseTopK(recs records, tot []float64) []int32 {
-	g, topK := sh.g, sh.opt.TopK
+	topK := sh.opt.TopK
 	before := rankOrder(tot)
-	// Boundary node indexes: entries have an external (or no)
-	// predecessor, exits an external (or no) successor.
-	var boundary []int
-	for i, gn := range sh.instance {
-		external := len(g.Preds(gn)) == 0 || len(g.Succs(gn)) == 0
-		for _, p := range g.Preds(gn) {
-			external = external || sh.pos[p.ID] < 0
-		}
-		for _, s := range g.Succs(gn) {
-			external = external || sh.pos[s.ID] < 0
-		}
-		if external {
-			boundary = append(boundary, i)
-		}
-	}
 	keptSet := make([]bool, recs.len())
 	var kept []int32
 	keep := func(k int32) {
@@ -861,7 +1022,8 @@ func (sh *enumShared) diverseTopK(recs records, tot []float64) []int32 {
 	// with the same input (or output) layout has one ranking before it.
 	// A node's picks are kept in rank order.
 	var cheapest, picks []int32
-	for _, i := range boundary {
+	for _, b := range sh.boundary {
+		i := b.i
 		menu := sh.menus[i]
 		cheapest = slices.Grow(cheapest[:0], len(menu))[:len(menu)]
 		for m := range cheapest {

@@ -16,7 +16,7 @@ import (
 // against its own copy of the graph.
 //
 // The encoding is menu indices. Pattern menus are built and ordered
-// deterministically per (node, W, MemPenalty, cost model) — see
+// deterministically per (node, W, cost model) — see
 // newEnumShared — so "pattern j of node i's menu" names the same
 // pattern on every machine holding the same graph, and a candidate is
 // just one index per node. It is the walk's own encoding too: every arm
@@ -55,8 +55,8 @@ type TaskBatch struct {
 	// the same nodes by ID, with no mining of its own.
 	Instance []int
 	// Opt is the effective enumeration options (Progress and Runner
-	// cleared). Only W, AllowReshard, MemPenalty and TimeBudget affect
-	// task execution — budgets travel inside each TaskSpec.
+	// cleared). Only W, AllowReshard and TimeBudget affect task
+	// execution — budgets travel inside each TaskSpec.
 	Opt EnumOptions
 	// Tasks are the prefix tasks in serial depth-first visit order;
 	// concatenating their candidate lists in this order reproduces the
@@ -88,10 +88,13 @@ type TaskRunner interface {
 
 // runWithRunner is the Runner-backed arm of EnumerateInstance: split the
 // tree exactly as the local parallel path would, hand the wire batch to
-// the runner, and record the returned assignments in serial task order.
-// Any task the runner failed to deliver is recomputed in-process from its
-// retained prefix, so the merged output never depends on runner behavior.
-func runWithRunner(ctx context.Context, sh *enumShared, runner TaskRunner, workers int) (records, EnumStats) {
+// the runner, and record the returned assignments in serial task order,
+// replaying them on st. Any task the runner failed to deliver is
+// recomputed in-process from its retained prefix, through the leaf filter
+// when filter is set, so the merged output never depends on runner
+// behavior. Wire results record every leaf: a TaskSpec carries no TopK.
+func runWithRunner(ctx context.Context, st *enumState, runner TaskRunner, workers int, filter bool) (records, EnumStats) {
+	sh := st.enumShared
 	target := 4 * workers
 	if f := runner.Fanout(); f > target {
 		target = f
@@ -122,7 +125,6 @@ func runWithRunner(ctx context.Context, sh *enumShared, runner TaskRunner, worke
 		return records{}, stats
 	}
 	out := sh.newRecords(sh.leaves + seedCount)
-	st := newEnumState(sh, 0) // each replay overwrites every position
 	for i, t := range tasks {
 		// A result cut short by a remote cancellation is partial: its
 		// subtree was not fully walked, so merging it would diverge from
@@ -135,7 +137,7 @@ func runWithRunner(ctx context.Context, sh *enumShared, runner TaskRunner, worke
 			}
 			out.truncate(mark)
 		}
-		ws := t.walk(sh)
+		ws := t.walk(sh, filter)
 		stats.merge(ws.stats)
 		out.merge(ws.out)
 	}

@@ -302,7 +302,6 @@ func (c *Coordinator) ship(ctx context.Context, p *peer, ref tapas.TaskRef, batc
 		ClusterSig:    cluster.V100GPUs(ref.GPUs).Signature(),
 		W:             batch.Opt.W,
 		AllowReshard:  batch.Opt.AllowReshard,
-		MemPenalty:    batch.Opt.MemPenalty,
 		TimeBudgetMS:  batch.Opt.TimeBudget.Milliseconds(),
 		DeadlineMS:    c.taskTimeout.Milliseconds(),
 		Instance:      batch.Instance,

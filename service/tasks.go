@@ -71,8 +71,9 @@ type TaskRequest struct {
 	// AllowReshard permits all-gather recovery at split→replicated
 	// boundaries (EnumOptions.AllowReshard).
 	AllowReshard bool `json:"allow_reshard"`
-	// MemPenalty biases the per-node pattern order (EnumOptions
-	// .MemPenalty); it participates in menu ordering, so it must travel.
+	// MemPenalty is still decoded so that a request setting it is
+	// refused: menus are ordered by cost alone, and no coordinator sends
+	// a non-zero penalty.
 	MemPenalty float64 `json:"mem_penalty,omitempty"`
 	// TimeBudgetMS bounds enumeration inside the tasks, in milliseconds
 	// (0 = none). Deadline cuts are timing-dependent by contract.
@@ -129,6 +130,9 @@ func (r *TaskRequest) Validate() error {
 	}
 	if r.TimeBudgetMS < 0 || r.DeadlineMS < 0 {
 		return badRequestf("time_budget_ms and deadline_ms must be ≥ 0")
+	}
+	if r.MemPenalty != 0 {
+		return badRequestf("mem_penalty must be 0, got %g: menus are ordered by cost alone", r.MemPenalty)
 	}
 	return nil
 }
@@ -217,7 +221,6 @@ func (s *Service) executeTasks(ctx context.Context, req TaskRequest) (*TaskRespo
 	opt := strategy.EnumOptions{
 		W:            req.W,
 		AllowReshard: req.AllowReshard,
-		MemPenalty:   req.MemPenalty,
 		TimeBudget:   time.Duration(req.TimeBudgetMS) * time.Millisecond,
 	}
 	tctx := ctx

@@ -87,7 +87,6 @@ func TestTasksEndpoint(t *testing.T) {
 		ClusterSig:   cl.Signature(),
 		W:            opt.W,
 		AllowReshard: opt.AllowReshard,
-		MemPenalty:   opt.MemPenalty,
 		Instance:     ids,
 		Tasks:        tasks,
 	})
@@ -141,6 +140,7 @@ func TestTasksEndpointRejections(t *testing.T) {
 		{"no instance", func(r *TaskRequest) { r.Instance = nil }, http.StatusBadRequest},
 		{"unknown node id", func(r *TaskRequest) { r.Instance = []int{1 << 30} }, http.StatusBadRequest},
 		{"negative budget", func(r *TaskRequest) { r.Tasks = []TaskSpec{{Budget: -1}} }, http.StatusBadRequest},
+		{"mem penalty", func(r *TaskRequest) { r.MemPenalty = 1e-9 }, http.StatusBadRequest},
 		{"oversized prefix", func(r *TaskRequest) {
 			r.Tasks = []TaskSpec{{Prefix: []int{0, 0}, Budget: 1}}
 		}, http.StatusBadRequest},
