@@ -69,18 +69,21 @@ func TestMegatronShardsAttentionAndFFN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := map[string]int{}
-	for _, gn := range s.Graph.Nodes {
-		p := s.Assign[gn.ID]
-		counts[Classify(gn).String()+"/"+p.Name]++
+	type rolePattern struct {
+		role    Role
+		pattern string
 	}
-	if counts["qkv/column-parallel"] == 0 {
+	counts := map[rolePattern]int{}
+	for _, gn := range s.Graph.Nodes {
+		counts[rolePattern{Classify(gn), s.Assign[gn.ID].Name}]++
+	}
+	if counts[rolePattern{RoleQKV, "column-parallel"}] == 0 {
 		t.Errorf("Megatron should column-split QKV: %v", counts)
 	}
-	if counts["attn_out/row-parallel"] == 0 {
+	if counts[rolePattern{RoleAttnOut, "row-parallel"}] == 0 {
 		t.Errorf("Megatron should row-split attention out: %v", counts)
 	}
-	if counts["ffn_up/column-parallel"] == 0 || counts["ffn_down/row-parallel"] == 0 {
+	if counts[rolePattern{RoleFFNUp, "column-parallel"}] == 0 || counts[rolePattern{RoleFFNDown, "row-parallel"}] == 0 {
 		t.Errorf("Megatron should split the FFN: %v", counts)
 	}
 }

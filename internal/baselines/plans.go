@@ -45,36 +45,6 @@ const (
 	RoleCombine
 )
 
-// String implements fmt.Stringer.
-func (r Role) String() string {
-	switch r {
-	case RoleOther:
-		return "other"
-	case RoleQKV:
-		return "qkv"
-	case RoleAttnOut:
-		return "attn_out"
-	case RoleFFNUp:
-		return "ffn_up"
-	case RoleFFNDown:
-		return "ffn_down"
-	case RoleHead:
-		return "head"
-	case RoleEmbed:
-		return "embed"
-	case RoleConv:
-		return "conv"
-	case RoleExpert:
-		return "expert"
-	case RoleDispatch:
-		return "dispatch"
-	case RoleCombine:
-		return "combine"
-	default:
-		return fmt.Sprintf("role(%d)", int(r))
-	}
-}
-
 // Classify derives the role from the GraphNode kind and anchor name. The
 // model builders name operators the way the corresponding TF layers would
 // (self_attn_q, ffn_up, lm_head, fc…), which is exactly the knowledge an

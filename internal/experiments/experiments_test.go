@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"tapas/internal/cluster"
 )
 
 func fmtSscan(s string, v *float64) (int, error) { return fmt.Sscan(s, v) }
@@ -181,14 +179,4 @@ func atof(t *testing.T, s string) float64 {
 		t.Fatalf("parse %q: %v", s, err)
 	}
 	return v
-}
-
-func TestDebugTable2CandidatesPool(t *testing.T) {
-	cands, err := DebugTable2Candidates("t5-100M", cluster.V100Nodes(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cands) < 3 {
-		t.Errorf("candidate pool too small: %d", len(cands))
-	}
 }

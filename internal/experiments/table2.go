@@ -222,12 +222,3 @@ func Table2(ctx context.Context, w io.Writer, cfg Config) error {
 	}
 	return nil
 }
-
-// DebugTable2Candidates exposes the candidate pool for diagnostics.
-func DebugTable2Candidates(arch string, cl *cluster.Cluster) (map[string]*strategy.Strategy, error) {
-	gg, err := groupedModel(arch)
-	if err != nil {
-		return nil, err
-	}
-	return table2Candidates(context.Background(), gg, cl, Config{})
-}

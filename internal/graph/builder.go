@@ -40,11 +40,6 @@ func (b *Builder) Weight(name string, shape Shape) *Tensor {
 	return NewTensor(name, Weight, F32, shape)
 }
 
-// Constant declares a non-trainable constant tensor.
-func (b *Builder) Constant(name string, shape Shape) *Tensor {
-	return NewTensor(name, Constant, F32, shape)
-}
-
 // Op adds a node with explicit inputs and a single output of the given
 // shape, returning the output tensor.
 func (b *Builder) Op(kind OpKind, name string, outShape Shape, inputs ...*Tensor) *Tensor {

@@ -186,20 +186,3 @@ func Reconstruct(s *strategy.Strategy) (*ParallelGraph, error) {
 	out.PerDevice = b.G
 	return out, nil
 }
-
-// WeightBytesPerDevice sums the per-device weight storage of the
-// reconstructed graph, counting shared tensors once. It must agree with
-// the strategy's pattern accounting — the consistency check used in tests.
-func (pg *ParallelGraph) WeightBytesPerDevice() int64 {
-	var total int64
-	seen := map[*graph.Tensor]bool{}
-	for _, n := range pg.PerDevice.Nodes {
-		for _, t := range n.Inputs {
-			if t.Kind == graph.Weight && !seen[t] {
-				seen[t] = true
-				total += t.Bytes()
-			}
-		}
-	}
-	return total
-}

@@ -272,7 +272,7 @@ func TestAssemblyLeavesMenusPristine(t *testing.T) {
 	}
 }
 
-// TestSearchFoldedLeaksNoGoroutines checks that the assembly and repair
+// TestSearchFoldedLeaksNoGoroutines checks that the enumeration and assembly
 // fan-outs drain their pools completely: after a parallel search returns,
 // the process goroutine count settles back to its pre-search level.
 func TestSearchFoldedLeaksNoGoroutines(t *testing.T) {

@@ -211,7 +211,10 @@ func (a partial) add(br branch) partial { return partial{a.total + br.total, a.m
 
 // enumState is the mutable state of one depth-first enumeration walk. Each
 // parallel worker owns a private enumState; merging concatenates the out
-// records in deterministic task order and sums the stats.
+// records in deterministic task order and sums the stats. The walk holds
+// what the wire holds: one menu index per decided position (plus the
+// running sums). A position's pattern is menus[i][mi[i]] and its events
+// come from the branch memo, so a tree node writes no pointer.
 //
 // The state memoizes the shape check: a position's surviving branches
 // depend only on the menu indices its intra-instance producers hold, and
@@ -222,14 +225,12 @@ func (a partial) add(br branch) partial { return partial{a.total + br.total, a.m
 // stay valid for the state's lifetime.
 type enumState struct {
 	*enumShared
-	stats    EnumStats
-	out      records
-	assigned []*ir.Pattern
-	events   [][]comm.Event
-	mi       []int32      // menu index of assigned[i]
-	acc      []partial    // acc[i]: the running sums of positions before i
-	cat      []comm.Event // scratch: the assignment's events in position order
-	steps    uint         // dfs call counter throttling the context poll
+	stats EnumStats
+	out   records
+	mi    []int32      // mi[i]: the menu index chosen at position i
+	acc   []partial    // acc[i]: the running sums of positions before i
+	cat   []comm.Event // scratch: the assignment's events in position order
+	steps uint         // dfs call counter throttling the context poll
 	// The leaf filter, on when topK > 0 (see keepable): the topK cheapest
 	// recorded totals in ascending order, the lightest recorded memory,
 	// and per boundary slot (see boundPos) the cheapest recorded total
@@ -262,8 +263,6 @@ func newEnumState(sh *enumShared, capacity int) *enumState {
 	return &enumState{
 		enumShared: sh,
 		out:        sh.newRecords(capacity),
-		assigned:   make([]*ir.Pattern, n),
-		events:     make([][]comm.Event, n),
 		mi:         make([]int32, n),
 		acc:        make([]partial, n+1),
 		memo:       make([]memoEntry, sh.slots),
@@ -298,7 +297,7 @@ func (s *enumState) startWalk(budget int, filter bool) {
 
 // take assigns branch br at position i.
 func (s *enumState) take(i int, br branch) {
-	s.assigned[i], s.events[i], s.mi[i] = br.p, br.evs, br.mi
+	s.mi[i] = br.mi
 	s.acc[i+1] = s.acc[i].add(br)
 }
 
@@ -517,17 +516,24 @@ func (s *enumState) branchFor(i int, mi int32) (branch, bool) {
 	return branch{}, false
 }
 
-// eventsFor validates pattern p at position i against the already-
-// assigned intra-instance predecessors, appending the reshard events the
-// edge checks require to dst. It is the one shape check: the memo runs
-// it, and the walk, the seeds, the task executor's prefix replay and the
-// candidate rebuild all read their events from the memo — the
-// bit-identical contract depends on the replayed events equaling the
-// serial descent's exactly.
+// eventsAt returns the events of the choice held at position i, from the
+// memo.
+func (s *enumState) eventsAt(i int) []comm.Event {
+	br, _ := s.branchFor(i, s.mi[i])
+	return br.evs
+}
+
+// eventsFor validates pattern p at position i against the menu choices
+// its intra-instance producers hold in s.mi, appending the reshard events
+// the edge checks require to dst. It is the one shape check: the memo
+// runs it, and the walk, the seeds, a task's prefix replay, the candidate
+// rebuild and the pricing of a recorded leaf all read their events from
+// the memo — the bit-identical contract depends on the replayed events
+// equaling the serial descent's exactly.
 func (s *enumState) eventsFor(dst []comm.Event, i int, p *ir.Pattern) ([]comm.Event, bool) {
 	for _, e := range s.in[i] {
 		var ok bool
-		dst, ok = appendEdge(dst, s.assigned[e.j].Out, needFor(p, e.primary), e.bytes, s.opt.W, s.opt.AllowReshard)
+		dst, ok = appendEdge(dst, s.menus[e.j][s.mi[e.j]].Out, needFor(p, e.primary), e.bytes, s.opt.W, s.opt.AllowReshard)
 		if !ok {
 			return dst, false
 		}
@@ -604,33 +610,38 @@ func (s *enumState) hold(p price) {
 	s.kth = slices.Insert(s.kth, at, t)
 }
 
+// concat gathers the events of the full assignment held in s in position
+// order, into the scratch s.cat.
+func (s *enumState) concat() []comm.Event {
+	s.cat = s.cat[:0]
+	for i := range s.mi {
+		s.cat = append(s.cat, s.eventsAt(i)...)
+	}
+	return s.cat
+}
+
 // price prices the full assignment held in s from the menu table: the
 // memory is the positional sum of nodeMem, the cost StrategyCost's
 // summation over the table's PatternCost values and the events
 // concatenated in position order.
 func (s *enumState) price() price {
-	cat, mem := s.cat[:0], int64(0)
-	for i, evs := range s.events {
-		cat = append(cat, evs...)
-		mem += s.prices[i][s.mi[i]].mem
+	mi, mem := s.mi, int64(0)
+	for i, m := range mi {
+		mem += s.prices[i][m].mem
 	}
-	s.cat = cat
-	mi := s.mi
-	c := s.model.SumCost(len(mi), func(i int) cost.Breakdown { return s.prices[i][mi[i]].cost }, cat)
+	c := s.model.SumCost(len(mi), func(i int) cost.Breakdown { return s.prices[i][mi[i]].cost }, s.concat())
 	return price{c, mem}
 }
 
-// newCandidate materialises the assignment held in s, which p prices: a
-// copy of the patterns and the events concatenated in position order.
+// newCandidate materialises the assignment held in s, which p prices: its
+// patterns and its events concatenated in position order.
 func (s *enumState) newCandidate(p price) *Candidate {
-	n := 0
-	for _, evs := range s.events {
-		n += len(evs)
+	cat := s.concat()
+	c := &Candidate{Patterns: make([]*ir.Pattern, len(s.mi)), Reshard: make([]comm.Event, 0, len(cat)), Cost: p.cost, MemBytes: p.mem}
+	for i, m := range s.mi {
+		c.Patterns[i] = s.menus[i][m]
 	}
-	c := &Candidate{Patterns: slices.Clone(s.assigned), Reshard: make([]comm.Event, 0, n), Cost: p.cost, MemBytes: p.mem}
-	for _, evs := range s.events {
-		c.Reshard = append(c.Reshard, evs...)
-	}
+	c.Reshard = append(c.Reshard, cat...)
 	return c
 }
 
@@ -698,55 +709,22 @@ func (s *enumState) dfs(i, budget int) {
 	}
 }
 
-// prefixTask is one unit of parallel enumeration work: a fixed assignment
-// prefix with the candidate budget the serial search would have granted
-// its subtree. Tasks are listed in the serial depth-first visit order, so
-// concatenating their outputs reproduces the serial result exactly.
-type prefixTask struct {
-	assigned []*ir.Pattern
-	events   [][]comm.Event
-	depth    int
-	budget   int
-	// prefix is the assignment prefix as menu indices (prefix[d] picks
-	// menus[d][prefix[d]] for d < depth) — the wire form of this task;
-	// see TaskSpec.
-	prefix []int
-	acc    partial // the prefix's running sums
-}
-
-// walk runs the budgeted dfs of t's subtree on a private state, through
-// the leaf filter when filter is set.
-func (t prefixTask) walk(sh *enumShared, filter bool) *enumState {
-	st := newEnumState(sh, 0)
-	st.startWalk(min(t.budget, sh.leaves), filter)
-	copy(st.assigned, t.assigned)
-	copy(st.events, t.events)
-	for d, mi := range t.prefix {
-		st.mi[d] = int32(mi)
-	}
-	st.acc[t.depth] = t.acc
-	st.dfs(t.depth, t.budget)
-	return st
-}
-
 // splitTasks expands the root of the decision tree breadth-first until at
 // least target leaf tasks exist (or the tree is exhausted), replaying the
-// serial budget arithmetic at every expanded prefix. The prune/truncation
-// accounting of expanded prefixes lands in the returned stats, exactly
-// once per prefix, as in the serial walk.
-func splitTasks(sh *enumShared, target int) ([]prefixTask, EnumStats) {
+// serial budget arithmetic at every expanded prefix. Tasks are listed in
+// the serial depth-first visit order, so concatenating their outputs
+// reproduces the serial result exactly. The prune/truncation accounting
+// of expanded prefixes lands in the returned stats, exactly once per
+// prefix, as in the serial walk.
+func splitTasks(sh *enumShared, target int) ([]TaskSpec, EnumStats) {
 	scratch := newEnumState(sh, 0)
-	tasks := []prefixTask{{
-		assigned: make([]*ir.Pattern, len(sh.instance)),
-		events:   make([][]comm.Event, len(sh.instance)),
-		budget:   sh.opt.MaxCandidates,
-	}}
+	tasks := []TaskSpec{{Budget: sh.opt.MaxCandidates}}
 	for len(tasks) < target {
 		// Expand the widest remaining subtree: the expandable task with
 		// the largest budget, lowest index on ties (deterministic).
 		pick := -1
 		for i, t := range tasks {
-			if t.depth < len(sh.instance) && (pick < 0 || t.budget > tasks[pick].budget) {
+			if len(t.Prefix) < len(sh.instance) && (pick < 0 || t.Budget > tasks[pick].Budget) {
 				pick = i
 			}
 		}
@@ -754,29 +732,23 @@ func splitTasks(sh *enumShared, target int) ([]prefixTask, EnumStats) {
 			break // every task is a complete assignment
 		}
 		t := tasks[pick]
-		scratch.assigned = t.assigned
-		for d, mi := range t.prefix {
+		for d, mi := range t.Prefix {
 			scratch.mi[d] = int32(mi)
 		}
-		compat := scratch.branchesAt(t.depth)
+		compat := scratch.branchesAt(len(t.Prefix))
 		n := len(compat)
-		if n > 0 && t.budget < n {
+		if n > 0 && t.Budget < n {
 			scratch.stats.Truncated = true
 		}
-		var children []prefixTask
+		var children []TaskSpec
 		for idx, br := range compat {
-			b := share(t.budget, n, idx)
+			b := share(t.Budget, n, idx)
 			if b == 0 {
 				break
 			}
-			na := append([]*ir.Pattern{}, t.assigned...)
-			ne := append([][]comm.Event{}, t.events...)
-			na[t.depth], ne[t.depth] = br.p, br.evs
-			np := append(append([]int{}, t.prefix...), int(br.mi))
-			children = append(children, prefixTask{na, ne, t.depth + 1, b, np, t.acc.add(br)})
+			children = append(children, TaskSpec{Prefix: append(slices.Clip(t.Prefix), int(br.mi)), Budget: b})
 		}
-		rest := append(children, tasks[pick+1:]...)
-		tasks = append(tasks[:pick], rest...)
+		tasks = slices.Replace(tasks, pick, pick+1, children...)
 	}
 	return tasks, scratch.stats
 }
@@ -794,9 +766,10 @@ func splitTasks(sh *enumShared, target int) ([]prefixTask, EnumStats) {
 // records, and only the candidates it keeps are ever materialised as
 // *Candidate. Every budgeted leaf is still visited and counted.
 //
-// With opt.Workers != 1 the tree is split into deterministic prefix tasks
-// that fan out across a bounded worker pool; the returned candidates and
-// stats are identical to the serial run for every worker count, unless a
+// With opt.Workers != 1, or a Runner, the tree is split into
+// deterministic prefix tasks (TaskSpecs), shipped to the runner or walked
+// on a bounded worker pool; the returned candidates and stats are
+// identical to the serial run for every worker count and runner, unless a
 // TimeBudget is set (deadline cuts are inherently timing-dependent).
 //
 // Cancelling ctx aborts the walk promptly: the stats report Canceled and
@@ -810,45 +783,21 @@ func EnumerateInstance(ctx context.Context, g *ir.GNGraph, instance []*ir.GraphN
 // result is the same either way.
 func (sh *enumShared) enumerate(filter bool) ([]*Candidate, EnumStats) {
 	ctx, opt := sh.ctx, sh.opt
-	var (
-		out   records
-		stats EnumStats
-	)
 	// st serves the serial walk, or the replay of a runner's results, and
 	// then the seeds and ranking: one branch memo per enumeration.
 	st := newEnumState(sh, 0)
 	workers := parallel.Workers(opt.Workers)
-	runner := opt.Runner
-	if runner != nil && (len(sh.instance) < 2 || opt.MaxCandidates <= 0) {
-		runner = nil // trivial trees are cheaper to run than to ship
-	}
-	switch {
-	case runner != nil:
-		out, stats = runWithRunner(ctx, st, runner, workers, filter)
-	case workers <= 1 || len(sh.instance) < 2 || opt.MaxCandidates <= 0:
+	var (
+		out   records
+		stats EnumStats
+	)
+	if workers <= 1 && opt.Runner == nil || len(sh.instance) < 2 || opt.MaxCandidates <= 0 {
+		// Trivial trees are cheaper to walk than to split or ship.
 		st.startWalk(sh.leaves+seedCount, filter)
 		st.dfs(0, opt.MaxCandidates)
 		out, stats = st.out, st.stats
-	default:
-		tasks, split := splitTasks(sh, 4*workers)
-		stats.merge(split)
-		states, _ := parallel.Map(ctx, workers, tasks, func(_ context.Context, _ int, t prefixTask) (*enumState, error) {
-			return t.walk(sh, filter), nil
-		})
-		n := seedCount
-		for _, ts := range states {
-			if ts != nil {
-				n += ts.out.len()
-			}
-		}
-		out = sh.newRecords(n)
-		for _, ts := range states {
-			if ts == nil {
-				continue // task skipped by cancellation
-			}
-			stats.merge(ts.stats)
-			out.merge(ts.out)
-		}
+	} else {
+		out, stats = st.split(workers, filter)
 	}
 	if ctx.Err() != nil {
 		stats.Canceled = true

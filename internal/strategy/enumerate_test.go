@@ -81,9 +81,8 @@ func sameCandidate(a, b *Candidate) bool {
 // walk, the 4-worker prefix-task split, and a TaskRunner that round-trips
 // the tasks through ExecuteTasks and rebuilds their candidates from menu
 // indices. It also replays every prefix splitTasks hands out: the events
-// a task carries must equal a fresh reference replay of its prefix, which
-// fails if a task kept a slice of check storage that a later expansion
-// overwrote.
+// the branch memo gives each replayed choice must equal a fresh reference
+// replay of the prefix.
 func TestEnumerationMatchesReference(t *testing.T) {
 	names := models.Names()
 	if testing.Short() {
@@ -154,22 +153,26 @@ func TestEnumerationMatchesReference(t *testing.T) {
 
 					sh := newEnumShared(ctx, g, inst, model, DefaultEnumOptions(w))
 					// Deep enough that one depth is expanded many times under
-					// prefixes whose events differ; at 64 tasks the reused
-					// scratch happens to be rewritten with equal events.
+					// prefixes whose events differ.
 					tasks, _ := splitTasks(sh, 512)
 					prefixes += len(tasks)
 					member := make(map[*ir.GraphNode]int, len(inst))
 					for i, gn := range inst {
 						member[gn] = i
 					}
+					st := newEnumState(sh, 0)
 					for ti, tk := range tasks {
+						if err := replayPrefix(st, tk.Prefix); err != nil {
+							t.Fatalf("W=%d instance %d task %d: %v", w, ci, ti, err)
+						}
 						assigned := make([]*ir.Pattern, len(inst))
-						for d := 0; d < tk.depth; d++ {
-							evs, ok := refEventsFor(g, inst, member, assigned, d, tk.assigned[d], sh.opt)
-							if !ok || !slices.Equal(evs, tk.events[d]) {
-								t.Fatalf("W=%d instance %d task %d depth %d: events %v, fresh replay %v (ok %v)", w, ci, ti, d, tk.events[d], evs, ok)
+						for d, m := range tk.Prefix {
+							p := sh.menus[d][m]
+							evs, ok := refEventsFor(g, inst, member, assigned, d, p, sh.opt)
+							if got := st.eventsAt(d); !ok || !slices.Equal(evs, got) {
+								t.Fatalf("W=%d instance %d task %d depth %d: events %v, fresh replay %v (ok %v)", w, ci, ti, d, got, evs, ok)
 							}
-							assigned[d] = tk.assigned[d]
+							assigned[d] = p
 						}
 					}
 				}

@@ -70,8 +70,9 @@ func (r *halfRunner) RunTasks(ctx context.Context, b TaskBatch) ([]TaskResult, e
 }
 
 // TestLeafFilterMergesWithTaskResults merges filtered pool walks with
-// unfiltered TaskSpec results: the ranking must equal the unfiltered
-// serial enumeration's, candidate for candidate, with the same stats.
+// unfiltered TaskSpec results, on a pool of one worker and of four: the
+// ranking must equal the unfiltered serial enumeration's, candidate for
+// candidate, with the same stats.
 func TestLeafFilterMergesWithTaskResults(t *testing.T) {
 	ctx := context.Background()
 	for _, name := range []string{"t5-100M", "moe-380M", "bert-base"} {
@@ -82,11 +83,13 @@ func TestLeafFilterMergesWithTaskResults(t *testing.T) {
 				opt := DefaultEnumOptions(w)
 				opt.Workers = 1
 				want, wantStats := newEnumShared(ctx, g, c.Representative(), model, opt).enumerate(false)
-				opt.Workers, opt.Runner = 3, &halfRunner{roundTripRunner{g: remote, model: cost.Default(cluster.V100GPUs(w))}}
-				got, stats := EnumerateInstance(ctx, g, c.Representative(), model, opt)
-				if !reflect.DeepEqual(got, want) || stats != wantStats {
-					t.Fatalf("%s W=%d class %d: merged %d candidates %+v, unfiltered serial %d %+v",
-						name, w, ci, len(got), stats, len(want), wantStats)
+				for _, workers := range []int{1, 4} {
+					opt.Workers, opt.Runner = workers, &halfRunner{roundTripRunner{g: remote, model: cost.Default(cluster.V100GPUs(w))}}
+					got, stats := EnumerateInstance(ctx, g, c.Representative(), model, opt)
+					if !reflect.DeepEqual(got, want) || stats != wantStats {
+						t.Fatalf("%s W=%d class %d workers=%d: merged %d candidates %+v, unfiltered serial %d %+v",
+							name, w, ci, workers, len(got), stats, len(want), wantStats)
+					}
 				}
 			}
 		}
@@ -95,8 +98,9 @@ func TestLeafFilterMergesWithTaskResults(t *testing.T) {
 
 // TestLeafFilterTiedAtTopK feeds leaves whose totals tie exactly at the
 // TopK boundary through a filtered and an unfiltered state over real
-// class menus, with prices from a small integer table so the running
-// total equals the priced one. Both must rank to the same assignments in
+// class menus, with prices from a small integer table and no intra-
+// instance edges, so no leaf has events and the running total equals the
+// priced one. Both must rank to the same assignments in
 // the same order. It also counts the sets where the filtered walk kept no
 // more records than TopK while the unfiltered one kept more: there,
 // deciding between sorting every record and diverseTopK on the filtered
@@ -118,6 +122,7 @@ func TestLeafFilterTiedAtTopK(t *testing.T) {
 		sh := *shs[r.Intn(len(shs))]
 		sh.opt.TopK = 1 + r.Intn(6)
 		n := len(sh.instance)
+		sh.in = make([][]inEdge, n)
 		// A table of small integer prices and choices from a prefix of
 		// each menu, so totals and incumbents repeat.
 		sh.prices = make([][]price, n)

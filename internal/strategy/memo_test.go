@@ -42,7 +42,7 @@ func producersOf(sh *enumShared, i int) []int32 {
 }
 
 // eachChoice calls f once for every combination of menu choices of the
-// producers, with the choices assigned in st (mi and pattern alike).
+// producers, with the choices assigned in st.
 func eachChoice(st *enumState, producers []int32, f func()) {
 	var rec func(d int)
 	rec = func(d int) {
@@ -51,8 +51,8 @@ func eachChoice(st *enumState, producers []int32, f func()) {
 			return
 		}
 		j := producers[d]
-		for mi, p := range st.menus[j] {
-			st.mi[j], st.assigned[j] = int32(mi), p
+		for mi := range st.menus[j] {
+			st.mi[j] = int32(mi)
 			rec(d + 1)
 		}
 	}

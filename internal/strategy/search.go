@@ -141,9 +141,9 @@ func SearchFolded(ctx context.Context, g *ir.GNGraph, classes []*mining.Class, m
 	// topological order, apply each candidate to every instance, score
 	// internal cost × instance count plus boundary resharding against the
 	// already-assigned neighborhood, and respect the device memory budget
-	// when possible. Candidate scoring and the repair pass fan across the
-	// same pool as enumeration; both merge their results in serial order,
-	// so the plan stays bit-identical at every worker count.
+	// when possible. Candidate scoring fans across the same pool as
+	// enumeration and merges its results in serial order, so the plan
+	// stays bit-identical at every worker count.
 	t1 := time.Now()
 	asm := newAssembler(g, ordered, model, opt, workers)
 	assign, menus, chosen, err := asm.assemble(ctx, ordered, cands, memLimit)
@@ -368,16 +368,10 @@ func (a *assembler) assemble(ctx context.Context, ordered []*mining.Class, cands
 // the aggregate plan may still exceed device memory (the per-class
 // estimates also over-count shared weights). While the true footprint
 // exceeds the budget, swap the class offering the best memory saving to
-// a lighter, boundary-compatible candidate. Each iteration evaluates
-// every class's best alternative on the pool against the frozen
-// assignment, then reduces in ascending class order with a strictly-
-// greater comparison — the same (class, alternative) the serial scan
-// picks, at every worker count.
+// a lighter, boundary-compatible candidate. Each iteration scans the
+// classes in ascending order and their alternatives in menu order, and
+// takes a swap only when it saves strictly more than the best so far.
 func (a *assembler) repair(ctx context.Context, ordered []*mining.Class, assign []*ir.Pattern, menus [][]scored, chosen []int, memLimit int64) error {
-	type altPick struct {
-		save int64
-		alt  int
-	}
 	for iter := 0; iter < 4*len(ordered); iter++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -385,31 +379,17 @@ func (a *assembler) repair(ctx context.Context, ordered []*mining.Class, assign 
 		if MemoryPerDevice(a.g, assign) <= memLimit {
 			break
 		}
-		picks, err := parallel.Map(ctx, a.workers, ordered,
-			func(_ context.Context, ci int, c *mining.Class) (altPick, error) {
-				best := altPick{save: 0, alt: -1}
-				cur := menus[ci][chosen[ci]]
-				for ai := range menus[ci] {
-					alt := menus[ci][ai]
-					if ai == chosen[ci] || alt.mem >= cur.mem {
-						continue
-					}
-					// Cheap test first: a save that doesn't beat the class
-					// best can't win the reduce, so skip its boundary sweep.
-					if save := cur.mem - alt.mem; save > best.save && a.swapCompatible(c, assign, alt.patts) {
-						best = altPick{save: save, alt: ai}
-					}
-				}
-				return best, nil
-			})
-		if err != nil {
-			return err
-		}
 		bestClass, bestAlt := -1, -1
 		bestSave := int64(0)
-		for ci, p := range picks {
-			if p.alt >= 0 && p.save > bestSave {
-				bestSave, bestClass, bestAlt = p.save, ci, p.alt
+		for ci, c := range ordered {
+			cur := menus[ci][chosen[ci]]
+			for ai, alt := range menus[ci] {
+				// Cheap test first: a save that doesn't beat the best so far
+				// (the current choice saves nothing) can't win, so skip its
+				// boundary sweep.
+				if save := cur.mem - alt.mem; save > bestSave && a.swapCompatible(c, assign, alt.patts) {
+					bestSave, bestClass, bestAlt = save, ci, ai
+				}
 			}
 		}
 		if bestClass < 0 {

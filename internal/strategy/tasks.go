@@ -29,9 +29,10 @@ import (
 // parsed off the wire, which is what keeps the scattered search
 // bit-identical to the single-process one.
 
-// TaskSpec is the wire form of one prefixTask: the assignment prefix as
-// menu indices (Prefix[d] selects the d-th node's menu entry) plus the
-// candidate budget the serial search grants the subtree under it.
+// TaskSpec is one unit of split enumeration work, in the form the wire
+// carries and the pool walks alike: the assignment prefix as menu indices
+// (Prefix[d] selects the d-th node's menu entry) plus the candidate
+// budget the serial search grants the subtree under it.
 type TaskSpec struct {
 	Prefix []int
 	Budget int
@@ -86,84 +87,107 @@ type TaskRunner interface {
 	Fanout() int
 }
 
-// runWithRunner is the Runner-backed arm of EnumerateInstance: split the
-// tree exactly as the local parallel path would, hand the wire batch to
-// the runner, and record the returned assignments in serial task order,
-// replaying them on st. Any task the runner failed to deliver is
-// recomputed in-process from its retained prefix, through the leaf filter
-// when filter is set, so the merged output never depends on runner
-// behavior. Wire results record every leaf: a TaskSpec carries no TopK.
-func runWithRunner(ctx context.Context, st *enumState, runner TaskRunner, workers int, filter bool) (records, EnumStats) {
+// split is the split arm of EnumerateInstance: split the tree into
+// prefix tasks, ship them to the runner as a wire batch when there is
+// one, walk on the pool every task the runner did not answer, and merge
+// the records in task order. A runner's answers are replayed and priced
+// on st. A task it did not deliver, or delivered cut short or malformed,
+// is walked in-process like every task of a run without a runner, through
+// the leaf filter when filter is set, so the merged output never depends
+// on runner behavior. Wire results record every leaf: a TaskSpec carries
+// no TopK.
+func (st *enumState) split(workers int, filter bool) (records, EnumStats) {
 	sh := st.enumShared
+	ctx, runner := sh.ctx, sh.opt.Runner
 	target := 4 * workers
-	if f := runner.Fanout(); f > target {
-		target = f
+	if runner != nil {
+		target = max(target, runner.Fanout())
 	}
 	tasks, stats := splitTasks(sh, target)
-	specs := make([]TaskSpec, len(tasks))
-	for i, t := range tasks {
-		specs[i] = TaskSpec{Prefix: t.prefix, Budget: t.budget}
+	var results []TaskResult
+	if runner != nil {
+		ids := make([]int, len(sh.instance))
+		for i, gn := range sh.instance {
+			ids[i] = gn.ID
+		}
+		opt := sh.opt
+		opt.Progress, opt.Runner = nil, nil
+		batch := TaskBatch{
+			Instance: ids,
+			Opt:      opt,
+			Tasks:    tasks,
+			Local: func(lctx context.Context, ts []TaskSpec) []TaskResult {
+				res, _ := runTasks(lctx, sh, workers, ts)
+				return res
+			},
+		}
+		var err error
+		if results, err = runner.RunTasks(ctx, batch); err != nil {
+			stats.Canceled = true
+			return records{}, stats
+		}
 	}
-	ids := make([]int, len(sh.instance))
-	for i, gn := range sh.instance {
-		ids[i] = gn.ID
-	}
-	opt := sh.opt
-	opt.Progress, opt.Runner = nil, nil
-	batch := TaskBatch{
-		Instance: ids,
-		Opt:      opt,
-		Tasks:    specs,
-		Local: func(lctx context.Context, ts []TaskSpec) []TaskResult {
-			res, _ := runTasks(lctx, sh, workers, ts)
-			return res
-		},
-	}
-	results, err := runner.RunTasks(ctx, batch)
-	if err != nil {
-		stats.Canceled = true
-		return records{}, stats
-	}
-	out := sh.newRecords(sh.leaves + seedCount)
-	for i, t := range tasks {
+	parts := make([]records, len(tasks))
+	var todo []int
+	for i := range tasks {
 		// A result cut short by a remote cancellation is partial: its
 		// subtree was not fully walked, so merging it would diverge from
-		// serial. Recompute it like a missing result.
+		// serial. Walk it like a missing result.
 		if i < len(results) && !results[i].Stats.Canceled {
-			mark := out.len()
-			if st.rebuild(&out, results[i]) == nil {
+			if recs, err := st.rebuild(results[i]); err == nil {
+				parts[i] = recs
 				stats.merge(results[i].Stats)
 				continue
 			}
-			out.truncate(mark)
 		}
-		ws := t.walk(sh, filter)
-		stats.merge(ws.stats)
-		out.merge(ws.out)
+		todo = append(todo, i)
+	}
+	walked, _ := parallel.Map(ctx, workers, todo, func(tctx context.Context, _ int, i int) (*enumState, error) {
+		ws, err := sh.walk(tctx, tasks[i], filter)
+		if err != nil {
+			panic(err) // splitTasks made a task its own checks reject
+		}
+		return ws, nil
+	})
+	for k, ws := range walked {
+		if ws != nil { // nil: skipped by cancellation
+			parts[todo[k]] = ws.out
+			stats.merge(ws.stats)
+		}
+	}
+	n := seedCount
+	for _, p := range parts {
+		n += p.len()
+	}
+	out := sh.newRecords(n)
+	for _, p := range parts {
+		out.merge(p)
 	}
 	return out, stats
 }
 
-// rebuild appends one wire result's assignments to out, replaying each
-// against the menus and pricing it locally — byte-precision floats never
-// cross the wire, so the records are exactly what complete() would have
+// rebuild records one wire result's assignments, replaying each against
+// the menus and pricing it locally — byte-precision floats never cross
+// the wire, so the records are exactly what complete() would have
 // produced in-process. The scratch state's stats are untouched: the
 // executor already accounted this subtree's effort in TaskResult.Stats.
-func (st *enumState) rebuild(out *records, r TaskResult) error {
+func (st *enumState) rebuild(r TaskResult) (records, error) {
+	out := st.newRecords(len(r.Candidates))
 	for _, idx := range r.Candidates {
 		if len(idx) != len(st.instance) {
-			return fmt.Errorf("strategy: candidate of %d indices for instance of %d", len(idx), len(st.instance))
+			return records{}, fmt.Errorf("strategy: candidate of %d indices for instance of %d", len(idx), len(st.instance))
 		}
 		if err := replayPrefix(st, idx); err != nil {
-			return err
+			return records{}, err
 		}
 		out.add(st.mi, st.price())
 	}
-	return nil
+	return out, nil
 }
 
 // ExecuteTasks runs shipped prefix tasks against a local copy of the
-// graph: the instance is resolved by GraphNode ID, the enumeration
+// graph: the instance is resolved by GraphNode ID (ir.Group numbers the
+// nodes by their index in g.Nodes), the enumeration
 // context (menus included) is rebuilt exactly as the coordinator built
 // it, and every task's subtree is walked by the budgeted dfs across a
 // bounded worker pool (opt.Workers, 0 = GOMAXPROCS). It is the engine
@@ -177,63 +201,64 @@ func ExecuteTasks(ctx context.Context, g *ir.GNGraph, instanceIDs []int, model *
 	if len(instanceIDs) == 0 {
 		return nil, fmt.Errorf("strategy: empty task instance")
 	}
-	byID := make(map[int]*ir.GraphNode, len(g.Nodes))
-	for _, gn := range g.Nodes {
-		byID[gn.ID] = gn
-	}
 	instance := make([]*ir.GraphNode, len(instanceIDs))
 	for i, id := range instanceIDs {
-		gn, ok := byID[id]
-		if !ok {
+		if id < 0 || id >= len(g.Nodes) {
 			return nil, fmt.Errorf("strategy: instance node id %d not in graph", id)
 		}
-		instance[i] = gn
+		instance[i] = g.Nodes[id]
 	}
 	opt.Progress, opt.Runner = nil, nil
 	sh := newEnumShared(ctx, g, instance, model, opt)
 	return runTasks(ctx, sh, parallel.Workers(opt.Workers), tasks)
 }
 
-// runTasks executes tasks across a bounded pool, one private enumState
-// per task. The first invalid task aborts the batch; cancellation instead
-// lands in the per-result stats.
+// runTasks executes tasks across a bounded pool and reads each result's
+// candidates straight off its walk's record arena. The first invalid task
+// aborts the batch; cancellation instead lands in the per-result stats.
 func runTasks(ctx context.Context, sh *enumShared, workers int, tasks []TaskSpec) ([]TaskResult, error) {
+	n := len(sh.instance)
 	return parallel.Map(ctx, workers, tasks, func(tctx context.Context, _ int, t TaskSpec) (TaskResult, error) {
-		return runTask(tctx, sh, t)
+		st, err := sh.walk(tctx, t, false)
+		if err != nil {
+			return TaskResult{}, err
+		}
+		res := TaskResult{Stats: st.stats}
+		if k := st.out.len(); k > 0 {
+			flat := make([]int, len(st.out.idx))
+			for j, mi := range st.out.idx {
+				flat[j] = int(mi)
+			}
+			res.Candidates = make([][]int, k)
+			for j := range res.Candidates {
+				res.Candidates[j] = flat[j*n : (j+1)*n : (j+1)*n]
+			}
+		}
+		return res, nil
 	})
 }
 
-// runTask replays one task's prefix (recomputing the reshard events the
-// serial descent attached), walks its subtree with the shipped budget,
-// and reads the result's candidates straight off the record arena.
-func runTask(ctx context.Context, sh *enumShared, t TaskSpec) (TaskResult, error) {
-	n := len(sh.instance)
-	if len(t.Prefix) > n {
-		return TaskResult{}, fmt.Errorf("strategy: task prefix of %d exceeds instance size %d", len(t.Prefix), n)
+// walk is the one walker of a task's subtree: it serves the pool, a
+// runner's fallback and ExecuteTasks alike. It checks the task, replays
+// its prefix on a private state bound to ctx (recomputing the events the
+// serial descent attached) and runs the budgeted dfs under it, through
+// the leaf filter when filter is set.
+func (sh *enumShared) walk(ctx context.Context, t TaskSpec, filter bool) (*enumState, error) {
+	if n := len(sh.instance); len(t.Prefix) > n {
+		return nil, fmt.Errorf("strategy: task prefix of %d exceeds instance size %d", len(t.Prefix), n)
 	}
 	if t.Budget < 0 {
-		return TaskResult{}, fmt.Errorf("strategy: negative task budget %d", t.Budget)
+		return nil, fmt.Errorf("strategy: negative task budget %d", t.Budget)
 	}
-	// Per-task context: the shared struct is read-only, so a shallow
-	// copy rebinds ctx without touching the coordinator's.
+	// The shared struct is read-only, so a shallow copy rebinds ctx
+	// without touching the coordinator's.
 	shc := *sh
 	shc.ctx = ctx
-	st := newEnumState(&shc, min(t.Budget, sh.leaves))
+	st := newEnumState(&shc, 0)
+	st.startWalk(min(t.Budget, sh.leaves), filter)
 	if err := replayPrefix(st, t.Prefix); err != nil {
-		return TaskResult{}, err
+		return nil, err
 	}
 	st.dfs(len(t.Prefix), t.Budget)
-
-	res := TaskResult{Stats: st.stats}
-	if k := st.out.len(); k > 0 {
-		flat := make([]int, len(st.out.idx))
-		for j, mi := range st.out.idx {
-			flat[j] = int(mi)
-		}
-		res.Candidates = make([][]int, k)
-		for j := range res.Candidates {
-			res.Candidates[j] = flat[j*n : (j+1)*n : (j+1)*n]
-		}
-	}
-	return res, nil
+	return st, nil
 }

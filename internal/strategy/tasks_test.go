@@ -114,6 +114,12 @@ func TestExecuteTasksRejectsGarbage(t *testing.T) {
 	if _, err := ExecuteTasks(context.Background(), g, []int{1 << 30}, model, opt, []TaskSpec{{Budget: 1}}); err == nil {
 		t.Error("unknown node id accepted")
 	}
+	if _, err := ExecuteTasks(context.Background(), g, []int{-1}, model, opt, []TaskSpec{{Budget: 1}}); err == nil {
+		t.Error("negative node id accepted")
+	}
+	if _, err := ExecuteTasks(context.Background(), g, []int{len(g.Nodes)}, model, opt, []TaskSpec{{Budget: 1}}); err == nil {
+		t.Error("node id one past the graph accepted")
+	}
 	ids := []int{g.Nodes[0].ID, g.Nodes[1].ID}
 	if _, err := ExecuteTasks(context.Background(), g, ids, model, opt, []TaskSpec{{Prefix: []int{999}, Budget: 1}}); err == nil {
 		t.Error("out-of-range prefix index accepted")
