@@ -32,9 +32,11 @@ func benchExperiment(b *testing.B, id string) {
 	cfg := experiments.Config{Quick: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := g.Run(context.Background(), io.Discard, cfg); err != nil {
+		tab, err := g.Run(context.Background(), cfg)
+		if err != nil {
 			b.Fatal(err)
 		}
+		tab.Print(io.Discard)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"tapas/internal/cli"
@@ -22,9 +23,13 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (fig1, tab1, fig5, fig6, fig7, fig8, fig9, fig10, tab2) or 'all'")
+	var ids []string
+	for _, g := range experiments.All() {
+		ids = append(ids, g.ID)
+	}
+	exp := flag.String("exp", "all", "experiment id ("+strings.Join(ids, ", ")+") or 'all'")
 	quick := flag.Bool("quick", false, "trim sweeps and budgets for a fast run")
-	workers := flag.Int("workers", 0, "strategy-search worker goroutines (0 = GOMAXPROCS, 1 = serial; results are identical except fig8's time-budgeted ES column)")
+	workers := flag.Int("workers", 0, "strategy-search worker goroutines (0 = GOMAXPROCS, 1 = serial; results are identical except where a time budget cuts a search: fig8's ES column, an Alpa run that hits its budget)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
@@ -52,7 +57,9 @@ func main() {
 	for _, g := range gens {
 		fmt.Printf("==== %s ====\n", g.Title)
 		start := time.Now()
-		if err := g.Run(ctx, os.Stdout, cfg); err != nil {
+		tab, err := g.Run(ctx, cfg)
+		tab.Print(os.Stdout) // a cancelled run prints the rows it finished
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s failed: %v\n", g.ID, err)
 			os.Exit(cli.ExitCode(err))
 		}

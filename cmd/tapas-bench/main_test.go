@@ -1,12 +1,17 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"tapas/internal/cli"
 )
 
 // binary is built once in TestMain and shared by every smoke test.
@@ -61,5 +66,41 @@ func TestCLIUnknownExperimentFails(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "unknown experiment") {
 		t.Errorf("missing diagnostic:\n%s", out)
+	}
+}
+
+// TestCLITimeoutPrintsFinishedRows: a -timeout that cuts the full
+// Figure 7 sweep (14 models, about 20 s on two cores) still prints the
+// figure's heading and the rows finished before the cut, and exits with
+// the interrupt code.
+func TestCLITimeoutPrintsFinishedRows(t *testing.T) {
+	cmd := exec.Command(binary, "-exp", "fig7", "-timeout", "3s")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != cli.ExitCode(context.DeadlineExceeded) {
+		t.Fatalf("exit = %v, want code %d\nstdout:\n%s\nstderr:\n%s", err, cli.ExitCode(context.DeadlineExceeded), &stdout, &stderr)
+	}
+	if !strings.Contains(stderr.String(), "fig7 failed: context deadline exceeded") {
+		t.Errorf("missing diagnostic:\n%s", &stderr)
+	}
+	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
+	if len(lines) < 3 || !strings.HasPrefix(lines[0], "==== Figure 7") ||
+		!strings.HasPrefix(lines[1], "# Figure 7") || !strings.HasPrefix(lines[2], "model ") {
+		t.Fatalf("missing heading:\n%s", &stdout)
+	}
+	rows := 0
+	for _, l := range lines[3:] {
+		switch {
+		case strings.HasPrefix(l, "-- "):
+		case len(strings.Fields(l)) == 6:
+			rows++
+		default:
+			t.Errorf("unexpected line %q", l)
+		}
+	}
+	if rows < 1 || rows >= 14 {
+		t.Errorf("printed %d rows, want the cut sweep's finished ones:\n%s", rows, &stdout)
 	}
 }

@@ -49,7 +49,7 @@ func main() {
 	model := flag.String("model", "t5-770M", "model name (see -list); a comma-separated list runs a concurrent batch search")
 	spec := flag.String("spec", "", "load a custom model from a graphio spec file instead of -model")
 	gpus := flag.Int("gpus", 8, "total GPU count (V100 nodes of 8)")
-	baseline := flag.String("baseline", "", "derive with a baseline planner instead of TAPAS (dp, deepspeed, megatron, ffn-only, mha-only, gshard, alpa, flexflow)")
+	baseline := flag.String("baseline", "", "derive with a baseline planner instead of TAPAS ("+strings.Join(tapas.Baselines(), ", ")+")")
 	exhaustive := flag.Bool("es", false, "use exhaustive search (TAPAS-ES) instead of subgraph pruning")
 	workers := flag.Int("workers", 0, "search worker goroutines (0 = GOMAXPROCS, 1 = serial; the plan is identical either way)")
 	timeout := flag.Duration("timeout", 0, "abort the search after this duration (0 = no limit)")

@@ -708,20 +708,11 @@ func (e *Engine) runBaseline(ctx context.Context, name, modelName string, g *gra
 	}
 
 	var s *strategy.Strategy
-	switch name {
-	case "dp", "data-parallel":
-		s, err = baselines.DataParallel(gg, gpus, model)
-	case "deepspeed", "zero2":
-		s, err = baselines.DeepSpeed(gg, gpus, model)
-	case "megatron":
-		s, err = baselines.Megatron(gg, gpus, model)
-	case "ffn-only":
-		s, err = baselines.FFNOnly(gg, gpus, model)
-	case "mha-only":
-		s, err = baselines.MHAOnly(gg, gpus, model)
-	case "gshard":
-		s, err = baselines.GShardExpert(gg, gpus, model)
-	case "alpa":
+	x, expert := baselines.LookupExpert(name)
+	switch {
+	case expert:
+		s, err = x.Plan(gg, gpus, model)
+	case name == "alpa":
 		var stats *baselines.AlpaStats
 		aopt := baselines.DefaultAlpaOptions()
 		if e.base.timeBudget > 0 {
@@ -732,7 +723,7 @@ func (e *Engine) runBaseline(ctx context.Context, name, modelName string, g *gra
 			res.SearchTime = stats.Elapsed
 			res.Examined = stats.Examined
 		}
-	case "flexflow":
+	case name == "flexflow":
 		var stats *baselines.FlexFlowStats
 		s, stats, err = baselines.FlexFlowSearch(ctx, gg, gpus, model, baselines.DefaultFlexFlowOptions())
 		if stats != nil {
@@ -865,6 +856,13 @@ func (c *lruCache) put(k cacheKey, r *Result) {
 //
 // With caching disabled (WithCache(0)) every call computes independently.
 func (e *Engine) doCached(ctx context.Context, key cacheKey, name string, compute func() (*Result, error)) (*Result, error) {
+	// Every search and baseline passes here before its first stage, so a
+	// WithCluster cluster that Validate refuses fails them all, uncached.
+	if cl := e.base.cluster; cl != nil {
+		if err := cl.Validate(); err != nil {
+			return nil, fmt.Errorf("tapas: %w", err)
+		}
+	}
 	hit := func(shared *Result) *Result {
 		res := *shared
 		res.CacheHit = true

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"tapas/internal/cluster"
 )
 
 // TestEngineCacheHitOnRepeatSearch is the headline caching contract: a
@@ -310,6 +312,38 @@ func TestEveryBaselineOnEveryModel(t *testing.T) {
 					t.Errorf("iteration time %v not positive and finite", it)
 				}
 			})
+		}
+	}
+}
+
+// TestEngineRejectsInvalidCluster: a WithCluster cluster that Validate
+// refuses fails every search and baseline before any stage runs, and
+// nothing is cached. One case per Validate condition; each used to
+// return a plan (OOM, or +Inf s/iter) that was cached like a real one.
+func TestEngineRejectsInvalidCluster(t *testing.T) {
+	bad := map[string]func(*cluster.Cluster){
+		"no nodes":           func(c *cluster.Cluster) { c.NumNodes = 0 },
+		"no GPUs per node":   func(c *cluster.Cluster) { c.GPUsPerNode = 0 },
+		"negative memory":    func(c *cluster.Cluster) { c.MemoryPerGP = -1 },
+		"no peak FLOPS":      func(c *cluster.Cluster) { c.PeakFLOPS = 0 },
+		"no intra bandwidth": func(c *cluster.Cluster) { c.Intra.Bandwidth = 0 },
+		"no inter bandwidth": func(c *cluster.Cluster) { c.Inter.Bandwidth = 0 },
+	}
+	ctx := context.Background()
+	for name, breakIt := range bad {
+		cl := cluster.V100x8()
+		breakIt(cl)
+		eng := NewEngine(WithCluster(cl))
+		for i := 0; i < 2; i++ { // the second call takes the memoized-model path
+			if res, err := eng.Search(ctx, "t5-100M", 8); err == nil {
+				t.Errorf("%s: Search %d returned a plan (%v) and no error", name, i, res.Report.IterationTime)
+			}
+		}
+		if _, err := eng.Baseline(ctx, "dp", "t5-100M", 8); err == nil {
+			t.Errorf("%s: Baseline returned no error", name)
+		}
+		if st := eng.CacheStats(); st.Misses != 0 || st.Entries != 0 {
+			t.Errorf("%s: a stage ran or a result was cached: %+v", name, st)
 		}
 	}
 }

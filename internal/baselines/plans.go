@@ -152,13 +152,9 @@ func DataParallel(g *ir.GNGraph, w int, model *cost.Model) (*strategy.Strategy, 
 func Megatron(g *ir.GNGraph, w int, model *cost.Model) (*strategy.Strategy, error) {
 	return BuildPlan(g, w, model, func(r Role) []string {
 		switch r {
-		case RoleQKV:
+		case RoleQKV, RoleFFNUp:
 			return []string{"column-parallel"}
-		case RoleAttnOut:
-			return []string{"row-parallel"}
-		case RoleFFNUp:
-			return []string{"column-parallel"}
-		case RoleFFNDown:
+		case RoleAttnOut, RoleFFNDown:
 			return []string{"row-parallel"}
 		case RoleEmbed:
 			return []string{"vocab-parallel"}
@@ -175,14 +171,12 @@ func Megatron(g *ir.GNGraph, w int, model *cost.Model) (*strategy.Strategy, erro
 func FFNOnly(g *ir.GNGraph, w int, model *cost.Model) (*strategy.Strategy, error) {
 	return BuildPlan(g, w, model, func(r Role) []string {
 		switch r {
-		case RoleFFNUp:
+		case RoleFFNUp, RoleHead:
 			return []string{"column-parallel"}
 		case RoleFFNDown:
 			return []string{"row-parallel"}
 		case RoleQKV, RoleAttnOut, RoleEmbed:
 			return []string{"replicate"}
-		case RoleHead:
-			return []string{"column-parallel"}
 		default:
 			return nil
 		}
@@ -193,14 +187,12 @@ func FFNOnly(g *ir.GNGraph, w int, model *cost.Model) (*strategy.Strategy, error
 func MHAOnly(g *ir.GNGraph, w int, model *cost.Model) (*strategy.Strategy, error) {
 	return BuildPlan(g, w, model, func(r Role) []string {
 		switch r {
-		case RoleQKV:
+		case RoleQKV, RoleHead:
 			return []string{"column-parallel"}
 		case RoleAttnOut:
 			return []string{"row-parallel"}
 		case RoleFFNUp, RoleFFNDown, RoleEmbed:
 			return []string{"replicate"}
-		case RoleHead:
-			return []string{"column-parallel"}
 		default:
 			return nil
 		}
@@ -262,4 +254,34 @@ func DeepSpeed(g *ir.GNGraph, w int, model *cost.Model) (*strategy.Strategy, err
 	s.MemPerDev = weightBytes + 3*weightBytes/int64(w) + actBytes
 	s.Cost = model.StrategyCost(s.Assign, s.Reshard)
 	return s, nil
+}
+
+// Expert is one rule-based comparison plan under the names each surface
+// knows it by: Name (or Alias, when set) is what Engine.Baseline accepts,
+// Label what the paper's figures print, Key its candidate name in
+// Table 2's ranking, whose ties break by name.
+type Expert struct {
+	Name, Alias, Label, Key string
+	Plan                    func(g *ir.GNGraph, w int, model *cost.Model) (*strategy.Strategy, error)
+}
+
+// Experts lists the expert plans in the order Table 2 adds them to its
+// pool, where a plan that repeats an earlier one is dropped.
+var Experts = []Expert{
+	{"dp", "data-parallel", "DataParallel", "DP", DataParallel},
+	{"deepspeed", "zero2", "DeepSpeed", "DeepSpeed", DeepSpeed},
+	{"megatron", "", "Megatron", "Megatron", Megatron},
+	{"ffn-only", "", "FFN-only", "FFN-only", FFNOnly},
+	{"mha-only", "", "MHA-only", "MHA-only", MHAOnly},
+	{"gshard", "", "GShard", "GShard", GShardExpert},
+}
+
+// LookupExpert returns the expert plan with the given Name or Alias.
+func LookupExpert(name string) (Expert, bool) {
+	for _, x := range Experts {
+		if name == x.Name || (x.Alias != "" && name == x.Alias) {
+			return x, true
+		}
+	}
+	return Expert{}, false
 }

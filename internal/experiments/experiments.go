@@ -1,20 +1,18 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation section on the simulated substrate. Each generator prints the
-// same rows/series the paper reports; EXPERIMENTS.md records how the
-// measured shapes compare with the published ones.
+// evaluation section on the simulated substrate. Each generator returns a
+// Table with the same rows/series the paper reports; README.md's "What
+// the figures reproduce" records each figure's claim, the test that
+// asserts it, and the one figure that is not reproduced.
 package experiments
 
 import (
 	"context"
 	"fmt"
-	"io"
-	"sort"
 	"time"
 
 	"tapas/internal/baselines"
 	"tapas/internal/cluster"
 	"tapas/internal/cost"
-	"tapas/internal/graph"
 	"tapas/internal/ir"
 	"tapas/internal/mining"
 	"tapas/internal/models"
@@ -30,8 +28,10 @@ type Config struct {
 	Quick bool
 	// Workers bounds the strategy-search worker pool (0 = GOMAXPROCS,
 	// 1 = serial). Experiments produce identical numbers for every value
-	// — only the wall clock changes — except the time-budgeted TAPAS-ES
-	// column of Figure 8, where the deadline cut is timing-dependent.
+	// — only the wall clock changes — except where a time budget cuts a
+	// search: the TAPAS-ES column of Figure 8, and the Alpa-like
+	// baseline of Figures 1, 6 and 7 when it hits its budget. Those
+	// cells are marked Timing.
 	Workers int
 }
 
@@ -39,10 +39,10 @@ type Config struct {
 type Generator struct {
 	ID    string // e.g. "fig6"
 	Title string
-	// Run regenerates the experiment, writing rows to w. Cancelling ctx
-	// aborts the underlying searches; the partial output written so far
-	// stays on w and Run returns the context error.
-	Run func(ctx context.Context, w io.Writer, cfg Config) error
+	// Run regenerates the experiment. It always returns a Table:
+	// cancelling ctx aborts the underlying searches, and Run returns
+	// the rows finished so far with the context error.
+	Run func(ctx context.Context, cfg Config) (*Table, error)
 }
 
 // All returns the generators in paper order.
@@ -70,6 +70,17 @@ func Find(id string) (Generator, bool) {
 	return Generator{}, false
 }
 
+// families are the model families of Figures 6–8, and sizeSweep the
+// full model-size sweep of Figures 6 and 7.
+var (
+	families  = []string{"ResNet", "T5", "GShard-MoE"}
+	sizeSweep = map[string][]string{
+		"ResNet":     {"resnet-26M", "resnet-44M", "resnet-228M", "resnet-536M", "resnet-843M"},
+		"T5":         {"t5-100M", "t5-200M", "t5-300M", "t5-770M", "t5-1.4B"},
+		"GShard-MoE": {"moe-380M", "moe-690M", "moe-1.3B", "moe-2.4B"},
+	}
+)
+
 // groupedModel builds and groups a registered model.
 func groupedModel(name string) (*ir.GNGraph, error) {
 	g, err := models.Build(name)
@@ -79,113 +90,91 @@ func groupedModel(name string) (*ir.GNGraph, error) {
 	return ir.Group(g)
 }
 
-// groupGraph groups an already-built graph.
-func groupGraph(g *graph.Graph) (*ir.GNGraph, error) { return ir.Group(g) }
-
 // tapasSearch runs mining + folded search and reports elapsed search time
 // (mining + enumeration + assembly, matching the paper's definition of
 // search time).
-func tapasSearch(ctx context.Context, gg *ir.GNGraph, cl *cluster.Cluster, cfg Config) (*strategy.Strategy, time.Duration, error) {
-	model := cost.Default(cl)
+func tapasSearch(ctx context.Context, gg *ir.GNGraph, cl *cluster.Cluster, cfg Config) (*strategy.Strategy, *strategy.SearchStats, time.Duration, error) {
 	start := time.Now()
 	classes := mining.Fold(gg, mining.Mine(ctx, gg, mining.DefaultOptions()))
 	opt := strategy.DefaultEnumOptions(cl.TotalGPUs())
 	opt.Workers = cfg.Workers
-	s, _, err := strategy.SearchFolded(ctx, gg, classes, model, opt, cl.MemoryPerGP)
-	return s, time.Since(start), err
+	s, stats, err := strategy.SearchFolded(ctx, gg, classes, cost.Default(cl), opt, cl.MemoryPerGP)
+	return s, stats, time.Since(start), err
 }
 
 // alpaSearch runs the Alpa-like baseline with budgets scaled by fidelity.
 func alpaSearch(ctx context.Context, gg *ir.GNGraph, cl *cluster.Cluster, cfg Config) (*strategy.Strategy, *baselines.AlpaStats, error) {
-	model := cost.Default(cl)
 	opt := baselines.DefaultAlpaOptions()
 	if cfg.Quick {
 		opt.MaxSegment = 10
 		opt.InnerBudget = 16
 		opt.TimeBudget = 5 * time.Second
 	}
-	return baselines.AlpaSearch(ctx, gg, cl.TotalGPUs(), model, opt)
+	return baselines.AlpaSearch(ctx, gg, cl.TotalGPUs(), cost.Default(cl), opt)
 }
 
-// simulate runs the training-step simulator.
-func simulate(s *strategy.Strategy, cl *cluster.Cluster) sim.Report {
-	return sim.Run(s, sim.DefaultConfig(cl))
-}
-
-// planBy derives a named baseline plan.
-func planBy(name string, gg *ir.GNGraph, cl *cluster.Cluster) (*strategy.Strategy, error) {
-	model := cost.Default(cl)
-	w := cl.TotalGPUs()
-	switch name {
-	case "DataParallel":
-		return baselines.DataParallel(gg, w, model)
-	case "DeepSpeed":
-		return baselines.DeepSpeed(gg, w, model)
-	case "Megatron":
-		return baselines.Megatron(gg, w, model)
-	case "FFN-only":
-		return baselines.FFNOnly(gg, w, model)
-	case "MHA-only":
-		return baselines.MHAOnly(gg, w, model)
-	case "GShard":
-		return baselines.GShardExpert(gg, w, model)
-	default:
-		return nil, fmt.Errorf("experiments: unknown plan %q", name)
+// planBy derives the named expert plan (a baselines.Experts Name) on cl
+// and returns it with the label the figures print.
+func planBy(name string, gg *ir.GNGraph, cl *cluster.Cluster) (string, *strategy.Strategy, error) {
+	x, ok := baselines.LookupExpert(name)
+	if !ok {
+		return "", nil, fmt.Errorf("experiments: unknown plan %q", name)
 	}
+	s, err := x.Plan(gg, cl.TotalGPUs(), cost.Default(cl))
+	return x.Label, s, err
 }
 
-// fmtDuration prints durations in the paper's "minutes" axis when large
-// and sub-second precision when small.
-func fmtDuration(d time.Duration) string {
+// durationCell prints a duration in the paper's "minutes" axis when
+// large and sub-second precision when small.
+func durationCell(d time.Duration) Cell {
+	c := Cell{V: d.Seconds(), Timing: true}
 	switch {
 	case d >= time.Minute:
-		return fmt.Sprintf("%.1fmin", d.Minutes())
+		c.Text = fmt.Sprintf("%.1fmin", d.Minutes())
 	case d >= time.Second:
-		return fmt.Sprintf("%.2fs", d.Seconds())
+		c.Text = fmt.Sprintf("%.2fs", d.Seconds())
 	case d >= time.Millisecond:
-		return fmt.Sprintf("%.1fms", float64(d.Microseconds())/1000)
+		c.Text = fmt.Sprintf("%.1fms", float64(d.Microseconds())/1000)
 	default:
-		return fmt.Sprintf("%dµs", d.Microseconds())
+		c.Text = fmt.Sprintf("%dµs", d.Microseconds())
 	}
+	return c
 }
 
-// throughputCell renders a TFLOPS value or the paper's "×" OOM mark.
-func throughputCell(r sim.Report) string {
-	if r.OOM {
-		return "×(OOM)"
+// oomMark is the paper's "×" for a plan that exceeds device memory.
+const oomMark = "×(OOM)"
+
+// throughputCell prints the simulated TFLOPS/GPU of s on cl, or the OOM mark.
+func throughputCell(s *strategy.Strategy, cl *cluster.Cluster) Cell {
+	if r := sim.Run(s, sim.DefaultConfig(cl)); !r.OOM {
+		return num("%.2f", r.TFLOPSPerGPU)
 	}
-	return fmt.Sprintf("%6.2f", r.TFLOPSPerGPU)
+	return text(oomMark)
 }
 
-// iterCell renders an iteration time or the OOM mark.
-func iterCell(r sim.Report) string {
-	if r.OOM {
-		return "×(OOM)"
+// iterCell prints the simulated iteration time of s on cl, or the OOM mark.
+func iterCell(s *strategy.Strategy, cl *cluster.Cluster) Cell {
+	if r := sim.Run(s, sim.DefaultConfig(cl)); !r.OOM {
+		return num("%.3fs", r.IterationTime)
 	}
-	return fmt.Sprintf("%6.3fs", r.IterationTime)
+	return text(oomMark)
 }
 
-// rankOf returns the 1-based position of target in a score-ascending
-// ranking of items (lower score = better).
+// budgetCut marks c as timing-dependent when the Alpa-like search that
+// produced it hit its time budget.
+func budgetCut(c Cell, st *baselines.AlpaStats) Cell {
+	c.Timing = c.Timing || st.TimedOut
+	return c
+}
+
+// rankOf returns the 1-based position of target, one of the keys, in a
+// score-ascending ranking (lower score = better), ties broken by name.
 func rankOf(scores map[string]float64, target string) int {
-	type kv struct {
-		k string
-		v float64
-	}
-	all := make([]kv, 0, len(scores))
+	rank := 1
 	for k, v := range scores {
-		all = append(all, kv{k, v})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].v != all[j].v {
-			return all[i].v < all[j].v
-		}
-		return all[i].k < all[j].k
-	})
-	for i, e := range all {
-		if e.k == target {
-			return i + 1
+		if v < scores[target] || (v == scores[target] && k < target) {
+			rank++
 		}
 	}
-	return len(all)
+	return rank
 }

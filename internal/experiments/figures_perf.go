@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"tapas/internal/baselines"
@@ -11,6 +10,7 @@ import (
 	"tapas/internal/cost"
 	"tapas/internal/ir"
 	"tapas/internal/models"
+	"tapas/internal/sim"
 	"tapas/internal/strategy"
 )
 
@@ -18,45 +18,36 @@ import (
 // computation/communication time breakdown of four tensor-parallel plans
 // of T5-large on 8 and 16 workers. Inter-node communication should emerge
 // as the dominant term at 16 workers.
-func Figure5(ctx context.Context, w io.Writer, cfg Config) error {
-	fmt.Fprintln(w, "# Figure 5: time breakdown for TP schedules of T5-large")
-	fmt.Fprintf(w, "%-14s %12s %12s %12s\n", "plan", "compute", "comm", "iter")
-
-	plans := []string{"DataParallel", "MHA-only", "FFN-only", "Megatron"}
+func Figure5(ctx context.Context, cfg Config) (*Table, error) {
+	tab := &Table{Heading: []string{"Figure 5: time breakdown for TP schedules of T5-large"},
+		Columns: []Column{{"plan", -14}, {"compute", 12}, {"comm", 12}, {"iter", 12}}}
 	for _, workers := range []int{8, 16} {
 		mc := models.T5Sized("770M") // fixed global batch, as profiled
-		gg, err := groupGraph(models.T5(mc))
+		gg, err := ir.Group(models.T5(mc))
 		if err != nil {
-			return err
+			return tab, err
 		}
 		cl := cluster.V100GPUs(workers)
-		fmt.Fprintf(w, "-- %dw --\n", workers)
-		for _, plan := range plans {
-			s, err := planBy(plan, gg, cl)
+		for _, plan := range []string{"dp", "mha-only", "ffn-only", "megatron"} {
+			label, s, err := planBy(plan, gg, cl)
 			if err != nil {
-				return err
+				return tab, err
 			}
-			r := simulate(s, cl)
-			fmt.Fprintf(w, "%-14s %11.3fs %11.3fs %11.3fs\n",
-				plan, r.ComputeFwd+r.ComputeBwd, r.CommExposed, r.IterationTime)
+			r := sim.Run(s, sim.DefaultConfig(cl))
+			tab.add(fmt.Sprintf("%dw", workers), text(label), num("%.3fs", r.ComputeFwd+r.ComputeBwd),
+				num("%.3fs", r.CommExposed), num("%.3fs", r.IterationTime))
 		}
 	}
-	return nil
+	return tab, nil
 }
 
 // Figure7 reproduces the cross-framework throughput comparison on 8 GPUs
 // with OOM marks: DP, DeepSpeed, Megatron (transformers), the Alpa-like
 // searcher and TAPAS across every model-size scaling point.
-func Figure7(ctx context.Context, w io.Writer, cfg Config) error {
-	fmt.Fprintln(w, "# Figure 7: throughput across frameworks on 8 GPUs (TFLOPS/GPU, × = OOM)")
-	fmt.Fprintf(w, "%-16s %10s %10s %10s %10s %10s\n",
-		"model", "DP", "DeepSpeed", "Megatron", "Alpa", "TAPAS")
-
-	sweep := map[string][]string{
-		"ResNet":     {"resnet-26M", "resnet-44M", "resnet-228M", "resnet-536M", "resnet-843M"},
-		"T5":         {"t5-100M", "t5-200M", "t5-300M", "t5-770M", "t5-1.4B"},
-		"GShard-MoE": {"moe-380M", "moe-690M", "moe-1.3B", "moe-2.4B"},
-	}
+func Figure7(ctx context.Context, cfg Config) (*Table, error) {
+	tab := &Table{Heading: []string{"Figure 7: throughput across frameworks on 8 GPUs (TFLOPS/GPU, × = OOM)"},
+		Columns: []Column{{"model", -16}, {"DP", 10}, {"DeepSpeed", 10}, {"Megatron", 10}, {"Alpa", 10}, {"TAPAS", 10}}}
+	sweep := sizeSweep
 	if cfg.Quick {
 		sweep = map[string][]string{
 			"ResNet":     {"resnet-228M", "resnet-843M"},
@@ -65,40 +56,37 @@ func Figure7(ctx context.Context, w io.Writer, cfg Config) error {
 		}
 	}
 	cl := cluster.V100x8()
-	for _, fam := range []string{"ResNet", "T5", "GShard-MoE"} {
-		fmt.Fprintf(w, "-- %s --\n", fam)
+	for _, fam := range families {
 		for _, name := range sweep[fam] {
 			gg, err := groupedModel(name)
 			if err != nil {
-				return err
+				return tab, err
 			}
-			cells := make([]string, 0, 5)
-			for _, plan := range []string{"DataParallel", "DeepSpeed", "Megatron"} {
-				if plan == "Megatron" && fam != "T5" {
-					cells = append(cells, "-")
+			cells := []Cell{text(name)}
+			for _, plan := range []string{"dp", "deepspeed", "megatron"} {
+				if plan == "megatron" && fam != "T5" {
+					cells = append(cells, text("-"))
 					continue
 				}
-				s, err := planBy(plan, gg, cl)
+				_, s, err := planBy(plan, gg, cl)
 				if err != nil {
-					return err
+					return tab, err
 				}
-				cells = append(cells, throughputCell(simulate(s, cl)))
+				cells = append(cells, throughputCell(s, cl))
 			}
-			as, _, err := alpaSearch(ctx, gg, cl, cfg)
+			as, astats, err := alpaSearch(ctx, gg, cl, cfg)
 			if err != nil {
-				return err
+				return tab, err
 			}
-			cells = append(cells, throughputCell(simulate(as, cl)))
-			ts, _, err := tapasSearch(ctx, gg, cl, cfg)
+			cells = append(cells, budgetCut(throughputCell(as, cl), astats))
+			ts, _, _, err := tapasSearch(ctx, gg, cl, cfg)
 			if err != nil {
-				return err
+				return tab, err
 			}
-			cells = append(cells, throughputCell(simulate(ts, cl)))
-			fmt.Fprintf(w, "%-16s %10s %10s %10s %10s %10s\n",
-				name, cells[0], cells[1], cells[2], cells[3], cells[4])
+			tab.add(fam, append(cells, throughputCell(ts, cl))...)
 		}
 	}
-	return nil
+	return tab, nil
 }
 
 // weakScaledGraph builds the Figure-8 models with the batch scaled
@@ -108,15 +96,15 @@ func weakScaledGraph(family string, gpus int) (*ir.GNGraph, error) {
 	case "ResNet":
 		mc := models.ResNetSized("843M")
 		mc.Batch = int64(8 * gpus)
-		return groupGraph(models.ResNet(mc))
+		return ir.Group(models.ResNet(mc))
 	case "T5":
 		mc := models.T5Sized("770M")
 		mc.Batch = int64(2 * gpus)
-		return groupGraph(models.T5(mc))
+		return ir.Group(models.T5(mc))
 	case "GShard-MoE":
 		mc := models.MoESized("1.3B")
 		mc.Batch = int64(2 * gpus)
-		return groupGraph(models.MoE(mc))
+		return ir.Group(models.MoE(mc))
 	default:
 		return nil, fmt.Errorf("experiments: unknown family %q", family)
 	}
@@ -126,83 +114,71 @@ func weakScaledGraph(family string, gpus int) (*ir.GNGraph, error) {
 // data parallelism against TAPAS with exhaustive search (ES, under a time
 // budget like the paper's 120-minute cap) and TAPAS with subgraph pruning
 // (GP).
-func Figure8(ctx context.Context, w io.Writer, cfg Config) error {
-	fmt.Fprintln(w, "# Figure 8: weak scaling (iteration time, × = OOM)")
-	fmt.Fprintf(w, "%-12s %6s %10s %10s %10s\n", "family", "GPUs", "DP", "TAPAS-ES", "TAPAS-GP")
-
+func Figure8(ctx context.Context, cfg Config) (*Table, error) {
+	tab := &Table{Heading: []string{"Figure 8: weak scaling (iteration time, × = OOM)"},
+		Columns: []Column{{"family", -12}, {"GPUs", 6}, {"DP", 10}, {"TAPAS-ES", 10}, {"TAPAS-GP", 10}}}
 	gpuSweep := []int{1, 4, 8, 16, 24, 32}
 	esBudget := 30 * time.Second
 	if cfg.Quick {
 		gpuSweep = []int{1, 8, 16}
 		esBudget = 2 * time.Second
 	}
-	for _, fam := range []string{"ResNet", "T5", "GShard-MoE"} {
+	for _, fam := range families {
 		for _, gpus := range gpuSweep {
 			gg, err := weakScaledGraph(fam, gpus)
 			if err != nil {
-				return err
+				return tab, err
 			}
 			cl := cluster.V100GPUs(gpus)
 			model := cost.Default(cl)
 
 			dp, err := baselines.DataParallel(gg, gpus, model)
 			if err != nil {
-				return err
+				return tab, err
 			}
-			dpCell := iterCell(simulate(dp, cl))
 
 			esOpt := strategy.DefaultEnumOptions(gpus)
 			esOpt.MaxCandidates = 1 << 15
 			esOpt.TimeBudget = esBudget
 			esOpt.Workers = cfg.Workers
 			es, _, err := strategy.SearchExhaustive(ctx, gg, model, esOpt, cl.MemoryPerGP)
-			esCell := "budget"
+			esCell := text("budget")
 			if err == nil {
-				esCell = iterCell(simulate(es, cl))
+				esCell = iterCell(es, cl)
 			}
+			esCell.Timing = true // its budget cut depends on the wall clock
 
-			gp, _, err := tapasSearch(ctx, gg, cl, cfg)
+			gp, _, _, err := tapasSearch(ctx, gg, cl, cfg)
 			if err != nil {
-				return err
+				return tab, err
 			}
-			fmt.Fprintf(w, "%-12s %6d %10s %10s %10s\n",
-				fam, gpus, dpCell, esCell, iterCell(simulate(gp, cl)))
+			tab.add("", text(fam), count(gpus), iterCell(dp, cl), esCell, iterCell(gp, cl))
 		}
 	}
-	return nil
+	return tab, nil
 }
 
 // Figure9 visualizes the discovered sharding strategies of a transformer
 // layer the way the paper draws them: per-projection markers for
 // column-wise parallel (C), row-wise parallel (R), replicated (*) and
 // batch-split (B) weights.
-func Figure9(ctx context.Context, w io.Writer, cfg Config) error {
-	fmt.Fprintln(w, "# Figure 9: visualization of sharding strategies (one transformer layer)")
-	fmt.Fprintln(w, "# markers: C = column-split, R = row-split, * = replicate, B = batch-split(DP)")
-	fmt.Fprintf(w, "%-14s %3s %3s %3s %4s | %3s %5s\n", "plan", "Q", "K", "V", "Out", "Up", "Down")
-
+func Figure9(ctx context.Context, cfg Config) (*Table, error) {
+	tab := &Table{
+		Heading: []string{
+			"Figure 9: visualization of sharding strategies (one transformer layer)",
+			"markers: C = column-split, R = row-split, * = replicate, B = batch-split(DP)"},
+		Columns: []Column{{"plan", -14}, {"Q", 3}, {"K", 3}, {"V", 3}, {"Out", 4}, {"|", 1}, {"Up", 3}, {"Down", 5}, {"", 0}}}
 	gg, err := groupedModel("t5-100M")
 	if err != nil {
-		return err
+		return tab, err
 	}
 	cl := cluster.V100x8()
 
-	mark := func(p *ir.Pattern) string {
-		switch p.Name {
-		case "column-parallel", "column-gather":
-			return "C"
-		case "row-parallel":
-			return "R"
-		case "data-parallel":
-			return "B"
-		default:
-			return "*"
-		}
-	}
+	marks := map[string]string{"column-parallel": "C", "column-gather": "C", "row-parallel": "R", "data-parallel": "B"}
 
-	// layerCells marks each role of one layer by the pattern of the
-	// role's first node in GraphNode.ID order.
-	layerCells := func(s *strategy.Strategy, layer string) map[baselines.Role]string {
+	// render adds one row marking each role of one layer by the pattern
+	// of the role's first node in GraphNode.ID order.
+	render := func(name string, s *strategy.Strategy, layer, note string) {
 		cells := map[baselines.Role]string{}
 		for _, gn := range s.Graph.Nodes {
 			if gn.Layer != layer {
@@ -210,31 +186,29 @@ func Figure9(ctx context.Context, w io.Writer, cfg Config) error {
 			}
 			r := baselines.Classify(gn)
 			if _, ok := cells[r]; !ok {
-				cells[r] = mark(s.Assign[gn.ID])
+				cells[r] = marks[s.Assign[gn.ID].Name]
+				if cells[r] == "" {
+					cells[r] = "*" // replicated
+				}
 			}
 		}
-		return cells
+		qkv := text(cells[baselines.RoleQKV])
+		tab.add("", text(name), qkv, qkv, qkv, text(cells[baselines.RoleAttnOut]), text("|"),
+			text(cells[baselines.RoleFFNUp]), text(cells[baselines.RoleFFNDown]), text(note))
 	}
 
-	render := func(name string, s *strategy.Strategy) {
-		cells := layerCells(s, "enc.0")
-		fmt.Fprintf(w, "%-14s %3s %3s %3s %4s | %3s %5s\n", name,
-			cells[baselines.RoleQKV], cells[baselines.RoleQKV], cells[baselines.RoleQKV],
-			cells[baselines.RoleAttnOut], cells[baselines.RoleFFNUp], cells[baselines.RoleFFNDown])
-	}
-
-	for _, plan := range []string{"DataParallel", "MHA-only", "FFN-only", "Megatron"} {
-		s, err := planBy(plan, gg, cl)
+	for _, plan := range []string{"dp", "mha-only", "ffn-only", "megatron"} {
+		label, s, err := planBy(plan, gg, cl)
 		if err != nil {
-			return err
+			return tab, err
 		}
-		render(plan, s)
+		render(label, s, "enc.0", "")
 	}
-	ts, _, err := tapasSearch(ctx, gg, cl, cfg)
+	ts, _, _, err := tapasSearch(ctx, gg, cl, cfg)
 	if err != nil {
-		return err
+		return tab, err
 	}
-	render("TAPAS(small)", ts)
+	render("TAPAS(small)", ts, "enc.0", "")
 
 	// On the largest T5, replicated-weight plans exceed device memory and
 	// TAPAS is forced into the tensor-sharded regime — the discovered
@@ -242,11 +216,11 @@ func Figure9(ctx context.Context, w io.Writer, cfg Config) error {
 	if !cfg.Quick {
 		big, err := groupedModel("t5-1.4B")
 		if err != nil {
-			return err
+			return tab, err
 		}
-		tb, _, err := tapasSearch(ctx, big, cl, cfg)
+		tb, _, _, err := tapasSearch(ctx, big, cl, cfg)
 		if err != nil {
-			return err
+			return tab, err
 		}
 		// The memory-constrained plan mixes data-parallel and
 		// tensor-sharded layers; draw the first sharded one.
@@ -257,11 +231,7 @@ func Figure9(ctx context.Context, w io.Writer, cfg Config) error {
 				break
 			}
 		}
-		cells := layerCells(tb, layer)
-		fmt.Fprintf(w, "%-14s %3s %3s %3s %4s | %3s %5s   (sharded layer %s of the mixed plan)\n",
-			"TAPAS(1.4B)",
-			cells[baselines.RoleQKV], cells[baselines.RoleQKV], cells[baselines.RoleQKV],
-			cells[baselines.RoleAttnOut], cells[baselines.RoleFFNUp], cells[baselines.RoleFFNDown], layer)
+		render("TAPAS(1.4B)", tb, layer, "  (sharded layer "+layer+" of the mixed plan)")
 	}
-	return nil
+	return tab, nil
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"tapas/internal/cluster"
 	"tapas/internal/mining"
@@ -13,10 +12,9 @@ import (
 // representative size per family, TAPAS and the Alpa-like baseline each
 // report their strategy-derivation time and the simulated training
 // throughput of the plan they found.
-func Figure1(ctx context.Context, w io.Writer, cfg Config) error {
-	fmt.Fprintln(w, "# Figure 1: search time vs training throughput (8 GPUs)")
-	fmt.Fprintf(w, "%-14s %-8s %14s %14s\n", "model", "system", "search-time", "TFLOPS/GPU")
-
+func Figure1(ctx context.Context, cfg Config) (*Table, error) {
+	tab := &Table{Heading: []string{"Figure 1: search time vs training throughput (8 GPUs)"},
+		Columns: []Column{{"model", -14}, {"system", -8}, {"search-time", 14}, {"TFLOPS/GPU", 14}}}
 	modelsUnder := []string{"resnet-228M", "t5-300M", "moe-690M"}
 	if cfg.Quick {
 		modelsUnder = []string{"resnet-228M", "t5-100M", "moe-380M"}
@@ -25,36 +23,37 @@ func Figure1(ctx context.Context, w io.Writer, cfg Config) error {
 	for _, name := range modelsUnder {
 		gg, err := groupedModel(name)
 		if err != nil {
-			return err
+			return tab, err
 		}
-		ts, tdur, err := tapasSearch(ctx, gg, cl, cfg)
+		ts, _, tdur, err := tapasSearch(ctx, gg, cl, cfg)
 		if err != nil {
-			return err
+			return tab, err
 		}
-		fmt.Fprintf(w, "%-14s %-8s %14s %14s\n", name, "TAPAS", fmtDuration(tdur), throughputCell(simulate(ts, cl)))
+		tab.add("", text(name), text("TAPAS"), durationCell(tdur), throughputCell(ts, cl))
 
 		as, astats, err := alpaSearch(ctx, gg, cl, cfg)
 		if err != nil {
-			return err
+			return tab, err
 		}
-		fmt.Fprintf(w, "%-14s %-8s %14s %14s\n", name, "Alpa", fmtDuration(astats.Elapsed), throughputCell(simulate(as, cl)))
+		tab.add("", text(name), text("Alpa"), durationCell(astats.Elapsed),
+			budgetCut(throughputCell(as, cl), astats))
 	}
-	return nil
+	return tab, nil
 }
 
 // Table1 reproduces the complexity table: the analytic complexity classes
 // of FlexFlow, Alpa and TAPAS, instantiated with the measured E, V, L and
 // C of the evaluation models.
-func Table1(ctx context.Context, w io.Writer, cfg Config) error {
-	fmt.Fprintln(w, "# Table 1: complexities of selected auto-parallel frameworks")
-	fmt.Fprintln(w, "framework   search-space      search-algorithm            validation   overall")
-	fmt.Fprintln(w, "FlexFlow    N(4E,4V)          O(B) MCMC                   O(V+E)       O(BV+BE)")
-	fmt.Fprintln(w, "Alpa        N(kE,kV)          O(V²L) ⊗ O(E(V+E)) ILP      O(V+E)       O(V²L(V+E²))")
-	fmt.Fprintln(w, "TAPAS       N(E/2CL,V/2CL)    O((E+V)/L) BFS              O(E/L)       O((E+V)/L)")
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, "measured graph parameters (C = ops per GraphNode, L = layer repeat count):")
-	fmt.Fprintf(w, "%-16s %6s %6s %6s %6s %6s %8s\n", "model", "ops", "V", "E", "L", "C", "classes")
-
+func Table1(ctx context.Context, cfg Config) (*Table, error) {
+	tab := &Table{
+		Heading: []string{
+			"Table 1: complexities of selected auto-parallel frameworks",
+			"framework   search-space      search-algorithm            validation   overall",
+			"FlexFlow    N(4E,4V)          O(B) MCMC                   O(V+E)       O(BV+BE)",
+			"Alpa        N(kE,kV)          O(V²L) ⊗ O(E(V+E)) ILP      O(V+E)       O(V²L(V+E²))",
+			"TAPAS       N(E/2CL,V/2CL)    O((E+V)/L) BFS              O(E/L)       O((E+V)/L)",
+			"measured graph parameters (C = ops per GraphNode, L = layer repeat count):"},
+		Columns: []Column{{"model", -16}, {"ops", 6}, {"V", 6}, {"E", 6}, {"L", 6}, {"C", 6}, {"classes", 8}}}
 	names := []string{"t5-770M", "resnet-228M", "moe-1.3B"}
 	if cfg.Quick {
 		names = []string{"t5-100M", "resnet-26M", "moe-380M"}
@@ -62,36 +61,33 @@ func Table1(ctx context.Context, w io.Writer, cfg Config) error {
 	for _, name := range names {
 		gg, err := groupedModel(name)
 		if err != nil {
-			return err
+			return tab, err
 		}
 		v, e := gg.Stats()
 		ops := len(gg.Src.Nodes)
 		sup := mining.AutoMinSupport(gg)
 		classes := mining.Fold(gg, mining.Mine(ctx, gg, mining.DefaultOptions()))
 		if err := ctx.Err(); err != nil {
-			return err // partial mining would misreport the class counts
+			return tab, err // partial mining would misreport the class counts
 		}
 		c := 0
 		if v > 0 {
 			c = ops / v
 		}
-		fmt.Fprintf(w, "%-16s %6d %6d %6d %6d %6d %8d\n", name, ops, v, e, sup, c, len(classes))
+		tab.add("", text(name), count(ops), count(v), count(e), count(sup), count(c), count(len(classes)))
 	}
-	return nil
+	return tab, nil
 }
 
 // Figure6 reproduces the end-to-end search time sweep: TAPAS vs the
 // Alpa-like baseline across the paper's model-size scaling points for
-// ResNet (width), T5 (depth) and GShard-MoE (width+depth).
-func Figure6(ctx context.Context, w io.Writer, cfg Config) error {
-	fmt.Fprintln(w, "# Figure 6: end-to-end search time under different frameworks (8 GPUs)")
-	fmt.Fprintf(w, "%-16s %14s %14s %10s\n", "model", "Alpa", "TAPAS", "speedup")
-
-	sweep := map[string][]string{
-		"ResNet":     {"resnet-26M", "resnet-44M", "resnet-228M", "resnet-536M", "resnet-843M"},
-		"T5":         {"t5-100M", "t5-200M", "t5-300M", "t5-770M", "t5-1.4B"},
-		"GShard-MoE": {"moe-380M", "moe-690M", "moe-1.3B", "moe-2.4B"},
-	}
+// ResNet (width), T5 (depth) and GShard-MoE (width+depth). Beside the
+// wall-clock times it counts the complete assignments each search
+// examined, the work the speedup comes from.
+func Figure6(ctx context.Context, cfg Config) (*Table, error) {
+	tab := &Table{Heading: []string{"Figure 6: end-to-end search time under different frameworks (8 GPUs)"},
+		Columns: []Column{{"model", -16}, {"Alpa", 14}, {"TAPAS", 14}, {"speedup", 10}, {"Alpa-examined", 14}, {"TAPAS-examined", 14}}}
+	sweep := sizeSweep
 	if cfg.Quick {
 		sweep = map[string][]string{
 			"ResNet":     {"resnet-26M", "resnet-228M"},
@@ -100,37 +96,38 @@ func Figure6(ctx context.Context, w io.Writer, cfg Config) error {
 		}
 	}
 	cl := cluster.V100x8()
-	for _, fam := range []string{"ResNet", "T5", "GShard-MoE"} {
-		fmt.Fprintf(w, "-- %s --\n", fam)
+	for _, fam := range families {
 		for _, name := range sweep[fam] {
 			gg, err := groupedModel(name)
 			if err != nil {
-				return err
+				return tab, err
 			}
-			_, tdur, err := tapasSearch(ctx, gg, cl, cfg)
+			_, tstats, tdur, err := tapasSearch(ctx, gg, cl, cfg)
 			if err != nil {
-				return err
+				return tab, err
 			}
 			_, astats, err := alpaSearch(ctx, gg, cl, cfg)
 			if err != nil {
-				return err
+				return tab, err
 			}
 			speedup := float64(astats.Elapsed) / float64(tdur)
 			mark := ""
 			if astats.TimedOut {
 				mark = "+" // Alpa hit its budget: the true gap is larger
 			}
-			fmt.Fprintf(w, "%-16s %14s %14s %9.1fx%s\n",
-				name, fmtDuration(astats.Elapsed), fmtDuration(tdur), speedup, mark)
+			tab.add(fam, text(name), durationCell(astats.Elapsed), durationCell(tdur),
+				Cell{Text: fmt.Sprintf("%.1fx%s", speedup, mark), V: speedup, Timing: true},
+				budgetCut(count(astats.Examined), astats), count(tstats.Examined))
 		}
 	}
-	return nil
+	return tab, nil
 }
 
 // Figure10 reproduces the subgraph-pruning micro-benchmark: the number of
 // unique subgraphs (classes) and the mining time as minSize sweeps.
-func Figure10(ctx context.Context, w io.Writer, cfg Config) error {
-	fmt.Fprintln(w, "# Figure 10: subgraph pruning vs minimum subgraph size")
+func Figure10(ctx context.Context, cfg Config) (*Table, error) {
+	tab := &Table{Heading: []string{"Figure 10: subgraph pruning vs minimum subgraph size"},
+		Columns: []Column{{"minSize", 8}, {"#subgraphs", 12}, {"mining-time", 14}}}
 	names := []string{"t5-770M", "resnet152-100K", "moe-1.3B"}
 	sizes := []int{1, 2, 4, 8, 16, 24, 32, 48, 64}
 	if cfg.Quick {
@@ -140,21 +137,20 @@ func Figure10(ctx context.Context, w io.Writer, cfg Config) error {
 	for _, name := range names {
 		gg, err := groupedModel(name)
 		if err != nil {
-			return err
+			return tab, err
 		}
 		v, _ := gg.Stats()
-		fmt.Fprintf(w, "-- %s (unfolded: %d GraphNodes, %d ops) --\n", name, v, len(gg.Src.Nodes))
-		fmt.Fprintf(w, "%8s %12s %14s\n", "minSize", "#subgraphs", "mining-time")
+		section := fmt.Sprintf("%s (unfolded: %d GraphNodes, %d ops)", name, v, len(gg.Src.Nodes))
 		for _, ms := range sizes {
 			opt := mining.DefaultOptions()
 			opt.MinSize = ms
 			res := mining.Mine(ctx, gg, opt)
 			if err := ctx.Err(); err != nil {
-				return err // partial mining would misreport the sweep
+				return tab, err // partial mining would misreport the sweep
 			}
 			classes := mining.Fold(gg, res)
-			fmt.Fprintf(w, "%8d %12d %14s\n", ms, len(classes), fmtDuration(res.Elapsed))
+			tab.add(section, count(ms), count(len(classes)), durationCell(res.Elapsed))
 		}
 	}
-	return nil
+	return tab, nil
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 
 	"tapas/internal/baselines"
@@ -19,11 +18,8 @@ func table2Architectures(cfg Config) []string {
 	if cfg.Quick {
 		return []string{"t5-100M", "t5-200M", "resnet-26M", "resnet-228M", "moe-380M", "moe-690M"}
 	}
-	return []string{
-		"t5-100M", "t5-200M", "t5-300M", "t5-770M", "t5-1.4B",
-		"resnet-26M", "resnet-44M", "resnet-228M", "resnet-536M", "resnet-843M", "resnet152-100K",
-		"moe-380M", "moe-690M", "moe-1.3B", "moe-2.4B",
-	}
+	archs := append(append([]string{}, sizeSweep["T5"]...), sizeSweep["ResNet"]...)
+	return append(append(archs, "resnet152-100K"), sizeSweep["GShard-MoE"]...)
 }
 
 // channelParallel is an extra CNN candidate: alternating output/input
@@ -67,25 +63,17 @@ func table2Candidates(ctx context.Context, gg *ir.GNGraph, cl *cluster.Cluster, 
 		return nil
 	}
 
-	planners := []struct {
-		name string
-		run  func(*ir.GNGraph, int, *cost.Model) (*strategy.Strategy, error)
-	}{
-		{"DP", baselines.DataParallel},
-		{"DeepSpeed", baselines.DeepSpeed},
-		{"Megatron", baselines.Megatron},
-		{"FFN-only", baselines.FFNOnly},
-		{"MHA-only", baselines.MHAOnly},
-		{"GShard", baselines.GShardExpert},
-		{"Channel", channelParallel},
-	}
-	for _, pl := range planners {
-		s, err := pl.run(gg, w, model)
-		if err := add(pl.name, s, err); err != nil {
+	for _, x := range baselines.Experts {
+		s, err := x.Plan(gg, w, model)
+		if err := add(x.Key, s, err); err != nil {
 			return nil, err
 		}
 	}
-	ts, _, err := tapasSearch(ctx, gg, cl, cfg)
+	s, err := channelParallel(gg, w, model)
+	if err := add("Channel", s, err); err != nil {
+		return nil, err
+	}
+	ts, _, _, err := tapasSearch(ctx, gg, cl, cfg)
 	if err := add("TAPAS", ts, err); err != nil {
 		return nil, err
 	}
@@ -101,33 +89,24 @@ func table2Candidates(ctx context.Context, gg *ir.GNGraph, cl *cluster.Cluster, 
 	}
 	for i, c := range cands {
 		// The instance is gg.TopoOrder(), so c.Patterns is already
-		// indexed by GraphNode.ID.
-		s, err := strategy.New(gg, c.Patterns, w, true, model)
-		if err != nil {
-			continue
-		}
-		if err := add(fmt.Sprintf("enum-%02d", i), s, nil); err != nil {
-			return nil, err
+		// indexed by GraphNode.ID. add fails only on a planner's error.
+		if s, err := strategy.New(gg, c.Patterns, w, true, model); err == nil {
+			add(fmt.Sprintf("enum-%02d", i), s, nil)
 		}
 	}
 
 	// Compute-equivalence filter: keep candidates within 3% of the
 	// lowest per-device compute so the comm model is the deciding factor.
+	flops := map[string]int64{}
 	minFlops := int64(math.MaxInt64)
-	flopsOf := func(s *strategy.Strategy) int64 {
-		var f int64
-		for _, p := range s.Assign {
-			f += p.FLOPsPerDev
-		}
-		return f
-	}
-	for _, s := range out {
-		if f := flopsOf(s); f < minFlops {
-			minFlops = f
-		}
-	}
 	for name, s := range out {
-		if float64(flopsOf(s)) > 1.03*float64(minFlops) {
+		for _, p := range s.Assign {
+			flops[name] += p.FLOPsPerDev
+		}
+		minFlops = min(minFlops, flops[name])
+	}
+	for name := range out {
+		if float64(flops[name]) > 1.03*float64(minFlops) {
 			delete(out, name)
 		}
 	}
@@ -139,11 +118,14 @@ func table2Candidates(ctx context.Context, gg *ir.GNGraph, cl *cluster.Cluster, 
 // α–β baseline, +constant filter, +gradient overlap, +collective
 // efficiency) and compared against the simulator's ground-truth ranking
 // via Accuracy@1, Accuracy@5 and mean reciprocal rank.
-func Table2(ctx context.Context, w io.Writer, cfg Config) error {
-	fmt.Fprintln(w, "# Table 2: ablation of cost-model optimizations")
-
+func Table2(ctx context.Context, cfg Config) (*Table, error) {
 	archs := table2Architectures(cfg)
 	cl := cluster.V100Nodes(2) // 16 GPUs: comm terms matter across nodes
+	tab := &Table{
+		Heading: []string{
+			"Table 2: ablation of cost-model optimizations",
+			fmt.Sprintf("over %d architectures, %d GPUs", len(archs), cl.TotalGPUs())},
+		Columns: []Column{{"variant", -12}, {"Acc@1", 8}, {"Acc@5", 8}, {"MRR", 8}}}
 
 	// All variants share the same compute estimate; the ablation isolates
 	// the communication-model refinements CF, GO and EC (Table 2's rows).
@@ -157,20 +139,19 @@ func Table2(ctx context.Context, w io.Writer, cfg Config) error {
 		{"+CF+GO+EC", cost.Default(cl)},
 	}
 
-	type outcome struct {
-		acc1, acc5, rrSum float64
-		n                 int
-	}
-	results := make([]outcome, len(variants))
+	// Per variant: how often the ground-truth best ranks first, in the
+	// top five, and the sum of its reciprocal ranks, over n architectures.
+	acc1, acc5, rrSum := make([]float64, len(variants)), make([]float64, len(variants)), make([]float64, len(variants))
+	n := 0
 
 	for _, arch := range archs {
 		gg, err := groupedModel(arch)
 		if err != nil {
-			return err
+			return tab, err
 		}
 		cands, err := table2Candidates(ctx, gg, cl, cfg)
 		if err != nil {
-			return fmt.Errorf("%s: %w", arch, err)
+			return tab, fmt.Errorf("%s: %w", arch, err)
 		}
 		if len(cands) < 2 {
 			continue
@@ -180,45 +161,40 @@ func Table2(ctx context.Context, w io.Writer, cfg Config) error {
 		truth := map[string]float64{}
 		for name, s := range cands {
 			r := sim.Run(s, sim.DefaultConfig(cl))
-			t := r.IterationTime
+			truth[name] = r.IterationTime
 			if r.OOM {
-				t = math.Inf(1)
+				truth[name] = math.Inf(1)
 			}
-			truth[name] = t
 		}
 		best := ""
-		for name, t := range truth {
-			if best == "" || t < truth[best] || (t == truth[best] && name < best) {
+		for name := range truth {
+			if rankOf(truth, name) == 1 {
 				best = name
 			}
 		}
 
+		n++
 		for vi, v := range variants {
 			scores := map[string]float64{}
 			for name, s := range cands {
 				scores[name] = v.model.StrategyCost(s.Assign, s.Reshard).Total()
 			}
 			rank := rankOf(scores, best)
-			results[vi].n++
-			results[vi].rrSum += 1 / float64(rank)
+			rrSum[vi] += 1 / float64(rank)
 			if rank == 1 {
-				results[vi].acc1++
+				acc1[vi]++
 			}
 			if rank <= 5 {
-				results[vi].acc5++
+				acc5[vi]++
 			}
 		}
 	}
 
-	fmt.Fprintf(w, "%-12s %8s %8s %8s   (over %d architectures, %d GPUs)\n",
-		"variant", "Acc@1", "Acc@5", "MRR", len(archs), cl.TotalGPUs())
-	for vi, v := range variants {
-		r := results[vi]
-		if r.n == 0 {
-			continue
+	for vi := range variants {
+		if n > 0 {
+			tab.add("", text(variants[vi].name), num("%.2f", acc1[vi]/float64(n)),
+				num("%.2f", acc5[vi]/float64(n)), num("%.2f", rrSum[vi]/float64(n)))
 		}
-		fmt.Fprintf(w, "%-12s %8.2f %8.2f %8.2f\n",
-			v.name, r.acc1/float64(r.n), r.acc5/float64(r.n), r.rrSum/float64(r.n))
 	}
-	return nil
+	return tab, nil
 }

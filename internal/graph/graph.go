@@ -15,12 +15,6 @@ type Node struct {
 	Attrs   map[string]int64
 }
 
-// Attr returns the named attribute and whether it is present.
-func (n *Node) Attr(key string) (int64, bool) {
-	v, ok := n.Attrs[key]
-	return v, ok
-}
-
 // AttrOr returns the named attribute or def when absent.
 func (n *Node) AttrOr(key string, def int64) int64 {
 	if v, ok := n.Attrs[key]; ok {
@@ -214,28 +208,4 @@ func (g *Graph) Stats() Stats {
 	}
 	s.L = len(layers)
 	return s
-}
-
-// Layers returns the distinct layer tags in first-appearance order.
-func (g *Graph) Layers() []string {
-	var order []string
-	seen := make(map[string]bool)
-	for _, n := range g.Nodes {
-		if n.Layer != "" && !seen[n.Layer] {
-			seen[n.Layer] = true
-			order = append(order, n.Layer)
-		}
-	}
-	return order
-}
-
-// NodesInLayer returns the nodes tagged with the given layer, in ID order.
-func (g *Graph) NodesInLayer(layer string) []*Node {
-	var ns []*Node
-	for _, n := range g.Nodes {
-		if n.Layer == layer {
-			ns = append(ns, n)
-		}
-	}
-	return ns
 }

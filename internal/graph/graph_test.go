@@ -135,14 +135,18 @@ func TestGraphEdgesCount(t *testing.T) {
 
 func TestGraphLayers(t *testing.T) {
 	g := buildDenseChain(t, 3)
-	layers := g.Layers()
-	if len(layers) != 3 {
-		t.Fatalf("Layers() = %v, want 3 entries", layers)
+	if l := g.Stats().L; l != 3 {
+		t.Fatalf("Stats().L = %d, want 3 layers", l)
 	}
-	for _, l := range layers {
-		ns := g.NodesInLayer(l)
-		if len(ns) != 3 {
-			t.Errorf("layer %q has %d nodes, want 3", l, len(ns))
+	perLayer := map[string]int{}
+	for _, n := range g.Nodes {
+		if n.Layer != "" {
+			perLayer[n.Layer]++
+		}
+	}
+	for l, n := range perLayer {
+		if n != 3 {
+			t.Errorf("layer %q has %d nodes, want 3", l, n)
 		}
 	}
 }

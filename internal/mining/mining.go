@@ -100,9 +100,6 @@ type Subgraph struct {
 	Instances []Instance
 }
 
-// Support returns the embedding count.
-func (s *Subgraph) Support() int { return len(s.Instances) }
-
 // Result is the output of Mine.
 type Result struct {
 	// Frequent lists every frequent subgraph meeting MinSize, largest

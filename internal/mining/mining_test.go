@@ -44,7 +44,7 @@ func TestMineChainFindsRepeats(t *testing.T) {
 	// The single-node dense pattern must appear 8 times.
 	found := false
 	for _, s := range res.Frequent {
-		if s.Size == 1 && s.Support() == 8 {
+		if s.Size == 1 && len(s.Instances) == 8 {
 			found = true
 		}
 	}
@@ -60,8 +60,8 @@ func TestMineRespectsMinSupport(t *testing.T) {
 	opt.MinSupport = 4 // more than the 3 occurrences
 	res := Mine(context.Background(), g, opt)
 	for _, s := range res.Frequent {
-		if s.Support() < 4 {
-			t.Errorf("pattern with support %d < minSupport emitted", s.Support())
+		if len(s.Instances) < 4 {
+			t.Errorf("pattern with support %d < minSupport emitted", len(s.Instances))
 		}
 	}
 }

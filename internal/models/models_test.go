@@ -132,20 +132,18 @@ func TestRepeatedLayersShareStructure(t *testing.T) {
 	// sequences. Verify the op-kind signature of every encoder layer of a
 	// T5 matches the first one.
 	g := T5(T5Sized("200M"))
-	sig := func(layer string) string {
-		var b strings.Builder
-		for _, n := range g.NodesInLayer(layer) {
-			b.WriteString(n.Kind.String())
-			b.WriteByte(';')
+	sig := map[string]string{} // layer → its op kinds in ID order
+	for _, n := range g.Nodes {
+		if n.Layer != "" {
+			sig[n.Layer] += n.Kind.String() + ";"
 		}
-		return b.String()
 	}
-	base := sig("enc.0")
+	base := sig["enc.0"]
 	if base == "" {
 		t.Fatal("enc.0 layer missing")
 	}
-	for _, l := range g.Layers() {
-		if strings.HasPrefix(l, "enc.") && sig(l) != base {
+	for l, s := range sig {
+		if strings.HasPrefix(l, "enc.") && s != base {
 			t.Errorf("layer %s signature differs from enc.0", l)
 		}
 	}

@@ -79,7 +79,7 @@ func TestReconstructAnnotatesGraphNodeIDs(t *testing.T) {
 	}
 	tagged := 0
 	for _, n := range pg.PerDevice.Nodes {
-		if _, ok := n.Attr("graphnode"); ok {
+		if _, ok := n.Attrs["graphnode"]; ok {
 			tagged++
 		}
 	}

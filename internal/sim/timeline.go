@@ -135,14 +135,3 @@ func (tl *Timeline) WriteChromeTrace(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(map[string]interface{}{"traceEvents": events})
 }
-
-// LaneBusy sums the busy time of one lane.
-func (tl *Timeline) LaneBusy(lane string) float64 {
-	var sum float64
-	for _, sp := range tl.Spans {
-		if sp.Lane == lane {
-			sum += sp.Dur
-		}
-	}
-	return sum
-}

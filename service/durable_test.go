@@ -12,6 +12,9 @@ import (
 	"tapas/store"
 )
 
+// Flush blocks until every queued write has been applied.
+func (js *jobStore) Flush() { js.writes.Flush() }
+
 // newJobsBackend opens a filesystem jobs namespace in a fresh temp dir.
 func newJobsBackend(t *testing.T, dir string) store.Backend {
 	t.Helper()

@@ -227,9 +227,6 @@ func (js *jobStore) write(op jobOp) error {
 	return err
 }
 
-// Flush blocks until every queued write has been applied.
-func (js *jobStore) Flush() { js.writes.Flush() }
-
 // Close drains the queue and retires the writer. Idempotent; later
 // writes are dropped (counted).
 func (js *jobStore) Close() { js.writes.Close() }

@@ -2,7 +2,6 @@ package store_test
 
 import (
 	"os"
-	"path/filepath"
 	"testing"
 
 	"tapas/store"
@@ -22,8 +21,7 @@ func TestFSBackendConformance(t *testing.T) {
 			return b
 		},
 		Corrupt: func(t *testing.T, b store.Backend, id string, data []byte) {
-			dir := b.(*store.FS).Dir()
-			if err := os.WriteFile(filepath.Join(dir, id+".json"), data, 0o644); err != nil {
+			if err := os.WriteFile(b.(*store.FS).Path(id), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		},

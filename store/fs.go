@@ -33,9 +33,6 @@ func NewFS(dir string) (*FS, error) {
 	return &FS{dir: dir}, nil
 }
 
-// Dir returns the backend directory.
-func (f *FS) Dir() string { return f.dir }
-
 // Path returns the file a record id lives at; the Store uses it to name
 // files in corruption reports.
 func (f *FS) Path(id string) string { return filepath.Join(f.dir, id+".json") }

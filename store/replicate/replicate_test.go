@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -145,7 +144,7 @@ func (f *flakyBackend) Stat(id string) (store.EntryInfo, error) {
 // peers, all reachable. The replicating backend must be
 // indistinguishable from a plain one.
 func TestReplicateConformanceHealthy(t *testing.T) {
-	dirs := map[store.Backend]string{}
+	locals := map[store.Backend]*store.FS{}
 	backendtest.Run(t, backendtest.Harness{
 		Open: func(t *testing.T) store.Backend {
 			local, p1, p2 := newFS(t), newFS(t), newFS(t)
@@ -158,11 +157,11 @@ func TestReplicateConformanceHealthy(t *testing.T) {
 				ProbeInterval: -1,
 			})
 			sb := &syncBackend{b, []store.Backend{p1, p2}}
-			dirs[sb] = local.Dir()
+			locals[sb] = local
 			return sb
 		},
 		Corrupt: func(t *testing.T, b store.Backend, id string, data []byte) {
-			if err := os.WriteFile(filepath.Join(dirs[b], id+".json"), data, 0o644); err != nil {
+			if err := os.WriteFile(locals[b].Path(id), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -173,7 +172,7 @@ func TestReplicateConformanceHealthy(t *testing.T) {
 // peer dead from the start: the first call marks it down and every
 // operation must still satisfy the contract against the survivors.
 func TestReplicateConformanceOneDeadPeer(t *testing.T) {
-	dirs := map[store.Backend]string{}
+	locals := map[store.Backend]*store.FS{}
 	backendtest.Run(t, backendtest.Harness{
 		Open: func(t *testing.T) store.Backend {
 			local, alive := newFS(t), newFS(t)
@@ -186,11 +185,11 @@ func TestReplicateConformanceOneDeadPeer(t *testing.T) {
 				ProbeInterval: -1,
 			})
 			sb := &syncBackend{b, []store.Backend{alive, downBackend{}}}
-			dirs[sb] = local.Dir()
+			locals[sb] = local
 			return sb
 		},
 		Corrupt: func(t *testing.T, b store.Backend, id string, data []byte) {
-			if err := os.WriteFile(filepath.Join(dirs[b], id+".json"), data, 0o644); err != nil {
+			if err := os.WriteFile(locals[b].Path(id), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		},

@@ -74,6 +74,7 @@ package tapas
 import (
 	"time"
 
+	"tapas/internal/baselines"
 	"tapas/internal/cluster"
 	"tapas/internal/graph"
 	"tapas/internal/models"
@@ -215,5 +216,9 @@ func specName(s SearchSpec) string {
 // Baselines enumerates the comparison planners accepted by
 // Engine.Baseline.
 func Baselines() []string {
-	return []string{"dp", "deepspeed", "megatron", "ffn-only", "mha-only", "gshard", "alpa", "flexflow"}
+	var names []string
+	for _, x := range baselines.Experts {
+		names = append(names, x.Name)
+	}
+	return append(names, "alpa", "flexflow")
 }
