@@ -134,10 +134,11 @@ func TestAllGeneratorsRegistered(t *testing.T) {
 func TestFigure1Output(t *testing.T) {
 	tab := quickTable(t, "fig1")
 	column(t, tab, "TFLOPS/GPU")
+	sc := column(t, tab, "system")
 	for _, sys := range []string{"TAPAS", "Alpa"} {
 		found := false
 		for _, r := range tab.Rows {
-			found = found || r.Cells[column(t, tab, "system")].Text == sys
+			found = found || r.Cells[sc].Text == sys
 		}
 		if !found {
 			t.Errorf("fig1 has no %s row", sys)
