@@ -21,6 +21,7 @@ import (
 	"tapas/service"
 	"tapas/store"
 	"tapas/store/remotebackend"
+	"tapas/store/replicate"
 )
 
 // fakeReplica is a canned tapas-serve surface that records which routes
@@ -637,15 +638,16 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // TestCrossReplicaStoreHitThroughGateway is the acceptance round trip
-// on the real stack: replica A owns a filesystem corpus, replica B
-// shares it over the store peer protocol, the gateway fronts both. A
-// plan searched cold through the gateway is then answered with
-// store_hit by the *other* replica — after a failover, without
-// re-running the search.
+// on the real stack: replica A owns a filesystem corpus, replica B owns
+// another and replicates with A as its peer over the store peer
+// protocol, the gateway fronts both. A plan searched cold through the
+// gateway is then answered with store_hit by the *other* replica —
+// after a failover, without re-running the search. B's writes fan out
+// to A; B reads A's through its index misses.
 func TestCrossReplicaStoreHitThroughGateway(t *testing.T) {
 	ctx := context.Background()
 
-	// Replica A: corpus owner.
+	// Replica A: an exclusive corpus.
 	stA, err := store.Open(store.Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
@@ -659,8 +661,21 @@ func TestCrossReplicaStoreHitThroughGateway(t *testing.T) {
 	defer svcA.Shutdown(ctx)
 	defer stA.Close()
 
-	// Replica B: shares A's corpus remotely.
-	stB, err := store.Open(store.Options{Backend: remotebackend.New(srvA.URL), Shared: true})
+	// Replica B: its own corpus, replicated with A as its peer.
+	localB, err := store.NewFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	replB, err := replicate.New(replicate.Options{
+		Local:         localB,
+		Peers:         []replicate.Peer{{Name: srvA.URL, Backend: remotebackend.New(srvA.URL)}},
+		ProbeInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replB.Close()
+	stB, err := store.Open(store.Options{Backend: replB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -701,9 +716,11 @@ func TestCrossReplicaStoreHitThroughGateway(t *testing.T) {
 		t.Errorf("repeat search: replica %s (cold: %s), cache_hit %v", again.Header.Get(replicaHeader), coldReplica, cached.CacheHit)
 	}
 
-	// The write-behind persist reaches the shared corpus.
+	// The write-behind persist reaches the answering replica's corpus,
+	// and from B it fans out to A.
 	stA.Flush()
 	stB.Flush()
+	replB.Flush()
 
 	// Take the answering replica down; the ring fails the same key over
 	// to the other one, which must answer from the shared store.
@@ -725,11 +742,11 @@ func TestCrossReplicaStoreHitThroughGateway(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !warm.StoreHit {
-		t.Fatalf("replica %s re-ran the search instead of serving the shared corpus: %+v",
+		t.Fatalf("replica %s re-ran the search instead of serving the store: %+v",
 			warmReplica, warm.ResultSummary)
 	}
 	if warm.PlanSummary != cold.PlanSummary || warm.Report != cold.Report || warm.CostSeconds != cold.CostSeconds {
-		t.Errorf("shared-corpus answer diverged:\ncold: %+v\nwarm: %+v", cold.ResultSummary, warm.ResultSummary)
+		t.Errorf("store answer diverged:\ncold: %+v\nwarm: %+v", cold.ResultSummary, warm.ResultSummary)
 	}
 }
 

@@ -214,12 +214,11 @@ func openStore(opts store.Options, peers []string, ropts replicate.Options) (*st
 		if repl, err = replicate.New(ropts); err != nil {
 			return nil, nil, err
 		}
+		// The store reads index misses through repl, so records only
+		// the peers hold — plans written while this replica was down —
+		// are read-repaired; -store-max eviction deletes this replica's
+		// own files (repl.Local()).
 		opts.Backend = repl
-		// Shared: records only the peers hold — plans written while this
-		// replica was down — must be read through past this process's
-		// index, which is where read-repair happens. -store-max eviction
-		// still deletes this replica's own files (the backend's Local()).
-		opts.Shared = true
 	}
 	st, err := store.Open(opts)
 	if err != nil {

@@ -1,18 +1,19 @@
-// Fleet example: two in-process replicas sharing one plan corpus over
-// the store peer protocol — the multi-replica serving shape without
-// needing real daemons. Replica A owns a filesystem store; replica B
-// opens the same corpus through A's /v1/store endpoints
-// (store/remotebackend). A plan searched cold by A is then answered by
-// B with store_hit=true, rehydrated from the shared corpus instead of
-// re-running the search.
+// Fleet example: two in-process replicas sharing plans over the store
+// peer protocol — the multi-replica serving shape without needing real
+// daemons. Replica A owns a filesystem store; replica B owns another
+// and replicates with A as its peer (store/replicate, reaching A's
+// /v1/store endpoints through store/remotebackend). A plan searched
+// cold by A is then answered by B with store_hit=true: B's index miss
+// reads through to A, copies the record into B's own corpus
+// (read-repair) and rehydrates it instead of re-running the search.
 //
 // Run it:
 //
 //	go run ./examples/fleet -model t5-100M -gpus 8
 //
-// Real daemons share plans by replication instead: each owns a
-// -store-dir and lists the other as a -store-peer, so a plan searched
-// by either is a store hit on both, and killing either loses nothing:
+// Real daemons replicate symmetrically: each owns a -store-dir and lists
+// the other as a -store-peer, so a plan searched by either is a store
+// hit on both, and killing either loses nothing:
 //
 //	tapas-serve   -addr :8081 -store-dir ./plans-a -store-peer http://127.0.0.1:8082
 //	tapas-serve   -addr :8082 -store-dir ./plans-b -store-peer http://127.0.0.1:8081
@@ -26,12 +27,14 @@ import (
 	"log"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"time"
 
 	"tapas"
 	"tapas/service"
 	"tapas/store"
 	"tapas/store/remotebackend"
+	"tapas/store/replicate"
 )
 
 func main() {
@@ -47,9 +50,10 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
+	dirA, dirB := filepath.Join(dir, "a"), filepath.Join(dir, "b")
 
-	// Replica A owns the corpus: a filesystem store under dir.
-	stA, err := store.Open(store.Options{Dir: dir})
+	// Replica A owns a filesystem store under dirA.
+	stA, err := store.Open(store.Options{Dir: dirA})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,10 +65,23 @@ func main() {
 	defer srvA.Close()
 	defer svcA.Shutdown(ctx)
 	defer stA.Close()
-	fmt.Printf("replica A (corpus owner) at %s, store %s\n", srvA.URL, dir)
+	fmt.Printf("replica A at %s, store %s\n", srvA.URL, dirA)
 
-	// Replica B shares it remotely, through A's /v1/store endpoints.
-	stB, err := store.Open(store.Options{Backend: remotebackend.New(srvA.URL), Shared: true})
+	// Replica B owns dirB and replicates with A as its peer, through
+	// A's /v1/store endpoints.
+	localB, err := store.NewFS(dirB)
+	if err != nil {
+		log.Fatal(err)
+	}
+	replB, err := replicate.New(replicate.Options{
+		Local: localB,
+		Peers: []replicate.Peer{{Name: srvA.URL, Backend: remotebackend.New(srvA.URL)}},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer replB.Close()
+	stB, err := store.Open(store.Options{Backend: replB})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,12 +93,12 @@ func main() {
 	defer srvB.Close()
 	defer svcB.Shutdown(ctx)
 	defer stB.Close()
-	fmt.Printf("replica B (shares A's corpus) at %s\n\n", srvB.URL)
+	fmt.Printf("replica B (replicates with A) at %s, store %s\n\n", srvB.URL, dirB)
 
 	req := service.SearchRequest{Model: *model, GPUs: *gpus}
 
 	// Cold search on A: the full pipeline runs once, and the winning
-	// plan is persisted write-behind into the shared corpus.
+	// plan is persisted write-behind into A's corpus.
 	cA := service.NewClient(srvA.URL)
 	t0 := time.Now()
 	cold, err := cA.Search(ctx, req)
@@ -92,8 +109,8 @@ func main() {
 		cold.Model, *gpus, time.Since(t0).Round(time.Millisecond), cold.PlanSummary, cold.CacheHit, cold.StoreHit)
 	stA.Flush() // write-behind → corpus (a drain does this in a real daemon)
 
-	// The same request on B: no search, no cache — the plan comes out
-	// of the shared corpus, rehydrated, re-priced and re-simulated.
+	// The same request on B: no search, no cache — the plan is read
+	// through from A, rehydrated, re-priced and re-simulated.
 	cB := service.NewClient(srvB.URL)
 	t1 := time.Now()
 	warm, err := cB.Search(ctx, req)
@@ -104,18 +121,19 @@ func main() {
 		time.Since(t1).Round(time.Millisecond), warm.PlanSummary, warm.CacheHit, warm.StoreHit)
 
 	if !warm.StoreHit {
-		log.Fatal("expected replica B to serve from the shared corpus")
+		log.Fatal("expected replica B to serve A's plan from the store")
 	}
 	if warm.PlanSummary != cold.PlanSummary || warm.Report != cold.Report {
 		log.Fatal("replicas disagreed on the plan")
 	}
 	fmt.Println("identical plan, cost and simulated report on both replicas — one search, fleet-wide warmth")
 
-	// The corpus owner saw B's read through the peer protocol.
+	// B read the record through the peer protocol and now holds its
+	// own copy.
 	health, err := cB.Health(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("replica B store stats: hits=%d misses=%d entries=%d\n",
-		health.Store.Hits, health.Store.Misses, health.Store.Entries)
+	fmt.Printf("replica B store stats: hits=%d misses=%d entries=%d read-repairs=%d\n",
+		health.Store.Hits, health.Store.Misses, health.Store.Entries, replB.Stats().RepairHits)
 }

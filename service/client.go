@@ -35,14 +35,15 @@ type Client struct {
 	// Non-GET requests are never retried: a search or submit that
 	// failed mid-flight may have executed.
 	MaxRetries int
-	// RetryBaseDelay seeds the capped exponential backoff between
-	// attempts (jittered; doubles per attempt). 0 selects 100ms.
+	// RetryBaseDelay seeds the exponential backoff between attempts
+	// (jittered; doubles per attempt, capped at retryMaxDelay). 0
+	// selects 100ms. A Retry-After header on a 429/503 response
+	// overrides the computed delay (capped at 30s).
 	RetryBaseDelay time.Duration
-	// RetryMaxDelay caps the computed backoff. 0 selects 2s. A
-	// Retry-After header on a 429/503 response overrides the computed
-	// delay (capped at 30s).
-	RetryMaxDelay time.Duration
 }
+
+// retryMaxDelay caps the computed retry backoff.
+const retryMaxDelay = 2 * time.Second
 
 // NewClient builds a client for the daemon at baseURL.
 func NewClient(baseURL string) *Client {
@@ -172,11 +173,7 @@ func (c *Client) backoff(ctx context.Context, attempt int, retryAfter time.Durat
 		if base <= 0 {
 			base = 100 * time.Millisecond
 		}
-		maxD := c.RetryMaxDelay
-		if maxD <= 0 {
-			maxD = 2 * time.Second
-		}
-		d = min(base<<attempt, maxD)
+		d = min(base<<attempt, retryMaxDelay)
 		d = d/2 + time.Duration(rand.Int64N(int64(d/2)+1))
 	}
 	t := time.NewTimer(d)

@@ -43,8 +43,9 @@ type Options struct {
 	// exceeds it is marked unhealthy and its chunk fails over.
 	TaskTimeout time.Duration
 	// ProbeInterval spaces background health probes of unhealthy peers
-	// (default 3s; negative disables probing — peers then only recover
-	// when a scatter retries them).
+	// (default 3s). Negative disables probing, and then a peer marked
+	// unhealthy stays so: the scatter skips it, and only the probe loop
+	// ever marks a peer healthy again.
 	ProbeInterval time.Duration
 	// Logf observes scatter decisions (nil: silent).
 	Logf func(format string, args ...any)
@@ -56,8 +57,8 @@ type Options struct {
 const chunkTasks = 8
 
 // peer is one fleet member and its health bit. Unhealthy peers are
-// skipped by the scatter and re-tested by the probe loop; any
-// successful call marks them healthy again.
+// skipped by the scatter and re-tested by the probe loop, whose
+// successful health check is the only way back to healthy.
 type peer struct {
 	url     string
 	client  *service.Client

@@ -2,8 +2,10 @@ package dispatch
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -134,5 +136,75 @@ func TestAllPeersDead(t *testing.T) {
 	}
 	if fs.PeersHealthy != 0 {
 		t.Errorf("%d dead peers still marked healthy", fs.PeersHealthy)
+	}
+}
+
+// downable serves a daemon's handler while up and answers 503 to every
+// request while down.
+type downable struct {
+	h    http.Handler
+	down atomic.Bool
+}
+
+func (d *downable) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if d.down.Load() {
+		http.Error(w, `{"error":"down"}`, http.StatusServiceUnavailable)
+		return
+	}
+	d.h.ServeHTTP(w, r)
+}
+
+// TestPeerRecoversOnlyThroughProbe: a peer marked down by a failed ship
+// rejoins the fleet through the probe loop, with no scatter in between;
+// with probing off it stays down, since the scatter never retries an
+// unhealthy peer.
+func TestPeerRecoversOnlyThroughProbe(t *testing.T) {
+	for _, probe := range []bool{true, false} {
+		t.Run(fmt.Sprintf("probe=%v", probe), func(t *testing.T) {
+			svc, err := service.New(service.Config{})
+			if err != nil {
+				t.Fatalf("service.New: %v", err)
+			}
+			peer := &downable{h: service.NewHandler(svc)}
+			peer.down.Store(true)
+			srv := httptest.NewServer(peer)
+			t.Cleanup(func() {
+				srv.Close()
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				_ = svc.Shutdown(ctx)
+			})
+			interval, wantHealthy := time.Duration(-1), 0
+			if probe {
+				interval, wantHealthy = 5*time.Millisecond, 1
+			}
+			coord := New(Options{Peers: []string{srv.URL}, TaskTimeout: 30 * time.Second, ProbeInterval: interval, Logf: t.Logf})
+			defer coord.Close()
+
+			eng := tapas.NewEngine(tapas.WithTaskRunner(coord.Runner), tapas.WithCache(0))
+			if _, err := eng.Search(context.Background(), "t5-100M", 8); err != nil {
+				t.Fatalf("search: %v", err)
+			}
+			after := coord.FleetStats()
+			if after.PeersHealthy != 0 || after.TasksScattered != 0 {
+				t.Fatalf("after the failed ships: %+v, want the peer down and nothing scattered", after)
+			}
+
+			peer.down.Store(false)
+			deadline := time.Now().Add(5 * time.Second)
+			if !probe {
+				deadline = time.Now().Add(50 * time.Millisecond) // ten probe intervals of the probing arm
+			}
+			for coord.FleetStats().PeersHealthy == 0 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			fs := coord.FleetStats()
+			if fs.PeersHealthy != wantHealthy {
+				t.Errorf("peer up again: %d healthy peers, want %d", fs.PeersHealthy, wantHealthy)
+			}
+			if fs.TasksScattered != after.TasksScattered || fs.TasksLocal != after.TasksLocal {
+				t.Errorf("a scatter ran in between: %+v, then %+v", after, fs)
+			}
+		})
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"tapas/service"
 	"tapas/store"
 	"tapas/store/remotebackend"
+	"tapas/store/replicate"
 )
 
 // newStoreServer boots the full daemon handler over a store-backed
@@ -38,8 +39,9 @@ func newStoreServer(t *testing.T) (*httptest.Server, *service.Client, *store.Sto
 }
 
 // TestStorePeerEndpointsServeTheCorpus: the daemon's /v1/store surface
-// is a usable remote backend — a second service over it shares the
-// first one's corpus and answers with store_hit without re-searching.
+// is a usable replication peer — a second service replicating with it
+// reads the first one's plan through and answers with store_hit without
+// re-searching.
 func TestStorePeerEndpointsServeTheCorpus(t *testing.T) {
 	srvA, ca, stA := newStoreServer(t)
 	ctx := context.Background()
@@ -53,8 +55,21 @@ func TestStorePeerEndpointsServeTheCorpus(t *testing.T) {
 	}
 	stA.Flush() // write-behind → corpus
 
-	// Replica B shares A's corpus over the peer protocol.
-	stB, err := store.Open(store.Options{Backend: remotebackend.New(srvA.URL), Shared: true})
+	// Replica B replicates with A over the peer protocol.
+	localB, err := store.NewFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	replB, err := replicate.New(replicate.Options{
+		Local:         localB,
+		Peers:         []replicate.Peer{{Name: srvA.URL, Backend: remotebackend.New(srvA.URL)}},
+		ProbeInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replB.Close()
+	stB, err := store.Open(store.Options{Backend: replB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,10 +88,47 @@ func TestStorePeerEndpointsServeTheCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !warm.StoreHit {
-		t.Fatal("replica B did not serve A's plan from the shared corpus")
+		t.Fatal("replica B did not serve A's plan from the store")
 	}
 	if warm.PlanSummary != cold.PlanSummary || warm.Report != cold.Report {
-		t.Errorf("shared-corpus response diverged:\nA: %+v\nB: %+v", cold.ResultSummary, warm.ResultSummary)
+		t.Errorf("replicated response diverged:\nA: %+v\nB: %+v", cold.ResultSummary, warm.ResultSummary)
+	}
+}
+
+// TestStorePeerProtocolHasNoDelete: no replica removes another's
+// records, so the daemon answers DELETE on a stored record with 405
+// and keeps it.
+func TestStorePeerProtocolHasNoDelete(t *testing.T) {
+	srv, c, st := newStoreServer(t)
+	ctx := context.Background()
+	if _, err := c.Search(ctx, service.SearchRequest{Model: "twotower-small", GPUs: 4}); err != nil {
+		t.Fatal(err)
+	}
+	st.Flush()
+	keys := st.Keys()
+	if len(keys) != 1 {
+		t.Fatalf("store holds %d records, want 1", len(keys))
+	}
+	url := srv.URL + "/v1/store/" + keys[0].ID()
+	req, err := http.NewRequest(http.MethodDelete, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("DELETE %s: %d, want 405", url, resp.StatusCode)
+	}
+	got, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Body.Close()
+	if got.StatusCode != http.StatusOK {
+		t.Errorf("GET after DELETE: %d, want the record still served", got.StatusCode)
 	}
 }
 

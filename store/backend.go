@@ -12,9 +12,10 @@ import (
 // on top, so a backend only moves bytes.
 //
 // Two implementations ship: the filesystem backend (NewFS, one JSON file
-// per record, atomic temp+rename publishes) and the HTTP client in
-// store/remotebackend, which reads and writes a peer daemon's corpus
-// through its /v1/store endpoints so N replicas share one plan store.
+// per record, atomic temp+rename publishes) and store/replicate, which
+// wraps a local one and replicates it to peer daemons through
+// store/remotebackend. That peer client has no Delete, so it is not a
+// Backend and no store can remove another daemon's records.
 //
 // Contract (enforced by store/backendtest.Run):
 //
@@ -34,8 +35,9 @@ import (
 //     the payload, or an error wrapping ErrNotFound.
 //   - List enumerates every stored id. Order is unspecified.
 //
-// A backend may additionally validate payloads on Put (the remote
-// backend's peer does) and reject bad ones with ErrInvalidRecord.
+// A backend may additionally validate payloads on Put (a peer daemon
+// behind store/remotebackend does) and reject bad ones with
+// ErrInvalidRecord.
 //
 // Implementations must be safe for concurrent use.
 type Backend interface {
@@ -49,11 +51,15 @@ type Backend interface {
 // Toucher is the optional recency interface: backends that persist a
 // last-used timestamp (the filesystem backend's mtime) implement it,
 // and the Store calls it on genuine hits so LRU order survives
-// restarts. The remote backend omits it — the corpus owner
-// touches server-side when a peer reads.
+// restarts. store/replicate touches its local copy only; a peer daemon
+// touches its own copy when a replica reads it.
 type Toucher interface {
 	Touch(id string)
 }
+
+// localer is a replicating backend that exposes the backend this
+// process owns (store/replicate). A Store over one is replicated.
+type localer interface{ Local() Backend }
 
 // ErrNotFound reports an id with no stored record. Backends wrap it so
 // callers can errors.Is across implementations.

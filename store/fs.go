@@ -15,9 +15,9 @@ import (
 // Touch refreshes the file's mtime best-effort on every hit, which is
 // how LRU recency survives restarts.
 //
-// A directory on shared storage (NFS, a mounted object-store gateway) is
-// the zero-code way to share one corpus across replicas — open it with
-// Options.Shared so replicas pick up each other's writes.
+// A directory belongs to one Store: its index is authoritative and its
+// eviction deletes files, so replicas share plans by replication
+// (store/replicate), never by mounting one directory.
 type FS struct {
 	dir string
 }

@@ -10,10 +10,15 @@ import (
 )
 
 // The peer protocol: a daemon with a store mounts Handler under
-// /v1/store, and peer replicas read and write its corpus through
-// store/remotebackend. The wire unit is the raw encoded record — the
-// same JSON document the filesystem backend keeps in one file — so the
-// corpus owner, its files, and every replica agree byte for byte.
+// /v1/store, and its replication peers read and write its corpus
+// through store/remotebackend. The wire unit is the raw encoded record
+// — the same JSON document the filesystem backend keeps in one file —
+// so a daemon's files and every replica agree byte for byte. The
+// protocol serves the store's owned backend only, never a replicating
+// composite: a peer asking this daemon for a record must get this
+// daemon's copy, never a fall-through to a third replica, or reads and
+// fanout writes would cascade around the fleet. It has no delete: no
+// replica removes another's records.
 
 // ModTimeHeader carries a record's last-modified time (Unix
 // milliseconds) on GET/HEAD responses of the peer protocol.
@@ -22,23 +27,6 @@ const ModTimeHeader = "X-Tapas-Mod-Unix-Ms"
 // maxRecordBytes bounds one record payload accepted over the peer
 // protocol.
 const maxRecordBytes = 32 << 20
-
-// localBackend returns the backend the peer protocol should serve: for
-// a composite backend that fans out to other replicas (store/replicate,
-// which exposes its process-owned backend via Local()), the local one —
-// a peer asking this daemon for a record must get this daemon's copy,
-// never a fall-through to a third replica, or reads and fanout writes
-// would cascade around the fleet.
-func (s *Store) localBackend() Backend {
-	if l, ok := s.backend.(localer); ok {
-		return l.Local()
-	}
-	return s.backend
-}
-
-// localer is a composite backend that exposes the backend this process
-// owns (store/replicate).
-type localer interface{ Local() Backend }
 
 // GetRaw returns the encoded record stored under id, refreshing its
 // recency like Get. It serves the peer protocol; the payload is not
@@ -53,7 +41,7 @@ func (s *Store) GetRaw(id string) ([]byte, error) {
 		s.ll.MoveToFront(el)
 	}
 	s.mu.Unlock()
-	data, err := s.localBackend().Get(id)
+	data, err := s.own.Get(id)
 	if err == nil {
 		s.touch(id) // a peer's read is a hit: keep the record young
 	}
@@ -75,7 +63,7 @@ func (s *Store) PutRaw(id string, data []byte) error {
 	if got := rec.Key.ID(); got != id {
 		return fmt.Errorf("%w: key hashes to %s, stored as %s", ErrInvalidRecord, got[:12], id)
 	}
-	if err := s.localBackend().Put(id, data); err != nil {
+	if err := s.own.Put(id, data); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -90,28 +78,18 @@ func (s *Store) PutRaw(id string, data []byte) error {
 	return nil
 }
 
-// DeleteRaw removes the record stored under id; absent ids are not an
-// error.
-func (s *Store) DeleteRaw(id string) error {
-	if !validID(id) {
-		return nil
-	}
-	s.dropIndex(id)
-	return s.localBackend().Delete(id)
-}
-
 // StatRaw reports one stored record's size and last-modified time.
 func (s *Store) StatRaw(id string) (EntryInfo, error) {
 	if !validID(id) {
 		return EntryInfo{}, fmt.Errorf("%w: malformed id %q", ErrNotFound, id)
 	}
-	return s.localBackend().Stat(id)
+	return s.own.Stat(id)
 }
 
-// ListRaw enumerates every record the backend holds (not just the
-// indexed ones — on a shared corpus the index lags).
+// ListRaw enumerates every record the owned backend holds, indexed or
+// not.
 func (s *Store) ListRaw() ([]EntryInfo, error) {
-	return s.localBackend().List()
+	return s.own.List()
 }
 
 // wireEntry is the peer protocol's listing element.
@@ -124,10 +102,9 @@ type wireEntry struct {
 // Handler serves the store's peer protocol — the HTTP surface
 // store/remotebackend speaks, mounted by tapas-serve under /v1/store:
 //
-//	GET    /v1/store       list record ids, sizes and timestamps
-//	GET    /v1/store/{id}  one raw record (HEAD for metadata only)
-//	PUT    /v1/store/{id}  publish a record (validated; 400 on garbage)
-//	DELETE /v1/store/{id}  remove a record (idempotent)
+//	GET /v1/store       list record ids, sizes and timestamps
+//	GET /v1/store/{id}  one raw record (HEAD for metadata only)
+//	PUT /v1/store/{id}  publish a record (validated; 400 on garbage)
 //
 // Records a peer publishes are indexed immediately, so a plan one
 // replica searched is served warm by this daemon's own searches too.
@@ -177,13 +154,6 @@ func Handler(s *Store) http.Handler {
 		}
 		if err := s.PutRaw(r.PathValue("id"), data); err != nil {
 			writeStoreError(w, storeErrorStatus(err), err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
-	mux.HandleFunc("DELETE /v1/store/{id}", func(w http.ResponseWriter, r *http.Request) {
-		if err := s.DeleteRaw(r.PathValue("id")); err != nil {
-			writeStoreError(w, http.StatusInternalServerError, err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)

@@ -1,9 +1,10 @@
-// Package remotebackend implements store.Backend over a peer daemon's
-// /v1/store HTTP endpoints (store.Handler), so N replicas share one
-// plan corpus: a cold search persisted by any replica is served warm by
-// all of them. Open the store over it with store.Options.Shared — the
-// replica then falls through to the owner on index misses, tolerates an
-// unreachable owner at open, and never evicts the owner's bytes.
+// Package remotebackend is the replication peer client: it reads,
+// writes, stats and lists a peer daemon's corpus over its /v1/store
+// HTTP endpoints (store.Handler). store/replicate fans writes out and
+// reads through it, so a cold search persisted by any replica is served
+// warm by all of them. It is not a store.Backend — it has no Delete —
+// so no Store can be opened over another daemon's corpus and remove
+// its records.
 package remotebackend
 
 import (
@@ -22,8 +23,9 @@ import (
 // maxRecordBytes bounds one record payload read from the peer.
 const maxRecordBytes = 32 << 20
 
-// Backend reads and writes a peer daemon's record corpus. Construct
-// with New; methods are safe for concurrent use.
+// Backend reads and writes a peer daemon's record corpus; it satisfies
+// replicate.PeerBackend. Construct with New; methods are safe for
+// concurrent use.
 type Backend struct {
 	// BaseURL is the peer daemon's root, e.g. "http://replica-a:8080".
 	BaseURL string
@@ -62,8 +64,9 @@ func peerError(resp *http.Response) error {
 }
 
 // Get fetches the raw record published under id. A payload over
-// maxRecordBytes is an error, never a truncated record: a Store would
-// decode the cut bytes as corrupt and delete the peer's good copy.
+// maxRecordBytes is an error, never a truncated record: a replica would
+// read-repair the cut bytes into its own corpus and drop them as
+// corrupt there.
 func (b *Backend) Get(id string) ([]byte, error) {
 	resp, err := b.client().Get(b.url(id))
 	if err != nil {
@@ -103,24 +106,6 @@ func (b *Backend) Put(id string, data []byte) error {
 	case resp.StatusCode == http.StatusBadRequest:
 		return fmt.Errorf("%w: %v", store.ErrInvalidRecord, peerError(resp))
 	case resp.StatusCode/100 != 2:
-		return peerError(resp)
-	}
-	return nil
-}
-
-// Delete removes the record published under id; absent ids are not an
-// error.
-func (b *Backend) Delete(id string) error {
-	req, err := http.NewRequest(http.MethodDelete, b.url(id), nil)
-	if err != nil {
-		return err
-	}
-	resp, err := b.client().Do(req)
-	if err != nil {
-		return fmt.Errorf("remotebackend: delete %s: %w", id, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 && resp.StatusCode != http.StatusNotFound {
 		return peerError(resp)
 	}
 	return nil

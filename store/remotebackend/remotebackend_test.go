@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,6 +16,7 @@ import (
 	"tapas/store"
 	"tapas/store/backendtest"
 	"tapas/store/remotebackend"
+	"tapas/store/replicate"
 )
 
 // owner spins one corpus-owning daemon surface: a filesystem store and
@@ -36,26 +36,55 @@ func owner(t *testing.T) (*store.Store, *httptest.Server, string) {
 	return st, srv, dir
 }
 
-// TestRemoteBackendConformance runs the shared backend battery over the
-// full HTTP loop: remotebackend client → peer protocol → owner store →
-// filesystem.
+// TestRemoteBackendConformance runs the byte-level backend battery over
+// the full HTTP loop: remotebackend client → peer protocol → owner store
+// → filesystem.
 func TestRemoteBackendConformance(t *testing.T) {
-	dirs := map[store.Backend]string{}
-	backendtest.Run(t, backendtest.Harness{
-		Open: func(t *testing.T) store.Backend {
-			_, srv, dir := owner(t)
-			b := remotebackend.New(srv.URL)
-			dirs[b] = dir
-			return b
-		},
-		Corrupt: func(t *testing.T, b store.Backend, id string, data []byte) {
-			// Behind the validating peer's back: straight into the
-			// owner's directory.
-			if err := os.WriteFile(filepath.Join(dirs[b], id+".json"), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		},
+	backendtest.RunPeer(t, func(t *testing.T) replicate.PeerBackend {
+		_, srv, _ := owner(t)
+		return remotebackend.New(srv.URL)
 	})
+}
+
+// TestRemoteIsNotAStoreBackend: the peer client has no Delete, so no
+// Store can be opened over another daemon's corpus; replication is the
+// only way to reach one.
+func TestRemoteIsNotAStoreBackend(t *testing.T) {
+	var b any = remotebackend.New("http://peer")
+	if _, ok := b.(store.Backend); ok {
+		t.Error("*remotebackend.Backend satisfies store.Backend")
+	}
+	if _, ok := b.(replicate.PeerBackend); !ok {
+		t.Error("*remotebackend.Backend does not satisfy replicate.PeerBackend")
+	}
+}
+
+// openReplica opens a replicated Store over a fresh local directory with
+// the daemon at url as its one peer, probing disabled.
+func openReplica(t *testing.T, url string) (*store.Store, *replicate.Backend, *store.FS) {
+	t.Helper()
+	local, err := store.NewFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	repl, err := replicate.New(replicate.Options{
+		Local:         local,
+		Peers:         []replicate.Peer{{Name: url, Backend: remotebackend.New(url)}},
+		ProbeInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(store.Options{Backend: repl})
+	if err != nil {
+		repl.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		st.Close()
+		repl.Close()
+	})
+	return st, repl, local
 }
 
 func testKey(i int) store.Key {
@@ -71,27 +100,26 @@ func testRecord(i int) *store.Record {
 }
 
 // TestRemoteSharedCorpus is the multi-replica contract end to end: a
-// replica's Store over the remote backend and the owner's Store share
-// one corpus, in both directions, without either re-running anything.
+// replica replicating with a peer daemon through the remote backend and
+// that daemon's own Store share every record, in both directions,
+// without either re-running anything.
 func TestRemoteSharedCorpus(t *testing.T) {
 	ownerStore, srv, _ := owner(t)
-	replica, err := store.Open(store.Options{Backend: remotebackend.New(srv.URL), Shared: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer replica.Close()
+	replica, repl, _ := openReplica(t, srv.URL)
 
-	// Replica → owner: a record the replica persists is indexed by the
-	// owner immediately (PutRaw), so the owner's own lookups hit.
+	// Replica → owner: a record the replica persists fans out to the
+	// owner, which indexes it on arrival (PutRaw), so the owner's own
+	// lookups hit.
 	if err := replica.Put(testKey(0), testRecord(0)); err != nil {
 		t.Fatal(err)
 	}
+	repl.Flush()
 	if _, ok := ownerStore.Get(testKey(0)); !ok {
 		t.Fatal("replica write invisible to the corpus owner")
 	}
 
 	// Owner → replica: a record the owner persists after the replica
-	// opened is still a replica hit (index fall-through).
+	// opened is still a replica hit (the index miss reads through).
 	if err := ownerStore.Put(testKey(1), testRecord(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -106,6 +134,7 @@ func TestRemoteSharedCorpus(t *testing.T) {
 	// Write-behind works over the wire too.
 	replica.PutAsync(testKey(2), testRecord(2))
 	replica.Flush()
+	repl.Flush()
 	if _, ok := ownerStore.Get(testKey(2)); !ok {
 		t.Error("async replica write did not reach the owner")
 	}
@@ -131,7 +160,7 @@ func TestRemotePutRejectsGarbage(t *testing.T) {
 
 // replicaPut marshals rec and publishes it under id, bypassing the
 // Store's own key stamping (to exercise peer-side validation).
-func replicaPut(b store.Backend, id string, rec *store.Record) error {
+func replicaPut(b *remotebackend.Backend, id string, rec *store.Record) error {
 	data, err := json.Marshal(rec)
 	if err != nil {
 		return err
@@ -139,46 +168,38 @@ func replicaPut(b store.Backend, id string, rec *store.Record) error {
 	return b.Put(id, data)
 }
 
-// TestRemoteOpenWithoutPeer: a replica booted before its corpus owner
-// starts empty and serves cold instead of failing.
+// TestRemoteOpenWithoutPeer: a replica booted before its peer opens
+// its own corpus, marks the peer down and serves cold instead of
+// failing.
 func TestRemoteOpenWithoutPeer(t *testing.T) {
 	srv := httptest.NewServer(nil)
 	url := srv.URL
 	srv.Close() // nobody home
 
-	s, err := store.Open(store.Options{Backend: remotebackend.New(url), Shared: true})
-	if err != nil {
-		t.Fatalf("unreachable peer must not fail a shared open: %v", err)
-	}
-	defer s.Close()
+	s, repl, _ := openReplica(t, url)
 	if s.Len() != 0 {
 		t.Errorf("len=%d, want 0", s.Len())
 	}
-	if st := s.Stats(); st.ReadErrors == 0 {
-		t.Errorf("unreachable peer not surfaced in stats: %+v", st)
+	if st := repl.Stats(); st.PeersHealthy != 0 {
+		t.Errorf("unreachable peer not marked down: %+v", st)
 	}
 	if _, ok := s.Get(testKey(0)); ok {
-		t.Error("hit against an unreachable corpus")
+		t.Error("hit against an unreachable peer")
 	}
 }
 
 // TestRemoteGetRefusesOversizedRecord: a payload past the 32 MB read
-// limit is an error, not a truncated record. A Store over the peer then
-// counts a read error and deletes nothing, where cut bytes would decode
-// as corrupt and the Store would delete the peer's good copy.
+// limit is an error, not a truncated record. A replica reading through
+// the peer then misses, and neither copies the cut bytes into its own
+// corpus nor counts a corrupt record.
 func TestRemoteGetRefusesOversizedRecord(t *testing.T) {
 	payload := bytes.Repeat([]byte("x"), 32<<20+1)
-	var deletes atomic.Int32
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case r.Method == http.MethodDelete:
-			deletes.Add(1)
-			w.WriteHeader(http.StatusNoContent)
-		case r.URL.Path == "/v1/store":
+		if r.URL.Path == "/v1/store" {
 			fmt.Fprint(w, `{"records":[]}`)
-		default:
-			_, _ = w.Write(payload)
+			return
 		}
+		_, _ = w.Write(payload)
 	}))
 	defer srv.Close()
 	b := remotebackend.New(srv.URL)
@@ -186,19 +207,53 @@ func TestRemoteGetRefusesOversizedRecord(t *testing.T) {
 		t.Fatalf("oversized record: got %d bytes and err %v, want a read error", len(data), err)
 	}
 
-	s, err := store.Open(store.Options{Backend: b, Shared: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s, _, local := openReplica(t, srv.URL)
 	if _, ok := s.Get(testKey(0)); ok {
 		t.Fatal("hit on an oversized record")
 	}
-	if st := s.Stats(); st.ReadErrors != 1 || st.Corrupt != 0 {
-		t.Errorf("store stats %+v, want one read error and nothing corrupt", st)
+	if st := s.Stats(); st.Corrupt != 0 {
+		t.Errorf("store stats %+v, want nothing corrupt", st)
 	}
-	if n := deletes.Load(); n != 0 {
-		t.Errorf("the store sent %d deletes to the peer", n)
+	if ents, err := local.List(); err != nil || len(ents) != 0 {
+		t.Errorf("the replica's own corpus holds %v (err %v), want nothing", ents, err)
+	}
+}
+
+// TestReplicaDropLeavesPeerFile: a replica that reads a peer's record
+// it cannot use — here a future schema, as during a rolling upgrade —
+// drops its own copy only. The peer's file stays as it was.
+func TestReplicaDropLeavesPeerFile(t *testing.T) {
+	_, srv, dir := owner(t)
+	k := testKey(0)
+	future, err := json.Marshal(&store.Record{
+		SchemaVersion: store.RecordSchemaVersion + 1,
+		Key:           k,
+		Plan:          &export.StrategyJSON{SchemaVersion: export.SchemaVersion},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Straight into the peer's directory: its PutRaw would refuse it.
+	path := filepath.Join(dir, k.ID()+".json")
+	if err := os.WriteFile(path, future, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, repl, local := openReplica(t, srv.URL)
+	if _, ok := s.Get(k); ok {
+		t.Fatal("future-schema record served")
+	}
+	if st := s.Stats(); st.Corrupt != 1 {
+		t.Errorf("store stats %+v, want the record counted corrupt", st)
+	}
+	if repl.Stats().RepairHits != 1 {
+		t.Errorf("the record was not read through the peer: %+v", repl.Stats())
+	}
+	if _, err := local.Stat(k.ID()); !errors.Is(err, store.ErrNotFound) {
+		t.Errorf("the replica kept its copy of the dropped record: %v", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, future) {
+		t.Errorf("the peer's file changed: %v", err)
 	}
 }
 

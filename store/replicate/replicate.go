@@ -64,15 +64,24 @@ const queueSize = 128
 // "not found" for it has proven it is alive.
 var probeID = strings.Repeat("0", 64)
 
+// PeerBackend is what replication asks of a peer: read, write, stat
+// and list. It has no Delete, because deletes do not replicate.
+type PeerBackend interface {
+	Get(id string) ([]byte, error)
+	Put(id string, data []byte) error
+	Stat(id string) (store.EntryInfo, error)
+	List() ([]store.EntryInfo, error)
+}
+
 // Peer names one replication target.
 type Peer struct {
 	// Name identifies the peer in logs and stats (e.g. its base URL).
 	Name string
 	// Backend is the peer's byte store — typically a
 	// remotebackend.Backend speaking another daemon's /v1/store
-	// endpoints, but any store.Backend works (tests replicate across
-	// plain filesystem backends).
-	Backend store.Backend
+	// endpoints; tests and the benchmark replicate to plain filesystem
+	// backends.
+	Backend PeerBackend
 }
 
 // Options configure New. Local is required.
@@ -139,7 +148,7 @@ type repOp struct {
 // queue.
 type peerState struct {
 	name    string
-	b       store.Backend
+	b       PeerBackend
 	healthy atomic.Bool
 	queue   *wbq.Queue[repOp]
 }
@@ -320,7 +329,7 @@ func (b *Backend) List() ([]store.EntryInfo, error) {
 }
 
 // Touch refreshes local recency when the local backend tracks it. Peers
-// track their own recency (the remote backend's owner touches on GET).
+// track their own recency (a peer daemon touches its copy on GET).
 func (b *Backend) Touch(id string) {
 	if t, ok := b.local.(store.Toucher); ok {
 		t.Touch(id)

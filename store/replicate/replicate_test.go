@@ -617,7 +617,7 @@ func TestKillTheWriter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := store.Open(store.Options{Backend: repl, Shared: true})
+		st, err := store.Open(store.Options{Backend: repl})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -693,7 +693,7 @@ func TestKillTheWriter(t *testing.T) {
 }
 
 // TestListMergesNewestAcrossPeers pins the merged-listing contract a
-// Shared store relies on at Open: the union of all reachable corpora,
+// replicated store relies on at Open: the union of all reachable corpora,
 // newest timestamp per id.
 func TestListMergesNewestAcrossPeers(t *testing.T) {
 	local, peer := newFS(t), newFS(t)

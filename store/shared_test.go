@@ -6,34 +6,6 @@ import (
 	"testing"
 )
 
-// TestSharedStoresSeeEachOthersWrites: two Stores opened Shared over
-// one directory (the NFS-mount shape). A record one replica persists
-// after the other opened is still a hit there — the index miss falls
-// through to the backend.
-func TestSharedStoresSeeEachOthersWrites(t *testing.T) {
-	dir := t.TempDir()
-	s1 := open(t, dir, Options{Shared: true})
-	s2 := open(t, dir, Options{Shared: true})
-
-	if err := s1.Put(testKey(1), testRecord(1)); err != nil {
-		t.Fatal(err)
-	}
-	rec, ok := s2.Get(testKey(1))
-	if !ok {
-		t.Fatal("peer write invisible to a shared store")
-	}
-	if rec.Model != "model-1" {
-		t.Errorf("peer record mangled: %+v", rec)
-	}
-	// The fall-through hit is indexed from then on.
-	if s2.Len() != 1 {
-		t.Errorf("fall-through hit not indexed: len=%d", s2.Len())
-	}
-	if st := s2.Stats(); st.Hits != 1 {
-		t.Errorf("fall-through not counted as a hit: %+v", st)
-	}
-}
-
 // twoCopies is a minimal replicated backend, the shape store/replicate
 // has: Put writes this process's copy and a peer's, a local miss is
 // read-repaired from the peer, Delete (embedded) removes the local copy
@@ -63,47 +35,68 @@ func (b twoCopies) Get(id string) ([]byte, error) {
 
 func (b twoCopies) Local() Backend { return b.FS }
 
-// TestSharedEvictionKeepsCorpus: a shared store's LRU bound deletes
-// only what this process owns. Over a corpus it merely mounts (here a
-// directory on shared storage) eviction trims the index alone — the
-// bytes belong to the corpus owner — and an evicted record is still
-// served through the backend. Over a replicated corpus eviction deletes
-// the local copy, so MaxEntries bounds this replica's disk, and keeps
-// the peer's, from which an evicted record is still served.
-func TestSharedEvictionKeepsCorpus(t *testing.T) {
-	dir := t.TempDir()
-	s := open(t, dir, Options{Shared: true, MaxEntries: 1})
-	for i := 0; i < 3; i++ {
-		if err := s.Put(testKey(i), testRecord(i)); err != nil {
-			t.Fatal(err)
-		}
+// newFS opens a filesystem backend over a fresh directory.
+func newFS(t *testing.T) *FS {
+	t.Helper()
+	fs, err := NewFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.Len() != 1 {
-		t.Fatalf("shared index not bounded: len=%d", s.Len())
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := os.Stat(filepath.Join(dir, testKey(i).ID()+".json")); err != nil {
-			t.Errorf("mount eviction deleted corpus record %d: %v", i, err)
-		}
-	}
-	// An index-evicted record is still a hit via the backend.
-	if _, ok := s.Get(testKey(0)); !ok {
-		t.Error("index-evicted record not served from the shared corpus")
-	}
+	return fs
+}
 
-	local, err := NewFS(t.TempDir())
+// openReplicated opens a Store over b, which Open recognises as
+// replicated by its Local().
+func openReplicated(t *testing.T, b Backend, opts ...Options) *Store {
+	t.Helper()
+	var o Options
+	if len(opts) > 0 {
+		o = opts[0]
+	}
+	o.Backend = b
+	s, err := Open(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	peer, err := NewFS(t.TempDir())
-	if err != nil {
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// TestSharedStoresSeeEachOthersWrites: two replicated Stores, each
+// owning one directory and holding the other as its peer. A record one
+// replica persists after the other opened is still a hit there — a
+// replicated store's index miss reads through the backend.
+func TestSharedStoresSeeEachOthersWrites(t *testing.T) {
+	a, b := newFS(t), newFS(t)
+	s1 := openReplicated(t, twoCopies{a, b})
+	s2 := openReplicated(t, twoCopies{b, a})
+
+	if err := s1.Put(testKey(1), testRecord(1)); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Open(Options{Backend: twoCopies{local, peer}, Shared: true, MaxEntries: 1})
-	if err != nil {
-		t.Fatal(err)
+	rec, ok := s2.Get(testKey(1))
+	if !ok {
+		t.Fatal("peer write invisible to a replicated store")
 	}
-	defer r.Close()
+	if rec.Model != "model-1" {
+		t.Errorf("peer record mangled: %+v", rec)
+	}
+	// The read-through hit is indexed from then on.
+	if s2.Len() != 1 {
+		t.Errorf("read-through hit not indexed: len=%d", s2.Len())
+	}
+	if st := s2.Stats(); st.Hits != 1 {
+		t.Errorf("read-through not counted as a hit: %+v", st)
+	}
+}
+
+// TestSharedEvictionKeepsCorpus: a replicated store's LRU bound deletes
+// only what this process owns. Eviction deletes the local copy, so
+// MaxEntries bounds this replica's disk, and keeps the peer's, from
+// which an evicted record is still served.
+func TestSharedEvictionKeepsCorpus(t *testing.T) {
+	local, peer := newFS(t), newFS(t)
+	r := openReplicated(t, twoCopies{local, peer}, Options{MaxEntries: 1})
 	for i := 0; i < 3; i++ {
 		if err := r.Put(testKey(i), testRecord(i)); err != nil {
 			t.Fatal(err)
@@ -125,6 +118,39 @@ func TestSharedEvictionKeepsCorpus(t *testing.T) {
 	if l := count(local); l != 1 {
 		t.Errorf("the read-back record pushed the local copies to %d, want 1", l)
 	}
+}
+
+// TestOpenRejectsSharedOnExclusiveBackend: the deprecated Options.Shared
+// cannot turn a directory this store would evict from into a shared
+// one. Open rejects it on a backend without Local() and ignores it on a
+// replicated one.
+func TestOpenRejectsSharedOnExclusiveBackend(t *testing.T) {
+	if s, err := Open(Options{Dir: t.TempDir(), Shared: true}); err == nil {
+		s.Close()
+		t.Error("Open accepted Shared on a filesystem directory")
+	}
+	if s, err := Open(Options{Backend: newFS(t), Shared: true}); err == nil {
+		s.Close()
+		t.Error("Open accepted Shared on a filesystem backend")
+	}
+	local, peer := newFS(t), newFS(t)
+	if err := peer.Put(testKey(1).ID(), mustEncode(t, testKey(1), testRecord(1))); err != nil {
+		t.Fatal(err)
+	}
+	s := openReplicated(t, twoCopies{local, peer}, Options{Shared: true})
+	if _, ok := s.Get(testKey(1)); !ok {
+		t.Error("Shared on a replicated backend changed how it reads")
+	}
+}
+
+// mustEncode encodes rec under k.
+func mustEncode(t *testing.T, k Key, rec *Record) []byte {
+	t.Helper()
+	data, err := Encode(k, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // TestExclusiveEvictionDeletesRecords pins the pre-existing contract
@@ -216,18 +242,18 @@ func TestExclusiveOpenReadsNoRecord(t *testing.T) {
 	}
 }
 
-// TestSharedOpenTrustsListing: a shared open indexes the corpus without
-// replaying every record; garbage is only discovered (and dropped) when
-// its key is actually requested.
+// TestSharedOpenTrustsListing: a replicated open indexes the local
+// corpus without replaying every record; garbage is only discovered
+// (and dropped) when its key is actually requested.
 func TestSharedOpenTrustsListing(t *testing.T) {
-	dir := t.TempDir()
+	local := newFS(t)
 	k := testKey(1)
-	if err := os.WriteFile(filepath.Join(dir, k.ID()+".json"), []byte("garbage"), 0o644); err != nil {
+	if err := os.WriteFile(local.Path(k.ID()), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s := open(t, dir, Options{Shared: true})
+	s := openReplicated(t, twoCopies{local, newFS(t)})
 	if s.Len() != 1 {
-		t.Fatalf("shared open validated eagerly: len=%d, want 1 (trusted listing)", s.Len())
+		t.Fatalf("replicated open validated eagerly: len=%d, want 1 (trusted listing)", s.Len())
 	}
 	if _, ok := s.Get(k); ok {
 		t.Fatal("garbage served as a record")

@@ -20,10 +20,12 @@
 //
 // Bytes live behind the pluggable Backend interface: the filesystem
 // backend (one file per record, atomic temp+rename writes) is the
-// default, store/remotebackend reads and writes a peer daemon's corpus
-// over HTTP, and store/replicate combines the two so each replica owns
-// a local corpus, fans its writes out to its peers and reads through
-// them on a miss — any cold search by one replica warms all of them.
+// default, and store/replicate wraps one so each replica owns a local
+// corpus, fans its writes out to its peers (through store/remotebackend)
+// and reads through them on a miss — any cold search by one replica
+// warms all of them. A store over a backend with Local() (the copy this
+// process owns) is replicated, any other is exclusive; either way it
+// evicts, drops and serves peers from its own copy alone.
 //
 // The Store layers policy over the backend: a bounded in-memory LRU
 // index built at Open from the backend's listing alone (recency
@@ -114,20 +116,17 @@ type Options struct {
 	// Dir selects the filesystem backend at this directory (created if
 	// missing). Ignored when Backend is set.
 	Dir string
-	// Backend overrides the byte-level persistence — e.g. a
-	// remotebackend.Backend pointing at a peer daemon's /v1/store
-	// endpoints.
+	// Backend overrides the byte-level persistence. One that exposes
+	// Local() (store/replicate) makes the store replicated: an index
+	// miss reads through it, so a record a peer persisted after this
+	// Open is still a hit. Any other is exclusive: its index is
+	// authoritative.
 	Backend Backend
-	// Shared marks the backend's corpus as shared with other replicas
-	// (a replicated corpus, a remote backend, or a filesystem directory
-	// on shared storage). Every Store indexes the backend's List at Open
-	// without reading a record; a shared one in addition serves index
-	// misses by consulting the backend (a record a peer persisted after
-	// this Open is still a hit) and tolerates an unreachable corpus at
-	// Open (it starts empty and fills lazily). Eviction deletes only
-	// what this process owns: a replicated backend's local copy (the
-	// backend exposes it as Local()), and nothing of a corpus the store
-	// merely mounts, whose bound belongs to its owner.
+	// Shared is accepted on a replicated backend and ignored: the
+	// backend decides the mode. Open rejects it on any other backend,
+	// whose records this store would evict.
+	//
+	// Deprecated: a replicated backend is recognised by its Local().
 	Shared bool
 	// MaxEntries bounds the indexed record count (LRU eviction past
 	// it). 0 selects DefaultMaxEntries.
@@ -156,12 +155,13 @@ type Stats struct {
 	Corrupt   uint64 `json:"corrupt"`
 	Dropped   uint64 `json:"dropped"` // async writes dropped (queue full or store closed)
 	// WriteErrors counts write-behind persists that failed at the
-	// backend (disk full, peer unreachable); the search they came from
+	// backend (disk full, permissions); the search they came from
 	// already answered, so they are reported, not fatal.
 	WriteErrors uint64 `json:"write_errors"`
 	// ReadErrors counts backend reads that failed for a reason other
-	// than the record being absent — a transient failure (network blip,
-	// permissions), answered as a miss without dropping the record.
+	// than the record being absent — a transient failure (I/O,
+	// permissions), answered as a miss without dropping the record. A
+	// replicated backend answers a peer's failure as a miss instead.
 	ReadErrors uint64 `json:"read_errors"`
 	Entries    int    `json:"entries"`
 	Capacity   int    `json:"capacity"`
@@ -182,11 +182,11 @@ type writeTask struct {
 // Store is a bounded, backend-backed plan store. Construct with Open,
 // retire with Close (which drains pending write-behind persists).
 type Store struct {
-	backend   Backend
-	own       Backend // where eviction deletes (nil: nowhere; see evictLocked)
-	shared    bool
-	max       int
-	onCorrupt func(string, error)
+	backend    Backend
+	own        Backend // the backend this process owns: eviction, drop and the peer protocol act on it
+	replicated bool    // an index miss reads through backend
+	max        int
+	onCorrupt  func(string, error)
 
 	mu    sync.Mutex
 	index map[string]*list.Element
@@ -199,11 +199,15 @@ type Store struct {
 // Open loads (or creates) the store over opts.Backend (or the filesystem
 // backend at opts.Dir). Open reads no record: an unreadable one is
 // dropped and reported through opts.OnCorrupt by its first Get. Open
-// only fails when the backend itself cannot be created or (for
-// exclusive corpora) listed.
+// only fails when the backend itself cannot be created or listed, or
+// when opts.Shared is set on a backend that is not replicated.
 func Open(opts Options) (*Store, error) {
 	if opts.MaxEntries <= 0 {
 		opts.MaxEntries = DefaultMaxEntries
+	}
+	l, replicated := opts.Backend.(localer)
+	if opts.Shared && !replicated {
+		return nil, errors.New("store: Options.Shared needs a replicated backend (one with Local())")
 	}
 	backend := opts.Backend
 	if backend == nil {
@@ -214,17 +218,16 @@ func Open(opts Options) (*Store, error) {
 		backend = fs
 	}
 	s := &Store{
-		backend:   backend,
-		shared:    opts.Shared,
-		max:       opts.MaxEntries,
-		onCorrupt: opts.OnCorrupt,
-		index:     make(map[string]*list.Element),
-		ll:        list.New(),
+		backend:    backend,
+		own:        backend,
+		replicated: replicated,
+		max:        opts.MaxEntries,
+		onCorrupt:  opts.OnCorrupt,
+		index:      make(map[string]*list.Element),
+		ll:         list.New(),
 	}
-	if l, ok := backend.(localer); ok {
+	if replicated {
 		s.own = l.Local()
-	} else if !s.shared {
-		s.own = backend
 	}
 	if err := s.load(); err != nil {
 		return nil, err
@@ -242,17 +245,6 @@ func Open(opts Options) (*Store, error) {
 func (s *Store) load() error {
 	ents, err := s.backend.List()
 	if err != nil {
-		if s.shared {
-			// The corpus owner may simply not be up yet; serve cold and
-			// let index misses find it once it is.
-			s.mu.Lock()
-			s.stats.ReadErrors++
-			s.mu.Unlock()
-			if s.onCorrupt != nil {
-				s.onCorrupt("list", err)
-			}
-			return nil
-		}
 		return err
 	}
 	sort.Slice(ents, func(i, j int) bool { return ents[i].ModTime.Before(ents[j].ModTime) })
@@ -288,8 +280,8 @@ func (s *Store) reportCorrupt(path string, err error) {
 // Lookup looks up the record stored under k, as a store hit serves it:
 // a version 2 record comes back with its header fields and Doc, its
 // document not decoded (Plan is nil); a version 1 record with Plan.
-// On a shared corpus an index miss still consults the backend, so a
-// record persisted by a peer replica after this Open is a hit (and is
+// On a replicated corpus an index miss still consults the backend, so
+// a record persisted by a peer replica after this Open is a hit (and is
 // indexed from then on); an exclusive store answers misses from its
 // authoritative index alone. Lookup is where records are validated: one
 // that does not decode, carries a future schema, is torn, fails its
@@ -318,11 +310,11 @@ func (s *Store) lookup(k Key, withPlan bool) (*Record, bool) {
 		s.ll.MoveToFront(el)
 	}
 	s.mu.Unlock()
-	if !indexed && !s.shared {
+	if !indexed && !s.replicated {
 		// An exclusive corpus's index is authoritative (every record
 		// was indexed at Open, Put or eviction), so the miss costs no
-		// backend read; only shared corpora fall through to pick up
-		// peers' writes.
+		// backend read; only replicated corpora read through to pick
+		// up peers' writes.
 		s.miss()
 		return nil, false
 	}
@@ -438,7 +430,7 @@ func (s *Store) persist(t writeTask) {
 		s.onCorrupt(s.describe(t.key.ID()),
 			fmt.Errorf("store: write-behind persist failed: %w", err))
 	}
-	// A failed persist (disk full, peer unreachable) is a write error,
+	// A failed persist (disk full, permissions) is a write error,
 	// not corruption: nothing bad was published.
 	s.mu.Lock()
 	s.stats.WriteErrors++
@@ -472,36 +464,32 @@ func (s *Store) dropIndex(id string) bool {
 	return ok
 }
 
-// drop removes one record from the index and the backend. Reports
+// drop removes one record from the index and this process's own copy
+// from the owned backend; a peer's copy is the peer's to drop. Reports
 // whether anything existed to remove.
 func (s *Store) drop(id string) bool {
 	existed := s.dropIndex(id)
 	if !existed {
-		if _, err := s.backend.Stat(id); err == nil {
+		if _, err := s.own.Stat(id); err == nil {
 			existed = true
 		}
 	}
-	_ = s.backend.Delete(id)
+	_ = s.own.Delete(id)
 	return existed
 }
 
 // evictLocked trims least-recently-used index entries beyond the bound
 // and deletes this process's own copy of each: the record itself on an
 // exclusive corpus, the local replica's copy on a replicated one (its
-// peers bound their own disks, so no delete crosses the wire). A shared
-// corpus this process only mounts — a peer's /v1/store, a directory on
-// shared storage — keeps its bytes: their bound belongs to the corpus
-// owner, and a later lookup can still find the record through the
-// backend. Callers must hold s.mu.
+// peers bound their own disks, so no delete crosses the wire). Callers
+// must hold s.mu.
 func (s *Store) evictLocked() {
 	for s.ll.Len() > s.max {
 		oldest := s.ll.Back()
 		e := oldest.Value.(*entry)
 		s.ll.Remove(oldest)
 		delete(s.index, e.id)
-		if s.own != nil {
-			_ = s.own.Delete(e.id)
-		}
+		_ = s.own.Delete(e.id)
 		s.stats.Evictions++
 	}
 }
